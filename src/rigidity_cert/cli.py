@@ -31,6 +31,15 @@ PIPELINES = (
 _EXIT = {"pass": 0, "inapplicable": 2, "fail": 1}
 
 _MESH_KINDS = ("rectangle", "l-shape", "ring", "box", "file")
+# pipelines that measure gradients as lattice cell fields (fem.gradient_field);
+# only generated 2D meshes with square cells carry a lattice
+_LATTICE_PIPELINES = (
+    "certify-bmo-gate",
+    "certify-small-strain",
+    "certify-strain-diff",
+    "diagnostics-harmonic",
+    "diagnostics-rigidity",
+)
 _MATERIALS = ("stvk", "neo-hookean")
 _DIRICHLET_KINDS = ("identity", "affine")
 
@@ -305,7 +314,31 @@ def validate_scenario(sc) -> fem.Mesh:
             _fail(sc, key, "resolutions must be positive integers")
     if sc["harmonic.count"] < 1 or sc["certify.j2_count"] < 1:
         _fail(sc, "harmonic.count", "family sizes must be >= 1")
+    _check_lattice(sc, mesh)
     return mesh
+
+
+def _check_lattice(sc, mesh):
+    """Reject meshes that the pipeline's gradient fields cannot live on."""
+    pipeline, kind = sc["pipeline"], sc["mesh.kind"]
+    if pipeline not in _LATTICE_PIPELINES:
+        return
+    if kind in ("box", "file"):
+        _fail(sc, "mesh.kind",
+              f"pipeline {pipeline} measures gradients on a cell lattice, "
+              f"which kind {kind!r} meshes do not carry")
+    w, h = sc["mesh.width"], sc["mesh.height"]
+    if pipeline == "diagnostics-rigidity":
+        # it measures on r x r meshes of the same domain, one per resolution
+        if any(_resolution_mesh(sc, r).lattice is None for r in sc["rigidity.resolutions"]):
+            _fail(sc, "mesh.width",
+                  f"pipeline {pipeline} needs square lattice cells; r x r cells "
+                  f"of a {w:g} x {h:g} rectangle are not square")
+    elif mesh.lattice is None:
+        _fail(sc, "mesh.nx",
+              f"pipeline {pipeline} needs square lattice cells; mesh.nx = "
+              f"{sc['mesh.nx']} and mesh.ny = {sc['mesh.ny']} on a {w:g} x {h:g} "
+              f"rectangle give non-square cells")
 
 
 def _solve(sc, mesh):

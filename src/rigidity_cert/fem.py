@@ -889,27 +889,64 @@ def write_mesh(mesh: Mesh, path):
 
 
 def read_mesh(path) -> Mesh:
+    """Parse a file written by write_mesh.
+
+    A malformed file raises DimensionMismatch naming its 1-based line: a
+    missing or wrong section header, a bad count or number, or a file that
+    ends before the counts say it should.
+    """
     from pathlib import Path
 
     lines = Path(path).read_text().strip().splitlines()
-    if lines[0].strip() != "mesh 1":
+    if not lines or lines[0].strip() != "mesh 1":
         raise DimensionMismatch(f"{path} is not a mesh file")
-    row = 1
-    assert lines[row].startswith("dim")
-    row += 1
-    count = int(lines[row].split()[1])
-    row += 1
-    nodes = [[float(t) for t in lines[row + i].split()] for i in range(count)]
+
+    def bad(row, msg):
+        return DimensionMismatch(f"{path}, line {row + 1}: {msg}")
+
+    def tokens(row, what):
+        if row >= len(lines):
+            raise bad(row, f"file ends before {what}")
+        return lines[row].split()
+
+    def header(row, key, arity):
+        toks = tokens(row, f"the '{key}' line")
+        if not toks or toks[0] != key:
+            raise bad(row, f"expected a '{key}' line, got {lines[row].strip()!r}")
+        try:
+            counts = [int(t) for t in toks[1:]]
+        except ValueError:
+            counts = []
+        if len(counts) != arity or min(counts) < 0:
+            raise bad(row, f"'{key}' needs {arity} non-negative integer count(s)")
+        return counts
+
+    def block(row, count, key, convert, width=None):
+        out = []
+        for i in range(count):
+            try:
+                entry = [convert(t) for t in tokens(row + i, f"{key} entry {i + 1} of {count}")]
+            except ValueError as exc:
+                raise bad(row + i, f"bad {key} entry: {exc}") from None
+            if width is not None and len(entry) != width:
+                raise bad(row + i, f"{key} entry has {len(entry)} values, expected {width}")
+            out.append(entry)
+        return out
+
+    (dim,) = header(1, "dim", 1)
+    (count,) = header(2, "nodes", 1)
+    row = 3
+    nodes = block(row, count, "nodes", float, width=dim)
     row += count
-    mcount, width = (int(t) for t in lines[row].split()[1:3])
+    mcount, width = header(row, "elements", 2)
     row += 1
-    elements = [[int(t) for t in lines[row + i].split()] for i in range(mcount)]
+    elements = block(row, mcount, "elements", int, width=width)
     row += mcount
-    dcount = int(lines[row].split()[1])
+    (dcount,) = header(row, "dirichlet", 1)
     row += 1
-    dfacets = [tuple(int(t) for t in lines[row + i].split()) for i in range(dcount)]
+    dfacets = [tuple(f) for f in block(row, dcount, "dirichlet", int)]
     row += dcount
-    tcount = int(lines[row].split()[1])
+    (tcount,) = header(row, "traction", 1)
     row += 1
-    tfacets = [tuple(int(t) for t in lines[row + i].split()) for i in range(tcount)]
+    tfacets = [tuple(f) for f in block(row, tcount, "traction", int)]
     return Mesh(nodes, elements, dfacets, tfacets)

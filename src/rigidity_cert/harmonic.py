@@ -5,13 +5,17 @@ which cells belong to the body, and each cell carries one sample (scalar
 or square matrix).  Integrals are cell sums, so every average below is an
 honest finite average and the cube suprema are exact maxima.
 
-All cube aggregations go through math.fsum, which returns the correctly
-rounded sum regardless of iteration order.  That makes every statistic
+Every reported cube statistic is the math.fsum value: the correctly
+rounded sum, whatever the iteration order.  That makes every statistic
 reproducible bit for bit and lets independent re-implementations agree
-exactly.
+exactly.  The maxima over cubes get there by filter then refine: all cubes
+are estimated in plain float64 with a rigorous bound on the distance to
+their fsum value, and fsum recomputes only the cubes that can hold the
+maximum.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,6 +23,7 @@ from math import fsum
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadExponents, DegenerateFamily, DimensionMismatch, EmptyDomain
 
@@ -154,17 +159,39 @@ class CubeFamily:
             "max_side": self.max_side,
         }
 
+    @functools.cached_property
+    def _sides(self) -> tuple:
+        """(side, corners, positions) per distinct side, sides ascending:
+        corners as an (n, ndim) int array, positions their indices in cubes."""
+        groups: dict = {}
+        for pos, (_, side) in enumerate(self.cubes):
+            groups.setdefault(side, []).append(pos)
+        return tuple(
+            (side,
+             np.array([self.cubes[p][0] for p in pos], dtype=np.intp).reshape(len(pos), -1),
+             np.array(pos, dtype=np.intp))
+            for side, pos in sorted(groups.items())
+        )
+
 
 def _window(corner, side):
     return tuple(slice(c, c + side) for c in corner)
 
 
 def cube_family(fld: GridField) -> CubeFamily:
-    """Enumerate all lattice cubes fully inside the domain mask."""
-    mask = fld.mask
+    """Enumerate all lattice cubes fully inside the domain mask.
+
+    Families are cached by mask, so every field on one domain shares one.
+    """
+    return _cube_family_of(fld.mask.shape, fld.mask.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _cube_family_of(shape: tuple, mask_bytes: bytes) -> CubeFamily:
+    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
     cubes = []
     for side in range(1, min(mask.shape) + 1):
-        windows = np.lib.stride_tricks.sliding_window_view(mask, (side,) * mask.ndim)
+        windows = sliding_window_view(mask, (side,) * mask.ndim)
         inside = windows.all(axis=tuple(range(-mask.ndim, 0)))
         for corner in np.argwhere(inside):
             cubes.append((tuple(int(c) for c in corner), side))
@@ -173,12 +200,15 @@ def cube_family(fld: GridField) -> CubeFamily:
     return CubeFamily(shape=mask.shape, cubes=tuple(cubes))
 
 
+def _stacked(fld: GridField) -> np.ndarray:
+    """Samples as mask.shape + (K,), K = 1 for scalar fields."""
+    return fld.values.reshape(fld.mask.shape + (-1,))
+
+
 def _component_views(fld: GridField):
     """List of scalar component arrays (one for scalar fields)."""
-    if not fld.is_matrix:
-        return [fld.values]
-    flat = fld.values.reshape(fld.mask.shape + (-1,))
-    return [flat[..., i] for i in range(flat.shape[-1])]
+    stacked = _stacked(fld)
+    return [stacked[..., i] for i in range(stacked.shape[-1])]
 
 
 def _cube_mean(components, corner, side):
@@ -200,16 +230,146 @@ def _cube_oscillation(components, corner, side, mean):
     return fsum(devs) / count
 
 
+def _cube_average(norms, corner, side):
+    """Cube average of |sample|, exactly rounded."""
+    w = _window(corner, side)
+    return fsum(norms[w].ravel()) / norms[w].size
+
+
+# ------------------------------------------------ filter-then-refine kernel
+#
+# The cube maxima below are exact maxima of the fsum values computed by the
+# helpers above.  Each cube first gets a float64 estimate `est` and a bound
+# `err` >= |est - fsum value|; only cubes with est + err at or above a lower
+# bound on the maximum they compete for are recomputed with fsum.  The true
+# maximiser always passes, so every output is the fsum value bit for bit.
+#
+# The bound.  u = 2^-53, eta = 2^-1074 (smallest subnormal) and
+# g(k) = k u / (1 - k u).  A cube has N cells x_j with K components each.
+# While every |x| < 2^480 nothing can overflow (the largest intermediate,
+# a sum of squares, stays below 2^970), so only rounding and underflow
+# need bounding:
+#   * Any float64 sum of N terms, in any order, is off by at most
+#     g(N-1) sum|x| (Higham, Accuracy and Stability, ch. 4); fsum is off by
+#     at most u |sum|.  A product or quotient is off by u relative plus
+#     eta/2 absolute (underflow); a sum, difference or square root has no
+#     absolute term.
+#   * Means.  With A_c = sum_j |x_jc| / N, both the estimated and the fsum
+#     mean are within g(N+1) A_c + eta/2 of the exact mean mu_c, so they
+#     differ by E = 2 g(N+1) sum_c A_c + K eta at most.  The float64 mean
+#     of |x| gives sum_c A_c <= (sum_c Ahat_c + K eta) / (1 - g(N+1)).
+#   * Oscillation.  D(m) = (1/N) sum_j |x_j - m| (abs, or Frobenius norm)
+#     is 1-Lipschitz in m, so the two means move it by E at most.  For a
+#     fixed float mean m, both paths compute D(m) to within relative
+#     rho = g(N+K+4) (difference, square, K-term sum, sqrt, N-term sum,
+#     division) plus tau absolute: eta for scalars, and for matrices
+#     2 sqrt(K eta) + eta, from squares that underflow and the sqrt that
+#     follows.  Hence, with o the estimate,
+#       |o - fsum value| <= E + 2 tau + rho (2 D(mhat) + E),
+#       D(mhat) <= (o + tau) / (1 - rho).
+#   * Average of |x| (the Hardy-Littlewood kernel, nonnegative terms):
+#       |o - fsum value| <= g(N+2) (o + eta) / (1 - g(N+2)) + eta.
+# Every bound is evaluated with a factor 4 of headroom, which covers the
+# roundings made in evaluating it and in forming est +- err.  Above the
+# 2^480 guard, or if anything comes out non-finite, err is inf and the
+# whole side is refined.
+
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
+_TAME = 2.0 ** 480
+_CHUNK = 1 << 16  # floats per filter block; bounds the filter's memory
+
+
+def _gamma(k):
+    return k * _U / (1.0 - k * _U)
+
+
+def _side_estimates(X, side, corners, oscillation):
+    """est and err for the cubes of one side: mean oscillations, or with
+    oscillation=False averages of a one-component X.  X has shape
+    mask.shape + (K,)."""
+    ndim = corners.shape[1]
+    K = X.shape[-1]
+    N = side ** ndim
+    windows = sliding_window_view(X, (side,) * ndim, axis=tuple(range(ndim)))
+    est = np.empty(len(corners))
+    mag = np.empty(len(corners))
+    step = max(1, _CHUNK // (K * N))
+    for lo in range(0, len(corners), step):
+        part = slice(lo, lo + step)
+        blk = windows[tuple(corners[part].T)].reshape(-1, K, N)
+        if not oscillation:
+            est[part] = blk[:, 0].sum(axis=-1) / N
+            continue
+        mean = blk.sum(axis=-1) / N
+        mag[part] = (np.abs(blk).sum(axis=-1) / N).sum(axis=-1)
+        dev = blk - mean[..., None]
+        if K == 1:
+            dev = np.abs(dev[:, 0])
+        else:
+            dev = np.sqrt((dev * dev).sum(axis=1))
+        est[part] = dev.sum(axis=-1) / N
+    if not oscillation:
+        g = _gamma(N + 2)
+        return est, 4.0 * (g * (est + _ETA) / (1.0 - g) + _ETA)
+    g, rho = _gamma(N + 1), _gamma(N + K + 4)
+    tau = _ETA if K == 1 else 2.0 * math.sqrt(K * _ETA) + _ETA
+    E = 2.0 * g * (mag + K * _ETA) / (1.0 - g) + K * _ETA
+    return est, 4.0 * (E + 2.0 * tau + rho * (2.0 * (est + tau) / (1.0 - rho) + E))
+
+
+def _box_reduce(a, side, reduce):
+    """reduce over every side^ndim box of a, one axis at a time."""
+    for axis in range(a.ndim):
+        a = reduce(sliding_window_view(a, side, axis=axis), axis=-1)
+    return a
+
+
+def _refine_positions(X, family, oscillation, per_cell):
+    """Sorted positions in family.cubes whose fsum value can be a maximum.
+
+    per_cell=False: the maximum over all cubes (bmo_seminorm).  A cube is
+    kept when est + err reaches the largest est - err.
+    per_cell=True: each cell's maximum over the cubes containing it
+    (fs_sharp, hl_maximal).  A cube is kept when est + err reaches the
+    smallest, over its cells, of each cell's largest est - err.
+    """
+    sides = family._sides
+    tame = bool(np.abs(X).max() < _TAME)
+    bounds = []
+    for side, corners, _ in sides:
+        est, err = _side_estimates(X, side, corners, oscillation) if tame else (np.inf, np.inf)
+        if not (np.isfinite(est).all() and np.isfinite(err).all()):
+            est, err = np.zeros(len(corners)), np.full(len(corners), np.inf)
+        bounds.append((est + err, est - err))
+    keep = []
+    if per_cell:
+        shape = X.shape[:-1]
+        floor = np.full(shape, -np.inf)
+        for (side, corners, _), (_, lo) in zip(sides, bounds):
+            grid = np.full(tuple(n - side + 1 for n in shape), -np.inf)
+            grid[tuple(corners.T)] = lo
+            grid = np.pad(grid, side - 1, constant_values=-np.inf)
+            np.maximum(floor, _box_reduce(grid, side, np.max), out=floor)
+        for (side, corners, pos), (hi, _) in zip(sides, bounds):
+            need = _box_reduce(floor, side, np.min)[tuple(corners.T)]
+            keep.append(pos[hi >= need])
+    else:
+        best_lo = max((lo.max() for _, lo in bounds), default=-np.inf)
+        keep = [pos[hi >= best_lo] for (_, _, pos), (hi, _) in zip(sides, bounds)]
+    return np.sort(np.concatenate(keep)) if keep else np.empty(0, dtype=np.intp)
+
+
 def hl_maximal(fld: GridField, family: CubeFamily | None = None) -> GridField:
     """Hardy-Littlewood maximal field: sup over containing cubes of the
     cube average of |sample|."""
     family = family or cube_family(fld)
     norms = fld.cell_norms()
     out = np.zeros(fld.mask.shape)
-    for corner, side in family.cubes:
+    for pos in _refine_positions(norms[..., None], family, False, True):
+        corner, side = family.cubes[pos]
         w = _window(corner, side)
-        avg = fsum(norms[w].ravel()) / norms[w].size
-        np.maximum(out[w], avg, out=out[w])
+        np.maximum(out[w], _cube_average(norms, corner, side), out=out[w])
     return GridField(fld.mask, out, fld.spacing, fld.origin)
 
 
@@ -219,7 +379,8 @@ def fs_sharp(fld: GridField, family: CubeFamily | None = None) -> GridField:
     family = family or cube_family(fld)
     components = _component_views(fld)
     out = np.zeros(fld.mask.shape)
-    for corner, side in family.cubes:
+    for pos in _refine_positions(_stacked(fld), family, True, True):
+        corner, side = family.cubes[pos]
         mean = _cube_mean(components, corner, side)
         osc = _cube_oscillation(components, corner, side, mean)
         w = _window(corner, side)
@@ -236,7 +397,8 @@ def bmo_seminorm(fld: GridField, family: CubeFamily | None = None) -> float:
     family = family or cube_family(fld)
     components = _component_views(fld)
     best = 0.0
-    for corner, side in family.cubes:
+    for pos in _refine_positions(_stacked(fld), family, True, False):
+        corner, side = family.cubes[pos]
         mean = _cube_mean(components, corner, side)
         best = max(best, _cube_oscillation(components, corner, side, mean))
     return best

@@ -138,6 +138,41 @@ def test_validate_missing_mesh_file(tmp_path, capsys):
     assert cli.main(["validate", cfg]) == 1
 
 
+def test_validate_rejects_box_mesh_for_certify(tmp_path, capsys):
+    cfg = _write(tmp_path, "a.cfg", """
+        name = demo
+        pipeline = certify-small-strain
+        mesh.kind = box
+        mesh.nx = 3
+        mesh.ny = 3
+        mesh.nz = 3
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    assert "mesh.kind (line 4)" in capsys.readouterr().err
+
+
+def test_validate_rejects_non_square_cells_for_certify(tmp_path, capsys):
+    body = """
+        name = demo
+        pipeline = {pipeline}
+        mesh.nx = 8
+        mesh.ny = 4
+    """
+    cfg = _write(tmp_path, "a.cfg", body.format(pipeline="certify-small-strain"))
+    assert cli.main(["validate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "mesh.nx (line 4)" in err and "mesh.ny = 4" in err
+    # the same mesh is fine where no gradient field is measured
+    cfg = _write(tmp_path, "b.cfg", body.format(pipeline="solve"))
+    assert cli.main(["validate", cfg]) == 0
+
+
+def test_validate_rejects_non_square_rigidity_resolutions(tmp_path, capsys):
+    cfg = _stretch_config(tmp_path, "diagnostics-rigidity", extra="mesh.height = 2.0")
+    assert cli.main(["validate", cfg]) == 1
+    assert "mesh.width" in capsys.readouterr().err
+
+
 def test_validate_rigidity_p(tmp_path, capsys):
     cfg = _stretch_config(tmp_path, "diagnostics-rigidity",
                           extra="rigidity.p = 1.0")

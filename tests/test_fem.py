@@ -352,6 +352,25 @@ def test_mesh_file_roundtrip(tmp_path):
     assert back.mesh_hash() == mesh.mesh_hash()
 
 
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda t: t.replace("dim 2\n", ""), 2, "'dim'"),
+    (lambda t: t.replace("nodes 9", "nodes nine"), 3, "count"),
+    (lambda t: t.replace("elements 4 4", "elements 4"), 13, "count"),
+    (lambda t: t.replace("0.5 0.5", "0.5 half"), 8, "bad nodes entry"),
+    (lambda t: t.replace("0.5 0.5", "0.5"), 8, "1 values, expected 2"),
+    (lambda t: t.replace("1 2 5 4", "1 2 5"), 15, "3 values, expected 4"),
+    (lambda t: t[: t.index("elements")], 13, "file ends"),
+    (lambda t: t[: t.index("traction")], 27, "file ends before the 'traction' line"),
+    (lambda t: t[: t.index("7 8")], 26, "file ends before dirichlet entry 8 of 8"),
+])
+def test_read_mesh_typed_errors(tmp_path, edit, line, message):
+    path = tmp_path / "mesh.txt"
+    fem.write_mesh(fem.rectangle_mesh(2, 2), path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(errors.DimensionMismatch, match=f"line {line}: .*{message}"):
+        fem.read_mesh(path)
+
+
 def test_field_from_function_and_shape_check():
     mesh = fem.rectangle_mesh(2, 2)
     u = fem.FeField.from_function(mesh, lambda x: [x[0] + x[1], x[1]])

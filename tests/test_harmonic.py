@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigidity_cert import harmonic
 from rigidity_cert.errors import BadExponents, DegenerateFamily, DimensionMismatch, EmptyDomain
 from rigidity_cert.harmonic import (
     GridField,
@@ -189,6 +192,152 @@ def test_measurements_scale_invariant():
     assert bmo_seminorm(a) == bmo_seminorm(b)
     assert lp_mean_norm(a, 3.0) == lp_mean_norm(b, 3.0)
     assert np.array_equal(hl_maximal(a).values, hl_maximal(b).values)
+
+
+# ------------------------------------------- filter-then-refine vs oracles
+
+_OVERFLOW = "overflow"
+
+
+def _random_mask(rng, kind):
+    """A mask with at least one cell: random holes, an L-shape, or 3D."""
+    if kind == "l-shape":
+        a, b = rng.integers(2, 8, size=2)
+        mask = np.ones((a, b), dtype=bool)
+        mask[a // 2 :, b // 2 :] = False
+    else:
+        shape = tuple(rng.integers(2, 5 if kind == "3d" else 8, size=3 if kind == "3d" else 2))
+        mask = rng.random(shape) < 0.8
+    mask.flat[rng.integers(mask.size)] = True
+    return mask
+
+
+def _random_values(rng, shape, k, kind, exponent=0):
+    vshape = shape + (k, k) if k else shape
+    if kind == "constant":
+        return np.full(vshape, rng.normal())
+    if kind == "near-constant":
+        return 1.05 + 1e-15 * rng.normal(size=vshape)
+    if kind == "ulp-spread":
+        # cube averages a few ulps apart: float64 estimates misorder them
+        return rng.normal() * (1.0 + rng.integers(0, 8, size=vshape) * 2.0**-52)
+    if kind == "scaled":
+        # up to 1e308: finite samples whose cube sums and squares can overflow
+        return rng.uniform(-1.0, 1.0, size=vshape) * 10.0 ** exponent
+    return rng.normal(size=vshape)
+
+
+def _oracle(name, mask, values, matrix):
+    """Brute-force value, or _OVERFLOW when it overflows or raises on overflow."""
+    try:
+        if name == "hl_maximal":
+            out = (hl_maximal_bruteforce_matrix if matrix else hl_maximal_bruteforce)(mask, values)
+        else:
+            out = (fs_sharp_bruteforce_matrix if matrix else fs_sharp_bruteforce)(mask, values)
+    except OverflowError:
+        return _OVERFLOW
+    out = out[mask]
+    if not np.all(np.isfinite(out)):
+        return _OVERFLOW
+    if name == "bmo_seminorm":
+        return float(out.max()) if matrix else bmo_bruteforce(mask, values)
+    return out
+
+
+def _package(name, fld):
+    """The package's value, or _OVERFLOW (GridField rejects an infinite result)."""
+    try:
+        out = getattr(harmonic, name)(fld)
+    except (OverflowError, DimensionMismatch):
+        return _OVERFLOW
+    if name == "bmo_seminorm":
+        return out if math.isfinite(out) else _OVERFLOW
+    return out.values[fld.mask]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mask_kind=st.sampled_from(["holes", "l-shape", "3d"]),
+    k=st.sampled_from([0, 2, 3]),
+    value_kind=st.sampled_from(["normal", "constant", "near-constant", "ulp-spread", "scaled"]),
+    exponent=st.integers(-300, 308),
+)
+def test_cube_maxima_equal_oracles_bitwise(seed, mask_kind, k, value_kind, exponent):
+    rng = np.random.default_rng(seed)
+    mask = _random_mask(rng, mask_kind)
+    values = _random_values(rng, mask.shape, k, value_kind, exponent)
+    fld = GridField(mask, values)
+    for name in ("bmo_seminorm", "fs_sharp", "hl_maximal"):
+        want = _oracle(name, mask, fld.values, bool(k))
+        got = _package(name, fld)
+        if want is _OVERFLOW or got is _OVERFLOW:
+            assert want is got, name
+        else:
+            assert np.array_equal(got, want), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([0, 2, 3]),
+       power=st.integers(-200, 200))
+def test_bmo_positively_homogeneous_under_powers_of_two(seed, k, power):
+    # scaling by 2^power is exact in every operation while nothing over- or
+    # underflows, so the reported values scale exactly
+    rng = np.random.default_rng(seed)
+    mask = _random_mask(rng, "holes")
+    fld = GridField(mask, _random_values(rng, mask.shape, k, "normal"))
+    scaled = fld.with_values(fld.values * 2.0**power)
+    assert bmo_seminorm(scaled) == 2.0**power * bmo_seminorm(fld)
+    assert np.array_equal(fs_sharp(scaled).values, 2.0**power * fs_sharp(fld).values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([0, 2]),
+       mask_kind=st.sampled_from(["holes", "3d"]),
+       pad=st.lists(st.integers(0, 3), min_size=6, max_size=6))
+def test_measurements_invariant_under_lattice_translation(seed, k, mask_kind, pad):
+    rng = np.random.default_rng(seed)
+    mask = _random_mask(rng, mask_kind)
+    fld = GridField(mask, _random_values(rng, mask.shape, k, "normal"))
+    widths = [(pad[2 * i], pad[2 * i + 1]) for i in range(mask.ndim)]
+    inner = tuple(slice(a, a + n) for (a, _), n in zip(widths, mask.shape))
+    big = GridField(np.pad(mask, widths),
+                    np.pad(fld.values, widths + [(0, 0)] * (fld.values.ndim - mask.ndim)))
+    assert bmo_seminorm(big) == bmo_seminorm(fld)
+    assert np.array_equal(fs_sharp(big).values[inner], fs_sharp(fld).values)
+    assert np.array_equal(hl_maximal(big).values[inner], hl_maximal(fld).values)
+
+
+def _count_refined(monkeypatch):
+    calls = []
+    exact = harmonic._cube_oscillation
+    monkeypatch.setattr(harmonic, "_cube_oscillation",
+                        lambda *args: calls.append(1) or exact(*args))
+    return calls
+
+
+def test_refine_recomputes_few_cubes_on_generic_fields(monkeypatch):
+    fld = full_field(np.random.default_rng(157).normal(size=(12, 12, 2, 2)))
+    calls = _count_refined(monkeypatch)
+    bmo_seminorm(fld)
+    assert 1 <= len(calls) <= 5 < cube_family(fld).count
+
+
+def test_refine_recomputes_every_cube_on_constant_fields(monkeypatch):
+    # every oscillation is 0, well inside the rounding bound, so no cube
+    # can be ruled out
+    fld = full_field(np.full((6, 5), 1.05))
+    calls = _count_refined(monkeypatch)
+    assert bmo_seminorm(fld) == 0.0
+    assert len(calls) == cube_family(fld).count
+
+
+def test_cube_family_cached_per_mask():
+    mask = l_mask(6)
+    a = GridField(mask, np.zeros(mask.shape))
+    b = GridField(mask.copy(), np.ones(mask.shape))
+    assert cube_family(a) is cube_family(b)
+    assert cube_family(full_field(np.zeros((6, 6)))) is not cube_family(a)
 
 
 # ------------------------------------------------------------- inequalities
