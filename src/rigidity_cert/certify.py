@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, harmonic, material, rigidity
+from . import fem, harmonic, material, rigidity, tensor_core
 from .errors import (
     AssertionViolated,
-    DeterminantViolation,
     HypothesisUnmet,
     NonPositiveK,
     NotEquilibrium,
@@ -33,12 +32,15 @@ __all__ = [
     "TransferReport",
     "Certificate",
     "neighborhood_radius",
+    "bump_values",
+    "j2_family",
     "certification_inputs",
     "local_min_gate",
     "direction_positivity_transfer",
     "small_strain_uniqueness",
     "gated_perturbations",
     "multistart_agreement",
+    "fold_outcomes",
 ]
 
 SCOPE_LABEL = "discrete, desk-scale"
@@ -58,18 +60,6 @@ class Problem:
     material: material.Material
     mesh: fem.Mesh
     loads: fem.LoadSet
-
-
-def _dist_stack(F):
-    """dist(F, SO(n)) for a stack of matrices with positive determinant."""
-    F = np.asarray(F, dtype=float)
-    dets = np.linalg.det(F)
-    if np.any(dets <= 0):
-        raise DeterminantViolation(
-            f"det = {dets.min():g} <= 0 while measuring rotation distance"
-        )
-    w = np.clip(np.linalg.eigvalsh(np.einsum("...ki,...kj->...ij", F, F)), 0.0, None)
-    return np.sqrt(np.sum((np.sqrt(w) - 1.0) ** 2, axis=-1))
 
 
 def neighborhood_radius(k_hat: float, c_taylor: float, J2: float,
@@ -93,7 +83,7 @@ def neighborhood_radius(k_hat: float, c_taylor: float, J2: float,
     return float(min(k_hat / (2.0 * c_taylor * J2**3 * components), cap))
 
 
-def _bump_values(mesh, rng, eps):
+def bump_values(mesh, rng, eps):
     """Nodal values of a smooth oscillatory displacement, amplitude eps."""
     a = rng.uniform(-1.0, 1.0, size=(mesh.dim, 2))
 
@@ -109,17 +99,12 @@ def _bump_values(mesh, rng, eps):
     return np.array([w(x) for x in mesh.nodes])
 
 
-def _bump_field(mesh, rng, eps):
-    """Gradient GridField of a smooth interior bump displacement."""
-    return fem.gradient_field(mesh, _bump_values(mesh, rng, eps))
-
-
-def _j2_family(mesh, count, seed):
+def j2_family(mesh, count, seed):
     """Scalar component fields of seeded bump gradients, for the J2 fit."""
     rng = np.random.default_rng(seed)
     fields = []
     for k in range(count):
-        gf = _bump_field(mesh, rng, eps=0.02 * (1 + k))
+        gf = fem.gradient_field(mesh, bump_values(mesh, rng, eps=0.02 * (1 + k)))
         for i in range(mesh.dim):
             for j in range(mesh.dim):
                 fields.append(gf.with_values(gf.values[..., i, j]))
@@ -148,13 +133,29 @@ class CertInputs:
     provenance: dict = field(default_factory=dict)
 
 
+def _quadrature_taylor(problem: Problem, rng, rho, epsilon, samples, seed):
+    """Taylor constants of the material in one taylor_constants call over
+    16 seeded quadrature coordinates."""
+    n = problem.mesh.dim
+    coords = problem.mesh.quadrature()[0].reshape(-1, n)
+    pick = rng.choice(len(coords), size=min(16, len(coords)), replace=False)
+    tc = material.taylor_constants(
+        problem.material, n=n, delta=rho, epsilon=epsilon, nsamples=samples,
+        seed=seed, coords=coords[np.sort(pick)],
+    )
+    return tc.c, tc.c_hat, {"samples": int(tc.samples)}
+
+
 def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
                          taylor_samples=2000, j2_count=6, seed=0,
-                         cap=1e6) -> CertInputs:
+                         cap=1e6, taylor=_quadrature_taylor) -> CertInputs:
     """Measure every constant the gates need at the equilibrium u_e.
 
     rho is the radius of the rotation-distance set the Taylor constants
     are sampled on; epsilon the norm fattening covering candidate steps.
+    taylor samples the Taylor constants of problem.material: called as
+    taylor(problem, default_rng(seed), rho, epsilon, taylor_samples, seed),
+    it returns (c, c_hat, its own entries of the Taylor provenance).
     """
     m, mesh = problem.material, problem.mesh
     n = mesh.dim
@@ -162,29 +163,25 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
     G = fem.gradient_gram_matrix(mesh)
     lambda_min = fem.coercivity_constant(M, G)
     k_hat = lambda_min / _CASCADE
-    rng = np.random.default_rng(seed)
-    coords = mesh.quadrature()[0].reshape(-1, n)
-    pick = rng.choice(len(coords), size=min(16, len(coords)), replace=False)
-    tc = material.taylor_constants(
-        m, n=n, delta=rho, epsilon=epsilon, nsamples=taylor_samples,
-        seed=seed, coords=coords[np.sort(pick)],
+    c, c_hat, taylor_provenance = taylor(
+        problem, np.random.default_rng(seed), rho, epsilon, taylor_samples, seed
     )
-    fields, j2_manifest = _j2_family(mesh, j2_count, seed)
+    fields, j2_manifest = j2_family(mesh, j2_count, seed)
     J2 = harmonic.fit_interpolation_constant(fields, p=2.0, q=3.0)
     components = n * n
     delta_star = (
-        neighborhood_radius(k_hat, tc.c, J2, components, cap=cap)
+        neighborhood_radius(k_hat, c, J2, components, cap=cap)
         if k_hat > 0.0
         else 0.0
     )
     provenance = {
         "mesh_hash": mesh.mesh_hash(),
-        "material": problem.material.descriptor(),
+        "material": m.descriptor(),
         "taylor": {
             "delta": float(rho),
             "epsilon": float(epsilon),
-            "samples": int(tc.samples),
             "seed": int(seed),
+            **taylor_provenance,
         },
         "j2_family": j2_manifest,
         "seed": int(seed),
@@ -192,8 +189,8 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
     return CertInputs(
         lambda_min=float(lambda_min),
         k_hat=float(k_hat),
-        c_taylor=float(tc.c),
-        c_hat_taylor=float(tc.c_hat),
+        c_taylor=float(c),
+        c_hat_taylor=float(c_hat),
         J2=float(J2),
         rho=float(rho),
         epsilon=float(epsilon),
@@ -254,8 +251,8 @@ def local_min_gate(u_e, v, inputs: CertInputs, problem: Problem,
         raise NotEquilibrium(f"u_e residual {r:.3e} exceeds {residual_tol:g}")
     Fe = fem.deformation_gradients(mesh, u_e)
     Fv = fem.deformation_gradients(mesh, v)
-    dist_e = float(_dist_stack(Fe).max())
-    dist_v = float(_dist_stack(Fv).max())
+    dist_e = float(tensor_core.dist_to_rotations_many(Fe).max())
+    dist_v = float(tensor_core.dist_to_rotations_many(Fv).max())
     step = float(np.sqrt(np.einsum("eqij,eqij->eq", Fv - Fe, Fv - Fe)).max())
     set_ratio = max(dist_e / inputs.rho, dist_v / inputs.rho, step / inputs.epsilon)
     diff = _difference_gradient_field(mesh, u_e, v)
@@ -339,7 +336,8 @@ class TransferReport:
 def direction_positivity_transfer(u, v, m, mesh, inputs: CertInputs,
                                   cap=1e6) -> TransferReport:
     """Verify that the second variation at v stays coercive in the
-    direction w = v - u, using only the coercivity measured at u.
+    direction w = v - u, using only the coercivity measured at u: inputs
+    are the constants certification_inputs measured there.
 
     The threshold is the transfer step's own: with the Hessian Lipschitz
     constant c_hat, a BMO/mean gap below 2 k_hat / (c_hat sqrt(Nn) J2^3)
@@ -348,12 +346,9 @@ def direction_positivity_transfer(u, v, m, mesh, inputs: CertInputs,
     d = mesh.dirichlet_nodes
     if len(d) and np.max(np.abs(u.values[d] - v.values[d])) > 1e-12:
         raise HypothesisUnmet("transfer direction does not vanish on the Dirichlet part")
-    M_u = fem.second_variation_matrix(m, mesh, u)
-    G = fem.gradient_gram_matrix(mesh)
-    lam = fem.coercivity_constant(M_u, G)
+    lam, k_hat = inputs.lambda_min, inputs.k_hat
     if lam <= 0.0:
         raise HypothesisUnmet(f"second variation at u is not coercive ({lam:g})")
-    k_hat = lam / _CASCADE
     if inputs.c_hat_taylor == 0.0:
         threshold = float(cap)
     else:
@@ -404,6 +399,10 @@ def direction_positivity_transfer(u, v, m, mesh, inputs: CertInputs,
     )
 
 
+# the CertInputs constants a Certificate reports
+_CONSTANTS = ("lambda_min", "k_hat", "c_taylor", "c_hat_taylor", "J2", "delta_star")
+
+
 @dataclass
 class Certificate:
     """Reproducible record of measured constants and gate outcomes."""
@@ -422,6 +421,11 @@ class Certificate:
     configuration: str = "reference"
     extra: dict = field(default_factory=dict)
 
+    @classmethod
+    def from_inputs(cls, problem_id: str, inputs: CertInputs, **fields) -> Certificate:
+        """A certificate reporting the constants measured in inputs."""
+        return cls(problem_id, **{k: getattr(inputs, k) for k in _CONSTANTS}, **fields)
+
     def to_dict(self) -> dict:
         out = {
             "schema_version": 1,
@@ -429,14 +433,7 @@ class Certificate:
             "problem_id": self.problem_id,
             "configuration": self.configuration,
             "outcome": self.outcome,
-            "constants": {
-                "lambda_min": self.lambda_min,
-                "k_hat": self.k_hat,
-                "c_taylor": self.c_taylor,
-                "c_hat_taylor": self.c_hat_taylor,
-                "J2": self.J2,
-                "delta_star": self.delta_star,
-            },
+            "constants": {k: getattr(self, k) for k in _CONSTANTS},
             "measurements": self.measurements,
             "candidates": self.candidates,
             "provenance": self.provenance,
@@ -445,7 +442,8 @@ class Certificate:
         return out
 
 
-def _fold_outcomes(entries) -> str:
+def fold_outcomes(entries) -> str:
+    """The worst of the outcomes: fail, then inapplicable, then pass."""
     if any(e == "fail" for e in entries):
         return "fail"
     if any(e == "inapplicable" for e in entries):
@@ -543,20 +541,15 @@ def small_strain_uniqueness(problem: Problem, u_e, candidates,
             }
         )
         entries.append(entry)
-    outcome = _fold_outcomes(
+    outcome = fold_outcomes(
         ["pass" if inputs.lambda_min > 0 else "fail"]
         + [e["outcome"] for e in entries]
     )
     provenance = dict(inputs.provenance)
     provenance["strain_delta"] = float(strain_delta)
-    return Certificate(
-        problem_id=problem.problem_id,
-        lambda_min=inputs.lambda_min,
-        k_hat=inputs.k_hat,
-        c_taylor=inputs.c_taylor,
-        c_hat_taylor=inputs.c_hat_taylor,
-        J2=inputs.J2,
-        delta_star=inputs.delta_star,
+    return Certificate.from_inputs(
+        problem.problem_id,
+        inputs,
         measurements=measurements,
         candidates=entries,
         provenance=provenance,
@@ -577,7 +570,7 @@ def gated_perturbations(problem: Problem, u_e, inputs: CertInputs,
     base = fem.gradient_field(mesh, u_e.values)
     out = []
     for _ in range(count):
-        unit = _bump_values(mesh, rng, 1.0)
+        unit = bump_values(mesh, rng, 1.0)
         unit[mesh.dirichlet_nodes] = 0.0
         gf = base.with_values(
             fem.gradient_field(mesh, u_e.values + unit).values - base.values
@@ -616,7 +609,7 @@ def multistart_agreement(problem: Problem, count=10, seed=0, spread=0.2,
         0.0,
     )
     for _ in range(count):
-        bump = _bump_values(mesh, rng, 1.0)
+        bump = bump_values(mesh, rng, 1.0)
         bump[mesh.dirichlet_nodes] = 0.0
         Gb = fem.deformation_gradients(mesh, bump)
         gsup = float(np.sqrt(np.einsum("eqij,eqij->eq", Gb, Gb)).max())

@@ -9,7 +9,6 @@ library call and is merely formatted here.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -351,6 +350,29 @@ def _solve(sc, mesh):
     return problem, u_e, log
 
 
+def _measure_keys(sc) -> dict:
+    """The scenario's settings for certify.certification_inputs."""
+    return {
+        "rho": sc["certify.rho"],
+        "epsilon": sc["certify.epsilon"],
+        "taylor_samples": sc["certify.taylor_samples"],
+        "j2_count": sc["certify.j2_count"],
+        "seed": sc["seed"],
+    }
+
+
+def _certify_setup(sc, mesh):
+    """The certify pipelines' common start: solve, measure the reference
+    constants once, and draw the gated candidates."""
+    problem, u_e, _ = _solve(sc, mesh)
+    inputs = certify.certification_inputs(problem, u_e, **_measure_keys(sc))
+    cands = certify.gated_perturbations(
+        problem, u_e, inputs, count=sc["certify.candidates"],
+        frac=sc["certify.frac"], seed=sc["seed"] + 1,
+    )
+    return problem, u_e, inputs, cands
+
+
 def _base_doc(sc, mesh) -> dict:
     return {
         "schema_version": 1,
@@ -396,16 +418,7 @@ def _num(x) -> float:
 
 
 def _pipeline_bmo_gate(sc, mesh):
-    problem, u_e, _ = _solve(sc, mesh)
-    inputs = certify.certification_inputs(
-        problem, u_e, rho=sc["certify.rho"], epsilon=sc["certify.epsilon"],
-        taylor_samples=sc["certify.taylor_samples"],
-        j2_count=sc["certify.j2_count"], seed=sc["seed"],
-    )
-    cands = certify.gated_perturbations(
-        problem, u_e, inputs, count=sc["certify.candidates"],
-        frac=sc["certify.frac"], seed=sc["seed"] + 1,
-    )
+    problem, u_e, inputs, cands = _certify_setup(sc, mesh)
     entries, rows = [], []
     for idx, v in enumerate(cands):
         cid = f"candidate-{idx:03d}"
@@ -429,15 +442,10 @@ def _pipeline_bmo_gate(sc, mesh):
             _num(gate.gap_bound),
             gate.outcome,
         ))
-    outcome = certify._fold_outcomes([e["outcome"] for e in entries] or ["pass"])
-    cert = certify.Certificate(
-        problem_id=sc["name"],
-        lambda_min=inputs.lambda_min,
-        k_hat=inputs.k_hat,
-        c_taylor=inputs.c_taylor,
-        c_hat_taylor=inputs.c_hat_taylor,
-        J2=inputs.J2,
-        delta_star=inputs.delta_star,
+    outcome = certify.fold_outcomes([e["outcome"] for e in entries] or ["pass"])
+    cert = certify.Certificate.from_inputs(
+        sc["name"],
+        inputs,
         measurements={},
         candidates=entries,
         provenance=inputs.provenance,
@@ -451,16 +459,7 @@ def _pipeline_bmo_gate(sc, mesh):
 
 
 def _pipeline_small_strain(sc, mesh):
-    problem, u_e, _ = _solve(sc, mesh)
-    inputs = certify.certification_inputs(
-        problem, u_e, rho=sc["certify.rho"], epsilon=sc["certify.epsilon"],
-        taylor_samples=sc["certify.taylor_samples"],
-        j2_count=sc["certify.j2_count"], seed=sc["seed"],
-    )
-    cands = certify.gated_perturbations(
-        problem, u_e, inputs, count=sc["certify.candidates"],
-        frac=sc["certify.frac"], seed=sc["seed"] + 1,
-    )
+    problem, u_e, inputs, cands = _certify_setup(sc, mesh)
     cert = certify.small_strain_uniqueness(
         problem, u_e, cands, strain_delta=sc["certify.strain_delta"],
         inputs=inputs, seed=sc["seed"], boundary_p=sc["certify.boundary_p"],
@@ -470,7 +469,7 @@ def _pipeline_small_strain(sc, mesh):
             problem, count=sc["certify.restarts"], seed=sc["seed"] + 2
         )
         cert.extra["multistart"] = ms
-        cert.outcome = certify._fold_outcomes(
+        cert.outcome = certify.fold_outcomes(
             [cert.outcome, "pass" if ms["pass"] else "fail"]
         )
     rows = [
@@ -482,21 +481,10 @@ def _pipeline_small_strain(sc, mesh):
 
 
 def _pipeline_strain_diff(sc, mesh):
-    problem, u_e, _ = _solve(sc, mesh)
-    inputs = certify.certification_inputs(
-        problem, u_e, rho=sc["certify.rho"], epsilon=sc["certify.epsilon"],
-        taylor_samples=sc["certify.taylor_samples"],
-        j2_count=sc["certify.j2_count"], seed=sc["seed"],
-    )
-    cands = certify.gated_perturbations(
-        problem, u_e, inputs, count=sc["certify.candidates"],
-        frac=sc["certify.frac"], seed=sc["seed"] + 1,
-    )
+    problem, u_e, inputs, cands = _certify_setup(sc, mesh)
     cert = pushforward.certify_strain_neighborhood(
         problem, u_e, cands, strain_eps=sc["certify.strain_eps"],
-        rho=sc["certify.rho"], epsilon=sc["certify.epsilon"],
-        taylor_samples=sc["certify.taylor_samples"],
-        j2_count=sc["certify.j2_count"], seed=sc["seed"],
+        inputs=inputs, **_measure_keys(sc),
     )
     rows = [
         (e["id"], e["strain_diff_sup"], e["dist_sup"],
@@ -513,9 +501,9 @@ def _pipeline_strain_diff(sc, mesh):
 def _pipeline_harmonic(sc, mesh):
     count = sc["harmonic.count"]
     p, q = sc["harmonic.p"], sc["harmonic.q"]
-    fields, manifest = certify._j2_family(mesh, count, sc["seed"])
+    fields, manifest = certify.j2_family(mesh, count, sc["seed"])
     J2 = harmonic.fit_interpolation_constant(fields, p=p, q=q)
-    doubled, _ = certify._j2_family(mesh, 2 * count, sc["seed"])
+    doubled, _ = certify.j2_family(mesh, 2 * count, sc["seed"])
     J2_doubled = harmonic.fit_interpolation_constant(doubled, p=p, q=q)
     rows = []
     all_ok = True
@@ -555,7 +543,7 @@ def _pipeline_rigidity(sc, mesh):
     for r in sc["rigidity.resolutions"]:
         mesh_r = _resolution_mesh(sc, r)
         rng = np.random.default_rng(sc["seed"])
-        vals = mesh_r.nodes + certify._bump_values(mesh_r, rng, sc["rigidity.eps"])
+        vals = mesh_r.nodes + certify.bump_values(mesh_r, rng, sc["rigidity.eps"])
         fit = rigidity.rigidity_fit(
             fem.gradient_field(mesh_r, vals), p=sc["rigidity.p"]
         )
@@ -618,13 +606,6 @@ def run_scenario(sc, out_dir) -> tuple[str, list]:
     return outcome, written
 
 
-def _apply_threads(k):
-    if k is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(k)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rigidity-cert",
@@ -641,11 +622,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="reports", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="thread cap exported to the numerical backends; "
-                            "results are seed-deterministic either way")
     args = parser.parse_args(argv)
-    _apply_threads(args.threads)
     try:
         sc = load_scenario(args.config, seed_override=args.seed)
         if args.command == "validate":

@@ -37,6 +37,10 @@ class BadExponents(RigidityCertError):
     """Integrability exponents violate 1 <= p < q."""
 
 
+class CubeOverflow(RigidityCertError):
+    """A cube mean, oscillation or average overflows float64."""
+
+
 # constitutive models
 
 class OutsideDomain(RigidityCertError):

@@ -53,8 +53,10 @@ __all__ = [
     "residual",
     "residual_field",
     "solve_equilibrium",
+    "material_ctx",
     "second_variation_matrix",
     "gradient_gram_matrix",
+    "scatter_matrix",
     "coercivity_constant",
     "energy_identity_check",
     "mean_gradient",
@@ -403,7 +405,7 @@ def _check_dets(F, floor=0.0):
     return det
 
 
-def _material_ctx(mesh):
+def material_ctx(mesh):
     """Flattened (element, qp) index pair for material evaluation."""
     M, q = mesh.quadrature()[2].shape
     e = np.repeat(np.arange(M), q)
@@ -418,7 +420,7 @@ def total_energy(m, mesh: Mesh, loads: LoadSet, u) -> float:
     _check_dets(F)
     M, q = wdet.shape
     n = mesh.dim
-    W = m.energy_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=_material_ctx(mesh))
+    W = m.energy_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
     out = float(np.sum(W.reshape(M, q) * wdet))
     vals = u.values if isinstance(u, FeField) else np.asarray(u)
     if loads.body is not None:
@@ -439,7 +441,7 @@ def residual_field(m, mesh: Mesh, loads: LoadSet, u) -> np.ndarray:
     _check_dets(F)
     M, q = wdet.shape
     n = mesh.dim
-    S = m.stress_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=_material_ctx(mesh))
+    S = m.stress_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
     S = S.reshape(M, q, n, n)
     r_el = np.einsum("eq,eqik,eqak->eai", wdet, S, grads)
     if loads.body is not None:
@@ -466,10 +468,10 @@ def second_variation_matrix(m, mesh: Mesh, u, free_only=True):
     _check_dets(F)
     M, q = wdet.shape
     n = mesh.dim
-    A = m.elasticity_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=_material_ctx(mesh))
+    A = m.elasticity_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
     A = A.reshape(M, q, n, n, n, n)
     Ke = np.einsum("eq,eqak,eqikjl,eqbl->eaibj", wdet, grads, A, grads)
-    return _scatter_matrix(mesh, Ke, free_only)
+    return scatter_matrix(mesh, Ke, free_only)
 
 
 def gradient_gram_matrix(mesh: Mesh, free_only=True):
@@ -478,10 +480,12 @@ def gradient_gram_matrix(mesh: Mesh, free_only=True):
     n = mesh.dim
     Kg = np.einsum("eq,eqak,eqbk->eab", wdet, grads, grads)
     Ke = np.einsum("eab,ij->eaibj", Kg, np.eye(n))
-    return _scatter_matrix(mesh, Ke, free_only)
+    return scatter_matrix(mesh, Ke, free_only)
 
 
-def _scatter_matrix(mesh, Ke, free_only):
+def scatter_matrix(mesh, Ke, free_only):
+    """Sparse CSR assembly of element matrices Ke (M, k, n, k, n) over the
+    nodal dofs; free_only restricts it to the free dofs."""
     M, k = mesh.elements.shape
     n = mesh.dim
     dof = (mesh.elements[:, :, None] * n + np.arange(n)[None, None, :]).reshape(M, k * n)
@@ -634,7 +638,7 @@ def energy_identity_check(m, mesh: Mesh, loads: LoadSet, u_e: FeField, v: FeFiel
     Fv = deformation_gradients(mesh, v)
     _check_dets(Fe)
     _check_dets(Fv)
-    ctx = _material_ctx(mesh)
+    ctx = material_ctx(mesh)
     flat = coords.reshape(-1, n)
     We = m.energy_many(flat, Fe.reshape(-1, n, n), ctx=ctx).reshape(wdet.shape)
     Wv = m.energy_many(flat, Fv.reshape(-1, n, n), ctx=ctx).reshape(wdet.shape)

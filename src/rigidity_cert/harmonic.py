@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadExponents, DegenerateFamily, DimensionMismatch, EmptyDomain
+from .errors import BadExponents, CubeOverflow, DegenerateFamily, DimensionMismatch, EmptyDomain
 
 __all__ = [
     "GridField",
@@ -360,16 +361,31 @@ def _refine_positions(X, family, oscillation, per_cell):
     return np.sort(np.concatenate(keep)) if keep else np.empty(0, dtype=np.intp)
 
 
+@contextmanager
+def _float64_range(who):
+    """Raise CubeOverflow where a cube kernel overflows: fsum's
+    OverflowError, or numpy's, raised here instead of a RuntimeWarning."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError) as exc:
+        raise CubeOverflow(f"{who}: a cube value overflows float64") from exc
+
+
 def hl_maximal(fld: GridField, family: CubeFamily | None = None) -> GridField:
     """Hardy-Littlewood maximal field: sup over containing cubes of the
     cube average of |sample|."""
     family = family or cube_family(fld)
-    norms = fld.cell_norms()
     out = np.zeros(fld.mask.shape)
-    for pos in _refine_positions(norms[..., None], family, False, True):
-        corner, side = family.cubes[pos]
-        w = _window(corner, side)
-        np.maximum(out[w], _cube_average(norms, corner, side), out=out[w])
+    with _float64_range("hl_maximal"):
+        norms = fld.cell_norms()
+        # a matrix norm whose squares overflow comes back as inf
+        if not np.isfinite(norms).all():
+            raise CubeOverflow("hl_maximal: a cube value overflows float64")
+        for pos in _refine_positions(norms[..., None], family, False, True):
+            corner, side = family.cubes[pos]
+            w = _window(corner, side)
+            np.maximum(out[w], _cube_average(norms, corner, side), out=out[w])
     return GridField(fld.mask, out, fld.spacing, fld.origin)
 
 
@@ -379,12 +395,13 @@ def fs_sharp(fld: GridField, family: CubeFamily | None = None) -> GridField:
     family = family or cube_family(fld)
     components = _component_views(fld)
     out = np.zeros(fld.mask.shape)
-    for pos in _refine_positions(_stacked(fld), family, True, True):
-        corner, side = family.cubes[pos]
-        mean = _cube_mean(components, corner, side)
-        osc = _cube_oscillation(components, corner, side, mean)
-        w = _window(corner, side)
-        np.maximum(out[w], osc, out=out[w])
+    with _float64_range("fs_sharp"):
+        for pos in _refine_positions(_stacked(fld), family, True, True):
+            corner, side = family.cubes[pos]
+            mean = _cube_mean(components, corner, side)
+            osc = _cube_oscillation(components, corner, side, mean)
+            w = _window(corner, side)
+            np.maximum(out[w], osc, out=out[w])
     return GridField(fld.mask, out, fld.spacing, fld.origin)
 
 
@@ -397,10 +414,11 @@ def bmo_seminorm(fld: GridField, family: CubeFamily | None = None) -> float:
     family = family or cube_family(fld)
     components = _component_views(fld)
     best = 0.0
-    for pos in _refine_positions(_stacked(fld), family, True, False):
-        corner, side = family.cubes[pos]
-        mean = _cube_mean(components, corner, side)
-        best = max(best, _cube_oscillation(components, corner, side, mean))
+    with _float64_range("bmo_seminorm"):
+        for pos in _refine_positions(_stacked(fld), family, True, False):
+            corner, side = family.cubes[pos]
+            mean = _cube_mean(components, corner, side)
+            best = max(best, _cube_oscillation(components, corner, side, mean))
     return best
 
 
@@ -591,17 +609,30 @@ def write_grid_field(fld: GridField, path) -> None:
 
 
 def read_grid_field(path) -> GridField:
+    """Parse a file written by write_grid_field.
+
+    A header without one of its keys, a cell line with a bad index or
+    value, or a file that ends before its cells lines, raises
+    DimensionMismatch naming the 1-based line.
+    """
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0].strip() != _FORMAT_TAG:
         raise DimensionMismatch(f"read_grid_field: {path} is not a grid field file")
     header = {}
     row = 1
-    while row < len(text):
+    while row < len(text) and "cells" not in header:
         key, _, rest = text[row].partition(" ")
         header[key] = rest.strip()
         row += 1
-        if key == "cells":
-            break
+    if "cells" not in header:
+        raise DimensionMismatch(
+            f"read_grid_field: {path}, line {row + 1}: file ends before the 'cells' line"
+        )
+    for key in ("dims", "spacing", "origin", "kind"):
+        if key not in header:
+            raise DimensionMismatch(
+                f"read_grid_field: {path}, line {row}: the header ends without a '{key}' line"
+            )
     dims = tuple(int(t) for t in header["dims"].split())
     spacing = float(header["spacing"])
     origin = tuple(float(t) for t in header["origin"].split())
@@ -612,9 +643,19 @@ def read_grid_field(path) -> GridField:
     shape = dims if ncomp == 1 else dims + (int(kind[1]), int(kind[1]))
     values = np.zeros(shape)
     flat = values.reshape(dims + (-1,))
-    for line in text[row : row + count]:
+    if len(text) < row + count:
+        raise DimensionMismatch(
+            f"read_grid_field: {path}, line {len(text) + 1}: file ends before "
+            f"cell {len(text) - row + 1} of {count}"
+        )
+    for i, line in enumerate(text[row : row + count]):
         toks = line.split()
-        idx = tuple(int(t) for t in toks[: len(dims)])
-        mask[idx] = True
-        flat[idx] = [float(t) for t in toks[len(dims) :]]
+        try:
+            idx = tuple(int(t) for t in toks[: len(dims)])
+            mask[idx] = True
+            flat[idx] = [float(t) for t in toks[len(dims) :]]
+        except (ValueError, IndexError) as exc:
+            raise DimensionMismatch(
+                f"read_grid_field: {path}, line {row + i + 1}: bad cell line: {exc}"
+            ) from None
     return GridField(mask, values, spacing, origin)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.spatial
 
-from . import certify, fem, harmonic, material
+from . import certify, fem, material, tensor_core
 from .errors import (
     DegenerateNormal,
     DeterminantViolation,
@@ -285,7 +285,7 @@ def _stress_power(m, mesh, v, w, ctx_mesh=None):
     Fv = fem.deformation_gradients(mesh, v)
     Gw = fem.deformation_gradients(mesh, w)
     S = m.stress_many(
-        coords.reshape(-1, n), Fv.reshape(-1, n, n), ctx=fem._material_ctx(mesh)
+        coords.reshape(-1, n), Fv.reshape(-1, n, n), ctx=fem.material_ctx(mesh)
     ).reshape(Fv.shape)
     return float(np.sum(wdet * np.einsum("eqik,eqik->eq", S, Gw)))
 
@@ -296,7 +296,7 @@ def _elasticity_form(m, mesh, v, w):
     Fv = fem.deformation_gradients(mesh, v)
     Gw = fem.deformation_gradients(mesh, w)
     A = m.elasticity_many(
-        coords.reshape(-1, n), Fv.reshape(-1, n, n), ctx=fem._material_ctx(mesh)
+        coords.reshape(-1, n), Fv.reshape(-1, n, n), ctx=fem.material_ctx(mesh)
     ).reshape(Fv.shape[:2] + (n, n, n, n))
     return float(np.sum(wdet * np.einsum("eqia,eqiajb,eqjb->eq", Gw, A, Gw)))
 
@@ -407,7 +407,7 @@ def strain_diff_to_dist(u_e: fem.FeField, v: fem.FeField) -> StrainDistReport:
         if dmin <= 0.0:
             raise DeterminantViolation(f"det grad {name} = {dmin:g} <= 0")
     A = np.einsum("eqij,eqjk->eqik", G, np.linalg.inv(Fe))
-    d = certify._dist_stack(A)
+    d = tensor_core.dist_to_rotations_many(A)
     Cdiff = np.einsum("eqki,eqkj->eqij", G, G) - np.einsum("eqki,eqkj->eqij", Fe, Fe)
     diff = np.sqrt(np.einsum("eqij,eqij->eq", Cdiff, Cdiff))
     fn = np.sqrt(np.einsum("eqij,eqij->eq", Fe, Fe))
@@ -429,79 +429,36 @@ def strain_diff_to_dist(u_e: fem.FeField, v: fem.FeField) -> StrainDistReport:
     )
 
 
-def _deformed_inputs(problem_def: certify.Problem, cfg: DeformedConfig,
-                     u_hat, rho, epsilon, taylor_samples, j2_count,
-                     seed, cap=1e6) -> certify.CertInputs:
-    """Gate constants measured on the deformed configuration.
-
-    Taylor constants of the pushed material are the max over a seeded
-    sample of material points of the frozen-point constants.
-    """
-    m_u, mesh_def = problem_def.material, problem_def.mesh
-    n = mesh_def.dim
-    M = fem.second_variation_matrix(m_u, mesh_def, u_hat)
-    G = fem.gradient_gram_matrix(mesh_def)
-    lambda_min = fem.coercivity_constant(M, G)
-    k_hat = lambda_min / 8.0
-    rng = np.random.default_rng(seed)
-    nelem, nq = cfg.det_F.shape
+def _point_taylor(problem_def: certify.Problem, rng, rho, epsilon, samples, seed):
+    """Taylor constants of a pushed material, for certification_inputs:
+    the max over 12 seeded material points of the frozen-point constants."""
+    m_u = problem_def.material
+    nelem, nq = m_u.cfg.det_F.shape
     npts = min(12, nelem * nq)
-    flat = rng.choice(nelem * nq, size=npts, replace=False)
+    per_point = max(200, samples // npts)
     c = c_hat = 0.0
-    per_point = max(200, taylor_samples // npts)
-    for p in np.sort(flat):
-        pm = m_u.point_material(int(p // nq), int(p % nq))
+    for p in np.sort(rng.choice(nelem * nq, size=npts, replace=False)):
         tc = material.taylor_constants(
-            pm, n=n, delta=rho, epsilon=epsilon, nsamples=per_point, seed=seed
+            m_u.point_material(int(p // nq), int(p % nq)), n=problem_def.mesh.dim,
+            delta=rho, epsilon=epsilon, nsamples=per_point, seed=seed,
         )
-        c = max(c, tc.c)
-        c_hat = max(c_hat, tc.c_hat)
-    fields, j2_manifest = certify._j2_family(mesh_def, j2_count, seed)
-    J2 = harmonic.fit_interpolation_constant(fields, p=2.0, q=3.0)
-    components = n * n
-    delta_star = (
-        certify.neighborhood_radius(k_hat, c, J2, components, cap=cap)
-        if k_hat > 0.0
-        else 0.0
-    )
-    provenance = {
-        "mesh_hash": mesh_def.mesh_hash(),
-        "material": m_u.descriptor(),
-        "taylor": {
-            "delta": float(rho),
-            "epsilon": float(epsilon),
-            "samples": int(per_point),
-            "points": int(npts),
-            "seed": int(seed),
-        },
-        "j2_family": j2_manifest,
-        "seed": int(seed),
-    }
-    return certify.CertInputs(
-        lambda_min=float(lambda_min),
-        k_hat=float(k_hat),
-        c_taylor=float(c),
-        c_hat_taylor=float(c_hat),
-        J2=float(J2),
-        rho=float(rho),
-        epsilon=float(epsilon),
-        components=components,
-        delta_star=float(delta_star),
-        provenance=provenance,
-    )
+        c, c_hat = max(c, tc.c), max(c_hat, tc.c_hat)
+    return c, c_hat, {"samples": int(per_point), "points": int(npts)}
 
 
 def certify_strain_neighborhood(problem: certify.Problem, u_e: fem.FeField,
                                 candidates, strain_eps=0.05,
                                 rho=0.25, epsilon=0.25,
                                 taylor_samples=2000, j2_count=6,
-                                seed=0, residual_tol=1e-8) -> certify.Certificate:
+                                seed=0, residual_tol=1e-8,
+                                inputs: certify.CertInputs | None = None) -> certify.Certificate:
     """Run the local-minimality gate on the deformed configuration.
 
     Candidates are filtered by the strain-difference bound against u_e;
     surviving candidates are transported to the deformed configuration,
     gated there with the pushed-forward problem, and their energy
-    excesses are cross-checked against the reference-side gate.
+    excesses are cross-checked against the reference-side gate.  inputs
+    are the reference constants at u_e, measured here when None.
     """
     m, mesh, loads = problem.material, problem.mesh, problem.loads
     r = float(np.max(np.abs(fem.residual(m, mesh, loads, u_e))))
@@ -515,16 +472,17 @@ def certify_strain_neighborhood(problem: certify.Problem, u_e: fem.FeField,
     u_hat = fem.FeField(mesh_def, u_e.values.copy())
     Ident = fem.deformation_gradients(mesh_def, u_hat)
     ident_dev = float(np.max(np.abs(Ident - np.eye(mesh.dim))))
-    inputs_ref = certify.certification_inputs(
-        problem, u_e, rho=rho, epsilon=epsilon,
-        taylor_samples=taylor_samples, j2_count=j2_count, seed=seed,
+    measure = {"rho": rho, "epsilon": epsilon, "taylor_samples": taylor_samples,
+               "j2_count": j2_count, "seed": seed}
+    inputs_ref = (
+        certify.certification_inputs(problem, u_e, **measure) if inputs is None else inputs
     )
     if inputs_ref.lambda_min <= 0.0:
         raise PrerequisiteFailed(
             f"second variation at u_e is not coercive ({inputs_ref.lambda_min:g})"
         )
-    inputs_def = _deformed_inputs(
-        problem_def, cfg, u_hat, rho, epsilon, taylor_samples, j2_count, seed
+    inputs_def = certify.certification_inputs(
+        problem_def, u_hat, taylor=_point_taylor, **measure
     )
     measurements = {
         "identity_gradient_dev": {
@@ -584,18 +542,13 @@ def certify_strain_neighborhood(problem: certify.Problem, u_e: fem.FeField,
             entry["outcome"] = "inapplicable"
             entry["reason"] = "gate thresholds"
         entries.append(entry)
-    outcome = certify._fold_outcomes([e["outcome"] for e in entries] or ["pass"])
+    outcome = certify.fold_outcomes([e["outcome"] for e in entries] or ["pass"])
     provenance = dict(inputs_ref.provenance)
     provenance["strain_eps"] = float(strain_eps)
     provenance["deformed"] = inputs_def.provenance
-    return certify.Certificate(
-        problem_id=problem.problem_id,
-        lambda_min=inputs_def.lambda_min,
-        k_hat=inputs_def.k_hat,
-        c_taylor=inputs_def.c_taylor,
-        c_hat_taylor=inputs_def.c_hat_taylor,
-        J2=inputs_def.J2,
-        delta_star=inputs_def.delta_star,
+    return certify.Certificate.from_inputs(
+        problem.problem_id,
+        inputs_def,
         measurements=measurements,
         candidates=entries,
         provenance=provenance,

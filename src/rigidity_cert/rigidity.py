@@ -246,7 +246,7 @@ def korn_form_matrix(mesh, F_field=None, det_floor=1e-8):
     # for H = e_i x g_a against e_j x g_b
     Ke = 2.0 * np.einsum("eq,eqij,eqak,eqbk->eaibj", wdet, FFt, grads, grads)
     Ke += 2.0 * np.einsum("eq,eqik,eqbk,eqjl,eqal->eaibj", wdet, Fq, grads, Fq, grads)
-    return fem._scatter_matrix(mesh, Ke, free_only=False)
+    return fem.scatter_matrix(mesh, Ke, free_only=False)
 
 
 def korn_constant(mesh, F_field=None, dirichlet=None, det_floor=1e-8) -> float:

@@ -10,13 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DetNonPositive, DimensionMismatch, Singular
+from .errors import DeterminantViolation, DetNonPositive, DimensionMismatch, Singular
 
 __all__ = [
     "PolarPair",
     "SandwichReport",
     "polar_decompose",
     "dist_to_rotations",
+    "dist_to_rotations_many",
     "strain",
     "wedge",
     "strain_dist_sandwich",
@@ -114,6 +115,20 @@ def dist_to_rotations(F) -> float:
         raise DetNonPositive(f"dist_to_rotations: det F = {det:g} <= 0")
     w, _ = _stretch_spectrum(F)
     return math.sqrt(float(np.sum((np.sqrt(w) - 1.0) ** 2)))
+
+
+def dist_to_rotations_many(F) -> np.ndarray:
+    """dist(F, SO(n)) for a stack of matrices (..., n, n), as quadrature
+    points carry them; a non-positive determinant raises
+    DeterminantViolation."""
+    F = np.asarray(F, dtype=float)
+    dets = np.linalg.det(F)
+    if np.any(dets <= 0):
+        raise DeterminantViolation(
+            f"det = {dets.min():g} <= 0 while measuring rotation distance"
+        )
+    w = np.clip(np.linalg.eigvalsh(np.einsum("...ki,...kj->...ij", F, F)), 0.0, None)
+    return np.sqrt(np.sum((np.sqrt(w) - 1.0) ** 2, axis=-1))
 
 
 def strain(F) -> np.ndarray:

@@ -156,10 +156,10 @@ def fs_sharp_bruteforce_matrix(mask, values):
     for corner, side in enumerate_cubes(mask):
         rows = _cube_matrices(values, corner, side)
         mean = [fsum(float(row[j]) for row in rows) / len(rows) for j in range(rows.shape[1])]
-        devs = [
-            math.sqrt(fsum((float(row[j]) - mean[j]) ** 2 for j in range(rows.shape[1])))
-            for row in rows
-        ]
+        # d * d, not d ** 2: float ** goes through libm pow, which may be
+        # off by an ulp, while a product is correctly rounded
+        diffs = [[float(row[j]) - mean[j] for j in range(rows.shape[1])] for row in rows]
+        devs = [math.sqrt(fsum(d * d for d in diff)) for diff in diffs]
         osc = fsum(devs) / len(devs)
         window = tuple(slice(c, c + side) for c in corner)
         block = out[window]

@@ -1,4 +1,5 @@
 """Gate and certificate tests on small stretch problems."""
+import dataclasses
 import json
 import math
 
@@ -228,6 +229,21 @@ def test_transfer_dirichlet_hypothesis(stretch):
         certify.direction_positivity_transfer(
             u_e, v, problem.material, problem.mesh, inputs
         )
+
+
+def test_transfer_reuses_measured_coercivity(stretch, monkeypatch):
+    problem, u_e, inputs = stretch
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("the transfer step must reuse inputs.lambda_min")
+
+    monkeypatch.setattr(fem, "coercivity_constant", no_eigensolve)
+    v = _gated_candidate(problem, u_e, inputs, frac=0.3)
+    rep = certify.direction_positivity_transfer(u_e, v, problem.material, problem.mesh, inputs)
+    assert rep.outcome == "pass" and rep.k_hat == inputs.k_hat
+    negative = dataclasses.replace(inputs, lambda_min=-1.0, k_hat=-0.125)
+    with pytest.raises(errors.HypothesisUnmet, match="not coercive"):
+        certify.direction_positivity_transfer(u_e, v, problem.material, problem.mesh, negative)
 
 
 # ----------------------------------------------------------- certificate

@@ -14,7 +14,7 @@ def _write(tmp_path, name, body):
     return str(path)
 
 
-def _stretch_config(tmp_path, pipeline, extra=""):
+def _stretch_config(tmp_path, pipeline, extra="", candidates=2):
     return _write(tmp_path, "scenario.cfg", f"""
         # 5% uniaxial stretch, pure displacement
         name = stretch
@@ -34,7 +34,7 @@ def _stretch_config(tmp_path, pipeline, extra=""):
 
         certify.taylor_samples = 300
         certify.j2_count = 3
-        certify.candidates = 2
+        certify.candidates = {candidates}
         {extra}
     """)
 
@@ -323,3 +323,45 @@ def test_reports_byte_identical_across_runs(tmp_path):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+# ------------------------------------------------- single measurement
+
+def _count_calls(monkeypatch, module, name, key=None):
+    """Wrap module.name so that calls are tallied by key(*args, **kwargs),
+    or under name when key is None."""
+    calls = {}
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        k = name if key is None else key(*args, **kwargs)
+        calls[k] = calls.get(k, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_strain_diff_measures_reference_once(tmp_path, monkeypatch):
+    from rigidity_cert import certify, fem
+
+    inputs_calls = _count_calls(monkeypatch, certify, "certification_inputs",
+                                key=lambda problem, *a, **k: problem.problem_id)
+    eig_calls = _count_calls(monkeypatch, fem, "coercivity_constant")
+    cfg = _stretch_config(tmp_path, "certify-strain-diff")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    # once on the reference problem, once on the deformed one
+    assert inputs_calls == {"stretch": 1, "stretch-deformed": 1}
+    assert eig_calls == {"coercivity_constant": 2}
+
+
+def test_bmo_gate_solves_the_eigenproblem_once(tmp_path, monkeypatch):
+    from rigidity_cert import fem
+
+    eig_calls = _count_calls(monkeypatch, fem, "coercivity_constant")
+    cfg = _stretch_config(tmp_path, "certify-bmo-gate", candidates=3)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "stretch.json").read_text())
+    assert len(doc["candidates"]) == 3
+    assert all(e["transfer"]["outcome"] == "pass" for e in doc["candidates"])
+    assert eig_calls == {"coercivity_constant": 1}

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidity_cert import harmonic
-from rigidity_cert.errors import BadExponents, DegenerateFamily, DimensionMismatch, EmptyDomain
+from rigidity_cert.errors import (
+    BadExponents,
+    CubeOverflow,
+    DegenerateFamily,
+    DimensionMismatch,
+    EmptyDomain,
+)
 from rigidity_cert.harmonic import (
     GridField,
     bmo_l1_norm,
@@ -245,13 +252,13 @@ def _oracle(name, mask, values, matrix):
 
 
 def _package(name, fld):
-    """The package's value, or _OVERFLOW (GridField rejects an infinite result)."""
+    """The package's value, or _OVERFLOW when it raises CubeOverflow."""
     try:
         out = getattr(harmonic, name)(fld)
-    except (OverflowError, DimensionMismatch):
+    except CubeOverflow:
         return _OVERFLOW
     if name == "bmo_seminorm":
-        return out if math.isfinite(out) else _OVERFLOW
+        return out
     return out.values[fld.mask]
 
 
@@ -275,6 +282,20 @@ def test_cube_maxima_equal_oracles_bitwise(seed, mask_kind, k, value_kind, expon
             assert want is got, name
         else:
             assert np.array_equal(got, want), name
+
+
+# scalar sums overflow inside fsum; 2x2 samples at 1e200 have finite sums
+# but squares that overflow, in numpy and in the Frobenius cell norms
+@pytest.mark.parametrize("k, scale", [(0, 1e308), (2, 1e200)])
+def test_overflow_raises_one_typed_error(k, scale):
+    rng = np.random.default_rng(5)
+    shape = (4, 4) + ((k, k) if k else ())
+    fld = GridField(np.ones((4, 4), dtype=bool), rng.uniform(-1.0, 1.0, size=shape) * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (bmo_seminorm, fs_sharp, hl_maximal):
+            with pytest.raises(CubeOverflow, match=kernel.__name__):
+                kernel(fld)
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,6 +475,46 @@ def test_grid_field_matrix_round_trip(tmp_path):
     back = read_grid_field(path)
     assert np.array_equal(back.values, fld.values)
     assert back.is_matrix
+
+
+_GRID_FILE = """gridfield 1
+dims 2 2
+spacing 1.0
+origin 0.0 0.0
+kind scalar
+cells 2
+0 0 1.5
+0 1 -2.0
+"""
+
+
+@pytest.mark.parametrize("key", ["dims", "spacing", "origin", "kind"])
+def test_read_grid_field_missing_header_key(tmp_path, key):
+    path = tmp_path / "field.grid"
+    path.write_text("".join(
+        line + "\n" for line in _GRID_FILE.splitlines() if not line.startswith(key)
+    ))
+    # the header closes at the 'cells' line, now line 5
+    with pytest.raises(DimensionMismatch, match=f"line 5: the header ends without a '{key}' line"):
+        read_grid_field(path)
+
+
+def test_read_grid_field_truncated_cells(tmp_path):
+    path = tmp_path / "field.grid"
+    path.write_text(_GRID_FILE.rsplit("0 1", 1)[0])
+    with pytest.raises(DimensionMismatch, match="line 8: file ends before cell 2 of 2"):
+        read_grid_field(path)
+    path.write_text(_GRID_FILE.split("cells")[0])
+    with pytest.raises(DimensionMismatch, match="line 6: file ends before the 'cells' line"):
+        read_grid_field(path)
+
+
+@pytest.mark.parametrize("cell, reason", [("5 0 1.5", "out of bounds"), ("0 0 abc", "abc")])
+def test_read_grid_field_bad_cell_line(tmp_path, cell, reason):
+    path = tmp_path / "field.grid"
+    path.write_text(_GRID_FILE.replace("0 1 -2.0", cell))
+    with pytest.raises(DimensionMismatch, match=f"line 8: bad cell line: .*{reason}"):
+        read_grid_field(path)
 
 
 def test_grid_field_shape_validation():

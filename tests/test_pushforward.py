@@ -60,7 +60,7 @@ def test_identity_deformation_round_trip():
     G = np.array([[1.1, 0.05], [-0.02, 0.97]])
     coords = mesh.quadrature()[0].reshape(-1, 2)
     Gs = np.broadcast_to(G, (len(coords), 2, 2))
-    ctx = fem._material_ctx(mesh)
+    ctx = fem.material_ctx(mesh)
     assert m_u.energy_many(coords, Gs, ctx=ctx) == pytest.approx(
         m.energy_many(coords, Gs), rel=1e-13
     )
