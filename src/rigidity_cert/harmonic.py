@@ -608,12 +608,45 @@ def write_grid_field(fld: GridField, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _positive_ints(text):
+    vals = tuple(int(t) for t in text.split())
+    if not vals or min(vals) < 1:
+        raise ValueError(f"expected positive integers, got {text!r}")
+    return vals
+
+
+def _grid_kind(text):
+    """The value shape of one cell: () for a scalar, (n, n) for a matrix."""
+    toks = text.split()
+    if toks == ["scalar"]:
+        return ()
+    if len(toks) == 2 and toks[0] == "matrix":
+        return _positive_ints(toks[1]) * 2
+    raise ValueError(f"expected 'scalar' or 'matrix <size>', got {text!r}")
+
+
+def _cell_count(text):
+    count = int(text)
+    if count < 0:
+        raise ValueError(f"expected a count >= 0, got {text!r}")
+    return count
+
+
+_HEADER_PARSERS = {
+    "dims": _positive_ints,
+    "spacing": float,
+    "origin": lambda text: tuple(float(t) for t in text.split()),
+    "kind": _grid_kind,
+    "cells": _cell_count,
+}
+
+
 def read_grid_field(path) -> GridField:
     """Parse a file written by write_grid_field.
 
-    A header without one of its keys, a cell line with a bad index or
-    value, or a file that ends before its cells lines, raises
-    DimensionMismatch naming the 1-based line.
+    A header without one of its keys or with a malformed value, a cell
+    line with a bad index or value, or a file that ends before its cells
+    lines, raises DimensionMismatch naming the 1-based line.
     """
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0].strip() != _FORMAT_TAG:
@@ -622,26 +655,29 @@ def read_grid_field(path) -> GridField:
     row = 1
     while row < len(text) and "cells" not in header:
         key, _, rest = text[row].partition(" ")
-        header[key] = rest.strip()
+        header[key] = (rest.strip(), row + 1)
         row += 1
     if "cells" not in header:
         raise DimensionMismatch(
             f"read_grid_field: {path}, line {row + 1}: file ends before the 'cells' line"
         )
-    for key in ("dims", "spacing", "origin", "kind"):
+    for key in _HEADER_PARSERS:
         if key not in header:
             raise DimensionMismatch(
                 f"read_grid_field: {path}, line {row}: the header ends without a '{key}' line"
             )
-    dims = tuple(int(t) for t in header["dims"].split())
-    spacing = float(header["spacing"])
-    origin = tuple(float(t) for t in header["origin"].split())
-    kind = header["kind"].split()
-    ncomp = 1 if kind[0] == "scalar" else int(kind[1]) ** 2
-    count = int(header["cells"])
+    parsed = {}
+    for key, parse in _HEADER_PARSERS.items():
+        value, line = header[key]
+        try:
+            parsed[key] = parse(value)
+        except ValueError as exc:
+            raise DimensionMismatch(
+                f"read_grid_field: {path}, line {line}: bad '{key}' value: {exc}"
+            ) from None
+    dims, count = parsed["dims"], parsed["cells"]
     mask = np.zeros(dims, dtype=bool)
-    shape = dims if ncomp == 1 else dims + (int(kind[1]), int(kind[1]))
-    values = np.zeros(shape)
+    values = np.zeros(dims + parsed["kind"])
     flat = values.reshape(dims + (-1,))
     if len(text) < row + count:
         raise DimensionMismatch(
@@ -658,4 +694,4 @@ def read_grid_field(path) -> GridField:
             raise DimensionMismatch(
                 f"read_grid_field: {path}, line {row + i + 1}: bad cell line: {exc}"
             ) from None
-    return GridField(mask, values, spacing, origin)
+    return GridField(mask, values, parsed["spacing"], parsed["origin"])

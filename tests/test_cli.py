@@ -320,6 +320,24 @@ def test_reports_byte_identical_across_runs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_korn_report_byte_identical_above_dense_threshold(tmp_path):
+    # 48x48 has 4418 free dofs, so the eigensolve takes the sparse branch
+    cfg = _write(tmp_path, "korn.cfg", """
+        name = korn48
+        pipeline = korn
+        seed = 0
+        mesh.kind = rectangle
+        korn.resolutions = 48
+    """)
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert cli.main(["run", cfg, "--out", str(out1)]) == 0
+    assert cli.main(["run", cfg, "--out", str(out2)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir()) and names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])

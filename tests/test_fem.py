@@ -1,8 +1,14 @@
 """Assembly, solver, and mesh tests with finite-difference oracles."""
 import math
+import types
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidity_cert import errors, fem, material
 
@@ -312,6 +318,100 @@ def test_coercivity_positive_at_identity():
     for _ in range(5):
         w = _interior_perturb(mesh, rng, 1.0)[mesh.free_mask()].ravel()
         assert w @ (K @ w) >= (lam - 1e-9) * (w @ (G @ w))
+
+
+# above 3500 dofs coercivity_constant takes its sparse, inertia-certified
+# branch; these pencils are sized just past that
+_SPARSE_DOFS = 3600
+
+
+def _diagonal_pencil():
+    """Eigenvalues -5, 0.1, then 3598 values spread over [1, 2]."""
+    diag = np.r_[-5.0, 0.1, np.linspace(1.0, 2.0, _SPARSE_DOFS - 2)]
+    return sp.diags(diag).tocsr(), sp.identity(_SPARSE_DOFS, format="csr")
+
+
+def test_coercivity_sparse_returns_the_smallest_not_the_nearest_zero():
+    assert fem.coercivity_constant(*_diagonal_pencil()) == pytest.approx(-5.0, rel=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 4),
+       size=st.integers(2, 6), indefinite=st.booleans())
+def test_coercivity_sparse_block_pencils_match_dense(seed, blocks, size, indefinite):
+    rng = np.random.default_rng(seed)
+    ms, gs, exact = [], [], [1.0]
+    for _ in range(blocks):
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        e = rng.uniform(0.1, 3.0, size)
+        if indefinite:
+            e[0] = -e[0]
+        a = rng.normal(size=(size, size))
+        m, g = (q * e) @ q.T, np.eye(size) + a @ a.T / size
+        ms.append(m)
+        gs.append(g)
+        exact.append(scipy.linalg.eigh(m, g, eigvals_only=True)[0])
+    # a positive diagonal filler (eigenvalues 1..2) carries the pencil past
+    # the dense threshold
+    fill = _SPARSE_DOFS - blocks * size
+    M = sp.block_diag(ms + [sp.diags(np.linspace(1.0, 2.0, fill))], format="csr")
+    G = sp.block_diag(gs + [sp.identity(fill)], format="csr")
+    lam = fem.coercivity_constant(M, G)
+    assert lam == pytest.approx(min(exact), rel=1e-9)
+    assert (lam < 0) == indefinite
+
+
+def test_coercivity_sparse_singular_shift_is_not_positive_definite():
+    # M has eigenvalue 0 (the block [[1, 1], [1, 1]]): the first shift
+    # below the diagonal quotients and the first bisection midpoint both
+    # land on s = 0, where M - s G is exactly singular
+    fill = _SPARSE_DOFS - 2
+    M = sp.block_diag([np.ones((2, 2)), sp.diags(np.linspace(1.0, 2.0, fill))], format="csr")
+    lam = fem.coercivity_constant(M, sp.identity(_SPARSE_DOFS, format="csr"))
+    assert abs(lam) <= 1e-12
+
+
+def test_coercivity_sparse_off_diagonal_pivot_raises(monkeypatch):
+    real_splu = scipy.sparse.linalg.splu
+
+    def off_diagonal_splu(A, **kwargs):
+        lu = real_splu(A, **kwargs)
+        return types.SimpleNamespace(perm_r=np.roll(lu.perm_c, 1), perm_c=lu.perm_c,
+                                     U=lu.U, solve=lu.solve)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", off_diagonal_splu)
+    with pytest.raises(errors.EigenFailure, match="off the diagonal"):
+        fem.coercivity_constant(*_diagonal_pencil())
+
+
+def test_coercivity_sparse_no_positive_definite_shift_raises():
+    # M - s G = [[1 - s, 3 - 2s], [3 - 2s, 1 - s]] per block has eigenvalues
+    # 4 - 3s and s - 2, never both positive: G is not positive definite
+    half = _SPARSE_DOFS // 2
+    M = sp.block_diag([np.array([[1.0, 3.0], [3.0, 1.0]])] * half, format="csr")
+    G = sp.block_diag([np.array([[1.0, 2.0], [2.0, 1.0]])] * half, format="csr")
+    with pytest.raises(errors.EigenFailure, match="no positive definite shift"):
+        fem.coercivity_constant(M, G)
+    with pytest.raises(errors.EigenFailure, match="diagonal entry <= 0"):
+        fem.coercivity_constant(M, -G)
+
+
+@pytest.mark.parametrize("ritz", [-4.0, -100.0])
+def test_coercivity_sparse_unconfirmed_eigenvalue_raises(monkeypatch, ritz):
+    # -4 lies above the smallest eigenvalue -5, so the closing inertia check
+    # finds -5 below it; -100 lies below the slicing bound
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: np.array([ritz]))
+    with pytest.raises(errors.EigenFailure, match="not confirmed"):
+        fem.coercivity_constant(*_diagonal_pencil())
+
+
+def test_coercivity_sparse_arpack_failure_is_typed(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(errors.EigenFailure, match="no convergence"):
+        fem.coercivity_constant(*_diagonal_pencil())
 
 
 def test_mean_gradient_affine_exact():

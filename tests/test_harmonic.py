@@ -499,6 +499,20 @@ def test_read_grid_field_missing_header_key(tmp_path, key):
         read_grid_field(path)
 
 
+@pytest.mark.parametrize("bad", [
+    "dims 2 x", "dims 2 0", "spacing wide", "origin 0.0 zero",
+    "kind matrix", "kind matrix 0", "kind tensor 2", "cells two", "cells -1",
+])
+def test_read_grid_field_bad_header_value(tmp_path, bad):
+    key = bad.split()[0]
+    rows = _GRID_FILE.splitlines()
+    line = next(i for i, row in enumerate(rows, 1) if row.startswith(key))
+    path = tmp_path / "field.grid"
+    path.write_text("".join((bad if row.startswith(key) else row) + "\n" for row in rows))
+    with pytest.raises(DimensionMismatch, match=f"line {line}: bad '{key}' value"):
+        read_grid_field(path)
+
+
 def test_read_grid_field_truncated_cells(tmp_path):
     path = tmp_path / "field.grid"
     path.write_text(_GRID_FILE.rsplit("0 1", 1)[0])

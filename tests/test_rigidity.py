@@ -233,6 +233,14 @@ def test_korn_identity_refines_toward_two():
     assert gaps[1] <= gaps[0] + 1e-12
 
 
+def test_korn_constant_reproducible_above_dense_threshold():
+    # 4418 free dofs: the sparse eigensolve, whose start vector is fixed
+    mesh = fem.rectangle_mesh(48, 48)
+    first = rigidity.korn_constant(mesh)
+    assert first.hex() == rigidity.korn_constant(mesh).hex()
+    assert first == pytest.approx(2.000656566812487, rel=1e-12)
+
+
 def test_korn_scales_quadratically_in_coefficient():
     mesh = fem.rectangle_mesh(5, 5)
     K1 = rigidity.korn_constant(mesh, np.eye(2))
