@@ -39,6 +39,8 @@ _LATTICE_PIPELINES = (
     "diagnostics-harmonic",
     "diagnostics-rigidity",
 )
+# the sweep pipelines and the key listing the resolutions they mesh at
+_SWEEPS = {"diagnostics-rigidity": "rigidity.resolutions", "korn": "korn.resolutions"}
 _MATERIALS = ("stvk", "neo-hookean")
 _DIRICHLET_KINDS = ("identity", "affine")
 
@@ -194,44 +196,29 @@ def _fail(sc, key, msg):
     raise ConfigError(f"{where}: {msg}")
 
 
-def build_mesh(sc) -> fem.Mesh:
+def build_mesh(sc, r=None) -> fem.Mesh:
+    """The scenario's mesh, or with r its generator at resolution r (the
+    sweeps); a generator that rejects its arguments is a ConfigError."""
     kind = sc["mesh.kind"]
     sides = sc["mesh.dirichlet"]
     try:
         if kind == "rectangle":
-            return fem.rectangle_mesh(sc["mesh.nx"], sc["mesh.ny"],
-                                      sc["mesh.width"], sc["mesh.height"],
+            nx, ny = (sc["mesh.nx"], sc["mesh.ny"]) if r is None else (r, r)
+            return fem.rectangle_mesh(nx, ny, sc["mesh.width"], sc["mesh.height"],
                                       dirichlet=sides)
+        n = sc["mesh.n"] if r is None else r
         if kind == "l-shape":
-            return fem.l_shape_mesh(sc["mesh.n"], sc["mesh.size"], dirichlet=sides)
+            return fem.l_shape_mesh(n, sc["mesh.size"], dirichlet=sides)
         if kind == "ring":
-            return fem.square_ring_mesh(sc["mesh.n"], sc["mesh.size"],
-                                        sc["mesh.hole"], dirichlet=sides)
+            return fem.square_ring_mesh(n, sc["mesh.size"], sc["mesh.hole"], dirichlet=sides)
         if kind == "box":
-            return fem.box_mesh(sc["mesh.nx"], sc["mesh.ny"], sc["mesh.nz"],
-                                sc["mesh.lengths"], dirichlet=sides)
+            counts = (sc["mesh.nx"], sc["mesh.ny"], sc["mesh.nz"]) if r is None else (r, r, r)
+            return fem.box_mesh(*counts, sc["mesh.lengths"], dirichlet=sides)
         if sc["mesh.path"] is None:
             _fail(sc, "mesh.kind", "kind 'file' needs mesh.path")
         return fem.read_mesh(sc["mesh.path"])
     except (ValueError, OSError) as exc:
         raise ConfigError(f"mesh construction failed: {exc}") from exc
-
-
-def _resolution_mesh(sc, r) -> fem.Mesh:
-    """The scenario's generator at resolution r (sweeps)."""
-    kind = sc["mesh.kind"]
-    sides = sc["mesh.dirichlet"]
-    if kind == "rectangle":
-        return fem.rectangle_mesh(r, r, sc["mesh.width"], sc["mesh.height"],
-                                  dirichlet=sides)
-    if kind == "l-shape":
-        return fem.l_shape_mesh(r, sc["mesh.size"], dirichlet=sides)
-    if kind == "ring":
-        return fem.square_ring_mesh(r, sc["mesh.size"], sc["mesh.hole"],
-                                    dirichlet=sides)
-    if kind == "box":
-        return fem.box_mesh(r, r, r, sc["mesh.lengths"], dirichlet=sides)
-    return build_mesh(sc)
 
 
 def build_material(sc) -> material.Material:
@@ -280,11 +267,7 @@ def validate_scenario(sc) -> fem.Mesh:
     mesh = build_mesh(sc)
     dim = mesh.dim
     build_material(sc)
-    _dirichlet_map(sc, dim)
-    for key in ("loads.body", "loads.traction"):
-        vec = sc[key]
-        if vec is not None and len(vec) != dim:
-            _fail(sc, key, f"expected {dim} components, got {len(vec)}")
+    build_loads(sc, mesh)
     if sc["solve.tol"] <= 0.0:
         _fail(sc, "solve.tol", "tolerance must be positive")
     if sc["solve.max_iter"] < 1:
@@ -313,11 +296,28 @@ def validate_scenario(sc) -> fem.Mesh:
             _fail(sc, key, "resolutions must be positive integers")
     if sc["harmonic.count"] < 1 or sc["certify.j2_count"] < 1:
         _fail(sc, "harmonic.count", "family sizes must be >= 1")
-    _check_lattice(sc, mesh)
+    _check_lattice(sc, mesh, _sweep_meshes(sc))
     return mesh
 
 
-def _check_lattice(sc, mesh):
+def _sweep_meshes(sc) -> list:
+    """The meshes of the pipeline's resolution sweep (none for the other
+    pipelines); a resolution whose mesh fails or has no free dof is a
+    ConfigError naming the sweep's key."""
+    key = _SWEEPS.get(sc["pipeline"])
+    meshes = []
+    for r in sc[key] if key else ():
+        try:
+            mesh_r = build_mesh(sc, r)
+        except ConfigError as exc:
+            _fail(sc, key, f"resolution {r}: {exc}")
+        if not mesh_r.free_mask().any():
+            _fail(sc, key, f"resolution {r} leaves no free dof")
+        meshes.append(mesh_r)
+    return meshes
+
+
+def _check_lattice(sc, mesh, sweep):
     """Reject meshes that the pipeline's gradient fields cannot live on."""
     pipeline, kind = sc["pipeline"], sc["mesh.kind"]
     if pipeline not in _LATTICE_PIPELINES:
@@ -329,7 +329,7 @@ def _check_lattice(sc, mesh):
     w, h = sc["mesh.width"], sc["mesh.height"]
     if pipeline == "diagnostics-rigidity":
         # it measures on r x r meshes of the same domain, one per resolution
-        if any(_resolution_mesh(sc, r).lattice is None for r in sc["rigidity.resolutions"]):
+        if any(mesh_r.lattice is None for mesh_r in sweep):
             _fail(sc, "mesh.width",
                   f"pipeline {pipeline} needs square lattice cells; r x r cells "
                   f"of a {w:g} x {h:g} rectangle are not square")
@@ -541,7 +541,7 @@ def _pipeline_harmonic(sc, mesh):
 def _pipeline_rigidity(sc, mesh):
     rows = []
     for r in sc["rigidity.resolutions"]:
-        mesh_r = _resolution_mesh(sc, r)
+        mesh_r = build_mesh(sc, r)
         rng = np.random.default_rng(sc["seed"])
         vals = mesh_r.nodes + certify.bump_values(mesh_r, rng, sc["rigidity.eps"])
         fit = rigidity.rigidity_fit(
@@ -566,7 +566,7 @@ def _pipeline_rigidity(sc, mesh):
 def _pipeline_korn(sc, mesh):
     rows = []
     for r in sc["korn.resolutions"]:
-        mesh_r = _resolution_mesh(sc, r)
+        mesh_r = build_mesh(sc, r)
         K = rigidity.korn_constant(mesh_r)
         rows.append((r, K))
     doc = _base_doc(sc, mesh)

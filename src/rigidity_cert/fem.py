@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -502,9 +501,9 @@ def scatter_matrix(mesh, Ke, free_only):
     return K[np.ix_(idx, idx)].tocsr()
 
 
-# the sparse branch of coercivity_constant: relative width of the inertia
-# bracket handed to shift-invert, the budget of doubling steps and of
-# bisections, and the relative margin of the closing inertia check
+# coercivity_constant: relative width of the inertia bracket handed to
+# shift-invert, the budget of doubling steps and of bisections, and the
+# relative margin of the closing inertia check
 _SLICE_RTOL = 1e-3
 _SLICE_STEPS = 64
 _SLICE_BISECTIONS = 40
@@ -535,84 +534,75 @@ def _positive_definite_lu(A):
     return lu if np.all(lu.U.diagonal() > 0) else None
 
 
-def _sliced_smallest_eigenvalue(M, G) -> float:
-    """Smallest eigenvalue of the sparse symmetric pencil (M, G), certified.
+def coercivity_constant(M_mat, G_mat) -> float:
+    """Smallest generalized eigenvalue of the symmetric pencil (M, G), G
+    positive definite, certified by inertia.
 
-    Spectrum slicing brackets it from below by a shift lo with M - lo G
-    positive definite, so no eigenvalue lies below lo and shift-invert
-    Lanczos at lo converges to the smallest one.  The result is returned
-    only if M - (lam - tau) G is positive definite too, i.e. only if no
-    eigenvalue lies below lam - tau.
+    Spectrum slicing brackets it from below: stepping down from the
+    smallest diagonal quotient M_ii / G_ii (a Rayleigh quotient, so an
+    upper bound) and bisecting on the LDL^T inertia gives a shift lo with
+    M - lo G positive definite, so no eigenvalue lies below lo.
+    Shift-invert Lanczos at lo, from a fixed start vector, then converges
+    to the smallest eigenvalue lam (a 1-dof pencil is its quotient).  lam
+    is returned only if lam >= lo and M - (lam - tau) G is positive
+    definite too, tau a 1e-12 relative margin, i.e. only if no eigenvalue
+    lies below lam - tau.  An empty or non-finite pencil, and anything
+    unconfirmed, raises EigenFailure.
     """
-    M = scipy.sparse.csc_matrix(M)
-    G = scipy.sparse.csc_matrix(G)
+    M = scipy.sparse.csc_matrix(0.5 * (M_mat + M_mat.T))
+    G = scipy.sparse.csc_matrix(0.5 * (G_mat + G_mat.T))
+    nd = M.shape[0]
+    if nd == 0:
+        raise EigenFailure("empty pencil: no free dof to take an eigenvalue over")
+    if not (np.all(np.isfinite(M.data)) and np.all(np.isfinite(G.data))):
+        raise EigenFailure("pencil has a non-finite entry")
     g = G.diagonal()
     if not np.all(g > 0):
         raise EigenFailure("G has a diagonal entry <= 0, so it is not positive definite")
     ratios = M.diagonal() / g
     scale = float(np.abs(ratios).max()) or 1.0
-    # the Rayleigh quotient of a unit vector bounds lambda_min from above
     hi = float(ratios.min())
-    step = max(abs(hi), _SLICE_RTOL * scale)
-    for _ in range(_SLICE_STEPS):
-        lo = hi - step
-        lu = _positive_definite_lu(M - lo * G)
-        if lu is not None:
-            break
-        step *= 2.0
-    else:
-        raise EigenFailure(
-            f"no positive definite shift M - s G within {_SLICE_STEPS} doubling steps below {hi!r}"
-        )
-    # M - lo G stays positive definite and M - hi G does not
-    for _ in range(_SLICE_BISECTIONS):
-        if hi - lo <= _SLICE_RTOL * max(abs(lo), abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        mid_lu = _positive_definite_lu(M - mid * G)
-        if mid_lu is None:
-            hi = mid
-        else:
-            lo, lu = mid, mid_lu
-    nd = M.shape[0]
-    vals = scipy.sparse.linalg.eigsh(
-        M, k=1, M=G, sigma=lo, which="LM",
-        OPinv=scipy.sparse.linalg.LinearOperator((nd, nd), matvec=lu.solve, dtype=float),
-        v0=np.random.default_rng(0).standard_normal(nd), return_eigenvectors=False,
-    )
-    lam = float(vals[0])
-    tau = _CONFIRM_RTOL * max(abs(lam), scale)
-    if not lam >= lo or _positive_definite_lu(M - (lam - tau) * G) is None:
-        raise EigenFailure(
-            f"eigenvalue {lam!r} not confirmed: an eigenvalue lies below {lam - tau!r} "
-            f"or the result is below the slicing bound {lo!r}"
-        )
-    return lam
-
-
-def coercivity_constant(M_mat, G_mat) -> float:
-    """Smallest generalized eigenvalue of (M, G), G positive definite.
-
-    Up to 3500 dofs: dense LAPACK `eigh` (deterministic).  Above that,
-    spectrum slicing: a shift lo with M - lo G positive definite, found by
-    stepping down from the smallest diagonal quotient M_ii / G_ii and
-    bisecting on the LDL^T inertia, then shift-invert Lanczos at lo from a
-    fixed start vector.  The sparse result carries an inertia check, so it
-    is never above the smallest eigenvalue by more than a 1e-12 relative
-    margin; anything unconfirmed raises EigenFailure.
-    """
-    nd = M_mat.shape[0]
-    Ms = 0.5 * (M_mat + M_mat.T)
-    Gs = 0.5 * (G_mat + G_mat.T)
     try:
-        if nd <= 3500:
-            a = Ms.toarray() if scipy.sparse.issparse(Ms) else np.asarray(Ms)
-            b = Gs.toarray() if scipy.sparse.issparse(Gs) else np.asarray(Gs)
-            vals = scipy.linalg.eigh(a, b, eigvals_only=True, subset_by_index=[0, 0])
-            return float(vals[0])
-        return _sliced_smallest_eigenvalue(Ms, Gs)
-    except (scipy.linalg.LinAlgError, RuntimeError, ArithmeticError) as exc:
+        if nd == 1:
+            lo = lam = hi
+        else:
+            step = max(abs(hi), _SLICE_RTOL * scale)
+            for _ in range(_SLICE_STEPS):
+                lo = hi - step
+                lu = _positive_definite_lu(M - lo * G)
+                if lu is not None:
+                    break
+                step *= 2.0
+            else:
+                raise EigenFailure(
+                    f"no positive definite shift M - s G within {_SLICE_STEPS} "
+                    f"doubling steps below {hi!r}"
+                )
+            # M - lo G stays positive definite and M - hi G does not
+            for _ in range(_SLICE_BISECTIONS):
+                if hi - lo <= _SLICE_RTOL * max(abs(lo), abs(hi)):
+                    break
+                mid = 0.5 * (lo + hi)
+                mid_lu = _positive_definite_lu(M - mid * G)
+                if mid_lu is None:
+                    hi = mid
+                else:
+                    lo, lu = mid, mid_lu
+            vals = scipy.sparse.linalg.eigsh(
+                M, k=1, M=G, sigma=lo, which="LM",
+                OPinv=scipy.sparse.linalg.LinearOperator((nd, nd), matvec=lu.solve, dtype=float),
+                v0=np.random.default_rng(0).standard_normal(nd), return_eigenvectors=False,
+            )
+            lam = float(vals[0])
+        tau = _CONFIRM_RTOL * max(abs(lam), scale)
+        if not lam >= lo or _positive_definite_lu(M - (lam - tau) * G) is None:
+            raise EigenFailure(
+                f"eigenvalue {lam!r} not confirmed: an eigenvalue lies below {lam - tau!r} "
+                f"or the result is below the slicing bound {lo!r}"
+            )
+    except (RuntimeError, ArithmeticError) as exc:
         raise EigenFailure(f"generalized eigensolve failed: {exc}") from exc
+    return lam
 
 
 @dataclass

@@ -433,11 +433,15 @@ def domain_mean(fld: GridField):
     return np.array(means).reshape(n, n)
 
 
+def _mean_norm(fld: GridField) -> float:
+    """Norm of the domain average (Frobenius for matrix fields)."""
+    m = domain_mean(fld)
+    return abs(m) if np.isscalar(m) else math.sqrt(fsum((m * m).ravel()))
+
+
 def bmo_l1_norm(fld: GridField, family: CubeFamily | None = None) -> float:
     """BMO seminorm plus the norm of the domain average."""
-    m = domain_mean(fld)
-    size = abs(m) if np.isscalar(m) else math.sqrt(fsum((m * m).ravel()))
-    return bmo_seminorm(fld, family) + size
+    return bmo_seminorm(fld, family) + _mean_norm(fld)
 
 
 def lp_mean_norm(fld: GridField, p: float) -> float:
@@ -477,6 +481,26 @@ def verify_pointwise_bounds(fld: GridField, family: CubeFamily | None = None) ->
     )
 
 
+def _largest_ratio(who, pairs) -> float:
+    """Largest num / den over the (num, den) pairs of a field family.
+
+    A pair with both sides zero comes from a vanishing field and carries no
+    information; a zero den under a nonzero num makes the ratio inf (the
+    pairs after it are not evaluated).  If every field vanishes, the family
+    is degenerate.
+    """
+    best = None
+    for num, den in pairs:
+        if den == 0.0:
+            if num == 0.0:
+                continue
+            return math.inf
+        best = max(best if best is not None else 0.0, num / den)
+    if best is None:
+        raise DegenerateFamily(f"{who}: every field vanishes")
+    return best
+
+
 def fit_local_fs_constant(fields, q: float) -> float:
     """Empirical constant for the local sharp-function inequality.
 
@@ -487,21 +511,10 @@ def fit_local_fs_constant(fields, q: float) -> float:
     """
     if not q > 1:
         raise BadExponents(f"fit_local_fs_constant: q must be > 1, got {q}")
-    best = None
-    for fld in fields:
-        lhs = lp_mean_norm(fld, q) ** q
-        sharp = fs_sharp(fld)
-        m = domain_mean(fld)
-        size = abs(m) if np.isscalar(m) else math.sqrt(fsum((m * m).ravel()))
-        rhs = lp_mean_norm(sharp, q) ** q + size ** q
-        if rhs == 0.0:
-            if lhs == 0.0:
-                continue
-            return math.inf
-        best = max(best if best is not None else 0.0, lhs / rhs)
-    if best is None:
-        raise DegenerateFamily("fit_local_fs_constant: every field vanishes")
-    return best
+    return _largest_ratio("fit_local_fs_constant", (
+        (lp_mean_norm(fld, q) ** q, lp_mean_norm(fs_sharp(fld), q) ** q + _mean_norm(fld) ** q)
+        for fld in fields
+    ))
 
 
 def rh_exponents(p: float, q: float) -> tuple[Fraction, Fraction]:
@@ -533,35 +546,17 @@ def fit_interpolation_constant(fields, p: float, q: float) -> float:
     Norms are domain averages, which makes the fit scale invariant and
     lets the same J2 serve any cell size.
     """
-    best = None
-    for fld in fields:
-        lhs, rhs_unit = _rh_sides(fld, p, q, 1.0)
-        if rhs_unit == 0.0:
-            if lhs == 0.0:
-                continue
-            return math.inf
-        best = max(best if best is not None else 0.0, lhs / rhs_unit)
-    if best is None:
-        raise DegenerateFamily("fit_interpolation_constant: every field vanishes")
-    return best
+    return _largest_ratio("fit_interpolation_constant",
+                          (_rh_sides(fld, p, q, 1.0) for fld in fields))
 
 
 def fit_hl_constant(fields, p: float) -> float:
     """Empirical bound for ||psi*||_p / ||psi||_p over a family."""
     if not p > 1:
         raise BadExponents(f"fit_hl_constant: p must be > 1, got {p}")
-    best = None
-    for fld in fields:
-        den = lp_mean_norm(fld, p)
-        num = lp_mean_norm(hl_maximal(fld), p)
-        if den == 0.0:
-            if num == 0.0:
-                continue
-            return math.inf
-        best = max(best if best is not None else 0.0, num / den)
-    if best is None:
-        raise DegenerateFamily("fit_hl_constant: every field vanishes")
-    return best
+    return _largest_ratio("fit_hl_constant", (
+        (lp_mean_norm(hl_maximal(fld), p), lp_mean_norm(fld, p)) for fld in fields
+    ))
 
 
 def verify_interpolation(fld: GridField, p: float, q: float, J2: float) -> bool:

@@ -594,18 +594,20 @@ def taylor_constants(m: Material, n=2, delta=0.2, epsilon=0.05,
         G = G + E
         H = G - F
         hn = frob(H)
+        if hn > 1e-10:  # both branches below read A(F); floor > 1e-10
+            AF = m.elasticity_many(x, F[None])[0]
         if hn >= floor:
             WF = float(m.energy_many(x, F[None])[0])
             WG = float(m.energy_many(x, G[None])[0])
             S = m.stress_many(x, F[None])[0]
-            A_H = np.einsum("iajb,jb->ia", m.elasticity_many(x, F[None])[0], H)
+            A_H = np.einsum("iajb,jb->ia", AF, H)
             defect = WF - WG + float(np.sum(S * H)) + 0.5 * float(np.sum(H * A_H))
             c_best = max(c_best, defect / hn**3)
         # Lipschitz quotient of the second derivative, both orders
         K = rng.normal(size=(n, n))
         K /= frob(K)
         if hn > 1e-10:
-            qF = float(np.sum(K * np.einsum("iajb,jb->ia", m.elasticity_many(x, F[None])[0], K)))
+            qF = float(np.sum(K * np.einsum("iajb,jb->ia", AF, K)))
             qG = float(np.sum(K * np.einsum("iajb,jb->ia", m.elasticity_many(x, G[None])[0], K)))
             chat_best = max(chat_best, abs(qF - qG) / hn)
     return TaylorConstants(c=c_best, c_hat=chat_best, delta=delta,

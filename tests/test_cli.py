@@ -180,6 +180,69 @@ def test_validate_rigidity_p(tmp_path, capsys):
     assert "1 < p" in capsys.readouterr().err
 
 
+def test_validate_rejects_odd_l_shape_korn_resolution(tmp_path, capsys):
+    # l_shape_mesh needs an even cell count: validate names the sweep key,
+    # and run stops at the same check instead of failing mid-sweep
+    cfg = _write(tmp_path, "a.cfg", """
+        name = korn
+        pipeline = korn
+        mesh.kind = l-shape
+        korn.resolutions = 4 3
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error: korn.resolutions (line 5): resolution 3" in err
+    assert "even cell count" in err
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "korn.resolutions (line 5)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_rejects_ring_rigidity_resolution(tmp_path, capsys):
+    cfg = _write(tmp_path, "a.cfg", """
+        name = rig
+        pipeline = diagnostics-rigidity
+        mesh.kind = ring
+        rigidity.resolutions = 8 6
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "config error: rigidity.resolutions (line 5): resolution 6" in err
+    assert "divisible by 4" in err
+
+
+def test_validate_rejects_korn_resolution_without_free_dof(tmp_path, capsys):
+    # a 1x1 clamped square has no free node, so no Korn quotient to take
+    cfg = _write(tmp_path, "a.cfg", """
+        name = korn
+        pipeline = korn
+        korn.resolutions = 1 4
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    assert "korn.resolutions (line 4): resolution 1 leaves no free dof" in capsys.readouterr().err
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+def test_validate_checks_only_the_sweep_the_pipeline_runs(tmp_path, capsys):
+    # korn.resolutions = 3 would fail on an l-shape, but solve never meshes it
+    cfg = _write(tmp_path, "a.cfg", """
+        name = demo
+        pipeline = solve
+        mesh.kind = l-shape
+        mesh.n = 4
+        korn.resolutions = 3
+    """)
+    assert cli.main(["validate", cfg]) == 0
+
+
+def test_validate_load_components_through_build_loads(tmp_path, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, cli, "build_loads")
+    cfg = _stretch_config(tmp_path, "solve", extra="loads.body = 0.1 0.0 0.0")
+    assert cli.main(["validate", cfg]) == 1
+    assert "loads.body (line 21): expected 2 components, got 3" in capsys.readouterr().err
+    assert calls == {"build_loads": 1}
+
+
 # ---------------------------------------------------------------- pipelines
 
 def test_run_solve_minimal(tmp_path, capsys):

@@ -414,6 +414,74 @@ def test_coercivity_sparse_arpack_failure_is_typed(monkeypatch):
         fem.coercivity_constant(*_diagonal_pencil())
 
 
+def _no_factorization(*args, **kwargs):
+    raise AssertionError("a degenerate pencil reached a factorization")
+
+
+@pytest.mark.parametrize("nd", [1, 10, _SPARSE_DOFS])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["M", "G"])
+def test_coercivity_non_finite_pencil_raises_before_factorizing(monkeypatch, nd, bad, side):
+    diag = np.linspace(1.0, 2.0, nd)
+    diag[nd // 2] = bad
+    M, G = sp.identity(nd, format="csr"), sp.identity(nd, format="csr")
+    if side == "M":
+        M = sp.diags(diag).tocsr()
+    else:
+        G = sp.diags(diag).tocsr()
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", _no_factorization)
+    with pytest.raises(errors.EigenFailure, match="non-finite"):
+        fem.coercivity_constant(M, G)
+
+
+@pytest.mark.parametrize("empty", [sp.csr_matrix((0, 0)), np.empty((0, 0))])
+def test_coercivity_empty_pencil_raises(monkeypatch, empty):
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", _no_factorization)
+    with pytest.raises(errors.EigenFailure, match="empty pencil"):
+        fem.coercivity_constant(empty, empty)
+
+
+@pytest.mark.parametrize("m, g", [(3.0, 1.0), (6.0, 2.0), (-1.5, 0.5), (0.0, 4.0)])
+def test_coercivity_one_dof_pencil_is_its_quotient(monkeypatch, m, g):
+    real_splu = scipy.sparse.linalg.splu
+    factorized = []
+
+    def counting_splu(A, **kwargs):
+        factorized.append(A.toarray()[0, 0])
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    assert fem.coercivity_constant(sp.csr_matrix([[m]]), sp.csr_matrix([[g]])) == m / g
+    assert fem.coercivity_constant(np.array([[m]]), np.array([[g]])) == m / g
+    # each value passed the closing inertia check, M - (lam - tau) G > 0
+    assert len(factorized) == 2 and all(0.0 < a <= 1e-11 * g * max(abs(m / g), 1.0)
+                                        for a in factorized)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nd=st.integers(2, 40),
+       kind=st.sampled_from(["definite", "indefinite", "all-equal"]))
+def test_coercivity_small_pencils_match_dense_eigh(seed, nd, kind):
+    # the sizes every certify pipeline's tests reach; no dense branch
+    # serves them, so the sliced eigensolve must match LAPACK here too
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(nd, nd))
+    g = np.eye(nd) + a @ a.T / nd
+    if kind == "all-equal":
+        m = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0) * g
+    else:
+        q, _ = np.linalg.qr(rng.normal(size=(nd, nd)))
+        e = rng.uniform(0.1, 3.0, nd)
+        if kind == "indefinite":
+            e[rng.integers(nd)] *= -1.0
+        m = (q * e) @ q.T
+    exact = scipy.linalg.eigh(m, g, eigvals_only=True)[0]
+    lam = fem.coercivity_constant(sp.csr_matrix(m), sp.csr_matrix(g))
+    assert abs(lam - exact) <= 1e-12 * abs(exact)
+    # Sylvester: the pencil's inertia is that of m, since g is positive definite
+    assert (lam < 0) == (np.linalg.eigvalsh(m)[0] < 0)
+
+
 def test_mean_gradient_affine_exact():
     mesh = fem.l_shape_mesh(4)
     A = np.array([[1.1, 0.3], [-0.2, 0.9]])

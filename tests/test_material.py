@@ -259,6 +259,24 @@ def test_taylor_constants_stvk_sane():
     assert small.c <= tc.c * 1.5 + 1e-9
 
 
+def test_taylor_constants_evaluate_elasticity_at_f_once(monkeypatch):
+    # the cubic defect and the Lipschitz quotient share A(F); with A(G)
+    # that is two elasticity calls per sample, and the constants are the same
+    m = stvk(1.0, 1.0)
+    plain = taylor_constants(stvk(1.0, 1.0), n=2, nsamples=50, seed=4)
+    real = m.elasticity_many
+    calls = []
+
+    def counting(coords, F, ctx=None):
+        calls.append(len(F))
+        return real(coords, F, ctx)
+
+    monkeypatch.setattr(m, "elasticity_many", counting)
+    tc = taylor_constants(m, n=2, nsamples=50, seed=4)
+    assert calls == [1] * 100
+    assert (tc.c, tc.c_hat) == (plain.c, plain.c_hat)
+
+
 def test_taylor_chat_one_sided_against_third_derivative():
     # For the quartic stvk energy the second-derivative quadratic form is
     # quadratic along any segment, so every Lipschitz quotient is dominated
