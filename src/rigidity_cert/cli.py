@@ -41,6 +41,15 @@ _LATTICE_PIPELINES = (
 )
 # the sweep pipelines and the key listing the resolutions they mesh at
 _SWEEPS = {"diagnostics-rigidity": "rigidity.resolutions", "korn": "korn.resolutions"}
+# pipelines that solve for an equilibrium on the scenario mesh
+_SOLVING = ("solve", "certify-bmo-gate", "certify-small-strain", "certify-strain-diff")
+# the cell counts each generated mesh kind reads
+_MESH_COUNTS = {
+    "rectangle": ("mesh.nx", "mesh.ny"),
+    "l-shape": ("mesh.n",),
+    "ring": ("mesh.n",),
+    "box": ("mesh.nx", "mesh.ny", "mesh.nz"),
+}
 _MATERIALS = ("stvk", "neo-hookean")
 _DIRICHLET_KINDS = ("identity", "affine")
 
@@ -201,6 +210,10 @@ def build_mesh(sc, r=None) -> fem.Mesh:
     sweeps); a generator that rejects its arguments is a ConfigError."""
     kind = sc["mesh.kind"]
     sides = sc["mesh.dirichlet"]
+    counts = _MESH_COUNTS.get(kind, ()) if r is None else ()
+    for key in counts:
+        if sc[key] < 1:
+            _fail(sc, key, f"cell counts must be positive integers, got {sc[key]}")
     try:
         if kind == "rectangle":
             nx, ny = (sc["mesh.nx"], sc["mesh.ny"]) if r is None else (r, r)
@@ -265,6 +278,8 @@ def build_loads(sc, mesh) -> tuple[fem.LoadSet, fem.FeField]:
 def validate_scenario(sc) -> fem.Mesh:
     """Cross-field checks; returns the built mesh (existence check included)."""
     mesh = build_mesh(sc)
+    if sc["pipeline"] in _SOLVING and not mesh.free_mask().any():
+        _fail(sc, "mesh.dirichlet", "the mesh leaves no free dof to solve for")
     dim = mesh.dim
     build_material(sc)
     build_loads(sc, mesh)

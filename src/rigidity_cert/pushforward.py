@@ -35,6 +35,7 @@ __all__ = [
     "AnalyticDeformation",
     "DeformedConfig",
     "PushforwardMaterial",
+    "FrozenPointMaterial",
     "deform_configuration",
     "pushforward_material",
     "push_point",
@@ -196,7 +197,7 @@ class PushforwardMaterial(material.Material):
         out = np.einsum("pikjl,pak,pbl->piajb", A, Fe, Fe)
         return out / self._det[idx][:, None, None, None, None]
 
-    def point_material(self, e: int, k: int) -> material.Material:
+    def point_material(self, e: int, k: int) -> FrozenPointMaterial:
         """Freeze the material point (e, k): a stand-alone material in G."""
         idx = e * self._nq + k
         return push_point(self.base, self._x[idx], self._F[idx])
@@ -209,38 +210,49 @@ def pushforward_material(m: material.Material, cfg: DeformedConfig) -> Pushforwa
     return PushforwardMaterial(m, cfg)
 
 
-def push_point(base: material.Material, x, F) -> material.Material:
-    """Pushforward of the stored energy at one material point.
+class FrozenPointMaterial(material.Material):
+    """The pushforward frozen at one material point (x, F), a material in
+    the new gradient variable G: W(x, G F) / det F, with the chain-rule
+    stress S(x, G F) F^T / det F and elasticity A(x, G F)[. F, . F] / det F.
+    The coordinates passed to its evaluators are ignored.
 
-    Returns a material in the new gradient variable G with closed-form
-    stress and elasticity via the chain rule.
+    G F is a matrix product here, where PushforwardMaterial contracts with
+    einsum; the two agree bitwise when F is diagonal and to rounding
+    otherwise.
     """
-    x = np.asarray(x, dtype=float)
-    F = np.asarray(F, dtype=float)
-    det = float(np.linalg.det(F))
-    if det <= 0.0:
-        raise DeterminantViolation(f"det F = {det:g} <= 0 at the pushforward point")
 
-    def energy_fn(_, G):
-        return float(base.energy_many(x[None], (G @ F)[None])[0]) / det
+    name = "pushforward-point"
 
-    def stress_fn(_, G):
-        S = base.stress_many(x[None], (G @ F)[None])[0]
-        return S @ F.T / det
+    def __init__(self, base: material.Material, x, F):
+        super().__init__(base.lam, base.mu, None)
+        self.base = base
+        self.frame_indifferent = getattr(base, "frame_indifferent", False)
+        self.x = np.asarray(x, dtype=float)
+        self.F = np.asarray(F, dtype=float)
+        self.det = float(np.linalg.det(self.F))
+        if self.det <= 0.0:
+            raise DeterminantViolation(f"det F = {self.det:g} <= 0 at the pushforward point")
 
-    def elasticity_fn(_, G):
-        A = base.elasticity_many(x[None], (G @ F)[None])[0]
-        return np.einsum("ikjl,ak,bl->iajb", A, F, F) / det
+    def _base_args(self, G):
+        G = np.asarray(G, dtype=float)
+        return np.broadcast_to(self.x, (G.shape[0], self.x.size)), G @ self.F
 
-    return material.CustomMaterial(
-        "pushforward-point",
-        energy_fn,
-        stress_fn=stress_fn,
-        elasticity_fn=elasticity_fn,
-        frame_indifferent=getattr(base, "frame_indifferent", False),
-        lam=base.lam,
-        mu=base.mu,
-    )
+    def energy_many(self, coords, F, ctx=None):
+        return self.base.energy_many(*self._base_args(F)) / self.det
+
+    def stress_many(self, coords, F, ctx=None):
+        return self.base.stress_many(*self._base_args(F)) @ self.F.T / self.det
+
+    def elasticity_many(self, coords, F, ctx=None):
+        # C-ordered in and out, as a one-point evaluation is, so that the
+        # contraction sums in the same order at every batch size
+        A = np.ascontiguousarray(self.base.elasticity_many(*self._base_args(F)))
+        return np.ascontiguousarray(np.einsum("pikjl,ak,bl->piajb", A, self.F, self.F)) / self.det
+
+
+def push_point(base: material.Material, x, F) -> FrozenPointMaterial:
+    """Pushforward of the stored energy at one material point."""
+    return FrozenPointMaterial(base, x, F)
 
 
 def pushforward_loads(loads: fem.LoadSet, cfg: DeformedConfig) -> fem.LoadSet:

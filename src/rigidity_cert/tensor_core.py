@@ -29,8 +29,10 @@ _SUPPORTED_DIMS = (2, 3)
 
 
 def frob(A) -> float:
-    """Frobenius norm of a matrix (or 2-norm of a vector)."""
-    return float(np.linalg.norm(np.asarray(A, dtype=float)))
+    """Frobenius norm of a matrix (or 2-norm of a vector); the sum and the
+    root of np.linalg.norm, without its dispatch."""
+    a = np.asarray(A, dtype=float).ravel(order="K")
+    return math.sqrt(a.dot(a))
 
 
 def _as_square(F, who: str) -> np.ndarray:

@@ -223,6 +223,52 @@ def test_validate_rejects_korn_resolution_without_free_dof(tmp_path, capsys):
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("kind, key", [
+    ("rectangle", "mesh.nx"), ("rectangle", "mesh.ny"), ("box", "mesh.nz"), ("l-shape", "mesh.n"),
+])
+def test_validate_rejects_zero_mesh_count(tmp_path, capsys, kind, key):
+    # the generators divide by these counts; a zero count is named up front
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = solve
+        mesh.kind = {kind}
+        {key} = 0
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {key} (line 5): cell counts must be positive integers, got 0" in err
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "pipeline", ["solve", "certify-bmo-gate", "certify-small-strain", "certify-strain-diff"]
+)
+def test_validate_rejects_scenario_mesh_without_free_dof(tmp_path, capsys, pipeline):
+    # a clamped 1x1 square has no free node: nothing to solve for
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = {pipeline}
+        mesh.nx = 1
+        mesh.ny = 1
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    assert "config error: mesh.dirichlet: the mesh leaves no free dof" in capsys.readouterr().err
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_accepts_one_cell_with_a_free_side(tmp_path):
+    cfg = _write(tmp_path, "a.cfg", """
+        name = demo
+        pipeline = solve
+        mesh.nx = 1
+        mesh.ny = 1
+        mesh.dirichlet = left
+    """)
+    assert cli.main(["validate", cfg]) == 0
+
+
 def test_validate_checks_only_the_sweep_the_pipeline_runs(tmp_path, capsys):
     # korn.resolutions = 3 would fail on an l-shape, but solve never meshes it
     cfg = _write(tmp_path, "a.cfg", """
@@ -383,8 +429,8 @@ def test_reports_byte_identical_across_runs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_korn_report_byte_identical_above_dense_threshold(tmp_path):
-    # 48x48 has 4418 free dofs, so the eigensolve takes the sparse branch
+def test_korn_report_byte_identical_at_4418_dofs(tmp_path):
+    # 48x48 has 4418 free dofs, the largest Korn eigensolve the tests run
     cfg = _write(tmp_path, "korn.cfg", """
         name = korn48
         pipeline = korn
@@ -446,3 +492,29 @@ def test_bmo_gate_solves_the_eigenproblem_once(tmp_path, monkeypatch):
     assert len(doc["candidates"]) == 3
     assert all(e["transfer"]["outcome"] == "pass" for e in doc["candidates"])
     assert eig_calls == {"coercivity_constant": 1}
+
+
+def test_strain_diff_samples_point_materials_in_batches(tmp_path, monkeypatch):
+    # the deformed Taylor constants freeze pushforward points as batched
+    # materials: no per-point closure material, one elasticity call per
+    # gradient and taylor_constants call
+    from rigidity_cert import material, pushforward
+
+    built = []
+    monkeypatch.setattr(material.CustomMaterial, "__init__",
+                        lambda self, *a, **k: built.append(a[0]))
+    taylor_calls = _count_calls(monkeypatch, material, "taylor_constants")
+    elasticity = pushforward.FrozenPointMaterial.elasticity_many
+    sizes = []
+
+    def counted(self, coords, F, ctx=None):
+        sizes.append(len(F))
+        return elasticity(self, coords, F, ctx)
+
+    monkeypatch.setattr(pushforward.FrozenPointMaterial, "elasticity_many", counted)
+    cfg = _stretch_config(tmp_path, "certify-strain-diff")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert built == []
+    # one call on the reference material, twelve on frozen points
+    assert taylor_calls == {"taylor_constants": 13}
+    assert len(sizes) == 2 * 12 and all(size > 1 for size in sizes)

@@ -320,8 +320,8 @@ def test_coercivity_positive_at_identity():
         assert w @ (K @ w) >= (lam - 1e-9) * (w @ (G @ w))
 
 
-# above 3500 dofs coercivity_constant takes its sparse, inertia-certified
-# branch; these pencils are sized just past that
+# pencils of a size that a dense eigensolve would find slow, to exercise
+# coercivity_constant's sparse factorizations at scale
 _SPARSE_DOFS = 3600
 
 
@@ -351,8 +351,8 @@ def test_coercivity_sparse_block_pencils_match_dense(seed, blocks, size, indefin
         ms.append(m)
         gs.append(g)
         exact.append(scipy.linalg.eigh(m, g, eigvals_only=True)[0])
-    # a positive diagonal filler (eigenvalues 1..2) carries the pencil past
-    # the dense threshold
+    # a positive diagonal filler (eigenvalues 1..2) carries the pencil to
+    # _SPARSE_DOFS rows
     fill = _SPARSE_DOFS - blocks * size
     M = sp.block_diag(ms + [sp.diags(np.linspace(1.0, 2.0, fill))], format="csr")
     G = sp.block_diag(gs + [sp.identity(fill)], format="csr")

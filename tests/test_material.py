@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rigidity_cert.errors import CheckFailed, OutsideDomain, SetEscapesDomain
 from rigidity_cert.material import (
@@ -17,6 +19,8 @@ from rigidity_cert.material import (
     stvk,
     taylor_constants,
 )
+from rigidity_cert.material import _sample_near_rotations
+from rigidity_cert.pushforward import push_point
 from rigidity_cert.tensor_core import frob, random_rotation
 
 from conftest import random_gradient
@@ -261,7 +265,8 @@ def test_taylor_constants_stvk_sane():
 
 def test_taylor_constants_evaluate_elasticity_at_f_once(monkeypatch):
     # the cubic defect and the Lipschitz quotient share A(F); with A(G)
-    # that is two elasticity calls per sample, and the constants are the same
+    # that is two batched elasticity calls, one per gradient, over every
+    # sample, and the constants are the same
     m = stvk(1.0, 1.0)
     plain = taylor_constants(stvk(1.0, 1.0), n=2, nsamples=50, seed=4)
     real = m.elasticity_many
@@ -273,8 +278,97 @@ def test_taylor_constants_evaluate_elasticity_at_f_once(monkeypatch):
 
     monkeypatch.setattr(m, "elasticity_many", counting)
     tc = taylor_constants(m, n=2, nsamples=50, seed=4)
-    assert calls == [1] * 100
+    assert calls == [50, 50]
     assert (tc.c, tc.c_hat) == (plain.c, plain.c_hat)
+
+
+def _closure_push_point(base, x, F):
+    """The frozen-point pushforward as per-point closures: the reference
+    the batched FrozenPointMaterial reproduces bitwise."""
+    det = float(np.linalg.det(F))
+
+    def energy_fn(_, G):
+        return float(base.energy_many(x[None], (G @ F)[None])[0]) / det
+
+    def stress_fn(_, G):
+        return base.stress_many(x[None], (G @ F)[None])[0] @ F.T / det
+
+    def elasticity_fn(_, G):
+        A = base.elasticity_many(x[None], (G @ F)[None])[0]
+        return np.einsum("ikjl,ak,bl->iajb", A, F, F) / det
+
+    return CustomMaterial("pushforward-point", energy_fn, stress_fn, elasticity_fn)
+
+
+def _reference_taylor(m, n, delta, epsilon, nsamples, seed, coords):
+    """taylor_constants as one loop over samples, each drawn and evaluated
+    in turn; the batched version must give the same bits."""
+    rng = np.random.default_rng(seed)
+    if coords is None:
+        coords = [np.zeros(n)]
+    coords = [np.asarray(x, dtype=float) for x in coords]
+    c_best = 0.0
+    chat_best = 0.0
+    floor = 1e-3
+    for _ in range(nsamples):
+        x = coords[rng.integers(len(coords))][None, :]
+        F = _sample_near_rotations(rng, n, delta)
+        G = _sample_near_rotations(rng, n, delta)
+        E = rng.normal(size=(n, n))
+        if frob(E) > 0:
+            E *= rng.uniform(0.0, epsilon) / frob(E)
+        G = G + E
+        H = G - F
+        hn = frob(H)
+        if hn > 1e-10:
+            AF = m.elasticity_many(x, F[None])[0]
+        if hn >= floor:
+            WF = float(m.energy_many(x, F[None])[0])
+            WG = float(m.energy_many(x, G[None])[0])
+            S = m.stress_many(x, F[None])[0]
+            A_H = np.einsum("iajb,jb->ia", AF, H)
+            defect = WF - WG + float(np.sum(S * H)) + 0.5 * float(np.sum(H * A_H))
+            c_best = max(c_best, defect / hn**3)
+        K = rng.normal(size=(n, n))
+        K /= frob(K)
+        if hn > 1e-10:
+            qF = float(np.sum(K * np.einsum("iajb,jb->ia", AF, K)))
+            qG = float(np.sum(K * np.einsum("iajb,jb->ia", m.elasticity_many(x, G[None])[0], K)))
+            chat_best = max(chat_best, abs(qF - qG) / hn)
+    return c_best, chat_best
+
+
+_TAYLOR_MODELS = ("stvk", "neo-hookean", "modulated-stvk", "quadratic-toy", "push-stvk", "push-neo")
+
+
+@settings(max_examples=40, deadline=None)
+@example(model="quadratic-toy", n=2, seed=0, delta=0.2, epsilon=0.1, npoints=0, nsamples=0)
+@given(model=st.sampled_from(_TAYLOR_MODELS), n=st.sampled_from([2, 3]),
+       seed=st.integers(0, 2**32 - 1), delta=st.floats(0.0, 0.6),
+       epsilon=st.floats(0.0, 0.35), npoints=st.sampled_from([0, 1, 5]),
+       nsamples=st.integers(0, 120))
+def test_taylor_constants_match_per_sample_loop(model, n, seed, delta, epsilon, npoints,
+                                                nsamples):
+    rng = np.random.default_rng(seed)
+    coords = None if npoints == 0 else rng.uniform(-1.0, 1.0, size=(npoints, n))
+    if model.startswith("push"):
+        base = stvk(1.2, 0.8) if model == "push-stvk" else neo_hookean(0.9, 1.1)
+        x = rng.uniform(0.0, 1.0, size=n)
+        F = random_gradient(rng, n, 0.8, 1.25)
+        m, ref = push_point(base, x, F), _closure_push_point(base, x, F)
+    else:
+        m = ref = {
+            "stvk": stvk(1.3, 0.7),
+            "neo-hookean": neo_hookean(1.0, 0.6),
+            "modulated-stvk": stvk(1.0, 1.0, modulation=radial_modulation(
+                0.5, center=rng.uniform(size=n), width=0.7)),
+            "quadratic-toy": quadratic_toy(),
+        }[model]
+    tc = taylor_constants(m, n=n, delta=delta, epsilon=epsilon, nsamples=nsamples,
+                          seed=seed, coords=coords)
+    expected = _reference_taylor(ref, n, delta, epsilon, nsamples, seed, coords)
+    assert (tc.c, tc.c_hat) == expected
+    assert type(tc.c) is float and type(tc.c_hat) is float
 
 
 def test_taylor_chat_one_sided_against_third_derivative():

@@ -163,6 +163,36 @@ def test_point_material_matches_batched():
                        m_u.elasticity_many(x, G[None], ctx=ctx)[0], atol=1e-13)
 
 
+def test_point_material_bitwise_on_a_diagonal_stretch():
+    # with a diagonal forward gradient the frozen point's matrix products and
+    # the assembly's einsum contractions add only exact zeros, so the two
+    # materials agree bit for bit; otherwise they may round differently and
+    # agree to 1e-13 (test_point_material_matches_batched)
+    rng = np.random.default_rng(5)
+    mesh = fem.rectangle_mesh(3, 2)
+    D = np.diag([1.05, 0.97])
+    cfg = pushforward.deform_configuration(
+        mesh, pushforward.AnalyticDeformation(lambda x: D @ x, lambda x: D)
+    )
+    mod = material.radial_modulation(0.4, center=(0.5, 0.5), width=0.6)
+    for base in (material.stvk(1.2, 0.8), material.neo_hookean(1.0, 0.8),
+                 material.stvk(1.0, 1.0, modulation=mod)):
+        m_u = pushforward.pushforward_material(base, cfg)
+        nelem, nq = cfg.det_F.shape
+        for e in range(nelem):
+            for k in range(nq):
+                pm = m_u.point_material(e, k)
+                assert isinstance(pm, pushforward.FrozenPointMaterial)
+                assert not isinstance(pm, material.CustomMaterial)
+                G = np.eye(2) + 0.1 * rng.normal(size=(7, 2, 2))
+                ctx = (np.full(7, e), np.full(7, k))
+                x = np.zeros((7, 2))
+                for name in ("energy_many", "stress_many", "elasticity_many"):
+                    got = getattr(pm, name)(x, G)
+                    want = getattr(m_u, name)(x, G, ctx=ctx)
+                    assert got.shape == want.shape and np.array_equal(got, want), name
+
+
 def test_push_point_chain_rule_against_fd():
     """Closed-form pushed stress and elasticity against finite differences
     of the pushed energy alone, and against the direct contraction."""
@@ -172,7 +202,9 @@ def test_push_point_chain_rule_against_fd():
     F = np.array([[1.08, 0.15], [-0.05, 0.94]])
     det = np.linalg.det(F)
     pm = pushforward.push_point(base, x, F)
-    fd = material.CustomMaterial("fd-probe", pm._energy_fn)
+    fd = material.CustomMaterial(
+        "fd-probe", lambda y, G: float(pm.energy_many(y[None], G[None])[0])
+    )
     for _ in range(5):
         G = np.eye(2) + 0.15 * rng.normal(size=(2, 2))
         H = rng.normal(size=(2, 2))

@@ -233,8 +233,8 @@ def test_korn_identity_refines_toward_two():
     assert gaps[1] <= gaps[0] + 1e-12
 
 
-def test_korn_constant_reproducible_above_dense_threshold():
-    # 4418 free dofs: the sparse eigensolve, whose start vector is fixed
+def test_korn_constant_reproducible_at_4418_dofs():
+    # 4418 free dofs; the eigensolve's start vector is fixed
     mesh = fem.rectangle_mesh(48, 48)
     first = rigidity.korn_constant(mesh)
     assert first.hex() == rigidity.korn_constant(mesh).hex()
