@@ -11,6 +11,7 @@ as such; nothing here asserts continuum statements.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,7 @@ __all__ = [
     "certification_inputs",
     "local_min_gate",
     "direction_positivity_transfer",
+    "gate_and_transfer",
     "small_strain_uniqueness",
     "gated_perturbations",
     "multistart_agreement",
@@ -50,6 +52,11 @@ SCOPE_LABEL = "discrete, desk-scale"
 _CASCADE = 8.0
 
 _GAP_SLACK = 0.1
+
+# the default equilibrium tolerance of the gate and threshold cap of the
+# transfer
+_RESIDUAL_TOL = 1e-8
+_TRANSFER_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -226,14 +233,19 @@ class GateReport:
         }
 
 
-def _difference_gradient_field(mesh, u_e, v):
-    ge = fem.gradient_field(mesh, u_e)
+def _difference_measures(mesh, u, v):
+    """The cell field grad v - grad u of a candidate v against u, its BMO
+    seminorm, and the norm of its mean gradient: what the gate and the
+    transfer both measure."""
+    gu = fem.gradient_field(mesh, u)
     gv = fem.gradient_field(mesh, v)
-    return ge.with_values(gv.values - ge.values)
+    diff = gu.with_values(gv.values - gu.values)
+    mean_gap = float(np.linalg.norm(fem.mean_gradient(mesh, v.values - u.values)))
+    return diff, harmonic.bmo_seminorm(diff), mean_gap
 
 
 def local_min_gate(u_e, v, inputs: CertInputs, problem: Problem,
-                   residual_tol=1e-8) -> GateReport:
+                   residual_tol=_RESIDUAL_TOL) -> GateReport:
     """Check the smallness conditions and, when they hold, verify the
     energy excess against the coercivity bound.
 
@@ -243,6 +255,21 @@ def local_min_gate(u_e, v, inputs: CertInputs, problem: Problem,
     delta_star.  All three passing and the energy gap failing is a loud
     error, never a silent downgrade.
     """
+    return _gate(u_e, v, inputs, problem, residual_tol,
+                 lambda: _difference_measures(problem.mesh, u_e, v))
+
+
+def gate_and_transfer(u_e, v, inputs: CertInputs, problem: Problem):
+    """(local_min_gate, direction_positivity_transfer) of one candidate v,
+    with the default tolerances, over one measurement of its difference
+    field."""
+    measure = functools.cache(lambda: _difference_measures(problem.mesh, u_e, v))
+    return (_gate(u_e, v, inputs, problem, _RESIDUAL_TOL, measure),
+            _transfer(u_e, v, problem.material, problem.mesh, inputs, _TRANSFER_CAP, measure))
+
+
+def _gate(u_e, v, inputs, problem, residual_tol, measure) -> GateReport:
+    """local_min_gate, with measure() giving _difference_measures(u_e, v)."""
     m, mesh, loads = problem.material, problem.mesh, problem.loads
     if inputs.k_hat <= 0.0:
         raise NonPositiveK(f"gate needs k_hat > 0, got {inputs.k_hat:g}")
@@ -255,11 +282,7 @@ def local_min_gate(u_e, v, inputs: CertInputs, problem: Problem,
     dist_v = float(tensor_core.dist_to_rotations_many(Fv).max())
     step = float(np.sqrt(np.einsum("eqij,eqij->eq", Fv - Fe, Fv - Fe)).max())
     set_ratio = max(dist_e / inputs.rho, dist_v / inputs.rho, step / inputs.epsilon)
-    diff = _difference_gradient_field(mesh, u_e, v)
-    bmo = harmonic.bmo_seminorm(diff)
-    mean_gap = float(
-        np.linalg.norm(fem.mean_gradient(mesh, v.values - u_e.values))
-    )
+    diff, bmo, mean_gap = measure()
     measurements = {
         "set_membership": _measure(set_ratio, 1.0, set_ratio < 1.0),
         "bmo_seminorm": _measure(bmo, inputs.delta_star, bmo < inputs.delta_star),
@@ -334,7 +357,7 @@ class TransferReport:
 
 
 def direction_positivity_transfer(u, v, m, mesh, inputs: CertInputs,
-                                  cap=1e6) -> TransferReport:
+                                  cap=_TRANSFER_CAP) -> TransferReport:
     """Verify that the second variation at v stays coercive in the
     direction w = v - u, using only the coercivity measured at u: inputs
     are the constants certification_inputs measured there.
@@ -343,6 +366,12 @@ def direction_positivity_transfer(u, v, m, mesh, inputs: CertInputs,
     constant c_hat, a BMO/mean gap below 2 k_hat / (c_hat sqrt(Nn) J2^3)
     loses at most half of the 8 k_hat eigenvalue floor.
     """
+    return _transfer(u, v, m, mesh, inputs, cap, lambda: _difference_measures(mesh, u, v))
+
+
+def _transfer(u, v, m, mesh, inputs, cap, measure) -> TransferReport:
+    """direction_positivity_transfer, with measure() giving
+    _difference_measures(u, v)."""
     d = mesh.dirichlet_nodes
     if len(d) and np.max(np.abs(u.values[d] - v.values[d])) > 1e-12:
         raise HypothesisUnmet("transfer direction does not vanish on the Dirichlet part")
@@ -359,9 +388,7 @@ def direction_positivity_transfer(u, v, m, mesh, inputs: CertInputs,
                 cap,
             )
         )
-    diff = _difference_gradient_field(mesh, u, v)
-    bmo = harmonic.bmo_seminorm(diff)
-    mean_gap = float(np.linalg.norm(fem.mean_gradient(mesh, v.values - u.values)))
+    _, bmo, mean_gap = measure()
     measurements = {
         "bmo_seminorm": _measure(bmo, threshold, bmo < threshold),
         "mean_gradient": _measure(mean_gap, threshold, mean_gap < threshold),

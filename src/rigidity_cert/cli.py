@@ -437,10 +437,7 @@ def _pipeline_bmo_gate(sc, mesh):
     entries, rows = [], []
     for idx, v in enumerate(cands):
         cid = f"candidate-{idx:03d}"
-        gate = certify.local_min_gate(u_e, v, inputs, problem)
-        transfer = certify.direction_positivity_transfer(
-            u_e, v, problem.material, mesh, inputs
-        )
+        gate, transfer = certify.gate_and_transfer(u_e, v, inputs, problem)
         entries.append({
             "id": cid,
             "outcome": gate.outcome,

@@ -54,6 +54,7 @@ __all__ = [
     "solve_equilibrium",
     "material_ctx",
     "second_variation_matrix",
+    "element_matrices",
     "gradient_gram_matrix",
     "scatter_matrix",
     "coercivity_constant",
@@ -468,9 +469,33 @@ def second_variation_matrix(m, mesh: Mesh, u, free_only=True):
     M, q = wdet.shape
     n = mesh.dim
     A = m.elasticity_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
-    A = A.reshape(M, q, n, n, n, n)
-    Ke = np.einsum("eq,eqak,eqikjl,eqbl->eaibj", wdet, grads, A, grads)
-    return scatter_matrix(mesh, Ke, free_only)
+    return scatter_matrix(mesh, element_matrices(mesh, A.reshape(M, q, n, n, n, n)), free_only)
+
+
+def element_matrices(mesh: Mesh, A) -> np.ndarray:
+    """Element matrices of a fourth-order tensor field A (M, q, n, n, n, n)
+    at the quadrature points: Ke[e, a, i, b, j] = sum_q wdet g[a, k]
+    A[i, k, j, l] g[b, l], with g each element's own shape gradients, in
+    the (M, k, n, k, n) layout that scatter_matrix takes.
+
+    Two stacked matrix products: grads @ A with A reordered to (M, q, k,
+    i j l), then the (q, l) contraction against wdet * grads.  A is made
+    C-ordered after the reorder, so every element's sums run in one order
+    whatever layout A arrives in and however many elements there are.
+    """
+    _, grads, wdet, _, _ = mesh.quadrature()
+    M, q, k, n = grads.shape
+    A = np.asarray(A, dtype=float)
+    if A.shape != (M, q, n, n, n, n):
+        raise DimensionMismatch(
+            f"element_matrices: A must be {(M, q, n, n, n, n)}, got {A.shape}"
+        )
+    Ak = np.ascontiguousarray(A.transpose(0, 1, 3, 2, 4, 5)).reshape(M, q, n, n**3)
+    # gA[e, q, a, i, j, l] = sum_k g[a, k] A[i, k, j, l]
+    gA = (grads @ Ak).reshape(M, q, k, n, n, n)
+    gA = np.ascontiguousarray(gA.transpose(0, 2, 3, 4, 1, 5)).reshape(M, k * n * n, q * n)
+    wg = (wdet[:, :, None, None] * grads).transpose(0, 1, 3, 2).reshape(M, q * n, k)
+    return (gA @ wg).reshape(M, k, n, n, k).transpose(0, 1, 2, 4, 3)
 
 
 def gradient_gram_matrix(mesh: Mesh, free_only=True):

@@ -142,7 +142,49 @@ def deform_configuration(mesh: fem.Mesh, u_e) -> DeformedConfig:
     )
 
 
-class PushforwardMaterial(material.Material):
+class _ChainRule(material.Material):
+    """W(x, G F) / det F over the new gradient variable G, with the
+    chain-rule stress S(x, G F) F^T / det F and elasticity A(x, G F)[. F,
+    . F] / det F, at the material points (x, F, det F) that _points picks.
+
+    The assembly material and the frozen point share this one algebra, so
+    the deformed Taylor sampling and the deformed gate evaluate the same
+    material bit for bit: G F and S F^T are matrix products, A[. F, . F]
+    one einsum, each over C-ordered operands, so that every point's sums
+    run in one order at every batch size.
+    """
+
+    def __init__(self, base: material.Material):
+        super().__init__(base.lam, base.mu, None)
+        self.base = base
+
+    def _points(self, ctx, count):
+        """(x (p, n), F (p, n, n), det F (p,)) of the batch's material points."""
+        raise NotImplementedError
+
+    def _pushed(self, G, ctx):
+        G = np.ascontiguousarray(G, dtype=float)
+        x, F, det = self._points(ctx, G.shape[0])
+        F = np.ascontiguousarray(F)
+        return x, G @ F, F, det
+
+    def energy_many(self, coords, F, ctx=None):
+        x, GF, _, det = self._pushed(F, ctx)
+        return self.base.energy_many(x, GF) / det
+
+    def stress_many(self, coords, F, ctx=None):
+        x, GF, Fe, det = self._pushed(F, ctx)
+        S = np.ascontiguousarray(self.base.stress_many(x, GF))
+        return S @ np.swapaxes(Fe, -1, -2) / det[:, None, None]
+
+    def elasticity_many(self, coords, F, ctx=None):
+        x, GF, Fe, det = self._pushed(F, ctx)
+        A = np.ascontiguousarray(self.base.elasticity_many(x, GF))
+        out = np.ascontiguousarray(np.einsum("pikjl,pak,pbl->piajb", A, Fe, Fe))
+        return out / det[:, None, None, None, None]
+
+
+class PushforwardMaterial(_ChainRule):
     """Stored energy rewritten over the deformed configuration.
 
     At the material point carried by element/quadrature context (e, k):
@@ -152,8 +194,7 @@ class PushforwardMaterial(material.Material):
     """
 
     def __init__(self, base: material.Material, cfg: DeformedConfig):
-        super().__init__(base.lam, base.mu, None)
-        self.base = base
+        super().__init__(base)
         self.cfg = cfg
         mesh = cfg.reference_mesh
         self._x = mesh.quadrature()[0].reshape(-1, mesh.dim)
@@ -162,7 +203,7 @@ class PushforwardMaterial(material.Material):
         self._det = cfg.det_F.reshape(-1)
         self._nq = cfg.det_F.shape[1]
 
-    def _idx(self, ctx, count):
+    def _points(self, ctx, count):
         if ctx is None:
             raise DimensionMismatch(
                 "a pushforward material is tied to material points; evaluate "
@@ -172,30 +213,7 @@ class PushforwardMaterial(material.Material):
         idx = np.asarray(e) * self._nq + np.asarray(k)
         if idx.shape != (count,):
             raise DimensionMismatch("context does not match the batch size")
-        return idx
-
-    def energy_many(self, coords, F, ctx=None):
-        F = np.asarray(F, dtype=float)
-        idx = self._idx(ctx, F.shape[0])
-        GF = np.einsum("pij,pjk->pik", F, self._F[idx])
-        return self.base.energy_many(self._x[idx], GF) / self._det[idx]
-
-    def stress_many(self, coords, F, ctx=None):
-        F = np.asarray(F, dtype=float)
-        idx = self._idx(ctx, F.shape[0])
-        Fe = self._F[idx]
-        GF = np.einsum("pij,pjk->pik", F, Fe)
-        S = self.base.stress_many(self._x[idx], GF)
-        return np.einsum("pik,pak->pia", S, Fe) / self._det[idx][:, None, None]
-
-    def elasticity_many(self, coords, F, ctx=None):
-        F = np.asarray(F, dtype=float)
-        idx = self._idx(ctx, F.shape[0])
-        Fe = self._F[idx]
-        GF = np.einsum("pij,pjk->pik", F, Fe)
-        A = self.base.elasticity_many(self._x[idx], GF)
-        out = np.einsum("pikjl,pak,pbl->piajb", A, Fe, Fe)
-        return out / self._det[idx][:, None, None, None, None]
+        return self._x[idx], self._F[idx], self._det[idx]
 
     def point_material(self, e: int, k: int) -> FrozenPointMaterial:
         """Freeze the material point (e, k): a stand-alone material in G."""
@@ -210,22 +228,18 @@ def pushforward_material(m: material.Material, cfg: DeformedConfig) -> Pushforwa
     return PushforwardMaterial(m, cfg)
 
 
-class FrozenPointMaterial(material.Material):
+class FrozenPointMaterial(_ChainRule):
     """The pushforward frozen at one material point (x, F), a material in
     the new gradient variable G: W(x, G F) / det F, with the chain-rule
     stress S(x, G F) F^T / det F and elasticity A(x, G F)[. F, . F] / det F.
-    The coordinates passed to its evaluators are ignored.
-
-    G F is a matrix product here, where PushforwardMaterial contracts with
-    einsum; the two agree bitwise when F is diagonal and to rounding
-    otherwise.
+    The coordinates passed to its evaluators are ignored.  It evaluates
+    bit for bit as PushforwardMaterial does at the same point.
     """
 
     name = "pushforward-point"
 
     def __init__(self, base: material.Material, x, F):
-        super().__init__(base.lam, base.mu, None)
-        self.base = base
+        super().__init__(base)
         self.frame_indifferent = getattr(base, "frame_indifferent", False)
         self.x = np.asarray(x, dtype=float)
         self.F = np.asarray(F, dtype=float)
@@ -233,21 +247,10 @@ class FrozenPointMaterial(material.Material):
         if self.det <= 0.0:
             raise DeterminantViolation(f"det F = {self.det:g} <= 0 at the pushforward point")
 
-    def _base_args(self, G):
-        G = np.asarray(G, dtype=float)
-        return np.broadcast_to(self.x, (G.shape[0], self.x.size)), G @ self.F
-
-    def energy_many(self, coords, F, ctx=None):
-        return self.base.energy_many(*self._base_args(F)) / self.det
-
-    def stress_many(self, coords, F, ctx=None):
-        return self.base.stress_many(*self._base_args(F)) @ self.F.T / self.det
-
-    def elasticity_many(self, coords, F, ctx=None):
-        # C-ordered in and out, as a one-point evaluation is, so that the
-        # contraction sums in the same order at every batch size
-        A = np.ascontiguousarray(self.base.elasticity_many(*self._base_args(F)))
-        return np.ascontiguousarray(np.einsum("pikjl,ak,bl->piajb", A, self.F, self.F)) / self.det
+    def _points(self, ctx, count):
+        n = self.F.shape[0]
+        return (np.broadcast_to(self.x, (count, self.x.size)),
+                np.broadcast_to(self.F, (count, n, n)), np.full(count, self.det))
 
 
 def push_point(base: material.Material, x, F) -> FrozenPointMaterial:

@@ -115,7 +115,7 @@ def rigidity_fit(grad_field, p: float = 2.0) -> RigidityReport:
     cells = _cell_matrices(grad_field)
     R = best_rotation(grad_field)
     dev = np.linalg.norm((cells - R).reshape(len(cells), -1), axis=1)
-    dist = np.array([tensor_core.dist_to_rotations(F) for F in cells])
+    dist = tensor_core.dist_to_rotations_many(cells)
     lhs_p = float(np.mean(dev**p))
     rhs_p = float(np.mean(dist**p))
     if isinstance(grad_field, harmonic.GridField):
@@ -185,8 +185,8 @@ def boundary_rotation_closeness(u1, u2, mesh, p: float) -> BoundaryClosenessRepo
     lhs = float(np.linalg.norm(R1 - R2))
     rhs = pnorm(dev1) + pnorm(dev2)
     diff = np.linalg.norm((c1 - c2).reshape(len(c1), -1), axis=1)
-    d1 = np.array([tensor_core.dist_to_rotations(F) for F in c1])
-    d2 = np.array([tensor_core.dist_to_rotations(F) for F in c2])
+    d1 = tensor_core.dist_to_rotations_many(c1)
+    d2 = tensor_core.dist_to_rotations_many(c2)
     lhs_l1 = float(np.mean(diff))
     rhs_l1 = pnorm(d1) + pnorm(d2)
     return BoundaryClosenessReport(
@@ -240,13 +240,14 @@ def korn_form_matrix(mesh, F_field=None, det_floor=1e-8):
         raise DetBelowFloor(
             f"coefficient determinant {dets.min():g} below floor {det_floor:g}"
         )
-    _, grads, wdet, _, _ = mesh.quadrature()
+    n = mesh.dim
     FFt = np.einsum("eqik,eqjk->eqij", Fq, Fq)
     # |F^T H + H^T F|^2 expands to 2 (F F^T)_{ij} g_a.g_b + 2 (F g_b)_i (F g_a)_j
-    # for H = e_i x g_a against e_j x g_b
-    Ke = 2.0 * np.einsum("eq,eqij,eqak,eqbk->eaibj", wdet, FFt, grads, grads)
-    Ke += 2.0 * np.einsum("eq,eqik,eqbk,eqjl,eqal->eaibj", wdet, Fq, grads, Fq, grads)
-    return fem.scatter_matrix(mesh, Ke, free_only=False)
+    # for H = e_i x g_a against e_j x g_b, i.e. the element matrices of
+    # A[i, k, j, l] = 2 (F F^T)_{ij} delta_{kl} + 2 F_{il} F_{jk}
+    A = 2.0 * FFt[:, :, :, None, :, None] * np.eye(n)[:, None, :]
+    A += 2.0 * Fq[:, :, :, None, None, :] * np.swapaxes(Fq, -1, -2)[:, :, None, :, :, None]
+    return fem.scatter_matrix(mesh, fem.element_matrices(mesh, A), free_only=False)
 
 
 def korn_constant(mesh, F_field=None, dirichlet=None, det_floor=1e-8) -> float:

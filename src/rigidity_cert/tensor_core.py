@@ -115,20 +115,34 @@ def dist_to_rotations(F) -> float:
     det = np.linalg.det(F)
     if det <= 0.0:
         raise DetNonPositive(f"dist_to_rotations: det F = {det:g} <= 0")
-    w, _ = _stretch_spectrum(F)
-    return math.sqrt(float(np.sum((np.sqrt(w) - 1.0) ** 2)))
+    return float(_rotation_distances(F))
 
 
 def dist_to_rotations_many(F) -> np.ndarray:
     """dist(F, SO(n)) for a stack of matrices (..., n, n), as quadrature
-    points carry them; a non-positive determinant raises
+    points and lattice cells carry them; the same spectrum computation as
+    dist_to_rotations, so a stack of one gives its value.  A non-square or
+    non-finite stack raises DimensionMismatch, a non-positive determinant
     DeterminantViolation."""
     F = np.asarray(F, dtype=float)
+    if F.ndim < 2 or F.shape[-1] != F.shape[-2] or F.shape[-1] not in _SUPPORTED_DIMS:
+        raise DimensionMismatch(
+            f"dist_to_rotations_many: expected a stack of n x n matrices, n in "
+            f"{_SUPPORTED_DIMS}, got shape {F.shape}"
+        )
+    if not np.all(np.isfinite(F)):
+        raise DimensionMismatch("dist_to_rotations_many: a matrix has non-finite entries")
     dets = np.linalg.det(F)
     if np.any(dets <= 0):
         raise DeterminantViolation(
             f"det = {dets.min():g} <= 0 while measuring rotation distance"
         )
+    return _rotation_distances(F)
+
+
+def _rotation_distances(F) -> np.ndarray:
+    """Root-sum-square of (singular value - 1) over each matrix of a checked
+    stack (..., n, n): the eigenvalues of F^T F, clipped at 0."""
     w = np.clip(np.linalg.eigvalsh(np.einsum("...ki,...kj->...ij", F, F)), 0.0, None)
     return np.sqrt(np.sum((np.sqrt(w) - 1.0) ** 2, axis=-1))
 

@@ -1,7 +1,12 @@
 """End-to-end command line tests: config parsing, validation, pipelines,
 exit codes, and byte-level report determinism."""
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -447,6 +452,36 @@ def test_korn_report_byte_identical_at_4418_dofs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_reports_byte_identical_across_blas_thread_counts(tmp_path):
+    # the element matrices are stacked BLAS products; a second BLAS thread
+    # must not change a byte of a report
+    small = _stretch_config(tmp_path, "certify-small-strain", "certify.restarts = 2")
+    korn = _write(tmp_path, "korn.cfg", """
+        name = korn16
+        pipeline = korn
+        seed = 0
+        mesh.kind = rectangle
+        korn.resolutions = 16
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        for cfg in (small, korn):
+            done = subprocess.run(
+                [sys.executable, "-m", "rigidity_cert.cli", "run", cfg, "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) and len(names) >= 4
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
@@ -492,6 +527,22 @@ def test_bmo_gate_solves_the_eigenproblem_once(tmp_path, monkeypatch):
     assert len(doc["candidates"]) == 3
     assert all(e["transfer"]["outcome"] == "pass" for e in doc["candidates"])
     assert eig_calls == {"coercivity_constant": 1}
+
+
+def test_bmo_gate_measures_each_difference_field_once(tmp_path, monkeypatch):
+    # a candidate's gate and transfer share one measurement of its
+    # difference field, so no field's BMO seminorm is taken twice
+    from rigidity_cert import harmonic
+
+    def field_key(fld, *args, **kwargs):
+        return hashlib.sha256(fld.mask.tobytes() + fld.values.tobytes()).hexdigest()
+
+    bmo_calls = _count_calls(monkeypatch, harmonic, "bmo_seminorm", key=field_key)
+    cfg = _stretch_config(tmp_path, "certify-bmo-gate", candidates=3)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "stretch.json").read_text())
+    assert [e["transfer"]["outcome"] for e in doc["candidates"]] == ["pass"] * 3
+    assert sum(bmo_calls.values()) == len(bmo_calls)
 
 
 def test_strain_diff_samples_point_materials_in_batches(tmp_path, monkeypatch):

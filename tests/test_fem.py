@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidity_cert import errors, fem, material
+from rigidity_cert import errors, fem, material, rigidity
 
 from oracles import fd_gradient
 
@@ -206,6 +206,86 @@ def test_hessian_symmetric_and_gram_consistent():
     w = _interior_perturb(mesh, rng, 1.0)
     quad = float(w[mesh.free_mask()].ravel() @ (G @ w[mesh.free_mask()].ravel()))
     assert quad == pytest.approx(fem.l2_gradient_norm_sq(mesh, w), rel=1e-12)
+
+
+# --------------------------------------------------------- element matrices
+
+def _einsum_element_matrices(mesh, A):
+    """The per-element contraction as one einsum: the reference that
+    element_matrices matches to rounding."""
+    _, grads, wdet, _, _ = mesh.quadrature()
+    return np.einsum("eq,eqak,eqikjl,eqbl->eaibj", wdet, grads, A, grads)
+
+
+def _einsum_korn_elements(mesh, Fq):
+    """The Korn form's element matrices as its two einsums, 2 (F F^T)_ij
+    g_a.g_b + 2 (F g_b)_i (F g_a)_j: the reference for korn_form_matrix."""
+    _, grads, wdet, _, _ = mesh.quadrature()
+    FFt = np.einsum("eqik,eqjk->eqij", Fq, Fq)
+    Ke = 2.0 * np.einsum("eq,eqij,eqak,eqbk->eaibj", wdet, FFt, grads, grads)
+    Ke += 2.0 * np.einsum("eq,eqik,eqbk,eqjl,eqal->eaibj", wdet, Fq, grads, Fq, grads)
+    return Ke
+
+
+def _jittered(mesh, rng, amount):
+    """The mesh with every node off the boundary moved by up to amount
+    cells, so that no two elements share their shape gradients."""
+    nodes = mesh.nodes.copy()
+    on_boundary = {v for f in mesh.dirichlet_facets + mesh.traction_facets for v in f}
+    inner = [i for i in range(mesh.nnodes) if i not in on_boundary]
+    h = np.ptp(mesh.nodes[mesh.elements[0]], axis=0).min()
+    nodes[inner] += rng.uniform(-amount * h, amount * h, size=(len(inner), mesh.dim))
+    return fem.Mesh(nodes, mesh.elements, mesh.dirichlet_facets, mesh.traction_facets)
+
+
+def _element_alone(mesh, e):
+    """A stand-in mesh whose quadrature is element e's alone."""
+    coords, grads, wdet, detJ, nvals = mesh.quadrature()
+    sliced = (coords[e:e + 1], grads[e:e + 1], wdet[e:e + 1], detJ[e:e + 1], nvals)
+    return types.SimpleNamespace(dim=mesh.dim, quadrature=lambda: sliced)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+       cells=st.integers(1, 3), jitter=st.floats(0.0, 0.3))
+def test_element_matrices_layout_free_and_per_element(seed, dim, cells, jitter):
+    rng = np.random.default_rng(seed)
+    if dim == 2:
+        mesh = fem.rectangle_mesh(cells + 1, cells, 1.3, 1.0)
+    else:
+        mesh = fem.box_mesh(cells + 1, 2, 2, (1.0, 1.2, 0.7))
+    mesh = _jittered(mesh, rng, jitter)
+    M, q, k, n = mesh.quadrature()[1].shape
+    assert k == 2**dim
+    A = rng.standard_normal((M, q, n, n, n, n))
+    # the same values behind non-C-ordered strides, as batched materials give
+    view = np.ascontiguousarray(A.transpose(0, 1, 4, 5, 2, 3)).transpose(0, 1, 4, 5, 2, 3)
+    assert not view.flags.c_contiguous and np.array_equal(view, A)
+    Ke = fem.element_matrices(mesh, A)
+    assert Ke.shape == (M, k, n, k, n)
+    assert np.array_equal(fem.element_matrices(mesh, view), Ke)
+    for e in range(M):
+        assert np.array_equal(fem.element_matrices(_element_alone(mesh, e), A[e:e + 1]),
+                              Ke[e:e + 1])
+    ref = _einsum_element_matrices(mesh, A)
+    assert np.abs(Ke - ref).max() <= 1e-13 * np.abs(ref).max()
+    # the Korn form through the same kernel, with a varying coefficient
+    B = 0.2 * rng.standard_normal((n, n))
+    coefficient = lambda x: np.eye(n) + math.sin(3.0 * x.sum()) * B  # noqa: E731
+    coords = mesh.quadrature()[0]
+    Fq = np.array([coefficient(x) for x in coords.reshape(-1, n)]).reshape(M, q, n, n)
+    got = rigidity.korn_form_matrix(mesh, coefficient).toarray()
+    want = fem.scatter_matrix(mesh, _einsum_korn_elements(mesh, Fq), free_only=False).toarray()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_element_matrices_rejects_a_misshapen_tensor():
+    mesh = fem.rectangle_mesh(2, 2)
+    M, q = mesh.quadrature()[2].shape
+    with pytest.raises(errors.DimensionMismatch):
+        fem.element_matrices(mesh, np.zeros((M, q, 2, 2, 2)))
+    with pytest.raises(errors.DimensionMismatch):
+        fem.element_matrices(mesh, np.zeros((M + 1, q, 2, 2, 2, 2)))
 
 
 def test_determinant_violation_raised():

@@ -163,34 +163,45 @@ def test_point_material_matches_batched():
                        m_u.elasticity_many(x, G[None], ctx=ctx)[0], atol=1e-13)
 
 
-def test_point_material_bitwise_on_a_diagonal_stretch():
-    # with a diagonal forward gradient the frozen point's matrix products and
-    # the assembly's einsum contractions add only exact zeros, so the two
-    # materials agree bit for bit; otherwise they may round differently and
-    # agree to 1e-13 (test_point_material_matches_batched)
+def test_point_material_bitwise_as_the_assembly_material():
+    # the frozen point and the assembly material share one chain-rule
+    # algebra, so the deformed Taylor sampling and the deformed gate see one
+    # material bit for bit: on a diagonal stretch, with shear, in 3D, and
+    # whether the assembly evaluates the point in a batch or alone
     rng = np.random.default_rng(5)
-    mesh = fem.rectangle_mesh(3, 2)
-    D = np.diag([1.05, 0.97])
-    cfg = pushforward.deform_configuration(
-        mesh, pushforward.AnalyticDeformation(lambda x: D @ x, lambda x: D)
+    cases = (
+        (fem.rectangle_mesh(3, 2), np.diag([1.05, 0.97])),
+        (fem.rectangle_mesh(3, 2), np.array([[1.05, 0.13], [-0.07, 0.97]])),
+        (fem.box_mesh(1, 1, 1), np.array([[1.05, 0.13, 0.0], [-0.07, 0.97, 0.04],
+                                          [0.02, 0.0, 1.01]])),
     )
-    mod = material.radial_modulation(0.4, center=(0.5, 0.5), width=0.6)
-    for base in (material.stvk(1.2, 0.8), material.neo_hookean(1.0, 0.8),
-                 material.stvk(1.0, 1.0, modulation=mod)):
-        m_u = pushforward.pushforward_material(base, cfg)
-        nelem, nq = cfg.det_F.shape
-        for e in range(nelem):
-            for k in range(nq):
-                pm = m_u.point_material(e, k)
-                assert isinstance(pm, pushforward.FrozenPointMaterial)
-                assert not isinstance(pm, material.CustomMaterial)
-                G = np.eye(2) + 0.1 * rng.normal(size=(7, 2, 2))
-                ctx = (np.full(7, e), np.full(7, k))
-                x = np.zeros((7, 2))
-                for name in ("energy_many", "stress_many", "elasticity_many"):
-                    got = getattr(pm, name)(x, G)
-                    want = getattr(m_u, name)(x, G, ctx=ctx)
-                    assert got.shape == want.shape and np.array_equal(got, want), name
+    for mesh, D in cases:
+        n = mesh.dim
+        cfg = pushforward.deform_configuration(
+            mesh, pushforward.AnalyticDeformation(lambda x, D=D: D @ x, lambda x, D=D: D)
+        )
+        mod = material.radial_modulation(0.4, center=(0.5,) * n, width=0.6)
+        for base in (material.stvk(1.2, 0.8), material.neo_hookean(1.0, 0.8),
+                     material.stvk(1.0, 1.0, modulation=mod)):
+            m_u = pushforward.pushforward_material(base, cfg)
+            nelem, nq = cfg.det_F.shape
+            for e in range(nelem):
+                for k in range(nq):
+                    pm = m_u.point_material(e, k)
+                    assert isinstance(pm, pushforward.FrozenPointMaterial)
+                    assert not isinstance(pm, material.CustomMaterial)
+                    G = np.eye(n) + 0.1 * rng.normal(size=(7, n, n))
+                    ctx = (np.full(7, e), np.full(7, k))
+                    x = np.zeros((7, n))
+                    for name in ("energy_many", "stress_many", "elasticity_many"):
+                        got = getattr(pm, name)(x, G)
+                        want = getattr(m_u, name)(x, G, ctx=ctx)
+                        alone = np.concatenate([
+                            getattr(m_u, name)(x[:1], G[p:p + 1], ctx=(ctx[0][:1], ctx[1][:1]))
+                            for p in range(7)
+                        ])
+                        assert got.shape == want.shape and np.array_equal(got, want), name
+                        assert np.array_equal(alone, want), name
 
 
 def test_push_point_chain_rule_against_fd():

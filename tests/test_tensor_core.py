@@ -3,9 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from rigidity_cert.errors import DetNonPositive, DimensionMismatch, Singular
+from rigidity_cert.errors import (
+    DeterminantViolation,
+    DetNonPositive,
+    DimensionMismatch,
+    Singular,
+)
 from rigidity_cert.tensor_core import (
     dist_to_rotations,
+    dist_to_rotations_many,
     frob,
     polar_decompose,
     random_rotation,
@@ -118,6 +124,36 @@ def test_dist_one_sided_against_3d_samples():
         F = random_gradient(rng, 3)
         sampled = rotation_min_3d_sampled(F, rng, 20_000)
         assert dist_to_rotations(F) <= sampled + 1e-12
+
+
+def test_dist_many_is_the_scalar_per_matrix():
+    # one spectrum computation: every matrix of a stack, in any layout,
+    # gets the scalar function's value bit for bit
+    rng = np.random.default_rng(19)
+    for n in (2, 3):
+        F = np.stack([random_gradient(rng, n) for _ in range(60)])
+        one = np.array([dist_to_rotations(f) for f in F])
+        assert np.array_equal(dist_to_rotations_many(F), one)
+        grid = np.ascontiguousarray(F.reshape(6, 10, n, n).transpose(1, 0, 2, 3))
+        assert np.array_equal(dist_to_rotations_many(grid).T.ravel(), one)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dist_many_rejects_a_non_finite_matrix(bad):
+    F = np.stack([np.eye(2)] * 4)
+    F[2, 1, 0] = bad
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        dist_to_rotations_many(F)
+    with pytest.raises(DimensionMismatch, match="non-finite"):
+        dist_to_rotations(F[2])
+
+
+def test_dist_many_validation():
+    for shape in [(3,), (4, 2, 3), (5, 4, 4)]:
+        with pytest.raises(DimensionMismatch):
+            dist_to_rotations_many(np.ones(shape))
+    with pytest.raises(DeterminantViolation):
+        dist_to_rotations_many(np.stack([np.eye(3), np.diag([-2.0, 1.0, 1.0])]))
 
 
 def test_strain_simple_shear():
