@@ -93,17 +93,14 @@ def neighborhood_radius(k_hat: float, c_taylor: float, J2: float,
 def bump_values(mesh, rng, eps):
     """Nodal values of a smooth oscillatory displacement, amplitude eps."""
     a = rng.uniform(-1.0, 1.0, size=(mesh.dim, 2))
-
-    def w(x):
-        s = [math.sin(math.pi * t) for t in x]
-        c = [math.cos(math.pi * t) for t in x]
-        prod = float(np.prod(s))
-        out = np.empty(mesh.dim)
-        for i in range(mesh.dim):
-            out[i] = eps * (a[i, 0] * prod + a[i, 1] * s[i % mesh.dim] * c[(i + 1) % mesh.dim])
-        return out
-
-    return np.array([w(x) for x in mesh.nodes])
+    # libm's sin and cos, per coordinate: np.sin need not round the same
+    coords = mesh.nodes.ravel().tolist()
+    s = np.array([math.sin(math.pi * t) for t in coords]).reshape(mesh.nodes.shape)
+    c = np.array([math.cos(math.pi * t) for t in coords]).reshape(mesh.nodes.shape)
+    prod = s[:, 0]
+    for d in range(1, mesh.dim):
+        prod = prod * s[:, d]
+    return eps * (a[:, 0] * prod[:, None] + a[:, 1] * s * np.roll(c, -1, axis=1))
 
 
 def j2_family(mesh, count, seed):

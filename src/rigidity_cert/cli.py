@@ -31,7 +31,8 @@ _EXIT = {"pass": 0, "inapplicable": 2, "fail": 1}
 
 _MESH_KINDS = ("rectangle", "l-shape", "ring", "box", "file")
 # pipelines that measure gradients as lattice cell fields (fem.gradient_field);
-# only generated 2D meshes with square cells carry a lattice
+# generated meshes with square or cube cells carry a lattice, and these
+# pipelines take the 2D ones only
 _LATTICE_PIPELINES = (
     "certify-bmo-gate",
     "certify-small-strain",
@@ -277,6 +278,12 @@ def build_loads(sc, mesh) -> tuple[fem.LoadSet, fem.FeField]:
 
 def validate_scenario(sc) -> fem.Mesh:
     """Cross-field checks; returns the built mesh (existence check included)."""
+    return _validated(sc)[0]
+
+
+def _validated(sc) -> tuple:
+    """validate_scenario's checks; returns the scenario mesh and the meshes
+    of the pipeline's resolution sweep, which the runners reuse."""
     mesh = build_mesh(sc)
     if sc["pipeline"] in _SOLVING and not mesh.free_mask().any():
         _fail(sc, "mesh.dirichlet", "the mesh leaves no free dof to solve for")
@@ -311,8 +318,9 @@ def validate_scenario(sc) -> fem.Mesh:
             _fail(sc, key, "resolutions must be positive integers")
     if sc["harmonic.count"] < 1 or sc["certify.j2_count"] < 1:
         _fail(sc, "harmonic.count", "family sizes must be >= 1")
-    _check_lattice(sc, mesh, _sweep_meshes(sc))
-    return mesh
+    sweep = _sweep_meshes(sc)
+    _check_lattice(sc, mesh, sweep)
+    return mesh, sweep
 
 
 def _sweep_meshes(sc) -> list:
@@ -338,9 +346,8 @@ def _check_lattice(sc, mesh, sweep):
     if pipeline not in _LATTICE_PIPELINES:
         return
     if kind in ("box", "file"):
-        _fail(sc, "mesh.kind",
-              f"pipeline {pipeline} measures gradients on a cell lattice, "
-              f"which kind {kind!r} meshes do not carry")
+        why = "kind 'box' meshes are 3D" if kind == "box" else "kind 'file' meshes carry none"
+        _fail(sc, "mesh.kind", f"pipeline {pipeline} measures gradients on a 2D cell lattice; {why}")
     w, h = sc["mesh.width"], sc["mesh.height"]
     if pipeline == "diagnostics-rigidity":
         # it measures on r x r meshes of the same domain, one per resolution
@@ -400,7 +407,7 @@ def _base_doc(sc, mesh) -> dict:
     }
 
 
-def _pipeline_solve(sc, mesh):
+def _pipeline_solve(sc, mesh, sweep):
     problem, u_e, log = _solve(sc, mesh)
     r = float(np.max(np.abs(fem.residual(problem.material, mesh, problem.loads, u_e))))
     energy = fem.total_energy(problem.material, mesh, problem.loads, u_e)
@@ -432,7 +439,7 @@ def _num(x) -> float:
     return float(x) if isinstance(x, (int, float)) else float("nan")
 
 
-def _pipeline_bmo_gate(sc, mesh):
+def _pipeline_bmo_gate(sc, mesh, sweep):
     problem, u_e, inputs, cands = _certify_setup(sc, mesh)
     entries, rows = [], []
     for idx, v in enumerate(cands):
@@ -470,7 +477,7 @@ def _pipeline_bmo_gate(sc, mesh):
     return _certificate_doc(sc, cert), {"energy_gap_vs_amplitude": table}, outcome
 
 
-def _pipeline_small_strain(sc, mesh):
+def _pipeline_small_strain(sc, mesh, sweep):
     problem, u_e, inputs, cands = _certify_setup(sc, mesh)
     cert = certify.small_strain_uniqueness(
         problem, u_e, cands, strain_delta=sc["certify.strain_delta"],
@@ -492,7 +499,7 @@ def _pipeline_small_strain(sc, mesh):
     return _certificate_doc(sc, cert), {"candidates": table}, cert.outcome
 
 
-def _pipeline_strain_diff(sc, mesh):
+def _pipeline_strain_diff(sc, mesh, sweep):
     problem, u_e, inputs, cands = _certify_setup(sc, mesh)
     cert = pushforward.certify_strain_neighborhood(
         problem, u_e, cands, strain_eps=sc["certify.strain_eps"],
@@ -510,7 +517,7 @@ def _pipeline_strain_diff(sc, mesh):
     return _certificate_doc(sc, cert), {"strain_candidates": table}, cert.outcome
 
 
-def _pipeline_harmonic(sc, mesh):
+def _pipeline_harmonic(sc, mesh, sweep):
     count = sc["harmonic.count"]
     p, q = sc["harmonic.p"], sc["harmonic.q"]
     fields, manifest = certify.j2_family(mesh, count, sc["seed"])
@@ -550,10 +557,9 @@ def _pipeline_harmonic(sc, mesh):
     return doc, {"fields": table}, outcome
 
 
-def _pipeline_rigidity(sc, mesh):
+def _pipeline_rigidity(sc, mesh, sweep):
     rows = []
-    for r in sc["rigidity.resolutions"]:
-        mesh_r = build_mesh(sc, r)
+    for r, mesh_r in zip(sc["rigidity.resolutions"], sweep):
         rng = np.random.default_rng(sc["seed"])
         vals = mesh_r.nodes + certify.bump_values(mesh_r, rng, sc["rigidity.eps"])
         fit = rigidity.rigidity_fit(
@@ -575,10 +581,9 @@ def _pipeline_rigidity(sc, mesh):
     return doc, {"cemp_vs_refinement": table}, "pass"
 
 
-def _pipeline_korn(sc, mesh):
+def _pipeline_korn(sc, mesh, sweep):
     rows = []
-    for r in sc["korn.resolutions"]:
-        mesh_r = build_mesh(sc, r)
+    for r, mesh_r in zip(sc["korn.resolutions"], sweep):
         K = rigidity.korn_constant(mesh_r)
         rows.append((r, K))
     doc = _base_doc(sc, mesh)
@@ -590,6 +595,8 @@ def _pipeline_korn(sc, mesh):
     return doc, {"korn_vs_refinement": (("resolution", "korn_constant"), rows)}, "pass"
 
 
+# runner(sc, mesh, sweep) -> (report doc, tables, outcome); sweep holds
+# the resolution sweep's meshes, in order, and is empty for the others
 _RUNNERS = {
     "solve": _pipeline_solve,
     "certify-bmo-gate": _pipeline_bmo_gate,
@@ -602,8 +609,8 @@ _RUNNERS = {
 
 
 def run_scenario(sc, out_dir) -> tuple[str, list]:
-    mesh = validate_scenario(sc)
-    doc, tables, outcome = _RUNNERS[sc["pipeline"]](sc, mesh)
+    mesh, sweep = _validated(sc)
+    doc, tables, outcome = _RUNNERS[sc["pipeline"]](sc, mesh, sweep)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

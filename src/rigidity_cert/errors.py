@@ -95,14 +95,6 @@ class DetBelowFloor(RigidityCertError):
     """A coefficient field determinant fell below the positivity floor."""
 
 
-class ZeroDistance(RigidityCertError):
-    """Reserved: zero rotation distance with a nonzero deviation.
-
-    Never raised in practice; degenerate ratios are reported as 0 or inf
-    by convention instead.
-    """
-
-
 # certification
 
 class NonPositiveK(RigidityCertError):

@@ -774,7 +774,7 @@ def gradient_field(mesh: Mesh, u) -> GridField:
     """Element-center deformation gradients as a lattice cell field.
 
     Requires the mesh to carry structured lattice bookkeeping (generated
-    meshes do).
+    meshes with square or cube cells do).
     """
     if mesh.lattice is None:
         raise DimensionMismatch("gradient_field needs a structured mesh lattice")
@@ -809,90 +809,68 @@ def facet_deformation_gradients(mesh: Mesh, u, facets) -> np.ndarray:
 
 # --------------------------------------------------------------- generators
 
-def _structured_nodes(counts, lengths, origin):
-    axes = [origin[d] + np.linspace(0.0, lengths[d], counts[d] + 1) for d in range(len(counts))]
-    if len(counts) == 2:
-        nx, ny = counts
-        xs, ys = axes
-        nodes = np.array([[xs[i], ys[j]] for j in range(ny + 1) for i in range(nx + 1)])
-        return nodes
-    nx, ny, nz = counts
-    xs, ys, zs = axes
-    return np.array(
-        [
-            [xs[i], ys[j], zs[k]]
-            for k in range(nz + 1)
-            for j in range(ny + 1)
-            for i in range(nx + 1)
-        ]
-    )
+_SIDE_NAMES = {2: ("left", "right", "bottom", "top"), 3: ("x0", "x1", "y0", "y1", "z0", "z1")}
 
 
-_SIDE_NAMES_2D = ("left", "right", "bottom", "top")
+def _lattice_mesh(counts, lengths, mask, dirichlet, traction, origin):
+    """Q1 mesh of the cells of a structured lattice that mask keeps.
 
+    Node (i, j[, k]) has id i + (nx+1) (j + (ny+1) k) before the unused
+    nodes are dropped.  Elements follow the kept cells with the last axis
+    slowest; boundary facets follow them with the first axis slowest,
+    side by side (axis 0 low, axis 0 high, axis 1 low, ...), grouped by
+    side name, with "inner" for facets against a masked-out cell.
+    dirichlet is 'all' or side names; traction is 'rest' or side names.
+    The mesh carries a CellLattice when every axis has the same cell size.
+    """
+    dim = len(counts)
+    axes = [origin[d] + np.linspace(0.0, lengths[d], counts[d] + 1) for d in range(dim)]
+    nodes = np.stack([g.ravel(order="F") for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    stride = np.cumprod([1] + [n + 1 for n in counts[:-1]])
+    offsets = ((_REF_CORNERS[dim] + 1) // 2).astype(int)  # (k, dim) corner offsets
+    # the corners on the low face of the last axis, read on the other axes,
+    # are the Q1 corners one dimension down in reference order: a facet's
+    # corners on the axes it spans
+    facet_offsets = offsets[: 2 ** (dim - 1), : dim - 1]
 
-def _side_facets_2d(nx, ny, keep_cell):
-    """Boundary edges of a masked structured grid, grouped by outward side."""
-    def nid(i, j):
-        return j * (nx + 1) + i
+    cells = np.argwhere(mask.T)[:, ::-1]
+    elements = (cells[:, None, :] + offsets) @ stride
+    elem_of_cell = np.full(mask.shape, -1, dtype=int)
+    elem_of_cell[tuple(cells.T)] = np.arange(len(cells))
 
-    sides = {name: [] for name in ("left", "right", "bottom", "top", "inner")}
-    for ix in range(nx):
-        for iy in range(ny):
-            if not keep_cell(ix, iy):
-                continue
-            if ix == 0 or not keep_cell(ix - 1, iy):
-                sides["left" if ix == 0 else "inner"].append((nid(ix, iy), nid(ix, iy + 1)))
-            if ix == nx - 1 or not keep_cell(ix + 1, iy):
-                sides["right" if ix == nx - 1 else "inner"].append(
-                    (nid(ix + 1, iy), nid(ix + 1, iy + 1))
-                )
-            if iy == 0 or not keep_cell(ix, iy - 1):
-                sides["bottom" if iy == 0 else "inner"].append((nid(ix, iy), nid(ix + 1, iy)))
-            if iy == ny - 1 or not keep_cell(ix, iy + 1):
-                sides["top" if iy == ny - 1 else "inner"].append(
-                    (nid(ix, iy + 1), nid(ix + 1, iy + 1))
-                )
-    return sides
+    cells = np.argwhere(mask)
+    padded = np.pad(mask, 1)
+    names = (*_SIDE_NAMES[dim], "inner")
+    facets, side, is_open = [], [], []
+    for d in range(dim):
+        for s in (0, 1):
+            nb = cells.copy()
+            nb[:, d] += 2 * s - 1
+            is_open.append(~padded[tuple(nb.T + 1)])
+            side.append(np.where((nb[:, d] < 0) | (nb[:, d] >= counts[d]), 2 * d + s, 2 * dim))
+            facets.append((cells[:, None, :] + np.insert(facet_offsets, d, s, axis=1)) @ stride)
+    is_open = np.stack(is_open, axis=1).ravel()
+    side = np.stack(side, axis=1).ravel()[is_open]
+    facets = np.stack(facets, axis=1).reshape(-1, 2 ** (dim - 1))[is_open]
 
-
-def _masked_rectangle(nx, ny, width, height, keep_cell, dirichlet, traction, origin=(0.0, 0.0)):
-    if abs(width / nx - height / ny) > 1e-12 * (1 + abs(width / nx)):
-        lattice_spacing = None
-    else:
-        lattice_spacing = width / nx
-    nodes = _structured_nodes((nx, ny), (width, height), origin)
-    elements = []
-    mask = np.zeros((nx, ny), dtype=bool)
-    elem_of_cell = np.full((nx, ny), -1, dtype=int)
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    for iy in range(ny):
-        for ix in range(nx):
-            if not keep_cell(ix, iy):
-                continue
-            elem_of_cell[ix, iy] = len(elements)
-            mask[ix, iy] = True
-            elements.append((nid(ix, iy), nid(ix + 1, iy), nid(ix + 1, iy + 1), nid(ix, iy + 1)))
-    used = sorted({v for e in elements for v in e})
-    remap = {old: new for new, old in enumerate(used)}
-    nodes = nodes[used]
-    elements = [[remap[v] for v in e] for e in elements]
-
-    sides = _side_facets_2d(nx, ny, keep_cell)
-    if dirichlet == "all":
-        dnames = [s for s in sides if sides[s]]
-    else:
-        dnames = list(dirichlet)
-    tnames = [s for s in sides if sides[s] and s not in dnames] if traction == "rest" else list(traction)
-    dfacets = [tuple(remap[v] for v in f) for s in dnames for f in sides[s]]
-    tfacets = [tuple(remap[v] for v in f) for s in tnames for f in sides[s]]
+    used = np.unique(elements)
+    remap = np.full(len(nodes), -1)
+    remap[used] = np.arange(len(used))
+    sides = {name: remap[facets[side == i]] for i, name in enumerate(names)}
+    present = [name for name in names if len(sides[name])]
+    dnames = present if dirichlet == "all" else list(dirichlet)
+    tnames = [s for s in present if s not in dnames] if traction == "rest" else list(traction)
+    h = lengths[0] / counts[0]
     lattice = None
-    if lattice_spacing is not None:
-        lattice = CellLattice(mask, elem_of_cell, lattice_spacing, tuple(origin))
-    return Mesh(nodes, elements, dfacets, tfacets, lattice=lattice)
+    if all(abs(L / n - h) <= 1e-12 * (1 + abs(h)) for L, n in zip(lengths, counts)):
+        lattice = CellLattice(mask, elem_of_cell, h, tuple(origin))
+    return Mesh(
+        nodes[used],
+        remap[elements],
+        [f for s in dnames for f in sides[s]],
+        [f for s in tnames for f in sides[s]],
+        lattice=lattice,
+    )
 
 
 def rectangle_mesh(nx, ny, width=1.0, height=1.0, dirichlet="all", traction="rest"):
@@ -902,19 +880,17 @@ def rectangle_mesh(nx, ny, width=1.0, height=1.0, dirichlet="all", traction="res
     {'left','right','bottom','top'}; remaining boundary sides become the
     traction part when traction='rest', else pass side names explicitly.
     """
-    return _masked_rectangle(nx, ny, width, height, lambda i, j: True, dirichlet, traction)
+    mask = np.ones((nx, ny), dtype=bool)
+    return _lattice_mesh((nx, ny), (width, height), mask, dirichlet, traction, (0.0, 0.0))
 
 
 def l_shape_mesh(n, size=1.0, dirichlet="all", traction="rest"):
     """L-shaped domain: unit square minus its upper-right quadrant."""
     if n % 2:
         raise ValueError("l_shape_mesh needs an even cell count")
-    half = n // 2
-
-    def keep(ix, iy):
-        return not (ix >= half and iy >= half)
-
-    return _masked_rectangle(n, n, size, size, keep, dirichlet, traction)
+    ix, iy = np.indices((n, n))
+    mask = ~((ix >= n // 2) & (iy >= n // 2))
+    return _lattice_mesh((n, n), (size, size), mask, dirichlet, traction, (0.0, 0.0))
 
 
 def square_ring_mesh(n, size=1.0, hole=0.5, dirichlet="all", traction="rest"):
@@ -923,58 +899,16 @@ def square_ring_mesh(n, size=1.0, hole=0.5, dirichlet="all", traction="rest"):
         raise ValueError("square_ring_mesh needs n divisible by 4")
     lo = int(round(n * (1 - hole) / 2))
     hi = n - lo
-
-    def keep(ix, iy):
-        return not (lo <= ix < hi and lo <= iy < hi)
-
-    return _masked_rectangle(n, n, size, size, keep, dirichlet, traction)
+    ix, iy = np.indices((n, n))
+    mask = ~((lo <= ix) & (ix < hi) & (lo <= iy) & (iy < hi))
+    return _lattice_mesh((n, n), (size, size), mask, dirichlet, traction, (0.0, 0.0))
 
 
 def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), dirichlet="all"):
     """Structured hex mesh of a box; dirichlet='all' or named faces among
     {'x0','x1','y0','y1','z0','z1'} (the rest become traction facets)."""
-    nodes = _structured_nodes((nx, ny, nz), lengths, (0.0, 0.0, 0.0))
-
-    def nid(i, j, k):
-        return k * (ny + 1) * (nx + 1) + j * (nx + 1) + i
-
-    elements = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                elements.append(
-                    (
-                        nid(i, j, k), nid(i + 1, j, k), nid(i + 1, j + 1, k), nid(i, j + 1, k),
-                        nid(i, j, k + 1), nid(i + 1, j, k + 1), nid(i + 1, j + 1, k + 1),
-                        nid(i, j + 1, k + 1),
-                    )
-                )
-    faces = {name: [] for name in ("x0", "x1", "y0", "y1", "z0", "z1")}
-    for j in range(ny):
-        for k in range(nz):
-            faces["x0"].append((nid(0, j, k), nid(0, j + 1, k), nid(0, j + 1, k + 1), nid(0, j, k + 1)))
-            faces["x1"].append(
-                (nid(nx, j, k), nid(nx, j + 1, k), nid(nx, j + 1, k + 1), nid(nx, j, k + 1))
-            )
-    for i in range(nx):
-        for k in range(nz):
-            faces["y0"].append((nid(i, 0, k), nid(i + 1, 0, k), nid(i + 1, 0, k + 1), nid(i, 0, k + 1)))
-            faces["y1"].append(
-                (nid(i, ny, k), nid(i + 1, ny, k), nid(i + 1, ny, k + 1), nid(i, ny, k + 1))
-            )
-    for i in range(nx):
-        for j in range(ny):
-            faces["z0"].append((nid(i, j, 0), nid(i + 1, j, 0), nid(i + 1, j + 1, 0), nid(i, j + 1, 0)))
-            faces["z1"].append(
-                (nid(i, j, nz), nid(i + 1, j, nz), nid(i + 1, j + 1, nz), nid(i, j + 1, nz))
-            )
-    if dirichlet == "all":
-        dnames = list(faces)
-    else:
-        dnames = list(dirichlet)
-    dfacets = [f for s in dnames for f in faces[s]]
-    tfacets = [f for s in faces if s not in dnames for f in faces[s]]
-    return Mesh(nodes, elements, dfacets, tfacets)
+    mask = np.ones((nx, ny, nz), dtype=bool)
+    return _lattice_mesh((nx, ny, nz), lengths, mask, dirichlet, "rest", (0.0, 0.0, 0.0))
 
 
 # ------------------------------------------------------------------ file io

@@ -372,10 +372,10 @@ def _float64_range(who):
         raise CubeOverflow(f"{who}: a cube value overflows float64") from exc
 
 
-def hl_maximal(fld: GridField, family: CubeFamily | None = None) -> GridField:
+def hl_maximal(fld: GridField) -> GridField:
     """Hardy-Littlewood maximal field: sup over containing cubes of the
     cube average of |sample|."""
-    family = family or cube_family(fld)
+    family = cube_family(fld)
     out = np.zeros(fld.mask.shape)
     with _float64_range("hl_maximal"):
         norms = fld.cell_norms()
@@ -389,10 +389,10 @@ def hl_maximal(fld: GridField, family: CubeFamily | None = None) -> GridField:
     return GridField(fld.mask, out, fld.spacing, fld.origin)
 
 
-def fs_sharp(fld: GridField, family: CubeFamily | None = None) -> GridField:
+def fs_sharp(fld: GridField) -> GridField:
     """Sharp maximal field: sup over containing cubes of the mean
     oscillation about the cube average."""
-    family = family or cube_family(fld)
+    family = cube_family(fld)
     components = _component_views(fld)
     out = np.zeros(fld.mask.shape)
     with _float64_range("fs_sharp"):
@@ -405,13 +405,13 @@ def fs_sharp(fld: GridField, family: CubeFamily | None = None) -> GridField:
     return GridField(fld.mask, out, fld.spacing, fld.origin)
 
 
-def bmo_seminorm(fld: GridField, family: CubeFamily | None = None) -> float:
+def bmo_seminorm(fld: GridField) -> float:
     """Largest mean oscillation over the cube family.
 
     Identical by construction to the max cell of fs_sharp: both reduce the
     same per-cube oscillations with exact max operations.
     """
-    family = family or cube_family(fld)
+    family = cube_family(fld)
     components = _component_views(fld)
     best = 0.0
     with _float64_range("bmo_seminorm"):
@@ -439,9 +439,9 @@ def _mean_norm(fld: GridField) -> float:
     return abs(m) if np.isscalar(m) else math.sqrt(fsum((m * m).ravel()))
 
 
-def bmo_l1_norm(fld: GridField, family: CubeFamily | None = None) -> float:
+def bmo_l1_norm(fld: GridField) -> float:
     """BMO seminorm plus the norm of the domain average."""
-    return bmo_seminorm(fld, family) + _mean_norm(fld)
+    return bmo_seminorm(fld) + _mean_norm(fld)
 
 
 def lp_mean_norm(fld: GridField, p: float) -> float:
@@ -464,15 +464,14 @@ class PointwiseBoundsReport:
         return self.max_value_minus_star <= 0.0 and self.max_sharp_minus_twice_star <= 0.0
 
 
-def verify_pointwise_bounds(fld: GridField, family: CubeFamily | None = None) -> PointwiseBoundsReport:
+def verify_pointwise_bounds(fld: GridField) -> PointwiseBoundsReport:
     """Check |psi| <= psi* and psi# <= 2 psi* cell by cell.
 
     Both are exact discrete facts (each cell is itself a cube of the
     family), so the reported worst gaps should never be positive.
     """
-    family = family or cube_family(fld)
-    star = hl_maximal(fld, family).values
-    sharp = fs_sharp(fld, family).values
+    star = hl_maximal(fld).values
+    sharp = fs_sharp(fld).values
     norms = fld.cell_norms()
     m = fld.mask
     return PointwiseBoundsReport(

@@ -167,6 +167,25 @@ def fs_sharp_bruteforce_matrix(mask, values):
     return out
 
 
+# ------------------------------------------------------------------ bumps
+
+def bump_values_closure(nodes, rng, eps):
+    """certify.bump_values evaluated node by node, one closure call each."""
+    dim = nodes.shape[1]
+    a = rng.uniform(-1.0, 1.0, size=(dim, 2))
+
+    def w(x):
+        s = [math.sin(math.pi * t) for t in x]
+        c = [math.cos(math.pi * t) for t in x]
+        prod = float(np.prod(s))
+        out = np.empty(dim)
+        for i in range(dim):
+            out[i] = eps * (a[i, 0] * prod + a[i, 1] * s[i % dim] * c[(i + 1) % dim])
+        return out
+
+    return np.array([w(x) for x in nodes])
+
+
 # ---------------------------------------------------- finite differences
 
 def fd_gradient(f, x, h):

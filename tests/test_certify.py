@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidity_cert import certify, errors, fem, harmonic, material
+
+from oracles import bump_values_closure
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +54,23 @@ def _gated_candidate(problem, u_e, inputs, frac=0.5):
 
 
 # -------------------------------------------------------------- radius
+
+_BUMP_MESHES = (
+    fem.rectangle_mesh(5, 3, 2.0, 1.0),
+    fem.l_shape_mesh(6),
+    fem.square_ring_mesh(8, size=1.5),
+    fem.box_mesh(2, 3, 2, (1.0, 1.5, 0.7)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=st.sampled_from(_BUMP_MESHES), seed=st.integers(0, 2**32 - 1),
+       eps=st.sampled_from([0.02, 1.0, 0.3 + 1e-9]))
+def test_bump_values_bitwise_equal_to_the_closure(mesh, seed, eps):
+    got = certify.bump_values(mesh, np.random.default_rng(seed), eps)
+    want = bump_values_closure(mesh.nodes, np.random.default_rng(seed), eps)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 def test_neighborhood_radius_formula():
     assert certify.neighborhood_radius(1.0, 1.0, 1.0, 4) == pytest.approx(0.125)

@@ -153,7 +153,8 @@ def test_validate_rejects_box_mesh_for_certify(tmp_path, capsys):
         mesh.nz = 3
     """)
     assert cli.main(["validate", cfg]) == 1
-    assert "mesh.kind (line 4)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "mesh.kind (line 4)" in err and "kind 'box' meshes are 3D" in err
 
 
 def test_validate_rejects_non_square_cells_for_certify(tmp_path, capsys):
@@ -502,6 +503,23 @@ def _count_calls(monkeypatch, module, name, key=None):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("pipeline, key", [
+    ("korn", "korn.resolutions"), ("diagnostics-rigidity", "rigidity.resolutions"),
+])
+def test_sweep_meshes_are_built_once_per_run(tmp_path, monkeypatch, pipeline, key):
+    calls = _count_calls(monkeypatch, cli, "build_mesh",
+                         key=lambda sc, r=None: "scenario" if r is None else r)
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = sweep
+        pipeline = {pipeline}
+        mesh.nx = 4
+        mesh.ny = 4
+        {key} = 4 6
+    """)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"scenario": 1, 4: 1, 6: 1}
 
 
 def test_strain_diff_measures_reference_once(tmp_path, monkeypatch):

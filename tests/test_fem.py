@@ -1,4 +1,5 @@
 """Assembly, solver, and mesh tests with finite-difference oracles."""
+import hashlib
 import math
 import types
 
@@ -68,6 +69,61 @@ def test_structured_lattice():
     assert fem.rectangle_mesh(4, 2, 1.0, 1.0).lattice is None
     ring = fem.square_ring_mesh(8, hole=0.5)
     assert ring.lattice.mask.sum() == ring.elements.shape[0]
+
+
+# sha256 of every generated mesh's bytes; the facet lists are hashed in
+# order, since loads and reports follow it.  Only 2D lattices are hashed:
+# box lattices are pinned by test_gradient_field_on_cube_cell_box.
+_MESH_DIGESTS = [
+    ("rectangle_mesh", (1, 1), {}, "77d7dac3c045c4f3da68cd81829341ce3588cbdc80de349f915e2afec7b2f45e"),
+    ("rectangle_mesh", (1, 1), {"dirichlet": ("left",)},
+     "2f3673f2dc48fad4dfdb62e569f1980b0eda77457fe80386f3950d03f92308a6"),
+    ("rectangle_mesh", (4, 4), {}, "3ca7abc6f770e049723626e71b6ddd070eb8e6f5d121a0da6d5dc0aaf5ecd536"),
+    ("rectangle_mesh", (3, 2, 1.5, 1.0), {},
+     "108ae4062a11d2e5a95b1abb17ab93a956085481b8f662352f5077f7306f2a2f"),
+    ("rectangle_mesh", (4, 2), {"dirichlet": ("bottom", "left")},
+     "eec3f8f8fa9b95e7139f3bb7529f968799f179f047e845b93924d1b9d672de7d"),
+    ("rectangle_mesh", (5, 3, 2.0, 1.0), {"dirichlet": ("left",), "traction": ("top", "right", "bottom")},
+     "5b7551d4ea6f8eb13b89bce819f204a54316d00e77dfc32832705ba03eeb904a"),
+    ("l_shape_mesh", (4,), {}, "cf89d7dd47bbc5138de162502fb76e554fbf4346b8e479a1247086a515f5e200"),
+    ("l_shape_mesh", (8,), {"dirichlet": ("left", "bottom")},
+     "4b709f3e938f091c91806bc49b60047fa496499055c074d16bcdf0dc2c5dcb14"),
+    ("l_shape_mesh", (6, 2.0), {"dirichlet": ("inner", "top")},
+     "931f225036b60431d94565c21a0165d9b77cf356ba481a7e10b4f5d890b2ba4e"),
+    ("square_ring_mesh", (8,), {}, "e5f94103f96d030f2e221eb7c3abe1c98c71b9751f4d817582afa3945efd14e7"),
+    ("square_ring_mesh", (8,), {"dirichlet": ("inner",)},
+     "2395729534a628cb0b48b98bc08637da9d3a6036f79df058585a9c3a6242a99e"),
+    ("square_ring_mesh", (12, 2.0, 0.25), {"dirichlet": ("right", "left")},
+     "929216b5cb379a6e5292a4b30141a767063360275217f411245329b63835d24a"),
+    ("box_mesh", (1, 1, 1), {}, "74b347a71cd25ac4f6e3304ebd6f7423e78d0b14da9c2be3dece992b527bf842"),
+    ("box_mesh", (3, 3, 3), {"dirichlet": ("x0",)},
+     "fe00f8c667f30b7b8553c642a53a91282a27d09a80b9541d234bb9a468226d55"),
+    ("box_mesh", (2, 2, 2, (1.0, 2.0, 0.5)), {},
+     "c93fb6e1da2f4b0330e794a7bc907a5c20852a02cbe01249837bda34a45acb1d"),
+    ("box_mesh", (2, 3, 4), {"dirichlet": ("z1", "x0")},
+     "16ea9123ec6ae82a8a8fe2b06ff5a1aca22da4e5b6b5f7643d35a425945c2a21"),
+]
+
+
+def _mesh_digest(mesh):
+    h = hashlib.sha256()
+    h.update(mesh.nodes.tobytes())
+    h.update(mesh.elements.astype(np.int64).tobytes())
+    h.update(repr(mesh.dirichlet_facets).encode())
+    h.update(repr(mesh.traction_facets).encode())
+    lat = mesh.lattice
+    if mesh.dim == 2 and lat is not None:
+        h.update(lat.mask.tobytes())
+        h.update(lat.elem_of_cell.astype(np.int64).tobytes())
+        h.update(repr((lat.mask.shape, lat.spacing, lat.origin)).encode())
+    elif mesh.dim == 2:
+        h.update(b"no lattice")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("generator, args, kwargs, digest", _MESH_DIGESTS)
+def test_generated_mesh_bytes(generator, args, kwargs, digest):
+    assert _mesh_digest(getattr(fem, generator)(*args, **kwargs)) == digest
 
 
 def test_facet_normals_and_perimeter():
@@ -579,6 +635,28 @@ def test_gradient_field_affine_constant_cells():
         assert np.max(np.abs(gf.values[tuple(idx)] - A)) <= 1e-12
 
 
+def test_gradient_field_on_cube_cell_box():
+    counts, h = (2, 3, 2), 0.5
+    mesh = fem.box_mesh(*counts, tuple(h * n for n in counts), dirichlet=("x0",))
+    vals = np.random.default_rng(5).standard_normal((mesh.nnodes, 3))
+    gf = fem.gradient_field(mesh, vals)
+    assert gf.mask.shape == counts and gf.mask.all()
+    assert gf.spacing == h and gf.origin == (0.0, 0.0, 0.0)
+    # the centre gradient of a trilinear cube: along each axis, the mean
+    # of the four edge differences over h
+    U = vals.reshape(3, 4, 3, 3)  # node id i + 3 (j + 4 k) as [k, j, i]
+    for i, j, k in np.ndindex(counts):
+        cube = U[k:k + 2, j:j + 2, i:i + 2]  # [dk, dj, di, component]
+        want = np.stack([
+            (cube[:, :, 1] - cube[:, :, 0]).mean(axis=(0, 1)),
+            (cube[:, 1] - cube[:, 0]).mean(axis=(0, 1)),
+            (cube[1] - cube[0]).mean(axis=(0, 1)),
+        ], axis=1) / h
+        assert np.max(np.abs(gf.values[i, j, k] - want)) <= 1e-12
+    with pytest.raises(errors.DimensionMismatch):
+        fem.gradient_field(fem.box_mesh(2, 2, 2, (1.0, 2.0, 0.5)), np.zeros((27, 3)))
+
+
 def test_facet_deformation_gradients_affine():
     mesh = fem.rectangle_mesh(3, 3, dirichlet=("left",), traction="rest")
     A = np.array([[1.1, 0.2], [0.0, 0.9]])
@@ -598,6 +676,32 @@ def test_mesh_file_roundtrip(tmp_path):
     assert back.dirichlet_facets == mesh.dirichlet_facets
     assert back.traction_facets == mesh.traction_facets
     assert back.mesh_hash() == mesh.mesh_hash()
+
+
+_ROUNDTRIP_MESHES = (
+    fem.rectangle_mesh(3, 2, 1.5, 1.0, dirichlet=("left",)),
+    fem.l_shape_mesh(4, dirichlet=("left", "bottom")),
+    fem.square_ring_mesh(8, dirichlet=("inner",)),
+    fem.box_mesh(2, 1, 3, dirichlet=("z1", "x0")),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=st.sampled_from(_ROUNDTRIP_MESHES), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_mesh_file_roundtrip_keeps_hash(tmp_path_factory, mesh, seed, scale):
+    # an affine image with positive determinant keeps the mesh valid and
+    # gives node coordinates with full mantissas
+    rng = np.random.default_rng(seed)
+    A = scale * (np.eye(mesh.dim) + 0.2 * rng.uniform(-1.0, 1.0, (mesh.dim, mesh.dim)))
+    moved = fem.Mesh(mesh.nodes @ A.T + rng.standard_normal(mesh.dim), mesh.elements,
+                     mesh.dirichlet_facets, mesh.traction_facets)
+    path = tmp_path_factory.mktemp("mesh") / "mesh.txt"
+    fem.write_mesh(moved, path)
+    back = fem.read_mesh(path)
+    assert back.mesh_hash() == moved.mesh_hash()
+    assert back.dirichlet_facets == moved.dirichlet_facets
+    assert back.traction_facets == moved.traction_facets
 
 
 @pytest.mark.parametrize("edit, line, message", [
