@@ -11,7 +11,6 @@ as such; nothing here asserts continuum statements.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,8 +52,8 @@ _CASCADE = 8.0
 
 _GAP_SLACK = 0.1
 
-# the default equilibrium tolerance of the gate and threshold cap of the
-# transfer
+# the equilibrium tolerance of the gate and the small-strain prerequisite,
+# and the threshold cap of the transfer
 _RESIDUAL_TOL = 1e-8
 _TRANSFER_CAP = 1e6
 
@@ -123,7 +122,8 @@ def j2_family(mesh, count, seed):
 
 @dataclass(frozen=True)
 class CertInputs:
-    """Measured constants feeding the gates, with their provenance."""
+    """Measured constants feeding the gates, the settings they were
+    measured with, and their provenance."""
 
     lambda_min: float
     k_hat: float
@@ -134,6 +134,9 @@ class CertInputs:
     epsilon: float
     components: int
     delta_star: float
+    taylor_samples: int = 2000
+    j2_count: int = 6
+    seed: int = 0
     provenance: dict = field(default_factory=dict)
 
 
@@ -152,7 +155,7 @@ def _quadrature_taylor(problem: Problem, rng, rho, epsilon, samples, seed):
 
 def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
                          taylor_samples=2000, j2_count=6, seed=0,
-                         cap=1e6, taylor=_quadrature_taylor) -> CertInputs:
+                         taylor=_quadrature_taylor) -> CertInputs:
     """Measure every constant the gates need at the equilibrium u_e.
 
     rho is the radius of the rotation-distance set the Taylor constants
@@ -174,7 +177,7 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
     J2 = harmonic.fit_interpolation_constant(fields, p=2.0, q=3.0)
     components = n * n
     delta_star = (
-        neighborhood_radius(k_hat, c, J2, components, cap=cap)
+        neighborhood_radius(k_hat, c, J2, components)
         if k_hat > 0.0
         else 0.0
     )
@@ -200,6 +203,9 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
         epsilon=float(epsilon),
         components=components,
         delta_star=float(delta_star),
+        taylor_samples=int(taylor_samples),
+        j2_count=int(j2_count),
+        seed=int(seed),
         provenance=provenance,
     )
 
@@ -253,20 +259,20 @@ def local_min_gate(u_e, v, inputs: CertInputs, problem: Problem,
     error, never a silent downgrade.
     """
     return _gate(u_e, v, inputs, problem, residual_tol,
-                 lambda: _difference_measures(problem.mesh, u_e, v))
+                 _difference_measures(problem.mesh, u_e, v))
 
 
 def gate_and_transfer(u_e, v, inputs: CertInputs, problem: Problem):
     """(local_min_gate, direction_positivity_transfer) of one candidate v,
-    with the default tolerances, over one measurement of its difference
+    with the default tolerance, over one measurement of its difference
     field."""
-    measure = functools.cache(lambda: _difference_measures(problem.mesh, u_e, v))
-    return (_gate(u_e, v, inputs, problem, _RESIDUAL_TOL, measure),
-            _transfer(u_e, v, problem.material, problem.mesh, inputs, _TRANSFER_CAP, measure))
+    measures = _difference_measures(problem.mesh, u_e, v)
+    return (_gate(u_e, v, inputs, problem, _RESIDUAL_TOL, measures),
+            _transfer(u_e, v, problem.material, problem.mesh, inputs, measures))
 
 
-def _gate(u_e, v, inputs, problem, residual_tol, measure) -> GateReport:
-    """local_min_gate, with measure() giving _difference_measures(u_e, v)."""
+def _gate(u_e, v, inputs, problem, residual_tol, measures) -> GateReport:
+    """local_min_gate, over measures = _difference_measures(u_e, v)."""
     m, mesh, loads = problem.material, problem.mesh, problem.loads
     if inputs.k_hat <= 0.0:
         raise NonPositiveK(f"gate needs k_hat > 0, got {inputs.k_hat:g}")
@@ -279,7 +285,7 @@ def _gate(u_e, v, inputs, problem, residual_tol, measure) -> GateReport:
     dist_v = float(tensor_core.dist_to_rotations_many(Fv).max())
     step = float(np.sqrt(np.einsum("eqij,eqij->eq", Fv - Fe, Fv - Fe)).max())
     set_ratio = max(dist_e / inputs.rho, dist_v / inputs.rho, step / inputs.epsilon)
-    diff, bmo, mean_gap = measure()
+    diff, bmo, mean_gap = measures
     measurements = {
         "set_membership": _measure(set_ratio, 1.0, set_ratio < 1.0),
         "bmo_seminorm": _measure(bmo, inputs.delta_star, bmo < inputs.delta_star),
@@ -353,8 +359,7 @@ class TransferReport:
         }
 
 
-def direction_positivity_transfer(u, v, m, mesh, inputs: CertInputs,
-                                  cap=_TRANSFER_CAP) -> TransferReport:
+def direction_positivity_transfer(u, v, m, mesh, inputs: CertInputs) -> TransferReport:
     """Verify that the second variation at v stays coercive in the
     direction w = v - u, using only the coercivity measured at u: inputs
     are the constants certification_inputs measured there.
@@ -363,11 +368,11 @@ def direction_positivity_transfer(u, v, m, mesh, inputs: CertInputs,
     constant c_hat, a BMO/mean gap below 2 k_hat / (c_hat sqrt(Nn) J2^3)
     loses at most half of the 8 k_hat eigenvalue floor.
     """
-    return _transfer(u, v, m, mesh, inputs, cap, lambda: _difference_measures(mesh, u, v))
+    return _transfer(u, v, m, mesh, inputs, _difference_measures(mesh, u, v))
 
 
-def _transfer(u, v, m, mesh, inputs, cap, measure) -> TransferReport:
-    """direction_positivity_transfer, with measure() giving
+def _transfer(u, v, m, mesh, inputs, measures) -> TransferReport:
+    """direction_positivity_transfer, over measures =
     _difference_measures(u, v)."""
     d = mesh.dirichlet_nodes
     if len(d) and np.max(np.abs(u.values[d] - v.values[d])) > 1e-12:
@@ -375,17 +380,11 @@ def _transfer(u, v, m, mesh, inputs, cap, measure) -> TransferReport:
     lam, k_hat = inputs.lambda_min, inputs.k_hat
     if lam <= 0.0:
         raise HypothesisUnmet(f"second variation at u is not coercive ({lam:g})")
-    if inputs.c_hat_taylor == 0.0:
-        threshold = float(cap)
-    else:
-        threshold = float(
-            min(
-                2.0 * k_hat
-                / (inputs.c_hat_taylor * math.sqrt(inputs.components) * inputs.J2**3),
-                cap,
-            )
-        )
-    _, bmo, mean_gap = measure()
+    threshold = _TRANSFER_CAP
+    if inputs.c_hat_taylor != 0.0:
+        scale = inputs.c_hat_taylor * math.sqrt(inputs.components) * inputs.J2**3
+        threshold = float(min(2.0 * k_hat / scale, _TRANSFER_CAP))
+    _, bmo, mean_gap = measures
     measurements = {
         "bmo_seminorm": _measure(bmo, threshold, bmo < threshold),
         "mean_gradient": _measure(mean_gap, threshold, mean_gap < threshold),
@@ -482,12 +481,12 @@ def _strain_sup(mesh, u) -> float:
     return float(np.sqrt(np.einsum("eqij,eqij->eq", C, C)).max())
 
 
-def small_strain_uniqueness(problem: Problem, u_e, candidates,
-                            strain_delta=0.2, inputs: CertInputs | None = None,
-                            residual_tol=1e-8, seed=0,
+def small_strain_uniqueness(problem: Problem, u_e, candidates, inputs: CertInputs,
+                            strain_delta=0.2,
                             boundary_p: float | None = None) -> Certificate:
     """Certify u_e as the locally unique small-strain minimizer among the
-    supplied candidates, at desk scale.
+    supplied candidates, at desk scale, from the constants inputs that
+    certification_inputs measured at u_e.
 
     Prerequisites: the material is stress-free at the identity with a
     uniformly positive elasticity floor there, u_e is an equilibrium, and
@@ -497,7 +496,7 @@ def small_strain_uniqueness(problem: Problem, u_e, candidates,
     """
     m, mesh = problem.material, problem.mesh
     n = mesh.dim
-    con = material.check_constitutive(m, n=n, seed=seed)
+    con = material.check_constitutive(m, n=n, seed=inputs.seed)
     if con.stress_free_err > 1e-8:
         raise PrerequisiteFailed(
             f"stress-free reference fails: |S(x, I)| = {con.stress_free_err:.3e}"
@@ -508,7 +507,7 @@ def small_strain_uniqueness(problem: Problem, u_e, candidates,
             f"({con.shear_floor:g}, {con.sigma_floor:g})"
         )
     r = float(np.max(np.abs(fem.residual(m, mesh, problem.loads, u_e))))
-    if r > residual_tol:
+    if r > _RESIDUAL_TOL:
         raise PrerequisiteFailed(f"u_e is not an equilibrium: residual {r:.3e}")
     strain_e = _strain_sup(mesh, u_e)
     if strain_e >= strain_delta:
@@ -516,8 +515,6 @@ def small_strain_uniqueness(problem: Problem, u_e, candidates,
             f"reference strain bound fails: |C_e - I| sup = {strain_e:.3e} "
             f">= {strain_delta:g}"
         )
-    if inputs is None:
-        inputs = certification_inputs(problem, u_e, seed=seed)
     measurements = {
         "second_variation_positive": _measure(inputs.lambda_min, 0.0, inputs.lambda_min > 0.0),
         "stress_free": _measure(con.stress_free_err, 1e-8, True),
@@ -541,7 +538,7 @@ def small_strain_uniqueness(problem: Problem, u_e, candidates,
             continue
         fit = rigidity.rigidity_fit(fem.gradient_field(mesh, v), p=2.0)
         bc = rigidity.boundary_rotation_closeness(u_e, v, mesh, p=p_bc)
-        gate = local_min_gate(u_e, v, inputs, problem, residual_tol=residual_tol)
+        gate = local_min_gate(u_e, v, inputs, problem)
         entry.update(
             {
                 "outcome": gate.outcome,

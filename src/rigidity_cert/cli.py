@@ -215,6 +215,12 @@ def build_mesh(sc, r=None) -> fem.Mesh:
     for key in counts:
         if sc[key] < 1:
             _fail(sc, key, f"cell counts must be positive integers, got {sc[key]}")
+    names = fem.SIDE_NAMES[3 if kind == "box" else 2]
+    if kind != "file" and sides != "all" and not set(sides) <= set(names):
+        _fail(sc, "mesh.dirichlet",
+              f"kind {kind!r} has the sides {', '.join(names)}; got {', '.join(sides)}")
+    if kind == "box" and len(sc["mesh.lengths"]) != 3:
+        _fail(sc, "mesh.lengths", f"a box needs 3 side lengths, got {len(sc['mesh.lengths'])}")
     try:
         if kind == "rectangle":
             nx, ny = (sc["mesh.nx"], sc["mesh.ny"]) if r is None else (r, r)
@@ -299,6 +305,9 @@ def _validated(sc) -> tuple:
         _fail(sc, "certify.boundary_p",
               f"boundary rotation closeness requires p > n for the "
               f"supercritical embedding; got p = {p_bc:g} with n = {dim}")
+    for key in ("certify.rho", "certify.epsilon", "certify.taylor_samples"):
+        if not sc[key] > 0:
+            _fail(sc, key, f"must be positive, got {sc[key]:g}")
     if not sc["certify.rho"] + sc["certify.epsilon"] < 1.0:
         _fail(sc, "certify.rho",
               "rho + epsilon must stay below 1 to keep determinants positive")
@@ -372,22 +381,15 @@ def _solve(sc, mesh):
     return problem, u_e, log
 
 
-def _measure_keys(sc) -> dict:
-    """The scenario's settings for certify.certification_inputs."""
-    return {
-        "rho": sc["certify.rho"],
-        "epsilon": sc["certify.epsilon"],
-        "taylor_samples": sc["certify.taylor_samples"],
-        "j2_count": sc["certify.j2_count"],
-        "seed": sc["seed"],
-    }
-
-
 def _certify_setup(sc, mesh):
     """The certify pipelines' common start: solve, measure the reference
     constants once, and draw the gated candidates."""
     problem, u_e, _ = _solve(sc, mesh)
-    inputs = certify.certification_inputs(problem, u_e, **_measure_keys(sc))
+    inputs = certify.certification_inputs(
+        problem, u_e, rho=sc["certify.rho"], epsilon=sc["certify.epsilon"],
+        taylor_samples=sc["certify.taylor_samples"], j2_count=sc["certify.j2_count"],
+        seed=sc["seed"],
+    )
     cands = certify.gated_perturbations(
         problem, u_e, inputs, count=sc["certify.candidates"],
         frac=sc["certify.frac"], seed=sc["seed"] + 1,
@@ -480,8 +482,8 @@ def _pipeline_bmo_gate(sc, mesh, sweep):
 def _pipeline_small_strain(sc, mesh, sweep):
     problem, u_e, inputs, cands = _certify_setup(sc, mesh)
     cert = certify.small_strain_uniqueness(
-        problem, u_e, cands, strain_delta=sc["certify.strain_delta"],
-        inputs=inputs, seed=sc["seed"], boundary_p=sc["certify.boundary_p"],
+        problem, u_e, cands, inputs, strain_delta=sc["certify.strain_delta"],
+        boundary_p=sc["certify.boundary_p"],
     )
     if sc["certify.restarts"] > 0:
         ms = certify.multistart_agreement(
@@ -502,8 +504,7 @@ def _pipeline_small_strain(sc, mesh, sweep):
 def _pipeline_strain_diff(sc, mesh, sweep):
     problem, u_e, inputs, cands = _certify_setup(sc, mesh)
     cert = pushforward.certify_strain_neighborhood(
-        problem, u_e, cands, strain_eps=sc["certify.strain_eps"],
-        inputs=inputs, **_measure_keys(sc),
+        problem, u_e, cands, inputs, strain_eps=sc["certify.strain_eps"]
     )
     rows = [
         (e["id"], e["strain_diff_sup"], e["dist_sup"],

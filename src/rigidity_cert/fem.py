@@ -41,6 +41,7 @@ __all__ = [
     "LoadSet",
     "CellLattice",
     "SolveLog",
+    "SIDE_NAMES",
     "rectangle_mesh",
     "box_mesh",
     "l_shape_mesh",
@@ -461,15 +462,15 @@ def residual(m, mesh: Mesh, loads: LoadSet, u) -> np.ndarray:
     return residual_field(m, mesh, loads, u)[mesh.free_mask()]
 
 
-def second_variation_matrix(m, mesh: Mesh, u, free_only=True):
-    """Tangent stiffness d2E/du2 at state u as a sparse CSR matrix."""
+def second_variation_matrix(m, mesh: Mesh, u):
+    """Tangent stiffness d2E/du2 at state u over the free dofs, sparse CSR."""
     coords, grads, wdet, _, _ = mesh.quadrature()
     F = deformation_gradients(mesh, u)
     _check_dets(F)
     M, q = wdet.shape
     n = mesh.dim
     A = m.elasticity_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
-    return scatter_matrix(mesh, element_matrices(mesh, A.reshape(M, q, n, n, n, n)), free_only)
+    return scatter_matrix(mesh, element_matrices(mesh, A.reshape(M, q, n, n, n, n)), free_only=True)
 
 
 def element_matrices(mesh: Mesh, A) -> np.ndarray:
@@ -498,13 +499,13 @@ def element_matrices(mesh: Mesh, A) -> np.ndarray:
     return (gA @ wg).reshape(M, k, n, n, k).transpose(0, 1, 2, 4, 3)
 
 
-def gradient_gram_matrix(mesh: Mesh, free_only=True):
-    """Gram matrix of grad z : grad z over the same dof set."""
+def gradient_gram_matrix(mesh: Mesh):
+    """Gram matrix of grad z : grad z over the free dofs."""
     _, grads, wdet, _, _ = mesh.quadrature()
     n = mesh.dim
     Kg = np.einsum("eq,eqak,eqbk->eab", wdet, grads, grads)
     Ke = np.einsum("eab,ij->eaibj", Kg, np.eye(n))
-    return scatter_matrix(mesh, Ke, free_only)
+    return scatter_matrix(mesh, Ke, free_only=True)
 
 
 def scatter_matrix(mesh, Ke, free_only):
@@ -809,7 +810,10 @@ def facet_deformation_gradients(mesh: Mesh, u, facets) -> np.ndarray:
 
 # --------------------------------------------------------------- generators
 
-_SIDE_NAMES = {2: ("left", "right", "bottom", "top"), 3: ("x0", "x1", "y0", "y1", "z0", "z1")}
+# the boundary side names of a generated mesh, by dimension: axis 0 low and
+# high, axis 1 low and high, ..., then facets against a masked-out cell
+SIDE_NAMES = {2: ("left", "right", "bottom", "top", "inner"),
+              3: ("x0", "x1", "y0", "y1", "z0", "z1", "inner")}
 
 
 def _lattice_mesh(counts, lengths, mask, dirichlet, traction, origin):
@@ -840,7 +844,7 @@ def _lattice_mesh(counts, lengths, mask, dirichlet, traction, origin):
 
     cells = np.argwhere(mask)
     padded = np.pad(mask, 1)
-    names = (*_SIDE_NAMES[dim], "inner")
+    names = SIDE_NAMES[dim]
     facets, side, is_open = [], [], []
     for d in range(dim):
         for s in (0, 1):

@@ -444,6 +444,9 @@ def strain_diff_to_dist(u_e: fem.FeField, v: fem.FeField) -> StrainDistReport:
     )
 
 
+_RESIDUAL_TOL = 1e-8  # of u_e; the deformed gate widens it by the residual
+
+
 def _point_taylor(problem_def: certify.Problem, rng, rho, epsilon, samples, seed):
     """Taylor constants of a pushed material, for certification_inputs:
     the max over 12 seeded material points of the frozen-point constants."""
@@ -462,23 +465,25 @@ def _point_taylor(problem_def: certify.Problem, rng, rho, epsilon, samples, seed
 
 
 def certify_strain_neighborhood(problem: certify.Problem, u_e: fem.FeField,
-                                candidates, strain_eps=0.05,
-                                rho=0.25, epsilon=0.25,
-                                taylor_samples=2000, j2_count=6,
-                                seed=0, residual_tol=1e-8,
-                                inputs: certify.CertInputs | None = None) -> certify.Certificate:
+                                candidates, inputs: certify.CertInputs,
+                                strain_eps=0.05) -> certify.Certificate:
     """Run the local-minimality gate on the deformed configuration.
 
     Candidates are filtered by the strain-difference bound against u_e;
     surviving candidates are transported to the deformed configuration,
     gated there with the pushed-forward problem, and their energy
     excesses are cross-checked against the reference-side gate.  inputs
-    are the reference constants at u_e, measured here when None.
+    are the reference constants certification_inputs measured at u_e; the
+    deformed constants are measured with the same settings.
     """
     m, mesh, loads = problem.material, problem.mesh, problem.loads
     r = float(np.max(np.abs(fem.residual(m, mesh, loads, u_e))))
-    if r > residual_tol:
+    if r > _RESIDUAL_TOL:
         raise PrerequisiteFailed(f"u_e is not an equilibrium: residual {r:.3e}")
+    if inputs.lambda_min <= 0.0:
+        raise PrerequisiteFailed(
+            f"second variation at u_e is not coercive ({inputs.lambda_min:g})"
+        )
     cfg = deform_configuration(mesh, u_e)
     m_u = PushforwardMaterial(m, cfg)
     loads_u = pushforward_loads(loads, cfg)
@@ -487,17 +492,10 @@ def certify_strain_neighborhood(problem: certify.Problem, u_e: fem.FeField,
     u_hat = fem.FeField(mesh_def, u_e.values.copy())
     Ident = fem.deformation_gradients(mesh_def, u_hat)
     ident_dev = float(np.max(np.abs(Ident - np.eye(mesh.dim))))
-    measure = {"rho": rho, "epsilon": epsilon, "taylor_samples": taylor_samples,
-               "j2_count": j2_count, "seed": seed}
-    inputs_ref = (
-        certify.certification_inputs(problem, u_e, **measure) if inputs is None else inputs
-    )
-    if inputs_ref.lambda_min <= 0.0:
-        raise PrerequisiteFailed(
-            f"second variation at u_e is not coercive ({inputs_ref.lambda_min:g})"
-        )
     inputs_def = certify.certification_inputs(
-        problem_def, u_hat, taylor=_point_taylor, **measure
+        problem_def, u_hat, rho=inputs.rho, epsilon=inputs.epsilon,
+        taylor_samples=inputs.taylor_samples, j2_count=inputs.j2_count,
+        seed=inputs.seed, taylor=_point_taylor,
     )
     measurements = {
         "identity_gradient_dev": {
@@ -506,8 +504,8 @@ def certify_strain_neighborhood(problem: certify.Problem, u_e: fem.FeField,
             "pass": ident_dev <= 1e-10,
         },
         "second_variation_positive_ref": {
-            "lhs": inputs_ref.lambda_min, "rhs": 0.0,
-            "pass": inputs_ref.lambda_min > 0.0,
+            "lhs": inputs.lambda_min, "rhs": 0.0,
+            "pass": inputs.lambda_min > 0.0,
         },
         "second_variation_positive_def": {
             "lhs": inputs_def.lambda_min, "rhs": 0.0,
@@ -536,11 +534,9 @@ def certify_strain_neighborhood(problem: certify.Problem, u_e: fem.FeField,
             continue
         v_hat = fem.FeField(mesh_def, v.values)
         gate_def = certify.local_min_gate(
-            u_hat, v_hat, inputs_def, problem_def, residual_tol=max(residual_tol, 10 * r + 1e-12)
+            u_hat, v_hat, inputs_def, problem_def, residual_tol=max(_RESIDUAL_TOL, 10 * r + 1e-12)
         )
-        gate_ref = certify.local_min_gate(
-            u_e, v, inputs_ref, problem, residual_tol=residual_tol
-        )
+        gate_ref = certify.local_min_gate(u_e, v, inputs, problem)
         entry["gate_deformed"] = gate_def.to_dict()
         entry["gate_reference"] = gate_ref.to_dict()
         if gate_def.outcome == "pass" and gate_ref.outcome == "pass":
@@ -558,7 +554,7 @@ def certify_strain_neighborhood(problem: certify.Problem, u_e: fem.FeField,
             entry["reason"] = "gate thresholds"
         entries.append(entry)
     outcome = certify.fold_outcomes([e["outcome"] for e in entries] or ["pass"])
-    provenance = dict(inputs_ref.provenance)
+    provenance = dict(inputs.provenance)
     provenance["strain_eps"] = float(strain_eps)
     provenance["deformed"] = inputs_def.provenance
     return certify.Certificate.from_inputs(

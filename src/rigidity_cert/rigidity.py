@@ -250,18 +250,10 @@ def korn_form_matrix(mesh, F_field=None, det_floor=1e-8):
     return fem.scatter_matrix(mesh, fem.element_matrices(mesh, A), free_only=False)
 
 
-def korn_constant(mesh, F_field=None, dirichlet=None, det_floor=1e-8) -> float:
+def korn_constant(mesh, F_field=None, det_floor=1e-8) -> float:
     """Best constant K in  int |F^T grad w + (grad w)^T F|^2 >= K int |grad w|^2
-    over FE fields vanishing on the Dirichlet nodes (the mesh's own
-    Dirichlet set when none is given)."""
+    over FE fields vanishing on the mesh's Dirichlet nodes."""
     B = korn_form_matrix(mesh, F_field, det_floor)
-    G = fem.gradient_gram_matrix(mesh, free_only=False)
-    if dirichlet is None:
-        free = mesh.free_mask()
-    else:
-        free = np.ones((mesh.nnodes, mesh.dim), dtype=bool)
-        free[np.asarray(list(dirichlet), dtype=int)] = False
-    idx = np.flatnonzero(free.ravel())
+    idx = np.flatnonzero(mesh.free_mask().ravel())
     B = B[np.ix_(idx, idx)].tocsr()
-    G = G[np.ix_(idx, idx)].tocsr()
-    return fem.coercivity_constant(B, G)
+    return fem.coercivity_constant(B, fem.gradient_gram_matrix(mesh))

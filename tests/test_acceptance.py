@@ -363,8 +363,7 @@ def test_criterion_13_strain_difference_gate():
                                        count=1, frac=0.2, seed=4)[0]
     bad = fem.FeField(mesh, u_e.values @ np.diag([1.3, 1.0]))
     cert = pushforward.certify_strain_neighborhood(
-        problem, u_e, [good, bad], strain_eps=0.05,
-        taylor_samples=600, j2_count=4, seed=0,
+        problem, u_e, [good, bad], inputs_ref, strain_eps=0.05,
     )
     gated, breaching = cert.candidates
     assert gated["outcome"] == "pass"

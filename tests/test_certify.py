@@ -335,5 +335,6 @@ def test_certificate_rejects_prestressed_material():
     loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)
     problem = certify.Problem("prestressed", m, mesh, loads)
     u = fem.FeField.identity(mesh)
+    inputs = certify.certification_inputs(problem, u, taylor_samples=50, j2_count=1)
     with pytest.raises(errors.PrerequisiteFailed, match="stress-free"):
-        certify.small_strain_uniqueness(problem, u, [])
+        certify.small_strain_uniqueness(problem, u, [], inputs=inputs)

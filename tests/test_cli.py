@@ -287,6 +287,74 @@ def test_validate_checks_only_the_sweep_the_pipeline_runs(tmp_path, capsys):
     assert cli.main(["validate", cfg]) == 0
 
 
+@pytest.mark.parametrize("pipeline", ["solve", "korn"])
+@pytest.mark.parametrize("kind, side", [("rectangle", "lefty"), ("box", "left"), ("ring", "x0")])
+def test_validate_rejects_unknown_dirichlet_side(tmp_path, capsys, pipeline, kind, side):
+    # a side name the generator does not make is named up front, not a KeyError
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = {pipeline}
+        mesh.kind = {kind}
+        mesh.dirichlet = {side}
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: mesh.dirichlet (line 5): kind '{kind}' has the sides" in err
+    assert f"; got {side}" in err
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "mesh.dirichlet (line 5)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_accepts_known_dirichlet_sides(tmp_path):
+    cfg = _write(tmp_path, "a.cfg", """
+        name = demo
+        pipeline = solve
+        mesh.kind = box
+        mesh.nx = 2
+        mesh.ny = 2
+        mesh.nz = 2
+        mesh.dirichlet = x0, z1
+    """)
+    assert cli.main(["validate", cfg]) == 0
+
+
+@pytest.mark.parametrize("lengths", ["1 2", "1 1 1 1"])
+def test_validate_rejects_box_lengths_count(tmp_path, capsys, lengths):
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = solve
+        mesh.kind = box
+        mesh.lengths = {lengths}
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    count = len(lengths.split())
+    assert (f"config error: mesh.lengths (line 5): a box needs 3 side lengths, got {count}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("certify.rho", "0", "must be positive, got 0"),
+    ("certify.rho", "-0.1", "must be positive, got -0.1"),
+    ("certify.epsilon", "0", "must be positive, got 0"),
+    ("certify.epsilon", "-0.1", "must be positive, got -0.1"),
+    ("certify.taylor_samples", "0", "must be positive, got 0"),
+    ("certify.taylor_samples", "-1", "must be positive, got -1"),
+])
+def test_validate_rejects_nonpositive_certify_settings(tmp_path, capsys, key, value, message):
+    # these used to pass validate and fail late, with a ZeroDivisionError,
+    # a bare ValueError or a DeterminantViolation after a zero Taylor constant
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = certify-small-strain
+        {key} = {value}
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    assert f"config error: {key} (line 4): {message}" in capsys.readouterr().err
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_load_components_through_build_loads(tmp_path, monkeypatch, capsys):
     calls = _count_calls(monkeypatch, cli, "build_loads")
     cfg = _stretch_config(tmp_path, "solve", extra="loads.body = 0.1 0.0 0.0")

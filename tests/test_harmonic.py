@@ -327,6 +327,29 @@ def test_measurements_invariant_under_lattice_translation(seed, k, mask_kind, pa
     assert np.array_equal(hl_maximal(big).values[inner], hl_maximal(fld).values)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([0, 2, 3]),
+       mask_kind=st.sampled_from(["holes", "l-shape", "3d"]),
+       shift=st.floats(-1e3, 1e3))
+def test_bmo_invariant_under_adding_a_constant(seed, k, mask_kind, shift):
+    # mean oscillation ignores constants; only rounding moves it.  With
+    # u = 2^-53 and S = max|f| + |c| over the domain, each shifted sample
+    # rounds once (u S), the exactly rounded cube mean moves by at most
+    # 2 u S, each deviation by 8 u S after its own subtraction, and the
+    # exactly rounded average by 4 u S more: 12 u S for scalars.  A k x k
+    # sample's Frobenius deviation takes at most k times the entry error,
+    # plus its square, fsum and sqrt roundings: under 20 k u S.  The
+    # bound below leaves room for second-order terms.
+    rng = np.random.default_rng(seed)
+    mask = _random_mask(rng, mask_kind)
+    fld = GridField(mask, _random_values(rng, mask.shape, k, "normal"))
+    c = shift * (rng.normal(size=(k, k)) if k else 1.0)
+    shifted = fld.with_values(fld.values + c)
+    scale = float(np.abs(fld.values).max()) + float(np.abs(c).max())
+    tol = 32 * max(k, 1) * 2.0**-53 * scale
+    assert abs(bmo_seminorm(shifted) - bmo_seminorm(fld)) <= tol
+
+
 def _count_refined(monkeypatch):
     calls = []
     exact = harmonic._cube_oscillation
@@ -473,6 +496,32 @@ def test_grid_field_matrix_round_trip(tmp_path):
     back = read_grid_field(path)
     assert np.array_equal(back.values, fld.values)
     assert back.is_matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([0, 2, 3]),
+       mask_kind=st.sampled_from(["holes", "l-shape", "3d"]),
+       sample=st.floats(allow_nan=False, allow_infinity=False),
+       spacing=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       origin=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=3, max_size=3))
+def test_grid_field_file_round_trip_is_bitwise(tmp_path_factory, seed, k, mask_kind,
+                                               sample, spacing, origin):
+    # any finite sample (signed zeros, subnormals, the extremes) comes back
+    # with its bits, and so do the mask, the spacing and the origin
+    rng = np.random.default_rng(seed)
+    mask = _random_mask(rng, mask_kind)
+    values = _random_values(rng, mask.shape, k, "normal") * 2.0 ** rng.integers(-60, 60)
+    values.reshape(mask.shape + (-1,))[tuple(np.argwhere(mask)[0])][0] = sample
+    fld = GridField(mask, values, spacing, tuple(origin[: mask.ndim]))
+    path = tmp_path_factory.mktemp("grid") / "field.grid"
+    write_grid_field(fld, path)
+    back = read_grid_field(path)
+    assert back.mask.shape == fld.mask.shape and np.array_equal(back.mask, fld.mask)
+    assert back.values.shape == fld.values.shape
+    assert back.values.tobytes() == fld.values.tobytes()
+    assert back.spacing.hex() == fld.spacing.hex()
+    assert [o.hex() for o in back.origin] == [float(o).hex() for o in fld.origin]
 
 
 _GRID_FILE = """gridfield 1

@@ -401,9 +401,10 @@ def test_certify_strain_neighborhood(stretch):
     mesh = problem.mesh
     good = _gated_bump(problem, u_e, 0.2)
     big = fem.FeField(mesh, u_e.values @ np.diag([1.3, 1.0]))
+    inputs = certify.certification_inputs(problem, u_e, taylor_samples=600,
+                                          j2_count=4, seed=0)
     cert = pushforward.certify_strain_neighborhood(
-        problem, u_e, [u_e.copy(), good, big],
-        strain_eps=0.05, taylor_samples=600, j2_count=4, seed=0,
+        problem, u_e, [u_e.copy(), good, big], inputs, strain_eps=0.05,
     )
     doc = cert.to_dict()
     assert doc["schema_version"] == 1
@@ -430,5 +431,8 @@ def test_certify_strain_requires_equilibrium(stretch):
     off = u_e.copy()
     node = int(np.nonzero(problem.mesh.free_mask()[:, 0])[0][0])
     off.values[node, 0] += 0.05
+    inputs = certify.certification_inputs(problem, u_e, taylor_samples=600,
+                                          j2_count=4, seed=0)
     with pytest.raises(errors.PrerequisiteFailed, match="equilibrium"):
-        pushforward.certify_strain_neighborhood(problem, u_e=off, candidates=[])
+        pushforward.certify_strain_neighborhood(problem, u_e=off, candidates=[],
+                                                inputs=inputs)
