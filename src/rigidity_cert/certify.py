@@ -52,9 +52,9 @@ _CASCADE = 8.0
 
 _GAP_SLACK = 0.1
 
-# the equilibrium tolerance of the gate and the small-strain prerequisite,
-# and the threshold cap of the transfer
-_RESIDUAL_TOL = 1e-8
+# the equilibrium tolerance of certification_inputs, and the threshold
+# cap of the transfer
+RESIDUAL_TOL = 1e-8
 _TRANSFER_CAP = 1e6
 
 
@@ -122,9 +122,16 @@ def j2_family(mesh, count, seed):
 
 @dataclass(frozen=True)
 class CertInputs:
-    """Measured constants feeding the gates, the settings they were
-    measured with, and their provenance."""
+    """Constants measured at one equilibrium u_e of problem, the settings
+    they were measured with, and their provenance.  The gates read the
+    residual sup, E(u_e) and the largest rotation distance of grad u_e
+    (residual, energy, dist_sup) instead of measuring u_e per candidate."""
 
+    problem: Problem = field(compare=False, repr=False)
+    u_e: fem.FeField = field(compare=False, repr=False)
+    residual: float
+    energy: float
+    dist_sup: float
     lambda_min: float
     k_hat: float
     c_taylor: float
@@ -155,17 +162,27 @@ def _quadrature_taylor(problem: Problem, rng, rho, epsilon, samples, seed):
 
 def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
                          taylor_samples=2000, j2_count=6, seed=0,
-                         taylor=_quadrature_taylor) -> CertInputs:
+                         taylor=_quadrature_taylor,
+                         residual_tol=RESIDUAL_TOL) -> CertInputs:
     """Measure every constant the gates need at the equilibrium u_e.
 
     rho is the radius of the rotation-distance set the Taylor constants
     are sampled on; epsilon the norm fattening covering candidate steps.
     taylor samples the Taylor constants of problem.material: called as
     taylor(problem, default_rng(seed), rho, epsilon, taylor_samples, seed),
-    it returns (c, c_hat, its own entries of the Taylor provenance).
+    it returns (c, c_hat, its own entries of the Taylor provenance).  A
+    residual sup above residual_tol raises NotEquilibrium first.
     """
-    m, mesh = problem.material, problem.mesh
+    m, mesh, loads = problem.material, problem.mesh, problem.loads
     n = mesh.dim
+    residual = float(np.max(np.abs(fem.residual(m, mesh, loads, u_e))))
+    if residual > residual_tol:
+        raise NotEquilibrium(
+            f"u_e is not an equilibrium: residual {residual:.3e} exceeds {residual_tol:g}"
+        )
+    energy = fem.total_energy(m, mesh, loads, u_e)
+    dist_sup = float(tensor_core.dist_to_rotations_many(
+        fem.deformation_gradients(mesh, u_e)).max())
     M = fem.second_variation_matrix(m, mesh, u_e)
     G = fem.gradient_gram_matrix(mesh)
     lambda_min = fem.coercivity_constant(M, G)
@@ -194,6 +211,8 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
         "seed": int(seed),
     }
     return CertInputs(
+        problem=problem, u_e=u_e,
+        residual=residual, energy=energy, dist_sup=dist_sup,
         lambda_min=float(lambda_min),
         k_hat=float(k_hat),
         c_taylor=float(c),
@@ -236,10 +255,11 @@ class GateReport:
         }
 
 
-def _difference_measures(mesh, u, v):
-    """The cell field grad v - grad u of a candidate v against u, its BMO
+def _difference_measures(v, inputs):
+    """The cell field grad v - grad u_e of a candidate v, its BMO
     seminorm, and the norm of its mean gradient: what the gate and the
     transfer both measure."""
+    mesh, u = inputs.problem.mesh, inputs.u_e
     gu = fem.gradient_field(mesh, u)
     gv = fem.gradient_field(mesh, v)
     diff = gu.with_values(gv.values - gu.values)
@@ -247,9 +267,9 @@ def _difference_measures(mesh, u, v):
     return diff, harmonic.bmo_seminorm(diff), mean_gap
 
 
-def local_min_gate(u_e, v, inputs: CertInputs, problem: Problem,
-                   residual_tol=_RESIDUAL_TOL) -> GateReport:
-    """Check the smallness conditions and, when they hold, verify the
+def local_min_gate(v, inputs: CertInputs) -> GateReport:
+    """Check the smallness conditions of a candidate v against the
+    equilibrium inputs were measured at and, when they hold, verify the
     energy excess against the coercivity bound.
 
     Conditions: both gradients inside the rotation-distance set (radius
@@ -258,33 +278,27 @@ def local_min_gate(u_e, v, inputs: CertInputs, problem: Problem,
     delta_star.  All three passing and the energy gap failing is a loud
     error, never a silent downgrade.
     """
-    return _gate(u_e, v, inputs, problem, residual_tol,
-                 _difference_measures(problem.mesh, u_e, v))
+    return _gate(v, inputs, _difference_measures(v, inputs))
 
 
-def gate_and_transfer(u_e, v, inputs: CertInputs, problem: Problem):
+def gate_and_transfer(v, inputs: CertInputs):
     """(local_min_gate, direction_positivity_transfer) of one candidate v,
-    with the default tolerance, over one measurement of its difference
-    field."""
-    measures = _difference_measures(problem.mesh, u_e, v)
-    return (_gate(u_e, v, inputs, problem, _RESIDUAL_TOL, measures),
-            _transfer(u_e, v, problem.material, problem.mesh, inputs, measures))
+    over one measurement of its difference field."""
+    measures = _difference_measures(v, inputs)
+    return _gate(v, inputs, measures), _transfer(v, inputs, measures)
 
 
-def _gate(u_e, v, inputs, problem, residual_tol, measures) -> GateReport:
-    """local_min_gate, over measures = _difference_measures(u_e, v)."""
+def _gate(v, inputs, measures) -> GateReport:
+    """local_min_gate, over measures = _difference_measures(v, inputs)."""
+    problem, u_e = inputs.problem, inputs.u_e
     m, mesh, loads = problem.material, problem.mesh, problem.loads
     if inputs.k_hat <= 0.0:
         raise NonPositiveK(f"gate needs k_hat > 0, got {inputs.k_hat:g}")
-    r = np.max(np.abs(fem.residual(m, mesh, loads, u_e)))
-    if r > residual_tol:
-        raise NotEquilibrium(f"u_e residual {r:.3e} exceeds {residual_tol:g}")
     Fe = fem.deformation_gradients(mesh, u_e)
     Fv = fem.deformation_gradients(mesh, v)
-    dist_e = float(tensor_core.dist_to_rotations_many(Fe).max())
     dist_v = float(tensor_core.dist_to_rotations_many(Fv).max())
     step = float(np.sqrt(np.einsum("eqij,eqij->eq", Fv - Fe, Fv - Fe)).max())
-    set_ratio = max(dist_e / inputs.rho, dist_v / inputs.rho, step / inputs.epsilon)
+    set_ratio = max(inputs.dist_sup / inputs.rho, dist_v / inputs.rho, step / inputs.epsilon)
     diff, bmo, mean_gap = measures
     measurements = {
         "set_membership": _measure(set_ratio, 1.0, set_ratio < 1.0),
@@ -315,7 +329,7 @@ def _gate(u_e, v, inputs, problem, residual_tol, measures) -> GateReport:
             delta_star=inputs.delta_star,
             k_hat=inputs.k_hat,
         )
-    gap = fem.total_energy(m, mesh, loads, v) - fem.total_energy(m, mesh, loads, u_e)
+    gap = fem.total_energy(m, mesh, loads, v) - inputs.energy
     l2 = fem.l2_gradient_norm_sq(mesh, v.values - u_e.values)
     bound = (1.0 - _GAP_SLACK) * inputs.k_hat * l2
     ok = gap >= bound - 1e-12 * (1.0 + abs(gap))
@@ -359,21 +373,22 @@ class TransferReport:
         }
 
 
-def direction_positivity_transfer(u, v, m, mesh, inputs: CertInputs) -> TransferReport:
+def direction_positivity_transfer(v, inputs: CertInputs) -> TransferReport:
     """Verify that the second variation at v stays coercive in the
-    direction w = v - u, using only the coercivity measured at u: inputs
-    are the constants certification_inputs measured there.
+    direction w = v - u_e, using only the coercivity measured at the
+    equilibrium u_e of inputs.
 
     The threshold is the transfer step's own: with the Hessian Lipschitz
     constant c_hat, a BMO/mean gap below 2 k_hat / (c_hat sqrt(Nn) J2^3)
     loses at most half of the 8 k_hat eigenvalue floor.
     """
-    return _transfer(u, v, m, mesh, inputs, _difference_measures(mesh, u, v))
+    return _transfer(v, inputs, _difference_measures(v, inputs))
 
 
-def _transfer(u, v, m, mesh, inputs, measures) -> TransferReport:
+def _transfer(v, inputs, measures) -> TransferReport:
     """direction_positivity_transfer, over measures =
-    _difference_measures(u, v)."""
+    _difference_measures(v, inputs)."""
+    m, mesh, u = inputs.problem.material, inputs.problem.mesh, inputs.u_e
     d = mesh.dirichlet_nodes
     if len(d) and np.max(np.abs(u.values[d] - v.values[d])) > 1e-12:
         raise HypothesisUnmet("transfer direction does not vanish on the Dirichlet part")
@@ -481,19 +496,20 @@ def _strain_sup(mesh, u) -> float:
     return float(np.sqrt(np.einsum("eqij,eqij->eq", C, C)).max())
 
 
-def small_strain_uniqueness(problem: Problem, u_e, candidates, inputs: CertInputs,
-                            strain_delta=0.2,
+def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2,
                             boundary_p: float | None = None) -> Certificate:
-    """Certify u_e as the locally unique small-strain minimizer among the
-    supplied candidates, at desk scale, from the constants inputs that
-    certification_inputs measured at u_e.
+    """Certify the equilibrium u_e that inputs were measured at as the
+    locally unique small-strain minimizer among the supplied candidates,
+    at desk scale.
 
     Prerequisites: the material is stress-free at the identity with a
-    uniformly positive elasticity floor there, u_e is an equilibrium, and
-    its strain stays inside the small-strain set.  Each candidate is then
-    filtered by the same strain bound and passed through the rotation-fit
-    diagnostics, the boundary rotation comparison, and the energy gate.
+    uniformly positive elasticity floor there, and the strain of u_e
+    stays inside the small-strain set (certification_inputs has checked
+    that u_e is an equilibrium).  Each candidate is then filtered by the
+    same strain bound and passed through the rotation-fit diagnostics,
+    the boundary rotation comparison, and the energy gate.
     """
+    problem, u_e = inputs.problem, inputs.u_e
     m, mesh = problem.material, problem.mesh
     n = mesh.dim
     con = material.check_constitutive(m, n=n, seed=inputs.seed)
@@ -506,9 +522,6 @@ def small_strain_uniqueness(problem: Problem, u_e, candidates, inputs: CertInput
             "uniformly positive elasticity at the identity fails: floors "
             f"({con.shear_floor:g}, {con.sigma_floor:g})"
         )
-    r = float(np.max(np.abs(fem.residual(m, mesh, problem.loads, u_e))))
-    if r > _RESIDUAL_TOL:
-        raise PrerequisiteFailed(f"u_e is not an equilibrium: residual {r:.3e}")
     strain_e = _strain_sup(mesh, u_e)
     if strain_e >= strain_delta:
         raise PrerequisiteFailed(
@@ -538,7 +551,7 @@ def small_strain_uniqueness(problem: Problem, u_e, candidates, inputs: CertInput
             continue
         fit = rigidity.rigidity_fit(fem.gradient_field(mesh, v), p=2.0)
         bc = rigidity.boundary_rotation_closeness(u_e, v, mesh, p=p_bc)
-        gate = local_min_gate(u_e, v, inputs, problem)
+        gate = local_min_gate(v, inputs)
         entry.update(
             {
                 "outcome": gate.outcome,
@@ -578,15 +591,15 @@ def small_strain_uniqueness(problem: Problem, u_e, candidates, inputs: CertInput
     )
 
 
-def gated_perturbations(problem: Problem, u_e, inputs: CertInputs,
-                        count=20, frac=0.5, seed=0) -> list:
-    """Seeded interior perturbations of u_e scaled so that both smallness
-    measures (BMO seminorm and mean gradient of the difference) sit at
-    frac * delta_star, hence inside the gate for frac < 1.
+def gated_perturbations(inputs: CertInputs, count=20, frac=0.5, seed=0) -> list:
+    """Seeded interior perturbations of the equilibrium u_e of inputs,
+    scaled so that both smallness measures (BMO seminorm and mean
+    gradient of the difference) sit at frac * delta_star, hence inside
+    the gate for frac < 1.
     """
     if not 0.0 < frac:
         raise ValueError(f"perturbation fraction must be positive, got {frac}")
-    mesh = problem.mesh
+    mesh, u_e = inputs.problem.mesh, inputs.u_e
     rng = np.random.default_rng(seed)
     base = fem.gradient_field(mesh, u_e.values)
     out = []

@@ -51,6 +51,13 @@ _MESH_COUNTS = {
     "ring": ("mesh.n",),
     "box": ("mesh.nx", "mesh.ny", "mesh.nz"),
 }
+# the side lengths each generated mesh kind reads
+_MESH_SIZES = {
+    "rectangle": ("mesh.width", "mesh.height"),
+    "l-shape": ("mesh.size",),
+    "ring": ("mesh.size",),
+    "box": ("mesh.lengths",),
+}
 _MATERIALS = ("stvk", "neo-hookean")
 _DIRICHLET_KINDS = ("identity", "affine")
 
@@ -221,6 +228,13 @@ def build_mesh(sc, r=None) -> fem.Mesh:
               f"kind {kind!r} has the sides {', '.join(names)}; got {', '.join(sides)}")
     if kind == "box" and len(sc["mesh.lengths"]) != 3:
         _fail(sc, "mesh.lengths", f"a box needs 3 side lengths, got {len(sc['mesh.lengths'])}")
+    for key in _MESH_SIZES.get(kind, ()):
+        sizes = np.atleast_1d(sc[key])
+        if not (np.isfinite(sizes) & (sizes > 0.0)).all():
+            _fail(sc, key, f"side lengths must be positive and finite, got {sc['__raw__'][key]}")
+    if kind == "ring" and not 0.0 < sc["mesh.hole"] < 1.0:
+        _fail(sc, "mesh.hole",
+              f"the hole is a fraction of the side in (0, 1), got {sc['mesh.hole']:g}")
     try:
         if kind == "rectangle":
             nx, ny = (sc["mesh.nx"], sc["mesh.ny"]) if r is None else (r, r)
@@ -305,7 +319,8 @@ def _validated(sc) -> tuple:
         _fail(sc, "certify.boundary_p",
               f"boundary rotation closeness requires p > n for the "
               f"supercritical embedding; got p = {p_bc:g} with n = {dim}")
-    for key in ("certify.rho", "certify.epsilon", "certify.taylor_samples"):
+    for key in ("certify.rho", "certify.epsilon", "certify.taylor_samples",
+                "certify.strain_delta", "certify.strain_eps"):
         if not sc[key] > 0:
             _fail(sc, key, f"must be positive, got {sc[key]:g}")
     if not sc["certify.rho"] + sc["certify.epsilon"] < 1.0:
@@ -313,8 +328,9 @@ def _validated(sc) -> tuple:
               "rho + epsilon must stay below 1 to keep determinants positive")
     if sc["certify.frac"] <= 0.0:
         _fail(sc, "certify.frac", "perturbation fraction must be positive")
-    if sc["certify.candidates"] < 0 or sc["certify.restarts"] < 0:
-        _fail(sc, "certify.candidates", "counts must be >= 0")
+    for key in ("certify.candidates", "certify.restarts"):
+        if sc[key] < 0:
+            _fail(sc, key, f"counts must be >= 0, got {sc[key]}")
     p = sc["rigidity.p"]
     if not 1.0 < p < float("inf"):
         _fail(sc, "rigidity.p", f"rotation fit requires 1 < p < inf, got {p:g}")
@@ -325,8 +341,9 @@ def _validated(sc) -> tuple:
     for key in ("rigidity.resolutions", "korn.resolutions"):
         if not sc[key] or any(r < 1 for r in sc[key]):
             _fail(sc, key, "resolutions must be positive integers")
-    if sc["harmonic.count"] < 1 or sc["certify.j2_count"] < 1:
-        _fail(sc, "harmonic.count", "family sizes must be >= 1")
+    for key in ("harmonic.count", "certify.j2_count"):
+        if sc[key] < 1:
+            _fail(sc, key, f"family sizes must be >= 1, got {sc[key]}")
     sweep = _sweep_meshes(sc)
     _check_lattice(sc, mesh, sweep)
     return mesh, sweep
@@ -391,10 +408,9 @@ def _certify_setup(sc, mesh):
         seed=sc["seed"],
     )
     cands = certify.gated_perturbations(
-        problem, u_e, inputs, count=sc["certify.candidates"],
-        frac=sc["certify.frac"], seed=sc["seed"] + 1,
+        inputs, count=sc["certify.candidates"], frac=sc["certify.frac"], seed=sc["seed"] + 1,
     )
-    return problem, u_e, inputs, cands
+    return inputs, cands
 
 
 def _base_doc(sc, mesh) -> dict:
@@ -442,11 +458,11 @@ def _num(x) -> float:
 
 
 def _pipeline_bmo_gate(sc, mesh, sweep):
-    problem, u_e, inputs, cands = _certify_setup(sc, mesh)
+    inputs, cands = _certify_setup(sc, mesh)
     entries, rows = [], []
     for idx, v in enumerate(cands):
         cid = f"candidate-{idx:03d}"
-        gate, transfer = certify.gate_and_transfer(u_e, v, inputs, problem)
+        gate, transfer = certify.gate_and_transfer(v, inputs)
         entries.append({
             "id": cid,
             "outcome": gate.outcome,
@@ -480,14 +496,14 @@ def _pipeline_bmo_gate(sc, mesh, sweep):
 
 
 def _pipeline_small_strain(sc, mesh, sweep):
-    problem, u_e, inputs, cands = _certify_setup(sc, mesh)
+    inputs, cands = _certify_setup(sc, mesh)
     cert = certify.small_strain_uniqueness(
-        problem, u_e, cands, inputs, strain_delta=sc["certify.strain_delta"],
+        cands, inputs, strain_delta=sc["certify.strain_delta"],
         boundary_p=sc["certify.boundary_p"],
     )
     if sc["certify.restarts"] > 0:
         ms = certify.multistart_agreement(
-            problem, count=sc["certify.restarts"], seed=sc["seed"] + 2
+            inputs.problem, count=sc["certify.restarts"], seed=sc["seed"] + 2
         )
         cert.extra["multistart"] = ms
         cert.outcome = certify.fold_outcomes(
@@ -502,9 +518,9 @@ def _pipeline_small_strain(sc, mesh, sweep):
 
 
 def _pipeline_strain_diff(sc, mesh, sweep):
-    problem, u_e, inputs, cands = _certify_setup(sc, mesh)
+    inputs, cands = _certify_setup(sc, mesh)
     cert = pushforward.certify_strain_neighborhood(
-        problem, u_e, cands, inputs, strain_eps=sc["certify.strain_eps"]
+        cands, inputs, strain_eps=sc["certify.strain_eps"]
     )
     rows = [
         (e["id"], e["strain_diff_sup"], e["dist_sup"],

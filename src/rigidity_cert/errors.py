@@ -73,10 +73,6 @@ class SingularTangent(RigidityCertError):
     """The tangent stiffness could not be factored."""
 
 
-class NotEquilibrium(RigidityCertError):
-    """A state expected to be an equilibrium has a large residual."""
-
-
 class EigenFailure(RigidityCertError):
     """A generalized eigensolve did not converge."""
 
@@ -115,6 +111,10 @@ class HypothesisUnmet(RigidityCertError):
 
 class PrerequisiteFailed(RigidityCertError):
     """An earlier pipeline stage this result depends on did not pass."""
+
+
+class NotEquilibrium(PrerequisiteFailed):
+    """A state expected to be an equilibrium has a large residual."""
 
 
 # configuration push-forward

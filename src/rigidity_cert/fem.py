@@ -50,6 +50,7 @@ __all__ = [
     "write_mesh",
     "deformation_gradients",
     "total_energy",
+    "load_work",
     "residual",
     "residual_field",
     "solve_equilibrium",
@@ -416,23 +417,31 @@ def material_ctx(mesh):
 
 def total_energy(m, mesh: Mesh, loads: LoadSet, u) -> float:
     """Stored energy minus load work of a deformation field."""
-    coords, grads, wdet, _, nvals = mesh.quadrature()
+    coords, grads, wdet, _, _ = mesh.quadrature()
     F = deformation_gradients(mesh, u)
     _check_dets(F)
     M, q = wdet.shape
     n = mesh.dim
     W = m.energy_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
-    out = float(np.sum(W.reshape(M, q) * wdet))
+    body, traction = load_work(mesh, loads, u)
+    return float(np.sum(W.reshape(M, q) * wdet)) - body - traction
+
+
+def load_work(mesh: Mesh, loads: LoadSet, u) -> tuple[float, float]:
+    """(body work, traction work) of the dead loads on a field; 0.0 for
+    a load that is absent."""
     vals = u.values if isinstance(u, FeField) else np.asarray(u)
+    body = traction = 0.0
     if loads.body is not None:
+        _, _, wdet, _, nvals = mesh.quadrature()
         uq = np.einsum("qa,eai->eqi", nvals, vals[mesh.elements])
-        out -= float(np.sum(wdet * np.einsum("eqi,eqi->eq", loads.body, uq)))
+        body = float(np.sum(wdet * np.einsum("eqi,eqi->eq", loads.body, uq)))
     if loads.traction is not None and mesh.traction_facets:
         _, fvals, jac, _, _ = mesh.facet_quadrature(mesh.traction_facets)
         fidx = np.array([list(f) for f in mesh.traction_facets], dtype=int)
         ufq = np.einsum("tqa,tai->tqi", fvals, vals[fidx])
-        out -= float(np.sum(jac * np.einsum("tqi,tqi->tq", loads.traction, ufq)))
-    return out
+        traction = float(np.sum(jac * np.einsum("tqi,tqi->tq", loads.traction, ufq)))
+    return body, traction
 
 
 def residual_field(m, mesh: Mesh, loads: LoadSet, u) -> np.ndarray:
@@ -757,17 +766,15 @@ def energy_identity_check(m, mesh: Mesh, loads: LoadSet, u_e: FeField, v: FeFiel
 
 def mean_gradient(mesh: Mesh, w) -> np.ndarray:
     """Average of grad w over the body (volume-weighted quadrature mean)."""
-    vals = w.values if isinstance(w, FeField) else np.asarray(w)
-    _, grads, wdet, _, _ = mesh.quadrature()
-    G = np.einsum("eai,eqaj->eqij", vals[mesh.elements], grads)
+    wdet = mesh.quadrature()[2]
+    G = deformation_gradients(mesh, w)
     return np.einsum("eq,eqij->ij", wdet, G) / float(wdet.sum())
 
 
 def l2_gradient_norm_sq(mesh: Mesh, w) -> float:
     """int |grad w|^2 dx by element quadrature."""
-    vals = w.values if isinstance(w, FeField) else np.asarray(w)
-    _, grads, wdet, _, _ = mesh.quadrature()
-    G = np.einsum("eai,eqaj->eqij", vals[mesh.elements], grads)
+    wdet = mesh.quadrature()[2]
+    G = deformation_gradients(mesh, w)
     return float(np.sum(wdet * np.einsum("eqij,eqij->eq", G, G)))
 
 

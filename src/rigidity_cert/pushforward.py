@@ -316,25 +316,6 @@ def _elasticity_form(m, mesh, v, w):
     return float(np.sum(wdet * np.einsum("eqia,eqiajb,eqjb->eq", Gw, A, Gw)))
 
 
-def _body_work(loads, mesh, w):
-    if loads.body is None:
-        return 0.0
-    _, _, wdet, _, nvals = mesh.quadrature()
-    vals = w.values if isinstance(w, fem.FeField) else np.asarray(w)
-    wq = np.einsum("qa,eai->eqi", nvals, vals[mesh.elements])
-    return float(np.sum(wdet * np.einsum("eqi,eqi->eq", loads.body, wq)))
-
-
-def _traction_work(loads, mesh, w):
-    if loads.traction is None or not mesh.traction_facets:
-        return 0.0
-    _, fvals, jac, _, _ = mesh.facet_quadrature(mesh.traction_facets)
-    fidx = np.array([list(f) for f in mesh.traction_facets], dtype=int)
-    vals = w.values if isinstance(w, fem.FeField) else np.asarray(w)
-    wq = np.einsum("tqa,tai->tqi", fvals, vals[fidx])
-    return float(np.sum(jac * np.einsum("tqi,tqi->tq", loads.traction, wq)))
-
-
 @dataclass
 class CovReport:
     """Both sides of the five change-of-configuration identities."""
@@ -378,12 +359,10 @@ def verify_cov_identities(m, mesh, loads, u_e, v, w) -> CovReport:
     lhs = _elasticity_form(m, mesh, v, w)
     rhs = _elasticity_form(m_u, mesh_def, v_hat, w_hat)
     lines["elasticity_form"] = {"lhs": lhs, "rhs": rhs, "rel": _rel(lhs, rhs)}
-    lhs = _body_work(loads, mesh, w)
-    rhs = _body_work(loads_u, mesh_def, w_hat)
-    lines["body_work"] = {"lhs": lhs, "rhs": rhs, "rel": _rel(lhs, rhs)}
-    lhs = _traction_work(loads, mesh, w)
-    rhs = _traction_work(loads_u, mesh_def, w_hat)
-    lines["traction_work"] = {"lhs": lhs, "rhs": rhs, "rel": _rel(lhs, rhs)}
+    for name, lhs, rhs in zip(("body_work", "traction_work"),
+                              fem.load_work(mesh, loads, w),
+                              fem.load_work(mesh_def, loads_u, w_hat)):
+        lines[name] = {"lhs": lhs, "rhs": rhs, "rel": _rel(lhs, rhs)}
     max_rel = max(entry["rel"] for entry in lines.values())
     return CovReport(lines=lines, max_rel=max_rel, inverse_residual=cfg.inverse_residual)
 
@@ -444,9 +423,6 @@ def strain_diff_to_dist(u_e: fem.FeField, v: fem.FeField) -> StrainDistReport:
     )
 
 
-_RESIDUAL_TOL = 1e-8  # of u_e; the deformed gate widens it by the residual
-
-
 def _point_taylor(problem_def: certify.Problem, rng, rho, epsilon, samples, seed):
     """Taylor constants of a pushed material, for certification_inputs:
     the max over 12 seeded material points of the frozen-point constants."""
@@ -464,22 +440,21 @@ def _point_taylor(problem_def: certify.Problem, rng, rho, epsilon, samples, seed
     return c, c_hat, {"samples": int(per_point), "points": int(npts)}
 
 
-def certify_strain_neighborhood(problem: certify.Problem, u_e: fem.FeField,
-                                candidates, inputs: certify.CertInputs,
+def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
                                 strain_eps=0.05) -> certify.Certificate:
     """Run the local-minimality gate on the deformed configuration.
 
-    Candidates are filtered by the strain-difference bound against u_e;
-    surviving candidates are transported to the deformed configuration,
-    gated there with the pushed-forward problem, and their energy
-    excesses are cross-checked against the reference-side gate.  inputs
-    are the reference constants certification_inputs measured at u_e; the
-    deformed constants are measured with the same settings.
+    inputs are the reference constants certification_inputs measured at
+    the equilibrium u_e.  Candidates are filtered by the strain-difference
+    bound against u_e; surviving candidates are transported to the
+    deformed configuration, gated there with the pushed-forward problem,
+    and their energy excesses are cross-checked against the
+    reference-side gate.  The deformed constants are measured with the
+    same settings, and at a residual tolerance widened by the reference
+    residual.
     """
+    problem, u_e = inputs.problem, inputs.u_e
     m, mesh, loads = problem.material, problem.mesh, problem.loads
-    r = float(np.max(np.abs(fem.residual(m, mesh, loads, u_e))))
-    if r > _RESIDUAL_TOL:
-        raise PrerequisiteFailed(f"u_e is not an equilibrium: residual {r:.3e}")
     if inputs.lambda_min <= 0.0:
         raise PrerequisiteFailed(
             f"second variation at u_e is not coercive ({inputs.lambda_min:g})"
@@ -496,6 +471,7 @@ def certify_strain_neighborhood(problem: certify.Problem, u_e: fem.FeField,
         problem_def, u_hat, rho=inputs.rho, epsilon=inputs.epsilon,
         taylor_samples=inputs.taylor_samples, j2_count=inputs.j2_count,
         seed=inputs.seed, taylor=_point_taylor,
+        residual_tol=max(certify.RESIDUAL_TOL, 10 * inputs.residual + 1e-12),
     )
     measurements = {
         "identity_gradient_dev": {
@@ -533,10 +509,8 @@ def certify_strain_neighborhood(problem: certify.Problem, u_e: fem.FeField,
             entries.append(entry)
             continue
         v_hat = fem.FeField(mesh_def, v.values)
-        gate_def = certify.local_min_gate(
-            u_hat, v_hat, inputs_def, problem_def, residual_tol=max(_RESIDUAL_TOL, 10 * r + 1e-12)
-        )
-        gate_ref = certify.local_min_gate(u_e, v, inputs, problem)
+        gate_def = certify.local_min_gate(v_hat, inputs_def)
+        gate_ref = certify.local_min_gate(v, inputs)
         entry["gate_deformed"] = gate_def.to_dict()
         entry["gate_reference"] = gate_ref.to_dict()
         if gate_def.outcome == "pass" and gate_ref.outcome == "pass":

@@ -260,11 +260,11 @@ def test_criterion_10_energy_gap_gate(stretch, stretch_inputs):
     problem, u_e = stretch
     inputs = stretch_inputs
     assert inputs.delta_star > 0.0
-    cands = certify.gated_perturbations(problem, u_e, inputs, count=20, frac=0.5, seed=1)
+    cands = certify.gated_perturbations(inputs, count=20, frac=0.5, seed=1)
     violations = 0
     for v in cands:
         try:
-            gate = certify.local_min_gate(u_e, v, inputs, problem)
+            gate = certify.local_min_gate(v, inputs)
         except AssertionViolated:
             violations += 1
             continue
@@ -278,8 +278,7 @@ def test_criterion_10_energy_gap_gate(stretch, stretch_inputs):
 def test_criterion_11_energy_identity_and_mean_gradient(stretch, stretch_inputs):
     problem, u_e = stretch
     m, mesh, loads = problem.material, problem.mesh, problem.loads
-    cands = certify.gated_perturbations(problem, u_e, stretch_inputs,
-                                        count=10, frac=0.8, seed=2)
+    cands = certify.gated_perturbations(stretch_inputs, count=10, frac=0.8, seed=2)
     worst_disc, worst_mean = 0.0, 0.0
     for v in cands:
         worst_disc = max(worst_disc, fem.energy_identity_check(m, mesh, loads, u_e, v))
@@ -359,11 +358,10 @@ def test_criterion_13_strain_difference_gate():
     u_e, _ = fem.solve_equilibrium(m, mesh, loads, fem.FeField(mesh, mesh.nodes @ A.T))
     inputs_ref = certify.certification_inputs(problem, u_e, taylor_samples=600,
                                               j2_count=4, seed=0)
-    good = certify.gated_perturbations(problem, u_e, inputs_ref,
-                                       count=1, frac=0.2, seed=4)[0]
+    good = certify.gated_perturbations(inputs_ref, count=1, frac=0.2, seed=4)[0]
     bad = fem.FeField(mesh, u_e.values @ np.diag([1.3, 1.0]))
     cert = pushforward.certify_strain_neighborhood(
-        problem, u_e, [good, bad], inputs_ref, strain_eps=0.05,
+        [good, bad], inputs_ref, strain_eps=0.05,
     )
     gated, breaching = cert.candidates
     assert gated["outcome"] == "pass"

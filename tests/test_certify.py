@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidity_cert import certify, errors, fem, harmonic, material
+from rigidity_cert import certify, errors, fem, harmonic, material, tensor_core
 
 from oracles import bump_values_closure
 
@@ -122,7 +122,7 @@ def test_certification_inputs_measured(stretch):
 
 def test_gate_self_candidate_passes(stretch):
     problem, u_e, inputs = stretch
-    rep = certify.local_min_gate(u_e, u_e, inputs, problem)
+    rep = certify.local_min_gate(u_e, inputs)
     assert rep.outcome == "pass"
     assert rep.energy_gap == pytest.approx(0.0, abs=1e-12)
     assert rep.measurements["mean_gradient"]["lhs"] <= 1e-12
@@ -132,7 +132,7 @@ def test_gate_self_candidate_passes(stretch):
 def test_gate_small_bump_passes_with_margin(stretch):
     problem, u_e, inputs = stretch
     v = _gated_candidate(problem, u_e, inputs, frac=0.5)
-    rep = certify.local_min_gate(v=v, u_e=u_e, inputs=inputs, problem=problem)
+    rep = certify.local_min_gate(v=v, inputs=inputs)
     assert rep.outcome == "pass"
     assert rep.energy_gap > 0.0
     assert rep.energy_gap >= rep.gap_bound
@@ -143,7 +143,7 @@ def test_gate_small_bump_passes_with_margin(stretch):
 def test_gate_large_bump_inapplicable(stretch):
     problem, u_e, inputs = stretch
     v = _gated_candidate(problem, u_e, inputs, frac=50.0)
-    rep = certify.local_min_gate(u_e, v, inputs, problem)
+    rep = certify.local_min_gate(v, inputs)
     assert rep.outcome == "inapplicable"
     assert rep.energy_gap is None
     assert not rep.measurements["bmo_seminorm"]["pass"]
@@ -154,7 +154,7 @@ def test_gate_requires_equilibrium(stretch):
     bad = u_e.copy()
     bad.values = bad.values + _bump(problem.mesh, 0.05)
     with pytest.raises(errors.NotEquilibrium):
-        certify.local_min_gate(bad, u_e, inputs, problem)
+        certify.local_min_gate(u_e, certify.certification_inputs(problem, bad))
 
 
 def test_gate_requires_positive_k(stretch):
@@ -163,7 +163,7 @@ def test_gate_requires_positive_k(stretch):
 
     broken = replace(inputs, k_hat=0.0)
     with pytest.raises(errors.NonPositiveK):
-        certify.local_min_gate(u_e, u_e, broken, problem)
+        certify.local_min_gate(u_e, broken)
 
 
 def test_gate_overstated_khat_fails_loudly(stretch):
@@ -175,7 +175,7 @@ def test_gate_overstated_khat_fails_loudly(stretch):
     inflated = replace(inputs, k_hat=1e3)
     v = _gated_candidate(problem, u_e, inputs, frac=0.5)
     with pytest.raises(errors.AssertionViolated):
-        certify.local_min_gate(u_e, v, inflated, problem)
+        certify.local_min_gate(v, inflated)
 
 
 def test_gate_toy_quadratic_energy_exact():
@@ -192,13 +192,18 @@ def test_gate_toy_quadratic_energy_exact():
     assert lam == pytest.approx(1.0, abs=1e-10)
     problem = certify.Problem("toy", m, mesh, loads)
     inputs = certify.CertInputs(
+        problem=problem, u_e=u_e,
+        residual=float(np.max(np.abs(fem.residual(m, mesh, loads, u_e)))),
+        energy=fem.total_energy(m, mesh, loads, u_e),
+        dist_sup=float(tensor_core.dist_to_rotations_many(
+            fem.deformation_gradients(mesh, u_e)).max()),
         lambda_min=lam, k_hat=lam / 8.0, c_taylor=0.0, c_hat_taylor=0.0,
         J2=1.0, rho=0.5, epsilon=0.5,
         components=4, delta_star=certify.neighborhood_radius(lam / 8, 0.0, 1.0, 4),
     )
     v = u_e.copy()
     v.values = v.values + _bump(mesh, 0.01)
-    rep = certify.local_min_gate(u_e, v, inputs, problem)
+    rep = certify.local_min_gate(v, inputs)
     assert rep.outcome == "pass"
     half_l2 = 0.5 * fem.l2_gradient_norm_sq(mesh, v.values - u_e.values)
     assert rep.energy_gap == pytest.approx(half_l2, rel=1e-12)
@@ -208,9 +213,7 @@ def test_gate_toy_quadratic_energy_exact():
 
 def test_transfer_self_direction(stretch):
     problem, u_e, inputs = stretch
-    rep = certify.direction_positivity_transfer(
-        u_e, u_e, problem.material, problem.mesh, inputs
-    )
+    rep = certify.direction_positivity_transfer(u_e, inputs)
     assert rep.outcome == "pass"
     assert rep.ratio == math.inf
 
@@ -218,9 +221,7 @@ def test_transfer_self_direction(stretch):
 def test_transfer_gated_bump(stretch):
     problem, u_e, inputs = stretch
     v = _gated_candidate(problem, u_e, inputs, frac=0.3)
-    rep = certify.direction_positivity_transfer(
-        u_e, v, problem.material, problem.mesh, inputs
-    )
+    rep = certify.direction_positivity_transfer(v, inputs)
     assert rep.outcome == "pass"
     assert rep.lhs >= rep.rhs
     assert rep.ratio >= 1.0
@@ -232,9 +233,7 @@ def test_transfer_threshold_sweep_reports_inapplicable(stretch):
     seen_inapplicable = False
     for _ in range(12):
         v = _gated_candidate(problem, u_e, inputs, frac=scale)
-        rep = certify.direction_positivity_transfer(
-            u_e, v, problem.material, problem.mesh, inputs
-        )
+        rep = certify.direction_positivity_transfer(v, inputs)
         if rep.outcome == "inapplicable":
             seen_inapplicable = True
             break
@@ -247,9 +246,7 @@ def test_transfer_dirichlet_hypothesis(stretch):
     v = u_e.copy()
     v.values = v.values * 1.001
     with pytest.raises(errors.HypothesisUnmet):
-        certify.direction_positivity_transfer(
-            u_e, v, problem.material, problem.mesh, inputs
-        )
+        certify.direction_positivity_transfer(v, inputs)
 
 
 def test_transfer_reuses_measured_coercivity(stretch, monkeypatch):
@@ -260,11 +257,11 @@ def test_transfer_reuses_measured_coercivity(stretch, monkeypatch):
 
     monkeypatch.setattr(fem, "coercivity_constant", no_eigensolve)
     v = _gated_candidate(problem, u_e, inputs, frac=0.3)
-    rep = certify.direction_positivity_transfer(u_e, v, problem.material, problem.mesh, inputs)
+    rep = certify.direction_positivity_transfer(v, inputs)
     assert rep.outcome == "pass" and rep.k_hat == inputs.k_hat
     negative = dataclasses.replace(inputs, lambda_min=-1.0, k_hat=-0.125)
     with pytest.raises(errors.HypothesisUnmet, match="not coercive"):
-        certify.direction_positivity_transfer(u_e, v, problem.material, problem.mesh, negative)
+        certify.direction_positivity_transfer(v, negative)
 
 
 # ----------------------------------------------------------- certificate
@@ -276,7 +273,7 @@ def test_small_strain_certificate(stretch):
     huge.values = huge.values @ np.diag([1.6, 1.0]).T
     huge.values[problem.mesh.dirichlet_nodes] = u_e.values[problem.mesh.dirichlet_nodes]
     cert = certify.small_strain_uniqueness(
-        problem, u_e, [u_e, good, huge], strain_delta=0.3, inputs=inputs
+        [u_e, good, huge], strain_delta=0.3, inputs=inputs
     )
     assert cert.outcome == "inapplicable"  # the huge candidate is filtered
     assert cert.candidates[0]["outcome"] == "pass"
@@ -294,7 +291,7 @@ def test_small_strain_certificate(stretch):
 def test_certificate_all_pass_outcome(stretch):
     problem, u_e, inputs = stretch
     cert = certify.small_strain_uniqueness(
-        problem, u_e, [u_e], strain_delta=0.3, inputs=inputs
+        [u_e], strain_delta=0.3, inputs=inputs
     )
     assert cert.outcome == "pass"
 
@@ -305,7 +302,7 @@ def test_certificate_json_deterministic(stretch):
 
     def run():
         cert = certify.small_strain_uniqueness(
-            problem, u_e, [u_e, good], strain_delta=0.3, inputs=inputs
+            [u_e, good], strain_delta=0.3, inputs=inputs
         )
         return json.dumps(cert.to_dict(), sort_keys=True)
 
@@ -318,11 +315,11 @@ def test_certificate_prerequisites(stretch):
     bad = u_e.copy()
     bad.values = bad.values + _bump(problem.mesh, 0.05)
     with pytest.raises(errors.PrerequisiteFailed, match="equilibrium"):
-        certify.small_strain_uniqueness(problem, bad, [], inputs=inputs)
+        certify.small_strain_uniqueness([], inputs=certify.certification_inputs(problem, bad))
     # reference strain outside the small-strain set
     with pytest.raises(errors.PrerequisiteFailed, match="strain"):
         certify.small_strain_uniqueness(
-            problem, u_e, [], strain_delta=1e-4, inputs=inputs
+            [], strain_delta=1e-4, inputs=inputs
         )
 
 
@@ -337,4 +334,4 @@ def test_certificate_rejects_prestressed_material():
     u = fem.FeField.identity(mesh)
     inputs = certify.certification_inputs(problem, u, taylor_samples=50, j2_count=1)
     with pytest.raises(errors.PrerequisiteFailed, match="stress-free"):
-        certify.small_strain_uniqueness(problem, u, [], inputs=inputs)
+        certify.small_strain_uniqueness([], inputs=inputs)

@@ -355,6 +355,69 @@ def test_validate_rejects_nonpositive_certify_settings(tmp_path, capsys, key, va
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("certify.j2_count", "0", "family sizes must be >= 1, got 0"),
+    ("harmonic.count", "0", "family sizes must be >= 1, got 0"),
+    ("certify.candidates", "-1", "counts must be >= 0, got -1"),
+    ("certify.restarts", "-1", "counts must be >= 0, got -1"),
+    ("certify.strain_delta", "0", "must be positive, got 0"),
+    ("certify.strain_delta", "-0.2", "must be positive, got -0.2"),
+    ("certify.strain_eps", "0", "must be positive, got 0"),
+    ("certify.strain_eps", "-1", "must be positive, got -1"),
+])
+def test_validate_names_the_key_at_fault(tmp_path, capsys, key, value, message):
+    # each key of a pair checked together is named on its own, and a
+    # strain bound at or below 0 is refused before the solve
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = certify-small-strain
+        {key} = {value}
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    assert f"config error: {key} (line 4): {message}" in capsys.readouterr().err
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("rectangle", "mesh.width", "0", "side lengths must be positive and finite, got 0"),
+    ("rectangle", "mesh.width", "-1", "side lengths must be positive and finite, got -1"),
+    ("rectangle", "mesh.height", "inf", "side lengths must be positive and finite, got inf"),
+    ("l-shape", "mesh.size", "0", "side lengths must be positive and finite, got 0"),
+    ("ring", "mesh.size", "-2", "side lengths must be positive and finite, got -2"),
+    ("box", "mesh.lengths", "1 1 0", "side lengths must be positive and finite, got 1 1 0"),
+    ("ring", "mesh.hole", "0", "the hole is a fraction of the side in (0, 1), got 0"),
+    ("ring", "mesh.hole", "-0.5", "the hole is a fraction of the side in (0, 1), got -0.5"),
+    ("ring", "mesh.hole", "1", "the hole is a fraction of the side in (0, 1), got 1"),
+])
+def test_validate_rejects_mesh_sizes_the_generator_cannot_use(tmp_path, capsys, kind, key,
+                                                               value, message):
+    # these reached the generator and came back as a singular Jacobian or,
+    # for the hole, quietly built a full square
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = solve
+        mesh.kind = {kind}
+        {key} = {value}
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    assert f"config error: {key} (line 5): {message}" in capsys.readouterr().err
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_checks_only_the_sizes_the_mesh_kind_reads(tmp_path):
+    cfg = _write(tmp_path, "a.cfg", """
+        name = demo
+        pipeline = solve
+        mesh.kind = rectangle
+        mesh.size = 0
+        mesh.hole = 0
+        mesh.lengths = 1 1 0
+    """)
+    assert cli.main(["validate", cfg]) == 0
+
+
 def test_validate_load_components_through_build_loads(tmp_path, monkeypatch, capsys):
     calls = _count_calls(monkeypatch, cli, "build_loads")
     cfg = _stretch_config(tmp_path, "solve", extra="loads.body = 0.1 0.0 0.0")
@@ -629,6 +692,46 @@ def test_bmo_gate_measures_each_difference_field_once(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "out" / "stretch.json").read_text())
     assert [e["transfer"]["outcome"] for e in doc["candidates"]] == ["pass"] * 3
     assert sum(bmo_calls.values()) == len(bmo_calls)
+
+
+@pytest.mark.parametrize("pipeline, residuals", [
+    ("certify-bmo-gate", 2), ("certify-small-strain", 2), ("certify-strain-diff", 3),
+])
+def test_equilibrium_is_checked_once_whatever_the_candidate_count(tmp_path, monkeypatch,
+                                                                  pipeline, residuals):
+    # one residual in the solve and one per measured configuration; no
+    # state's energy is taken again for each candidate
+    from rigidity_cert import fem
+
+    def state_key(m, mesh, loads, u):
+        return hashlib.sha256(mesh.nodes.tobytes() + u.values.tobytes()).hexdigest()
+
+    seen = []
+    for candidates in (1, 3):
+        with monkeypatch.context() as mp:
+            residual_calls = _count_calls(mp, fem, "residual")
+            energy_calls = _count_calls(mp, fem, "total_energy", key=state_key)
+            cfg = _stretch_config(tmp_path, pipeline, candidates=candidates)
+            assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        seen.append((residual_calls["residual"], max(energy_calls.values())))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == residuals
+
+
+@pytest.mark.parametrize("candidates", [0, 2])
+@pytest.mark.parametrize(
+    "pipeline", ["certify-bmo-gate", "certify-small-strain", "certify-strain-diff"]
+)
+def test_certify_pipelines_refuse_a_non_equilibrium(tmp_path, capsys, pipeline, candidates):
+    # a loose solve tolerance stops Newton at residual 1.4e-2; with no
+    # candidate to gate, certify-bmo-gate used to report pass
+    cfg = _stretch_config(tmp_path, pipeline, candidates=candidates,
+                          extra="loads.body = 0.5 0.0\nsolve.tol = 0.1")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert ("error: NotEquilibrium: u_e is not an equilibrium: residual 1.389e-02 exceeds 1e-08"
+            in err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_strain_diff_samples_point_materials_in_batches(tmp_path, monkeypatch):

@@ -404,7 +404,7 @@ def test_certify_strain_neighborhood(stretch):
     inputs = certify.certification_inputs(problem, u_e, taylor_samples=600,
                                           j2_count=4, seed=0)
     cert = pushforward.certify_strain_neighborhood(
-        problem, u_e, [u_e.copy(), good, big], inputs, strain_eps=0.05,
+        [u_e.copy(), good, big], inputs, strain_eps=0.05,
     )
     doc = cert.to_dict()
     assert doc["schema_version"] == 1
@@ -431,8 +431,7 @@ def test_certify_strain_requires_equilibrium(stretch):
     off = u_e.copy()
     node = int(np.nonzero(problem.mesh.free_mask()[:, 0])[0][0])
     off.values[node, 0] += 0.05
-    inputs = certify.certification_inputs(problem, u_e, taylor_samples=600,
-                                          j2_count=4, seed=0)
     with pytest.raises(errors.PrerequisiteFailed, match="equilibrium"):
-        pushforward.certify_strain_neighborhood(problem, u_e=off, candidates=[],
-                                                inputs=inputs)
+        pushforward.certify_strain_neighborhood(
+            candidates=[], inputs=certify.certification_inputs(
+                problem, off, taylor_samples=600, j2_count=4, seed=0))
