@@ -123,12 +123,16 @@ def j2_family(mesh, count, seed):
 @dataclass(frozen=True)
 class CertInputs:
     """Constants measured at one equilibrium u_e of problem, the settings
-    they were measured with, and their provenance.  The gates read the
-    residual sup, E(u_e) and the largest rotation distance of grad u_e
-    (residual, energy, dist_sup) instead of measuring u_e per candidate."""
+    they were measured with, and their provenance.  The gates read grad u_e
+    (as the lattice cell field gradient_field and at the quadrature points
+    as deformation_gradients), the residual sup, E(u_e) and the largest
+    rotation distance of grad u_e (residual, energy, dist_sup) instead of
+    measuring u_e per candidate."""
 
     problem: Problem = field(compare=False, repr=False)
     u_e: fem.FeField = field(compare=False, repr=False)
+    gradient_field: harmonic.GridField = field(compare=False, repr=False)
+    deformation_gradients: np.ndarray = field(compare=False, repr=False)
     residual: float
     energy: float
     dist_sup: float
@@ -181,8 +185,8 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
             f"u_e is not an equilibrium: residual {residual:.3e} exceeds {residual_tol:g}"
         )
     energy = fem.total_energy(m, mesh, loads, u_e)
-    dist_sup = float(tensor_core.dist_to_rotations_many(
-        fem.deformation_gradients(mesh, u_e)).max())
+    F_e = fem.deformation_gradients(mesh, u_e)
+    dist_sup = float(tensor_core.dist_to_rotations_many(F_e).max())
     M = fem.second_variation_matrix(m, mesh, u_e)
     G = fem.gradient_gram_matrix(mesh)
     lambda_min = fem.coercivity_constant(M, G)
@@ -212,6 +216,7 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
     }
     return CertInputs(
         problem=problem, u_e=u_e,
+        gradient_field=fem.gradient_field(mesh, u_e), deformation_gradients=F_e,
         residual=residual, energy=energy, dist_sup=dist_sup,
         lambda_min=float(lambda_min),
         k_hat=float(k_hat),
@@ -259,8 +264,7 @@ def _difference_measures(v, inputs):
     """The cell field grad v - grad u_e of a candidate v, its BMO
     seminorm, and the norm of its mean gradient: what the gate and the
     transfer both measure."""
-    mesh, u = inputs.problem.mesh, inputs.u_e
-    gu = fem.gradient_field(mesh, u)
+    mesh, u, gu = inputs.problem.mesh, inputs.u_e, inputs.gradient_field
     gv = fem.gradient_field(mesh, v)
     diff = gu.with_values(gv.values - gu.values)
     mean_gap = float(np.linalg.norm(fem.mean_gradient(mesh, v.values - u.values)))
@@ -294,7 +298,7 @@ def _gate(v, inputs, measures) -> GateReport:
     m, mesh, loads = problem.material, problem.mesh, problem.loads
     if inputs.k_hat <= 0.0:
         raise NonPositiveK(f"gate needs k_hat > 0, got {inputs.k_hat:g}")
-    Fe = fem.deformation_gradients(mesh, u_e)
+    Fe = inputs.deformation_gradients
     Fv = fem.deformation_gradients(mesh, v)
     dist_v = float(tensor_core.dist_to_rotations_many(Fv).max())
     step = float(np.sqrt(np.einsum("eqij,eqij->eq", Fv - Fe, Fv - Fe)).max())
@@ -601,7 +605,7 @@ def gated_perturbations(inputs: CertInputs, count=20, frac=0.5, seed=0) -> list:
         raise ValueError(f"perturbation fraction must be positive, got {frac}")
     mesh, u_e = inputs.problem.mesh, inputs.u_e
     rng = np.random.default_rng(seed)
-    base = fem.gradient_field(mesh, u_e.values)
+    base = inputs.gradient_field
     out = []
     for _ in range(count):
         unit = bump_values(mesh, rng, 1.0)

@@ -232,9 +232,14 @@ def build_mesh(sc, r=None) -> fem.Mesh:
         sizes = np.atleast_1d(sc[key])
         if not (np.isfinite(sizes) & (sizes > 0.0)).all():
             _fail(sc, key, f"side lengths must be positive and finite, got {sc['__raw__'][key]}")
-    if kind == "ring" and not 0.0 < sc["mesh.hole"] < 1.0:
-        _fail(sc, "mesh.hole",
-              f"the hole is a fraction of the side in (0, 1), got {sc['mesh.hole']:g}")
+    if kind == "ring":
+        hole, n = sc["mesh.hole"], sc["mesh.n"] if r is None else r
+        if not 0.0 < hole < 1.0:
+            _fail(sc, "mesh.hole", f"the hole is a fraction of the side in (0, 1), got {hole:g}")
+        width = fem.ring_hole_cells(n, hole)
+        if not 0 < width < n:
+            _fail(sc, "mesh.hole", f"a hole of {hole:g} rounds to {width} of the {n} cells of "
+                                   "a side; the hole and the wall need a cell each")
     try:
         if kind == "rectangle":
             nx, ny = (sc["mesh.nx"], sc["mesh.ny"]) if r is None else (r, r)

@@ -45,6 +45,7 @@ __all__ = [
     "rectangle_mesh",
     "box_mesh",
     "l_shape_mesh",
+    "ring_hole_cells",
     "square_ring_mesh",
     "read_mesh",
     "write_mesh",
@@ -904,12 +905,20 @@ def l_shape_mesh(n, size=1.0, dirichlet="all", traction="rest"):
     return _lattice_mesh((n, n), (size, size), mask, dirichlet, traction, (0.0, 0.0))
 
 
+def ring_hole_cells(n, hole):
+    """Side, in cells, of the hole of an n x n square_ring_mesh: the
+    fraction hole of the side, rounded to whole cells."""
+    return n - 2 * int(round(n * (1 - hole) / 2))
+
+
 def square_ring_mesh(n, size=1.0, hole=0.5, dirichlet="all", traction="rest"):
     """Square annulus: a square with a centered square hole (polygonal ring)."""
     if n % 4:
         raise ValueError("square_ring_mesh needs n divisible by 4")
-    lo = int(round(n * (1 - hole) / 2))
-    hi = n - lo
+    width = ring_hole_cells(n, hole)
+    if not 0 < width < n:
+        raise ValueError(f"square_ring_mesh: a hole of {hole:g} is {width} of {n} cells wide")
+    lo, hi = (n - width) // 2, (n + width) // 2
     ix, iy = np.indices((n, n))
     mask = ~((lo <= ix) & (ix < hi) & (lo <= iy) & (iy < hi))
     return _lattice_mesh((n, n), (size, size), mask, dirichlet, traction, (0.0, 0.0))

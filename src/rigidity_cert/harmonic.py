@@ -8,14 +8,18 @@ honest finite average and the cube suprema are exact maxima.
 Every reported cube statistic is the math.fsum value: the correctly
 rounded sum, whatever the iteration order.  That makes every statistic
 reproducible bit for bit and lets independent re-implementations agree
-exactly.  The maxima over cubes get there by filter then refine: all cubes
-are estimated in plain float64 with a rigorous bound on the distance to
-their fsum value, and fsum recomputes only the cubes that can hold the
-maximum.
+exactly.  The maxima over cubes get there by filter then refine: cubes are
+estimated in plain float64 with a rigorous bound on the distance to their
+fsum value, and fsum recomputes only the cubes that can hold the maximum.
+bmo_seminorm runs three stages: a rigorous upper bound on every cube's
+oscillation at once, from summed-area tables of the field and of its
+squared norm; the float64 estimate, only for the cubes whose upper bound
+reaches a lower bound on the maximum; then fsum.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -127,31 +131,43 @@ class GridField:
         if not self.is_matrix:
             return np.abs(self.values)
         out = np.zeros(self.mask.shape)
-        flat = self.values.reshape(self.mask.shape + (-1,))
-        for idx in np.argwhere(self.mask):
-            comps = flat[tuple(idx)]
-            out[tuple(idx)] = math.sqrt(fsum(float(c) * float(c) for c in comps))
+        rows = self.values.reshape(self.mask.shape + (-1,))[self.mask].tolist()
+        out[self.mask] = [math.sqrt(fsum(c * c for c in row)) for row in rows]
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CubeFamily:
     """Every axis-aligned lattice cube contained in a domain.
 
-    cubes is a tuple of (corner, side) pairs, sides ascending and corners
-    in row-major order within each side, so iteration order is canonical.
+    Cube i has corner corners[i] and side sides[i]: sides ascending and
+    corners in row-major order within each side, so the order is
+    canonical.  vertices[v, i] is the flat index of vertex v of cube i in a
+    zero-padded prefix-sum array of shape shape + 1, vertices in the order
+    of _VERTEX_SIGNS.
     """
 
     shape: tuple
-    cubes: tuple = field(repr=False)
+    sides: np.ndarray = field(repr=False)
+    corners: np.ndarray = field(repr=False)
+    vertices: np.ndarray = field(repr=False)
 
     @property
     def count(self) -> int:
-        return len(self.cubes)
+        return len(self.sides)
 
     @property
     def max_side(self) -> int:
-        return max((s for _, s in self.cubes), default=0)
+        return int(self.sides.max(initial=0))
+
+    @property
+    def cubes(self) -> tuple:
+        """(corner, side) pairs, corner a tuple of ints, in family order."""
+        return tuple(self.at(slice(None)))
+
+    def at(self, positions):
+        """(corner, side) pairs of the cubes at positions, in that order."""
+        return zip(map(tuple, self.corners[positions].tolist()), self.sides[positions].tolist())
 
     def manifest(self) -> dict:
         return {
@@ -159,20 +175,6 @@ class CubeFamily:
             "count": self.count,
             "max_side": self.max_side,
         }
-
-    @functools.cached_property
-    def _sides(self) -> tuple:
-        """(side, corners, positions) per distinct side, sides ascending:
-        corners as an (n, ndim) int array, positions their indices in cubes."""
-        groups: dict = {}
-        for pos, (_, side) in enumerate(self.cubes):
-            groups.setdefault(side, []).append(pos)
-        return tuple(
-            (side,
-             np.array([self.cubes[p][0] for p in pos], dtype=np.intp).reshape(len(pos), -1),
-             np.array(pos, dtype=np.intp))
-            for side, pos in sorted(groups.items())
-        )
 
 
 def _window(corner, side):
@@ -187,18 +189,32 @@ def cube_family(fld: GridField) -> CubeFamily:
     return _cube_family_of(fld.mask.shape, fld.mask.tobytes())
 
 
+# per rank: the 0/1 offsets of a cube's vertices, and the inclusion-exclusion
+# sign of each, so that a box sum is sum_v sign_v P[corner + side * offset_v]
+# for the zero-padded prefix sums P
+_VERTEX_OFFSETS = {d: np.array(list(itertools.product((0, 1), repeat=d))) for d in (2, 3)}
+_VERTEX_SIGNS = {d: (-1.0) ** (d - offsets.sum(axis=1)) for d, offsets in _VERTEX_OFFSETS.items()}
+
+
 @functools.lru_cache(maxsize=16)
 def _cube_family_of(shape: tuple, mask_bytes: bytes) -> CubeFamily:
     mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
-    cubes = []
-    for side in range(1, min(mask.shape) + 1):
-        windows = sliding_window_view(mask, (side,) * mask.ndim)
-        inside = windows.all(axis=tuple(range(-mask.ndim, 0)))
-        for corner in np.argwhere(inside):
-            cubes.append((tuple(int(c) for c in corner), side))
-    if not cubes:
+    ndim = mask.ndim
+    sides, corners = [], []
+    for side in range(1, min(shape) + 1):
+        windows = sliding_window_view(mask, (side,) * ndim)
+        found = np.argwhere(windows.all(axis=tuple(range(-ndim, 0))))
+        sides.append(np.full(len(found), side))
+        corners.append(found)
+    sides, corners = np.concatenate(sides), np.concatenate(corners)
+    if not len(sides):
         raise EmptyDomain("cube_family: no cube fits in the domain")
-    return CubeFamily(shape=mask.shape, cubes=tuple(cubes))
+    # C-order strides of the padded prefix array
+    strides = np.cumprod((1,) + tuple(n + 1 for n in shape[:0:-1]))[::-1]
+    vertices = (_VERTEX_OFFSETS[ndim] @ strides)[:, None] * sides + corners @ strides
+    for a in (sides, corners, vertices):
+        a.setflags(write=False)
+    return CubeFamily(shape=shape, sides=sides, corners=corners, vertices=vertices)
 
 
 def _stacked(fld: GridField) -> np.ndarray:
@@ -244,11 +260,14 @@ def _cube_average(norms, corner, side):
 # `err` >= |est - fsum value|; only cubes with est + err at or above a lower
 # bound on the maximum they compete for are recomputed with fsum.  The true
 # maximiser always passes, so every output is the fsum value bit for bit.
+# bmo_seminorm puts a cheaper stage first: an upper bound on the fsum value
+# of every cube at once, from summed-area tables, so that only the cubes
+# whose upper bound reaches a lower bound on the maximum are estimated.
 #
 # The bound.  u = 2^-53, eta = 2^-1074 (smallest subnormal) and
 # g(k) = k u / (1 - k u).  A cube has N cells x_j with K components each.
 # While every |x| < 2^480 nothing can overflow (the largest intermediate,
-# a sum of squares, stays below 2^970), so only rounding and underflow
+# a sum of squares, stays below 2^1000), so only rounding and underflow
 # need bounding:
 #   * Any float64 sum of N terms, in any order, is off by at most
 #     g(N-1) sum|x| (Higham, Accuracy and Stability, ch. 4); fsum is off by
@@ -270,10 +289,42 @@ def _cube_average(norms, corner, side):
 #       D(mhat) <= (o + tau) / (1 - rho).
 #   * Average of |x| (the Hardy-Littlewood kernel, nonnegative terms):
 #       |o - fsum value| <= g(N+2) (o + eta) / (1 - g(N+2)) + eta.
+#
+# The summed-area bound (Crow, SIGGRAPH 1984).  By Cauchy-Schwarz the mean
+# oscillation about the exact mean is at most the root mean square
+# deviation, D(mu) <= sqrt(V), V = (1/N) sum_j |x_j - mu|^2, and V needs
+# only the cube sums of x and of |x|^2.  Those come from zero-padded prefix
+# sums P: a cube sum is the signed sum of P at the cube's 2^d vertices
+# (d = ndim, n_1..n_d the extents of the domain).
+#   * Centring.  V does not change under a shift, so the field is centred
+#     on its domain mean c first, C_j = fl(x_j - c), and V does not cancel.
+#     With y_j = x_j - c exactly, |C_j - y_j| <= g(1) |C_j|, so
+#       D(mu) <= D_C + 2 g(1) (1/N) sum_j |C_j| <= sqrt(V_C) + 2 g(1) sqrt(a),
+#     D_C and V_C those of C and a >= (1/N) sum_j |C_j|^2.
+#   * Prefix sums.  An entry of P adds up its prefix box one axis at a
+#     time, so each term passes through fewer than n_1 + ... + n_d
+#     additions: the entry is off by g(n_1 + ... + n_d) times the sum of
+#     the |terms| of its prefix, which only the total T over the whole
+#     domain bounds, not anything of the cube.  The signed sum of 2^d
+#     entries adds g(2^d) of their magnitudes, so each cube sum S is off
+#     by at most t = 2^d g(n_1 + ... + n_d + 2^d) T, for each component c
+#     of C (S_c, t_c) and for q_j = fl(|C_j|^2) >= (1 - g(K)) |C_j|^2 - K eta
+#     (S_q, t_q).  Hence
+#       a = (S_q + t_q + N K eta) / ((1 - g(K)) N) >= (1/N) sum_j |C_j|^2,
+#       b = sum_c max(|S_c| - t_c, 0)^2 / N^2 <= |(1/N) sum_j C_j|^2,
+#       V_C <= a - b,
+#     and a - b formed in float64 is off by at most g(K+7) (a + b).
+#   * The fsum value.  The fsum mean is within g(2) |mu_c| + eta/2 of mu_c,
+#     a rounding relative to the uncentred samples, not to C: so with
+#     M = sum_c max_j |x_jc| over the domain, E' = g(2) M + K eta/2 and rho,
+#     tau as above (rho taken at the family's largest N covers every cube),
+#       fsum value <= (1 + rho) (sqrt(a - b) + 2 g(1) sqrt(a) + E') + tau.
+#
 # Every bound is evaluated with a factor 4 of headroom, which covers the
-# roundings made in evaluating it and in forming est +- err.  Above the
-# 2^480 guard, or if anything comes out non-finite, err is inf and the
-# whole side is refined.
+# roundings made in evaluating it and in forming est +- err; in the
+# summed-area bound, 1 + 4 rho does the same for the factor 1 + rho.  Above
+# the 2^480 guard every cube is refined; a side whose estimates come out
+# non-finite has err = inf, and the whole side is refined.
 
 _U = 2.0 ** -53
 _ETA = 2.0 ** -1074
@@ -283,6 +334,11 @@ _CHUNK = 1 << 16  # floats per filter block; bounds the filter's memory
 
 def _gamma(k):
     return k * _U / (1.0 - k * _U)
+
+
+def _tau(K):
+    """Absolute rounding of D(m) from underflow: see the comment above."""
+    return _ETA if K == 1 else 2.0 * math.sqrt(K * _ETA) + _ETA
 
 
 def _side_estimates(X, side, corners, oscillation):
@@ -313,10 +369,55 @@ def _side_estimates(X, side, corners, oscillation):
     if not oscillation:
         g = _gamma(N + 2)
         return est, 4.0 * (g * (est + _ETA) / (1.0 - g) + _ETA)
-    g, rho = _gamma(N + 1), _gamma(N + K + 4)
-    tau = _ETA if K == 1 else 2.0 * math.sqrt(K * _ETA) + _ETA
+    g, rho, tau = _gamma(N + 1), _gamma(N + K + 4), _tau(K)
     E = 2.0 * g * (mag + K * _ETA) / (1.0 - g) + K * _ETA
     return est, 4.0 * (E + 2.0 * tau + rho * (2.0 * (est + tau) / (1.0 - rho) + E))
+
+
+def _variance_bounds(X, mask, family):
+    """An upper bound on the fsum mean oscillation of every cube of the
+    family, from summed-area tables of the centred field and of its
+    squared norm.  X has shape mask.shape + (K,)."""
+    ndim, K = mask.ndim, X.shape[-1]
+    cells = tuple(range(ndim))
+    # zero-padded prefix sums of the K components of C, then of q = |C|^2
+    P = np.zeros(tuple(n + 1 for n in mask.shape) + (K + 1,))
+    data = P[(slice(1, None),) * ndim]
+    C = data[..., :K]
+    np.subtract(X, X.sum(axis=cells) / mask.sum(), out=C)
+    C[~mask] = 0.0
+    np.einsum("...k,...k->...", C, C, out=data[..., K])
+    t = 4.0 * 2 ** ndim * _gamma(sum(mask.shape) + 2 ** ndim) * np.abs(data).sum(axis=cells)
+    for axis in cells:
+        np.cumsum(data, axis=axis, out=data)
+    at_vertices = P.reshape(-1, K + 1).take(family.vertices, axis=0)
+    S = np.einsum("v,vck->ck", _VERTEX_SIGNS[ndim], at_vertices)
+    N = family.sides.astype(float) ** ndim
+    low = np.maximum(np.abs(S[:, :K]) - t[:K], 0.0)
+    a = (S[:, K] + t[K] + N * K * _ETA) / ((1.0 - _gamma(K)) * N)
+    b = np.einsum("ck,ck->c", low, low) / (N * N)
+    e = 4.0 * _gamma(K + 7)
+    rms = np.sqrt((1.0 + e) * a - (1.0 - e) * b)
+    slack = 4.0 * (_gamma(2) * np.abs(X).max(axis=cells).sum() + K * _ETA)
+    rho = _gamma(family.max_side ** ndim + K + 4)
+    return (1.0 + 4.0 * rho) * (rms + 8.0 * _gamma(1) * np.sqrt(a) + slack) + 4.0 * _tau(K)
+
+
+def _side_runs(sides):
+    """(side, slice) for each run of one side in an ascending sides array."""
+    cuts = [0, *(np.flatnonzero(np.diff(sides)) + 1).tolist(), len(sides)]
+    return [(int(sides[lo]), slice(lo, hi)) for lo, hi in zip(cuts, cuts[1:]) if lo < hi]
+
+
+def _estimate_bounds(X, family, pos, oscillation):
+    """(est + err, est - err) of the cubes at the ascending positions pos,
+    and (inf, -inf) on a side whose estimates are not finite."""
+    hi, lo = np.full(len(pos), np.inf), np.full(len(pos), -np.inf)
+    for side, part in _side_runs(family.sides[pos]):
+        est, err = _side_estimates(X, side, family.corners[pos[part]], oscillation)
+        if np.isfinite(est).all() and np.isfinite(err).all():
+            hi[part], lo[part] = est + err, est - err
+    return hi, lo
 
 
 def _box_reduce(a, side, reduce):
@@ -326,39 +427,44 @@ def _box_reduce(a, side, reduce):
     return a
 
 
-def _refine_positions(X, family, oscillation, per_cell):
-    """Sorted positions in family.cubes whose fsum value can be a maximum.
+def _max_positions(X, mask, family):
+    """Ascending positions of the cubes whose fsum oscillation can be the
+    largest (bmo_seminorm).  The float64 estimate of the cube with the
+    largest summed-area bound gives a lower bound on the maximum; only the
+    cubes whose bound reaches it are estimated, and those whose est + err
+    reaches the largest est - err are kept."""
+    everything = np.arange(family.count)
+    if not np.abs(X).max() < _TAME:
+        return everything
+    bound = _variance_bounds(X, mask, family)
+    floor = _estimate_bounds(X, family, np.argmax(bound, keepdims=True), True)[1][0]
+    survivors = everything[~(bound < floor)]  # a NaN bound survives
+    hi, lo = _estimate_bounds(X, family, survivors, True)
+    return survivors[hi >= lo.max()]
 
-    per_cell=False: the maximum over all cubes (bmo_seminorm).  A cube is
-    kept when est + err reaches the largest est - err.
-    per_cell=True: each cell's maximum over the cubes containing it
-    (fs_sharp, hl_maximal).  A cube is kept when est + err reaches the
-    smallest, over its cells, of each cell's largest est - err.
-    """
-    sides = family._sides
-    tame = bool(np.abs(X).max() < _TAME)
-    bounds = []
-    for side, corners, _ in sides:
-        est, err = _side_estimates(X, side, corners, oscillation) if tame else (np.inf, np.inf)
-        if not (np.isfinite(est).all() and np.isfinite(err).all()):
-            est, err = np.zeros(len(corners)), np.full(len(corners), np.inf)
-        bounds.append((est + err, est - err))
+
+def _cell_positions(X, family, oscillation):
+    """Ascending positions of the cubes whose fsum value can be the
+    maximum at one of their cells (fs_sharp, hl_maximal).  A cube is kept
+    when est + err reaches the smallest, over its cells, of each cell's
+    largest est - err."""
+    everything = np.arange(family.count)
+    if not np.abs(X).max() < _TAME:
+        return everything
+    hi, lo = _estimate_bounds(X, family, everything, oscillation)
+    runs = _side_runs(family.sides)
+    shape = X.shape[:-1]
+    floor = np.full(shape, -np.inf)
+    for side, part in runs:
+        grid = np.full(tuple(n - side + 1 for n in shape), -np.inf)
+        grid[tuple(family.corners[part].T)] = lo[part]
+        grid = np.pad(grid, side - 1, constant_values=-np.inf)
+        np.maximum(floor, _box_reduce(grid, side, np.max), out=floor)
     keep = []
-    if per_cell:
-        shape = X.shape[:-1]
-        floor = np.full(shape, -np.inf)
-        for (side, corners, _), (_, lo) in zip(sides, bounds):
-            grid = np.full(tuple(n - side + 1 for n in shape), -np.inf)
-            grid[tuple(corners.T)] = lo
-            grid = np.pad(grid, side - 1, constant_values=-np.inf)
-            np.maximum(floor, _box_reduce(grid, side, np.max), out=floor)
-        for (side, corners, pos), (hi, _) in zip(sides, bounds):
-            need = _box_reduce(floor, side, np.min)[tuple(corners.T)]
-            keep.append(pos[hi >= need])
-    else:
-        best_lo = max((lo.max() for _, lo in bounds), default=-np.inf)
-        keep = [pos[hi >= best_lo] for (_, _, pos), (hi, _) in zip(sides, bounds)]
-    return np.sort(np.concatenate(keep)) if keep else np.empty(0, dtype=np.intp)
+    for side, part in runs:
+        need = _box_reduce(floor, side, np.min)[tuple(family.corners[part].T)]
+        keep.append(everything[part][hi[part] >= need])
+    return np.concatenate(keep)
 
 
 @contextmanager
@@ -382,8 +488,7 @@ def hl_maximal(fld: GridField) -> GridField:
         # a matrix norm whose squares overflow comes back as inf
         if not np.isfinite(norms).all():
             raise CubeOverflow("hl_maximal: a cube value overflows float64")
-        for pos in _refine_positions(norms[..., None], family, False, True):
-            corner, side = family.cubes[pos]
+        for corner, side in family.at(_cell_positions(norms[..., None], family, False)):
             w = _window(corner, side)
             np.maximum(out[w], _cube_average(norms, corner, side), out=out[w])
     return GridField(fld.mask, out, fld.spacing, fld.origin)
@@ -396,8 +501,7 @@ def fs_sharp(fld: GridField) -> GridField:
     components = _component_views(fld)
     out = np.zeros(fld.mask.shape)
     with _float64_range("fs_sharp"):
-        for pos in _refine_positions(_stacked(fld), family, True, True):
-            corner, side = family.cubes[pos]
+        for corner, side in family.at(_cell_positions(_stacked(fld), family, True)):
             mean = _cube_mean(components, corner, side)
             osc = _cube_oscillation(components, corner, side, mean)
             w = _window(corner, side)
@@ -415,8 +519,7 @@ def bmo_seminorm(fld: GridField) -> float:
     components = _component_views(fld)
     best = 0.0
     with _float64_range("bmo_seminorm"):
-        for pos in _refine_positions(_stacked(fld), family, True, False):
-            corner, side = family.cubes[pos]
+        for corner, side in family.at(_max_positions(_stacked(fld), fld.mask, family)):
             mean = _cube_mean(components, corner, side)
             best = max(best, _cube_oscillation(components, corner, side, mean))
     return best
@@ -424,9 +527,8 @@ def bmo_seminorm(fld: GridField) -> float:
 
 def domain_mean(fld: GridField):
     """Componentwise average over the domain cells."""
-    cells = np.argwhere(fld.mask)
-    components = _component_views(fld)
-    means = [fsum(comp[tuple(idx)] for idx in cells) / len(cells) for comp in components]
+    count = fld.ncells
+    means = [fsum(comp[fld.mask].tolist()) / count for comp in _component_views(fld)]
     if not fld.is_matrix:
         return means[0]
     n = fld.values.shape[-1]
@@ -448,10 +550,9 @@ def lp_mean_norm(fld: GridField, p: float) -> float:
     """(average of |sample|^p over the domain)^(1/p)."""
     if not p >= 1:
         raise BadExponents(f"lp_mean_norm: p must be >= 1, got {p}")
-    norms = fld.cell_norms()
-    cells = np.argwhere(fld.mask)
-    total = fsum(norms[tuple(idx)] ** p for idx in cells)
-    return (total / len(cells)) ** (1.0 / p)
+    # numpy scalars: a power that overflows is inf, not an OverflowError
+    norms = fld.cell_norms()[fld.mask]
+    return (fsum(v ** p for v in norms) / len(norms)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

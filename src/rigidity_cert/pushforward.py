@@ -465,14 +465,13 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
     mesh_def = cfg.mesh_def
     problem_def = certify.Problem(problem.problem_id + "-deformed", m_u, mesh_def, loads_u)
     u_hat = fem.FeField(mesh_def, u_e.values.copy())
-    Ident = fem.deformation_gradients(mesh_def, u_hat)
-    ident_dev = float(np.max(np.abs(Ident - np.eye(mesh.dim))))
     inputs_def = certify.certification_inputs(
         problem_def, u_hat, rho=inputs.rho, epsilon=inputs.epsilon,
         taylor_samples=inputs.taylor_samples, j2_count=inputs.j2_count,
         seed=inputs.seed, taylor=_point_taylor,
         residual_tol=max(certify.RESIDUAL_TOL, 10 * inputs.residual + 1e-12),
     )
+    ident_dev = float(np.max(np.abs(inputs_def.deformation_gradients - np.eye(mesh.dim))))
     measurements = {
         "identity_gradient_dev": {
             "lhs": ident_dev,

@@ -191,12 +191,13 @@ def test_gate_toy_quadratic_energy_exact():
     lam = fem.coercivity_constant(M, G)
     assert lam == pytest.approx(1.0, abs=1e-10)
     problem = certify.Problem("toy", m, mesh, loads)
+    F_e = fem.deformation_gradients(mesh, u_e)
     inputs = certify.CertInputs(
         problem=problem, u_e=u_e,
+        gradient_field=fem.gradient_field(mesh, u_e), deformation_gradients=F_e,
         residual=float(np.max(np.abs(fem.residual(m, mesh, loads, u_e)))),
         energy=fem.total_energy(m, mesh, loads, u_e),
-        dist_sup=float(tensor_core.dist_to_rotations_many(
-            fem.deformation_gradients(mesh, u_e)).max()),
+        dist_sup=float(tensor_core.dist_to_rotations_many(F_e).max()),
         lambda_min=lam, k_hat=lam / 8.0, c_taylor=0.0, c_hat_taylor=0.0,
         J2=1.0, rho=0.5, epsilon=0.5,
         components=4, delta_star=certify.neighborhood_radius(lam / 8, 0.0, 1.0, 4),

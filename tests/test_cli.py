@@ -389,11 +389,15 @@ def test_validate_names_the_key_at_fault(tmp_path, capsys, key, value, message):
     ("ring", "mesh.hole", "0", "the hole is a fraction of the side in (0, 1), got 0"),
     ("ring", "mesh.hole", "-0.5", "the hole is a fraction of the side in (0, 1), got -0.5"),
     ("ring", "mesh.hole", "1", "the hole is a fraction of the side in (0, 1), got 1"),
+    ("ring", "mesh.hole", "0.1", "a hole of 0.1 rounds to 0 of the 8 cells of a side; "
+                                 "the hole and the wall need a cell each"),
+    ("ring", "mesh.hole", "0.99", "a hole of 0.99 rounds to 8 of the 8 cells of a side; "
+                                  "the hole and the wall need a cell each"),
 ])
 def test_validate_rejects_mesh_sizes_the_generator_cannot_use(tmp_path, capsys, kind, key,
                                                                value, message):
     # these reached the generator and came back as a singular Jacobian or,
-    # for the hole, quietly built a full square
+    # for a hole that rounds to no cell, quietly built a full square
     cfg = _write(tmp_path, "a.cfg", f"""
         name = demo
         pipeline = solve
@@ -716,6 +720,27 @@ def test_equilibrium_is_checked_once_whatever_the_candidate_count(tmp_path, monk
         seen.append((residual_calls["residual"], max(energy_calls.values())))
     assert seen[0] == seen[1]
     assert seen[0][0] == residuals
+
+
+def test_bmo_gate_takes_grad_u_e_once_whatever_the_candidate_count(tmp_path, monkeypatch):
+    # the perturbations, the gates and the transfers read grad u_e from
+    # CertInputs instead of taking it again for each candidate
+    from rigidity_cert import certify, fem
+
+    def state_key(u):
+        return hashlib.sha256(getattr(u, "values", u).tobytes()).hexdigest()
+
+    seen = []
+    for candidates in (1, 3):
+        with monkeypatch.context() as mp:
+            states = _count_calls(mp, certify, "certification_inputs",
+                                  key=lambda problem, u_e, *a, **k: state_key(u_e))
+            grads = _count_calls(mp, fem, "gradient_field", key=lambda mesh, u: state_key(u))
+            cfg = _stretch_config(tmp_path, "certify-bmo-gate", candidates=candidates)
+            assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        (u_e,) = states
+        seen.append(grads[u_e])
+    assert seen == [1, 1]
 
 
 @pytest.mark.parametrize("candidates", [0, 2])

@@ -49,6 +49,13 @@ def test_mesh_volumes():
     assert fem.box_mesh(2, 2, 2, (1.0, 2.0, 0.5)).volume() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("hole", [0.1, 0.99])
+def test_square_ring_refuses_a_hole_or_a_wall_of_no_cell(hole):
+    # at n = 8 a hole of 0.1 rounds to no cell, and one of 0.99 to all 8
+    with pytest.raises(ValueError, match=f"a hole of {hole:g} is (0|8) of 8 cells wide"):
+        fem.square_ring_mesh(8, 1.0, hole)
+
+
 def test_mesh_boundary_partition_checks():
     with pytest.raises(ValueError):
         # leaves the right side uncovered

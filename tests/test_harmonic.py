@@ -229,6 +229,12 @@ def _random_values(rng, shape, k, kind, exponent=0):
     if kind == "scaled":
         # up to 1e308: finite samples whose cube sums and squares can overflow
         return rng.uniform(-1.0, 1.0, size=vshape) * 10.0 ** exponent
+    if kind == "offset":
+        # c + s noise with |c| / s up to 1e12: the summed-area bound centres
+        # the field, but the fsum cube means round relative to c
+        s = 10.0 ** rng.uniform(-15.0, 15.0)
+        c = s * 10.0 ** rng.uniform(0.0, 12.0) * rng.choice([-1.0, 1.0], size=vshape[len(shape):])
+        return c + s * rng.normal(size=vshape)
     return rng.normal(size=vshape)
 
 
@@ -260,12 +266,13 @@ def _package(name, fld):
     return out.values[fld.mask]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     mask_kind=st.sampled_from(["holes", "l-shape", "3d"]),
     k=st.sampled_from([0, 2, 3]),
-    value_kind=st.sampled_from(["normal", "constant", "near-constant", "ulp-spread", "scaled"]),
+    value_kind=st.sampled_from(
+        ["normal", "constant", "near-constant", "ulp-spread", "scaled", "offset"]),
     exponent=st.integers(-300, 308),
 )
 def test_cube_maxima_equal_oracles_bitwise(seed, mask_kind, k, value_kind, exponent):
@@ -372,6 +379,39 @@ def test_refine_recomputes_every_cube_on_constant_fields(monkeypatch):
     calls = _count_refined(monkeypatch)
     assert bmo_seminorm(fld) == 0.0
     assert len(calls) == cube_family(fld).count
+
+
+def _pattern(shape, kind):
+    idx = np.indices(shape)
+    if kind == "checkerboard":
+        return (idx.sum(axis=0) % 2).astype(float)
+    return (idx[0] % int(kind[-1]) == 0).astype(float)  # stripes of period 2 or 3
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (12, 9), (5, 5, 5)])
+@pytest.mark.parametrize("kind", ["checkerboard", "stripes-2", "stripes-3"])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_bmo_equals_oracle_when_many_cubes_tie(shape, kind, offset):
+    # every even cube of a checkerboard oscillates by exactly 1/2, and
+    # stripes repeat one oscillation along a whole row of cubes: many cubes
+    # fall within the bounds of one another and of the maximum
+    base = _pattern(shape, kind)
+    mask = np.ones(shape, dtype=bool)
+    scalar = GridField(mask, offset + base)
+    assert bmo_seminorm(scalar) == _oracle("bmo_seminorm", mask, scalar.values, False)
+    matrix = GridField(mask, offset + base[..., None, None] * np.array([[1.0, -2.0], [0.5, 3.0]]))
+    assert bmo_seminorm(matrix) == _oracle("bmo_seminorm", mask, matrix.values, True)
+
+
+def test_summed_area_bound_prunes_most_cubes_before_the_estimate(monkeypatch):
+    fld = full_field(np.random.default_rng(163).normal(size=(16, 16, 2, 2)))
+    estimated = []
+    estimate = harmonic._side_estimates
+    monkeypatch.setattr(harmonic, "_side_estimates",
+                        lambda X, side, corners, osc: estimated.append(len(corners))
+                        or estimate(X, side, corners, osc))
+    bmo_seminorm(fld)
+    assert 1 <= sum(estimated) < 0.1 * cube_family(fld).count
 
 
 def test_cube_family_cached_per_mask():
