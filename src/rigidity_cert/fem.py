@@ -160,6 +160,7 @@ class Mesh:
         self.traction_facets = tuple(tuple(int(v) for v in f) for f in traction_facets)
         self.lattice = lattice
         self._qp_cache = None
+        self._pm_cache = None
         self._facet_cache = {}
         self._validate()
 
@@ -216,6 +217,20 @@ class Mesh:
             wdet = w[None, :] * detJ
             self._qp_cache = (coords, grads, wdet, detJ, nvals)
         return self._qp_cache
+
+    def _point_major(self):
+        """(shape gradients g[a, j, q, e], wdet[q, e], node ids[a, e]): the
+        quadrature() data that the point-major kernels read, with the
+        elements on the contiguous last axis.  Cached; treat as read-only.
+        """
+        if self._pm_cache is None:
+            _, grads, wdet, _, _ = self.quadrature()
+            self._pm_cache = (
+                np.ascontiguousarray(grads.transpose(2, 3, 1, 0)),
+                np.ascontiguousarray(wdet.T),
+                np.ascontiguousarray(self.elements.T),
+            )
+        return self._pm_cache
 
     def facet_quadrature(self, facets):
         """Boundary quadrature for a facet list.
@@ -393,10 +408,18 @@ def _eval_vector(spec, coords):
 # ----------------------------------------------------------------- assembly
 
 def deformation_gradients(mesh: Mesh, u) -> np.ndarray:
-    """grad u at every quadrature point, shape (M, q, n, n)."""
+    """grad u at every quadrature point, shape (M, q, n, n).
+
+    Point-major, with the elements on the contiguous axis: the sum of
+    u_i(a) g_j(a) over the element nodes a runs left to right onto zeros,
+    as in the einsum eai,eqaj->eqij it replaces, so every value is that
+    einsum's bit for bit.
+    """
     vals = u.values if isinstance(u, FeField) else np.asarray(u)
-    _, grads, _, _, _ = mesh.quadrature()
-    return np.einsum("eai,eqaj->eqij", vals[mesh.elements], grads)
+    g, _, nodes = mesh._point_major()
+    X = np.take(np.ascontiguousarray(vals.T), nodes, axis=1)  # X[i, a, e]
+    F = sum(X[:, a, None, None] * g[a, None] for a in range(len(g)))  # F[i, j, q, e]
+    return np.ascontiguousarray(F.transpose(3, 2, 0, 1))
 
 
 def _check_dets(F, floor=0.0):
@@ -453,8 +476,13 @@ def residual_field(m, mesh: Mesh, loads: LoadSet, u) -> np.ndarray:
     M, q = wdet.shape
     n = mesh.dim
     S = m.stress_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
-    S = S.reshape(M, q, n, n)
-    r_el = np.einsum("eq,eqik,eqak->eai", wdet, S, grads)
+    g, wdet_pm, _ = mesh._point_major()
+    WS = wdet_pm * np.ascontiguousarray(S.reshape(M, q, n, n).transpose(2, 3, 1, 0))
+    # eq,eqik,eqak->eai point-major: at each point, the sum over k of
+    # (wdet S)_ik g_ak left to right; then the points, in order, onto zeros
+    per_point = sum(WS[None, :, k] * g[:, None, k] for k in range(n))  # [a, i, q, e]
+    r = sum(per_point[:, :, p] for p in range(q))
+    r_el = np.ascontiguousarray(r.transpose(2, 0, 1))
     if loads.body is not None:
         r_el -= np.einsum("eq,qa,eqi->eai", wdet, nvals, loads.body)
     R = np.zeros((mesh.nnodes, n))

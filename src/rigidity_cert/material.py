@@ -100,44 +100,90 @@ class Material:
         return d
 
 
+def _point_major(F):
+    """(n, n, k) C-ordered copy of a (k, n, n) stack: entry (i, j) of every
+    point is one contiguous row, whatever layout F arrives in."""
+    return np.ascontiguousarray(np.moveaxis(F, 0, -1))
+
+
+def _stacked(X):
+    """(k, ...) C-ordered stack of a point-major (..., k) array, plus 0.0.
+
+    An einsum accumulates onto zeros, so it never returns -0.0; adding 0.0
+    turns the -0.0 entries of a point-major kernel into +0.0 as well.
+    """
+    out = np.empty((X.shape[-1],) + X.shape[:-1])
+    return np.add(np.moveaxis(X, -1, 0), 0.0, out=out)
+
+
 class StVenantKirchhoff(Material):
-    """W = lam/2 (tr E)^2 + mu E:E with E = (F^T F - I)/2."""
+    """W = lam/2 (tr E)^2 + mu E:E with E = (F^T F - I)/2.
+
+    The batched evaluators are point-major: each works on (n, n, k) copies
+    of the stack, so every numpy operation runs along the k points, and
+    each contraction is written out as the sum, in the order, of the
+    einsum it replaces (tests/oracles.py keeps those einsums), so that
+    every value is bitwise the einsum's.  Python's sum starts from 0, as
+    an einsum's accumulator does.
+    """
 
     name = "stvk"
     has_sigma_form = True
 
+    @staticmethod
+    def _strain(Fp):
+        """E = (F^T F - I) / 2 and tr E of a point-major stack."""
+        n = Fp.shape[0]
+        # kji,kjl->kil: left to right over j
+        E = 0.5 * (sum(Fp[j, :, None] * Fp[j, None, :] for j in range(n)) - np.eye(n)[..., None])
+        return E, sum(E[i, i] for i in range(n))
+
+    @staticmethod
+    def _inner(lam, mu, E, trE):
+        """lam tr E I + 2 mu E, point-major."""
+        return lam * trE * np.eye(E.shape[0])[..., None] + 2.0 * mu * E
+
     def energy_many(self, coords, F, ctx=None):
         coords, F = _check_batch(coords, F)
         lam, mu = self._moduli(coords, F.shape[0])
-        n = F.shape[1]
-        E = 0.5 * (np.einsum("kji,kjl->kil", F, F) - np.eye(n))
-        trE = np.trace(E, axis1=1, axis2=2)
-        return 0.5 * lam * trE**2 + mu * np.einsum("kij,kij->k", E, E)
+        E, trE = self._strain(_point_major(F))
+        # kij,kij->k over the n^2 entries, in the order of the einsum's
+        # two-lane SIMD loop: even entries in one lane, odd in the other,
+        # four pairs per step added back to front, then a last pair
+        p = (E * E).reshape(E.shape[0] ** 2, E.shape[-1])
+        if len(p) == 4:
+            EE = (p[0] + p[2]) + (p[1] + p[3])
+        else:
+            EE = (p[8] + (p[0] + (p[2] + (p[4] + p[6])))) + (p[1] + (p[3] + (p[5] + p[7])))
+        return 0.5 * lam * trE**2 + mu * EE
 
     def stress_many(self, coords, F, ctx=None):
         coords, F = _check_batch(coords, F)
         lam, mu = self._moduli(coords, F.shape[0])
-        n = F.shape[1]
-        E = 0.5 * (np.einsum("kji,kjl->kil", F, F) - np.eye(n))
-        trE = np.trace(E, axis1=1, axis2=2)
-        inner = lam[:, None, None] * trE[:, None, None] * np.eye(n) + 2.0 * mu[:, None, None] * E
-        return np.einsum("kip,kpa->kia", F, inner)
+        Fp = _point_major(F)
+        inner = self._inner(lam, mu, *self._strain(Fp))
+        # kip,kpa->kia: left to right over p
+        return _stacked(sum(Fp[:, p, None] * inner[None, p] for p in range(len(Fp))))
 
     def elasticity_many(self, coords, F, ctx=None):
         coords, F = _check_batch(coords, F)
         lam, mu = self._moduli(coords, F.shape[0])
-        n = F.shape[1]
+        Fp = _point_major(F)
+        n = len(Fp)
         eye = np.eye(n)
-        E = 0.5 * (np.einsum("kji,kjl->kil", F, F) - eye)
-        trE = np.trace(E, axis1=1, axis2=2)
-        inner = lam[:, None, None] * trE[:, None, None] * eye + 2.0 * mu[:, None, None] * E
-        B = np.einsum("kip,kjp->kij", F, F)  # F F^T
-        A = np.einsum("ij,kba->kiajb", eye, inner)
-        A = A + lam[:, None, None, None, None] * np.einsum("kia,kjb->kiajb", F, F)
-        A = A + mu[:, None, None, None, None] * (
-            np.einsum("kib,kja->kiajb", F, F) + np.einsum("ab,kij->kiajb", eye, B)
-        )
-        return A
+        inner = self._inner(lam, mu, *self._strain(Fp))
+        # F F^T, kip,kjp->kij: the einsum's two SIMD lanes hold p = 0, 2
+        # and p = 1, so 3D sums (p0 + p2) + p1
+        FFt = [Fp[:, None, p] * Fp[None, :, p] for p in range(n)]
+        B = FFt[0] + FFt[1] if n == 2 else (FFt[0] + FFt[2]) + FFt[1]
+        Ft = Fp.swapaxes(0, 1)
+        # A[i, a, j, b] = I_ij inner_ba + lam F_ia F_jb + mu (F_ib F_ja + I_ab B_ij),
+        # each term a single product over axes (i, a, j, b, k)
+        A = eye[:, None, :, None, None] * inner.swapaxes(0, 1)[None, :, None]
+        A = A + lam * (Fp[:, :, None, None] * Fp[None, None])
+        A = A + mu * (Fp[:, None, None] * Ft[None, :, :, None]
+                      + eye[None, :, None, :, None] * B[:, None, :, None])
+        return _stacked(A)
 
     def dsigma_many(self, coords, C, ctx=None):
         coords, C = _check_batch(coords, C)

@@ -213,3 +213,76 @@ def fd_matrix_derivative(f, F, h):
             Fm[i, j] -= h
             out[i, j] = (f(Fp) - f(Fm)) / (2.0 * h)
     return out
+
+
+# ------------------------------------------- einsum quadrature kernels
+#
+# The einsums that St. Venant-Kirchhoff and the Q1 assembly were written
+# with; the point-major kernels must reproduce them bit for bit.  An
+# einsum's summation order depends on its operands' strides, so each
+# oracle contracts C-ordered copies: the reference for any layout.
+
+def _stvk_strain(F):
+    n = F.shape[1]
+    E = 0.5 * (np.einsum("kji,kjl->kil", F, F) - np.eye(n))
+    return E, np.trace(E, axis1=1, axis2=2)
+
+
+def stvk_energy_einsum(lam, mu, F):
+    """St. Venant-Kirchhoff W = lam/2 (tr E)^2 + mu E:E of a (k, n, n)
+    stack, with per-point moduli lam, mu of shape (k,)."""
+    F = np.ascontiguousarray(F, dtype=float)
+    E, trE = _stvk_strain(F)
+    return 0.5 * lam * trE**2 + mu * np.einsum("kij,kij->k", E, E)
+
+
+def stvk_stress_einsum(lam, mu, F):
+    """St. Venant-Kirchhoff S = F (lam tr E I + 2 mu E) of a stack."""
+    F = np.ascontiguousarray(F, dtype=float)
+    n = F.shape[1]
+    E, trE = _stvk_strain(F)
+    inner = lam[:, None, None] * trE[:, None, None] * np.eye(n) + 2.0 * mu[:, None, None] * E
+    return np.einsum("kip,kpa->kia", F, inner)
+
+
+def stvk_elasticity_einsum(lam, mu, F):
+    """St. Venant-Kirchhoff A[k, i, a, j, b] = dS_ia / dF_jb of a stack."""
+    F = np.ascontiguousarray(F, dtype=float)
+    n = F.shape[1]
+    eye = np.eye(n)
+    E, trE = _stvk_strain(F)
+    inner = lam[:, None, None] * trE[:, None, None] * eye + 2.0 * mu[:, None, None] * E
+    B = np.einsum("kip,kjp->kij", F, F)
+    A = np.einsum("ij,kba->kiajb", eye, inner)
+    A = A + lam[:, None, None, None, None] * np.einsum("kia,kjb->kiajb", F, F)
+    A = A + mu[:, None, None, None, None] * (
+        np.einsum("kib,kja->kiajb", F, F) + np.einsum("ab,kij->kiajb", eye, B)
+    )
+    return A
+
+
+def deformation_gradients_einsum(vals, elements, grads):
+    """grad u (M, q, n, n) at the quadrature points from nodal values
+    (N, n), element node ids (M, k) and shape gradients (M, q, k, n)."""
+    return np.einsum("eai,eqaj->eqij", vals[elements], grads)
+
+
+def residual_field_einsum(stress, vals, elements, grads, wdet, nvals,
+                          body=None, traction=None):
+    """Nodal residual (N, n) of the Q1 energy: stress maps a (K, n, n)
+    stack of gradients to stresses; body is (M, q, n) or None; traction
+    is (jac (T, qf), facet shape values (T, qf, f), facet node ids (T, f),
+    tractions (T, qf, n)) or None."""
+    M, q = wdet.shape
+    n = vals.shape[1]
+    F = deformation_gradients_einsum(vals, elements, grads)
+    S = stress(F.reshape(-1, n, n)).reshape(M, q, n, n)
+    r_el = np.einsum("eq,eqik,eqak->eai", wdet, S, grads)
+    if body is not None:
+        r_el -= np.einsum("eq,qa,eqi->eai", wdet, nvals, body)
+    R = np.zeros(vals.shape)
+    np.add.at(R, elements, r_el)
+    if traction is not None:
+        jac, fvals, fidx, t = traction
+        np.add.at(R, fidx, -np.einsum("tq,tqa,tqi->tai", jac, fvals, t))
+    return R
