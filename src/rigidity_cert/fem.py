@@ -167,16 +167,18 @@ class Mesh:
     # ------------------------------------------------------------- topology
 
     def _boundary_map(self):
-        """facet key -> (element, local facet index); boundary facets only."""
-        seen = {}
-        for e, conn in enumerate(self.elements):
-            for lf, loc in enumerate(_LOCAL_FACETS[self.dim]):
-                key = frozenset(int(conn[i]) for i in loc)
-                if key in seen:
-                    seen[key] = None
-                else:
-                    seen[key] = (e, lf)
-        return {k: v for k, v in seen.items() if v is not None}
+        """facet key -> (element, local facet index); boundary facets only.
+
+        A boundary facet is one that no other element shares: its sorted
+        node ids are a row that np.unique counts once.  The map follows
+        the elements and their local facets in order.
+        """
+        local = _LOCAL_FACETS[self.dim]
+        facets = self.elements[:, local].reshape(-1, len(local[0]))
+        _, first, counts = np.unique(np.sort(facets, axis=1), axis=0,
+                                     return_index=True, return_counts=True)
+        once = np.sort(first[counts == 1])
+        return {frozenset(facets[i].tolist()): divmod(int(i), len(local)) for i in once}
 
     def _validate(self):
         if len(self.dirichlet_facets) == 0:

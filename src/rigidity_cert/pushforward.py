@@ -386,29 +386,55 @@ class StrainDistReport:
         return bool(self.bounds_ok.all())
 
 
-def strain_diff_to_dist(u_e: fem.FeField, v: fem.FeField) -> StrainDistReport:
-    """Convert the strain difference of v against u_e into rotation
-    distances of the relative gradient, verifying the two-sided bounds at
-    every quadrature point."""
-    mesh = u_e.mesh
-    if v.mesh is not u_e.mesh:
+@dataclass(frozen=True)
+class _ReferenceStrain:
+    """The u_e side of strain_diff_to_dist, measured once per certificate:
+    F_e^-1, C_e = F_e^T F_e and the sup norms of F_e and F_e^-1."""
+
+    mesh: fem.Mesh
+    inv: np.ndarray
+    C: np.ndarray
+    Upsilon: float
+    upsilon: float
+
+    @classmethod
+    def of(cls, inputs: certify.CertInputs) -> "_ReferenceStrain":
+        Fe = inputs.deformation_gradients
+        dmin = float(np.linalg.det(Fe).min())
+        if dmin <= 0.0:
+            raise DeterminantViolation(f"det grad u_e = {dmin:g} <= 0")
+        inv = np.linalg.inv(Fe)
+        return cls(
+            mesh=inputs.u_e.mesh,
+            inv=inv,
+            C=np.einsum("eqki,eqkj->eqij", Fe, Fe),
+            Upsilon=float(np.sqrt(np.einsum("eqij,eqij->eq", Fe, Fe)).max()),
+            upsilon=1.0 / float(np.sqrt(np.einsum("eqij,eqij->eq", inv, inv)).max()),
+        )
+
+
+def strain_diff_to_dist(v: fem.FeField, inputs: certify.CertInputs) -> StrainDistReport:
+    """Convert the strain difference of v against the equilibrium u_e that
+    inputs were measured at into rotation distances of the relative
+    gradient, verifying the two-sided bounds at every quadrature point.
+    grad u_e is read from inputs.deformation_gradients."""
+    return _strain_dist(v, _ReferenceStrain.of(inputs))
+
+
+def _strain_dist(v: fem.FeField, ref: _ReferenceStrain) -> StrainDistReport:
+    """strain_diff_to_dist against a measured reference."""
+    mesh = ref.mesh
+    if v.mesh is not mesh:
         raise DimensionMismatch("fields live on different meshes")
     n = mesh.dim
-    Fe = fem.deformation_gradients(mesh, u_e)
     G = fem.deformation_gradients(mesh, v)
-    for name, X in (("u_e", Fe), ("v", G)):
-        dmin = float(np.linalg.det(X).min())
-        if dmin <= 0.0:
-            raise DeterminantViolation(f"det grad {name} = {dmin:g} <= 0")
-    A = np.einsum("eqij,eqjk->eqik", G, np.linalg.inv(Fe))
-    d = tensor_core.dist_to_rotations_many(A)
-    Cdiff = np.einsum("eqki,eqkj->eqij", G, G) - np.einsum("eqki,eqkj->eqij", Fe, Fe)
+    dmin = float(np.linalg.det(G).min())
+    if dmin <= 0.0:
+        raise DeterminantViolation(f"det grad v = {dmin:g} <= 0")
+    d = tensor_core.dist_to_rotations_many(np.einsum("eqij,eqjk->eqik", G, ref.inv))
+    Cdiff = np.einsum("eqki,eqkj->eqij", G, G) - ref.C
     diff = np.sqrt(np.einsum("eqij,eqij->eq", Cdiff, Cdiff))
-    fn = np.sqrt(np.einsum("eqij,eqij->eq", Fe, Fe))
-    inv = np.linalg.inv(Fe)
-    fninv = np.sqrt(np.einsum("eqij,eqij->eq", inv, inv))
-    Upsilon = float(fn.max())
-    upsilon = 1.0 / float(fninv.max())
+    Upsilon, upsilon = ref.Upsilon, ref.upsilon
     rn = math.sqrt(n)
     tol = 1e-12 * (1.0 + diff.max() + d.max())
     lower = upsilon**2 * d**2 <= rn * diff + tol
@@ -487,10 +513,11 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
             "pass": inputs_def.lambda_min > 0.0,
         },
     }
+    reference = _ReferenceStrain.of(inputs)
     entries = []
     for idx, v in enumerate(candidates):
         cid = f"candidate-{idx:03d}"
-        sd = strain_diff_to_dist(u_e, v)
+        sd = _strain_dist(v, reference)
         strain_sup = float(sd.strain_diff.max())
         entry = {
             "id": cid,

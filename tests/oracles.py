@@ -286,3 +286,17 @@ def residual_field_einsum(stress, vals, elements, grads, wdet, nvals,
         jac, fvals, fidx, t = traction
         np.add.at(R, fidx, -np.einsum("tq,tqa,tqi->tai", jac, fvals, t))
     return R
+
+
+# ------------------------------------------------------- mesh topology
+
+def boundary_map_walk(elements, local_facets):
+    """Boundary facets of a mesh by one walk over every element facet:
+    frozenset of node ids -> (element, local facet index) for the facets
+    that exactly one element has, in the order the walk first meets them."""
+    seen = {}
+    for e, conn in enumerate(elements):
+        for lf, loc in enumerate(local_facets):
+            key = frozenset(int(conn[i]) for i in loc)
+            seen[key] = None if key in seen else (e, lf)
+    return {k: v for k, v in seen.items() if v is not None}

@@ -743,6 +743,29 @@ def test_bmo_gate_takes_grad_u_e_once_whatever_the_candidate_count(tmp_path, mon
     assert seen == [1, 1]
 
 
+def test_strain_diff_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypatch):
+    # the strain-difference filter reads grad u_e from CertInputs and
+    # measures its u_e side once per certificate, not per candidate: the
+    # 7 are the solve's last residual and energy, the residual, energy,
+    # grad u_e and tangent of certification_inputs, and the deformed mesh
+    from rigidity_cert import certify, fem
+
+    def state_key(mesh, u):
+        return hashlib.sha256(mesh.nodes.tobytes() + getattr(u, "values", u).tobytes()).hexdigest()
+
+    seen = []
+    for candidates in (1, 3):
+        with monkeypatch.context() as mp:
+            states = _count_calls(mp, certify, "certification_inputs",
+                                  key=lambda problem, u_e, *a, **k: state_key(problem.mesh, u_e))
+            grads = _count_calls(mp, fem, "deformation_gradients", key=state_key)
+            cfg = _stretch_config(tmp_path, "certify-strain-diff", candidates=candidates)
+            assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        u_e, _ = states
+        seen.append(grads[u_e])
+    assert seen == [7, 7]
+
+
 @pytest.mark.parametrize("candidates", [0, 2])
 @pytest.mark.parametrize(
     "pipeline", ["certify-bmo-gate", "certify-small-strain", "certify-strain-diff"]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rigidity_cert import errors, fem, material, rigidity
 
-from oracles import fd_gradient
+from oracles import boundary_map_walk, fd_gradient
 
 
 def _loads_identity(mesh, body=None, traction=None):
@@ -131,6 +131,46 @@ def _mesh_digest(mesh):
 @pytest.mark.parametrize("generator, args, kwargs, digest", _MESH_DIGESTS)
 def test_generated_mesh_bytes(generator, args, kwargs, digest):
     assert _mesh_digest(getattr(fem, generator)(*args, **kwargs)) == digest
+
+
+@st.composite
+def _lattice_masks(draw):
+    """A boolean cell mask of a 2D or 3D lattice with at least one cell."""
+    counts = draw(st.sampled_from([(1, 1), (4, 3), (5, 5), (2, 2, 2), (3, 2, 4)]))
+    cells = draw(st.lists(st.booleans(), min_size=math.prod(counts),
+                          max_size=math.prod(counts)))
+    mask = np.array(cells).reshape(counts)
+    mask.flat[draw(st.integers(0, mask.size - 1))] = True
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lattice_masks())
+def test_boundary_map_equals_the_facet_walk(mask):
+    # the same keys, values and order as one walk over every element facet
+    dim = mask.ndim
+    mesh = fem._lattice_mesh(mask.shape, (1.0,) * dim, mask, "all", "rest", (0.0,) * dim)
+    want = boundary_map_walk(mesh.elements, fem._LOCAL_FACETS[dim])
+    assert list(mesh._boundary_map().items()) == list(want.items())
+
+
+def test_boundary_map_of_a_file_mesh_equals_the_facet_walk(tmp_path):
+    # elements and node ids shuffled, as a mesh file may list them
+    rng = np.random.default_rng(3)
+    for mesh in (fem.square_ring_mesh(8, dirichlet=("inner",)), fem.box_mesh(2, 3, 2)):
+        perm = rng.permutation(mesh.nnodes)
+        order = rng.permutation(len(mesh.elements))
+        shuffled = fem.Mesh(
+            mesh.nodes[np.argsort(perm)], perm[mesh.elements][order],
+            [tuple(perm[list(f)]) for f in mesh.dirichlet_facets],
+            [tuple(perm[list(f)]) for f in mesh.traction_facets],
+        )
+        path = tmp_path / "shuffled.mesh"
+        fem.write_mesh(shuffled, path)
+        back = fem.read_mesh(path)
+        want = boundary_map_walk(back.elements, fem._LOCAL_FACETS[back.dim])
+        assert list(back._boundary_map().items()) == list(want.items())
+        assert len(want) == len(mesh.dirichlet_facets) + len(mesh.traction_facets)
 
 
 def test_facet_normals_and_perimeter():

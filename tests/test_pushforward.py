@@ -306,12 +306,24 @@ def test_cov_identities_analytic_map_refines():
 
 # ------------------------------------------------------- strain difference
 
+def _measured(u_e):
+    """CertInputs at u_e as strain_diff_to_dist reads them: u_e and its
+    gradient at the quadrature points; the constants are placeholders."""
+    return certify.CertInputs(
+        problem=None, u_e=u_e, gradient_field=None,
+        deformation_gradients=fem.deformation_gradients(u_e.mesh, u_e),
+        residual=0.0, energy=0.0, dist_sup=0.0, lambda_min=0.0, k_hat=0.0,
+        c_taylor=0.0, c_hat_taylor=0.0, J2=1.0, rho=0.25, epsilon=0.25,
+        components=u_e.mesh.dim ** 2, delta_star=0.0,
+    )
+
+
 def test_strain_diff_frozen_shear_norms():
     mesh = fem.rectangle_mesh(5, 5)
     A = np.array([[1.0, 0.3], [0.0, 1.0]])
     u_e = fem.FeField(mesh, mesh.nodes @ A.T)
     v = fem.FeField(mesh, u_e.values + 0.02 * np.sin(math.pi * mesh.nodes))
-    report = pushforward.strain_diff_to_dist(u_e, v)
+    report = pushforward.strain_diff_to_dist(v, _measured(u_e))
     assert report.Upsilon_e == pytest.approx(math.sqrt(2.09), rel=1e-12)
     assert report.upsilon_e == pytest.approx(1.0 / math.sqrt(2.09), rel=1e-12)
     assert report.all_ok
@@ -320,7 +332,7 @@ def test_strain_diff_frozen_shear_norms():
 def test_strain_diff_identical_fields():
     mesh = fem.rectangle_mesh(4, 4)
     u_e = fem.FeField(mesh, mesh.nodes @ np.diag([1.1, 0.9]))
-    report = pushforward.strain_diff_to_dist(u_e, u_e.copy())
+    report = pushforward.strain_diff_to_dist(u_e.copy(), _measured(u_e))
     assert report.d.max() <= 1e-14
     assert np.all(report.strain_diff == 0.0)
     assert report.all_ok
@@ -338,7 +350,7 @@ def test_strain_diff_sandwich_random_sweep():
             np.sin(math.pi * mesh.nodes[:, 0] + phase[0]) * np.sin(math.pi * mesh.nodes[:, 1]),
             np.sin(math.pi * mesh.nodes[:, 0]) * np.sin(math.pi * mesh.nodes[:, 1] + phase[1]),
         ])
-        report = pushforward.strain_diff_to_dist(u_e, fem.FeField(mesh, vals))
+        report = pushforward.strain_diff_to_dist(fem.FeField(mesh, vals), _measured(u_e))
         assert report.all_ok
         # the linear bound also caps the rotation distance by the strain sup
         assert report.d.max() <= report.strain_diff.max() / report.upsilon_e**2 + 1e-12
@@ -350,7 +362,7 @@ def test_strain_diff_rejects_folded_candidate():
     vals = mesh.nodes.copy()
     vals[:, 1] = np.abs(vals[:, 1] - 0.5)
     with pytest.raises(errors.DeterminantViolation):
-        pushforward.strain_diff_to_dist(u_e, fem.FeField(mesh, vals))
+        pushforward.strain_diff_to_dist(fem.FeField(mesh, vals), _measured(u_e))
 
 
 def test_strain_diff_needs_shared_mesh():
@@ -358,7 +370,7 @@ def test_strain_diff_needs_shared_mesh():
     other = fem.rectangle_mesh(3, 3)
     with pytest.raises(errors.DimensionMismatch):
         pushforward.strain_diff_to_dist(
-            fem.FeField.identity(mesh), fem.FeField.identity(other)
+            fem.FeField.identity(other), _measured(fem.FeField.identity(mesh))
         )
 
 
