@@ -160,7 +160,7 @@ class Mesh:
         self.traction_facets = tuple(tuple(int(v) for v in f) for f in traction_facets)
         self.lattice = lattice
         self._qp_cache = None
-        self._pm_cache = None
+        self._pm_cache = {}
         self._facet_cache = {}
         self._validate()
 
@@ -220,19 +220,21 @@ class Mesh:
             self._qp_cache = (coords, grads, wdet, detJ, nvals)
         return self._qp_cache
 
-    def _point_major(self):
-        """(shape gradients g[a, j, q, e], wdet[q, e], node ids[a, e]): the
-        quadrature() data that the point-major kernels read, with the
-        elements on the contiguous last axis.  Cached; treat as read-only.
+    def _point_major(self, at="gauss"):
+        """Physical shape gradients g[a, j, q, e] at the Gauss points
+        (at="gauss") or at the element centre (at="centre", q = 1), with
+        the elements on the contiguous last axis, for the point-major
+        kernels.  Cached; treat as read-only.
         """
-        if self._pm_cache is None:
-            _, grads, wdet, _, _ = self.quadrature()
-            self._pm_cache = (
-                np.ascontiguousarray(grads.transpose(2, 3, 1, 0)),
-                np.ascontiguousarray(wdet.T),
-                np.ascontiguousarray(self.elements.T),
-            )
-        return self._pm_cache
+        if at not in self._pm_cache:
+            if at == "gauss":
+                grads = self.quadrature()[1]
+            else:
+                dN = shape_gradients(np.zeros((1, self.dim)), self.dim)
+                J = np.einsum("eai,qaj->eqij", self.nodes[self.elements], dN)
+                grads = np.einsum("qaj,eqji->eqai", dN, np.linalg.inv(J))
+            self._pm_cache[at] = np.ascontiguousarray(grads.transpose(2, 3, 1, 0))
+        return self._pm_cache[at]
 
     def facet_quadrature(self, facets):
         """Boundary quadrature for a facet list.
@@ -410,7 +412,13 @@ def _eval_vector(spec, coords):
 # ----------------------------------------------------------------- assembly
 
 def deformation_gradients(mesh: Mesh, u) -> np.ndarray:
-    """grad u at every quadrature point, shape (M, q, n, n).
+    """grad u at every quadrature point, shape (M, q, n, n)."""
+    return _gradients(mesh, u, mesh._point_major())
+
+
+def _gradients(mesh, u, g):
+    """grad u at the points of a shape-gradient table g[a, j, q, e], as
+    (M, q, n, n).
 
     Point-major, with the elements on the contiguous axis: the sum of
     u_i(a) g_j(a) over the element nodes a runs left to right onto zeros,
@@ -418,8 +426,7 @@ def deformation_gradients(mesh: Mesh, u) -> np.ndarray:
     einsum's bit for bit.
     """
     vals = u.values if isinstance(u, FeField) else np.asarray(u)
-    g, _, nodes = mesh._point_major()
-    X = np.take(np.ascontiguousarray(vals.T), nodes, axis=1)  # X[i, a, e]
+    X = np.take(np.ascontiguousarray(vals.T), mesh.elements.T, axis=1)  # X[i, a, e]
     F = sum(X[:, a, None, None] * g[a, None] for a in range(len(g)))  # F[i, j, q, e]
     return np.ascontiguousarray(F.transpose(3, 2, 0, 1))
 
@@ -472,14 +479,14 @@ def load_work(mesh: Mesh, loads: LoadSet, u) -> tuple[float, float]:
 
 def residual_field(m, mesh: Mesh, loads: LoadSet, u) -> np.ndarray:
     """dE/du as a full (N, n) nodal array (Dirichlet rows included)."""
-    coords, grads, wdet, _, nvals = mesh.quadrature()
+    coords, _, wdet, _, nvals = mesh.quadrature()
     F = deformation_gradients(mesh, u)
     _check_dets(F)
     M, q = wdet.shape
     n = mesh.dim
     S = m.stress_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
-    g, wdet_pm, _ = mesh._point_major()
-    WS = wdet_pm * np.ascontiguousarray(S.reshape(M, q, n, n).transpose(2, 3, 1, 0))
+    g = mesh._point_major()
+    WS = wdet.T * np.ascontiguousarray(S.reshape(M, q, n, n).transpose(2, 3, 1, 0))
     # eq,eqik,eqak->eai point-major: at each point, the sum over k of
     # (wdet S)_ik g_ak left to right; then the points, in order, onto zeros
     per_point = sum(WS[None, :, k] * g[:, None, k] for k in range(n))  # [a, i, q, e]
@@ -817,14 +824,7 @@ def gradient_field(mesh: Mesh, u) -> GridField:
     """
     if mesh.lattice is None:
         raise DimensionMismatch("gradient_field needs a structured mesh lattice")
-    vals = u.values if isinstance(u, FeField) else np.asarray(u)
-    center = np.zeros((1, mesh.dim))
-    dN = shape_gradients(center, mesh.dim)
-    X = mesh.nodes[mesh.elements]
-    J = np.einsum("eai,qaj->eqij", X, dN)
-    invJ = np.linalg.inv(J)
-    grads = np.einsum("qaj,eqji->eqai", dN, invJ)
-    G = np.einsum("eai,eqaj->eqij", vals[mesh.elements], grads)[:, 0]
+    G = _gradients(mesh, u, mesh._point_major(at="centre"))[:, 0]
     lat = mesh.lattice
     out = np.zeros(lat.mask.shape + (mesh.dim, mesh.dim))
     out[lat.mask] = G[lat.elem_of_cell[lat.mask]]

@@ -1,9 +1,10 @@
 """The point-major quadrature kernels against the einsums they replace.
 
-StVenantKirchhoff.{energy,stress,elasticity}_many, fem.deformation_gradients
-and fem.residual_field sum in the order of the einsums in oracles.py, so
-each output must equal its oracle byte for byte: -0.0 against +0.0 is a
-failure too.  Inputs stay small enough that nothing overflows.
+StVenantKirchhoff.{energy,stress,elasticity}_many, fem.deformation_gradients,
+fem.gradient_field and fem.residual_field sum in the order of the einsums
+in oracles.py, so each output must equal its oracle byte for byte: -0.0
+against +0.0 is a failure too.  Inputs stay small enough that nothing
+overflows.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -75,7 +76,7 @@ def _meshes():
         "rectangle": fem.rectangle_mesh(5, 3, 1.0, 0.6, dirichlet=("left",)),
         "l-shape": fem.l_shape_mesh(6, dirichlet=("bottom",)),
         "ring": fem.square_ring_mesh(8, dirichlet=("left", "right")),
-        "box": fem.box_mesh(3, 2, 2, dirichlet=("x0",)),
+        "box": fem.box_mesh(3, 2, 2, (1.5, 1.0, 1.0), dirichlet=("x0",)),
     }
 
 
@@ -84,7 +85,7 @@ _MESHES = _meshes()
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(_MESHES)), st.integers(0, 2**32 - 1), st.booleans())
-def test_deformation_gradients_and_residual_equal_their_einsums_bitwise(kind, seed, modulated):
+def test_gradients_and_residual_equal_their_einsums_bitwise(kind, seed, modulated):
     mesh = _MESHES[kind]
     n = mesh.dim
     rng = np.random.default_rng(seed)
@@ -93,6 +94,15 @@ def test_deformation_gradients_and_residual_equal_their_einsums_bitwise(kind, se
     F = fem.deformation_gradients(mesh, vals)
     assert F.flags.c_contiguous
     assert F.tobytes() == deformation_gradients_einsum(vals, mesh.elements, grads).tobytes()
+    if mesh.lattice is not None:
+        # the lattice cell field takes the same sum at the element centres
+        dN = fem.shape_gradients(np.zeros((1, n)), n)
+        J = np.einsum("eai,qaj->eqij", mesh.nodes[mesh.elements], dN)
+        centre = np.einsum("qaj,eqji->eqai", dN, np.linalg.inv(J))
+        G = deformation_gradients_einsum(vals, mesh.elements, centre)[:, 0]
+        lat = mesh.lattice
+        got = fem.gradient_field(mesh, vals).values[lat.mask]
+        assert got.tobytes() == G[lat.elem_of_cell[lat.mask]].tobytes()
 
     m, moduli = _models(n)[int(modulated)]
     loads = fem.LoadSet.build(mesh, body=rng.normal(size=n), traction=rng.normal(size=n),
