@@ -160,7 +160,7 @@ class Mesh:
         self.traction_facets = tuple(tuple(int(v) for v in f) for f in traction_facets)
         self.lattice = lattice
         self._qp_cache = None
-        self._pm_cache = {}
+        self._table_cache = {}
         self._facet_cache = {}
         self._validate()
 
@@ -220,21 +220,21 @@ class Mesh:
             self._qp_cache = (coords, grads, wdet, detJ, nvals)
         return self._qp_cache
 
-    def _point_major(self, at="gauss"):
+    def _gradient_table(self, at="gauss"):
         """Physical shape gradients g[a, j, q, e] at the Gauss points
         (at="gauss") or at the element centre (at="centre", q = 1), with
         the elements on the contiguous last axis, for the point-major
         kernels.  Cached; treat as read-only.
         """
-        if at not in self._pm_cache:
+        if at not in self._table_cache:
             if at == "gauss":
                 grads = self.quadrature()[1]
             else:
                 dN = shape_gradients(np.zeros((1, self.dim)), self.dim)
                 J = np.einsum("eai,qaj->eqij", self.nodes[self.elements], dN)
                 grads = np.einsum("qaj,eqji->eqai", dN, np.linalg.inv(J))
-            self._pm_cache[at] = np.ascontiguousarray(grads.transpose(2, 3, 1, 0))
-        return self._pm_cache[at]
+            self._table_cache[at] = np.ascontiguousarray(grads.transpose(2, 3, 1, 0))
+        return self._table_cache[at]
 
     def facet_quadrature(self, facets):
         """Boundary quadrature for a facet list.
@@ -413,7 +413,7 @@ def _eval_vector(spec, coords):
 
 def deformation_gradients(mesh: Mesh, u) -> np.ndarray:
     """grad u at every quadrature point, shape (M, q, n, n)."""
-    return _gradients(mesh, u, mesh._point_major())
+    return _gradients(mesh, u, mesh._gradient_table())
 
 
 def _gradients(mesh, u, g):
@@ -485,7 +485,7 @@ def residual_field(m, mesh: Mesh, loads: LoadSet, u) -> np.ndarray:
     M, q = wdet.shape
     n = mesh.dim
     S = m.stress_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
-    g = mesh._point_major()
+    g = mesh._gradient_table()
     WS = wdet.T * np.ascontiguousarray(S.reshape(M, q, n, n).transpose(2, 3, 1, 0))
     # eq,eqik,eqak->eai point-major: at each point, the sum over k of
     # (wdet S)_ik g_ak left to right; then the points, in order, onto zeros
@@ -824,7 +824,7 @@ def gradient_field(mesh: Mesh, u) -> GridField:
     """
     if mesh.lattice is None:
         raise DimensionMismatch("gradient_field needs a structured mesh lattice")
-    G = _gradients(mesh, u, mesh._point_major(at="centre"))[:, 0]
+    G = _gradients(mesh, u, mesh._gradient_table(at="centre"))[:, 0]
     lat = mesh.lattice
     out = np.zeros(lat.mask.shape + (mesh.dim, mesh.dim))
     out[lat.mask] = G[lat.elem_of_cell[lat.mask]]

@@ -147,9 +147,10 @@ class StVenantKirchhoff(Material):
         coords, F = _check_batch(coords, F)
         lam, mu = self._moduli(coords, F.shape[0])
         E, trE = self._strain(_point_major(F))
-        # kij,kij->k over the n^2 entries, in the order of the einsum's
-        # two-lane SIMD loop: even entries in one lane, odd in the other,
-        # four pairs per step added back to front, then a last pair
+        # kij,kij->k over the n^2 entries in the order of the einsum's
+        # two-lane SIMD loop: even entries in one lane, odd in the other;
+        # a block of 8 entries goes in back to front, the rest pair by
+        # pair, and the two lanes are added last
         p = (E * E).reshape(E.shape[0] ** 2, E.shape[-1])
         if len(p) == 4:
             EE = (p[0] + p[2]) + (p[1] + p[3])
