@@ -71,16 +71,12 @@ def test_stvk_kernels_equal_their_einsums_bitwise(case):
                 assert got.tobytes() == want.tobytes(), name
 
 
-def _meshes():
-    return {
-        "rectangle": fem.rectangle_mesh(5, 3, 1.0, 0.6, dirichlet=("left",)),
-        "l-shape": fem.l_shape_mesh(6, dirichlet=("bottom",)),
-        "ring": fem.square_ring_mesh(8, dirichlet=("left", "right")),
-        "box": fem.box_mesh(3, 2, 2, (1.5, 1.0, 1.0), dirichlet=("x0",)),
-    }
-
-
-_MESHES = _meshes()
+_MESHES = {
+    "rectangle": fem.rectangle_mesh(5, 3, 1.0, 0.6, dirichlet=("left",)),
+    "l-shape": fem.l_shape_mesh(6, dirichlet=("bottom",)),
+    "ring": fem.square_ring_mesh(8, dirichlet=("left", "right")),
+    "box": fem.box_mesh(3, 2, 2, (1.5, 1.0, 1.0), dirichlet=("x0",)),
+}
 
 
 @settings(max_examples=40, deadline=None)
