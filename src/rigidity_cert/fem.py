@@ -55,7 +55,7 @@ __all__ = [
     "residual",
     "residual_field",
     "solve_equilibrium",
-    "material_ctx",
+    "material_at_points",
     "second_variation_matrix",
     "element_matrices",
     "gradient_gram_matrix",
@@ -440,24 +440,26 @@ def _check_dets(F, floor=0.0):
     return det
 
 
-def material_ctx(mesh):
-    """Flattened (element, qp) index pair for material evaluation."""
-    M, q = mesh.quadrature()[2].shape
-    e = np.repeat(np.arange(M), q)
-    k = np.tile(np.arange(q), M)
-    return e, k
+def material_at_points(m, mesh: Mesh, u, quantity) -> np.ndarray:
+    """m's energy, stress or elasticity (quantity) at grad u, at every
+    quadrature point of mesh: (M, q), (M, q, n, n) or (M, q, n, n, n, n).
+
+    The material is evaluated once over all M*q points, in quadrature
+    order, after det grad u > 0 is checked at each of them.
+    """
+    F = deformation_gradients(mesh, u)
+    _check_dets(F)
+    M, q, n, _ = F.shape
+    coords = mesh.quadrature()[0].reshape(-1, n)
+    vals = getattr(m, f"{quantity}_many")(coords, F.reshape(-1, n, n))
+    return vals.reshape((M, q) + vals.shape[1:])
 
 
 def total_energy(m, mesh: Mesh, loads: LoadSet, u) -> float:
     """Stored energy minus load work of a deformation field."""
-    coords, grads, wdet, _, _ = mesh.quadrature()
-    F = deformation_gradients(mesh, u)
-    _check_dets(F)
-    M, q = wdet.shape
-    n = mesh.dim
-    W = m.energy_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
+    W = material_at_points(m, mesh, u, "energy")
     body, traction = load_work(mesh, loads, u)
-    return float(np.sum(W.reshape(M, q) * wdet)) - body - traction
+    return float(np.sum(W * mesh.quadrature()[2])) - body - traction
 
 
 def load_work(mesh: Mesh, loads: LoadSet, u) -> tuple[float, float]:
@@ -479,14 +481,11 @@ def load_work(mesh: Mesh, loads: LoadSet, u) -> tuple[float, float]:
 
 def residual_field(m, mesh: Mesh, loads: LoadSet, u) -> np.ndarray:
     """dE/du as a full (N, n) nodal array (Dirichlet rows included)."""
-    coords, _, wdet, _, nvals = mesh.quadrature()
-    F = deformation_gradients(mesh, u)
-    _check_dets(F)
-    M, q = wdet.shape
-    n = mesh.dim
-    S = m.stress_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
+    S = material_at_points(m, mesh, u, "stress")
+    _, _, wdet, _, nvals = mesh.quadrature()
+    M, q, n, _ = S.shape
     g = mesh._gradient_table()
-    WS = wdet.T * np.ascontiguousarray(S.reshape(M, q, n, n).transpose(2, 3, 1, 0))
+    WS = wdet.T * np.ascontiguousarray(S.transpose(2, 3, 1, 0))
     # eq,eqik,eqak->eai point-major: at each point, the sum over k of
     # (wdet S)_ik g_ak left to right; then the points, in order, onto zeros
     per_point = sum(WS[None, :, k] * g[:, None, k] for k in range(n))  # [a, i, q, e]
@@ -511,13 +510,8 @@ def residual(m, mesh: Mesh, loads: LoadSet, u) -> np.ndarray:
 
 def second_variation_matrix(m, mesh: Mesh, u):
     """Tangent stiffness d2E/du2 at state u over the free dofs, sparse CSR."""
-    coords, grads, wdet, _, _ = mesh.quadrature()
-    F = deformation_gradients(mesh, u)
-    _check_dets(F)
-    M, q = wdet.shape
-    n = mesh.dim
-    A = m.elasticity_many(coords.reshape(-1, n), F.reshape(-1, n, n), ctx=material_ctx(mesh))
-    return scatter_matrix(mesh, element_matrices(mesh, A.reshape(M, q, n, n, n, n)), free_only=True)
+    A = material_at_points(m, mesh, u, "elasticity")
+    return scatter_matrix(mesh, element_matrices(mesh, A), free_only=True)
 
 
 def element_matrices(mesh: Mesh, A) -> np.ndarray:
@@ -785,19 +779,12 @@ def energy_identity_check(m, mesh: Mesh, loads: LoadSet, u_e: FeField, v: FeFiel
         raise NotEquilibrium(
             f"u_e residual {np.max(np.abs(r)):.3e} exceeds {residual_tol:g}"
         )
-    coords, grads, wdet, _, _ = mesh.quadrature()
-    n = mesh.dim
-    Fe = deformation_gradients(mesh, u_e)
-    Fv = deformation_gradients(mesh, v)
-    _check_dets(Fe)
-    _check_dets(Fv)
-    ctx = material_ctx(mesh)
-    flat = coords.reshape(-1, n)
-    We = m.energy_many(flat, Fe.reshape(-1, n, n), ctx=ctx).reshape(wdet.shape)
-    Wv = m.energy_many(flat, Fv.reshape(-1, n, n), ctx=ctx).reshape(wdet.shape)
-    Se = m.stress_many(flat, Fe.reshape(-1, n, n), ctx=ctx).reshape(Fe.shape)
-    inner = Wv - We - np.einsum("eqik,eqik->eq", Se, Fv - Fe)
-    rhs = float(np.sum(wdet * inner))
+    We = material_at_points(m, mesh, u_e, "energy")
+    Wv = material_at_points(m, mesh, v, "energy")
+    Se = material_at_points(m, mesh, u_e, "stress")
+    Gw = deformation_gradients(mesh, v.values - u_e.values)
+    inner = Wv - We - np.einsum("eqik,eqik->eq", Se, Gw)
+    rhs = float(np.sum(mesh.quadrature()[2] * inner))
     lhs = total_energy(m, mesh, loads, v) - total_energy(m, mesh, loads, u_e)
     return abs(lhs - rhs)
 

@@ -9,9 +9,7 @@ det F > 0:
 
 Heterogeneity enters only through a scalar parameter modulation m(x)
 multiplying both moduli.  Batched entry points take stacked coordinates
-(k, n) and gradients (k, n, n); an optional ctx argument is threaded
-through untouched so that wrapped materials (see pushforward) can resolve
-quadrature identity, and plain materials ignore it.
+(k, n) and gradients (k, n, n).
 """
 from __future__ import annotations
 
@@ -76,21 +74,21 @@ class Material:
         return self.lam * m, self.mu * m
 
     # stacked evaluators, implemented by subclasses
-    def energy_many(self, coords, F, ctx=None):
+    def energy_many(self, coords, F):
         raise NotImplementedError
 
-    def stress_many(self, coords, F, ctx=None):
+    def stress_many(self, coords, F):
         raise NotImplementedError
 
-    def elasticity_many(self, coords, F, ctx=None):
+    def elasticity_many(self, coords, F):
         """Stacked fourth-order tensors A[i, a, j, b] = dS_ia / dF_jb."""
         raise NotImplementedError
 
     # optional representation through sigma(C) with S = 2 F Dsigma(C)
-    def dsigma_many(self, coords, C, ctx=None):
+    def dsigma_many(self, coords, C):
         raise NotImplementedError
 
-    def d2sigma_apply_many(self, coords, C, B, ctx=None):
+    def d2sigma_apply_many(self, coords, C, B):
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -143,7 +141,7 @@ class StVenantKirchhoff(Material):
         """lam tr E I + 2 mu E, point-major."""
         return lam * trE * np.eye(E.shape[0])[..., None] + 2.0 * mu * E
 
-    def energy_many(self, coords, F, ctx=None):
+    def energy_many(self, coords, F):
         coords, F = _check_batch(coords, F)
         lam, mu = self._moduli(coords, F.shape[0])
         E, trE = self._strain(_point_major(F))
@@ -158,7 +156,7 @@ class StVenantKirchhoff(Material):
             EE = (p[8] + (p[0] + (p[2] + (p[4] + p[6])))) + (p[1] + (p[3] + (p[5] + p[7])))
         return 0.5 * lam * trE**2 + mu * EE
 
-    def stress_many(self, coords, F, ctx=None):
+    def stress_many(self, coords, F):
         coords, F = _check_batch(coords, F)
         lam, mu = self._moduli(coords, F.shape[0])
         Fp = _point_major(F)
@@ -166,7 +164,7 @@ class StVenantKirchhoff(Material):
         # kip,kpa->kia: left to right over p
         return _stacked(sum(Fp[:, p, None] * inner[None, p] for p in range(len(Fp))))
 
-    def elasticity_many(self, coords, F, ctx=None):
+    def elasticity_many(self, coords, F):
         coords, F = _check_batch(coords, F)
         lam, mu = self._moduli(coords, F.shape[0])
         Fp = _point_major(F)
@@ -186,7 +184,7 @@ class StVenantKirchhoff(Material):
                       + eye[None, :, None, :, None] * B[:, None, :, None])
         return _stacked(A)
 
-    def dsigma_many(self, coords, C, ctx=None):
+    def dsigma_many(self, coords, C):
         coords, C = _check_batch(coords, C)
         lam, mu = self._moduli(coords, C.shape[0])
         n = C.shape[1]
@@ -196,7 +194,7 @@ class StVenantKirchhoff(Material):
             + 0.5 * mu[:, None, None] * (C - np.eye(n))
         )
 
-    def d2sigma_apply_many(self, coords, C, B, ctx=None):
+    def d2sigma_apply_many(self, coords, C, B):
         coords, C = _check_batch(coords, C)
         lam, mu = self._moduli(coords, C.shape[0])
         trB = np.trace(B, axis1=1, axis2=2)
@@ -218,7 +216,7 @@ class NeoHookean(Material):
             raise OutsideDomain("neo-hookean: det F <= 0 at an evaluation point")
         return J, np.log(J)
 
-    def energy_many(self, coords, F, ctx=None):
+    def energy_many(self, coords, F):
         coords, F = _check_batch(coords, F)
         lam, mu = self._moduli(coords, F.shape[0])
         n = F.shape[1]
@@ -226,14 +224,14 @@ class NeoHookean(Material):
         trC = np.einsum("kij,kij->k", F, F)
         return 0.5 * mu * (trC - n) - mu * logJ + 0.5 * lam * logJ**2
 
-    def stress_many(self, coords, F, ctx=None):
+    def stress_many(self, coords, F):
         coords, F = _check_batch(coords, F)
         lam, mu = self._moduli(coords, F.shape[0])
         _, logJ = self._logdet(F)
         Fit = np.transpose(np.linalg.inv(F), (0, 2, 1))
         return mu[:, None, None] * (F - Fit) + (lam * logJ)[:, None, None] * Fit
 
-    def elasticity_many(self, coords, F, ctx=None):
+    def elasticity_many(self, coords, F):
         coords, F = _check_batch(coords, F)
         lam, mu = self._moduli(coords, F.shape[0])
         n = F.shape[1]
@@ -247,7 +245,7 @@ class NeoHookean(Material):
         A = A + lam[:, None, None, None, None] * np.einsum("kia,kjb->kiajb", Fit, Fit)
         return A
 
-    def dsigma_many(self, coords, C, ctx=None):
+    def dsigma_many(self, coords, C):
         coords, C = _check_batch(coords, C)
         lam, mu = self._moduli(coords, C.shape[0])
         detC = np.linalg.det(C)
@@ -259,7 +257,7 @@ class NeoHookean(Material):
             lam * np.log(detC)
         )[:, None, None] * Cinv
 
-    def d2sigma_apply_many(self, coords, C, B, ctx=None):
+    def d2sigma_apply_many(self, coords, C, B):
         coords, C = _check_batch(coords, C)
         lam, mu = self._moduli(coords, C.shape[0])
         detC = np.linalg.det(C)
@@ -290,7 +288,7 @@ class CustomMaterial(Material):
         self._elasticity_fn = elasticity_fn
         self.frame_indifferent = frame_indifferent
 
-    def energy_many(self, coords, F, ctx=None):
+    def energy_many(self, coords, F):
         coords, F = _check_batch(coords, F)
         xs = coords if coords is not None else [None] * F.shape[0]
         return np.array([self._energy_fn(x, f) for x, f in zip(xs, F)], dtype=float)
@@ -306,7 +304,7 @@ class CustomMaterial(Material):
                 out[i, j] = (self._energy_fn(x, Fp) - self._energy_fn(x, Fm)) / (2 * h)
         return out
 
-    def stress_many(self, coords, F, ctx=None):
+    def stress_many(self, coords, F):
         coords, F = _check_batch(coords, F)
         xs = coords if coords is not None else [None] * F.shape[0]
         fn = self._stress_fn or self._fd_stress
@@ -325,7 +323,7 @@ class CustomMaterial(Material):
                 A[:, :, j, b] = (stress_fn(x, Fp) - stress_fn(x, Fm)) / (2 * h)
         return A
 
-    def elasticity_many(self, coords, F, ctx=None):
+    def elasticity_many(self, coords, F):
         coords, F = _check_batch(coords, F)
         xs = coords if coords is not None else [None] * F.shape[0]
         fn = self._elasticity_fn or self._fd_elasticity

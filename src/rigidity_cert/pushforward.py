@@ -145,7 +145,11 @@ def deform_configuration(mesh: fem.Mesh, u_e) -> DeformedConfig:
 class _ChainRule(material.Material):
     """W(x, G F) / det F over the new gradient variable G, with the
     chain-rule stress S(x, G F) F^T / det F and elasticity A(x, G F)[. F,
-    . F] / det F, at the material points (x, F, det F) that _points picks.
+    . F] / det F, at a stored stack of material points (x, F, det F).
+
+    A batch of gradients is evaluated row by row against the stack, so it
+    must have one row per point; a stack of one point is broadcast to
+    every row.  The coordinates passed to the evaluators are ignored.
 
     The assembly material and the frozen point share this one algebra, so
     the deformed Taylor sampling and the deformed gate evaluate the same
@@ -154,31 +158,35 @@ class _ChainRule(material.Material):
     run in one order at every batch size.
     """
 
-    def __init__(self, base: material.Material):
+    def __init__(self, base: material.Material, x, F, det):
         super().__init__(base.lam, base.mu, None)
         self.base = base
+        self._x, self._F, self._det = x, F, det
 
-    def _points(self, ctx, count):
-        """(x (p, n), F (p, n, n), det F (p,)) of the batch's material points."""
-        raise NotImplementedError
-
-    def _pushed(self, G, ctx):
+    def _pushed(self, G):
         G = np.ascontiguousarray(G, dtype=float)
-        x, F, det = self._points(ctx, G.shape[0])
-        F = np.ascontiguousarray(F)
-        return x, G @ F, F, det
+        count, points = G.shape[0], self._det.shape[0]
+        if points != 1 and count != points:
+            raise DimensionMismatch(
+                f"a batch of {count} gradients for {points} material points; a "
+                "pushforward material evaluates all points of its mesh at once"
+            )
+        n = self._F.shape[-1]
+        F = np.ascontiguousarray(np.broadcast_to(self._F, (count, n, n)))
+        return (np.broadcast_to(self._x, (count, n)), G @ F, F,
+                np.broadcast_to(self._det, (count,)))
 
-    def energy_many(self, coords, F, ctx=None):
-        x, GF, _, det = self._pushed(F, ctx)
+    def energy_many(self, coords, F):
+        x, GF, _, det = self._pushed(F)
         return self.base.energy_many(x, GF) / det
 
-    def stress_many(self, coords, F, ctx=None):
-        x, GF, Fe, det = self._pushed(F, ctx)
+    def stress_many(self, coords, F):
+        x, GF, Fe, det = self._pushed(F)
         S = np.ascontiguousarray(self.base.stress_many(x, GF))
         return S @ np.swapaxes(Fe, -1, -2) / det[:, None, None]
 
-    def elasticity_many(self, coords, F, ctx=None):
-        x, GF, Fe, det = self._pushed(F, ctx)
+    def elasticity_many(self, coords, F):
+        x, GF, Fe, det = self._pushed(F)
         A = np.ascontiguousarray(self.base.elasticity_many(x, GF))
         out = np.ascontiguousarray(np.einsum("pikjl,pak,pbl->piajb", A, Fe, Fe))
         return out / det[:, None, None, None, None]
@@ -187,37 +195,24 @@ class _ChainRule(material.Material):
 class PushforwardMaterial(_ChainRule):
     """Stored energy rewritten over the deformed configuration.
 
-    At the material point carried by element/quadrature context (e, k):
+    At the reference quadrature point (e, k) with forward gradient F:
     W_u(y, G) = W(x, G F) / det F, with stress and elasticity following
-    by the chain rule.  Evaluation therefore requires the assembly
-    context; use point_material for free-standing algebra at one point.
+    by the chain rule.  It evaluates a batch of exactly the mesh's M*q
+    quadrature points, in quadrature order (row e*q + k), as
+    fem.material_at_points passes them; use point_material for
+    free-standing algebra at one point.
     """
 
     def __init__(self, base: material.Material, cfg: DeformedConfig):
-        super().__init__(base)
-        self.cfg = cfg
         mesh = cfg.reference_mesh
-        self._x = mesh.quadrature()[0].reshape(-1, mesh.dim)
         n = mesh.dim
-        self._F = cfg.F.reshape(-1, n, n)
-        self._det = cfg.det_F.reshape(-1)
-        self._nq = cfg.det_F.shape[1]
-
-    def _points(self, ctx, count):
-        if ctx is None:
-            raise DimensionMismatch(
-                "a pushforward material is tied to material points; evaluate "
-                "with assembly context or through point_material"
-            )
-        e, k = ctx
-        idx = np.asarray(e) * self._nq + np.asarray(k)
-        if idx.shape != (count,):
-            raise DimensionMismatch("context does not match the batch size")
-        return self._x[idx], self._F[idx], self._det[idx]
+        super().__init__(base, mesh.quadrature()[0].reshape(-1, n),
+                         cfg.F.reshape(-1, n, n), cfg.det_F.reshape(-1))
+        self.cfg = cfg
 
     def point_material(self, e: int, k: int) -> FrozenPointMaterial:
         """Freeze the material point (e, k): a stand-alone material in G."""
-        idx = e * self._nq + k
+        idx = e * self.cfg.det_F.shape[1] + k
         return push_point(self.base, self._x[idx], self._F[idx])
 
     def descriptor(self) -> dict:
@@ -230,27 +225,21 @@ def pushforward_material(m: material.Material, cfg: DeformedConfig) -> Pushforwa
 
 class FrozenPointMaterial(_ChainRule):
     """The pushforward frozen at one material point (x, F), a material in
-    the new gradient variable G: W(x, G F) / det F, with the chain-rule
-    stress S(x, G F) F^T / det F and elasticity A(x, G F)[. F, . F] / det F.
-    The coordinates passed to its evaluators are ignored.  It evaluates
-    bit for bit as PushforwardMaterial does at the same point.
+    the new gradient variable G over batches of any size: W(x, G F) /
+    det F, with the chain-rule stress S(x, G F) F^T / det F and elasticity
+    A(x, G F)[. F, . F] / det F.  It evaluates bit for bit as
+    PushforwardMaterial does at the same point.
     """
 
     name = "pushforward-point"
 
     def __init__(self, base: material.Material, x, F):
-        super().__init__(base)
+        F = np.asarray(F, dtype=float)
+        det = float(np.linalg.det(F))
+        if det <= 0.0:
+            raise DeterminantViolation(f"det F = {det:g} <= 0 at the pushforward point")
+        super().__init__(base, np.asarray(x, dtype=float)[None], F[None], np.array([det]))
         self.frame_indifferent = getattr(base, "frame_indifferent", False)
-        self.x = np.asarray(x, dtype=float)
-        self.F = np.asarray(F, dtype=float)
-        self.det = float(np.linalg.det(self.F))
-        if self.det <= 0.0:
-            raise DeterminantViolation(f"det F = {self.det:g} <= 0 at the pushforward point")
-
-    def _points(self, ctx, count):
-        n = self.F.shape[0]
-        return (np.broadcast_to(self.x, (count, self.x.size)),
-                np.broadcast_to(self.F, (count, n, n)), np.full(count, self.det))
 
 
 def push_point(base: material.Material, x, F) -> FrozenPointMaterial:
@@ -294,26 +283,16 @@ def pushforward_loads(loads: fem.LoadSet, cfg: DeformedConfig) -> fem.LoadSet:
 _EMPTY = fem.LoadSet(body=None, traction=None, dirichlet={})
 
 
-def _stress_power(m, mesh, v, w, ctx_mesh=None):
-    coords, grads, wdet, _, _ = mesh.quadrature()
-    n = mesh.dim
-    Fv = fem.deformation_gradients(mesh, v)
+def _stress_power(m, mesh, v, w):
+    S = fem.material_at_points(m, mesh, v, "stress")
     Gw = fem.deformation_gradients(mesh, w)
-    S = m.stress_many(
-        coords.reshape(-1, n), Fv.reshape(-1, n, n), ctx=fem.material_ctx(mesh)
-    ).reshape(Fv.shape)
-    return float(np.sum(wdet * np.einsum("eqik,eqik->eq", S, Gw)))
+    return float(np.sum(mesh.quadrature()[2] * np.einsum("eqik,eqik->eq", S, Gw)))
 
 
 def _elasticity_form(m, mesh, v, w):
-    coords, grads, wdet, _, _ = mesh.quadrature()
-    n = mesh.dim
-    Fv = fem.deformation_gradients(mesh, v)
+    A = fem.material_at_points(m, mesh, v, "elasticity")
     Gw = fem.deformation_gradients(mesh, w)
-    A = m.elasticity_many(
-        coords.reshape(-1, n), Fv.reshape(-1, n, n), ctx=fem.material_ctx(mesh)
-    ).reshape(Fv.shape[:2] + (n, n, n, n))
-    return float(np.sum(wdet * np.einsum("eqia,eqiajb,eqjb->eq", Gw, A, Gw)))
+    return float(np.sum(mesh.quadrature()[2] * np.einsum("eqia,eqiajb,eqjb->eq", Gw, A, Gw)))
 
 
 @dataclass

@@ -698,6 +698,42 @@ def test_bmo_gate_measures_each_difference_field_once(tmp_path, monkeypatch):
     assert sum(bmo_calls.values()) == len(bmo_calls)
 
 
+def test_a_run_validates_through_validate_scenario_once(tmp_path, monkeypatch):
+    # run_scenario validates through the public validate_scenario, so a
+    # wrapper on it sees the validation inside every run
+    calls = _count_calls(monkeypatch, cli, "validate_scenario")
+    cfg = _stretch_config(tmp_path, "solve")
+    sc = cli.load_scenario(cfg)
+    assert cli.run_scenario(sc, tmp_path / "out")[0] == "pass"
+    assert calls == {"validate_scenario": 1}
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out2")]) == 0
+    assert calls == {"validate_scenario": 2}
+
+
+def test_solve_reports_the_solve_log_without_assembling_again(tmp_path, monkeypatch):
+    # the solve pipeline reads the residual and the energy of u_e from the
+    # last entries of the Newton log; nothing is assembled after the solve
+    from rigidity_cert import fem
+
+    events = []
+    for name in ("residual", "total_energy", "solve_equilibrium"):
+        original = getattr(fem, name)
+
+        def logged(*args, name=name, original=original, **kwargs):
+            out = original(*args, **kwargs)
+            events.append(name)
+            return out
+
+        monkeypatch.setattr(fem, name, logged)
+    cfg = _stretch_config(tmp_path, "solve")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert events.count("solve_equilibrium") == 1
+    assert events[-1] == "solve_equilibrium" and len(events) > 1
+    doc = json.loads((tmp_path / "out" / "stretch.json").read_text())
+    assert doc["measurements"]["residual_sup"] == doc["newton"]["residual_history"][-1]
+    assert doc["measurements"]["total_energy"] == doc["newton"]["energy_history"][-1]
+
+
 @pytest.mark.parametrize("pipeline, residuals", [
     ("certify-bmo-gate", 2), ("certify-small-strain", 2), ("certify-strain-diff", 3),
 ])
@@ -795,9 +831,9 @@ def test_strain_diff_samples_point_materials_in_batches(tmp_path, monkeypatch):
     elasticity = pushforward.FrozenPointMaterial.elasticity_many
     sizes = []
 
-    def counted(self, coords, F, ctx=None):
+    def counted(self, coords, F):
         sizes.append(len(F))
-        return elasticity(self, coords, F, ctx)
+        return elasticity(self, coords, F)
 
     monkeypatch.setattr(pushforward.FrozenPointMaterial, "elasticity_many", counted)
     cfg = _stretch_config(tmp_path, "certify-strain-diff")

@@ -272,9 +272,9 @@ def test_taylor_constants_evaluate_elasticity_at_f_once(monkeypatch):
     real = m.elasticity_many
     calls = []
 
-    def counting(coords, F, ctx=None):
+    def counting(coords, F):
         calls.append(len(F))
-        return real(coords, F, ctx)
+        return real(coords, F)
 
     monkeypatch.setattr(m, "elasticity_many", counting)
     tc = taylor_constants(m, n=2, nsamples=50, seed=4)

@@ -60,14 +60,9 @@ def test_identity_deformation_round_trip():
     G = np.array([[1.1, 0.05], [-0.02, 0.97]])
     coords = mesh.quadrature()[0].reshape(-1, 2)
     Gs = np.broadcast_to(G, (len(coords), 2, 2))
-    ctx = fem.material_ctx(mesh)
-    assert m_u.energy_many(coords, Gs, ctx=ctx) == pytest.approx(
-        m.energy_many(coords, Gs), rel=1e-13
-    )
-    assert np.allclose(m_u.stress_many(coords, Gs, ctx=ctx), m.stress_many(coords, Gs), atol=1e-13)
-    assert np.allclose(
-        m_u.elasticity_many(coords, Gs, ctx=ctx), m.elasticity_many(coords, Gs), atol=1e-13
-    )
+    assert m_u.energy_many(coords, Gs) == pytest.approx(m.energy_many(coords, Gs), rel=1e-13)
+    assert np.allclose(m_u.stress_many(coords, Gs), m.stress_many(coords, Gs), atol=1e-13)
+    assert np.allclose(m_u.elasticity_many(coords, Gs), m.elasticity_many(coords, Gs), atol=1e-13)
 
 
 def test_affine_shear_keeps_volume_loads():
@@ -134,13 +129,18 @@ def test_degenerate_normal():
 
 # ----------------------------------------------------------- pushed material
 
-def test_pushforward_material_needs_context():
+def test_pushforward_material_rejects_a_batch_of_the_wrong_length():
+    # a pushforward material evaluates the M*q quadrature points of its
+    # mesh at once; any other batch length is a DimensionMismatch
     mesh = fem.rectangle_mesh(2, 2)
     cfg = pushforward.deform_configuration(mesh, fem.FeField.identity(mesh))
     m_u = pushforward.pushforward_material(material.stvk(), cfg)
-    G = np.eye(2)[None]
-    with pytest.raises(errors.DimensionMismatch):
-        m_u.energy_many(np.zeros((1, 2)), G)
+    points = cfg.det_F.size
+    for name in ("energy_many", "stress_many", "elasticity_many"):
+        for count in (1, points - 1, points + 1):
+            with pytest.raises(errors.DimensionMismatch):
+                getattr(m_u, name)(np.zeros((count, 2)), np.broadcast_to(np.eye(2), (count, 2, 2)))
+        assert len(getattr(m_u, name)(None, np.broadcast_to(np.eye(2), (points, 2, 2)))) == points
 
 
 def test_point_material_matches_batched():
@@ -149,25 +149,27 @@ def test_point_material_matches_batched():
     u = fem.FeField(mesh, mesh.nodes @ np.array([[1.1, 0.2], [0.0, 0.9]]).T)
     cfg = pushforward.deform_configuration(mesh, u)
     m_u = pushforward.pushforward_material(material.neo_hookean(1.0, 0.8), cfg)
+    nq = cfg.det_F.shape[1]
     G = np.eye(2) + 0.1 * rng.normal(size=(2, 2))
+    Gs = np.broadcast_to(G, (cfg.det_F.size, 2, 2))
     e, k = 4, 2
     pm = m_u.point_material(e, k)
-    ctx = (np.array([e]), np.array([k]))
     x = np.zeros((1, 2))
+    row = e * nq + k
     assert pm.energy_many(x, G[None])[0] == pytest.approx(
-        m_u.energy_many(x, G[None], ctx=ctx)[0], rel=1e-13
+        m_u.energy_many(None, Gs)[row], rel=1e-13
     )
-    assert np.allclose(pm.stress_many(x, G[None])[0],
-                       m_u.stress_many(x, G[None], ctx=ctx)[0], atol=1e-13)
-    assert np.allclose(pm.elasticity_many(x, G[None])[0],
-                       m_u.elasticity_many(x, G[None], ctx=ctx)[0], atol=1e-13)
+    assert np.allclose(pm.stress_many(x, G[None])[0], m_u.stress_many(None, Gs)[row], atol=1e-13)
+    assert np.allclose(pm.elasticity_many(x, G[None])[0], m_u.elasticity_many(None, Gs)[row],
+                       atol=1e-13)
 
 
 def test_point_material_bitwise_as_the_assembly_material():
     # the frozen point and the assembly material share one chain-rule
     # algebra, so the deformed Taylor sampling and the deformed gate see one
-    # material bit for bit: on a diagonal stretch, with shear, in 3D, and
-    # whether the assembly evaluates the point in a batch or alone
+    # material bit for bit: on a diagonal stretch, with shear, in 3D; the
+    # frozen point (e, k) is row e*nq + k of the whole-mesh batch, and it
+    # evaluates a batch bitwise as it evaluates each gradient alone
     rng = np.random.default_rng(5)
     cases = (
         (fem.rectangle_mesh(3, 2), np.diag([1.05, 0.97])),
@@ -185,23 +187,25 @@ def test_point_material_bitwise_as_the_assembly_material():
                      material.stvk(1.0, 1.0, modulation=mod)):
             m_u = pushforward.pushforward_material(base, cfg)
             nelem, nq = cfg.det_F.shape
+            G_all = np.eye(n) + 0.1 * rng.normal(size=(nelem * nq, n, n))
+            batch = {name: getattr(m_u, name)(None, G_all)
+                     for name in ("energy_many", "stress_many", "elasticity_many")}
             for e in range(nelem):
                 for k in range(nq):
                     pm = m_u.point_material(e, k)
                     assert isinstance(pm, pushforward.FrozenPointMaterial)
                     assert not isinstance(pm, material.CustomMaterial)
+                    row = e * nq + k
                     G = np.eye(n) + 0.1 * rng.normal(size=(7, n, n))
-                    ctx = (np.full(7, e), np.full(7, k))
                     x = np.zeros((7, n))
-                    for name in ("energy_many", "stress_many", "elasticity_many"):
+                    for name, want in batch.items():
+                        point = getattr(pm, name)(x[:1], G_all[row:row + 1])
+                        assert point.shape == want[row:row + 1].shape, name
+                        assert np.array_equal(point[0], want[row]), name
                         got = getattr(pm, name)(x, G)
-                        want = getattr(m_u, name)(x, G, ctx=ctx)
-                        alone = np.concatenate([
-                            getattr(m_u, name)(x[:1], G[p:p + 1], ctx=(ctx[0][:1], ctx[1][:1]))
-                            for p in range(7)
-                        ])
-                        assert got.shape == want.shape and np.array_equal(got, want), name
-                        assert np.array_equal(alone, want), name
+                        alone = np.concatenate([getattr(pm, name)(x[:1], G[p:p + 1])
+                                                for p in range(7)])
+                        assert np.array_equal(alone, got), name
 
 
 def test_push_point_chain_rule_against_fd():
