@@ -157,10 +157,8 @@ def _quadrature_taylor(problem: Problem, rng, rho, epsilon, samples, seed):
     n = problem.mesh.dim
     coords = problem.mesh.quadrature()[0].reshape(-1, n)
     pick = rng.choice(len(coords), size=min(16, len(coords)), replace=False)
-    tc = material.taylor_constants(
-        problem.material, n=n, delta=rho, epsilon=epsilon, nsamples=samples,
-        seed=seed, coords=coords[np.sort(pick)],
-    )
+    tc = material.taylor_constants(problem.material, material.taylor_draws(
+        n, rho, epsilon, samples, seed, coords=coords[np.sort(pick)]))
     return tc.c, tc.c_hat, {"samples": int(tc.samples)}
 
 

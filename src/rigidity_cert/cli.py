@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certify, fem, harmonic, material, pushforward, reporting, rigidity
-from .errors import ConfigError, RigidityCertError
+from .errors import ConfigError, NewtonStopped, RigidityCertError
 
 PIPELINES = (
     "solve",
@@ -426,7 +426,12 @@ def _base_doc(sc, mesh) -> dict:
 
 
 def _pipeline_solve(sc, mesh, sweep):
-    _, _, log = _solve(sc, mesh)
+    # an unconverged solve is this pipeline's fail, reported with its
+    # Newton history; the certify pipelines let NewtonStopped propagate
+    try:
+        _, _, log = _solve(sc, mesh)
+    except NewtonStopped as exc:
+        log = exc.log
     # the solve's last entries are taken at the state it returns
     r, energy = log.residual_history[-1], log.energy_history[-1]
     outcome = "pass" if log.converged and r <= sc["solve.tol"] else "fail"

@@ -61,11 +61,19 @@ class DeterminantViolation(RigidityCertError):
     """det of the deformation gradient is non-positive at a quadrature point."""
 
 
-class LineSearchStall(RigidityCertError):
+class NewtonStopped(RigidityCertError):
+    """Newton stopped short of its tolerance; log is its SolveLog so far."""
+
+    def __init__(self, message, log):
+        super().__init__(message)
+        self.log = log
+
+
+class LineSearchStall(NewtonStopped):
     """Backtracking reduced the step below the stall floor."""
 
 
-class MaxIterations(RigidityCertError):
+class MaxIterations(NewtonStopped):
     """Newton failed to converge within the iteration budget."""
 
 

@@ -694,7 +694,9 @@ def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
 
     u0 must satisfy the Dirichlet data; the Dirichlet components never
     move.  Steps are halved until det grad u > 0 everywhere and the energy
-    satisfies an Armijo decrease; a step below 1e-12 stalls out.
+    satisfies an Armijo decrease; a step below 1e-12 stalls out.  A stall
+    (LineSearchStall) or a spent budget (MaxIterations) raises with the
+    SolveLog so far as its log.
     """
     if not loads.dirichlet_ok(u0, tol=1e-10):
         raise BoundaryMismatch("solve_equilibrium: u0 violates the Dirichlet data")
@@ -748,21 +750,22 @@ def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
         if step is None:
             step = backtrack(-r, -float(np.dot(r, r)))
         if step is None:
+            log.iterations = it
             raise LineSearchStall(
                 f"line search stalled at iteration {it}, residual "
-                f"{log.residual_history[-1]:.3e}"
+                f"{log.residual_history[-1]:.3e}", log,
             )
         u, phi = step
         r = residual(m, mesh, loads, u)
         log.residual_history.append(float(np.max(np.abs(r))))
         log.energy_history.append(phi)
+    log.iterations = max_iter
     if log.residual_history[-1] <= tol:
         log.converged = True
-        log.iterations = max_iter
         return u, log
     raise MaxIterations(
         f"Newton did not reach tol {tol:g} in {max_iter} iterations "
-        f"(residual {log.residual_history[-1]:.3e})"
+        f"(residual {log.residual_history[-1]:.3e})", log,
     )
 
 

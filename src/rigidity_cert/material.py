@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckFailed, DimensionMismatch, OutsideDomain, SetEscapesDomain
-from .tensor_core import frob, random_rotation
+from .tensor_core import frob, frob_many, random_rotation, rotations
 
 __all__ = [
     "Material",
@@ -37,6 +37,8 @@ __all__ = [
     "check_constitutive",
     "ConstitutiveReport",
     "TaylorConstants",
+    "TaylorDraws",
+    "taylor_draws",
     "taylor_constants",
     "sym_basis",
 ]
@@ -597,56 +599,105 @@ class TaylorConstants:
             raise CheckFailed("Taylor constants must be nonnegative")
 
 
-def _sample_near_rotations(rng, n, delta):
-    """Point of {dist(F, SO(n)) <= delta}: rotation times (I + small sym)."""
-    S = rng.normal(size=(n, n))
-    S = 0.5 * (S + S.T)
-    norm = frob(S)
-    if norm > 0:
-        S *= rng.uniform(0.0, delta) / norm
-    return random_rotation(rng, n) @ (np.eye(n) + S)
+@dataclass(frozen=True, eq=False)
+class TaylorDraws:
+    """A seeded sample of the fattened rotation neighborhood, independent
+    of any material: sample s pairs F[s], a point of
+    {dist(F, SO(n)) <= delta}, with G[s], a second such point moved by at
+    most epsilon in norm, at the coordinate X[s]; K[s] is a unit direction
+    for the Lipschitz quotient.  The arrays are made read-only, since
+    every material evaluated on the draws reads the same ones."""
+
+    X: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    K: np.ndarray
+    delta: float
+    epsilon: float
+    seed: int
+    samples: int
+
+    def __post_init__(self):
+        for a in (self.X, self.F, self.G, self.K):
+            a.setflags(write=False)
 
 
-def taylor_constants(m: Material, n=2, delta=0.2, epsilon=0.05,
-                     nsamples=400, seed=0, coords=None) -> TaylorConstants:
-    """Sample the two Appendix-style constants over the fattened set.
+def taylor_draws(n, delta, epsilon, nsamples, seed, coords=None) -> TaylorDraws:
+    """Draw nsamples Taylor samples from default_rng(seed).
 
-    c bounds the cubic Taylor defect of W around points of the rotation
-    neighborhood; c_hat is a Lipschitz constant for the second derivative.
+    coords are the coordinates a sample can sit at (the origin when None);
     delta + epsilon < 1 keeps the whole fattened set inside det F > 0.
-    Both are empirical suprema over a seeded sample and are reported with
-    the sample size.
-
-    The first pass makes every draw of every sample, in sample order; the
-    second evaluates each material quantity in one batched call, and the
-    per-sample quotients are folded in sample order.
+    Per sample the generator is called in this order: integers for the
+    coordinate; for F, then for G, a normal step S whose symmetric part
+    is scaled to length uniform(0, delta), then a rotation R (a uniform
+    angle in 2D, a normal quaternion in 3D), giving R (I + sym S); a
+    normal fattening E scaled to length uniform(0, epsilon) and added to
+    G; a normal direction K, scaled to length 1.  A step of norm 0 draws
+    no length and is not scaled.  The sample loop makes these calls only;
+    the arithmetic runs stacked after it, each value bitwise the one a
+    per-sample loop computes (tests/oracles.py keeps that loop).
     """
     if not delta + epsilon < 1.0:
         raise SetEscapesDomain(
             f"delta + epsilon = {delta + epsilon:g} >= 1 allows det F <= 0"
         )
-    rng = np.random.default_rng(seed)
     if coords is None:
         coords = [np.zeros(n)]
     coords = np.array([np.asarray(x, dtype=float) for x in coords])
-
-    X = np.empty((nsamples, coords.shape[1]))
-    F = np.empty((nsamples, n, n))
-    G = np.empty((nsamples, n, n))
+    rng = np.random.default_rng(seed)
+    normal, uniform = rng.normal, rng.uniform
+    picks = np.empty(nsamples, dtype=np.intp)
+    steps = np.empty((nsamples, 3, n, n))        # the steps of F and G, then E
+    lengths = np.full((nsamples, 3), math.nan)   # nan where none is drawn
+    turns = np.empty((nsamples, 2) if n == 2 else (nsamples, 2, 4))
     K = np.empty((nsamples, n, n))
+    # A step is scaled when its norm is positive: frob(0.5 (S + S^T)) > 0
+    # for F and G, frob(E) > 0 for the fattening.  The loop tests
+    # |A[0, 0]| > 1e-150 first.  Entry (0, 0) of A and of its symmetric
+    # part is A[0, 0] exactly, so the norm's sum of nonnegative squares
+    # has a term of at least 1e-300, and rounding keeps a sum of
+    # nonnegative terms at or above its largest term: the norm is
+    # positive.  Only when the test fails is the norm itself taken.
     for s in range(nsamples):
-        X[s] = coords[rng.integers(len(coords))]
-        F[s] = _sample_near_rotations(rng, n, delta)
-        G[s] = _sample_near_rotations(rng, n, delta)
-        E = rng.normal(size=(n, n))
-        en = frob(E)
-        if en > 0:
-            E *= rng.uniform(0.0, epsilon) / en
-        G[s] += E
-        K[s] = rng.normal(size=(n, n))
-        K[s] /= frob(K[s])
+        picks[s] = rng.integers(len(coords))
+        for j in range(2):
+            S = steps[s, j] = normal(size=(n, n))
+            if abs(S.item(0)) > 1e-150 or frob(0.5 * (S + S.T)) > 0:
+                lengths[s, j] = uniform(0.0, delta)
+            turns[s, j] = uniform(0.0, 2.0 * math.pi) if n == 2 else normal(size=4)
+        E = steps[s, 2] = normal(size=(n, n))
+        if abs(E.item(0)) > 1e-150 or frob(E) > 0:
+            lengths[s, 2] = uniform(0.0, epsilon)
+        K[s] = normal(size=(n, n))
+
+    steps[:, :2] = 0.5 * (steps[:, :2] + steps[:, :2].swapaxes(-1, -2))
+    drawn = ~np.isnan(lengths)
+    steps[drawn] *= (lengths[drawn] / frob_many(steps[drawn]))[:, None, None]
+    # both factors are C-ordered, so each product is the matmul of one sample
+    R = rotations(turns.reshape(2 * nsamples, *turns.shape[2:])).reshape(nsamples, 2, n, n)
+    FG = R @ (np.eye(n) + steps[:, :2])
+    return TaylorDraws(X=coords[picks], F=np.ascontiguousarray(FG[:, 0]),
+                       G=FG[:, 1] + steps[:, 2], K=K / frob_many(K)[:, None, None],
+                       delta=delta, epsilon=epsilon, seed=seed, samples=nsamples)
+
+
+def taylor_constants(m: Material, draws: TaylorDraws) -> TaylorConstants:
+    """Sample the two Appendix-style constants of m on draws.
+
+    c bounds the cubic Taylor defect of W around points of the rotation
+    neighborhood; c_hat is a Lipschitz constant for the second derivative.
+    Both are empirical suprema over the seeded sample taylor_draws made,
+    and are reported with its size and seed.
+
+    The draws come first and do not depend on the material, so one set
+    serves every material evaluated on the same settings: the 12 frozen
+    points of a pushed-forward material share theirs.  Each material
+    quantity is one batched call over the samples, and the per-sample
+    quotients are folded in sample order.
+    """
+    X, F, G, K = draws.X, draws.F, draws.G, draws.K
     H = G - F
-    hn = [frob(h) for h in H]
+    hn = frob_many(H)
 
     # the cubic quotient needs |H| >= floor (below it the quotient drowns
     # in roundoff), the Lipschitz quotient |H| > 1e-10; both read A(F).
@@ -654,8 +705,8 @@ def taylor_constants(m: Material, n=2, delta=0.2, epsilon=0.05,
     # operand is C-ordered, as a one-sample evaluation is: each quotient is
     # then bitwise the one a per-sample loop computes
     floor = 1e-3
-    cub = np.array(hn) >= floor
-    lip = np.array(hn) > 1e-10
+    cub = hn >= floor
+    lip = hn > 1e-10
     AF = np.ascontiguousarray(m.elasticity_many(X[lip], F[lip]))
     AG = np.ascontiguousarray(m.elasticity_many(X[lip], G[lip]))
     S = np.ascontiguousarray(m.stress_many(X[cub], F[cub]))
@@ -663,15 +714,15 @@ def taylor_constants(m: Material, n=2, delta=0.2, epsilon=0.05,
     defect = (m.energy_many(X[cub], F[cub]) - m.energy_many(X[cub], G[cub])
               + _inner(S, Hc) + 0.5 * _inner(Hc, _apply(AF[cub[lip]], Hc)))
     # Python's power: numpy's rounds |H|^3 differently for about 5% of values
-    cubes = [h**3 for h, keep in zip(hn, cub) if keep]
+    cubes = [h**3 for h in hn[cub].tolist()]
     # Lipschitz quotient of the second derivative, both orders
     qF = _inner(Kl, _apply(AF, Kl))
     qG = _inner(Kl, _apply(AG, Kl))
     # max folds in sample order, over Python floats
     c_best = max([0.0] + (defect / np.array(cubes)).tolist())
-    chat_best = max([0.0] + (np.abs(qF - qG) / np.array(hn)[lip]).tolist())
-    return TaylorConstants(c=c_best, c_hat=chat_best, delta=delta,
-                           epsilon=epsilon, samples=nsamples, seed=seed)
+    chat_best = max([0.0] + (np.abs(qF - qG) / hn[lip]).tolist())
+    return TaylorConstants(c=c_best, c_hat=chat_best, delta=draws.delta,
+                           epsilon=draws.epsilon, samples=draws.samples, seed=draws.seed)
 
 
 def _apply(A, H):

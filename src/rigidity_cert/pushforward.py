@@ -430,17 +430,16 @@ def _strain_dist(v: fem.FeField, ref: _ReferenceStrain) -> StrainDistReport:
 
 def _point_taylor(problem_def: certify.Problem, rng, rho, epsilon, samples, seed):
     """Taylor constants of a pushed material, for certification_inputs:
-    the max over 12 seeded material points of the frozen-point constants."""
+    the max over 12 seeded material points of the frozen-point constants,
+    all evaluated on one set of draws."""
     m_u = problem_def.material
     nelem, nq = m_u.cfg.det_F.shape
     npts = min(12, nelem * nq)
     per_point = max(200, samples // npts)
+    draws = material.taylor_draws(problem_def.mesh.dim, rho, epsilon, per_point, seed)
     c = c_hat = 0.0
     for p in np.sort(rng.choice(nelem * nq, size=npts, replace=False)):
-        tc = material.taylor_constants(
-            m_u.point_material(int(p // nq), int(p % nq)), n=problem_def.mesh.dim,
-            delta=rho, epsilon=epsilon, nsamples=per_point, seed=seed,
-        )
+        tc = material.taylor_constants(m_u.point_material(int(p // nq), int(p % nq)), draws)
         c, c_hat = max(c, tc.c), max(c_hat, tc.c_hat)
     return c, c_hat, {"samples": int(per_point), "points": int(npts)}
 

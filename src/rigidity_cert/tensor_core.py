@@ -22,6 +22,8 @@ __all__ = [
     "wedge",
     "strain_dist_sandwich",
     "frob",
+    "frob_many",
+    "rotations",
     "random_rotation",
 ]
 
@@ -192,19 +194,41 @@ def strain_dist_sandwich(F, rel_tol: float = 1e-10) -> SandwichReport:
                           upper_ok=upper_ok, linear_ok=linear_ok)
 
 
-def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish random rotation; uniform angle in 2D, unit quaternion in 3D."""
-    if n == 2:
-        t = rng.uniform(0.0, 2.0 * math.pi)
-        c, s = math.cos(t), math.sin(t)
-        return np.array([[c, -s], [s, c]])
-    if n == 3:
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        a, b, c, d = q
-        return np.array([
+def frob_many(A) -> np.ndarray:
+    """frob of each matrix (or vector) of a stack (k, ...), bitwise: a
+    row-by-column matmul per entry sums its squares as ndarray.dot does."""
+    a = np.ascontiguousarray(A, dtype=float)
+    a = a.reshape(len(a), math.prod(a.shape[1:]))
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+
+
+def rotations(turns) -> np.ndarray:
+    """C-ordered stack (k, n, n) of the rotations of k turns: angles, shape
+    (k,), turn in 2D (through math.cos and math.sin); quaternions, shape
+    (k, 4), are normalised and turn in 3D."""
+    turns = np.asarray(turns, dtype=float)
+    if turns.ndim == 1:
+        t = turns.tolist()
+        c = np.array([math.cos(x) for x in t])
+        s = np.array([math.sin(x) for x in t])
+        R = np.array([[c, -s], [s, c]])
+    elif turns.ndim == 2 and turns.shape[1] == 4:
+        a, b, c, d = (turns / frob_many(turns)[:, None]).T
+        R = np.array([
             [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
             [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
             [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
         ])
+    else:
+        raise DimensionMismatch(f"rotations: expected (k,) angles or (k, 4) quaternions, "
+                                f"got shape {turns.shape}")
+    return np.ascontiguousarray(np.moveaxis(R, -1, 0))
+
+
+def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-ish random rotation; uniform angle in 2D, unit quaternion in 3D."""
+    if n == 2:
+        return rotations([rng.uniform(0.0, 2.0 * math.pi)])[0]
+    if n == 3:
+        return rotations(rng.normal(size=(1, 4)))[0]
     raise DimensionMismatch(f"random_rotation: n must be 2 or 3, got {n}")

@@ -186,6 +186,35 @@ def bump_values_closure(nodes, rng, eps):
     return np.array([w(x) for x in nodes])
 
 
+# -------------------------------------------------------- Taylor sampling
+
+def sample_near_rotations(rng, n, delta):
+    """One point of {dist(F, SO(n)) <= delta}, drawn and computed on its
+    own: a rotation times (I + small sym), the symmetric step scaled to a
+    uniform length in [0, delta) unless its norm is 0.  The rotation is a
+    uniform angle in 2D and a normalised normal quaternion in 3D."""
+    S = rng.normal(size=(n, n))
+    S = 0.5 * (S + S.T)
+    flat = S.ravel(order="K")
+    norm = math.sqrt(flat.dot(flat))
+    if norm > 0:
+        S *= rng.uniform(0.0, delta) / norm
+    if n == 2:
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(t), math.sin(t)
+        R = np.array([[c, -s], [s, c]])
+    else:
+        q = rng.normal(size=4)
+        q /= np.linalg.norm(q)
+        a, b, c, d = q
+        R = np.array([
+            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+            [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+        ])
+    return R @ (np.eye(n) + S)
+
+
 # ---------------------------------------------------- finite differences
 
 def fd_gradient(f, x, h):

@@ -450,6 +450,38 @@ def test_run_solve_minimal(tmp_path, capsys):
     assert (out / "rest.newton.csv").exists()
 
 
+def test_unconverged_solve_reports_fail_with_its_newton_history(tmp_path, capsys):
+    # one Newton step cannot bring the loaded ring to tol: the solve
+    # pipeline reports fail, while a certify pipeline still stops on the
+    # unconverged solve and writes nothing
+    cfg = _write(tmp_path, "ring.cfg", """
+        name = ring
+        pipeline = solve
+        mesh.kind = ring
+        material.model = stvk
+        loads.body = 0.3 -0.2
+        solve.max_iter = 1
+    """)
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "ring: fail"
+    doc = json.loads((out / "ring.json").read_text())
+    assert doc["outcome"] == "fail"
+    newton = doc["newton"]
+    assert newton["converged"] is False and newton["iterations"] == 1
+    assert len(newton["residual_history"]) == len(newton["energy_history"]) == 2
+    assert doc["measurements"]["residual_sup"] == newton["residual_history"][-1] > 1e-10
+    assert doc["measurements"]["iterations"] == 1
+    rows = (out / "ring.newton.csv").read_text().splitlines()
+    assert rows[0] == "iteration,residual_sup" and len(rows) == 3
+
+    cfg = _stretch_config(tmp_path, "certify-bmo-gate",
+                          extra="loads.body = 0.5 0.0\nsolve.max_iter = 1")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "certify")]) == 1
+    assert "error: MaxIterations: Newton did not reach tol" in capsys.readouterr().err
+    assert not (tmp_path / "certify").exists()
+
+
 def test_run_certify_small_strain(tmp_path):
     cfg = _stretch_config(tmp_path, "certify-small-strain",
                           extra="certify.restarts = 2")
@@ -820,14 +852,15 @@ def test_certify_pipelines_refuse_a_non_equilibrium(tmp_path, capsys, pipeline, 
 
 def test_strain_diff_samples_point_materials_in_batches(tmp_path, monkeypatch):
     # the deformed Taylor constants freeze pushforward points as batched
-    # materials: no per-point closure material, one elasticity call per
-    # gradient and taylor_constants call
+    # materials evaluated on one set of draws: no per-point closure
+    # material, one elasticity call per gradient and taylor_constants call
     from rigidity_cert import material, pushforward
 
     built = []
     monkeypatch.setattr(material.CustomMaterial, "__init__",
                         lambda self, *a, **k: built.append(a[0]))
     taylor_calls = _count_calls(monkeypatch, material, "taylor_constants")
+    draw_calls = _count_calls(monkeypatch, material, "taylor_draws")
     elasticity = pushforward.FrozenPointMaterial.elasticity_many
     sizes = []
 
@@ -839,6 +872,8 @@ def test_strain_diff_samples_point_materials_in_batches(tmp_path, monkeypatch):
     cfg = _stretch_config(tmp_path, "certify-strain-diff")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
     assert built == []
-    # one call on the reference material, twelve on frozen points
+    # one call on the reference material, twelve on frozen points, and
+    # one set of draws per configuration, which the frozen points share
     assert taylor_calls == {"taylor_constants": 13}
+    assert draw_calls == {"taylor_draws": 2}
     assert len(sizes) == 2 * 12 and all(size > 1 for size in sizes)

@@ -440,6 +440,25 @@ def test_solver_neo_hookean_body_force():
     assert np.all(u.values[interior, 1] < mesh.nodes[interior, 1])
 
 
+def test_solver_stall_carries_the_solve_log():
+    # an energy 1e30 times the one its stress derives from rises along
+    # every step the line search tries, down to 1e-12
+    base = material.stvk(1.0, 1.0)
+    m = material.CustomMaterial(
+        "stiff-energy", lambda x, F: 1e30 * material.energy_density(base, x, F),
+        lambda x, F: material.stress(base, x, F),
+        lambda x, F: material.elasticity_tensor(base, x, F),
+    )
+    mesh = fem.rectangle_mesh(2, 2)
+    loads = fem.LoadSet.build(mesh, body=[0.0, -0.3], dirichlet=lambda x: x)
+    with pytest.raises(errors.LineSearchStall) as stall:
+        fem.solve_equilibrium(m, mesh, loads, fem.FeField.identity(mesh))
+    log = stall.value.log
+    assert not log.converged and log.iterations == 0
+    assert len(log.residual_history) == len(log.energy_history) == 1
+    assert log.residual_history[0] > 1e-10
+
+
 def test_solver_boundary_mismatch():
     m = material.stvk(1.0, 1.0)
     mesh = fem.rectangle_mesh(2, 2)

@@ -18,13 +18,13 @@ from rigidity_cert.material import (
     stress,
     stvk,
     taylor_constants,
+    taylor_draws,
 )
-from rigidity_cert.material import _sample_near_rotations
 from rigidity_cert.pushforward import push_point
 from rigidity_cert.tensor_core import frob, random_rotation
 
 from conftest import random_gradient
-from oracles import fd_matrix_derivative
+from oracles import fd_matrix_derivative, sample_near_rotations
 
 MODELS = [stvk(1.0, 1.0), neo_hookean(1.0, 1.0)]
 
@@ -243,23 +243,23 @@ def test_quadratic_toy_shape():
 def test_taylor_constants_quadratic_toy_vanish():
     # the quadratic toy has no cubic defect; the sampled quotient only sees
     # cancellation noise of order eps / |H|^3
-    tc = taylor_constants(quadratic_toy(), n=2, delta=0.3, epsilon=0.1, nsamples=300, seed=0)
+    tc = taylor_constants(quadratic_toy(), taylor_draws(2, 0.3, 0.1, 300, 0))
     assert tc.c <= 1e-12
     assert tc.c_hat <= 1e-12
 
 
 def test_taylor_set_escape_guard():
     with pytest.raises(SetEscapesDomain):
-        taylor_constants(stvk(), n=2, delta=0.7, epsilon=0.3)
+        taylor_draws(2, 0.7, 0.3, 400, 0)
 
 
 def test_taylor_constants_stvk_sane():
-    tc = taylor_constants(stvk(1.0, 1.0), n=2, delta=0.2, epsilon=0.05, nsamples=800, seed=1)
+    tc = taylor_constants(stvk(1.0, 1.0), taylor_draws(2, 0.2, 0.05, 800, 1))
     assert 0.0 < tc.c < 100.0
     assert 0.0 < tc.c_hat < 100.0
     # larger sets cannot shrink the sampled constants (same seed nesting not
     # guaranteed, so compare against a clearly smaller set)
-    small = taylor_constants(stvk(1.0, 1.0), n=2, delta=0.05, epsilon=0.01, nsamples=800, seed=1)
+    small = taylor_constants(stvk(1.0, 1.0), taylor_draws(2, 0.05, 0.01, 800, 1))
     assert small.c <= tc.c * 1.5 + 1e-9
 
 
@@ -268,7 +268,8 @@ def test_taylor_constants_evaluate_elasticity_at_f_once(monkeypatch):
     # that is two batched elasticity calls, one per gradient, over every
     # sample, and the constants are the same
     m = stvk(1.0, 1.0)
-    plain = taylor_constants(stvk(1.0, 1.0), n=2, nsamples=50, seed=4)
+    draws = taylor_draws(2, 0.2, 0.05, 50, 4)
+    plain = taylor_constants(stvk(1.0, 1.0), draws)
     real = m.elasticity_many
     calls = []
 
@@ -277,9 +278,11 @@ def test_taylor_constants_evaluate_elasticity_at_f_once(monkeypatch):
         return real(coords, F)
 
     monkeypatch.setattr(m, "elasticity_many", counting)
-    tc = taylor_constants(m, n=2, nsamples=50, seed=4)
+    tc = taylor_constants(m, draws)
     assert calls == [50, 50]
     assert (tc.c, tc.c_hat) == (plain.c, plain.c_hat)
+    # both materials read the same draws, which cannot be written
+    assert not any(a.flags.writeable for a in (draws.X, draws.F, draws.G, draws.K))
 
 
 def _closure_push_point(base, x, F):
@@ -312,8 +315,8 @@ def _reference_taylor(m, n, delta, epsilon, nsamples, seed, coords):
     floor = 1e-3
     for _ in range(nsamples):
         x = coords[rng.integers(len(coords))][None, :]
-        F = _sample_near_rotations(rng, n, delta)
-        G = _sample_near_rotations(rng, n, delta)
+        F = sample_near_rotations(rng, n, delta)
+        G = sample_near_rotations(rng, n, delta)
         E = rng.normal(size=(n, n))
         if frob(E) > 0:
             E *= rng.uniform(0.0, epsilon) / frob(E)
@@ -343,6 +346,8 @@ _TAYLOR_MODELS = ("stvk", "neo-hookean", "modulated-stvk", "quadratic-toy", "pus
 
 @settings(max_examples=40, deadline=None)
 @example(model="quadratic-toy", n=2, seed=0, delta=0.2, epsilon=0.1, npoints=0, nsamples=0)
+@example(model="stvk", n=3, seed=7, delta=0.3, epsilon=0.1, npoints=5, nsamples=40)
+@example(model="push-neo", n=2, seed=11, delta=0.25, epsilon=0.2, npoints=1, nsamples=1)
 @given(model=st.sampled_from(_TAYLOR_MODELS), n=st.sampled_from([2, 3]),
        seed=st.integers(0, 2**32 - 1), delta=st.floats(0.0, 0.6),
        epsilon=st.floats(0.0, 0.35), npoints=st.sampled_from([0, 1, 5]),
@@ -364,11 +369,60 @@ def test_taylor_constants_match_per_sample_loop(model, n, seed, delta, epsilon, 
                 0.5, center=rng.uniform(size=n), width=0.7)),
             "quadratic-toy": quadratic_toy(),
         }[model]
-    tc = taylor_constants(m, n=n, delta=delta, epsilon=epsilon, nsamples=nsamples,
-                          seed=seed, coords=coords)
+    tc = taylor_constants(m, taylor_draws(n, delta, epsilon, nsamples, seed, coords=coords))
     expected = _reference_taylor(ref, n, delta, epsilon, nsamples, seed, coords)
     assert (tc.c, tc.c_hat) == expected
     assert type(tc.c) is float and type(tc.c_hat) is float
+
+
+_DEFAULT_RNG = np.random.default_rng
+
+
+class _DegenerateSteps:
+    """A generator whose matrix draws fail the norm tests of the Taylor
+    draws: sample by sample, the steps of F and G and the fattening E are
+    plain, skew (the symmetric part of a step is 0), with a zero (0, 0)
+    entry, or zero, in turn; the direction K stays plain."""
+
+    def __init__(self, seed):
+        self._rng = _DEFAULT_RNG(seed)
+        self._matrices = 0
+        self.uniforms = 0
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def uniform(self, *args, **kwargs):
+        self.uniforms += 1
+        return self._rng.uniform(*args, **kwargs)
+
+    def normal(self, size=None):
+        A = self._rng.normal(size=size)
+        if np.ndim(A) == 2:
+            sample, slot = divmod(self._matrices, 4)
+            self._matrices += 1
+            kind = sample % 4 if slot < 3 else 0
+            if kind == 1:
+                A = A - A.T
+            elif kind == 2:
+                A[0, 0] = 0.0
+            elif kind == 3:
+                A[...] = 0.0
+        return A
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_taylor_draws_scale_a_step_only_when_its_norm_is_positive(monkeypatch, n):
+    generators = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: generators.append(_DegenerateSteps(seed)) or generators[-1])
+    m = stvk(1.3, 0.7)
+    tc = taylor_constants(m, taylor_draws(n, 0.3, 0.1, 40, 5))
+    assert (tc.c, tc.c_hat) == _reference_taylor(m, n, 0.3, 0.1, 40, 5, None)
+    # per 4 samples, the plain and the (0, 0) kind draw 3 lengths, the skew
+    # kind 1 (E's), the zero kind none; in 2D every rotation draws an angle
+    angles = 2 * 40 if n == 2 else 0
+    assert [g.uniforms for g in generators] == [angles + 10 * 7] * 2
 
 
 def test_taylor_chat_one_sided_against_third_derivative():
@@ -376,7 +430,7 @@ def test_taylor_chat_one_sided_against_third_derivative():
     # quadratic along any segment, so every Lipschitz quotient is dominated
     # by the largest directional third derivative over the sampled set.
     m = stvk(1.0, 1.0)
-    tc = taylor_constants(m, n=2, delta=0.2, epsilon=0.05, nsamples=600, seed=2)
+    tc = taylor_constants(m, taylor_draws(2, 0.2, 0.05, 600, 2))
     rng = np.random.default_rng(3)
     bound = 0.0
     h = 1e-5

@@ -13,8 +13,10 @@ from rigidity_cert.tensor_core import (
     dist_to_rotations,
     dist_to_rotations_many,
     frob,
+    frob_many,
     polar_decompose,
     random_rotation,
+    rotations,
     strain,
     strain_dist_sandwich,
     wedge,
@@ -154,6 +156,25 @@ def test_dist_many_validation():
             dist_to_rotations_many(np.ones(shape))
     with pytest.raises(DeterminantViolation):
         dist_to_rotations_many(np.stack([np.eye(3), np.diag([-2.0, 1.0, 1.0])]))
+
+
+def test_rotations_of_a_stack_of_turns():
+    # frob_many is frob per entry, bit for bit; angles turn in 2D through
+    # math.cos and math.sin, quaternions in 3D; other shapes are refused
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(50, 3, 3))
+    assert frob_many(A).tolist() == [frob(a) for a in A]
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=20)
+    R = rotations(angles)
+    assert R.shape == (20, 2, 2) and R.flags.c_contiguous
+    for r, t in zip(R, angles):
+        assert np.array_equal(r, [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    Q = rotations(rng.normal(size=(20, 4)))
+    assert Q.shape == (20, 3, 3) and Q.flags.c_contiguous
+    for q in Q:
+        assert frob(q.T @ q - np.eye(3)) <= 1e-14 and abs(np.linalg.det(q) - 1.0) <= 1e-14
+    with pytest.raises(DimensionMismatch):
+        rotations(np.zeros((2, 3)))
 
 
 def test_strain_simple_shear():
