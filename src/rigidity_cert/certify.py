@@ -12,7 +12,7 @@ as such; nothing here asserts continuum statements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,7 @@ __all__ = [
     "certification_inputs",
     "local_min_gate",
     "direction_positivity_transfer",
-    "gate_and_transfer",
+    "bmo_gate_certificate",
     "small_strain_uniqueness",
     "gated_perturbations",
     "multistart_agreement",
@@ -248,14 +248,7 @@ class GateReport:
     k_hat: float
 
     def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "measurements": self.measurements,
-            "energy_gap": self.energy_gap,
-            "gap_bound": self.gap_bound,
-            "delta_star": self.delta_star,
-            "k_hat": self.k_hat,
-        }
+        return asdict(self)
 
 
 def _difference_measures(v, inputs):
@@ -281,13 +274,6 @@ def local_min_gate(v, inputs: CertInputs) -> GateReport:
     error, never a silent downgrade.
     """
     return _gate(v, inputs, _difference_measures(v, inputs))
-
-
-def gate_and_transfer(v, inputs: CertInputs):
-    """(local_min_gate, direction_positivity_transfer) of one candidate v,
-    over one measurement of its difference field."""
-    measures = _difference_measures(v, inputs)
-    return _gate(v, inputs, measures), _transfer(v, inputs, measures)
 
 
 def _gate(v, inputs, measures) -> GateReport:
@@ -364,15 +350,7 @@ class TransferReport:
     measurements: dict
 
     def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "threshold": self.threshold,
-            "k_hat": self.k_hat,
-            "measurements": self.measurements,
-        }
+        return asdict(self)
 
 
 def direction_positivity_transfer(v, inputs: CertInputs) -> TransferReport:
@@ -491,10 +469,37 @@ def fold_outcomes(entries) -> str:
     return "pass"
 
 
-def _strain_sup(mesh, u) -> float:
-    F = fem.deformation_gradients(mesh, u)
+def bmo_gate_certificate(candidates, inputs: CertInputs) -> Certificate:
+    """Certify the equilibrium u_e that inputs were measured at against
+    the supplied candidates: each runs the local-minimality gate and the
+    direction positivity transfer over one measurement of its difference
+    field."""
+    entries = []
+    for idx, v in enumerate(candidates):
+        measures = _difference_measures(v, inputs)
+        gate = _gate(v, inputs, measures)
+        entries.append({
+            "id": f"candidate-{idx:03d}",
+            "outcome": gate.outcome,
+            "energy_excess": gate.energy_gap,
+            "gate": gate.to_dict(),
+            "transfer": _transfer(v, inputs, measures).to_dict(),
+        })
+    return Certificate.from_inputs(
+        inputs.problem.problem_id,
+        inputs,
+        measurements={},
+        candidates=entries,
+        provenance=inputs.provenance,
+        outcome=fold_outcomes([e["outcome"] for e in entries] or ["pass"]),
+    )
+
+
+def _strain_sup(F) -> float:
+    """The sup over the quadrature points of |F^T F - I| for a gradient
+    stack F."""
     C = np.einsum("eqki,eqkj->eqij", F, F)
-    C -= np.eye(mesh.dim)
+    C -= np.eye(F.shape[-1])
     return float(np.sqrt(np.einsum("eqij,eqij->eq", C, C)).max())
 
 
@@ -524,7 +529,7 @@ def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2,
             "uniformly positive elasticity at the identity fails: floors "
             f"({con.shear_floor:g}, {con.sigma_floor:g})"
         )
-    strain_e = _strain_sup(mesh, u_e)
+    strain_e = _strain_sup(inputs.deformation_gradients)
     if strain_e >= strain_delta:
         raise PrerequisiteFailed(
             f"reference strain bound fails: |C_e - I| sup = {strain_e:.3e} "
@@ -540,7 +545,7 @@ def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2,
     p_bc = float(n + 1) if boundary_p is None else float(boundary_p)
     for idx, v in enumerate(candidates):
         cid = f"candidate-{idx:03d}"
-        strain_v = _strain_sup(mesh, v)
+        strain_v = _strain_sup(fem.deformation_gradients(mesh, v))
         entry = {
             "id": cid,
             "strain_sup": float(strain_v),

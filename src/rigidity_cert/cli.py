@@ -464,40 +464,23 @@ def _num(x) -> float:
 
 def _pipeline_bmo_gate(sc, mesh, sweep):
     inputs, cands = _certify_setup(sc, mesh)
-    entries, rows = [], []
-    for idx, v in enumerate(cands):
-        cid = f"candidate-{idx:03d}"
-        gate, transfer = certify.gate_and_transfer(v, inputs)
-        entries.append({
-            "id": cid,
-            "outcome": gate.outcome,
-            "energy_excess": gate.energy_gap,
-            "gate": gate.to_dict(),
-            "transfer": transfer.to_dict(),
-        })
-        meas = gate.measurements
+    cert = certify.bmo_gate_certificate(cands, inputs)
+    rows = []
+    for e in cert.candidates:
+        gate = e["gate"]
         rows.append((
-            cid,
-            meas["bmo_seminorm"]["lhs"],
-            meas["mean_gradient"]["lhs"],
-            _num(gate.energy_gap),
-            _num(gate.gap_bound),
-            gate.outcome,
+            e["id"],
+            gate["measurements"]["bmo_seminorm"]["lhs"],
+            gate["measurements"]["mean_gradient"]["lhs"],
+            _num(gate["energy_gap"]),
+            _num(gate["gap_bound"]),
+            e["outcome"],
         ))
-    outcome = certify.fold_outcomes([e["outcome"] for e in entries] or ["pass"])
-    cert = certify.Certificate.from_inputs(
-        sc["name"],
-        inputs,
-        measurements={},
-        candidates=entries,
-        provenance=inputs.provenance,
-        outcome=outcome,
-    )
     table = (
         ("candidate", "bmo_seminorm", "mean_gradient", "energy_gap", "gap_bound", "outcome"),
         rows,
     )
-    return _certificate_doc(sc, cert), {"energy_gap_vs_amplitude": table}, outcome
+    return _certificate_doc(sc, cert), {"energy_gap_vs_amplitude": table}, cert.outcome
 
 
 def _pipeline_small_strain(sc, mesh, sweep):

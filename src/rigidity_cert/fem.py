@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -71,6 +71,7 @@ __all__ = [
 _GP = 1.0 / math.sqrt(3.0)
 
 _REF_CORNERS = {
+    1: np.array([[-1.0], [1.0]]),
     2: np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]),
     3: np.array(
         [
@@ -247,14 +248,9 @@ class Mesh:
         if key in self._facet_cache:
             return self._facet_cache[key]
         fdim = self.dim - 1
-        if fdim == 1:
-            t = np.array([[-_GP], [_GP]])
-            fvals = np.column_stack([0.5 * (1 - t[:, 0]), 0.5 * (1 + t[:, 0])])
-            fgrads = np.array([[-0.5, 0.5]] * 2)[:, :, None]  # (qf, 2, 1)
-        else:
-            t, _ = _gauss_points(2)
-            fvals = shape_values(t, 2)
-            fgrads = shape_gradients(t, 2)
+        t, _ = _gauss_points(fdim)
+        fvals = shape_values(t, fdim)
+        fgrads = shape_gradients(t, fdim)  # (qf, 2^fdim, fdim)
         coords_l, jac_l, norm_l, parents = [], [], [], []
         for f in facets:
             fk = frozenset(f)
@@ -265,7 +261,7 @@ class Mesh:
             xf = self.nodes[list(f)]  # (fn, n)
             pts = fvals @ xf
             tau = np.einsum("qaj,ai->qji", fgrads, xf)  # (qf, fdim, n)
-            if fdim == 1:
+            if self.dim == 2:
                 tangent = tau[:, 0, :]
                 nrm = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
             else:
@@ -292,13 +288,7 @@ class Mesh:
 
     def facet_reference_points(self, facets):
         """Reference coordinates (in the parent element) of facet quad points."""
-        fdim = self.dim - 1
-        if fdim == 1:
-            t = np.array([[-_GP], [_GP]])
-            fvals = np.column_stack([0.5 * (1 - t[:, 0]), 0.5 * (1 + t[:, 0])])
-        else:
-            t, _ = _gauss_points(2)
-            fvals = shape_values(t, 2)
+        fvals = shape_values(_gauss_points(self.dim - 1)[0], self.dim - 1)
         refs, parents = [], []
         for f in facets:
             e, lf = self._facet_parent[frozenset(f)]
@@ -680,12 +670,7 @@ class SolveLog:
     energy_history: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual_history": list(self.residual_history),
-            "energy_history": list(self.energy_history),
-        }
+        return asdict(self)
 
 
 def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,

@@ -17,7 +17,7 @@ the residuals shrink at the quadrature order under refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.spatial
@@ -72,6 +72,9 @@ class DeformedConfig:
     F: np.ndarray                    # (M, q, n, n) forward gradients at qps
     inverse_jacobians: np.ndarray    # (M, q, n, n)
     det_F: np.ndarray                # (M, q)
+    C: np.ndarray                    # (M, q, n, n) F^T F
+    Upsilon: float                   # sup |F|
+    upsilon: float                   # 1 / sup |F^-1|
     source: object = field(repr=False, default=None)
     inverse_residual: float = 0.0
 
@@ -137,6 +140,9 @@ def deform_configuration(mesh: fem.Mesh, u_e) -> DeformedConfig:
         F=F,
         inverse_jacobians=inv,
         det_F=det,
+        C=np.einsum("eqki,eqkj->eqij", F, F),
+        Upsilon=float(np.sqrt(np.einsum("eqij,eqij->eq", F, F)).max()),
+        upsilon=1.0 / float(np.sqrt(np.einsum("eqij,eqij->eq", inv, inv)).max()),
         source=u_e,
         inverse_residual=residual,
     )
@@ -304,11 +310,7 @@ class CovReport:
     inverse_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "lines": self.lines,
-            "max_rel": self.max_rel,
-            "inverse_residual": self.inverse_residual,
-        }
+        return asdict(self)
 
 
 def _rel(lhs: float, rhs: float) -> float:
@@ -365,44 +367,11 @@ class StrainDistReport:
         return bool(self.bounds_ok.all())
 
 
-@dataclass(frozen=True)
-class _ReferenceStrain:
-    """The u_e side of strain_diff_to_dist, measured once per certificate:
-    F_e^-1, C_e = F_e^T F_e and the sup norms of F_e and F_e^-1."""
-
-    mesh: fem.Mesh
-    inv: np.ndarray
-    C: np.ndarray
-    Upsilon: float
-    upsilon: float
-
-    @classmethod
-    def of(cls, inputs: certify.CertInputs) -> "_ReferenceStrain":
-        Fe = inputs.deformation_gradients
-        dmin = float(np.linalg.det(Fe).min())
-        if dmin <= 0.0:
-            raise DeterminantViolation(f"det grad u_e = {dmin:g} <= 0")
-        inv = np.linalg.inv(Fe)
-        return cls(
-            mesh=inputs.u_e.mesh,
-            inv=inv,
-            C=np.einsum("eqki,eqkj->eqij", Fe, Fe),
-            Upsilon=float(np.sqrt(np.einsum("eqij,eqij->eq", Fe, Fe)).max()),
-            upsilon=1.0 / float(np.sqrt(np.einsum("eqij,eqij->eq", inv, inv)).max()),
-        )
-
-
-def strain_diff_to_dist(v: fem.FeField, inputs: certify.CertInputs) -> StrainDistReport:
+def strain_diff_to_dist(v: fem.FeField, cfg: DeformedConfig) -> StrainDistReport:
     """Convert the strain difference of v against the equilibrium u_e that
-    inputs were measured at into rotation distances of the relative
-    gradient, verifying the two-sided bounds at every quadrature point.
-    grad u_e is read from inputs.deformation_gradients."""
-    return _strain_dist(v, _ReferenceStrain.of(inputs))
-
-
-def _strain_dist(v: fem.FeField, ref: _ReferenceStrain) -> StrainDistReport:
-    """strain_diff_to_dist against a measured reference."""
-    mesh = ref.mesh
+    cfg deforms by into rotation distances of the relative gradient,
+    verifying the two-sided bounds at every quadrature point."""
+    mesh = cfg.reference_mesh
     if v.mesh is not mesh:
         raise DimensionMismatch("fields live on different meshes")
     n = mesh.dim
@@ -410,10 +379,11 @@ def _strain_dist(v: fem.FeField, ref: _ReferenceStrain) -> StrainDistReport:
     dmin = float(np.linalg.det(G).min())
     if dmin <= 0.0:
         raise DeterminantViolation(f"det grad v = {dmin:g} <= 0")
-    d = tensor_core.dist_to_rotations_many(np.einsum("eqij,eqjk->eqik", G, ref.inv))
-    Cdiff = np.einsum("eqki,eqkj->eqij", G, G) - ref.C
+    rel = np.einsum("eqij,eqjk->eqik", G, cfg.inverse_jacobians)
+    d = tensor_core.dist_to_rotations_many(rel)
+    Cdiff = np.einsum("eqki,eqkj->eqij", G, G) - cfg.C
     diff = np.sqrt(np.einsum("eqij,eqij->eq", Cdiff, Cdiff))
-    Upsilon, upsilon = ref.Upsilon, ref.upsilon
+    Upsilon, upsilon = cfg.Upsilon, cfg.upsilon
     rn = math.sqrt(n)
     tol = 1e-12 * (1.0 + diff.max() + d.max())
     lower = upsilon**2 * d**2 <= rn * diff + tol
@@ -491,11 +461,10 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
             "pass": inputs_def.lambda_min > 0.0,
         },
     }
-    reference = _ReferenceStrain.of(inputs)
     entries = []
     for idx, v in enumerate(candidates):
         cid = f"candidate-{idx:03d}"
-        sd = _strain_dist(v, reference)
+        sd = strain_diff_to_dist(v, cfg)
         strain_sup = float(sd.strain_diff.max())
         entry = {
             "id": cid,

@@ -336,3 +336,15 @@ def test_certificate_rejects_prestressed_material():
     inputs = certify.certification_inputs(problem, u, taylor_samples=50, j2_count=1)
     with pytest.raises(errors.PrerequisiteFailed, match="stress-free"):
         certify.small_strain_uniqueness([], inputs=inputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(outcomes=st.lists(st.sampled_from(["pass", "inapplicable", "fail"]), max_size=8),
+       order=st.randoms(use_true_random=False))
+def test_fold_outcomes_takes_the_worst_in_any_order(outcomes, order):
+    # fail beats inapplicable, which beats pass; an empty list passes
+    expected = next((o for o in ("fail", "inapplicable") if o in outcomes), "pass")
+    shuffled = list(outcomes)
+    order.shuffle(shuffled)
+    assert certify.fold_outcomes(outcomes) == expected
+    assert certify.fold_outcomes(shuffled) == expected

@@ -364,6 +364,19 @@ def test_validate_rejects_nonpositive_certify_settings(tmp_path, capsys, key, va
     ("certify.strain_delta", "-0.2", "must be positive, got -0.2"),
     ("certify.strain_eps", "0", "must be positive, got 0"),
     ("certify.strain_eps", "-1", "must be positive, got -1"),
+    ("material.mu", "0", "shear modulus must be positive, got 0.0"),
+    ("material.mu", "-1", "shear modulus must be positive, got -1.0"),
+    ("material.lambda", "-0.5", "first parameter must be >= 0, got -0.5"),
+    ("solve.tol", "0", "tolerance must be positive"),
+    ("solve.tol", "-1e-10", "tolerance must be positive"),
+    ("solve.max_iter", "0", "needs at least one iteration"),
+    ("certify.rho", "0.75", "rho + epsilon must stay below 1 to keep determinants positive"),
+    ("certify.frac", "0", "perturbation fraction must be positive"),
+    ("certify.frac", "-0.5", "perturbation fraction must be positive"),
+    ("harmonic.p", "3", "interpolation exponents need 1 <= p < q, got p = 3, q = 3"),
+    ("harmonic.p", "0.5", "interpolation exponents need 1 <= p < q, got p = 0.5, q = 3"),
+    ("korn.resolutions", "8 0", "resolutions must be positive integers"),
+    ("rigidity.resolutions", "-4", "resolutions must be positive integers"),
 ])
 def test_validate_names_the_key_at_fault(tmp_path, capsys, key, value, message):
     # each key of a pair checked together is named on its own, and a
@@ -375,6 +388,34 @@ def test_validate_names_the_key_at_fault(tmp_path, capsys, key, value, message):
     """)
     assert cli.main(["validate", cfg]) == 1
     assert f"config error: {key} (line 4): {message}" in capsys.readouterr().err
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("partner, key, value, message", [
+    ("loads.dirichlet = affine", "loads.matrix", "1.05 0 0",
+     "expected 4 entries for a 2x2 matrix, got 3"),
+    ("loads.dirichlet = affine", "loads.matrix", "1 0 0 -1",
+     "affine Dirichlet matrix must have positive determinant"),
+    ("loads.dirichlet = affine", "loads.matrix", "0 0 0 0",
+     "affine Dirichlet matrix must have positive determinant"),
+    ("certify.epsilon = 0.5", "certify.rho", "0.5",
+     "rho + epsilon must stay below 1 to keep determinants positive"),
+    ("harmonic.q = 2.5", "harmonic.p", "2.5",
+     "interpolation exponents need 1 <= p < q, got p = 2.5, q = 2.5"),
+])
+def test_validate_names_the_key_at_fault_beside_its_partner(tmp_path, capsys, partner, key,
+                                                            value, message):
+    # a key that is checked against a partner's value is named with its
+    # own line when the pair fails
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = certify-small-strain
+        {partner}
+        {key} = {value}
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    assert f"config error: {key} (line 5): {message}" in capsys.readouterr().err
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
     assert not (tmp_path / "out").exists()
 
@@ -511,6 +552,52 @@ def test_run_bmo_gate(tmp_path):
         assert float(cells[3]) >= float(cells[4])  # gap >= bound
         assert cells[5] == "pass"
     assert all(e["transfer"]["outcome"] == "pass" for e in doc["candidates"])
+
+
+def test_run_bmo_gate_neo_hookean(tmp_path):
+    cfg = _write(tmp_path, "nh.cfg", """
+        name = nh
+        pipeline = certify-bmo-gate
+        mesh.nx = 6
+        mesh.ny = 6
+        material.model = neo-hookean
+        material.lambda = 1.5
+        material.mu = 1.0
+        loads.dirichlet = affine
+        loads.matrix = 1.05 0.0 0.0 1.0
+        certify.taylor_samples = 300
+        certify.j2_count = 3
+        certify.candidates = 2
+    """)
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "nh.json").read_text())
+    assert doc["provenance"]["material"] == {"model": "neo-hookean", "lambda": 1.5, "mu": 1.0}
+    assert doc["outcome"] == "pass"
+    assert [e["transfer"]["outcome"] for e in doc["candidates"]] == ["pass"] * 2
+
+
+def test_bmo_gate_certificate_is_the_cli_report(tmp_path):
+    # the library builds the certify-bmo-gate certificate; the CLI adds
+    # its name, pipeline and config keys and writes the bytes
+    from rigidity_cert import certify, fem, reporting
+
+    cfg = _stretch_config(tmp_path, "certify-bmo-gate", candidates=3)
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    sc = cli.load_scenario(cfg)
+    mesh, _ = cli.validate_scenario(sc)
+    m = cli.build_material(sc)
+    loads, u0 = cli.build_loads(sc, mesh)
+    u_e, _ = fem.solve_equilibrium(m, mesh, loads, u0)
+    inputs = certify.certification_inputs(
+        certify.Problem(sc["name"], m, mesh, loads), u_e,
+        taylor_samples=sc["certify.taylor_samples"], j2_count=sc["certify.j2_count"],
+    )
+    cands = certify.gated_perturbations(inputs, count=3, seed=1)
+    cert = certify.bmo_gate_certificate(cands, inputs)
+    cert.extra.update(name=sc["name"], pipeline=sc["pipeline"], config=dict(sc["__raw__"]))
+    assert reporting.json_bytes(cert.to_dict()) == (out / "stretch.json").read_bytes()
 
 
 def test_run_strain_diff(tmp_path):
@@ -832,6 +919,28 @@ def test_strain_diff_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypatc
         u_e, _ = states
         seen.append(grads[u_e])
     assert seen == [7, 7]
+
+
+def test_small_strain_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypatch):
+    # the strain bound of u_e reads C_e from CertInputs: the 6 are the
+    # solve's last residual and energy, and the residual, energy, grad u_e
+    # and tangent of certification_inputs
+    from rigidity_cert import certify, fem
+
+    def state_key(mesh, u):
+        return hashlib.sha256(mesh.nodes.tobytes() + getattr(u, "values", u).tobytes()).hexdigest()
+
+    seen = []
+    for candidates in (1, 3):
+        with monkeypatch.context() as mp:
+            states = _count_calls(mp, certify, "certification_inputs",
+                                  key=lambda problem, u_e, *a, **k: state_key(problem.mesh, u_e))
+            grads = _count_calls(mp, fem, "deformation_gradients", key=state_key)
+            cfg = _stretch_config(tmp_path, "certify-small-strain", candidates=candidates)
+            assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        (u_e,) = states
+        seen.append(grads[u_e])
+    assert seen == [6, 6]
 
 
 @pytest.mark.parametrize("candidates", [0, 2])

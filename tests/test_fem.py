@@ -440,6 +440,32 @@ def test_solver_neo_hookean_body_force():
     assert np.all(u.values[interior, 1] < mesh.nodes[interior, 1])
 
 
+def test_solver_halves_a_step_that_violates_the_determinant(monkeypatch):
+    # the first trial step of the line search is refused as if it folded
+    # an element; the solve retries at half the step and still converges
+    m = material.stvk(1.0, 1.0)
+    mesh = fem.rectangle_mesh(4, 4)
+    loads = fem.LoadSet.build(mesh, body=[0.0, -0.3], dirichlet=lambda x: x)
+    u0 = fem.FeField.identity(mesh)
+    expected, _ = fem.solve_equilibrium(m, mesh, loads, u0)
+    energy = fem.total_energy
+    states = []
+
+    def guarded(m, mesh, loads, u):
+        states.append(u.values.copy())
+        if len(states) == 2:
+            raise errors.DeterminantViolation("refused trial step")
+        return energy(m, mesh, loads, u)
+
+    monkeypatch.setattr(fem, "total_energy", guarded)
+    u, log = fem.solve_equilibrium(m, mesh, loads, u0)
+    start, full, half = states[:3]
+    assert np.abs(full - start).max() > 0.0
+    np.testing.assert_allclose(half - start, 0.5 * (full - start), rtol=0, atol=1e-15)
+    assert log.converged
+    np.testing.assert_allclose(u.values, expected.values, rtol=0, atol=1e-10)
+
+
 def test_solver_stall_carries_the_solve_log():
     # an energy 1e30 times the one its stress derives from rises along
     # every step the line search tries, down to 1e-12

@@ -310,24 +310,12 @@ def test_cov_identities_analytic_map_refines():
 
 # ------------------------------------------------------- strain difference
 
-def _measured(u_e):
-    """CertInputs at u_e as strain_diff_to_dist reads them: u_e and its
-    gradient at the quadrature points; the constants are placeholders."""
-    return certify.CertInputs(
-        problem=None, u_e=u_e, gradient_field=None,
-        deformation_gradients=fem.deformation_gradients(u_e.mesh, u_e),
-        residual=0.0, energy=0.0, dist_sup=0.0, lambda_min=0.0, k_hat=0.0,
-        c_taylor=0.0, c_hat_taylor=0.0, J2=1.0, rho=0.25, epsilon=0.25,
-        components=u_e.mesh.dim ** 2, delta_star=0.0,
-    )
-
-
 def test_strain_diff_frozen_shear_norms():
     mesh = fem.rectangle_mesh(5, 5)
     A = np.array([[1.0, 0.3], [0.0, 1.0]])
     u_e = fem.FeField(mesh, mesh.nodes @ A.T)
     v = fem.FeField(mesh, u_e.values + 0.02 * np.sin(math.pi * mesh.nodes))
-    report = pushforward.strain_diff_to_dist(v, _measured(u_e))
+    report = pushforward.strain_diff_to_dist(v, pushforward.deform_configuration(mesh, u_e))
     assert report.Upsilon_e == pytest.approx(math.sqrt(2.09), rel=1e-12)
     assert report.upsilon_e == pytest.approx(1.0 / math.sqrt(2.09), rel=1e-12)
     assert report.all_ok
@@ -336,7 +324,8 @@ def test_strain_diff_frozen_shear_norms():
 def test_strain_diff_identical_fields():
     mesh = fem.rectangle_mesh(4, 4)
     u_e = fem.FeField(mesh, mesh.nodes @ np.diag([1.1, 0.9]))
-    report = pushforward.strain_diff_to_dist(u_e.copy(), _measured(u_e))
+    cfg = pushforward.deform_configuration(mesh, u_e)
+    report = pushforward.strain_diff_to_dist(u_e.copy(), cfg)
     assert report.d.max() <= 1e-14
     assert np.all(report.strain_diff == 0.0)
     assert report.all_ok
@@ -347,6 +336,7 @@ def test_strain_diff_sandwich_random_sweep():
     mesh = fem.rectangle_mesh(6, 6)
     A = np.array([[1.0, 0.3], [0.0, 1.0]])
     u_e = fem.FeField(mesh, mesh.nodes @ A.T)
+    cfg = pushforward.deform_configuration(mesh, u_e)
     for k in range(10):
         amp = 0.02 * (k + 1)
         phase = rng.uniform(0, 2 * math.pi, size=2)
@@ -354,7 +344,7 @@ def test_strain_diff_sandwich_random_sweep():
             np.sin(math.pi * mesh.nodes[:, 0] + phase[0]) * np.sin(math.pi * mesh.nodes[:, 1]),
             np.sin(math.pi * mesh.nodes[:, 0]) * np.sin(math.pi * mesh.nodes[:, 1] + phase[1]),
         ])
-        report = pushforward.strain_diff_to_dist(fem.FeField(mesh, vals), _measured(u_e))
+        report = pushforward.strain_diff_to_dist(fem.FeField(mesh, vals), cfg)
         assert report.all_ok
         # the linear bound also caps the rotation distance by the strain sup
         assert report.d.max() <= report.strain_diff.max() / report.upsilon_e**2 + 1e-12
@@ -366,7 +356,8 @@ def test_strain_diff_rejects_folded_candidate():
     vals = mesh.nodes.copy()
     vals[:, 1] = np.abs(vals[:, 1] - 0.5)
     with pytest.raises(errors.DeterminantViolation):
-        pushforward.strain_diff_to_dist(fem.FeField(mesh, vals), _measured(u_e))
+        pushforward.strain_diff_to_dist(fem.FeField(mesh, vals),
+                                        pushforward.deform_configuration(mesh, u_e))
 
 
 def test_strain_diff_needs_shared_mesh():
@@ -374,7 +365,8 @@ def test_strain_diff_needs_shared_mesh():
     other = fem.rectangle_mesh(3, 3)
     with pytest.raises(errors.DimensionMismatch):
         pushforward.strain_diff_to_dist(
-            fem.FeField.identity(other), _measured(fem.FeField.identity(mesh))
+            fem.FeField.identity(other),
+            pushforward.deform_configuration(mesh, fem.FeField.identity(mesh)),
         )
 
 
