@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .errors import (
 __all__ = [
     "Problem",
     "CertInputs",
+    "Candidate",
     "GateReport",
     "TransferReport",
     "Certificate",
@@ -251,20 +253,43 @@ class GateReport:
         return asdict(self)
 
 
-def _difference_measures(v, inputs):
-    """The cell field grad v - grad u_e of a candidate v, its BMO
-    seminorm, and the norm of its mean gradient: what the gate and the
-    transfer both measure."""
-    mesh, u, gu = inputs.problem.mesh, inputs.u_e, inputs.gradient_field
-    gv = fem.gradient_field(mesh, v)
-    diff = gu.with_values(gv.values - gu.values)
-    mean_gap = float(np.linalg.norm(fem.mean_gradient(mesh, v.values - u.values)))
-    return diff, harmonic.bmo_seminorm(diff), mean_gap
+@dataclass(frozen=True, eq=False)
+class Candidate:
+    """A candidate v measured against the equilibrium u_e that inputs were
+    measured at: grad v at the quadrature points (F) and as the lattice
+    cell field (grad), the cell field grad v - grad u_e (difference), its
+    BMO seminorm (bmo) and the norm of the mean gradient of v - u_e
+    (mean_gap).  Each is taken when first read and then kept."""
+
+    v: fem.FeField
+    inputs: CertInputs
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return fem.deformation_gradients(self.inputs.problem.mesh, self.v)
+
+    @cached_property
+    def grad(self) -> harmonic.GridField:
+        return fem.gradient_field(self.inputs.problem.mesh, self.v)
+
+    @cached_property
+    def difference(self) -> harmonic.GridField:
+        gu = self.inputs.gradient_field
+        return gu.with_values(self.grad.values - gu.values)
+
+    @cached_property
+    def bmo(self) -> float:
+        return harmonic.bmo_seminorm(self.difference)
+
+    @cached_property
+    def mean_gap(self) -> float:
+        w = self.v.values - self.inputs.u_e.values
+        return float(np.linalg.norm(fem.mean_gradient(self.inputs.problem.mesh, w)))
 
 
-def local_min_gate(v, inputs: CertInputs) -> GateReport:
-    """Check the smallness conditions of a candidate v against the
-    equilibrium inputs were measured at and, when they hold, verify the
+def local_min_gate(c: Candidate) -> GateReport:
+    """Check the smallness conditions of a candidate c.v against the
+    equilibrium c.inputs were measured at and, when they hold, verify the
     energy excess against the coercivity bound.
 
     Conditions: both gradients inside the rotation-distance set (radius
@@ -273,29 +298,22 @@ def local_min_gate(v, inputs: CertInputs) -> GateReport:
     delta_star.  All three passing and the energy gap failing is a loud
     error, never a silent downgrade.
     """
-    return _gate(v, inputs, _difference_measures(v, inputs))
-
-
-def _gate(v, inputs, measures) -> GateReport:
-    """local_min_gate, over measures = _difference_measures(v, inputs)."""
+    v, inputs = c.v, c.inputs
     problem, u_e = inputs.problem, inputs.u_e
     m, mesh, loads = problem.material, problem.mesh, problem.loads
     if inputs.k_hat <= 0.0:
         raise NonPositiveK(f"gate needs k_hat > 0, got {inputs.k_hat:g}")
-    Fe = inputs.deformation_gradients
-    Fv = fem.deformation_gradients(mesh, v)
+    Fe, Fv, delta = inputs.deformation_gradients, c.F, inputs.delta_star
     dist_v = float(tensor_core.dist_to_rotations_many(Fv).max())
     step = float(np.sqrt(np.einsum("eqij,eqij->eq", Fv - Fe, Fv - Fe)).max())
     set_ratio = max(inputs.dist_sup / inputs.rho, dist_v / inputs.rho, step / inputs.epsilon)
-    diff, bmo, mean_gap = measures
     measurements = {
         "set_membership": _measure(set_ratio, 1.0, set_ratio < 1.0),
-        "bmo_seminorm": _measure(bmo, inputs.delta_star, bmo < inputs.delta_star),
-        "mean_gradient": _measure(
-            mean_gap, inputs.delta_star, mean_gap < inputs.delta_star
-        ),
+        "bmo_seminorm": _measure(c.bmo, delta, c.bmo < delta),
+        "mean_gradient": _measure(c.mean_gap, delta, c.mean_gap < delta),
     }
     # informational: does the fitted J2 cover this candidate's components
+    diff = c.difference
     rh_ok = all(
         harmonic.verify_interpolation(
             diff.with_values(diff.values[..., i, j]), 2.0, 3.0, inputs.J2
@@ -353,21 +371,16 @@ class TransferReport:
         return asdict(self)
 
 
-def direction_positivity_transfer(v, inputs: CertInputs) -> TransferReport:
-    """Verify that the second variation at v stays coercive in the
-    direction w = v - u_e, using only the coercivity measured at the
-    equilibrium u_e of inputs.
+def direction_positivity_transfer(c: Candidate) -> TransferReport:
+    """Verify that the second variation at a candidate c.v stays coercive
+    in the direction w = v - u_e, using only the coercivity measured at
+    the equilibrium u_e of c.inputs.
 
     The threshold is the transfer step's own: with the Hessian Lipschitz
     constant c_hat, a BMO/mean gap below 2 k_hat / (c_hat sqrt(Nn) J2^3)
     loses at most half of the 8 k_hat eigenvalue floor.
     """
-    return _transfer(v, inputs, _difference_measures(v, inputs))
-
-
-def _transfer(v, inputs, measures) -> TransferReport:
-    """direction_positivity_transfer, over measures =
-    _difference_measures(v, inputs)."""
+    v, inputs = c.v, c.inputs
     m, mesh, u = inputs.problem.material, inputs.problem.mesh, inputs.u_e
     d = mesh.dirichlet_nodes
     if len(d) and np.max(np.abs(u.values[d] - v.values[d])) > 1e-12:
@@ -379,10 +392,9 @@ def _transfer(v, inputs, measures) -> TransferReport:
     if inputs.c_hat_taylor != 0.0:
         scale = inputs.c_hat_taylor * math.sqrt(inputs.components) * inputs.J2**3
         threshold = float(min(2.0 * k_hat / scale, _TRANSFER_CAP))
-    _, bmo, mean_gap = measures
     measurements = {
-        "bmo_seminorm": _measure(bmo, threshold, bmo < threshold),
-        "mean_gradient": _measure(mean_gap, threshold, mean_gap < threshold),
+        "bmo_seminorm": _measure(c.bmo, threshold, c.bmo < threshold),
+        "mean_gradient": _measure(c.mean_gap, threshold, c.mean_gap < threshold),
     }
     if not all(meas["pass"] for meas in measurements.values()):
         return TransferReport(
@@ -472,18 +484,17 @@ def fold_outcomes(entries) -> str:
 def bmo_gate_certificate(candidates, inputs: CertInputs) -> Certificate:
     """Certify the equilibrium u_e that inputs were measured at against
     the supplied candidates: each runs the local-minimality gate and the
-    direction positivity transfer over one measurement of its difference
-    field."""
+    direction positivity transfer over one measurement of it."""
     entries = []
     for idx, v in enumerate(candidates):
-        measures = _difference_measures(v, inputs)
-        gate = _gate(v, inputs, measures)
+        c = Candidate(v, inputs)
+        gate = local_min_gate(c)
         entries.append({
             "id": f"candidate-{idx:03d}",
             "outcome": gate.outcome,
             "energy_excess": gate.energy_gap,
             "gate": gate.to_dict(),
-            "transfer": _transfer(v, inputs, measures).to_dict(),
+            "transfer": direction_positivity_transfer(c).to_dict(),
         })
     return Certificate.from_inputs(
         inputs.problem.problem_id,
@@ -491,8 +502,13 @@ def bmo_gate_certificate(candidates, inputs: CertInputs) -> Certificate:
         measurements={},
         candidates=entries,
         provenance=inputs.provenance,
-        outcome=fold_outcomes([e["outcome"] for e in entries] or ["pass"]),
+        outcome=fold_outcomes([e["outcome"] for e in entries]),
     )
+
+
+# the rigidity fit and boundary closeness entries of a small-strain candidate
+_FIT_KEYS = ("C_emp", "M_emp", "bmo_seminorm", "dist_sup")
+_CLOSENESS_KEYS = ("p", "lhs", "rhs", "A_emp", "lhs_l1", "rhs_l1", "A_emp_l1")
 
 
 def _strain_sup(F) -> float:
@@ -545,7 +561,8 @@ def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2,
     p_bc = float(n + 1) if boundary_p is None else float(boundary_p)
     for idx, v in enumerate(candidates):
         cid = f"candidate-{idx:03d}"
-        strain_v = _strain_sup(fem.deformation_gradients(mesh, v))
+        c = Candidate(v, inputs)
+        strain_v = _strain_sup(c.F)
         entry = {
             "id": cid,
             "strain_sup": float(strain_v),
@@ -556,29 +573,16 @@ def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2,
             entry["reason"] = "candidate strain bound"
             entries.append(entry)
             continue
-        fit = rigidity.rigidity_fit(fem.gradient_field(mesh, v), p=2.0)
+        fit = rigidity.rigidity_fit(c.grad, p=2.0)
         bc = rigidity.boundary_rotation_closeness(u_e, v, mesh, p=p_bc)
-        gate = local_min_gate(v, inputs)
+        gate = local_min_gate(c)
         entry.update(
             {
                 "outcome": gate.outcome,
                 "gate": gate.to_dict(),
                 "energy_excess": gate.energy_gap,
-                "rigidity": {
-                    "C_emp": fit.C_emp,
-                    "M_emp": fit.M_emp,
-                    "bmo_seminorm": fit.bmo_seminorm,
-                    "dist_sup": fit.dist_sup,
-                },
-                "boundary_closeness": {
-                    "p": bc.p,
-                    "lhs": bc.lhs,
-                    "rhs": bc.rhs,
-                    "A_emp": bc.A_emp,
-                    "lhs_l1": bc.lhs_l1,
-                    "rhs_l1": bc.rhs_l1,
-                    "A_emp_l1": bc.A_emp_l1,
-                },
+                "rigidity": {k: getattr(fit, k) for k in _FIT_KEYS},
+                "boundary_closeness": {k: getattr(bc, k) for k in _CLOSENESS_KEYS},
             }
         )
         entries.append(entry)

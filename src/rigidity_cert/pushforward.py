@@ -37,8 +37,6 @@ __all__ = [
     "PushforwardMaterial",
     "FrozenPointMaterial",
     "deform_configuration",
-    "pushforward_material",
-    "push_point",
     "pushforward_loads",
     "verify_cov_identities",
     "CovReport",
@@ -219,14 +217,10 @@ class PushforwardMaterial(_ChainRule):
     def point_material(self, e: int, k: int) -> FrozenPointMaterial:
         """Freeze the material point (e, k): a stand-alone material in G."""
         idx = e * self.cfg.det_F.shape[1] + k
-        return push_point(self.base, self._x[idx], self._F[idx])
+        return FrozenPointMaterial(self.base, self._x[idx], self._F[idx])
 
     def descriptor(self) -> dict:
         return {"model": "pushforward", "base": self.base.descriptor()}
-
-
-def pushforward_material(m: material.Material, cfg: DeformedConfig) -> PushforwardMaterial:
-    return PushforwardMaterial(m, cfg)
 
 
 class FrozenPointMaterial(_ChainRule):
@@ -246,11 +240,6 @@ class FrozenPointMaterial(_ChainRule):
             raise DeterminantViolation(f"det F = {det:g} <= 0 at the pushforward point")
         super().__init__(base, np.asarray(x, dtype=float)[None], F[None], np.array([det]))
         self.frame_indifferent = getattr(base, "frame_indifferent", False)
-
-
-def push_point(base: material.Material, x, F) -> FrozenPointMaterial:
-    """Pushforward of the stored energy at one material point."""
-    return FrozenPointMaterial(base, x, F)
 
 
 def pushforward_loads(loads: fem.LoadSet, cfg: DeformedConfig) -> fem.LoadSet:
@@ -482,8 +471,8 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
             entries.append(entry)
             continue
         v_hat = fem.FeField(mesh_def, v.values)
-        gate_def = certify.local_min_gate(v_hat, inputs_def)
-        gate_ref = certify.local_min_gate(v, inputs)
+        gate_def = certify.local_min_gate(certify.Candidate(v_hat, inputs_def))
+        gate_ref = certify.local_min_gate(certify.Candidate(v, inputs))
         entry["gate_deformed"] = gate_def.to_dict()
         entry["gate_reference"] = gate_ref.to_dict()
         if gate_def.outcome == "pass" and gate_ref.outcome == "pass":
@@ -500,7 +489,7 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
             entry["outcome"] = "inapplicable"
             entry["reason"] = "gate thresholds"
         entries.append(entry)
-    outcome = certify.fold_outcomes([e["outcome"] for e in entries] or ["pass"])
+    outcome = certify.fold_outcomes([e["outcome"] for e in entries])
     provenance = dict(inputs.provenance)
     provenance["strain_eps"] = float(strain_eps)
     provenance["deformed"] = inputs_def.provenance

@@ -264,7 +264,7 @@ def test_criterion_10_energy_gap_gate(stretch, stretch_inputs):
     violations = 0
     for v in cands:
         try:
-            gate = certify.local_min_gate(v, inputs)
+            gate = certify.local_min_gate(certify.Candidate(v, inputs))
         except AssertionViolated:
             violations += 1
             continue

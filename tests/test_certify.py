@@ -122,7 +122,7 @@ def test_certification_inputs_measured(stretch):
 
 def test_gate_self_candidate_passes(stretch):
     problem, u_e, inputs = stretch
-    rep = certify.local_min_gate(u_e, inputs)
+    rep = certify.local_min_gate(certify.Candidate(u_e, inputs))
     assert rep.outcome == "pass"
     assert rep.energy_gap == pytest.approx(0.0, abs=1e-12)
     assert rep.measurements["mean_gradient"]["lhs"] <= 1e-12
@@ -132,7 +132,7 @@ def test_gate_self_candidate_passes(stretch):
 def test_gate_small_bump_passes_with_margin(stretch):
     problem, u_e, inputs = stretch
     v = _gated_candidate(problem, u_e, inputs, frac=0.5)
-    rep = certify.local_min_gate(v=v, inputs=inputs)
+    rep = certify.local_min_gate(certify.Candidate(v=v, inputs=inputs))
     assert rep.outcome == "pass"
     assert rep.energy_gap > 0.0
     assert rep.energy_gap >= rep.gap_bound
@@ -143,7 +143,7 @@ def test_gate_small_bump_passes_with_margin(stretch):
 def test_gate_large_bump_inapplicable(stretch):
     problem, u_e, inputs = stretch
     v = _gated_candidate(problem, u_e, inputs, frac=50.0)
-    rep = certify.local_min_gate(v, inputs)
+    rep = certify.local_min_gate(certify.Candidate(v, inputs))
     assert rep.outcome == "inapplicable"
     assert rep.energy_gap is None
     assert not rep.measurements["bmo_seminorm"]["pass"]
@@ -154,7 +154,8 @@ def test_gate_requires_equilibrium(stretch):
     bad = u_e.copy()
     bad.values = bad.values + _bump(problem.mesh, 0.05)
     with pytest.raises(errors.NotEquilibrium):
-        certify.local_min_gate(u_e, certify.certification_inputs(problem, bad))
+        certify.local_min_gate(
+            certify.Candidate(u_e, certify.certification_inputs(problem, bad)))
 
 
 def test_gate_requires_positive_k(stretch):
@@ -163,7 +164,7 @@ def test_gate_requires_positive_k(stretch):
 
     broken = replace(inputs, k_hat=0.0)
     with pytest.raises(errors.NonPositiveK):
-        certify.local_min_gate(u_e, broken)
+        certify.local_min_gate(certify.Candidate(u_e, broken))
 
 
 def test_gate_overstated_khat_fails_loudly(stretch):
@@ -175,7 +176,7 @@ def test_gate_overstated_khat_fails_loudly(stretch):
     inflated = replace(inputs, k_hat=1e3)
     v = _gated_candidate(problem, u_e, inputs, frac=0.5)
     with pytest.raises(errors.AssertionViolated):
-        certify.local_min_gate(v, inflated)
+        certify.local_min_gate(certify.Candidate(v, inflated))
 
 
 def test_gate_toy_quadratic_energy_exact():
@@ -204,7 +205,7 @@ def test_gate_toy_quadratic_energy_exact():
     )
     v = u_e.copy()
     v.values = v.values + _bump(mesh, 0.01)
-    rep = certify.local_min_gate(v, inputs)
+    rep = certify.local_min_gate(certify.Candidate(v, inputs))
     assert rep.outcome == "pass"
     half_l2 = 0.5 * fem.l2_gradient_norm_sq(mesh, v.values - u_e.values)
     assert rep.energy_gap == pytest.approx(half_l2, rel=1e-12)
@@ -214,7 +215,7 @@ def test_gate_toy_quadratic_energy_exact():
 
 def test_transfer_self_direction(stretch):
     problem, u_e, inputs = stretch
-    rep = certify.direction_positivity_transfer(u_e, inputs)
+    rep = certify.direction_positivity_transfer(certify.Candidate(u_e, inputs))
     assert rep.outcome == "pass"
     assert rep.ratio == math.inf
 
@@ -222,7 +223,7 @@ def test_transfer_self_direction(stretch):
 def test_transfer_gated_bump(stretch):
     problem, u_e, inputs = stretch
     v = _gated_candidate(problem, u_e, inputs, frac=0.3)
-    rep = certify.direction_positivity_transfer(v, inputs)
+    rep = certify.direction_positivity_transfer(certify.Candidate(v, inputs))
     assert rep.outcome == "pass"
     assert rep.lhs >= rep.rhs
     assert rep.ratio >= 1.0
@@ -234,7 +235,7 @@ def test_transfer_threshold_sweep_reports_inapplicable(stretch):
     seen_inapplicable = False
     for _ in range(12):
         v = _gated_candidate(problem, u_e, inputs, frac=scale)
-        rep = certify.direction_positivity_transfer(v, inputs)
+        rep = certify.direction_positivity_transfer(certify.Candidate(v, inputs))
         if rep.outcome == "inapplicable":
             seen_inapplicable = True
             break
@@ -247,7 +248,7 @@ def test_transfer_dirichlet_hypothesis(stretch):
     v = u_e.copy()
     v.values = v.values * 1.001
     with pytest.raises(errors.HypothesisUnmet):
-        certify.direction_positivity_transfer(v, inputs)
+        certify.direction_positivity_transfer(certify.Candidate(v, inputs))
 
 
 def test_transfer_reuses_measured_coercivity(stretch, monkeypatch):
@@ -258,11 +259,11 @@ def test_transfer_reuses_measured_coercivity(stretch, monkeypatch):
 
     monkeypatch.setattr(fem, "coercivity_constant", no_eigensolve)
     v = _gated_candidate(problem, u_e, inputs, frac=0.3)
-    rep = certify.direction_positivity_transfer(v, inputs)
+    rep = certify.direction_positivity_transfer(certify.Candidate(v, inputs))
     assert rep.outcome == "pass" and rep.k_hat == inputs.k_hat
     negative = dataclasses.replace(inputs, lambda_min=-1.0, k_hat=-0.125)
     with pytest.raises(errors.HypothesisUnmet, match="not coercive"):
-        certify.direction_positivity_transfer(v, negative)
+        certify.direction_positivity_transfer(certify.Candidate(v, negative))
 
 
 # ----------------------------------------------------------- certificate

@@ -943,6 +943,62 @@ def test_small_strain_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypat
     assert seen == [6, 6]
 
 
+@pytest.mark.parametrize("pipeline, extra, candidates, takes", [
+    # kind of candidate -> takes of grad v on the reference mesh, as
+    # (quadrature stacks, cell fields, BMO seminorms of grad v - grad u_e)
+    ("certify-bmo-gate", "", 2, {"pass": (3, 1, 1)}),
+    ("certify-small-strain", "", 2, {"pass": (2, 2, 1)}),
+    ("certify-small-strain", "certify.frac = 6", 3,
+     {"inapplicable": (1, 2, 1), "rejected": (1, 0, 0)}),
+    ("certify-strain-diff", "certify.strain_eps = 0.01", 3,
+     {"pass": (3, 1, 1), "rejected": (1, 0, 0)}),
+])
+def test_each_candidate_takes_grad_v_a_fixed_number_of_times(tmp_path, monkeypatch, pipeline,
+                                                             extra, candidates, takes):
+    # one certify.Candidate per candidate and mesh: the strain filter, the
+    # rigidity fit, the gate and the transfer share its grad v, and a
+    # candidate that the strain filter rejects takes no cell field and no
+    # BMO seminorm.  What stays: the gate's energy and the transfer's
+    # tangent take the stack, boundary_rotation_closeness the cell field,
+    # and strain_diff_to_dist the stack
+    from rigidity_cert import certify, fem, harmonic
+
+    def state_key(mesh, u):
+        return hashlib.sha256(mesh.nodes.tobytes() + getattr(u, "values", u).tobytes()).hexdigest()
+
+    made = []
+    perturbations = certify.gated_perturbations
+
+    def gated(inputs, *args, **kwargs):
+        cands = perturbations(inputs, *args, **kwargs)
+        made.append((inputs, cands))
+        return cands
+
+    monkeypatch.setattr(certify, "gated_perturbations", gated)
+    stacks = _count_calls(monkeypatch, fem, "deformation_gradients", key=state_key)
+    cells = _count_calls(monkeypatch, fem, "gradient_field", key=state_key)
+    bmos = _count_calls(monkeypatch, harmonic, "bmo_seminorm",
+                        key=lambda fld: hashlib.sha256(fld.values.tobytes()).hexdigest())
+    cfg = _stretch_config(tmp_path, pipeline, candidates=candidates,
+                          extra=extra + "\ncertify.restarts = 2")
+    code = cli.main(["run", cfg, "--out", str(tmp_path / "out")])
+    monkeypatch.undo()
+    assert code == (0 if set(takes) == {"pass"} else 2)
+    entries = json.loads((tmp_path / "out" / "stretch.json").read_text())["candidates"]
+    ((inputs, cands),) = made
+    mesh, gu = inputs.problem.mesh, inputs.gradient_field
+    assert len(entries) == len(cands) == candidates
+    seen = {}
+    for entry, v in zip(entries, cands):
+        rejected = entry.get("reason") in ("candidate strain bound", "strain-difference bound")
+        kind = "rejected" if rejected else entry["outcome"]
+        diff = hashlib.sha256((fem.gradient_field(mesh, v).values - gu.values).tobytes())
+        count = (stacks.get(state_key(mesh, v), 0), cells.get(state_key(mesh, v), 0),
+                 bmos.get(diff.hexdigest(), 0))
+        assert seen.setdefault(kind, count) == count
+    assert seen == takes
+
+
 @pytest.mark.parametrize("candidates", [0, 2])
 @pytest.mark.parametrize(
     "pipeline", ["certify-bmo-gate", "certify-small-strain", "certify-strain-diff"]

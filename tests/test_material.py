@@ -20,7 +20,7 @@ from rigidity_cert.material import (
     taylor_constants,
     taylor_draws,
 )
-from rigidity_cert.pushforward import push_point
+from rigidity_cert.pushforward import FrozenPointMaterial
 from rigidity_cert.tensor_core import frob, random_rotation
 
 from conftest import random_gradient
@@ -360,7 +360,7 @@ def test_taylor_constants_match_per_sample_loop(model, n, seed, delta, epsilon, 
         base = stvk(1.2, 0.8) if model == "push-stvk" else neo_hookean(0.9, 1.1)
         x = rng.uniform(0.0, 1.0, size=n)
         F = random_gradient(rng, n, 0.8, 1.25)
-        m, ref = push_point(base, x, F), _closure_push_point(base, x, F)
+        m, ref = FrozenPointMaterial(base, x, F), _closure_push_point(base, x, F)
     else:
         m = ref = {
             "stvk": stvk(1.3, 0.7),

@@ -56,7 +56,7 @@ def test_identity_deformation_round_trip():
     assert cfg.inverse_residual <= 1e-14
     assert cfg.mesh_def.lattice is not None
     m = material.stvk(1.0, 1.0)
-    m_u = pushforward.pushforward_material(m, cfg)
+    m_u = pushforward.PushforwardMaterial(m, cfg)
     G = np.array([[1.1, 0.05], [-0.02, 0.97]])
     coords = mesh.quadrature()[0].reshape(-1, 2)
     Gs = np.broadcast_to(G, (len(coords), 2, 2))
@@ -134,7 +134,7 @@ def test_pushforward_material_rejects_a_batch_of_the_wrong_length():
     # mesh at once; any other batch length is a DimensionMismatch
     mesh = fem.rectangle_mesh(2, 2)
     cfg = pushforward.deform_configuration(mesh, fem.FeField.identity(mesh))
-    m_u = pushforward.pushforward_material(material.stvk(), cfg)
+    m_u = pushforward.PushforwardMaterial(material.stvk(), cfg)
     points = cfg.det_F.size
     for name in ("energy_many", "stress_many", "elasticity_many"):
         for count in (1, points - 1, points + 1):
@@ -148,7 +148,7 @@ def test_point_material_matches_batched():
     mesh = fem.rectangle_mesh(3, 2)
     u = fem.FeField(mesh, mesh.nodes @ np.array([[1.1, 0.2], [0.0, 0.9]]).T)
     cfg = pushforward.deform_configuration(mesh, u)
-    m_u = pushforward.pushforward_material(material.neo_hookean(1.0, 0.8), cfg)
+    m_u = pushforward.PushforwardMaterial(material.neo_hookean(1.0, 0.8), cfg)
     nq = cfg.det_F.shape[1]
     G = np.eye(2) + 0.1 * rng.normal(size=(2, 2))
     Gs = np.broadcast_to(G, (cfg.det_F.size, 2, 2))
@@ -185,7 +185,7 @@ def test_point_material_bitwise_as_the_assembly_material():
         mod = material.radial_modulation(0.4, center=(0.5,) * n, width=0.6)
         for base in (material.stvk(1.2, 0.8), material.neo_hookean(1.0, 0.8),
                      material.stvk(1.0, 1.0, modulation=mod)):
-            m_u = pushforward.pushforward_material(base, cfg)
+            m_u = pushforward.PushforwardMaterial(base, cfg)
             nelem, nq = cfg.det_F.shape
             G_all = np.eye(n) + 0.1 * rng.normal(size=(nelem * nq, n, n))
             batch = {name: getattr(m_u, name)(None, G_all)
@@ -216,7 +216,7 @@ def test_push_point_chain_rule_against_fd():
     x = np.array([0.2, 0.7])
     F = np.array([[1.08, 0.15], [-0.05, 0.94]])
     det = np.linalg.det(F)
-    pm = pushforward.push_point(base, x, F)
+    pm = pushforward.FrozenPointMaterial(base, x, F)
     fd = material.CustomMaterial(
         "fd-probe", lambda y, G: float(pm.energy_many(y[None], G[None])[0])
     )
@@ -240,7 +240,7 @@ def test_pushed_energy_value():
     base = material.stvk(1.0, 1.0)
     x = np.zeros(2)
     F = np.diag([2.0, 1.0])
-    pm = pushforward.push_point(base, x, F)
+    pm = pushforward.FrozenPointMaterial(base, x, F)
     G = np.diag([0.5, 1.0])  # G F = I, so the pushed energy is W(I)/det = 0
     assert pm.energy_many(x[None], G[None])[0] == pytest.approx(0.0, abs=1e-15)
     assert pm.energy_many(x[None], np.eye(2)[None])[0] == pytest.approx(
