@@ -559,8 +559,11 @@ def scatter_matrix(mesh, Ke, free_only):
 
 
 # coercivity_constant: relative width of the inertia bracket handed to
-# shift-invert, the budget of doubling steps and of bisections, and the
-# relative margin of the closing inertia check
+# shift-invert, which is also the tolerance of the loose Lanczos whose
+# Rayleigh quotient bounds the bracket from above and the relative gap of
+# the trial shift below that bound; the budget of doubling steps and of
+# the bisections kept for when the trial shift is not positive definite;
+# and the relative margin of the closing inertia check
 _SLICE_RTOL = 1e-3
 _SLICE_STEPS = 64
 _SLICE_BISECTIONS = 40
@@ -595,12 +598,17 @@ def coercivity_constant(M_mat, G_mat) -> float:
     """Smallest generalized eigenvalue of the symmetric pencil (M, G), G
     positive definite, certified by inertia.
 
-    Spectrum slicing brackets it from below: stepping down from the
+    Spectrum slicing brackets it from below.  Stepping down from the
     smallest diagonal quotient M_ii / G_ii (a Rayleigh quotient, so an
-    upper bound) and bisecting on the LDL^T inertia gives a shift lo with
-    M - lo G positive definite, so no eigenvalue lies below lo.
-    Shift-invert Lanczos at lo, from a fixed start vector, then converges
-    to the smallest eigenvalue lam (a 1-dof pencil is its quotient).  lam
+    upper bound hi) gives a first shift lo with M - lo G positive definite
+    by its LDL^T inertia, so no eigenvalue lies below lo.  A loose
+    shift-invert Lanczos at lo lowers hi to the Rayleigh quotient of its
+    Ritz vector, and the trial shift just below hi, factored, becomes lo
+    if it is positive definite; if not, it becomes hi, and bisecting on
+    the inertia narrows [lo, hi].  Rayleigh quotients only choose where to
+    factor: every lo is a positive definite factorization.  Shift-invert
+    Lanczos at lo, from a fixed start vector, then converges to the
+    smallest eigenvalue lam (a 1-dof pencil is its quotient).  lam
     is returned only if lam >= lo and M - (lam - tau) G is positive
     definite too, tau a 1e-12 relative margin, i.e. only if no eigenvalue
     lies below lam - tau.  An empty or non-finite pencil, and anything
@@ -635,22 +643,35 @@ def coercivity_constant(M_mat, G_mat) -> float:
                     f"no positive definite shift M - s G within {_SLICE_STEPS} "
                     f"doubling steps below {hi!r}"
                 )
-            # M - lo G stays positive definite and M - hi G does not
-            for _ in range(_SLICE_BISECTIONS):
-                if hi - lo <= _SLICE_RTOL * max(abs(lo), abs(hi)):
-                    break
-                mid = 0.5 * (lo + hi)
-                mid_lu = _positive_definite_lu(M - mid * G)
-                if mid_lu is None:
-                    hi = mid
-                else:
-                    lo, lu = mid, mid_lu
-            vals = scipy.sparse.linalg.eigsh(
-                M, k=1, M=G, sigma=lo, which="LM",
-                OPinv=scipy.sparse.linalg.LinearOperator((nd, nd), matvec=lu.solve, dtype=float),
-                v0=np.random.default_rng(0).standard_normal(nd), return_eigenvectors=False,
-            )
-            lam = float(vals[0])
+            v0 = np.random.default_rng(0).standard_normal(nd)
+
+            def lanczos(shift, shift_lu, **kwargs):
+                op = scipy.sparse.linalg.LinearOperator((nd, nd), matvec=shift_lu.solve,
+                                                        dtype=float)
+                return scipy.sparse.linalg.eigsh(M, k=1, M=G, sigma=shift, which="LM",
+                                                 OPinv=op, v0=v0, **kwargs)
+
+            # any vector's Rayleigh quotient bounds lam from above
+            _, vecs = lanczos(lo, lu, tol=_SLICE_RTOL)
+            x = vecs[:, 0]
+            hi = min(hi, float(x @ (M @ x)) / float(x @ (G @ x)))
+            trial = hi - _SLICE_RTOL * abs(hi)
+            trial_lu = _positive_definite_lu(M - trial * G)
+            if trial_lu is not None:
+                lo, lu = trial, trial_lu
+            else:
+                hi = trial
+                # M - lo G stays positive definite and M - hi G does not
+                for _ in range(_SLICE_BISECTIONS):
+                    if hi - lo <= _SLICE_RTOL * max(abs(lo), abs(hi)):
+                        break
+                    mid = 0.5 * (lo + hi)
+                    mid_lu = _positive_definite_lu(M - mid * G)
+                    if mid_lu is None:
+                        hi = mid
+                    else:
+                        lo, lu = mid, mid_lu
+            lam = float(lanczos(lo, lu, return_eigenvectors=False)[0])
         tau = _CONFIRM_RTOL * max(abs(lam), scale)
         if not lam >= lo or _positive_definite_lu(M - (lam - tau) * G) is None:
             raise EigenFailure(

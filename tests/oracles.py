@@ -8,6 +8,8 @@ import math
 from math import fsum
 
 import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
 
 
 # ---------------------------------------------------------------- rotations
@@ -329,3 +331,63 @@ def boundary_map_walk(elements, local_facets):
             key = frozenset(int(conn[i]) for i in loc)
             seen[key] = None if key in seen else (e, lf)
     return {k: v for k, v in seen.items() if v is not None}
+
+
+# ------------------------------------------------------- eigensolve
+
+def _positive_definite_splu(A):
+    """SuperLU factors of the symmetric sparse A if its diagonal pivots
+    are all > 0 (A positive definite, by Sylvester's law), else None."""
+    try:
+        lu = scipy.sparse.linalg.splu(
+            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        return None
+    assert np.array_equal(lu.perm_r, lu.perm_c), "LU pivoted off the diagonal"
+    return lu if np.all(lu.U.diagonal() > 0) else None
+
+
+def coercivity_constant_bisection(M_mat, G_mat, rtol=1e-3, steps=64, bisections=40):
+    """Smallest generalized eigenvalue of the pencil (M, G) of at least 2
+    dofs by the plain inertia bisection: step down from the smallest
+    diagonal quotient to a positive definite shift lo, bisect [lo, hi] on
+    the LDL^T inertia to a relative width rtol, run shift-invert Lanczos
+    at lo from a fixed start vector, and confirm that no eigenvalue lies
+    1e-12 relative below the result."""
+    M = scipy.sparse.csc_matrix(0.5 * (M_mat + M_mat.T))
+    G = scipy.sparse.csc_matrix(0.5 * (G_mat + G_mat.T))
+    nd = M.shape[0]
+    ratios = M.diagonal() / G.diagonal()
+    scale = float(np.abs(ratios).max()) or 1.0
+    hi = float(ratios.min())
+    step = max(abs(hi), rtol * scale)
+    for _ in range(steps):
+        lo = hi - step
+        lu = _positive_definite_splu(M - lo * G)
+        if lu is not None:
+            break
+        step *= 2.0
+    else:
+        raise AssertionError("no positive definite shift")
+    for _ in range(bisections):
+        if hi - lo <= rtol * max(abs(lo), abs(hi)):
+            break
+        mid = 0.5 * (lo + hi)
+        mid_lu = _positive_definite_splu(M - mid * G)
+        if mid_lu is None:
+            hi = mid
+        else:
+            lo, lu = mid, mid_lu
+    vals = scipy.sparse.linalg.eigsh(
+        M, k=1, M=G, sigma=lo, which="LM",
+        OPinv=scipy.sparse.linalg.LinearOperator((nd, nd), matvec=lu.solve, dtype=float),
+        v0=np.random.default_rng(0).standard_normal(nd), return_eigenvectors=False,
+    )
+    lam = float(vals[0])
+    tau = 1e-12 * max(abs(lam), scale)
+    assert lam >= lo and _positive_definite_splu(M - (lam - tau) * G) is not None, lam
+    return lam

@@ -945,20 +945,22 @@ def test_small_strain_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypat
 
 @pytest.mark.parametrize("pipeline, extra, candidates, takes", [
     # kind of candidate -> takes of grad v on the reference mesh, as
-    # (quadrature stacks, cell fields, BMO seminorms of grad v - grad u_e)
-    ("certify-bmo-gate", "", 2, {"pass": (3, 1, 1)}),
-    ("certify-small-strain", "", 2, {"pass": (2, 2, 1)}),
+    # (quadrature stacks, cell fields, BMO seminorms of grad v - grad u_e,
+    # quadrature stacks of w = v - u_e)
+    ("certify-bmo-gate", "", 2, {"pass": (3, 1, 1, 2)}),
+    ("certify-small-strain", "", 2, {"pass": (2, 2, 1, 2)}),
     ("certify-small-strain", "certify.frac = 6", 3,
-     {"inapplicable": (1, 2, 1), "rejected": (1, 0, 0)}),
+     {"inapplicable": (1, 2, 1, 1), "rejected": (1, 0, 0, 0)}),
     ("certify-strain-diff", "certify.strain_eps = 0.01", 3,
-     {"pass": (3, 1, 1), "rejected": (1, 0, 0)}),
+     {"pass": (3, 1, 1, 2), "rejected": (1, 0, 0, 0)}),
 ])
 def test_each_candidate_takes_grad_v_a_fixed_number_of_times(tmp_path, monkeypatch, pipeline,
                                                              extra, candidates, takes):
     # one certify.Candidate per candidate and mesh: the strain filter, the
     # rigidity fit, the gate and the transfer share its grad v, and a
     # candidate that the strain filter rejects takes no cell field and no
-    # BMO seminorm.  What stays: the gate's energy and the transfer's
+    # BMO seminorm.  The mean gap and |grad w|^2, which the gate and the
+    # transfer share, take the stack of w.  What stays: the gate's energy and the transfer's
     # tangent take the stack, boundary_rotation_closeness the cell field,
     # and strain_diff_to_dist the stack
     from rigidity_cert import certify, fem, harmonic
@@ -994,7 +996,8 @@ def test_each_candidate_takes_grad_v_a_fixed_number_of_times(tmp_path, monkeypat
         kind = "rejected" if rejected else entry["outcome"]
         diff = hashlib.sha256((fem.gradient_field(mesh, v).values - gu.values).tobytes())
         count = (stacks.get(state_key(mesh, v), 0), cells.get(state_key(mesh, v), 0),
-                 bmos.get(diff.hexdigest(), 0))
+                 bmos.get(diff.hexdigest(), 0),
+                 stacks.get(state_key(mesh, v.values - inputs.u_e.values), 0))
         assert seen.setdefault(kind, count) == count
     assert seen == takes
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rigidity_cert import errors, fem, material, rigidity
 
-from oracles import boundary_map_walk, fd_gradient
+from oracles import boundary_map_walk, coercivity_constant_bisection, fd_gradient
 
 
 def _loads_identity(mesh, body=None, traction=None):
@@ -626,9 +626,18 @@ def test_coercivity_sparse_no_positive_definite_shift_raises():
 
 @pytest.mark.parametrize("ritz", [-4.0, -100.0])
 def test_coercivity_sparse_unconfirmed_eigenvalue_raises(monkeypatch, ritz):
-    # -4 lies above the smallest eigenvalue -5, so the closing inertia check
-    # finds -5 below it; -100 lies below the slicing bound
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: np.array([ritz]))
+    # the loose Lanczos that places the bracket runs as it is; the tight
+    # one returns ritz.  -4 lies above the smallest eigenvalue -5, so the
+    # closing inertia check finds -5 below it; -100 lies below the slicing
+    # bound
+    real_eigsh = scipy.sparse.linalg.eigsh
+
+    def bad_tight_lanczos(*args, return_eigenvectors=True, **kwargs):
+        if return_eigenvectors:
+            return real_eigsh(*args, **kwargs)
+        return np.array([ritz])
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", bad_tight_lanczos)
     with pytest.raises(errors.EigenFailure, match="not confirmed"):
         fem.coercivity_constant(*_diagonal_pencil())
 
@@ -640,6 +649,82 @@ def test_coercivity_sparse_arpack_failure_is_typed(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(errors.EigenFailure, match="no convergence"):
         fem.coercivity_constant(*_diagonal_pencil())
+
+
+def _counting_splu(monkeypatch):
+    """Patch scipy.sparse.linalg.splu to count its calls into the list
+    returned."""
+    real_splu = scipy.sparse.linalg.splu
+    calls = []
+
+    def counting_splu(A, **kwargs):
+        calls.append(A.shape)
+        return real_splu(A, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return calls
+
+
+def _korn_pencil(n):
+    mesh = fem.rectangle_mesh(n, n)
+    idx = np.flatnonzero(mesh.free_mask().ravel())
+    B = rigidity.korn_form_matrix(mesh)[np.ix_(idx, idx)]
+    return B, fem.gradient_gram_matrix(mesh)
+
+
+def _stretch_pencil():
+    # the certificates' reference pencil: StVK (1, 1) on 16x16 at the
+    # equilibrium of a 5% affine stretch
+    m, mesh = material.stvk(1.0, 1.0), fem.rectangle_mesh(16, 16)
+    A = np.diag([1.05, 1.0])
+    loads = fem.LoadSet.build(mesh, dirichlet=lambda x: A @ x)
+    u_e, log = fem.solve_equilibrium(m, mesh, loads, fem.FeField(mesh, mesh.nodes @ A.T))
+    assert log.converged
+    return fem.second_variation_matrix(m, mesh, u_e), fem.gradient_gram_matrix(mesh)
+
+
+@pytest.mark.parametrize("pencil", [lambda: _korn_pencil(16), lambda: _korn_pencil(32),
+                                    lambda: _korn_pencil(48), _stretch_pencil],
+                         ids=["korn-16", "korn-32", "korn-48", "stretch-16"])
+def test_coercivity_takes_at_most_three_factorizations(monkeypatch, pencil):
+    # the first positive definite shift, the trial shift below the loose
+    # Lanczos' Rayleigh quotient, and the closing inertia check; the
+    # plain bisection took 13 on each of these
+    M, G = pencil()
+    expected = coercivity_constant_bisection(M, G)
+    calls = _counting_splu(monkeypatch)
+    lam = fem.coercivity_constant(M, G)
+    assert len(calls) <= 3
+    assert abs(lam - expected) <= 1e-12 * abs(expected)
+
+
+def test_coercivity_trial_shift_not_positive_definite_falls_back_to_bisection(monkeypatch):
+    # the loose Lanczos hands back its fixed start vector, whose Rayleigh
+    # quotient lies far above the smallest eigenvalue: the trial shift just
+    # below it is not positive definite, and bisection narrows the bracket
+    rng = np.random.default_rng(5)
+    nd = 30
+    q, _ = np.linalg.qr(rng.normal(size=(nd, nd)))
+    m = (q * rng.uniform(0.1, 3.0, nd)) @ q.T
+    a = rng.normal(size=(nd, nd))
+    g = np.eye(nd) + a @ a.T / nd
+    real_eigsh = scipy.sparse.linalg.eigsh
+    loose = []
+
+    def start_vector_lanczos(*args, return_eigenvectors=True, **kwargs):
+        if not return_eigenvectors:
+            return real_eigsh(*args, return_eigenvectors=False, **kwargs)
+        v0 = kwargs["v0"]
+        loose.append(v0 @ m @ v0 / (v0 @ g @ v0))
+        return np.array([loose[-1]]), v0[:, None].copy()
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", start_vector_lanczos)
+    calls = _counting_splu(monkeypatch)
+    lam = fem.coercivity_constant(sp.csr_matrix(m), sp.csr_matrix(g))
+    exact = scipy.linalg.eigh(m, g, eigvals_only=True)[0]
+    assert len(loose) == 1 and loose[0] > 1.5 * exact
+    assert len(calls) > 3
+    assert abs(lam - exact) <= 1e-12 * abs(exact)
 
 
 def _no_factorization(*args, **kwargs):
@@ -706,6 +791,9 @@ def test_coercivity_small_pencils_match_dense_eigh(seed, nd, kind):
     exact = scipy.linalg.eigh(m, g, eigvals_only=True)[0]
     lam = fem.coercivity_constant(sp.csr_matrix(m), sp.csr_matrix(g))
     assert abs(lam - exact) <= 1e-12 * abs(exact)
+    # and the Rayleigh-quotient bracket agrees with the plain bisection
+    bisected = coercivity_constant_bisection(sp.csr_matrix(m), sp.csr_matrix(g))
+    assert abs(lam - bisected) <= 1e-12 * abs(bisected)
     # Sylvester: the pencil's inertia is that of m, since g is positive definite
     assert (lam < 0) == (np.linalg.eigvalsh(m)[0] < 0)
 
