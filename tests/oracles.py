@@ -351,11 +351,11 @@ def _positive_definite_splu(A):
     return lu if np.all(lu.U.diagonal() > 0) else None
 
 
-def coercivity_constant_bisection(M_mat, G_mat, rtol=1e-3, steps=64, bisections=40):
+def coercivity_constant_bisection(M_mat, G_mat):
     """Smallest generalized eigenvalue of the pencil (M, G) of at least 2
     dofs by the plain inertia bisection: step down from the smallest
     diagonal quotient to a positive definite shift lo, bisect [lo, hi] on
-    the LDL^T inertia to a relative width rtol, run shift-invert Lanczos
+    the LDL^T inertia to a relative width 1e-3, run shift-invert Lanczos
     at lo from a fixed start vector, and confirm that no eigenvalue lies
     1e-12 relative below the result."""
     M = scipy.sparse.csc_matrix(0.5 * (M_mat + M_mat.T))
@@ -364,8 +364,8 @@ def coercivity_constant_bisection(M_mat, G_mat, rtol=1e-3, steps=64, bisections=
     ratios = M.diagonal() / G.diagonal()
     scale = float(np.abs(ratios).max()) or 1.0
     hi = float(ratios.min())
-    step = max(abs(hi), rtol * scale)
-    for _ in range(steps):
+    step = max(abs(hi), 1e-3 * scale)
+    for _ in range(64):
         lo = hi - step
         lu = _positive_definite_splu(M - lo * G)
         if lu is not None:
@@ -373,8 +373,8 @@ def coercivity_constant_bisection(M_mat, G_mat, rtol=1e-3, steps=64, bisections=
         step *= 2.0
     else:
         raise AssertionError("no positive definite shift")
-    for _ in range(bisections):
-        if hi - lo <= rtol * max(abs(lo), abs(hi)):
+    for _ in range(40):
+        if hi - lo <= 1e-3 * max(abs(lo), abs(hi)):
             break
         mid = 0.5 * (lo + hi)
         mid_lu = _positive_definite_splu(M - mid * G)
