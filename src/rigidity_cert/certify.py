@@ -54,9 +54,10 @@ _CASCADE = 8.0
 
 _GAP_SLACK = 0.1
 
-# the equilibrium tolerance of certification_inputs, and the threshold
-# cap of the transfer
+# the equilibrium tolerance of certification_inputs, and the caps on
+# delta_star and on the threshold of the transfer
 RESIDUAL_TOL = 1e-8
+_RADIUS_CAP = 1e6
 _TRANSFER_CAP = 1e6
 
 
@@ -71,12 +72,12 @@ class Problem:
 
 
 def neighborhood_radius(k_hat: float, c_taylor: float, J2: float,
-                        components: int, cap: float = 1e6) -> float:
+                        components: int) -> float:
     """BMO/mean smallness threshold making the cubic term absorbable.
 
     delta_star = k_hat / (2 c J2^3 Nn) with Nn the component count of the
     gradient matrices.  A vanishing cubic constant gives an unbounded
-    radius, returned as the cap.
+    radius, returned as the cap 1e6, which also bounds every other.
     """
     if k_hat <= 0.0:
         raise NonPositiveK(f"k_hat = {k_hat:g} <= 0")
@@ -87,8 +88,8 @@ def neighborhood_radius(k_hat: float, c_taylor: float, J2: float,
     if c_taylor < 0.0:
         raise ValueError(f"c_taylor must be >= 0, got {c_taylor}")
     if c_taylor == 0.0:
-        return float(cap)
-    return float(min(k_hat / (2.0 * c_taylor * J2**3 * components), cap))
+        return _RADIUS_CAP
+    return float(min(k_hat / (2.0 * c_taylor * J2**3 * components), _RADIUS_CAP))
 
 
 def bump_values(mesh, rng, eps):
@@ -147,10 +148,10 @@ class CertInputs:
     epsilon: float
     components: int
     delta_star: float
-    taylor_samples: int = 2000
-    j2_count: int = 6
-    seed: int = 0
-    provenance: dict = field(default_factory=dict)
+    taylor_samples: int
+    j2_count: int
+    seed: int
+    provenance: dict
 
 
 def _quadrature_taylor(problem: Problem, rng, rho, epsilon, samples, seed):
@@ -634,17 +635,17 @@ def gated_perturbations(inputs: CertInputs, count=20, frac=0.5, seed=0) -> list:
     return out
 
 
-def multistart_agreement(problem: Problem, count=10, seed=0, spread=0.2,
-                         tol=1e-8) -> dict:
+def multistart_agreement(problem: Problem, count=10, seed=0) -> dict:
     """Solve from seeded random admissible starts and measure the largest
     pairwise sup-norm gradient difference between the solutions.
 
-    spread is the gradient sup-norm of the start perturbation; keeping it
-    a gradient quantity puts every restart at a controlled distance from
-    the rotation set no matter how fine the mesh is.  Agreement below tol
-    across all restarts is the desk-scale uniqueness evidence that
-    complements the candidate gates.
+    The spread 0.2 is the gradient sup-norm of the start perturbation;
+    keeping it a gradient quantity puts every restart at a controlled
+    distance from the rotation set no matter how fine the mesh is.
+    Agreement within tol 1e-8 across all restarts is the desk-scale
+    uniqueness evidence that complements the candidate gates.
     """
+    spread, tol = 0.2, 1e-8
     m, mesh, loads = problem.material, problem.mesh, problem.loads
     rng = np.random.default_rng(seed)
     grads = []

@@ -91,32 +91,26 @@ def _p_str(key, val, ln):
     return val
 
 
-def _p_int(key, val, ln):
-    try:
-        return int(val)
-    except ValueError:
-        raise ConfigError(f"line {ln}: {key}: expected an integer, got {val!r}") from None
+def _p_numeric(convert, expected):
+    """A parser applying convert to the value; a ValueError becomes a
+    ConfigError saying what was expected."""
+    def parse(key, val, ln):
+        try:
+            return convert(val)
+        except ValueError:
+            raise ConfigError(f"line {ln}: {key}: expected {expected}, got {val!r}") from None
+
+    return parse
 
 
-def _p_float(key, val, ln):
-    try:
-        return float(val)
-    except ValueError:
-        raise ConfigError(f"line {ln}: {key}: expected a number, got {val!r}") from None
+def _each(convert):
+    return lambda val: tuple(convert(tok) for tok in val.split())
 
 
-def _p_floats(key, val, ln):
-    try:
-        return tuple(float(tok) for tok in val.split())
-    except ValueError:
-        raise ConfigError(f"line {ln}: {key}: expected numbers, got {val!r}") from None
-
-
-def _p_ints(key, val, ln):
-    try:
-        return tuple(int(tok) for tok in val.split())
-    except ValueError:
-        raise ConfigError(f"line {ln}: {key}: expected integers, got {val!r}") from None
+_p_int = _p_numeric(int, "an integer")
+_p_float = _p_numeric(float, "a number")
+_p_ints = _p_numeric(_each(int), "integers")
+_p_floats = _p_numeric(_each(float), "numbers")
 
 
 def _p_choice(options):

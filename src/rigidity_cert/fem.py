@@ -128,9 +128,9 @@ def shape_gradients(ref_points, dim):
 
 
 def _gauss_points(dim):
+    # the 2-point Gauss weights are all 1, so a point weighs its detJ alone
     axes = [(-_GP, _GP)] * dim
-    pts = np.array(np.meshgrid(*axes, indexing="ij")).reshape(dim, -1).T
-    return pts, np.ones(len(pts))
+    return np.array(np.meshgrid(*axes, indexing="ij")).reshape(dim, -1).T
 
 
 @dataclass(frozen=True)
@@ -196,19 +196,19 @@ class Mesh:
         self._facet_parent = boundary
         dn = sorted({v for f in self.dirichlet_facets for v in f})
         self.dirichlet_nodes = np.array(dn, dtype=int)
-        if np.any(self.quadrature()[3] <= 0.0):
+        if np.any(self.quadrature()[2] <= 0.0):
             raise ValueError("mesh has non-positive jacobians")
 
     # ----------------------------------------------------------- quadrature
 
     def quadrature(self):
-        """(qp physical coords, physical shape gradients, weights, detJ, shape values).
+        """(qp physical coords, physical shape gradients, weights, shape values).
 
-        coords: (M, q, n), grads: (M, q, k, n), wdet: (M, q), detJ: (M, q),
-        nvals: (q, k).  Cached; treat as read-only.
+        coords: (M, q, n), grads: (M, q, k, n), wdet: (M, q) the detJ times
+        the Gauss weights, all 1, nvals: (q, k).  Cached; treat as read-only.
         """
         if self._qp_cache is None:
-            pts, w = _gauss_points(self.dim)
+            pts = _gauss_points(self.dim)
             nvals = shape_values(pts, self.dim)
             dN = shape_gradients(pts, self.dim)
             X = self.nodes[self.elements]  # (M, k, n)
@@ -217,8 +217,7 @@ class Mesh:
             invJ = np.linalg.inv(J)
             grads = np.einsum("qaj,eqji->eqai", dN, invJ)
             coords = np.einsum("qa,eai->eqi", nvals, X)
-            wdet = w[None, :] * detJ
-            self._qp_cache = (coords, grads, wdet, detJ, nvals)
+            self._qp_cache = (coords, grads, detJ, nvals)
         return self._qp_cache
 
     def _gradient_table(self, at="gauss"):
@@ -248,7 +247,7 @@ class Mesh:
         if key in self._facet_cache:
             return self._facet_cache[key]
         fdim = self.dim - 1
-        t, _ = _gauss_points(fdim)
+        t = _gauss_points(fdim)
         fvals = shape_values(t, fdim)
         fgrads = shape_gradients(t, fdim)  # (qf, 2^fdim, fdim)
         coords_l, jac_l, norm_l, parents = [], [], [], []
@@ -288,7 +287,7 @@ class Mesh:
 
     def facet_reference_points(self, facets):
         """Reference coordinates (in the parent element) of facet quad points."""
-        fvals = shape_values(_gauss_points(self.dim - 1)[0], self.dim - 1)
+        fvals = shape_values(_gauss_points(self.dim - 1), self.dim - 1)
         refs, parents = [], []
         for f in facets:
             e, lf = self._facet_parent[frozenset(f)]
@@ -383,9 +382,9 @@ class LoadSet:
         }
         return cls(body=b, traction=t, dirichlet=dvals)
 
-    def dirichlet_ok(self, u: FeField, tol=1e-12) -> bool:
+    def dirichlet_ok(self, u: FeField) -> bool:
         for i, v in self.dirichlet.items():
-            if np.max(np.abs(u.values[i] - v)) > tol * (1.0 + np.max(np.abs(v))):
+            if np.max(np.abs(u.values[i] - v)) > 1e-10 * (1.0 + np.max(np.abs(v))):
                 return False
         return True
 
@@ -421,12 +420,10 @@ def _gradients(mesh, u, g):
     return np.ascontiguousarray(F.transpose(3, 2, 0, 1))
 
 
-def _check_dets(F, floor=0.0):
+def _check_dets(F):
     det = np.linalg.det(F)
-    bad = det <= floor
-    if np.any(bad):
-        worst = float(det.min())
-        raise DeterminantViolation(f"det grad u = {worst:g} <= {floor:g} at a quadrature point")
+    if np.any(det <= 0.0):
+        raise DeterminantViolation(f"det grad u = {float(det.min()):g} <= 0 at a quadrature point")
     return det
 
 
@@ -458,7 +455,7 @@ def load_work(mesh: Mesh, loads: LoadSet, u) -> tuple[float, float]:
     vals = u.values if isinstance(u, FeField) else np.asarray(u)
     body = traction = 0.0
     if loads.body is not None:
-        _, _, wdet, _, nvals = mesh.quadrature()
+        _, _, wdet, nvals = mesh.quadrature()
         uq = np.einsum("qa,eai->eqi", nvals, vals[mesh.elements])
         body = float(np.sum(wdet * np.einsum("eqi,eqi->eq", loads.body, uq)))
     if loads.traction is not None and mesh.traction_facets:
@@ -472,7 +469,7 @@ def load_work(mesh: Mesh, loads: LoadSet, u) -> tuple[float, float]:
 def residual_field(m, mesh: Mesh, loads: LoadSet, u) -> np.ndarray:
     """dE/du as a full (N, n) nodal array (Dirichlet rows included)."""
     S = material_at_points(m, mesh, u, "stress")
-    _, _, wdet, _, nvals = mesh.quadrature()
+    _, _, wdet, nvals = mesh.quadrature()
     M, q, n, _ = S.shape
     g = mesh._gradient_table()
     WS = wdet.T * np.ascontiguousarray(S.transpose(2, 3, 1, 0))
@@ -515,7 +512,7 @@ def element_matrices(mesh: Mesh, A) -> np.ndarray:
     C-ordered after the reorder, so every element's sums run in one order
     whatever layout A arrives in and however many elements there are.
     """
-    _, grads, wdet, _, _ = mesh.quadrature()
+    _, grads, wdet, _ = mesh.quadrature()
     M, q, k, n = grads.shape
     A = np.asarray(A, dtype=float)
     if A.shape != (M, q, n, n, n, n):
@@ -532,7 +529,7 @@ def element_matrices(mesh: Mesh, A) -> np.ndarray:
 
 def gradient_gram_matrix(mesh: Mesh):
     """Gram matrix of grad z : grad z over the free dofs."""
-    _, grads, wdet, _, _ = mesh.quadrature()
+    _, grads, wdet, _ = mesh.quadrature()
     n = mesh.dim
     Kg = np.einsum("eq,eqak,eqbk->eab", wdet, grads, grads)
     Ke = np.einsum("eab,ij->eaibj", Kg, np.eye(n))
@@ -558,12 +555,13 @@ def scatter_matrix(mesh, Ke, free_only):
     return K[np.ix_(idx, idx)].tocsr()
 
 
-# coercivity_constant: relative width of the inertia bracket handed to
-# shift-invert, which is also the tolerance of the loose Lanczos whose
-# Rayleigh quotient bounds the bracket from above and the relative gap of
-# the trial shift below that bound; the budget of doubling steps and of
-# the bisections kept for when the trial shift is not positive definite;
-# and the relative margin of the closing inertia check
+# coercivity_constant: width of the inertia bracket handed to shift-invert,
+# relative to its ends or, around 0, the diagonal scale, which is also the
+# tolerance of the loose Lanczos whose Rayleigh quotient bounds the bracket
+# from above and the relative gap of the trial shift below that bound; the
+# budget of doubling steps and of the bisections kept for when the trial
+# shift is not positive definite; and the relative margin of the closing
+# inertia check
 _SLICE_RTOL = 1e-3
 _SLICE_STEPS = 64
 _SLICE_BISECTIONS = 40
@@ -663,7 +661,7 @@ def coercivity_constant(M_mat, G_mat) -> float:
                 hi = trial
                 # M - lo G stays positive definite and M - hi G does not
                 for _ in range(_SLICE_BISECTIONS):
-                    if hi - lo <= _SLICE_RTOL * max(abs(lo), abs(hi)):
+                    if hi - lo <= _SLICE_RTOL * max(abs(lo), abs(hi), scale):
                         break
                     mid = 0.5 * (lo + hi)
                     mid_lu = _positive_definite_lu(M - mid * G)
@@ -704,7 +702,7 @@ def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
     (LineSearchStall) or a spent budget (MaxIterations) raises with the
     SolveLog so far as its log.
     """
-    if not loads.dirichlet_ok(u0, tol=1e-10):
+    if not loads.dirichlet_ok(u0):
         raise BoundaryMismatch("solve_equilibrium: u0 violates the Dirichlet data")
     u = u0.copy()
     free = mesh.free_mask()
@@ -775,19 +773,16 @@ def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
     )
 
 
-def energy_identity_check(m, mesh: Mesh, loads: LoadSet, u_e: FeField, v: FeField,
-                          residual_tol=1e-9) -> float:
+def energy_identity_check(m, mesh: Mesh, loads: LoadSet, u_e: FeField, v: FeField) -> float:
     """|[E(v) - E(u_e)] - int(W(grad v) - W(grad u_e) - S(grad u_e):grad w)|.
 
     The identity holds because the load terms are linear and u_e has zero
     residual against the free directions; u_e is verified to be an
-    equilibrium first.
+    equilibrium first: a residual sup above 1e-9 raises NotEquilibrium.
     """
     r = residual(m, mesh, loads, u_e)
-    if np.max(np.abs(r)) > residual_tol:
-        raise NotEquilibrium(
-            f"u_e residual {np.max(np.abs(r)):.3e} exceeds {residual_tol:g}"
-        )
+    if np.max(np.abs(r)) > 1e-9:
+        raise NotEquilibrium(f"u_e residual {np.max(np.abs(r)):.3e} exceeds 1e-09")
     We = material_at_points(m, mesh, u_e, "energy")
     Wv = material_at_points(m, mesh, v, "energy")
     Se = material_at_points(m, mesh, u_e, "stress")
@@ -850,19 +845,19 @@ SIDE_NAMES = {2: ("left", "right", "bottom", "top", "inner"),
               3: ("x0", "x1", "y0", "y1", "z0", "z1", "inner")}
 
 
-def _lattice_mesh(counts, lengths, mask, dirichlet, traction, origin):
-    """Q1 mesh of the cells of a structured lattice that mask keeps.
+def _lattice_mesh(counts, lengths, mask, dirichlet):
+    """Q1 mesh of the cells of a lattice at the origin that mask keeps.
 
     Node (i, j[, k]) has id i + (nx+1) (j + (ny+1) k) before the unused
     nodes are dropped.  Elements follow the kept cells with the last axis
     slowest; boundary facets follow them with the first axis slowest,
     side by side (axis 0 low, axis 0 high, axis 1 low, ...), grouped by
     side name, with "inner" for facets against a masked-out cell.
-    dirichlet is 'all' or side names; traction is 'rest' or side names.
+    dirichlet is 'all' or side names; the other sides are the traction part.
     The mesh carries a CellLattice when every axis has the same cell size.
     """
     dim = len(counts)
-    axes = [origin[d] + np.linspace(0.0, lengths[d], counts[d] + 1) for d in range(dim)]
+    axes = [np.linspace(0.0, lengths[d], counts[d] + 1) for d in range(dim)]
     nodes = np.stack([g.ravel(order="F") for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     stride = np.cumprod([1] + [n + 1 for n in counts[:-1]])
     offsets = ((_REF_CORNERS[dim] + 1) // 2).astype(int)  # (k, dim) corner offsets
@@ -897,11 +892,11 @@ def _lattice_mesh(counts, lengths, mask, dirichlet, traction, origin):
     sides = {name: remap[facets[side == i]] for i, name in enumerate(names)}
     present = [name for name in names if len(sides[name])]
     dnames = present if dirichlet == "all" else list(dirichlet)
-    tnames = [s for s in present if s not in dnames] if traction == "rest" else list(traction)
+    tnames = [s for s in present if s not in dnames]
     h = lengths[0] / counts[0]
     lattice = None
     if all(abs(L / n - h) <= 1e-12 * (1 + abs(h)) for L, n in zip(lengths, counts)):
-        lattice = CellLattice(mask, elem_of_cell, h, tuple(origin))
+        lattice = CellLattice(mask, elem_of_cell, h, (0.0,) * dim)
     return Mesh(
         nodes[used],
         remap[elements],
@@ -911,24 +906,24 @@ def _lattice_mesh(counts, lengths, mask, dirichlet, traction, origin):
     )
 
 
-def rectangle_mesh(nx, ny, width=1.0, height=1.0, dirichlet="all", traction="rest"):
+def rectangle_mesh(nx, ny, width=1.0, height=1.0, dirichlet="all"):
     """Structured quad mesh of [0,width] x [0,height].
 
     dirichlet: 'all' or an iterable of side names from
-    {'left','right','bottom','top'}; remaining boundary sides become the
-    traction part when traction='rest', else pass side names explicitly.
+    {'left','right','bottom','top'}; the remaining boundary sides are the
+    traction part.
     """
     mask = np.ones((nx, ny), dtype=bool)
-    return _lattice_mesh((nx, ny), (width, height), mask, dirichlet, traction, (0.0, 0.0))
+    return _lattice_mesh((nx, ny), (width, height), mask, dirichlet)
 
 
-def l_shape_mesh(n, size=1.0, dirichlet="all", traction="rest"):
+def l_shape_mesh(n, size=1.0, dirichlet="all"):
     """L-shaped domain: unit square minus its upper-right quadrant."""
     if n % 2:
         raise ValueError("l_shape_mesh needs an even cell count")
     ix, iy = np.indices((n, n))
     mask = ~((ix >= n // 2) & (iy >= n // 2))
-    return _lattice_mesh((n, n), (size, size), mask, dirichlet, traction, (0.0, 0.0))
+    return _lattice_mesh((n, n), (size, size), mask, dirichlet)
 
 
 def ring_hole_cells(n, hole):
@@ -937,7 +932,7 @@ def ring_hole_cells(n, hole):
     return n - 2 * int(round(n * (1 - hole) / 2))
 
 
-def square_ring_mesh(n, size=1.0, hole=0.5, dirichlet="all", traction="rest"):
+def square_ring_mesh(n, size=1.0, hole=0.5, dirichlet="all"):
     """Square annulus: a square with a centered square hole (polygonal ring)."""
     if n % 4:
         raise ValueError("square_ring_mesh needs n divisible by 4")
@@ -947,14 +942,15 @@ def square_ring_mesh(n, size=1.0, hole=0.5, dirichlet="all", traction="rest"):
     lo, hi = (n - width) // 2, (n + width) // 2
     ix, iy = np.indices((n, n))
     mask = ~((lo <= ix) & (ix < hi) & (lo <= iy) & (iy < hi))
-    return _lattice_mesh((n, n), (size, size), mask, dirichlet, traction, (0.0, 0.0))
+    return _lattice_mesh((n, n), (size, size), mask, dirichlet)
 
 
 def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), dirichlet="all"):
     """Structured hex mesh of a box; dirichlet='all' or named faces among
-    {'x0','x1','y0','y1','z0','z1'} (the rest become traction facets)."""
+    {'x0','x1','y0','y1','z0','z1'}; the remaining faces are the traction
+    part."""
     mask = np.ones((nx, ny, nz), dtype=bool)
-    return _lattice_mesh((nx, ny, nz), lengths, mask, dirichlet, "rest", (0.0, 0.0, 0.0))
+    return _lattice_mesh((nx, ny, nz), lengths, mask, dirichlet)
 
 
 # ------------------------------------------------------------------ file io

@@ -89,14 +89,6 @@ class RigidityReport:
     p: float
 
 
-def _ratio_power(lhs_p: float, rhs_p: float, p: float) -> float:
-    lhs = lhs_p ** (1.0 / p)
-    rhs = rhs_p ** (1.0 / p)
-    if rhs <= _ZERO_TOL:
-        return 0.0 if lhs <= _ZERO_TOL else math.inf
-    return lhs / rhs
-
-
 def _plain_ratio(lhs: float, rhs: float) -> float:
     if rhs <= _ZERO_TOL:
         return 0.0 if lhs <= _ZERO_TOL else math.inf
@@ -127,7 +119,7 @@ def rigidity_fit(grad_field, p: float = 2.0) -> RigidityReport:
         R_best=R,
         lhs_p=lhs_p,
         rhs_p=rhs_p,
-        C_emp=_ratio_power(lhs_p, rhs_p, p),
+        C_emp=_plain_ratio(lhs_p ** (1.0 / p), rhs_p ** (1.0 / p)),
         bmo_seminorm=bmo,
         dist_sup=dist_sup,
         M_emp=_plain_ratio(bmo, dist_sup) if not math.isnan(bmo) else math.nan,
@@ -204,7 +196,7 @@ def boundary_rotation_closeness(u1, u2, mesh, p: float) -> BoundaryClosenessRepo
 
 def _coefficient_at_qps(mesh, F_field):
     """Coefficient matrices at every quadrature point, (M, q, n, n)."""
-    coords, _, wdet, _, _ = mesh.quadrature()
+    coords, _, wdet, _ = mesh.quadrature()
     M, q = wdet.shape
     n = mesh.dim
     if F_field is None:
@@ -226,20 +218,18 @@ def _coefficient_at_qps(mesh, F_field):
     return np.broadcast_to(F, (M, q, n, n)).copy()
 
 
-def korn_form_matrix(mesh, F_field=None, det_floor=1e-8):
+def korn_form_matrix(mesh, F_field=None):
     """Matrix of the quadratic form  w -> int |F^T grad w + (grad w)^T F|^2
     over all nodal dofs (no boundary restriction).
 
     F_field may be None (identity), a constant matrix, a GridField over the
     mesh lattice, or a callable of position.  The coefficient determinant
-    must stay above det_floor at every quadrature point.
+    must stay at or above 1e-8 at every quadrature point.
     """
     Fq = _coefficient_at_qps(mesh, F_field)
     dets = np.linalg.det(Fq)
-    if dets.min() < det_floor:
-        raise DetBelowFloor(
-            f"coefficient determinant {dets.min():g} below floor {det_floor:g}"
-        )
+    if dets.min() < 1e-8:
+        raise DetBelowFloor(f"coefficient determinant {dets.min():g} below floor 1e-08")
     n = mesh.dim
     FFt = np.einsum("eqik,eqjk->eqij", Fq, Fq)
     # |F^T H + H^T F|^2 expands to 2 (F F^T)_{ij} g_a.g_b + 2 (F g_b)_i (F g_a)_j
@@ -250,10 +240,10 @@ def korn_form_matrix(mesh, F_field=None, det_floor=1e-8):
     return fem.scatter_matrix(mesh, fem.element_matrices(mesh, A), free_only=False)
 
 
-def korn_constant(mesh, F_field=None, det_floor=1e-8) -> float:
+def korn_constant(mesh, F_field=None) -> float:
     """Best constant K in  int |F^T grad w + (grad w)^T F|^2 >= K int |grad w|^2
     over FE fields vanishing on the mesh's Dirichlet nodes."""
-    B = korn_form_matrix(mesh, F_field, det_floor)
+    B = korn_form_matrix(mesh, F_field)
     idx = np.flatnonzero(mesh.free_mask().ravel())
     B = B[np.ix_(idx, idx)].tocsr()
     return fem.coercivity_constant(B, fem.gradient_gram_matrix(mesh))

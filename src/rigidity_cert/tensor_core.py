@@ -175,18 +175,19 @@ def wedge(vectors) -> np.ndarray:
     )
 
 
-def strain_dist_sandwich(F, rel_tol: float = 1e-10) -> SandwichReport:
+def strain_dist_sandwich(F) -> SandwichReport:
     """Check the strain / rotation-distance sandwich for one gradient.
 
-    The three inequalities are exact real-arithmetic facts; rel_tol only
-    absorbs floating point noise in the equality cases.
+    The three inequalities are exact real-arithmetic facts; a 1e-10
+    relative slack only absorbs floating point noise in the equality
+    cases.
     """
     F = _as_square(F, "strain_dist_sandwich")
     d = dist_to_rotations(F)
     e = frob(strain(F))
     n = F.shape[0]
     rn = math.sqrt(n)
-    slack = rel_tol * (1.0 + d * d + e)
+    slack = 1e-10 * (1.0 + d * d + e)
     lower_ok = d * d <= 2.0 * rn * e + slack
     upper_ok = 2.0 * rn * e <= rn * d * (d + 2.0 * rn) + slack
     linear_ok = d <= 2.0 * e + slack

@@ -378,8 +378,9 @@ def test_criterion_13_strain_difference_gate():
 
 def test_criterion_14_multistart_agreement(stretch):
     problem, _ = stretch
-    res = certify.multistart_agreement(problem, count=10, seed=7, spread=0.2, tol=1e-8)
+    res = certify.multistart_agreement(problem, count=10, seed=7)
     assert res["pass"]
+    assert res["spread"] == 0.2
     assert res["max_pairwise_grad_diff"] <= 1e-8
     _passed(14, f"10 restarts agree to {res['max_pairwise_grad_diff']:.1e} in gradient sup norm")
 

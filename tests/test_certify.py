@@ -79,7 +79,6 @@ def test_neighborhood_radius_formula():
 
 def test_neighborhood_radius_quadratic_cap():
     assert certify.neighborhood_radius(1.0, 0.0, 1.0, 4) == 1e6
-    assert certify.neighborhood_radius(1.0, 0.0, 1.0, 4, cap=7.0) == 7.0
 
 
 def test_neighborhood_radius_monotone():
@@ -177,6 +176,10 @@ def test_gate_overstated_khat_fails_loudly(stretch):
     v = _gated_candidate(problem, u_e, inputs, frac=0.5)
     with pytest.raises(errors.AssertionViolated):
         certify.local_min_gate(certify.Candidate(v, inflated))
+    # the transfer's thresholds widen with k_hat too, and the transferred
+    # form cannot reach 4 k_hat |grad w|^2 either
+    with pytest.raises(errors.AssertionViolated, match="transferred form"):
+        certify.direction_positivity_transfer(certify.Candidate(v, inflated))
 
 
 def test_gate_toy_quadratic_energy_exact():
@@ -202,6 +205,7 @@ def test_gate_toy_quadratic_energy_exact():
         lambda_min=lam, k_hat=lam / 8.0, c_taylor=0.0, c_hat_taylor=0.0,
         J2=1.0, rho=0.5, epsilon=0.5,
         components=4, delta_star=certify.neighborhood_radius(lam / 8, 0.0, 1.0, 4),
+        taylor_samples=2000, j2_count=6, seed=0, provenance={},
     )
     v = u_e.copy()
     v.values = v.values + _bump(mesh, 0.01)

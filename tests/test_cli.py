@@ -99,6 +99,20 @@ def test_bad_value_types(tmp_path):
     """)
     with pytest.raises(errors.ConfigError, match="one of"):
         cli.load_scenario(path)
+    # one number, several numbers and several integers, each message whole
+    for line, message in [
+        ("mesh.width = wide", "line 4: mesh.width: expected a number, got 'wide'"),
+        ("loads.matrix = 1 x", "line 4: loads.matrix: expected numbers, got '1 x'"),
+        ("korn.resolutions = 8 x", "line 4: korn.resolutions: expected integers, got '8 x'"),
+    ]:
+        path = _write(tmp_path, "c.cfg", f"""
+        name = demo
+        pipeline = solve
+        {line}
+    """)
+        with pytest.raises(errors.ConfigError) as exc:
+            cli.load_scenario(path)
+        assert str(exc.value) == message
 
 
 def test_seed_override(tmp_path):
@@ -1000,6 +1014,41 @@ def test_each_candidate_takes_grad_v_a_fixed_number_of_times(tmp_path, monkeypat
                  stacks.get(state_key(mesh, v.values - inputs.u_e.values), 0))
         assert seen.setdefault(kind, count) == count
     assert seen == takes
+
+
+def test_strain_diff_candidates_beyond_the_gate_thresholds_are_inapplicable(tmp_path):
+    # the 6x6 regress strain-diff config with 3 candidates at 1.5
+    # delta_star: each passes the strain-difference bound, and both gates
+    # find it outside their thresholds
+    cfg = _write(tmp_path, "gate.cfg", """
+        name = gate-certify-strain-diff
+        pipeline = certify-strain-diff
+        seed = 0
+        mesh.nx = 6
+        mesh.ny = 6
+        material.model = stvk
+        loads.dirichlet = affine
+        loads.matrix = 1.05 0.0 0.0 1.0
+        certify.taylor_samples = 300
+        certify.j2_count = 3
+        certify.candidates = 3
+        certify.restarts = 2
+        harmonic.count = 3
+        rigidity.resolutions = 6 12
+        korn.resolutions = 4 8
+        certify.frac = 1.5
+    """)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    doc = json.loads((tmp_path / "out" / "gate-certify-strain-diff.json").read_text())
+    assert doc["outcome"] == "inapplicable"
+    assert len(doc["candidates"]) == 3
+    for entry in doc["candidates"]:
+        assert entry["outcome"] == "inapplicable" and entry["reason"] == "gate thresholds"
+        assert entry["strain_diff_sup"] < entry["strain_bound"]
+        for side in ("gate_deformed", "gate_reference"):
+            assert entry[side]["outcome"] == "inapplicable"
+            assert not entry[side]["measurements"]["bmo_seminorm"]["pass"]
+        assert "excess_agreement" not in entry and "energy_excess" not in entry
 
 
 @pytest.mark.parametrize("candidates", [0, 2])

@@ -86,7 +86,7 @@ def test_gradients_and_residual_equal_their_einsums_bitwise(kind, seed, modulate
     n = mesh.dim
     rng = np.random.default_rng(seed)
     vals = mesh.nodes + 0.02 * rng.standard_normal(mesh.nodes.shape)
-    _, grads, wdet, _, nvals = mesh.quadrature()
+    _, grads, wdet, nvals = mesh.quadrature()
     F = fem.deformation_gradients(mesh, vals)
     assert F.flags.c_contiguous
     assert F.tobytes() == deformation_gradients_einsum(vals, mesh.elements, grads).tobytes()

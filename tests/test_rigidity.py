@@ -269,7 +269,7 @@ def test_korn_gridfield_coefficient():
 
 
 def test_korn_partial_dirichlet_positive():
-    mesh = fem.rectangle_mesh(4, 4, dirichlet=("left",), traction="rest")
+    mesh = fem.rectangle_mesh(4, 4, dirichlet=("left",))
     K = rigidity.korn_constant(mesh)
     assert 0.0 < K < 2.0
 
