@@ -190,7 +190,7 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
     dist_sup = float(tensor_core.dist_to_rotations_many(F_e).max())
     M = fem.second_variation_matrix(m, mesh, u_e)
     G = fem.gradient_gram_matrix(mesh)
-    lambda_min = fem.coercivity_constant(M, G)
+    lambda_min = fem.coercivity_constant(M, G, mesh.dof_order())
     k_hat = lambda_min / _CASCADE
     c, c_hat, taylor_provenance = taylor(
         problem, np.random.default_rng(seed), rho, epsilon, taylor_samples, seed

@@ -34,6 +34,7 @@ from .errors import (
     SingularTangent,
 )
 from .harmonic import GridField
+from .tensor_core import det_many
 
 __all__ = [
     "Mesh",
@@ -60,6 +61,7 @@ __all__ = [
     "element_matrices",
     "gradient_gram_matrix",
     "scatter_matrix",
+    "SparseLU",
     "coercivity_constant",
     "energy_identity_check",
     "mean_gradient",
@@ -163,6 +165,8 @@ class Mesh:
         self._qp_cache = None
         self._table_cache = {}
         self._facet_cache = {}
+        self._plan_cache = {}
+        self._order_cache = None
         self._validate()
 
     # ------------------------------------------------------------- topology
@@ -235,6 +239,40 @@ class Mesh:
                 grads = np.einsum("qaj,eqji->eqai", dN, np.linalg.inv(J))
             self._table_cache[at] = np.ascontiguousarray(grads.transpose(2, 3, 1, 0))
         return self._table_cache[at]
+
+    def _sparse_plan(self, free_only):
+        """The assembly plan of scatter_matrix over all or the free dofs.
+        Cached; treat as read-only."""
+        if free_only not in self._plan_cache:
+            self._plan_cache[free_only] = _assembly_plan(self, free_only)
+        return self._plan_cache[free_only]
+
+    def _ordered_plan(self):
+        """The free-dof assembly plan permuted into dof_order, in CSC: its
+        matrix is P K P^T, bit for bit the scatter_matrix K permuted.
+        Cached; treat as read-only."""
+        if "ordered" not in self._plan_cache:
+            plan, order = self._sparse_plan(True), self.dof_order()
+            tags = scipy.sparse.csr_matrix(
+                (np.arange(plan.indices.size, dtype=float), plan.indices, plan.indptr),
+                shape=plan.shape)[order][:, order].tocsc()
+            self._plan_cache["ordered"] = _AssemblyPlan(
+                tags.indptr.astype(np.int32), tags.indices.astype(np.int32),
+                np.ascontiguousarray(plan.terms[:, tags.data.astype(np.int64)]), plan.shape)
+        return self._plan_cache["ordered"]
+
+    def dof_order(self):
+        """Nested-dissection order of the free dofs, as indices into the
+        free-dof vector: a free node's components stay together, in the
+        order _dissection_order gives the free nodes.  Cached, read-only.
+        """
+        if self._order_cache is None:
+            n = self.dim
+            nodes = _dissection_order(self.nodes[self.free_mask()[:, 0]], _ND_LEAF_DOFS // n)
+            order = (nodes[:, None] * n + np.arange(n)).ravel().astype(np.int32)
+            order.setflags(write=False)
+            self._order_cache = order
+        return self._order_cache
 
     def facet_quadrature(self, facets):
         """Boundary quadrature for a facet list.
@@ -322,6 +360,119 @@ class Mesh:
         return float(self.quadrature()[2].sum())
 
 
+@dataclass(frozen=True)
+class _AssemblyPlan:
+    """The CSR (or CSC) pattern of an assembled matrix and the entries
+    summed into each nonzero: terms[s, p] is the flat index into the
+    element matrices of the s-th entry of nonzero p, or their size, the
+    pad, past its last.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    terms: np.ndarray
+    shape: tuple
+
+
+def _assembly_plan(mesh, free_only):
+    """Assembly plan of scatter_matrix over the nodal dofs, or the free
+    ones.
+
+    The element matrices (M, k*n, k*n) are a COO list in C order; row r
+    of element e is a block of k*n entries with the columns of e's dofs.
+    Each entry's index is placed as scipy places the values: coo_tocsr
+    by row in entry order, that is the blocks by a stable sort on their
+    row, then csr_sort_indices, whose order among equal columns depends
+    on the column keys only.  csr_sum_duplicates then adds each run of
+    equal columns left to right from its first entry.  The free slice
+    keeps the blocks of the free rows and, after the sort, the nonzeros
+    in the free columns, in order.
+    """
+    M, k = mesh.elements.shape
+    n = mesh.dim
+    kn = k * n
+    size = M * kn * kn
+    N = mesh.nnodes * n
+    itype = np.int32 if max(size, N) < 2**31 - 1 else np.int64
+    dof = (mesh.elements[:, :, None] * n + np.arange(n)).reshape(-1).astype(itype)
+    free = mesh.free_mask().ravel() if free_only else np.ones(N, dtype=bool)
+    blocks = np.flatnonzero(free[dof]).astype(itype)
+    blocks = blocks[np.argsort(dof[blocks], kind="stable")]
+    indptr = np.zeros(N + 1, dtype=itype)
+    np.cumsum(np.bincount(dof[blocks], minlength=N) * kn, out=indptr[1:])
+    tags = (blocks[:, None] * float(kn) + np.arange(kn, dtype=float)).ravel()
+    cols = dof.reshape(M, kn)[blocks // kn].ravel()
+    del blocks
+    tagged = scipy.sparse.csr_matrix((tags, cols, indptr), shape=(N, N))
+    tagged.sort_indices()
+    tags, col = tagged.data.astype(itype), tagged.indices
+    del tagged, cols
+    first = np.ones(len(col), dtype=bool)
+    np.not_equal(col[1:], col[:-1], out=first[1:])
+    first[indptr[:-1][indptr[:-1] < len(col)]] = True
+    group = np.cumsum(first, dtype=itype) - 1
+    starts = np.flatnonzero(first).astype(itype)
+    slot = np.arange(len(col), dtype=itype) - starts[group]
+    keep = free[col[starts]]
+    nnz = int(np.count_nonzero(keep))
+    # the nonzeros in non-free columns go to a last column, then dropped
+    target = np.where(keep, np.cumsum(keep, dtype=itype) - 1, nnz).astype(itype)
+    terms = np.full((int(slot.max(initial=0)) + 1, nnz + 1), size, dtype=itype)
+    terms.reshape(-1)[slot * (nnz + 1) + target[group]] = tags
+    terms = np.ascontiguousarray(terms[:, :nnz])
+    del tags, slot, group, target
+    row_groups = np.concatenate([[0], np.cumsum(keep, dtype=itype)])[
+        np.concatenate([[0], np.cumsum(first, dtype=itype)])[indptr]]
+    rows = np.flatnonzero(free)
+    indptr = np.append(row_groups[rows], row_groups[-1]).astype(np.int32)
+    rank = np.cumsum(free, dtype=np.int32) - 1
+    indices = rank[col[starts[keep]]]
+    return _AssemblyPlan(indptr, indices, terms, (len(rows), len(rows)))
+
+
+# the largest part, in dofs, that _dissection_order splits no further
+_ND_LEAF_DOFS = 16
+
+
+def _dissection_order(X, leaf):
+    """Geometric nested-dissection order of the points X (P, n).
+
+    A part of more than leaf points is split across the longest axis of
+    its bounding box, at the plane of its median point along that axis:
+    the points below the plane come first, then those above, then those
+    on it, the separator.  Parts of at most leaf points keep index order.
+    Every part of a level is split at once: each split appends a base-3
+    digit (0 below, 1 above, 2 on the plane) to its points' keys, and the
+    order sorts the keys.  A side holds at most half of its part, so the
+    depth stays below log2(P) + 1.
+    """
+    P, n = X.shape
+    key = np.zeros(P, dtype=np.int64)
+    part = np.zeros(P, dtype=np.int64)
+    active = np.arange(P)
+    while active.size:
+        key *= 3
+        _, pid, size = np.unique(part[active], return_inverse=True, return_counts=True)
+        big = size[pid] > leaf
+        active, pid = active[big], pid[big]
+        if not active.size:
+            break
+        Xa = X[active]
+        lo = np.full((len(size), n), np.inf)
+        hi = np.full((len(size), n), -np.inf)
+        np.minimum.at(lo, pid, Xa)
+        np.maximum.at(hi, pid, Xa)
+        c = Xa[np.arange(len(active)), np.argmax(hi - lo, axis=1)[pid]]
+        ranked = np.lexsort((c, pid))
+        first = np.searchsorted(pid[ranked], pid)
+        plane = c[ranked][first + size[pid] // 2]
+        digit = np.where(c < plane, 0, np.where(c > plane, 1, 2))
+        key[active] += digit
+        part[active] = 2 * pid + digit
+        active = active[digit < 2]
+    return np.argsort(key, kind="stable")
+
+
 @dataclass
 class FeField:
     """Nodal vector field on a mesh; values[i] is the image of node i."""
@@ -383,10 +534,14 @@ class LoadSet:
         return cls(body=b, traction=t, dirichlet=dvals)
 
     def dirichlet_ok(self, u: FeField) -> bool:
-        for i, v in self.dirichlet.items():
-            if np.max(np.abs(u.values[i] - v)) > 1e-10 * (1.0 + np.max(np.abs(v))):
-                return False
-        return True
+        """Whether u meets every Dirichlet node vector v: no node i has
+        max |u_i - v| > 1e-10 (1 + max |v|)."""
+        if not self.dirichlet:
+            return True
+        ids = np.fromiter(self.dirichlet, dtype=int, count=len(self.dirichlet))
+        v = np.array(list(self.dirichlet.values()))
+        gap = np.abs(u.values[ids] - v).max(axis=1)
+        return not np.any(gap > 1e-10 * (1.0 + np.abs(v).max(axis=1)))
 
 
 def _eval_vector(spec, coords):
@@ -420,11 +575,16 @@ def _gradients(mesh, u, g):
     return np.ascontiguousarray(F.transpose(3, 2, 0, 1))
 
 
-def _check_dets(F):
-    det = np.linalg.det(F)
+def _checked_gradients(mesh, u):
+    """grad u at every quadrature point, after det grad u > 0 is checked
+    at each of them; a Newton iterate of this mesh hands back its own."""
+    if isinstance(u, _Iterate) and u.mesh is mesh:
+        return u.F
+    F = deformation_gradients(mesh, u)
+    det = det_many(F)
     if np.any(det <= 0.0):
         raise DeterminantViolation(f"det grad u = {float(det.min()):g} <= 0 at a quadrature point")
-    return det
+    return F
 
 
 def material_at_points(m, mesh: Mesh, u, quantity) -> np.ndarray:
@@ -434,8 +594,7 @@ def material_at_points(m, mesh: Mesh, u, quantity) -> np.ndarray:
     The material is evaluated once over all M*q points, in quadrature
     order, after det grad u > 0 is checked at each of them.
     """
-    F = deformation_gradients(mesh, u)
-    _check_dets(F)
+    F = _checked_gradients(mesh, u)
     M, q, n, _ = F.shape
     coords = mesh.quadrature()[0].reshape(-1, n)
     vals = getattr(m, f"{quantity}_many")(coords, F.reshape(-1, n, n))
@@ -538,21 +697,28 @@ def gradient_gram_matrix(mesh: Mesh):
 
 def scatter_matrix(mesh, Ke, free_only):
     """Sparse CSR assembly of element matrices Ke (M, k, n, k, n) over the
-    nodal dofs; free_only restricts it to the free dofs."""
-    M, k = mesh.elements.shape
-    n = mesh.dim
-    dof = (mesh.elements[:, :, None] * n + np.arange(n)[None, None, :]).reshape(M, k * n)
-    rows = np.repeat(dof, k * n, axis=1).ravel()
-    cols = np.tile(dof, (1, k * n)).ravel()
-    vals = Ke.reshape(M, k * n, k * n).ravel()
-    K = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(mesh.nnodes * n, mesh.nnodes * n)
-    ).tocsr()
-    if not free_only:
-        return K
-    free = mesh.free_mask().ravel()
-    idx = np.flatnonzero(free)
-    return K[np.ix_(idx, idx)].tocsr()
+    nodal dofs; free_only restricts it to the free dofs.
+
+    The mesh's cached assembly plan gathers every nonzero's entries of Ke
+    and adds them left to right, starting from the first, as scipy's
+    COO -> CSR conversion sums duplicates, so the matrix is that
+    conversion's, sliced to the free dofs, bit for bit.
+    """
+    return _assemble(mesh._sparse_plan(free_only), Ke, scipy.sparse.csr_matrix)
+
+
+def _assemble(plan, Ke, layout):
+    """The matrix (layout csr_matrix or csc_matrix) of a plan's pattern
+    whose nonzeros sum their terms of Ke."""
+    # Ke flattened in C order, then -0.0, the pad of the absent terms:
+    # x + -0.0 is x for every x, signed zeros included
+    flat = np.empty(Ke.size + 1)
+    flat[:-1].reshape(Ke.shape)[...] = Ke
+    flat[-1] = -0.0
+    data = flat[plan.terms[0]]
+    for t in plan.terms[1:]:
+        data += flat[t]
+    return layout((data, plan.indices.copy(), plan.indptr.copy()), shape=plan.shape)
 
 
 # coercivity_constant: width of the inertia bracket handed to shift-invert,
@@ -568,33 +734,63 @@ _SLICE_BISECTIONS = 40
 _CONFIRM_RTOL = 1e-12
 
 
-def _positive_definite_lu(A):
-    """SuperLU factors of the symmetric sparse A if A is positive definite,
-    else None.
+class SparseLU:
+    """SuperLU factors of a square sparse matrix B in the order it comes
+    in: permc_spec NATURAL, up to SuperLU's postorder of the elimination
+    tree.  B is P A P^T, A permuted into a fill-reducing order by its
+    caller, such as Mesh.dof_order; then order, the permutation (row
+    order[i] of A is row i of B), makes solve(b) solve A x = b.  Without
+    an order, solve solves B x = b.  Newton and the eigensolve share it.
 
-    The pivots stay on the diagonal of a symmetric fill-reducing ordering,
-    so P A P^T = L D L^T and, by Sylvester's law of inertia, A is positive
-    definite iff every pivot is > 0.  An exactly singular A is not
-    positive definite.  A row pivot off the diagonal leaves the pivots no
-    inertia and raises EigenFailure.
+    By default SuperLU keeps its threshold partial pivoting, which a
+    Newton tangent needs: far from equilibrium it may be indefinite.
+    diagonal=True keeps every pivot of a symmetric B on the diagonal, so
+    that B = L D L^T and, by Sylvester's law of inertia, the pivots carry
+    B's inertia, and A's; a row pivot off the diagonal leaves them none
+    and raises EigenFailure.  An exactly singular B raises splu's
+    RuntimeError.
     """
+
+    def __init__(self, B, order=None, diagonal=False):
+        pivoting = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}} if diagonal else {}
+        self.lu = scipy.sparse.linalg.splu(
+            scipy.sparse.csc_matrix(B), permc_spec="NATURAL", **pivoting)
+        self.order = order
+        if diagonal and not np.array_equal(self.lu.perm_r, self.lu.perm_c):
+            raise EigenFailure("sparse LU pivoted off the diagonal; its pivots give no inertia")
+
+    def solve(self, b):
+        """x with A x = b, or B x = b without an order."""
+        if self.order is None:
+            return self.lu.solve(b)
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
+
+    def pivots(self):
+        """The diagonal of U; with diagonal pivots, the D of L D L^T."""
+        return self.lu.U.diagonal()
+
+
+def _positive_definite_lu(A):
+    """SparseLU of the symmetric A, in its own order, if A is positive
+    definite (every diagonal pivot > 0), else None.  An exactly singular A
+    is not positive definite."""
     try:
-        lu = scipy.sparse.linalg.splu(
-            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        lu = SparseLU(A, diagonal=True)
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
         return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise EigenFailure("sparse LU pivoted off the diagonal; its pivots give no inertia")
-    return lu if np.all(lu.U.diagonal() > 0) else None
+    return lu if np.all(lu.pivots() > 0) else None
 
 
-def coercivity_constant(M_mat, G_mat) -> float:
+def coercivity_constant(M_mat, G_mat, order=None) -> float:
     """Smallest generalized eigenvalue of the symmetric pencil (M, G), G
     positive definite, certified by inertia.
+
+    order, such as the pencil's Mesh.dof_order, permutes the pencil once
+    into the order every shift is factored in; None keeps its own order.
 
     Spectrum slicing brackets it from below.  Stepping down from the
     smallest diagonal quotient M_ii / G_ii (a Rayleigh quotient, so an
@@ -612,8 +808,11 @@ def coercivity_constant(M_mat, G_mat) -> float:
     lies below lam - tau.  An empty or non-finite pencil, and anything
     unconfirmed, raises EigenFailure.
     """
-    M = scipy.sparse.csc_matrix(0.5 * (M_mat + M_mat.T))
-    G = scipy.sparse.csc_matrix(0.5 * (G_mat + G_mat.T))
+    M = scipy.sparse.csr_matrix(0.5 * (M_mat + M_mat.T))
+    G = scipy.sparse.csr_matrix(0.5 * (G_mat + G_mat.T))
+    if order is not None:
+        M, G = M[order][:, order], G[order][:, order]
+    M, G = M.tocsc(), G.tocsc()
     nd = M.shape[0]
     if nd == 0:
         raise EigenFailure("empty pencil: no free dof to take an eigenvalue over")
@@ -692,6 +891,16 @@ class SolveLog:
         return asdict(self)
 
 
+class _Iterate(FeField):
+    """A Newton state: a field whose grad u, det-checked, is taken once,
+    when it is made, and then serves its energy, residual and tangent.
+    Its values never change, and it never leaves solve_equilibrium."""
+
+    def __init__(self, mesh, values):
+        super().__init__(mesh, values)
+        self.F = _checked_gradients(mesh, FeField(mesh, self.values))
+
+
 def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
                       tol=1e-10, max_iter=50) -> tuple[FeField, SolveLog]:
     """Newton iteration with a backtracking, determinant-guarded line search.
@@ -700,11 +909,13 @@ def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
     move.  Steps are halved until det grad u > 0 everywhere and the energy
     satisfies an Armijo decrease; a step below 1e-12 stalls out.  A stall
     (LineSearchStall) or a spent budget (MaxIterations) raises with the
-    SolveLog so far as its log.
+    SolveLog so far as its log.  Each state takes grad u once; the tangent
+    is factored in the mesh's dof_order, with partial pivoting, and an
+    exactly singular one raises SingularTangent.
     """
     if not loads.dirichlet_ok(u0):
         raise BoundaryMismatch("solve_equilibrium: u0 violates the Dirichlet data")
-    u = u0.copy()
+    u = _Iterate(mesh, u0.values.copy())
     free = mesh.free_mask()
     log = SolveLog()
     r = residual(m, mesh, loads, u)
@@ -714,10 +925,12 @@ def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
         if log.residual_history[-1] <= tol:
             log.converged = True
             log.iterations = it
-            return u, log
-        K = second_variation_matrix(m, mesh, u)
+            return FeField(mesh, u.values), log
+        # the tangent K assembled straight into P K P^T, P the dof_order
+        A = material_at_points(m, mesh, u, "elasticity")
+        K = _assemble(mesh._ordered_plan(), element_matrices(mesh, A), scipy.sparse.csc_matrix)
         try:
-            delta = scipy.sparse.linalg.spsolve(K, -r)
+            delta = SparseLU(K, mesh.dof_order()).solve(-r)
         except RuntimeError as exc:
             raise SingularTangent(f"tangent solve failed: {exc}") from exc
         if not np.all(np.isfinite(delta)):
@@ -731,9 +944,10 @@ def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
         def backtrack(direction, slope):
             t = 1.0
             while t >= 1e-12:
-                cand = u.copy()
-                cand.values[free] += t * direction
+                values = u.values.copy()
+                values[free] += t * direction
                 try:
+                    cand = _Iterate(mesh, values)
                     val = total_energy(m, mesh, loads, cand)
                 except DeterminantViolation:
                     t *= 0.5
@@ -766,7 +980,7 @@ def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
     log.iterations = max_iter
     if log.residual_history[-1] <= tol:
         log.converged = True
-        return u, log
+        return FeField(mesh, u.values), log
     raise MaxIterations(
         f"Newton did not reach tol {tol:g} in {max_iter} iterations "
         f"(residual {log.residual_history[-1]:.3e})", log,

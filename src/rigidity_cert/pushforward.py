@@ -20,7 +20,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.spatial
 
 from . import certify, fem, material, tensor_core
 from .errors import (
@@ -99,6 +98,42 @@ def _forward_gradients(mesh, u_e):
     return F.reshape(coords.shape[:2] + (mesh.dim, mesh.dim))
 
 
+# the direction _has_close_pair sorts the points along; its components'
+# ratios are irrational, so the nodes of a lattice row or column, which
+# share coordinates, still project far apart
+_SWEEP = np.array([1.0, 0.6180339887498949, 0.3819660112501051])
+
+
+def _has_close_pair(points, r):
+    """Whether two of the points (P, n) lie within Euclidean distance r of
+    each other, their squared coordinate differences summed in axis order
+    against r * r.
+
+    A pair that close projects onto _SWEEP less than r |_SWEEP| apart, so
+    after sorting the projections only neighbours within that gap, plus a
+    bound on the projections' rounding, are compared.  The k-th neighbours
+    are compared while any of them is that close: the sorted projections
+    of farther neighbours lie farther apart.
+    """
+    d = _SWEEP[: points.shape[1]]
+    s = points @ d
+    order = np.argsort(s, kind="stable")
+    s, p = s[order], points[order]
+    rounding = 8.0 * np.finfo(float).eps * float(np.abs(points).max(initial=0.0)) * float(d.sum())
+    gap = (r * math.sqrt(float(d @ d)) + rounding) * (1.0 + 1e-9)
+    for k in range(1, len(s)):
+        near = np.flatnonzero(s[k:] - s[:-k] <= gap)
+        if not near.size:
+            break
+        diff = p[near + k] - p[near]
+        dist2 = diff[:, 0] * diff[:, 0]
+        for j in range(1, diff.shape[1]):
+            dist2 = dist2 + diff[:, j] * diff[:, j]
+        if np.any(dist2 <= r * r):
+            return True
+    return False
+
+
 def deform_configuration(mesh: fem.Mesh, u_e) -> DeformedConfig:
     """Build the deformed mesh and store the forward gradient data.
 
@@ -116,8 +151,7 @@ def deform_configuration(mesh: fem.Mesh, u_e) -> DeformedConfig:
         raise DeterminantViolation(
             f"forward map determinant {det.min():g} <= 0 at a quadrature point"
         )
-    tree = scipy.spatial.cKDTree(images)
-    if tree.query_pairs(1e-12):
+    if _has_close_pair(images, 1e-12):
         raise NotInjective("two nodes map to the same image point")
     try:
         mesh_def = fem.Mesh(

@@ -226,8 +226,12 @@ def korn_form_matrix(mesh, F_field=None):
     mesh lattice, or a callable of position.  The coefficient determinant
     must stay at or above 1e-8 at every quadrature point.
     """
+    return fem.scatter_matrix(mesh, _korn_element_matrices(mesh, F_field), free_only=False)
+
+
+def _korn_element_matrices(mesh, F_field):
     Fq = _coefficient_at_qps(mesh, F_field)
-    dets = np.linalg.det(Fq)
+    dets = tensor_core.det_many(Fq)
     if dets.min() < 1e-8:
         raise DetBelowFloor(f"coefficient determinant {dets.min():g} below floor 1e-08")
     n = mesh.dim
@@ -237,13 +241,13 @@ def korn_form_matrix(mesh, F_field=None):
     # A[i, k, j, l] = 2 (F F^T)_{ij} delta_{kl} + 2 F_{il} F_{jk}
     A = 2.0 * FFt[:, :, :, None, :, None] * np.eye(n)[:, None, :]
     A += 2.0 * Fq[:, :, :, None, None, :] * np.swapaxes(Fq, -1, -2)[:, :, None, :, :, None]
-    return fem.scatter_matrix(mesh, fem.element_matrices(mesh, A), free_only=False)
+    return fem.element_matrices(mesh, A)
 
 
 def korn_constant(mesh, F_field=None) -> float:
     """Best constant K in  int |F^T grad w + (grad w)^T F|^2 >= K int |grad w|^2
-    over FE fields vanishing on the mesh's Dirichlet nodes."""
-    B = korn_form_matrix(mesh, F_field)
-    idx = np.flatnonzero(mesh.free_mask().ravel())
-    B = B[np.ix_(idx, idx)].tocsr()
-    return fem.coercivity_constant(B, fem.gradient_gram_matrix(mesh))
+    over FE fields vanishing on the mesh's Dirichlet nodes: the form's
+    matrix over the free dofs, the korn_form_matrix slice bit for bit,
+    against the gradient Gram matrix, factored in the mesh's dof_order."""
+    B = fem.scatter_matrix(mesh, _korn_element_matrices(mesh, F_field), free_only=True)
+    return fem.coercivity_constant(B, fem.gradient_gram_matrix(mesh), mesh.dof_order())

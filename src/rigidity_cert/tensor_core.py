@@ -23,6 +23,7 @@ __all__ = [
     "strain_dist_sandwich",
     "frob",
     "frob_many",
+    "det_many",
     "rotations",
     "random_rotation",
 ]
@@ -35,6 +36,20 @@ def frob(A) -> float:
     root of np.linalg.norm, without its dispatch."""
     a = np.asarray(A, dtype=float).ravel(order="K")
     return math.sqrt(a.dot(a))
+
+
+def det_many(F) -> np.ndarray:
+    """Determinants of a stack of 2x2 or 3x3 matrices (..., n, n) in closed
+    form: the products of entries, not an LU factorization per matrix.  It
+    serves the checks that read only a determinant's sign or compare it
+    with a fixed floor."""
+    F = np.asarray(F, dtype=float)
+    if F.shape[-1] == 2:
+        return F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+    a, b, c = F[..., 0, 0], F[..., 0, 1], F[..., 0, 2]
+    d, e, f = F[..., 1, 0], F[..., 1, 1], F[..., 1, 2]
+    g, h, i = F[..., 2, 0], F[..., 2, 1], F[..., 2, 2]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _as_square(F, who: str) -> np.ndarray:
@@ -134,7 +149,7 @@ def dist_to_rotations_many(F) -> np.ndarray:
         )
     if not np.all(np.isfinite(F)):
         raise DimensionMismatch("dist_to_rotations_many: a matrix has non-finite entries")
-    dets = np.linalg.det(F)
+    dets = det_many(F)
     if np.any(dets <= 0):
         raise DeterminantViolation(
             f"det = {dets.min():g} <= 0 while measuring rotation distance"

@@ -333,7 +333,44 @@ def boundary_map_walk(elements, local_facets):
     return {k: v for k, v in seen.items() if v is not None}
 
 
+# ------------------------------------------------------- assembly
+
+def scatter_matrix_coo(elements, nnodes, free, Ke):
+    """Sparse CSR assembly of element matrices Ke (M, k, n, k, n) by
+    scipy's COO -> CSR conversion, which sums duplicate entries, sliced
+    with np.ix_ to the dofs that the bool vector free keeps (None keeps
+    them all)."""
+    M, k = elements.shape
+    n = Ke.shape[-1]
+    dof = (elements[:, :, None] * n + np.arange(n)[None, None, :]).reshape(M, k * n)
+    rows = np.repeat(dof, k * n, axis=1).ravel()
+    cols = np.tile(dof, (1, k * n)).ravel()
+    vals = Ke.reshape(M, k * n, k * n).ravel()
+    K = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(nnodes * n, nnodes * n)).tocsr()
+    if free is None:
+        return K
+    idx = np.flatnonzero(free)
+    return K[np.ix_(idx, idx)].tocsr()
+
+
 # ------------------------------------------------------- eigensolve
+
+def negative_pivots_mmd(A):
+    """Count of the negative LDL^T pivots of the symmetric sparse A in
+    SuperLU's minimum-degree order on A + A^T, or None when A is exactly
+    singular: by Sylvester's law, A's count of negative eigenvalues."""
+    try:
+        lu = scipy.sparse.linalg.splu(
+            scipy.sparse.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        return None
+    assert np.array_equal(lu.perm_r, lu.perm_c), "LU pivoted off the diagonal"
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
 
 def _positive_definite_splu(A):
     """SuperLU factors of the symmetric sparse A if its diagonal pivots

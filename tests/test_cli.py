@@ -915,8 +915,9 @@ def test_bmo_gate_takes_grad_u_e_once_whatever_the_candidate_count(tmp_path, mon
 def test_strain_diff_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypatch):
     # the strain-difference filter reads grad u_e from CertInputs and
     # measures its u_e side once per certificate, not per candidate: the
-    # 7 are the solve's last residual and energy, the residual, energy,
-    # grad u_e and tangent of certification_inputs, and the deformed mesh
+    # 6 are the solve's last state, whose residual and energy share one
+    # grad u, the residual, energy, grad u_e and tangent of
+    # certification_inputs, and the deformed mesh
     from rigidity_cert import certify, fem
 
     def state_key(mesh, u):
@@ -932,13 +933,13 @@ def test_strain_diff_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypatc
             assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
         u_e, _ = states
         seen.append(grads[u_e])
-    assert seen == [7, 7]
+    assert seen == [6, 6]
 
 
 def test_small_strain_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypatch):
-    # the strain bound of u_e reads C_e from CertInputs: the 6 are the
-    # solve's last residual and energy, and the residual, energy, grad u_e
-    # and tangent of certification_inputs
+    # the strain bound of u_e reads C_e from CertInputs: the 5 are the
+    # solve's last state, whose residual and energy share one grad u, and
+    # the residual, energy, grad u_e and tangent of certification_inputs
     from rigidity_cert import certify, fem
 
     def state_key(mesh, u):
@@ -954,7 +955,7 @@ def test_small_strain_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypat
             assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
         (u_e,) = states
         seen.append(grads[u_e])
-    assert seen == [6, 6]
+    assert seen == [5, 5]
 
 
 @pytest.mark.parametrize("pipeline, extra, candidates, takes", [

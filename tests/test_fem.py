@@ -2,6 +2,7 @@
 import hashlib
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 
 from rigidity_cert import errors, fem, material, rigidity
 
-from oracles import boundary_map_walk, coercivity_constant_bisection, fd_gradient
+from oracles import (
+    boundary_map_walk,
+    coercivity_constant_bisection,
+    fd_gradient,
+    negative_pivots_mmd,
+    scatter_matrix_coo,
+)
 
 
 def _loads_identity(mesh, body=None, traction=None):
@@ -391,6 +398,138 @@ def test_element_matrices_rejects_a_misshapen_tensor():
         fem.element_matrices(mesh, np.zeros((M + 1, q, 2, 2, 2, 2)))
 
 
+_ASSEMBLY_MESHES = {
+    "rectangle": lambda: fem.rectangle_mesh(5, 3, 1.5, 1.0, dirichlet=("left",)),
+    "l-shape": lambda: fem.l_shape_mesh(6, dirichlet=("left", "bottom")),
+    "ring": lambda: fem.square_ring_mesh(8),
+    "box": lambda: fem.box_mesh(3, 2, 2, dirichlet=("x0", "z1")),
+    "clamped-cell": lambda: fem.rectangle_mesh(1, 1),
+}
+
+
+def _same_bits(A, B):
+    return (A.shape == B.shape and np.array_equal(A.indptr, B.indptr)
+            and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data.view(np.uint64), B.data.view(np.uint64)))
+
+
+@pytest.mark.parametrize("free_only", [False, True])
+@pytest.mark.parametrize("kind", sorted(_ASSEMBLY_MESHES))
+def test_scatter_matrix_is_the_coo_assembly_bit_for_bit(kind, free_only):
+    # the cached plan sums each nonzero's entries in the order scipy's COO
+    # -> CSR conversion does, signed zeros included, and slices as np.ix_
+    mesh = _ASSEMBLY_MESHES[kind]()
+    M, k = mesh.elements.shape
+    n = mesh.dim
+    free = mesh.free_mask().ravel() if free_only else None
+    rng = np.random.default_rng(7)
+    stacks = []
+    for _ in range(3):
+        Ke = rng.normal(size=(M, k, n, k, n))
+        Ke[rng.random(Ke.shape) < 0.2] = -0.0
+        Ke[rng.random(Ke.shape) < 0.1] = 0.0
+        stacks.append(Ke)
+    # element matrices as they come, a strided view
+    u = fem.FeField(mesh, mesh.nodes * 1.02 + 0.01 * rng.normal(size=mesh.nodes.shape))
+    stacks.append(fem.element_matrices(
+        mesh, fem.material_at_points(material.stvk(1.0, 1.0), mesh, u, "elasticity")))
+    for Ke in stacks:
+        want = scatter_matrix_coo(mesh.elements, mesh.nnodes, free, Ke)
+        assert _same_bits(fem.scatter_matrix(mesh, Ke, free_only=free_only), want)
+        if free_only:
+            # the Newton tangent's plan gives P K P^T in CSC, P the dof order
+            order = mesh.dof_order()
+            assert _same_bits(fem._assemble(mesh._ordered_plan(), Ke, sp.csc_matrix),
+                              want[order][:, order].tocsc())
+
+
+@st.composite
+def _order_meshes(draw):
+    """A generated mesh of any kind or a lattice-mask mesh, its node and
+    element ids shuffled or not, as a mesh file may list them."""
+    kind = draw(st.sampled_from(["generated", "mask"]))
+    if kind == "generated":
+        mesh = draw(st.sampled_from(sorted(_ASSEMBLY_MESHES)).map(lambda k: _ASSEMBLY_MESHES[k]()))
+    else:
+        mask = draw(_lattice_masks())
+        mesh = fem._lattice_mesh(mask.shape, (1.0,) * mask.ndim, mask, "all")
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        perm = rng.permutation(mesh.nnodes)
+        mesh = fem.Mesh(
+            mesh.nodes[np.argsort(perm)], perm[mesh.elements][rng.permutation(len(mesh.elements))],
+            [tuple(perm[list(f)]) for f in mesh.dirichlet_facets],
+            [tuple(perm[list(f)]) for f in mesh.traction_facets],
+        )
+    return mesh
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=_order_meshes(), shifts=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=3))
+def test_dof_order_permutes_the_free_dofs_and_keeps_the_inertia(tmp_path_factory, mesh, shifts):
+    path = tmp_path_factory.mktemp("order") / "mesh.txt"
+    fem.write_mesh(mesh, path)
+    for mesh in (mesh, fem.read_mesh(path)):
+        n, nfree = mesh.dim, int(mesh.free_mask().sum())
+        order = mesh.dof_order()
+        assert order.dtype == np.int32 and not order.flags.writeable
+        assert np.array_equal(np.sort(order), np.arange(nfree))
+        # a node's components stay together, in component order
+        assert np.array_equal(order.reshape(-1, n) % n, np.tile(np.arange(n), (nfree // n, 1)))
+        if nfree == 0:
+            continue
+        # the pencil of the korn pipeline: M - s G, s clear of every
+        # eigenvalue, has as many negative pivots in the order as in
+        # minimum-degree order, one per eigenvalue below s
+        M = rigidity.korn_form_matrix(mesh)
+        free = np.flatnonzero(mesh.free_mask().ravel())
+        M = M[np.ix_(free, free)].tocsr()
+        G = fem.gradient_gram_matrix(mesh)
+        lams = scipy.linalg.eigh(M.toarray(), G.toarray(), eigvals_only=True)
+        for s in shifts:
+            if np.min(np.abs(lams - s)) <= 1e-6 * max(1.0, s):
+                continue
+            A = (M - s * G).tocsr()
+            want = int(np.count_nonzero(lams < s))
+            assert negative_pivots_mmd(A) == want
+            lu = fem.SparseLU(A[order][:, order], diagonal=True)
+            assert int(np.count_nonzero(lu.pivots() < 0)) == want
+
+
+def test_dissection_order_splits_the_longest_axis_at_a_middle_plane():
+    # 7 x 3 points: the x = 3 column is the separator, last; x < 3 first
+    X = np.array([(x, y) for y in range(3) for x in range(7)], dtype=float)
+    order = fem._dissection_order(X, leaf=9)
+    assert set(order[-3:]) == {3, 10, 17}
+    assert set(order[:9]) == {i for i in range(21) if X[i, 0] < 3}
+    # a part within the leaf size keeps index order
+    assert np.array_equal(fem._dissection_order(X, leaf=21), np.arange(21))
+    # coincident points all lie on the plane and end the recursion
+    assert np.array_equal(fem._dissection_order(np.zeros((5, 2)), leaf=1), np.arange(5))
+
+
+def test_sparse_lu_solves_in_an_order_with_and_without_pivoting():
+    rng = np.random.default_rng(2)
+    nd = 40
+    a = rng.normal(size=(nd, nd))
+    sym = a + a.T  # indefinite
+    b = rng.normal(size=nd)
+    order = rng.permutation(nd)
+    A = sp.csr_matrix(sym)
+    # B = P A P^T with its order solves A x = b; A with none solves itself
+    for B, by in ((A[order][:, order], order), (A, None)):
+        np.testing.assert_allclose(sym @ fem.SparseLU(B, by).solve(b), b, atol=1e-9)
+    # diagonal pivots give the inertia of a symmetric matrix in any order
+    spd = a @ a.T + nd * np.eye(nd)
+    e = np.linalg.eigvalsh(spd)
+    shifted = sp.csr_matrix(spd - 0.5 * (e[4] + e[5]) * np.eye(nd))
+    lu = fem.SparseLU(shifted[order][:, order], order, diagonal=True)
+    assert int(np.count_nonzero(lu.pivots() < 0)) == 5
+    np.testing.assert_allclose(shifted @ lu.solve(b), b, atol=1e-6)
+    with pytest.raises(RuntimeError, match="singular"):
+        fem.SparseLU(sp.csr_matrix((nd, nd)))
+
+
 def test_determinant_violation_raised():
     m = material.stvk(1.0, 1.0)
     mesh = fem.rectangle_mesh(2, 2)
@@ -466,6 +605,39 @@ def test_solver_halves_a_step_that_violates_the_determinant(monkeypatch):
     np.testing.assert_allclose(u.values, expected.values, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("model", ["stvk", "neo-hookean"])
+def test_solver_takes_each_state_s_gradient_and_quantities_once(monkeypatch, model):
+    # every state the solve visits, accepted or not, takes grad u once and
+    # its energy once; each accepted state its stress once, and each state
+    # a Newton step leaves its elasticity once
+    m = material.stvk(1.0, 1.0) if model == "stvk" else material.neo_hookean(1.0, 1.0)
+    mesh = fem.rectangle_mesh(6, 6)
+    loads = fem.LoadSet.build(mesh, body=[0.0, -0.3], dirichlet=lambda x: x)
+    grads, taken = [], {"energy": [], "stress": [], "elasticity": []}
+    gradients = fem.deformation_gradients
+
+    def counted_gradients(mesh, u):
+        F = gradients(mesh, u)
+        grads.append(F.tobytes())
+        return F
+
+    monkeypatch.setattr(fem, "deformation_gradients", counted_gradients)
+    for quantity, calls in taken.items():
+        def counted(x, F, calls=calls, evaluate=getattr(m, f"{quantity}_many")):
+            calls.append(F.tobytes())
+            return evaluate(x, F)
+
+        monkeypatch.setattr(m, f"{quantity}_many", counted)
+    u, log = fem.solve_equilibrium(m, mesh, loads, fem.FeField.identity(mesh))
+    assert log.converged and log.iterations >= 2
+    assert len(set(grads)) == len(grads)
+    assert sorted(taken["energy"]) == sorted(grads)
+    for quantity, steps in (("stress", log.iterations + 1), ("elasticity", log.iterations)):
+        assert len(taken[quantity]) == len(set(taken[quantity])) == steps
+        assert set(taken[quantity]) <= set(grads)
+    assert taken["stress"][-1] == grads[-1]
+
+
 def test_solver_stall_carries_the_solve_log():
     # an energy 1e30 times the one its stress derives from rises along
     # every step the line search tries, down to 1e-12
@@ -486,8 +658,8 @@ def test_solver_stall_carries_the_solve_log():
 
 
 def test_solver_singular_tangent_raises(monkeypatch):
-    # a zero elasticity makes the tangent exactly singular: the solve
-    # warns and hands back a non-finite step
+    # a zero elasticity makes the tangent exactly singular: its
+    # factorization fails, and no warning escapes before SingularTangent
     flat = material.CustomMaterial(
         "flat", lambda x, F: 0.5 * float(np.sum((F - np.eye(2)) ** 2)),
         lambda x, F: F - np.eye(2), lambda x, F: np.zeros((2, 2, 2, 2)),
@@ -495,15 +667,17 @@ def test_solver_singular_tangent_raises(monkeypatch):
     mesh = fem.rectangle_mesh(2, 2)
     loads = fem.LoadSet.build(mesh, body=[0.1, 0.0], dirichlet=lambda x: x)
     start = fem.FeField.identity(mesh)
-    with pytest.raises(errors.SingularTangent, match="non-finite step"):
-        with pytest.warns(scipy.sparse.linalg.MatrixRankWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.SingularTangent,
+                           match="tangent solve failed: Factor is exactly singular"):
             fem.solve_equilibrium(flat, mesh, loads, start)
 
-    # a solve that fails outright
-    def failing_solve(*args, **kwargs):
+    # a factorization that fails outright
+    def failing_factorization(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve", failing_solve)
+    monkeypatch.setattr(fem, "SparseLU", failing_factorization)
     with pytest.raises(errors.SingularTangent,
                        match="tangent solve failed: Factor is exactly singular"):
         fem.solve_equilibrium(material.stvk(1.0, 1.0), mesh, loads, start)
@@ -697,7 +871,7 @@ def _korn_pencil(n):
     mesh = fem.rectangle_mesh(n, n)
     idx = np.flatnonzero(mesh.free_mask().ravel())
     B = rigidity.korn_form_matrix(mesh)[np.ix_(idx, idx)]
-    return B, fem.gradient_gram_matrix(mesh)
+    return B, fem.gradient_gram_matrix(mesh), mesh.dof_order()
 
 
 def _stretch_pencil():
@@ -708,7 +882,8 @@ def _stretch_pencil():
     loads = fem.LoadSet.build(mesh, dirichlet=lambda x: A @ x)
     u_e, log = fem.solve_equilibrium(m, mesh, loads, fem.FeField(mesh, mesh.nodes @ A.T))
     assert log.converged
-    return fem.second_variation_matrix(m, mesh, u_e), fem.gradient_gram_matrix(mesh)
+    M, G = fem.second_variation_matrix(m, mesh, u_e), fem.gradient_gram_matrix(mesh)
+    return M, G, mesh.dof_order()
 
 
 @pytest.mark.parametrize("pencil", [lambda: _korn_pencil(16), lambda: _korn_pencil(32),
@@ -717,13 +892,15 @@ def _stretch_pencil():
 def test_coercivity_takes_at_most_three_factorizations(monkeypatch, pencil):
     # the first positive definite shift, the trial shift below the loose
     # Lanczos' Rayleigh quotient, and the closing inertia check; the
-    # plain bisection took 13 on each of these
-    M, G = pencil()
+    # plain bisection took 13 on each of these; in the mesh's order as in
+    # its own, and against the bisection in the pencil's own order
+    M, G, order = pencil()
     expected = coercivity_constant_bisection(M, G)
-    calls = _counting_splu(monkeypatch)
-    lam = fem.coercivity_constant(M, G)
-    assert len(calls) <= 3
-    assert abs(lam - expected) <= 1e-12 * abs(expected)
+    for by in (order, None):
+        calls = _counting_splu(monkeypatch)
+        lam = fem.coercivity_constant(M, G, by)
+        assert len(calls) <= 3
+        assert abs(lam - expected) <= 1e-12 * abs(expected)
 
 
 def test_coercivity_trial_shift_not_positive_definite_falls_back_to_bisection(monkeypatch):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.spatial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidity_cert import certify, errors, fem, harmonic, material, pushforward
 
@@ -108,6 +111,45 @@ def test_not_injective_wraparound():
     u = fem.FeField.from_function(mesh, wrap)
     with pytest.raises(errors.NotInjective):
         pushforward.deform_configuration(mesh, u)
+
+
+@st.composite
+def _point_sets(draw):
+    """Points in 2D or 3D on integer grids spaced 1e-12 apart (pairs
+    exactly 1e-12 and sqrt(2) 1e-12 apart, and coincident ones) or
+    lattice-like ones sharing coordinates, as node columns do, with an
+    optional offset and jitter at the scale of the radius."""
+    n = draw(st.sampled_from([2, 3]))
+    count = draw(st.integers(1, 30))
+    grid = draw(st.sampled_from([1e-12, 0.5e-12, 1.0 / 16, 1.0]))
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=count, max_size=count))
+    pts = np.array(cells, dtype=float) * grid + draw(st.sampled_from([0.0, 1.0, -3.5, 1e3]))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pts = pts + rng.normal(size=pts.shape) * 1e-12
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_sets())
+def test_close_pair_check_is_brute_force_pairwise_distance(points):
+    # any two points within 1e-12 (Euclidean, squared differences summed
+    # in axis order) are found; scipy's k-d tree pair query agrees
+    diff = points[:, None, :] - points[None, :, :]
+    dist2 = diff[..., 0] * diff[..., 0]
+    for j in range(1, points.shape[1]):
+        dist2 = dist2 + diff[..., j] * diff[..., j]
+    pairs = np.triu_indices(len(points), 1)
+    want = bool(np.any(dist2[pairs] <= 1e-12 * 1e-12))
+    assert pushforward._has_close_pair(points, 1e-12) == want
+    assert bool(scipy.spatial.cKDTree(points).query_pairs(1e-12)) == want
+
+
+def test_close_pair_check_at_the_radius():
+    base = np.array([[0.25, 0.5], [0.75, 0.5], [0.25, 0.75]])
+    for gap, close in ((1e-12, True), (1.5e-12, False)):
+        pts = np.vstack([base, base[:1] + [gap, 0.0]])
+        assert pushforward._has_close_pair(pts, 1e-12) is close
 
 
 def test_folded_map_rejected():

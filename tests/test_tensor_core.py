@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidity_cert.errors import (
     DeterminantViolation,
@@ -10,6 +12,7 @@ from rigidity_cert.errors import (
     Singular,
 )
 from rigidity_cert.tensor_core import (
+    det_many,
     dist_to_rotations,
     dist_to_rotations_many,
     frob,
@@ -156,6 +159,20 @@ def test_dist_many_validation():
             dist_to_rotations_many(np.ones(shape))
     with pytest.raises(DeterminantViolation):
         dist_to_rotations_many(np.stack([np.eye(3), np.diag([-2.0, 1.0, 1.0])]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+       shape=st.sampled_from([(1,), (7,), (3, 4)]))
+def test_det_many_is_the_determinant_in_closed_form(seed, n, shape):
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=shape + (n, n))
+    np.testing.assert_allclose(det_many(F), np.linalg.det(F), rtol=1e-12, atol=1e-14)
+    # integer matrices, singular ones among them, exactly; a sign read
+    # from the closed form is exact there
+    Z = rng.integers(-2, 3, size=shape + (n, n)).astype(float)
+    assert np.array_equal(det_many(Z), np.round(np.linalg.det(Z)))
+    assert det_many(np.ones(shape + (n, n))).tolist() == np.zeros(shape).tolist()
 
 
 def test_rotations_of_a_stack_of_turns():
