@@ -44,6 +44,7 @@ __all__ = [
     "gated_perturbations",
     "multistart_agreement",
     "fold_outcomes",
+    "measure",
 ]
 
 SCOPE_LABEL = "discrete, desk-scale"
@@ -59,6 +60,14 @@ _GAP_SLACK = 0.1
 RESIDUAL_TOL = 1e-8
 _RADIUS_CAP = 1e6
 _TRANSFER_CAP = 1e6
+
+# the exponents (p, q) of J2: the cubic remainder is controlled through
+# ||psi||_3 <= J2 ||psi||_{BMO+L1}^(1/3) ||psi||_2^(2/3)
+J2_EXPONENTS = (2.0, 3.0)
+
+# the amplitude of the first bump of a J2 family, and of the bump the
+# rigidity diagnostics fit a rotation to
+BUMP_AMPLITUDE = 0.02
 
 
 @dataclass(frozen=True)
@@ -110,15 +119,16 @@ def j2_family(mesh, count, seed):
     rng = np.random.default_rng(seed)
     fields = []
     for k in range(count):
-        gf = fem.gradient_field(mesh, bump_values(mesh, rng, eps=0.02 * (1 + k)))
+        gf = fem.gradient_field(mesh, bump_values(mesh, rng, eps=BUMP_AMPLITUDE * (1 + k)))
         for i in range(mesh.dim):
             for j in range(mesh.dim):
                 fields.append(gf.with_values(gf.values[..., i, j]))
+    p, q = J2_EXPONENTS
     manifest = {
         "kind": "interior-bump gradient components",
         "count": int(count),
         "seed": int(seed),
-        "exponents": {"p": 2, "q": 3},
+        "exponents": {"p": int(p), "q": int(q)},
     }
     return fields, manifest
 
@@ -196,7 +206,7 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
         problem, np.random.default_rng(seed), rho, epsilon, taylor_samples, seed
     )
     fields, j2_manifest = j2_family(mesh, j2_count, seed)
-    J2 = harmonic.fit_interpolation_constant(fields, p=2.0, q=3.0)
+    J2 = harmonic.fit_interpolation_constant(fields, *J2_EXPONENTS)
     components = n * n
     delta_star = (
         neighborhood_radius(k_hat, c, J2, components)
@@ -235,7 +245,8 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
     )
 
 
-def _measure(lhs: float, rhs: float, ok: bool) -> dict:
+def measure(lhs: float, rhs: float, ok: bool) -> dict:
+    """One measurement of a report: its two sides and whether it passed."""
     return {"lhs": float(lhs), "rhs": float(rhs), "pass": bool(ok)}
 
 
@@ -315,20 +326,20 @@ def local_min_gate(c: Candidate) -> GateReport:
     step = float(np.sqrt(np.einsum("eqij,eqij->eq", Fv - Fe, Fv - Fe)).max())
     set_ratio = max(inputs.dist_sup / inputs.rho, dist_v / inputs.rho, step / inputs.epsilon)
     measurements = {
-        "set_membership": _measure(set_ratio, 1.0, set_ratio < 1.0),
-        "bmo_seminorm": _measure(c.bmo, delta, c.bmo < delta),
-        "mean_gradient": _measure(c.mean_gap, delta, c.mean_gap < delta),
+        "set_membership": measure(set_ratio, 1.0, set_ratio < 1.0),
+        "bmo_seminorm": measure(c.bmo, delta, c.bmo < delta),
+        "mean_gradient": measure(c.mean_gap, delta, c.mean_gap < delta),
     }
     # informational: does the fitted J2 cover this candidate's components
     diff = c.difference
     rh_ok = all(
         harmonic.verify_interpolation(
-            diff.with_values(diff.values[..., i, j]), 2.0, 3.0, inputs.J2
+            diff.with_values(diff.values[..., i, j]), *J2_EXPONENTS, inputs.J2
         )
         for i in range(mesh.dim)
         for j in range(mesh.dim)
     )
-    measurements["rh_cover"] = _measure(0.0 if rh_ok else 1.0, 1.0, rh_ok)
+    measurements["rh_cover"] = measure(0.0 if rh_ok else 1.0, 1.0, rh_ok)
     applicable = all(
         measurements[k]["pass"]
         for k in ("set_membership", "bmo_seminorm", "mean_gradient")
@@ -345,7 +356,7 @@ def local_min_gate(c: Candidate) -> GateReport:
     gap = fem.total_energy(m, mesh, loads, v) - inputs.energy
     bound = (1.0 - _GAP_SLACK) * inputs.k_hat * c.l2_gap_sq
     ok = gap >= bound - 1e-12 * (1.0 + abs(gap))
-    measurements["energy_gap"] = _measure(gap, bound, ok)
+    measurements["energy_gap"] = measure(gap, bound, ok)
     if not ok:
         raise AssertionViolated(
             f"smallness conditions passed but energy gap {gap:.6e} fell "
@@ -399,8 +410,8 @@ def direction_positivity_transfer(c: Candidate) -> TransferReport:
         scale = inputs.c_hat_taylor * math.sqrt(inputs.components) * inputs.J2**3
         threshold = float(min(2.0 * k_hat / scale, _TRANSFER_CAP))
     measurements = {
-        "bmo_seminorm": _measure(c.bmo, threshold, c.bmo < threshold),
-        "mean_gradient": _measure(c.mean_gap, threshold, c.mean_gap < threshold),
+        "bmo_seminorm": measure(c.bmo, threshold, c.bmo < threshold),
+        "mean_gradient": measure(c.mean_gap, threshold, c.mean_gap < threshold),
     }
     if not all(meas["pass"] for meas in measurements.values()):
         return TransferReport(
@@ -418,7 +429,7 @@ def direction_positivity_transfer(c: Candidate) -> TransferReport:
     rhs = 4.0 * k_hat * c.l2_gap_sq
     ratio = math.inf if rhs == 0.0 else lhs / rhs
     ok = lhs >= rhs * (1.0 - 1e-12) - 1e-15
-    measurements["transfer_bound"] = _measure(lhs, rhs, ok)
+    measurements["transfer_bound"] = measure(lhs, rhs, ok)
     if not ok:
         raise AssertionViolated(
             f"thresholds passed but the transferred form {lhs:.6e} fell "
@@ -525,8 +536,7 @@ def _strain_sup(F) -> float:
     return float(np.sqrt(np.einsum("eqij,eqij->eq", C, C)).max())
 
 
-def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2,
-                            boundary_p: float | None = None) -> Certificate:
+def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2) -> Certificate:
     """Certify the equilibrium u_e that inputs were measured at as the
     locally unique small-strain minimizer among the supplied candidates,
     at desk scale.
@@ -536,7 +546,8 @@ def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2,
     stays inside the small-strain set (certification_inputs has checked
     that u_e is an equilibrium).  Each candidate is then filtered by the
     same strain bound and passed through the rotation-fit diagnostics,
-    the boundary rotation comparison, and the energy gate.
+    the boundary rotation comparison at p = n + 1 (it needs p > n), and
+    the energy gate.
     """
     problem, u_e = inputs.problem, inputs.u_e
     m, mesh = problem.material, problem.mesh
@@ -558,13 +569,12 @@ def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2,
             f">= {strain_delta:g}"
         )
     measurements = {
-        "second_variation_positive": _measure(inputs.lambda_min, 0.0, inputs.lambda_min > 0.0),
-        "stress_free": _measure(con.stress_free_err, 1e-8, True),
-        "elasticity_floor": _measure(min(con.shear_floor, con.sigma_floor), 0.0, True),
-        "strain_bound_reference": _measure(strain_e, strain_delta, True),
+        "second_variation_positive": measure(inputs.lambda_min, 0.0, inputs.lambda_min > 0.0),
+        "stress_free": measure(con.stress_free_err, 1e-8, True),
+        "elasticity_floor": measure(min(con.shear_floor, con.sigma_floor), 0.0, True),
+        "strain_bound_reference": measure(strain_e, strain_delta, True),
     }
     entries = []
-    p_bc = float(n + 1) if boundary_p is None else float(boundary_p)
     for idx, v in enumerate(candidates):
         cid = f"candidate-{idx:03d}"
         c = Candidate(v, inputs)
@@ -579,8 +589,8 @@ def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2,
             entry["reason"] = "candidate strain bound"
             entries.append(entry)
             continue
-        fit = rigidity.rigidity_fit(c.grad, p=2.0)
-        bc = rigidity.boundary_rotation_closeness(u_e, v, mesh, p=p_bc)
+        fit = rigidity.rigidity_fit(c.grad)
+        bc = rigidity.boundary_rotation_closeness(u_e, v, mesh, p=float(n + 1))
         gate = local_min_gate(c)
         entry.update(
             {

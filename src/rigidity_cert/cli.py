@@ -167,13 +167,8 @@ _KEYS = {
     "certify.frac": (_p_float, 0.5),
     "certify.strain_delta": (_p_float, 0.2),
     "certify.strain_eps": (_p_float, 0.05),
-    "certify.boundary_p": (_p_float, None),
     "certify.restarts": (_p_int, 0),
-    "rigidity.p": (_p_float, 2.0),
-    "rigidity.eps": (_p_float, 0.02),
     "rigidity.resolutions": (_p_ints, (8, 16)),
-    "harmonic.p": (_p_float, 2.0),
-    "harmonic.q": (_p_float, 3.0),
     "harmonic.count": (_p_int, 6),
     "korn.resolutions": (_p_ints, (8, 16)),
 }
@@ -301,18 +296,12 @@ def validate_scenario(sc) -> tuple[fem.Mesh, list]:
     mesh = build_mesh(sc)
     if sc["pipeline"] in _SOLVING and not mesh.free_mask().any():
         _fail(sc, "mesh.dirichlet", "the mesh leaves no free dof to solve for")
-    dim = mesh.dim
     build_material(sc)
     build_loads(sc, mesh)
     if sc["solve.tol"] <= 0.0:
         _fail(sc, "solve.tol", "tolerance must be positive")
     if sc["solve.max_iter"] < 1:
         _fail(sc, "solve.max_iter", "needs at least one iteration")
-    p_bc = sc["certify.boundary_p"]
-    if p_bc is not None and p_bc <= dim:
-        _fail(sc, "certify.boundary_p",
-              f"boundary rotation closeness requires p > n for the "
-              f"supercritical embedding; got p = {p_bc:g} with n = {dim}")
     for key in ("certify.rho", "certify.epsilon", "certify.taylor_samples",
                 "certify.strain_delta", "certify.strain_eps"):
         if not sc[key] > 0:
@@ -325,13 +314,6 @@ def validate_scenario(sc) -> tuple[fem.Mesh, list]:
     for key in ("certify.candidates", "certify.restarts"):
         if sc[key] < 0:
             _fail(sc, key, f"counts must be >= 0, got {sc[key]}")
-    p = sc["rigidity.p"]
-    if not 1.0 < p < float("inf"):
-        _fail(sc, "rigidity.p", f"rotation fit requires 1 < p < inf, got {p:g}")
-    if not 1.0 <= sc["harmonic.p"] < sc["harmonic.q"]:
-        _fail(sc, "harmonic.p",
-              f"interpolation exponents need 1 <= p < q, got "
-              f"p = {sc['harmonic.p']:g}, q = {sc['harmonic.q']:g}")
     for key in ("rigidity.resolutions", "korn.resolutions"):
         if not sc[key] or any(r < 1 for r in sc[key]):
             _fail(sc, key, "resolutions must be positive integers")
@@ -479,10 +461,7 @@ def _pipeline_bmo_gate(sc, mesh, sweep):
 
 def _pipeline_small_strain(sc, mesh, sweep):
     inputs, cands = _certify_setup(sc, mesh)
-    cert = certify.small_strain_uniqueness(
-        cands, inputs, strain_delta=sc["certify.strain_delta"],
-        boundary_p=sc["certify.boundary_p"],
-    )
+    cert = certify.small_strain_uniqueness(cands, inputs, strain_delta=sc["certify.strain_delta"])
     if sc["certify.restarts"] > 0:
         ms = certify.multistart_agreement(
             inputs.problem, count=sc["certify.restarts"], seed=sc["seed"] + 2
@@ -518,25 +497,19 @@ def _pipeline_strain_diff(sc, mesh, sweep):
 
 def _pipeline_harmonic(sc, mesh, sweep):
     count = sc["harmonic.count"]
-    p, q = sc["harmonic.p"], sc["harmonic.q"]
+    p, q = certify.J2_EXPONENTS
     fields, manifest = certify.j2_family(mesh, count, sc["seed"])
-    J2 = harmonic.fit_interpolation_constant(fields, p=p, q=q)
+    J2 = harmonic.fit_interpolation_constant(fields, p, q)
     doubled, _ = certify.j2_family(mesh, 2 * count, sc["seed"])
-    J2_doubled = harmonic.fit_interpolation_constant(doubled, p=p, q=q)
+    J2_doubled = harmonic.fit_interpolation_constant(doubled, p, q)
     rows = []
-    all_ok = True
     for i, fld in enumerate(fields):
-        bmo = harmonic.bmo_seminorm(fld)
-        sharp_max = float(harmonic.fs_sharp(fld).values[fld.mask].max())
-        maximal_sup = float(harmonic.hl_maximal(fld).values[fld.mask].max())
         pw = harmonic.verify_pointwise_bounds(fld)
-        interp_ok = harmonic.verify_interpolation(fld, p, q, J2)
-        all_ok = all_ok and pw.ok and interp_ok
-        rows.append((f"field-{i:03d}", bmo, sharp_max, maximal_sup,
-                     pw.ok, interp_ok))
+        rows.append((f"field-{i:03d}", harmonic.bmo_seminorm(fld), pw.sharp_max,
+                     pw.maximal_sup, pw.ok, harmonic.verify_interpolation(fld, p, q, J2)))
     theta = harmonic.interpolation_exponent(p, q)
     expo = harmonic.rh_exponents(p, q)
-    outcome = "pass" if all_ok else "fail"
+    outcome = "pass" if all(pw_ok and interp_ok for *_, pw_ok, interp_ok in rows) else "fail"
     doc = _base_doc(sc, mesh)
     doc["outcome"] = outcome
     doc["measurements"] = {
@@ -557,21 +530,20 @@ def _pipeline_harmonic(sc, mesh, sweep):
 
 
 def _pipeline_rigidity(sc, mesh, sweep):
-    rows = []
-    for r, mesh_r in zip(sc["rigidity.resolutions"], sweep):
+    fits = []
+    for mesh_r in sweep:
         rng = np.random.default_rng(sc["seed"])
-        vals = mesh_r.nodes + certify.bump_values(mesh_r, rng, sc["rigidity.eps"])
-        fit = rigidity.rigidity_fit(
-            fem.gradient_field(mesh_r, vals), p=sc["rigidity.p"]
-        )
-        rows.append((r, fit.C_emp, fit.M_emp, fit.bmo_seminorm, fit.dist_sup))
+        vals = mesh_r.nodes + certify.bump_values(mesh_r, rng, certify.BUMP_AMPLITUDE)
+        fits.append(rigidity.rigidity_fit(fem.gradient_field(mesh_r, vals)))
+    rows = [(r, fit.C_emp, fit.M_emp, fit.bmo_seminorm, fit.dist_sup)
+            for r, fit in zip(sc["rigidity.resolutions"], fits)]
     doc = _base_doc(sc, mesh)
     doc["outcome"] = "pass"
     doc["measurements"] = {
         "resolutions": list(sc["rigidity.resolutions"]),
-        "p": sc["rigidity.p"],
-        "eps": sc["rigidity.eps"],
-        "C_emp": [row[1] for row in rows],
+        "p": fits[0].p,
+        "eps": certify.BUMP_AMPLITUDE,
+        "C_emp": [fit.C_emp for fit in fits],
     }
     table = (
         ("resolution", "C_emp", "M_emp", "bmo_seminorm", "dist_sup"),

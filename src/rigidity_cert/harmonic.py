@@ -108,10 +108,6 @@ class GridField:
         object.__setattr__(self, "origin", origin)
 
     @property
-    def ndim(self) -> int:
-        return self.mask.ndim
-
-    @property
     def is_matrix(self) -> bool:
         return self.values.ndim == self.mask.ndim + 2
 
@@ -168,13 +164,6 @@ class CubeFamily:
     def at(self, positions):
         """(corner, side) pairs of the cubes at positions, in that order."""
         return zip(map(tuple, self.corners[positions].tolist()), self.sides[positions].tolist())
-
-    def manifest(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "count": self.count,
-            "max_side": self.max_side,
-        }
 
 
 def _window(corner, side):
@@ -557,8 +546,13 @@ def lp_mean_norm(fld: GridField, p: float) -> float:
 
 @dataclass(frozen=True)
 class PointwiseBoundsReport:
+    """The worst gaps of |psi| <= psi* and psi# <= 2 psi* over the cells,
+    and the sups of psi# (sharp_max) and psi* (maximal_sup)."""
+
     max_value_minus_star: float
     max_sharp_minus_twice_star: float
+    sharp_max: float
+    maximal_sup: float
 
     @property
     def ok(self) -> bool:
@@ -578,6 +572,8 @@ def verify_pointwise_bounds(fld: GridField) -> PointwiseBoundsReport:
     return PointwiseBoundsReport(
         max_value_minus_star=float((norms[m] - star[m]).max()),
         max_sharp_minus_twice_star=float((sharp[m] - 2.0 * star[m]).max()),
+        sharp_max=float(sharp[m].max()),
+        maximal_sup=float(star[m].max()),
     )
 
 
@@ -634,10 +630,12 @@ def interpolation_exponent(p: float, q: float) -> Fraction:
 
 
 def _rh_sides(fld: GridField, p: float, q: float, J2: float):
+    """||psi||_p, ||psi||_q and J2 ||psi||_{BMO+L1}^(1-p/q) ||psi||_p^(p/q)."""
     ex_bmo, ex_p = rh_exponents(p, q)
-    lhs = lp_mean_norm(fld, q)
-    rhs = J2 * bmo_l1_norm(fld) ** float(ex_bmo) * lp_mean_norm(fld, p) ** float(ex_p)
-    return lhs, rhs
+    norm_q = lp_mean_norm(fld, q)
+    bound = J2 * bmo_l1_norm(fld) ** float(ex_bmo)
+    norm_p = lp_mean_norm(fld, p)
+    return norm_p, norm_q, bound * norm_p ** float(ex_p)
 
 
 def fit_interpolation_constant(fields, p: float, q: float) -> float:
@@ -647,7 +645,7 @@ def fit_interpolation_constant(fields, p: float, q: float) -> float:
     lets the same J2 serve any cell size.
     """
     return _largest_ratio("fit_interpolation_constant",
-                          (_rh_sides(fld, p, q, 1.0) for fld in fields))
+                          (_rh_sides(fld, p, q, 1.0)[1:] for fld in fields))
 
 
 def fit_hl_constant(fields, p: float) -> float:
@@ -668,13 +666,12 @@ def verify_interpolation(fld: GridField, p: float, q: float, J2: float) -> bool:
     """
     if not (1 <= p < q):
         raise BadExponents(f"verify_interpolation: need 1 <= p < q, got p={p}, q={q}")
-    lhs, rhs = _rh_sides(fld, p, q, J2)
-    if lhs > rhs * (1.0 + _REL_SLACK):
+    norm_p, norm_q, rhs = _rh_sides(fld, p, q, J2)
+    if norm_q > rhs * (1.0 + _REL_SLACK):
         return False
     theta = float(interpolation_exponent(p, q))
-    lhs2 = lp_mean_norm(fld, p)
-    rhs2 = lp_mean_norm(fld, 1.0) ** theta * lp_mean_norm(fld, q) ** (1.0 - theta)
-    return lhs2 <= rhs2 * (1.0 + _REL_SLACK)
+    rhs2 = lp_mean_norm(fld, 1.0) ** theta * norm_q ** (1.0 - theta)
+    return norm_p <= rhs2 * (1.0 + _REL_SLACK)
 
 
 # ------------------------------------------------------------------ file io

@@ -470,19 +470,11 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
     )
     ident_dev = float(np.max(np.abs(inputs_def.deformation_gradients - np.eye(mesh.dim))))
     measurements = {
-        "identity_gradient_dev": {
-            "lhs": ident_dev,
-            "rhs": 1e-10,
-            "pass": ident_dev <= 1e-10,
-        },
-        "second_variation_positive_ref": {
-            "lhs": inputs.lambda_min, "rhs": 0.0,
-            "pass": inputs.lambda_min > 0.0,
-        },
-        "second_variation_positive_def": {
-            "lhs": inputs_def.lambda_min, "rhs": 0.0,
-            "pass": inputs_def.lambda_min > 0.0,
-        },
+        "identity_gradient_dev": certify.measure(ident_dev, 1e-10, ident_dev <= 1e-10),
+        "second_variation_positive_ref": certify.measure(
+            inputs.lambda_min, 0.0, inputs.lambda_min > 0.0),
+        "second_variation_positive_def": certify.measure(
+            inputs_def.lambda_min, 0.0, inputs_def.lambda_min > 0.0),
     }
     entries = []
     for idx, v in enumerate(candidates):
@@ -512,11 +504,7 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
         if gate_def.outcome == "pass" and gate_ref.outcome == "pass":
             agree = abs(gate_def.energy_gap - gate_ref.energy_gap)
             slack = 1e-9 * (1.0 + abs(gate_ref.energy_gap))
-            entry["excess_agreement"] = {
-                "lhs": agree,
-                "rhs": slack,
-                "pass": agree <= slack,
-            }
+            entry["excess_agreement"] = certify.measure(agree, slack, agree <= slack)
             entry["energy_excess"] = gate_ref.energy_gap
             entry["outcome"] = "pass" if agree <= slack else "fail"
         else:

@@ -79,6 +79,31 @@ def test_unknown_key_rejected(tmp_path):
         cli.load_scenario(path)
 
 
+@pytest.mark.parametrize("key, value, pipeline", [
+    ("certify.boundary_p", "3.0", "certify-small-strain"),
+    ("rigidity.p", "2.0", "diagnostics-rigidity"),
+    ("rigidity.eps", "0.02", "diagnostics-rigidity"),
+    ("harmonic.p", "2.0", "diagnostics-harmonic"),
+    ("harmonic.q", "3.0", "diagnostics-harmonic"),
+])
+def test_fixed_value_keys_are_unknown(tmp_path, capsys, key, value, pipeline):
+    # the certificate's exponents and the bump amplitude are constants, so
+    # a config that sets one, even to its value, is refused before any run
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = {pipeline}
+        mesh.nx = 4
+        mesh.ny = 4
+        {key} = {value}
+    """)
+    message = f"config error: unknown keys: '{key}' (line 6)"
+    assert cli.main(["validate", cfg]) == 1
+    assert message in capsys.readouterr().err
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_required_key(tmp_path):
     path = _write(tmp_path, "a.cfg", "name = demo\n")
     with pytest.raises(errors.ConfigError, match="pipeline"):
@@ -127,14 +152,6 @@ def test_validate_command_ok(tmp_path, capsys):
     cfg = _stretch_config(tmp_path, "solve")
     assert cli.main(["validate", cfg]) == 0
     assert "config ok" in capsys.readouterr().out
-
-
-def test_validate_boundary_p_hypothesis(tmp_path, capsys):
-    cfg = _stretch_config(tmp_path, "certify-small-strain",
-                          extra="certify.boundary_p = 2.0")
-    assert cli.main(["validate", cfg]) == 1
-    err = capsys.readouterr().err
-    assert "p > n" in err and "boundary" in err
 
 
 def test_validate_affine_needs_matrix(tmp_path, capsys):
@@ -191,13 +208,6 @@ def test_validate_rejects_non_square_rigidity_resolutions(tmp_path, capsys):
     cfg = _stretch_config(tmp_path, "diagnostics-rigidity", extra="mesh.height = 2.0")
     assert cli.main(["validate", cfg]) == 1
     assert "mesh.width" in capsys.readouterr().err
-
-
-def test_validate_rigidity_p(tmp_path, capsys):
-    cfg = _stretch_config(tmp_path, "diagnostics-rigidity",
-                          extra="rigidity.p = 1.0")
-    assert cli.main(["validate", cfg]) == 1
-    assert "1 < p" in capsys.readouterr().err
 
 
 def test_validate_rejects_odd_l_shape_korn_resolution(tmp_path, capsys):
@@ -387,8 +397,6 @@ def test_validate_rejects_nonpositive_certify_settings(tmp_path, capsys, key, va
     ("certify.rho", "0.75", "rho + epsilon must stay below 1 to keep determinants positive"),
     ("certify.frac", "0", "perturbation fraction must be positive"),
     ("certify.frac", "-0.5", "perturbation fraction must be positive"),
-    ("harmonic.p", "3", "interpolation exponents need 1 <= p < q, got p = 3, q = 3"),
-    ("harmonic.p", "0.5", "interpolation exponents need 1 <= p < q, got p = 0.5, q = 3"),
     ("korn.resolutions", "8 0", "resolutions must be positive integers"),
     ("rigidity.resolutions", "-4", "resolutions must be positive integers"),
 ])
@@ -415,8 +423,6 @@ def test_validate_names_the_key_at_fault(tmp_path, capsys, key, value, message):
      "affine Dirichlet matrix must have positive determinant"),
     ("certify.epsilon = 0.5", "certify.rho", "0.5",
      "rho + epsilon must stay below 1 to keep determinants positive"),
-    ("harmonic.q = 2.5", "harmonic.p", "2.5",
-     "interpolation exponents need 1 <= p < q, got p = 2.5, q = 2.5"),
 ])
 def test_validate_names_the_key_at_fault_beside_its_partner(tmp_path, capsys, partner, key,
                                                             value, message):
@@ -650,6 +656,51 @@ def test_run_diagnostics_harmonic(tmp_path):
     assert doc["measurements"]["exponents"]["rh"] == ["1/3", "2/3"]
     rows = (out / "harm.fields.csv").read_text().splitlines()
     assert len(rows) == 1 + 3 * 4  # count families x dim^2 components
+
+
+def test_diagnostics_harmonic_j2_is_the_certificate_j2(tmp_path):
+    # the diagnostics fit J2 at the certificate's exponents, on the same
+    # family: for one mesh, seed and family size it is the same number
+    from rigidity_cert import certify, fem, material
+
+    cfg = _write(tmp_path, "a.cfg", """
+        name = harm
+        pipeline = diagnostics-harmonic
+        seed = 4
+        mesh.nx = 6
+        mesh.ny = 6
+        harmonic.count = 2
+    """)
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "harm.json").read_text())
+    mesh = fem.rectangle_mesh(6, 6)
+    loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)
+    problem = certify.Problem("identity", material.stvk(1.0, 1.0), mesh, loads)
+    inputs = certify.certification_inputs(problem, fem.FeField.identity(mesh),
+                                          taylor_samples=50, j2_count=2, seed=4)
+    assert doc["measurements"]["J2"] == inputs.J2
+    assert doc["measurements"]["family"] == inputs.provenance["j2_family"]
+
+
+def test_diagnostics_harmonic_takes_each_maximal_function_once_per_field(tmp_path,
+                                                                         monkeypatch):
+    # the CSV's sups come from verify_pointwise_bounds' own maximal fields
+    from rigidity_cert import harmonic
+
+    sharp_calls = _count_calls(monkeypatch, harmonic, "fs_sharp")
+    maximal_calls = _count_calls(monkeypatch, harmonic, "hl_maximal")
+    cfg = _write(tmp_path, "a.cfg", """
+        name = harm
+        pipeline = diagnostics-harmonic
+        mesh.nx = 6
+        mesh.ny = 6
+        harmonic.count = 2
+    """)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    fields = 2 * 2 * 2  # count families x dim^2 components
+    assert sharp_calls == {"fs_sharp": fields}
+    assert maximal_calls == {"hl_maximal": fields}
 
 
 def test_run_diagnostics_rigidity(tmp_path):

@@ -157,6 +157,16 @@ def test_pointwise_bounds_hold():
     assert verify_pointwise_bounds(full_field(vals)).ok
 
 
+def test_pointwise_bounds_report_the_maximal_sups():
+    # the sups are those of the maximal fields the bounds were checked on
+    rng = np.random.default_rng(109)
+    for fld in random_fields(rng, 10, masked=True) + random_fields(rng, 5, matrix=True):
+        rep = verify_pointwise_bounds(fld)
+        m = fld.mask
+        assert rep.sharp_max == fs_sharp(fld).values[m].max()
+        assert rep.maximal_sup == hl_maximal(fld).values[m].max()
+
+
 def test_sharp_bmo_identity_exact():
     rng = np.random.default_rng(109)
     for fld in random_fields(rng, 30, masked=True):
@@ -492,6 +502,20 @@ def test_fit_then_verify_interpolation_family():
             for f in fields
         )
         assert not all(verify_interpolation(f, p, q, worst * 0.5) for f in fields)
+
+
+def test_verify_interpolation_takes_each_norm_once(monkeypatch):
+    calls = {}
+    original = harmonic.lp_mean_norm
+
+    def counted(fld, p):
+        calls[p] = calls.get(p, 0) + 1
+        return original(fld, p)
+
+    monkeypatch.setattr(harmonic, "lp_mean_norm", counted)
+    fld = random_fields(np.random.default_rng(139), 1)[0]
+    assert verify_interpolation(fld, 2.0, 3.0, 10.0)
+    assert calls == {3.0: 1, 2.0: 1, 1.0: 1}
 
 
 def test_interpolation_bound_unconditional_sweep():
