@@ -9,6 +9,7 @@ library call and is merely formatted here.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -162,7 +163,6 @@ _KEYS = {
     "certify.rho": (_p_float, 0.25),
     "certify.epsilon": (_p_float, 0.25),
     "certify.taylor_samples": (_p_int, 2000),
-    "certify.j2_count": (_p_int, 6),
     "certify.candidates": (_p_int, 12),
     "certify.frac": (_p_float, 0.5),
     "certify.strain_delta": (_p_float, 0.2),
@@ -317,9 +317,8 @@ def validate_scenario(sc) -> tuple[fem.Mesh, list]:
     for key in ("rigidity.resolutions", "korn.resolutions"):
         if not sc[key] or any(r < 1 for r in sc[key]):
             _fail(sc, key, "resolutions must be positive integers")
-    for key in ("harmonic.count", "certify.j2_count"):
-        if sc[key] < 1:
-            _fail(sc, key, f"family sizes must be >= 1, got {sc[key]}")
+    if sc["harmonic.count"] < 1:
+        _fail(sc, "harmonic.count", f"family sizes must be >= 1, got {sc['harmonic.count']}")
     sweep = _sweep_meshes(sc)
     _check_lattice(sc, mesh, sweep)
     return mesh, sweep
@@ -362,31 +361,41 @@ def _check_lattice(sc, mesh, sweep):
               f"pipeline {pipeline} needs square lattice cells; mesh.nx = "
               f"{sc['mesh.nx']} and mesh.ny = {sc['mesh.ny']} on a {w:g} x {h:g} "
               f"rectangle give non-square cells")
+    elif pipeline.startswith("certify-") and not math.isfinite(
+            harmonic.oscillation_constant(mesh.lattice.mask)):
+        # the key that sets the width of a one-cell wall or strip
+        key = {"ring": "mesh.hole", "l-shape": "mesh.n"}.get(
+            kind, min(("mesh.nx", "mesh.ny"), key=sc.get))
+        _fail(sc, key, f"pipeline {pipeline} needs a finite J2, and this lattice has none: "
+                       "its maximal squares do not overlap into one piece (a wall or strip "
+                       "one cell wide carries fields of BMO seminorm 0 that are not constant)")
 
 
 def _solve(sc, mesh):
+    """The problem, the start field of its Newton solve, and the solve's
+    state and log."""
     m = build_material(sc)
     loads, u0 = build_loads(sc, mesh)
     problem = certify.Problem(sc["name"], m, mesh, loads)
     u_e, log = fem.solve_equilibrium(m, mesh, loads, u0,
                                      tol=sc["solve.tol"],
                                      max_iter=sc["solve.max_iter"])
-    return problem, u_e, log
+    return problem, u0, u_e, log
 
 
 def _certify_setup(sc, mesh):
     """The certify pipelines' common start: solve, measure the reference
-    constants once, and draw the gated candidates."""
-    problem, u_e, _ = _solve(sc, mesh)
+    constants once, and draw the gated candidates; also the solve's start
+    field."""
+    problem, u0, u_e, _ = _solve(sc, mesh)
     inputs = certify.certification_inputs(
         problem, u_e, rho=sc["certify.rho"], epsilon=sc["certify.epsilon"],
-        taylor_samples=sc["certify.taylor_samples"], j2_count=sc["certify.j2_count"],
-        seed=sc["seed"],
+        taylor_samples=sc["certify.taylor_samples"], seed=sc["seed"],
     )
     cands = certify.gated_perturbations(
         inputs, count=sc["certify.candidates"], frac=sc["certify.frac"], seed=sc["seed"] + 1,
     )
-    return inputs, cands
+    return inputs, cands, u0
 
 
 def _base_doc(sc, mesh) -> dict:
@@ -405,7 +414,7 @@ def _pipeline_solve(sc, mesh, sweep):
     # an unconverged solve is this pipeline's fail, reported with its
     # Newton history; the certify pipelines let NewtonStopped propagate
     try:
-        _, _, log = _solve(sc, mesh)
+        *_, log = _solve(sc, mesh)
     except NewtonStopped as exc:
         log = exc.log
     # the solve's last entries are taken at the state it returns
@@ -439,7 +448,7 @@ def _num(x) -> float:
 
 
 def _pipeline_bmo_gate(sc, mesh, sweep):
-    inputs, cands = _certify_setup(sc, mesh)
+    inputs, cands, _ = _certify_setup(sc, mesh)
     cert = certify.bmo_gate_certificate(cands, inputs)
     rows = []
     for e in cert.candidates:
@@ -460,11 +469,11 @@ def _pipeline_bmo_gate(sc, mesh, sweep):
 
 
 def _pipeline_small_strain(sc, mesh, sweep):
-    inputs, cands = _certify_setup(sc, mesh)
+    inputs, cands, u0 = _certify_setup(sc, mesh)
     cert = certify.small_strain_uniqueness(cands, inputs, strain_delta=sc["certify.strain_delta"])
     if sc["certify.restarts"] > 0:
         ms = certify.multistart_agreement(
-            inputs.problem, count=sc["certify.restarts"], seed=sc["seed"] + 2
+            inputs.problem, u0, count=sc["certify.restarts"], seed=sc["seed"] + 2
         )
         cert.extra["multistart"] = ms
         cert.outcome = certify.fold_outcomes(
@@ -479,7 +488,7 @@ def _pipeline_small_strain(sc, mesh, sweep):
 
 
 def _pipeline_strain_diff(sc, mesh, sweep):
-    inputs, cands = _certify_setup(sc, mesh)
+    inputs, cands, _ = _certify_setup(sc, mesh)
     cert = pushforward.certify_strain_neighborhood(
         cands, inputs, strain_eps=sc["certify.strain_eps"]
     )
@@ -500,12 +509,15 @@ def _pipeline_harmonic(sc, mesh, sweep):
     p, q = certify.J2_EXPONENTS
     fields, manifest = certify.j2_family(mesh, count, sc["seed"])
     J2 = harmonic.fit_interpolation_constant(fields, p, q)
+    # the doubled family's first fields are those of fields, bit for bit,
+    # so only its second half is fitted
     doubled, _ = certify.j2_family(mesh, 2 * count, sc["seed"])
-    J2_doubled = harmonic.fit_interpolation_constant(doubled, p, q)
+    J2_doubled = max(J2, harmonic.fit_interpolation_constant(doubled[len(fields):], p, q))
     rows = []
     for i, fld in enumerate(fields):
+        # the largest cell of the sharp maximal field is the BMO seminorm
         pw = harmonic.verify_pointwise_bounds(fld)
-        rows.append((f"field-{i:03d}", harmonic.bmo_seminorm(fld), pw.sharp_max,
+        rows.append((f"field-{i:03d}", pw.sharp_max, pw.sharp_max,
                      pw.maximal_sup, pw.ok, harmonic.verify_interpolation(fld, p, q, J2)))
     theta = harmonic.interpolation_exponent(p, q)
     expo = harmonic.rh_exponents(p, q)
@@ -515,6 +527,7 @@ def _pipeline_harmonic(sc, mesh, sweep):
     doc["measurements"] = {
         "J2": J2,
         "J2_doubled_family": J2_doubled,
+        "J2_bound": harmonic.interpolation_bound(mesh.lattice.mask, p, q),
         "family": manifest,
         "exponents": {
             "rh": [str(expo[0]), str(expo[1])],

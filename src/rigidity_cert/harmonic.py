@@ -36,6 +36,8 @@ __all__ = [
     "GridField",
     "CubeFamily",
     "cube_family",
+    "oscillation_constant",
+    "interpolation_bound",
     "hl_maximal",
     "fs_sharp",
     "bmo_seminorm",
@@ -204,6 +206,146 @@ def _cube_family_of(shape: tuple, mask_bytes: bytes) -> CubeFamily:
     for a in (sides, corners, vertices):
         a.setflags(write=False)
     return CubeFamily(shape=shape, sides=sides, corners=corners, vertices=vertices)
+
+
+# ------------------------------------------------ the interpolation bound
+#
+# A field psi on the cells of a domain Omega in Z^n, B its BMO seminorm
+# (the largest mean oscillation over the cube family), psi_Q its average
+# over a cube Q and m its domain average.  The telescoping step of
+# John-Nirenberg (F. John and L. Nirenberg, Comm. Pure Appl. Math. 14
+# (1961) 415-426) bounds |psi(x) - m| <= C B at every cell x, with C a
+# function of the mask alone:
+#   * Nested cubes.  For cubes R inside Q, |psi_R - psi_Q| <= (1/|R|)
+#     sum_R |psi - psi_Q| <= (|Q| / |R|) B.  A cube of side s holds, for
+#     every t < s and every cell x in it, a cube of side t holding x, and
+#     a cell is the cube of side 1 whose average is psi(x).  So a chain of
+#     sides s = s_0 > s_1 > ... > s_K = 1 gives |psi(x) - psi_Q| <=
+#     sum_k (s_k / s_(k+1))^n B for x in Q, and the cheapest chain is
+#     C_s = min_(t < s) (s / t)^n + C_t, C_1 = 0.
+#   * Overlaps.  Every cube lies in a maximal cube, one inside no larger
+#     cube of the family.  Two maximal cubes M, M' that share a cell share
+#     the largest cube R of their intersection, so |psi_M - psi_M'| <=
+#     (|M| + |M'|) / |R| B.  With D(M) the shortest path over such steps
+#     from a root M_0 (the first maximal cube of the largest side), and
+#     D_x = min over the maximal M holding x of D(M) + C_side(M),
+#     |psi(x) - psi_(M_0)| <= D_x B.
+#   * The domain mean.  The cells of M_0 deviate from psi_(M_0) by zero
+#     in sum, so m - psi_(M_0) = (1/|Omega|) sum_(y not in M_0) (psi(y) -
+#     psi_(M_0)), and
+#       C = max_x D_x + (1/|Omega|) sum_(y not in M_0) D_y.
+#     On a cube domain M_0 is the domain, the sum is empty and C = C_N.
+#   * Interpolation.  ||psi||_inf <= |m| + C B <= max(C, 1) ||psi||_{BMO+L1},
+#     and with domain averages ||psi||_q^q <= ||psi||_inf^(q-p) ||psi||_p^p,
+#     so J2 = max(C, 1)^(1 - p/q) bounds the reverse-Hoelder constant of
+#     every field on the domain, scalar or matrix (Frobenius norms).
+#   * A disconnected overlap graph gives C = inf, and that is exact: a
+#     field constant on the cells of each component has B = 0.
+#
+# Rounding: every term is nonnegative and every step is a quotient of exact
+# integers, a sum or a min, so the float64 C is the exact value of the same
+# chains to within relative g(K), K = 2 (maximal cubes + largest side) +
+# cells + 4, the most roundings any one term passes through.  The pow of
+# J2 adds a rounding and the exponent's, u (1 - p/q) ln C.  Both are taken
+# with the factor 4 of headroom of the comment below.
+
+def _chain_constants(top, ndim):
+    """C_s of the comment above for s = 0..top (C_0 unused)."""
+    chain = np.zeros(top + 1)
+    for s in range(2, top + 1):
+        t = np.arange(1, s)
+        chain[s] = (float(s ** ndim) / (t ** ndim) + chain[1:s]).min()
+    return chain
+
+
+def _maximal_cubes(family):
+    """(sides, corners) of the cubes of the family inside no larger one:
+    those inside no cube one side larger, whose corners lie one step back
+    along some of the axes."""
+    fits = {}
+    for side, part in _side_runs(family.sides):
+        grid = np.zeros(tuple(n - side + 1 for n in family.shape), dtype=bool)
+        grid[tuple(family.corners[part].T)] = True
+        fits[side] = grid
+    sides, corners = [], []
+    for side, grid in fits.items():
+        if side + 1 in fits:
+            grid = grid & ~_box_reduce(np.pad(fits[side + 1], 1), 2, np.max)
+        found = np.argwhere(grid)
+        sides.append(np.full(len(found), side))
+        corners.append(found)
+    return np.concatenate(sides), np.concatenate(corners)
+
+
+def _overlap_reach(sides, corners, root):
+    """Shortest paths from the cube root over the steps (|M| + |M'|) / |R|
+    between the maximal cubes that share a cell, R the largest cube of
+    their intersection (Bellman-Ford, one sweep over every step at once
+    until none shortens a path); inf for a cube no path reaches."""
+    m, ndim = corners.shape
+    ends = corners + sides[:, None]
+    volume = sides.astype(float) ** ndim
+    rows, cols, costs = [], [], []
+    step = max(1, _CHUNK // (m * ndim))
+    for lo in range(0, m, step):
+        # side of the largest cube in each intersection, <= 0 if empty (a
+        # cube's step to itself never shortens a path)
+        side = (np.minimum(ends[lo:lo + step, None], ends)
+                - np.maximum(corners[lo:lo + step, None], corners)).min(axis=-1)
+        i, j = np.nonzero(side > 0)
+        costs.append((volume[i + lo] + volume[j]) / side[i, j].astype(float) ** ndim)
+        rows.append(i + lo)
+        cols.append(j)
+    rows, cols, costs = (np.concatenate(a) for a in (rows, cols, costs))
+    reach = np.full(m, np.inf)
+    reach[root] = 0.0
+    while True:
+        shorter = reach.copy()
+        np.minimum.at(shorter, cols, reach[rows] + costs)
+        if np.array_equal(shorter, reach):
+            return reach
+        reach = shorter
+
+
+def oscillation_constant(mask) -> float:
+    """C with |psi(x) - mean psi| <= C ||psi||_BMO at every cell x, for
+    every field psi on the domain mask selects (see the comment above):
+    inf when the domain's maximal cubes do not overlap into one piece.
+    Cached by mask."""
+    mask = np.asarray(mask, dtype=bool)
+    return _oscillation_constant_of(mask.shape, mask.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _oscillation_constant_of(shape: tuple, mask_bytes: bytes) -> float:
+    mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
+    sides, corners = _maximal_cubes(_cube_family_of(shape, mask_bytes))
+    root = int(np.argmax(sides))
+    reach = _overlap_reach(sides, corners, root)
+    if not np.isfinite(reach).all():
+        return math.inf
+    chain = _chain_constants(int(sides.max()), mask.ndim)
+    cell = np.full(shape, np.inf)
+    for side, part in _side_runs(sides):
+        grid = np.full(tuple(n - side + 1 for n in shape), np.inf)
+        grid[tuple(corners[part].T)] = reach[part] + chain[side]
+        grid = np.pad(grid, side - 1, constant_values=np.inf)
+        np.minimum(cell, _box_reduce(grid, side, np.min), out=cell)
+    outside = mask.copy()
+    outside[_window(corners[root], sides[root])] = False
+    C = cell[mask].max() + cell[outside].sum() / mask.sum()
+    K = 2 * (len(sides) + int(sides.max())) + int(mask.sum()) + 4
+    return float(C * (1.0 + 4.0 * _gamma(K)))
+
+
+def interpolation_bound(mask, p: float, q: float) -> float:
+    """J2 with ||psi||_q <= J2 ||psi||_{BMO+L1}^(1-p/q) ||psi||_p^(p/q) for
+    every field psi on the domain mask selects, proved from the lattice
+    (the comment above): max(C, 1)^(1-p/q), C = oscillation_constant(mask),
+    rounded up.  inf when C is."""
+    e = float(rh_exponents(p, q)[0])
+    C = max(oscillation_constant(mask), 1.0)
+    return C ** e * (1.0 + 4.0 * _U * (2.0 + e * math.log(C)))
 
 
 def _stacked(fld: GridField) -> np.ndarray:

@@ -464,8 +464,7 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
     u_hat = fem.FeField(mesh_def, u_e.values.copy())
     inputs_def = certify.certification_inputs(
         problem_def, u_hat, rho=inputs.rho, epsilon=inputs.epsilon,
-        taylor_samples=inputs.taylor_samples, j2_count=inputs.j2_count,
-        seed=inputs.seed, taylor=_point_taylor,
+        taylor_samples=inputs.taylor_samples, seed=inputs.seed, taylor=_point_taylor,
         residual_tol=max(certify.RESIDUAL_TOL, 10 * inputs.residual + 1e-12),
     )
     ident_dev = float(np.max(np.abs(inputs_def.deformation_gradients - np.eye(mesh.dim))))

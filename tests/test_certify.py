@@ -117,6 +117,31 @@ def test_certification_inputs_measured(stretch):
     assert inputs.provenance["taylor"]["samples"] > 0
 
 
+def test_certification_inputs_read_the_proved_j2(stretch):
+    # J2 is the bound proved from the 8x8 lattice, with no fit provenance
+    problem, _, inputs = stretch
+    mask = problem.mesh.lattice.mask
+    assert inputs.J2 == harmonic.interpolation_bound(mask, *certify.J2_EXPONENTS)
+    assert inputs.J2 ** 3 >= harmonic.oscillation_constant(mask)
+    assert "j2_family" not in inputs.provenance
+    assert not hasattr(inputs, "j2_count")
+
+
+def test_a_lattice_with_no_finite_j2_is_refused_before_the_eigensolve(monkeypatch):
+    # a ring whose wall is one cell wide carries non-constant fields of
+    # BMO seminorm 0, so no J2 exists: a typed error, not a radius
+    mesh = fem.square_ring_mesh(8, hole=0.75, dirichlet=("left",))
+    loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)
+    problem = certify.Problem("thin-ring", material.stvk(1.0, 1.0), mesh, loads)
+
+    def eigensolve(*args, **kwargs):
+        raise AssertionError("the eigensolve ran")
+
+    monkeypatch.setattr(fem, "coercivity_constant", eigensolve)
+    with pytest.raises(errors.HypothesisUnmet, match="no finite J2"):
+        certify.certification_inputs(problem, fem.FeField.identity(mesh), taylor_samples=50)
+
+
 # ----------------------------------------------------------------- gate
 
 def test_gate_self_candidate_passes(stretch):
@@ -205,7 +230,7 @@ def test_gate_toy_quadratic_energy_exact():
         lambda_min=lam, k_hat=lam / 8.0, c_taylor=0.0, c_hat_taylor=0.0,
         J2=1.0, rho=0.5, epsilon=0.5,
         components=4, delta_star=certify.neighborhood_radius(lam / 8, 0.0, 1.0, 4),
-        taylor_samples=2000, j2_count=6, seed=0, provenance={},
+        taylor_samples=2000, seed=0, provenance={},
     )
     v = u_e.copy()
     v.values = v.values + _bump(mesh, 0.01)
@@ -338,7 +363,7 @@ def test_certificate_rejects_prestressed_material():
     loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)
     problem = certify.Problem("prestressed", m, mesh, loads)
     u = fem.FeField.identity(mesh)
-    inputs = certify.certification_inputs(problem, u, taylor_samples=50, j2_count=1)
+    inputs = certify.certification_inputs(problem, u, taylor_samples=50)
     with pytest.raises(errors.PrerequisiteFailed, match="stress-free"):
         certify.small_strain_uniqueness([], inputs=inputs)
 

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rigidity_cert import cli, errors
@@ -38,7 +39,7 @@ def _stretch_config(tmp_path, pipeline, extra="", candidates=2):
         loads.matrix = 1.05 0.0 0.0 1.0
 
         certify.taylor_samples = 300
-        certify.j2_count = 3
+        # no key sets J2: it is proved from the lattice
         certify.candidates = {candidates}
         {extra}
     """)
@@ -85,9 +86,11 @@ def test_unknown_key_rejected(tmp_path):
     ("rigidity.eps", "0.02", "diagnostics-rigidity"),
     ("harmonic.p", "2.0", "diagnostics-harmonic"),
     ("harmonic.q", "3.0", "diagnostics-harmonic"),
+    ("certify.j2_count", "6", "certify-small-strain"),
 ])
 def test_fixed_value_keys_are_unknown(tmp_path, capsys, key, value, pipeline):
-    # the certificate's exponents and the bump amplitude are constants, so
+    # the certificate's exponents and the bump amplitude are constants, and
+    # J2 is proved from the lattice, not fitted on a family of some size, so
     # a config that sets one, even to its value, is refused before any run
     cfg = _write(tmp_path, "a.cfg", f"""
         name = demo
@@ -380,7 +383,6 @@ def test_validate_rejects_nonpositive_certify_settings(tmp_path, capsys, key, va
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("certify.j2_count", "0", "family sizes must be >= 1, got 0"),
     ("harmonic.count", "0", "family sizes must be >= 1, got 0"),
     ("certify.candidates", "-1", "counts must be >= 0, got -1"),
     ("certify.restarts", "-1", "counts must be >= 0, got -1"),
@@ -491,6 +493,36 @@ def test_validate_load_components_through_build_loads(tmp_path, monkeypatch, cap
     assert calls == {"build_loads": 1}
 
 
+def test_the_config_has_35_keys():
+    assert len(cli._KEYS) == 35 and "certify.j2_count" not in cli._KEYS
+
+
+@pytest.mark.parametrize("pipeline", ["certify-bmo-gate", "certify-small-strain",
+                                      "certify-strain-diff"])
+@pytest.mark.parametrize("mesh, key", [
+    # a ring whose wall is one cell wide
+    (("mesh.kind = ring", "mesh.n = 8", "mesh.hole = 0.75"), "mesh.hole"),
+    # an L-shape whose arms are one cell wide
+    (("mesh.kind = l-shape", "mesh.n = 2"), "mesh.n"),
+    # a strip of square cells one cell high
+    (("mesh.nx = 6", "mesh.ny = 1", "mesh.height = 0.16666666666666666"), "mesh.ny"),
+])
+def test_validate_refuses_a_lattice_with_no_finite_j2(tmp_path, capsys, pipeline, mesh, key):
+    # maximal squares that do not overlap into one piece carry a field of
+    # BMO seminorm 0 that is not constant, so no J2 bounds it; the
+    # certify pipelines refuse such a lattice, naming the key that sets
+    # the width, and the diagnostics still accept it
+    lines = ("name = demo", f"pipeline = {pipeline}", "mesh.dirichlet = left", *mesh)
+    cfg = _write(tmp_path, "a.cfg", "\n".join(lines) + "\n")
+    assert cli.main(["validate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} (line ")
+    assert "needs a finite J2, and this lattice has none" in err
+    diagnostics = Path(cfg).read_text().replace(pipeline, "diagnostics-harmonic")
+    Path(cfg).write_text(diagnostics)
+    assert cli.main(["validate", cfg]) == 0
+
+
 # ---------------------------------------------------------------- pipelines
 
 def test_run_solve_minimal(tmp_path, capsys):
@@ -586,7 +618,6 @@ def test_run_bmo_gate_neo_hookean(tmp_path):
         loads.dirichlet = affine
         loads.matrix = 1.05 0.0 0.0 1.0
         certify.taylor_samples = 300
-        certify.j2_count = 3
         certify.candidates = 2
     """)
     out = tmp_path / "out"
@@ -612,7 +643,7 @@ def test_bmo_gate_certificate_is_the_cli_report(tmp_path):
     u_e, _ = fem.solve_equilibrium(m, mesh, loads, u0)
     inputs = certify.certification_inputs(
         certify.Problem(sc["name"], m, mesh, loads), u_e,
-        taylor_samples=sc["certify.taylor_samples"], j2_count=sc["certify.j2_count"],
+        taylor_samples=sc["certify.taylor_samples"],
     )
     cands = certify.gated_perturbations(inputs, count=3, seed=1)
     cert = certify.bmo_gate_certificate(cands, inputs)
@@ -628,6 +659,51 @@ def test_run_strain_diff(tmp_path):
     assert doc["configuration"] == "deformed"
     assert doc["outcome"] == "pass"
     assert (out / "stretch.strain_candidates.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "pipeline", ["certify-bmo-gate", "certify-small-strain", "certify-strain-diff"]
+)
+def test_certify_pipelines_neither_fit_nor_check_j2(tmp_path, monkeypatch, pipeline):
+    # J2 is proved from the lattice, so no certificate fits it on a family
+    # or checks a candidate against it
+    from rigidity_cert import harmonic
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a certify pipeline fitted or checked J2")
+
+    for name in ("fit_interpolation_constant", "verify_interpolation"):
+        monkeypatch.setattr(harmonic, name, refuse)
+    cfg = _stretch_config(tmp_path, pipeline, extra="certify.restarts = 1")
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "stretch.json").read_text())
+    assert doc["constants"]["J2"] == harmonic.interpolation_bound(np.ones((6, 6), bool), 2, 3)
+    assert "j2_family" not in doc["provenance"]
+    assert "rh_cover" not in json.dumps(doc)
+
+
+@pytest.mark.parametrize("matrix", ["0.9 0.0 0.0 1.0", "0.95 0.0 0.0 1.0"])
+def test_restarts_start_from_the_solves_start(tmp_path, matrix):
+    # under compression the reference nodes with only the Dirichlet nodes
+    # moved invert the boundary cells (0.9) or start Newton where it does
+    # not converge (0.95); the affine extension the solve starts from
+    # does neither
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = squeeze
+        pipeline = certify-small-strain
+        seed = 1
+        mesh.nx = 12
+        mesh.ny = 12
+        material.model = stvk
+        loads.dirichlet = affine
+        loads.matrix = {matrix}
+        certify.candidates = 4
+        certify.restarts = 3
+    """)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "squeeze.json").read_text())
+    assert doc["multistart"]["pass"]
+    assert doc["multistart"]["iterations"] == [4, 4, 4]
 
 
 def test_run_gate_inapplicable_exit_2(tmp_path):
@@ -659,8 +735,8 @@ def test_run_diagnostics_harmonic(tmp_path):
 
 
 def test_diagnostics_harmonic_j2_is_the_certificate_j2(tmp_path):
-    # the diagnostics fit J2 at the certificate's exponents, on the same
-    # family: for one mesh, seed and family size it is the same number
+    # the diagnostics report the certificate's J2, the bound proved from
+    # the lattice, beside the J2 they fit on their family, which it covers
     from rigidity_cert import certify, fem, material
 
     cfg = _write(tmp_path, "a.cfg", """
@@ -678,9 +754,40 @@ def test_diagnostics_harmonic_j2_is_the_certificate_j2(tmp_path):
     loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)
     problem = certify.Problem("identity", material.stvk(1.0, 1.0), mesh, loads)
     inputs = certify.certification_inputs(problem, fem.FeField.identity(mesh),
-                                          taylor_samples=50, j2_count=2, seed=4)
-    assert doc["measurements"]["J2"] == inputs.J2
-    assert doc["measurements"]["family"] == inputs.provenance["j2_family"]
+                                          taylor_samples=50, seed=4)
+    assert doc["measurements"]["J2_bound"] == inputs.J2
+    assert doc["measurements"]["J2"] <= doc["measurements"]["J2_doubled_family"] <= inputs.J2
+    assert "j2_family" not in inputs.provenance
+
+
+def test_diagnostics_harmonic_fits_each_field_once(tmp_path, monkeypatch):
+    # the doubled family starts with the family's fields, bit for bit, so
+    # only its second half is fitted again, and J2_doubled_family is still
+    # the fit over the whole doubled family
+    from rigidity_cert import certify, fem, harmonic
+
+    fitted = []
+    original = harmonic.fit_interpolation_constant
+
+    def fit(fields, p, q):
+        fitted.append(len(fields))
+        return original(fields, p, q)
+
+    monkeypatch.setattr(harmonic, "fit_interpolation_constant", fit)
+    cfg = _write(tmp_path, "a.cfg", """
+        name = harm
+        pipeline = diagnostics-harmonic
+        seed = 4
+        mesh.nx = 6
+        mesh.ny = 6
+        harmonic.count = 2
+    """)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.undo()
+    assert fitted == [8, 8]
+    doc = json.loads((tmp_path / "out" / "harm.json").read_text())
+    doubled, _ = certify.j2_family(fem.rectangle_mesh(6, 6), 4, 4)
+    assert doc["measurements"]["J2_doubled_family"] == original(doubled, 2.0, 3.0)
 
 
 def test_diagnostics_harmonic_takes_each_maximal_function_once_per_field(tmp_path,
@@ -1015,9 +1122,9 @@ def test_small_strain_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypat
     # quadrature stacks of w = v - u_e)
     ("certify-bmo-gate", "", 2, {"pass": (3, 1, 1, 2)}),
     ("certify-small-strain", "", 2, {"pass": (2, 2, 1, 2)}),
-    ("certify-small-strain", "certify.frac = 6", 3,
+    ("certify-small-strain", "certify.frac = 36", 3,
      {"inapplicable": (1, 2, 1, 1), "rejected": (1, 0, 0, 0)}),
-    ("certify-strain-diff", "certify.strain_eps = 0.01", 3,
+    ("certify-strain-diff", "certify.strain_eps = 0.0018", 3,
      {"pass": (3, 1, 1, 2), "rejected": (1, 0, 0, 0)}),
 ])
 def test_each_candidate_takes_grad_v_a_fixed_number_of_times(tmp_path, monkeypatch, pipeline,
@@ -1082,7 +1189,6 @@ def test_strain_diff_candidates_beyond_the_gate_thresholds_are_inapplicable(tmp_
         loads.dirichlet = affine
         loads.matrix = 1.05 0.0 0.0 1.0
         certify.taylor_samples = 300
-        certify.j2_count = 3
         certify.candidates = 3
         certify.restarts = 2
         harmonic.count = 3

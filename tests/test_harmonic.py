@@ -26,8 +26,10 @@ from rigidity_cert.harmonic import (
     fit_local_fs_constant,
     fs_sharp,
     hl_maximal,
+    interpolation_bound,
     interpolation_exponent,
     lp_mean_norm,
+    oscillation_constant,
     read_grid_field,
     rh_exponents,
     verify_interpolation,
@@ -650,3 +652,106 @@ def test_grid_field_shape_validation():
     bad = np.full((3, 3), np.nan)
     with pytest.raises(DimensionMismatch):
         GridField(np.ones((3, 3), dtype=bool), bad)
+
+
+# ------------------------------------------------ the proved J2 of a lattice
+
+def ring_mask(n, wall):
+    m = np.ones((n, n), dtype=bool)
+    m[wall : n - wall, wall : n - wall] = False
+    return m
+
+
+def _bound_mask(rng, kind):
+    if kind == "square":
+        n = int(rng.integers(1, 9))
+        return np.ones((n, n), dtype=bool)
+    if kind == "rectangle":
+        return np.ones((8, 4), dtype=bool)
+    if kind == "l-shape":
+        return l_mask(int(rng.choice([4, 6, 8])))
+    if kind == "ring":
+        n = int(rng.choice([8, 12]))
+        return ring_mask(n, n // 4)
+    n = int(rng.integers(1, 6))
+    return np.ones((n, n, n), dtype=bool)
+
+
+def _bound_field(rng, mask, kind):
+    x = np.indices(mask.shape).astype(float)
+    if kind == "normal":
+        return rng.normal(size=mask.shape) * rng.uniform(0.1, 10.0) + rng.normal()
+    if kind == "spike":
+        values = np.zeros(mask.shape)
+        cells = np.argwhere(mask)
+        values[tuple(cells[rng.integers(len(cells))])] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 5)
+        return values
+    if kind == "ramp":
+        return np.tensordot(rng.normal(size=mask.ndim), x, axes=1) + rng.normal()
+    # the angle about the centre of the domain: on a ring it winds once
+    centre = (np.array(mask.shape) - 1.0) / 2.0
+    return np.arctan2(x[1] - centre[1], x[0] - centre[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       mask_kind=st.sampled_from(["square", "rectangle", "l-shape", "ring", "cube"]),
+       field_kind=st.sampled_from(["normal", "spike", "ramp", "angle"]))
+def test_the_proved_bounds_hold_for_every_field(seed, mask_kind, field_kind):
+    # |psi(x) - mean psi| <= C ||psi||_BMO at every cell, and the
+    # reverse-Hoelder inequality with the proved J2
+    rng = np.random.default_rng(seed)
+    mask = _bound_mask(rng, mask_kind)
+    fld = GridField(mask, _bound_field(rng, mask, field_kind))
+    C = oscillation_constant(mask)
+    assert math.isfinite(C)
+    gap = np.abs(fld.values[mask] - domain_mean(fld)).max()
+    assert gap <= C * bmo_seminorm(fld) * (1.0 + 1e-12) + 1e-12 * np.abs(fld.values).max()
+    assert verify_interpolation(fld, 2.0, 3.0, interpolation_bound(mask, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("n, J2", [(6, 2.172), (12, 2.401), (16, 2.489), (32, 2.676),
+                                   (64, 2.840)])
+def test_the_bound_on_a_square_is_its_chain_of_sides(n, J2):
+    # on a cube domain C is the cheapest chain of nested squares, and
+    # J2 = C^(1/3); at 6 the chain 6 -> 4 -> 2 -> 1 (or 6 -> 3 -> 2 -> 1)
+    # costs 2.25 + 4 + 4 = 10.25
+    mask = np.ones((n, n), dtype=bool)
+    assert interpolation_bound(mask, 2.0, 3.0) == pytest.approx(J2, abs=5e-4)
+    if n == 6:
+        assert oscillation_constant(mask) == pytest.approx(10.25, rel=1e-12)
+        assert oscillation_constant(mask) >= 10.25
+
+
+@pytest.mark.parametrize("mask, J2", [
+    (np.ones((8, 4), dtype=bool), 3.130),
+    (l_mask(8), 3.223),
+    (ring_mask(8, 2), 5.149),
+    (np.ones((6, 6, 6), dtype=bool), 2.577),
+])
+def test_the_bound_on_other_lattices(mask, J2):
+    # the first three walk the overlaps of their maximal squares
+    assert interpolation_bound(mask, 2.0, 3.0) == pytest.approx(J2, abs=5e-4)
+
+
+def test_a_one_cell_neck_has_no_finite_bound():
+    # two 3x3 blocks joined by one cell: no square holds the neck and a
+    # cell of a block, so a field constant on each piece has BMO seminorm
+    # 0 without being constant, and inf is the exact constant
+    mask = np.zeros((7, 3), dtype=bool)
+    mask[:3] = mask[4:] = True
+    mask[3, 1] = True
+    assert oscillation_constant(mask) == math.inf
+    assert interpolation_bound(mask, 2.0, 3.0) == math.inf
+    steps = GridField(mask, np.repeat(np.array([0.0, 0, 0, 1, 2, 2, 2])[:, None], 3, axis=1))
+    assert bmo_seminorm(steps) == 0.0 and np.ptp(steps.values[mask]) > 0.0
+    assert oscillation_constant(ring_mask(8, 1)) == math.inf
+
+
+def test_the_bound_is_cached_by_mask():
+    mask = l_mask(12)
+    before = harmonic._oscillation_constant_of.cache_info().hits
+    first = oscillation_constant(mask)
+    assert oscillation_constant(mask.copy()) == first
+    assert interpolation_bound(mask, 2.0, 3.0) == interpolation_bound(mask.copy(), 2.0, 3.0)
+    assert harmonic._oscillation_constant_of.cache_info().hits >= before + 3

@@ -428,8 +428,7 @@ def stretch():
 
 def _gated_bump(problem, u_e, frac):
     mesh = problem.mesh
-    inputs = certify.certification_inputs(problem, u_e, taylor_samples=600,
-                                          j2_count=4, seed=0)
+    inputs = certify.certification_inputs(problem, u_e, taylor_samples=600, seed=0)
     unit = np.column_stack([
         0.7 * np.sin(math.pi * mesh.nodes[:, 0]) * np.sin(math.pi * mesh.nodes[:, 1]),
         -0.4 * np.sin(math.pi * mesh.nodes[:, 0]) * np.sin(2 * math.pi * mesh.nodes[:, 1]),
@@ -451,8 +450,7 @@ def test_certify_strain_neighborhood(stretch):
     mesh = problem.mesh
     good = _gated_bump(problem, u_e, 0.2)
     big = fem.FeField(mesh, u_e.values @ np.diag([1.3, 1.0]))
-    inputs = certify.certification_inputs(problem, u_e, taylor_samples=600,
-                                          j2_count=4, seed=0)
+    inputs = certify.certification_inputs(problem, u_e, taylor_samples=600, seed=0)
     cert = pushforward.certify_strain_neighborhood(
         [u_e.copy(), good, big], inputs, strain_eps=0.05,
     )
@@ -484,4 +482,4 @@ def test_certify_strain_requires_equilibrium(stretch):
     with pytest.raises(errors.PrerequisiteFailed, match="equilibrium"):
         pushforward.certify_strain_neighborhood(
             candidates=[], inputs=certify.certification_inputs(
-                problem, off, taylor_samples=600, j2_count=4, seed=0))
+                problem, off, taylor_samples=600, seed=0))
