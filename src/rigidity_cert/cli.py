@@ -30,10 +30,14 @@ PIPELINES = (
 
 _EXIT = {"pass": 0, "inapplicable": 2, "fail": 1}
 
-_MESH_KINDS = ("rectangle", "l-shape", "ring", "box", "file")
-# pipelines that measure gradients as lattice cell fields (fem.gradient_field);
-# generated meshes with square or cube cells carry a lattice, and these
-# pipelines take the 2D ones only
+# the generator of each generated mesh kind, called with the values of the
+# kind's _MESH_COUNTS and _MESH_SIZES keys, in order (and a ring's hole)
+_GENERATORS = {"rectangle": fem.rectangle_mesh, "l-shape": fem.l_shape_mesh,
+               "ring": fem.square_ring_mesh, "box": fem.box_mesh}
+_MESH_KINDS = (*_GENERATORS, "file")
+# pipelines that measure gradients as lattice cell fields (fem.gradient_field),
+# so they take a mesh that carries a lattice: a generated one whose cells are
+# squares or cubes
 _LATTICE_PIPELINES = (
     "certify-bmo-gate",
     "certify-small-strain",
@@ -203,12 +207,13 @@ def _fail(sc, key, msg):
 
 
 def build_mesh(sc, r=None) -> fem.Mesh:
-    """The scenario's mesh, or with r its generator at resolution r (the
-    sweeps); a generator that rejects its arguments is a ConfigError."""
+    """The scenario's mesh, or with r its generator with every count of the
+    kind at r (the sweeps); a generator that rejects its arguments is a
+    ConfigError."""
     kind = sc["mesh.kind"]
     sides = sc["mesh.dirichlet"]
-    counts = _MESH_COUNTS.get(kind, ()) if r is None else ()
-    for key in counts:
+    count_keys = _MESH_COUNTS.get(kind, ())
+    for key in count_keys if r is None else ():
         if sc[key] < 1:
             _fail(sc, key, f"cell counts must be positive integers, got {sc[key]}")
     names = fem.SIDE_NAMES[3 if kind == "box" else 2]
@@ -221,27 +226,20 @@ def build_mesh(sc, r=None) -> fem.Mesh:
         sizes = np.atleast_1d(sc[key])
         if not (np.isfinite(sizes) & (sizes > 0.0)).all():
             _fail(sc, key, f"side lengths must be positive and finite, got {sc['__raw__'][key]}")
+    args = [sc[key] if r is None else r for key in count_keys]
+    args += [sc[key] for key in _MESH_SIZES.get(kind, ())]
     if kind == "ring":
-        hole, n = sc["mesh.hole"], sc["mesh.n"] if r is None else r
+        hole, n = sc["mesh.hole"], args[0]
         if not 0.0 < hole < 1.0:
             _fail(sc, "mesh.hole", f"the hole is a fraction of the side in (0, 1), got {hole:g}")
         width = fem.ring_hole_cells(n, hole)
         if not 0 < width < n:
             _fail(sc, "mesh.hole", f"a hole of {hole:g} rounds to {width} of the {n} cells of "
                                    "a side; the hole and the wall need a cell each")
+        args.append(hole)
     try:
-        if kind == "rectangle":
-            nx, ny = (sc["mesh.nx"], sc["mesh.ny"]) if r is None else (r, r)
-            return fem.rectangle_mesh(nx, ny, sc["mesh.width"], sc["mesh.height"],
-                                      dirichlet=sides)
-        n = sc["mesh.n"] if r is None else r
-        if kind == "l-shape":
-            return fem.l_shape_mesh(n, sc["mesh.size"], dirichlet=sides)
-        if kind == "ring":
-            return fem.square_ring_mesh(n, sc["mesh.size"], sc["mesh.hole"], dirichlet=sides)
-        if kind == "box":
-            counts = (sc["mesh.nx"], sc["mesh.ny"], sc["mesh.nz"]) if r is None else (r, r, r)
-            return fem.box_mesh(*counts, sc["mesh.lengths"], dirichlet=sides)
+        if kind in _GENERATORS:
+            return _GENERATORS[kind](*args, dirichlet=sides)
         if sc["mesh.path"] is None:
             _fail(sc, "mesh.kind", "kind 'file' needs mesh.path")
         return fem.read_mesh(sc["mesh.path"])
@@ -329,6 +327,9 @@ def _sweep_meshes(sc) -> list:
     pipelines); a resolution whose mesh fails or has no free dof is a
     ConfigError naming the sweep's key."""
     key = _SWEEPS.get(sc["pipeline"])
+    if key and sc["mesh.kind"] not in _GENERATORS:
+        _fail(sc, "mesh.kind", f"pipeline {sc['pipeline']} meshes the domain at each of "
+                               f"{key}; kind {sc['mesh.kind']!r} reads one fixed mesh")
     meshes = []
     for r in sc[key] if key else ():
         try:
@@ -342,33 +343,30 @@ def _sweep_meshes(sc) -> list:
 
 
 def _check_lattice(sc, mesh, sweep):
-    """Reject meshes that the pipeline's gradient fields cannot live on."""
+    """Reject meshes that the pipeline's gradient fields cannot live on: the
+    mesh decides, as a generated mesh carries a lattice when its cells are
+    squares or cubes and a read one carries none."""
     pipeline, kind = sc["pipeline"], sc["mesh.kind"]
     if pipeline not in _LATTICE_PIPELINES:
         return
-    if kind in ("box", "file"):
-        why = "kind 'box' meshes are 3D" if kind == "box" else "kind 'file' meshes carry none"
-        _fail(sc, "mesh.kind", f"pipeline {pipeline} measures gradients on a 2D cell lattice; {why}")
-    w, h = sc["mesh.width"], sc["mesh.height"]
-    if pipeline == "diagnostics-rigidity":
-        # it measures on r x r meshes of the same domain, one per resolution
-        if any(mesh_r.lattice is None for mesh_r in sweep):
-            _fail(sc, "mesh.width",
-                  f"pipeline {pipeline} needs square lattice cells; r x r cells "
-                  f"of a {w:g} x {h:g} rectangle are not square")
-    elif mesh.lattice is None:
-        _fail(sc, "mesh.nx",
-              f"pipeline {pipeline} needs square lattice cells; mesh.nx = "
-              f"{sc['mesh.nx']} and mesh.ny = {sc['mesh.ny']} on a {w:g} x {h:g} "
-              f"rectangle give non-square cells")
-    elif pipeline.startswith("certify-") and not math.isfinite(
+    # a read mesh has no counts or sizes, so its kind is the key to name
+    counts, sizes = _MESH_COUNTS.get(kind, ("mesh.kind",)), _MESH_SIZES.get(kind, ())
+    # diagnostics-rigidity measures on meshes of the same domain with every
+    # count at each resolution, so only the sizes can make their cells differ
+    on_sweep = pipeline == "diagnostics-rigidity"
+    meshes, keys = (sweep, sizes) if on_sweep else ([mesh], counts + sizes)
+    if any(mesh_r.lattice is None for mesh_r in meshes):
+        at = ", ".join(f"{key} = {' '.join(map(str, np.atleast_1d(sc[key])))}" for key in keys)
+        _fail(sc, keys[0], f"pipeline {pipeline} measures gradients on a lattice of square "
+                           f"or cube cells; the mesh of {at} carries none")
+    if pipeline.startswith("certify-") and not math.isfinite(
             harmonic.oscillation_constant(mesh.lattice.mask)):
-        # the key that sets the width of a one-cell wall or strip
-        key = {"ring": "mesh.hole", "l-shape": "mesh.n"}.get(
-            kind, min(("mesh.nx", "mesh.ny"), key=sc.get))
+        # the key that sets the width of a one-cell wall, strip or slab: a
+        # ring's hole, else the smallest count
+        key = "mesh.hole" if kind == "ring" else min(counts, key=sc.get)
         _fail(sc, key, f"pipeline {pipeline} needs a finite J2, and this lattice has none: "
-                       "its maximal squares do not overlap into one piece (a wall or strip "
-                       "one cell wide carries fields of BMO seminorm 0 that are not constant)")
+                       "its maximal cubes do not overlap into one piece (a wall, strip or "
+                       "slab one cell wide carries fields of BMO seminorm 0 that are not constant)")
 
 
 def _solve(sc, mesh):

@@ -5,13 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigidity_cert import cli, errors
+from rigidity_cert import certify, cli, errors, fem, harmonic
 
 
 def _write(tmp_path, name, body):
@@ -177,18 +180,40 @@ def test_validate_missing_mesh_file(tmp_path, capsys):
     assert cli.main(["validate", cfg]) == 1
 
 
-def test_validate_rejects_box_mesh_for_certify(tmp_path, capsys):
-    cfg = _write(tmp_path, "a.cfg", """
-        name = demo
-        pipeline = certify-small-strain
-        mesh.kind = box
-        mesh.nx = 3
-        mesh.ny = 3
-        mesh.nz = 3
-    """)
+@pytest.mark.parametrize("pipeline", [*cli._LATTICE_PIPELINES, "korn"])
+def test_validate_rejects_file_mesh_for_lattice_and_sweep_pipelines(tmp_path, capsys, pipeline):
+    # a read mesh carries no lattice, and one fixed mesh has no resolution
+    # to sweep: korn used to report the same mesh under every resolution
+    fem.write_mesh(fem.rectangle_mesh(4, 4), tmp_path / "square.mesh")
+
+    def config(pipeline):
+        return _write(tmp_path, f"{pipeline}.cfg", f"""
+            name = demo
+            pipeline = {pipeline}
+            mesh.kind = file
+            mesh.path = {tmp_path / "square.mesh"}
+            korn.resolutions = 8 16
+        """)
+
+    assert cli.main(["validate", config(pipeline)]) == 1
+    assert capsys.readouterr().err.startswith("config error: mesh.kind (line 4): ")
+    assert cli.main(["validate", config("solve")]) == 0
+
+
+@pytest.mark.parametrize("pipeline, mesh, key", [
+    ("certify-small-strain", ("mesh.nx = 4", "mesh.ny = 4", "mesh.nz = 2"), "mesh.nx"),
+    ("diagnostics-rigidity", ("mesh.lengths = 1 1 2",), "mesh.lengths"),
+])
+def test_validate_rejects_a_box_whose_cells_are_not_cubes(tmp_path, capsys, pipeline, mesh, key):
+    lines = ("name = demo", f"pipeline = {pipeline}", "mesh.kind = box", *mesh)
+    cfg = _write(tmp_path, "a.cfg", "\n".join(lines) + "\n")
     assert cli.main(["validate", cfg]) == 1
     err = capsys.readouterr().err
-    assert "mesh.kind (line 4)" in err and "kind 'box' meshes are 3D" in err
+    assert err.startswith(f"config error: {key} (line ")
+    assert "square or cube cells" in err and "rectangle" not in err
+    # the same box is fine where no gradient field is measured
+    Path(cfg).write_text(Path(cfg).read_text().replace(pipeline, "solve"))
+    assert cli.main(["validate", cfg]) == 0
 
 
 def test_validate_rejects_non_square_cells_for_certify(tmp_path, capsys):
@@ -501,18 +526,23 @@ def test_the_config_has_35_keys():
                                       "certify-strain-diff"])
 @pytest.mark.parametrize("mesh, key", [
     # a ring whose wall is one cell wide
-    (("mesh.kind = ring", "mesh.n = 8", "mesh.hole = 0.75"), "mesh.hole"),
+    (("mesh.kind = ring", "mesh.n = 8", "mesh.hole = 0.75", "mesh.dirichlet = left"),
+     "mesh.hole"),
     # an L-shape whose arms are one cell wide
-    (("mesh.kind = l-shape", "mesh.n = 2"), "mesh.n"),
+    (("mesh.kind = l-shape", "mesh.n = 2", "mesh.dirichlet = left"), "mesh.n"),
     # a strip of square cells one cell high
-    (("mesh.nx = 6", "mesh.ny = 1", "mesh.height = 0.16666666666666666"), "mesh.ny"),
+    (("mesh.nx = 6", "mesh.ny = 1", "mesh.height = 0.16666666666666666",
+      "mesh.dirichlet = left"), "mesh.ny"),
+    # a slab of cube cells one cell thick
+    (("mesh.kind = box", "mesh.nx = 4", "mesh.ny = 4", "mesh.nz = 1",
+      "mesh.lengths = 1 1 0.25", "mesh.dirichlet = x0"), "mesh.nz"),
 ])
 def test_validate_refuses_a_lattice_with_no_finite_j2(tmp_path, capsys, pipeline, mesh, key):
-    # maximal squares that do not overlap into one piece carry a field of
-    # BMO seminorm 0 that is not constant, so no J2 bounds it; the
+    # maximal squares or cubes that do not overlap into one piece carry a
+    # field of BMO seminorm 0 that is not constant, so no J2 bounds it; the
     # certify pipelines refuse such a lattice, naming the key that sets
     # the width, and the diagnostics still accept it
-    lines = ("name = demo", f"pipeline = {pipeline}", "mesh.dirichlet = left", *mesh)
+    lines = ("name = demo", f"pipeline = {pipeline}", *mesh)
     cfg = _write(tmp_path, "a.cfg", "\n".join(lines) + "\n")
     assert cli.main(["validate", cfg]) == 1
     err = capsys.readouterr().err
@@ -521,6 +551,72 @@ def test_validate_refuses_a_lattice_with_no_finite_j2(tmp_path, capsys, pipeline
     diagnostics = Path(cfg).read_text().replace(pipeline, "diagnostics-harmonic")
     Path(cfg).write_text(diagnostics)
     assert cli.main(["validate", cfg]) == 0
+
+
+# the side each generated kind clamps in the property test below, so that
+# every mesh it draws has free dofs
+_CLAMPED_SIDE = {"rectangle": "left", "l-shape": "left", "ring": "left", "box": "x0"}
+
+
+@st.composite
+def _lattice_scenarios(draw):
+    """A generated mesh kind with counts of at most 6 that its generator
+    takes, cell sides of 0.25 or 0.5 per axis, a lattice pipeline and, for
+    the sweep, resolutions the kind takes; and whether the scenario mesh
+    and the sweep meshes have cells of one side."""
+    kind = draw(st.sampled_from(sorted(_CLAMPED_SIDE)))
+    pipeline = draw(st.sampled_from(cli._LATTICE_PIPELINES))
+    cell = st.sampled_from([0.25, 0.5])
+    if kind in ("rectangle", "box"):
+        counts = draw(st.lists(st.integers(1, 6), min_size=len(cli._MESH_COUNTS[kind]),
+                               max_size=len(cli._MESH_COUNTS[kind])))
+        cells = [draw(cell) for _ in counts]
+        lengths = [n * h for n, h in zip(counts, cells)]
+        mask = np.ones(counts, dtype=bool)
+        resolutions = st.integers(1, 6)
+    else:
+        counts = [draw(st.sampled_from([2, 4, 6] if kind == "l-shape" else [4]))]
+        cells = [draw(cell)]
+        lengths = [counts[0] * cells[0]]
+        generator = fem.l_shape_mesh if kind == "l-shape" else fem.square_ring_mesh
+        mask = generator(counts[0]).lattice.mask
+        resolutions = st.sampled_from([2, 4, 6] if kind == "l-shape" else [4])
+    sweep = draw(st.lists(resolutions, min_size=1, max_size=2))
+    if kind == "box":
+        sizes = [f"mesh.lengths = {' '.join(map(repr, lengths))}"]
+    else:
+        sizes = [f"{key} = {length!r}" for key, length in zip(cli._MESH_SIZES[kind], lengths)]
+    lines = [f"pipeline = {pipeline}", f"mesh.kind = {kind}",
+             f"mesh.dirichlet = {_CLAMPED_SIDE[kind]}", *sizes,
+             *(f"{key} = {n}" for key, n in zip(cli._MESH_COUNTS[kind], counts)),
+             f"rigidity.resolutions = {' '.join(map(str, sweep))}"]
+    return kind, pipeline, lines, len(set(cells)) == 1, len(set(lengths)) == 1, mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=_lattice_scenarios())
+def test_validate_takes_a_lattice_pipeline_exactly_where_the_mesh_carries_a_lattice(scenario):
+    # the mesh decides: validate passes when the scenario mesh (for the
+    # rigidity diagnostics, every sweep mesh) has cells of one side and, for
+    # a certificate, its lattice has a finite J2; a rejection names a key
+    # that the mesh kind reads
+    kind, pipeline, lines, cube_cells, cube_domain, mask = scenario
+    if pipeline == "diagnostics-rigidity":
+        ok = cube_domain
+    else:
+        ok = cube_cells and (not pipeline.startswith("certify-")
+                             or np.isfinite(harmonic.oscillation_constant(mask)))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp), "a.cfg", "\n".join(["name = demo", *lines]) + "\n")
+        try:
+            cli.validate_scenario(cli.load_scenario(cfg))
+            key = None
+        except errors.ConfigError as exc:
+            key = str(exc).split(" ", 1)[0].rstrip(":")
+    assert (key is None) == ok, (lines, key)
+    if key is not None:
+        hole = ("mesh.hole",) if kind == "ring" else ()
+        assert key in (*cli._MESH_COUNTS[kind], *cli._MESH_SIZES[kind], *hole), (lines, key)
 
 
 # ---------------------------------------------------------------- pipelines
@@ -835,6 +931,39 @@ def test_run_korn(tmp_path):
     assert len(rows) == 3
     for row in rows[1:]:
         assert float(row.split(",")[1]) >= 2.0 - 1e-6
+
+
+@pytest.mark.parametrize("pipeline", cli._LATTICE_PIPELINES)
+def test_lattice_pipelines_run_on_a_box_of_cube_cells(tmp_path, pipeline):
+    # a 4x4x4 box of cube cells carries a lattice, so every lattice pipeline
+    # takes it, with the J2 proved from its mask, and a rerun writes the
+    # same bytes
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = box
+        pipeline = {pipeline}
+        mesh.kind = box
+        mesh.nx = 4
+        mesh.ny = 4
+        mesh.nz = 4
+        loads.dirichlet = affine
+        loads.matrix = 1.05 0 0 0 1 0 0 0 1
+        certify.taylor_samples = 300
+        certify.candidates = 2
+        certify.restarts = 2
+        harmonic.count = 2
+        rigidity.resolutions = 3 4
+    """)
+    runs = []
+    for out in (tmp_path / "r1", tmp_path / "r2"):
+        assert cli.main(["run", cfg, "--out", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert runs[0] == runs[1] and len(runs[0]) == 2
+    doc = json.loads(runs[0]["box.json"])
+    J2 = harmonic.interpolation_bound(np.ones((4, 4, 4), dtype=bool), *certify.J2_EXPONENTS)
+    if pipeline.startswith("certify-"):
+        assert doc["constants"]["J2"] == J2 == pytest.approx(2.3954, abs=1e-4)
+    elif pipeline == "diagnostics-harmonic":
+        assert doc["measurements"]["J2_bound"] == J2
 
 
 def test_run_config_error_exit_1(tmp_path, capsys):
