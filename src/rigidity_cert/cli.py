@@ -209,7 +209,8 @@ def _fail(sc, key, msg):
 def build_mesh(sc, r=None) -> fem.Mesh:
     """The scenario's mesh, or with r its generator with every count of the
     kind at r (the sweeps); a generator that rejects its arguments is a
-    ConfigError."""
+    ConfigError, naming the kind's first count (mesh.path for a file)
+    unless the sweep names its key."""
     kind = sc["mesh.kind"]
     sides = sc["mesh.dirichlet"]
     count_keys = _MESH_COUNTS.get(kind, ())
@@ -244,6 +245,8 @@ def build_mesh(sc, r=None) -> fem.Mesh:
             _fail(sc, "mesh.kind", "kind 'file' needs mesh.path")
         return fem.read_mesh(sc["mesh.path"])
     except (ValueError, OSError) as exc:
+        if r is None:
+            _fail(sc, count_keys[0] if count_keys else "mesh.path", str(exc))
         raise ConfigError(f"mesh construction failed: {exc}") from exc
 
 

@@ -724,11 +724,14 @@ def _assemble(plan, Ke, layout):
 # coercivity_constant: width of the inertia bracket handed to shift-invert,
 # relative to its ends or, around 0, the diagonal scale, which is also the
 # tolerance of the loose Lanczos whose Rayleigh quotient bounds the bracket
-# from above and the relative gap of the trial shift below that bound; the
-# budget of doubling steps and of the bisections kept for when the trial
-# shift is not positive definite; and the relative margin of the closing
-# inertia check
+# from above; the relative gap of the trial shift below that bound; the
+# most eigenvalues below the trial shift that one Lanczos takes (k <= 9
+# keeps ARPACK's default basis of 20 vectors); the budget of doubling
+# steps, and of the bisections kept for a trial shift with more below it;
+# and the relative margin of the closing inertia check
 _SLICE_RTOL = 1e-3
+_TRIAL_RTOL = 1e-4
+_TRIAL_BELOW = 9
 _SLICE_STEPS = 64
 _SLICE_BISECTIONS = 40
 _CONFIRM_RTOL = 1e-12
@@ -772,17 +775,18 @@ class SparseLU:
         return self.lu.U.diagonal()
 
 
-def _positive_definite_lu(A):
-    """SparseLU of the symmetric A, in its own order, if A is positive
-    definite (every diagonal pivot > 0), else None.  An exactly singular A
-    is not positive definite."""
+def _inertia_lu(A):
+    """SparseLU of the symmetric A, in its own order, and its count of
+    pivots <= 0, which by Sylvester's law of inertia is A's count of
+    eigenvalues <= 0 (0 iff A is positive definite).  An exactly singular
+    A gives no factors, and its order as the count."""
     try:
         lu = SparseLU(A, diagonal=True)
     except RuntimeError as exc:
         if "singular" not in str(exc):
             raise
-        return None
-    return lu if np.all(lu.pivots() > 0) else None
+        return None, A.shape[0]
+    return lu, int(np.count_nonzero(lu.pivots() <= 0))
 
 
 def coercivity_constant(M_mat, G_mat, order=None) -> float:
@@ -797,16 +801,17 @@ def coercivity_constant(M_mat, G_mat, order=None) -> float:
     upper bound hi) gives a first shift lo with M - lo G positive definite
     by its LDL^T inertia, so no eigenvalue lies below lo.  A loose
     shift-invert Lanczos at lo lowers hi to the Rayleigh quotient of its
-    Ritz vector, and the trial shift just below hi, factored, becomes lo
-    if it is positive definite; if not, it becomes hi, and bisecting on
-    the inertia narrows [lo, hi].  Rayleigh quotients only choose where to
-    factor: every lo is a positive definite factorization.  Shift-invert
-    Lanczos at lo, from a fixed start vector, then converges to the
-    smallest eigenvalue lam (a 1-dof pencil is its quotient).  lam
-    is returned only if lam >= lo and M - (lam - tau) G is positive
+    Ritz vector.  The trial shift just below hi, factored definite or
+    not, has nu pivots <= 0, nu eigenvalues below it.  With nu = 0 it
+    becomes lo, and shift-invert Lanczos at lo, from a fixed start vector,
+    converges to the smallest eigenvalue lam; with 1 <= nu <= 9, one at
+    the trial shift takes those nu, the smallest of the shifted spectrum,
+    and lam is the least; with more it becomes hi, and bisecting on the
+    inertia narrows [lo, hi] before Lanczos at lo.  Whatever proposed it,
+    lam is returned only if lam >= lo and M - (lam - tau) G is positive
     definite too, tau a 1e-12 relative margin, i.e. only if no eigenvalue
-    lies below lam - tau.  An empty or non-finite pencil, and anything
-    unconfirmed, raises EigenFailure.
+    lies below lam - tau (a 1-dof pencil is its quotient).  An empty or
+    non-finite pencil, and anything unconfirmed, raises EigenFailure.
     """
     M = scipy.sparse.csr_matrix(0.5 * (M_mat + M_mat.T))
     G = scipy.sparse.csr_matrix(0.5 * (G_mat + G_mat.T))
@@ -831,8 +836,8 @@ def coercivity_constant(M_mat, G_mat, order=None) -> float:
             step = max(abs(hi), _SLICE_RTOL * scale)
             for _ in range(_SLICE_STEPS):
                 lo = hi - step
-                lu = _positive_definite_lu(M - lo * G)
-                if lu is not None:
+                lu, below = _inertia_lu(M - lo * G)
+                if not below:
                     break
                 step *= 2.0
             else:
@@ -842,35 +847,41 @@ def coercivity_constant(M_mat, G_mat, order=None) -> float:
                 )
             v0 = np.random.default_rng(0).standard_normal(nd)
 
-            def lanczos(shift, shift_lu, **kwargs):
+            def lanczos(shift, shift_lu, k=1, which="LM", **kwargs):
                 op = scipy.sparse.linalg.LinearOperator((nd, nd), matvec=shift_lu.solve,
                                                         dtype=float)
-                return scipy.sparse.linalg.eigsh(M, k=1, M=G, sigma=shift, which="LM",
+                return scipy.sparse.linalg.eigsh(M, k=k, M=G, sigma=shift, which=which,
                                                  OPinv=op, v0=v0, **kwargs)
 
             # any vector's Rayleigh quotient bounds lam from above
             _, vecs = lanczos(lo, lu, tol=_SLICE_RTOL)
             x = vecs[:, 0]
             hi = min(hi, float(x @ (M @ x)) / float(x @ (G @ x)))
-            trial = hi - _SLICE_RTOL * abs(hi)
-            trial_lu = _positive_definite_lu(M - trial * G)
-            if trial_lu is not None:
-                lo, lu = trial, trial_lu
+            trial = hi - _TRIAL_RTOL * abs(hi)
+            trial_lu, below = _inertia_lu(M - trial * G)
+            if 0 < below <= _TRIAL_BELOW and below < nd - 1:
+                # the eigenvalues below the trial shift are the smallest of
+                # the shifted spectrum, 1 / (lam - trial) < 0
+                lam = float(lanczos(trial, trial_lu, k=below, which="SA",
+                                    return_eigenvectors=False).min())
             else:
-                hi = trial
-                # M - lo G stays positive definite and M - hi G does not
-                for _ in range(_SLICE_BISECTIONS):
-                    if hi - lo <= _SLICE_RTOL * max(abs(lo), abs(hi), scale):
-                        break
-                    mid = 0.5 * (lo + hi)
-                    mid_lu = _positive_definite_lu(M - mid * G)
-                    if mid_lu is None:
-                        hi = mid
-                    else:
-                        lo, lu = mid, mid_lu
-            lam = float(lanczos(lo, lu, return_eigenvectors=False)[0])
+                if not below:
+                    lo, lu = trial, trial_lu
+                else:
+                    hi = trial
+                    # M - lo G stays positive definite and M - hi G does not
+                    for _ in range(_SLICE_BISECTIONS):
+                        if hi - lo <= _SLICE_RTOL * max(abs(lo), abs(hi), scale):
+                            break
+                        mid = 0.5 * (lo + hi)
+                        mid_lu, mid_below = _inertia_lu(M - mid * G)
+                        if mid_below:
+                            hi = mid
+                        else:
+                            lo, lu = mid, mid_lu
+                lam = float(lanczos(lo, lu, return_eigenvectors=False)[0])
         tau = _CONFIRM_RTOL * max(abs(lam), scale)
-        if not lam >= lo or _positive_definite_lu(M - (lam - tau) * G) is None:
+        if not lam >= lo or _inertia_lu(M - (lam - tau) * G)[1]:
             raise EigenFailure(
                 f"eigenvalue {lam!r} not confirmed: an eigenvalue lies below {lam - tau!r} "
                 f"or the result is below the slicing bound {lo!r}"

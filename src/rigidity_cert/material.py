@@ -634,9 +634,10 @@ def taylor_draws(n, delta, epsilon, nsamples, seed, coords=None) -> TaylorDraws:
     angle in 2D, a normal quaternion in 3D), giving R (I + sym S); a
     normal fattening E scaled to length uniform(0, epsilon) and added to
     G; a normal direction K, scaled to length 1.  A step of norm 0 draws
-    no length and is not scaled.  The sample loop makes these calls only;
-    the arithmetic runs stacked after it, each value bitwise the one a
-    per-sample loop computes (tests/oracles.py keeps that loop).
+    no length and is not scaled.  The sample loop makes these draws only,
+    from the same stream by standard_normal and random; the arithmetic
+    runs stacked after it, each value bitwise the one a per-sample loop
+    computes (tests/oracles.py keeps that loop).
     """
     if not delta + epsilon < 1.0:
         raise SetEscapesDomain(
@@ -646,7 +647,7 @@ def taylor_draws(n, delta, epsilon, nsamples, seed, coords=None) -> TaylorDraws:
         coords = [np.zeros(n)]
     coords = np.array([np.asarray(x, dtype=float) for x in coords])
     rng = np.random.default_rng(seed)
-    normal, uniform = rng.normal, rng.uniform
+    gauss, rand = rng.standard_normal, rng.random
     picks = np.empty(nsamples, dtype=np.intp)
     steps = np.empty((nsamples, 3, n, n))        # the steps of F and G, then E
     lengths = np.full((nsamples, 3), math.nan)   # nan where none is drawn
@@ -659,17 +660,28 @@ def taylor_draws(n, delta, epsilon, nsamples, seed, coords=None) -> TaylorDraws:
     # has a term of at least 1e-300, and rounding keeps a sum of
     # nonnegative terms at or above its largest term: the norm is
     # positive.  Only when the test fails is the norm itself taken.
+    # normal is 0.0 + 1.0 z for z = standard_normal, so adding 0.0 after
+    # the loop gives its bits, signed zeros included; uniform(0, b) is
+    # 0.0 + b random(), and b random() >= 0 is that sum.  In 2D a drawn
+    # length and the angle after it are one random(2).
     for s in range(nsamples):
         picks[s] = rng.integers(len(coords))
         for j in range(2):
-            S = steps[s, j] = normal(size=(n, n))
+            S = gauss(out=steps[s, j])
             if abs(S.item(0)) > 1e-150 or frob(0.5 * (S + S.T)) > 0:
-                lengths[s, j] = uniform(0.0, delta)
-            turns[s, j] = uniform(0.0, 2.0 * math.pi) if n == 2 else normal(size=4)
-        E = steps[s, 2] = normal(size=(n, n))
+                if n == 2:
+                    lengths[s, j], turns[s, j] = rand(2)
+                    continue
+                lengths[s, j] = rand()
+            turns[s, j] = rand() if n == 2 else gauss(4)
+        E = gauss(out=steps[s, 2])
         if abs(E.item(0)) > 1e-150 or frob(E) > 0:
-            lengths[s, 2] = uniform(0.0, epsilon)
-        K[s] = normal(size=(n, n))
+            lengths[s, 2] = rand()
+        gauss(out=K[s])
+    steps += 0.0
+    K += 0.0
+    lengths *= (delta, delta, epsilon)
+    turns = turns * (2.0 * math.pi) if n == 2 else turns + 0.0
 
     steps[:, :2] = 0.5 * (steps[:, :2] + steps[:, :2].swapaxes(-1, -2))
     drawn = ~np.isnan(lengths)

@@ -217,6 +217,30 @@ def sample_near_rotations(rng, n, delta):
     return R @ (np.eye(n) + S)
 
 
+def taylor_draws_loop(n, delta, epsilon, nsamples, seed, coords=None):
+    """The Taylor draws of default_rng(seed), sample by sample, each drawn
+    with the generator's integers, normal and uniform and computed on its
+    own: yields (x, F, G, K), a coordinate, two points of the fattened
+    rotation neighborhood (G moved by a normal step scaled to a uniform
+    length in [0, epsilon) unless its norm is 0) and a unit direction."""
+    rng = np.random.default_rng(seed)
+    coords = [np.zeros(n)] if coords is None else [np.asarray(x, dtype=float) for x in coords]
+
+    def norm(A):
+        flat = A.ravel(order="K")
+        return math.sqrt(flat.dot(flat))
+
+    for _ in range(nsamples):
+        x = coords[rng.integers(len(coords))]
+        F = sample_near_rotations(rng, n, delta)
+        G = sample_near_rotations(rng, n, delta)
+        E = rng.normal(size=(n, n))
+        if norm(E) > 0:
+            E *= rng.uniform(0.0, epsilon) / norm(E)
+        K = rng.normal(size=(n, n))
+        yield x, F, G + E, K / norm(K)
+
+
 # ---------------------------------------------------- finite differences
 
 def fd_gradient(f, x, h):

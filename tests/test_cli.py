@@ -299,6 +299,35 @@ def test_validate_rejects_zero_mesh_count(tmp_path, capsys, kind, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, count, message", [
+    ("l-shape", 3, "l_shape_mesh needs an even cell count"),
+    ("ring", 6, "square_ring_mesh needs n divisible by 4"),
+])
+def test_validate_names_the_count_a_generator_refuses(tmp_path, capsys, kind, count, message):
+    # the generator's own refusal, under the key of the count it refused
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = solve
+        mesh.kind = {kind}
+        mesh.n = {count}
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    assert capsys.readouterr().err == f"config error: mesh.n (line 5): {message}\n"
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_names_the_path_of_a_mesh_file_that_fails(tmp_path, capsys):
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = solve
+        mesh.kind = file
+        mesh.path = {tmp_path / "nowhere.mesh"}
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    assert capsys.readouterr().err.startswith("config error: mesh.path (line 5): ")
+
+
 @pytest.mark.parametrize(
     "pipeline", ["solve", "certify-bmo-gate", "certify-small-strain", "certify-strain-diff"]
 )

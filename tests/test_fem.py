@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidity_cert import errors, fem, material, rigidity
@@ -855,13 +855,17 @@ def test_coercivity_sparse_arpack_failure_is_typed(monkeypatch):
 
 def _counting_splu(monkeypatch):
     """Patch scipy.sparse.linalg.splu to count its calls into the list
-    returned."""
+    returned: per call, the count of pivots <= 0 of its factors (with
+    diagonal pivots, the factored matrix's count of eigenvalues <= 0), or
+    None for a call that raises."""
     real_splu = scipy.sparse.linalg.splu
     calls = []
 
     def counting_splu(A, **kwargs):
-        calls.append(A.shape)
-        return real_splu(A, **kwargs)
+        calls.append(None)
+        lu = real_splu(A, **kwargs)
+        calls[-1] = int(np.count_nonzero(lu.U.diagonal() <= 0))
+        return lu
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     return calls
@@ -930,6 +934,88 @@ def test_coercivity_trial_shift_not_positive_definite_falls_back_to_bisection(mo
     assert len(loose) == 1 and loose[0] > 1.5 * exact
     assert len(calls) > 3
     assert abs(lam - exact) <= 1e-12 * abs(exact)
+
+
+def _clustered_pencil(seed, gap, width, cluster, blocks, size):
+    """Block pencil of blocks dense blocks of size rows whose smallest
+    eigenvalue c sits a relative gap below a cluster of cluster eigenvalues
+    spread over a relative width, the rest in [1.5, 3] |c|; each block is
+    (L Q D Q^T L^T, L L^T) with D its share of the spectrum.  Returns
+    (M, G, the smallest eigenvalue from scipy.linalg.eigh)."""
+    rng = np.random.default_rng(seed)
+    c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    rest = abs(c) * rng.uniform(1.5, 3.0, blocks * size - cluster - 1)
+    e = np.r_[c, rng.permutation(np.r_[c + abs(c) * (gap + width * rng.random(cluster)), rest])]
+    ms, gs = [], []
+    for part in np.split(e, blocks):
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)))
+        a = rng.normal(size=(size, size))
+        L = np.linalg.cholesky(np.eye(size) + a @ a.T / size)
+        m = L @ (q * part) @ q.T @ L.T
+        ms.append(0.5 * (m + m.T))
+        gs.append(L @ L.T)
+    exact = min(scipy.linalg.eigh(m, g, eigvals_only=True)[0] for m, g in zip(ms, gs))
+    return sp.block_diag(ms, format="csr"), sp.block_diag(gs, format="csr"), exact
+
+
+@settings(max_examples=30, deadline=None)
+@example(seed=15, log_gap=-5.4, log_width=-2.4, cluster=55, blocks=4)     # nu = 1
+@example(seed=5, log_gap=-5.4, log_width=-2.2, cluster=108, blocks=4)     # nu = 5
+@example(seed=156, log_gap=-3.8, log_width=-2.6, cluster=112, blocks=6)   # nu = 11
+@given(seed=st.integers(0, 2**32 - 1), log_gap=st.floats(-6.0, -3.0),
+       log_width=st.floats(-4.0, -2.0), cluster=st.integers(40, 150),
+       blocks=st.integers(3, 6))
+def test_coercivity_clustered_pencils_match_dense(seed, log_gap, log_width, cluster, blocks):
+    # the loose Rayleigh quotient may land inside the cluster, so that nu
+    # eigenvalues lie below the trial shift: for nu <= 9 one Lanczos there
+    # takes them, and the trial and the closing check are the only
+    # factorizations after the first positive definite shift
+    M, G, exact = _clustered_pencil(seed, 10.0**log_gap, 10.0**log_width, cluster, blocks, 50)
+    with pytest.MonkeyPatch.context() as patch:
+        below = _counting_splu(patch)
+        lam = fem.coercivity_constant(M, G)
+    assert abs(lam - exact) <= 1e-12 * abs(exact)
+    first = below.index(0)
+    if below[first + 1] <= 9:
+        assert len(below) == first + 3
+
+
+def test_coercivity_unconfirmed_eigenvalue_below_the_trial_shift_raises(monkeypatch):
+    # on korn-16, seven eigenvalues lie below the trial shift; a Lanczos
+    # there that misses the smallest of them is caught by the closing check
+    real_eigsh = scipy.sparse.linalg.eigsh
+    below_shift = []
+
+    def missing_the_smallest(*args, which="LM", **kwargs):
+        values = real_eigsh(*args, which=which, **kwargs)
+        if which != "SA":
+            return values
+        below_shift.append(kwargs["k"])
+        return np.sort(values)[1:]
+
+    M, G, order = _korn_pencil(16)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", missing_the_smallest)
+    with pytest.raises(errors.EigenFailure, match="not confirmed"):
+        fem.coercivity_constant(M, G, order)
+    assert below_shift == [7]
+
+
+@pytest.mark.parametrize("n, most", [(32, 70), (48, 90)])
+def test_coercivity_korn_lanczos_solves(monkeypatch, n, most):
+    # the tight Lanczos runs 1e-4 below the loose Rayleigh quotient, or
+    # below the eigenvalues under it: 62 and 82 solves (112 and 152 when it
+    # ran 1e-3 below)
+    real_solve = fem.SparseLU.solve
+    solves = []
+
+    def counting_solve(self, b):
+        solves.append(len(b))
+        return real_solve(self, b)
+
+    M, G, order = _korn_pencil(n)
+    monkeypatch.setattr(fem.SparseLU, "solve", counting_solve)
+    fem.coercivity_constant(M, G, order)
+    assert len(solves) <= most
 
 
 def _no_factorization(*args, **kwargs):

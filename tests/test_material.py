@@ -24,7 +24,7 @@ from rigidity_cert.pushforward import FrozenPointMaterial
 from rigidity_cert.tensor_core import frob, random_rotation
 
 from conftest import random_gradient
-from oracles import fd_matrix_derivative, sample_near_rotations
+from oracles import fd_matrix_derivative, taylor_draws_loop
 
 MODELS = [stvk(1.0, 1.0), neo_hookean(1.0, 1.0)]
 
@@ -306,21 +306,11 @@ def _closure_push_point(base, x, F):
 def _reference_taylor(m, n, delta, epsilon, nsamples, seed, coords):
     """taylor_constants as one loop over samples, each drawn and evaluated
     in turn; the batched version must give the same bits."""
-    rng = np.random.default_rng(seed)
-    if coords is None:
-        coords = [np.zeros(n)]
-    coords = [np.asarray(x, dtype=float) for x in coords]
     c_best = 0.0
     chat_best = 0.0
     floor = 1e-3
-    for _ in range(nsamples):
-        x = coords[rng.integers(len(coords))][None, :]
-        F = sample_near_rotations(rng, n, delta)
-        G = sample_near_rotations(rng, n, delta)
-        E = rng.normal(size=(n, n))
-        if frob(E) > 0:
-            E *= rng.uniform(0.0, epsilon) / frob(E)
-        G = G + E
+    for x, F, G, K in taylor_draws_loop(n, delta, epsilon, nsamples, seed, coords):
+        x = x[None, :]
         H = G - F
         hn = frob(H)
         if hn > 1e-10:
@@ -332,8 +322,6 @@ def _reference_taylor(m, n, delta, epsilon, nsamples, seed, coords):
             A_H = np.einsum("iajb,jb->ia", AF, H)
             defect = WF - WG + float(np.sum(S * H)) + 0.5 * float(np.sum(H * A_H))
             c_best = max(c_best, defect / hn**3)
-        K = rng.normal(size=(n, n))
-        K /= frob(K)
         if hn > 1e-10:
             qF = float(np.sum(K * np.einsum("iajb,jb->ia", AF, K)))
             qG = float(np.sum(K * np.einsum("iajb,jb->ia", m.elasticity_many(x, G[None])[0], K)))
@@ -375,6 +363,22 @@ def test_taylor_constants_match_per_sample_loop(model, n, seed, delta, epsilon, 
     assert type(tc.c) is float and type(tc.c_hat) is float
 
 
+@settings(max_examples=30, deadline=None)
+@example(n=3, seed=7, delta=0.3, epsilon=0.1, npoints=5, nsamples=40)
+@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+       delta=st.floats(0.0, 0.6), epsilon=st.floats(0.0, 0.35),
+       npoints=st.sampled_from([0, 1, 5]), nsamples=st.integers(0, 120))
+def test_taylor_draws_match_per_sample_loop_bytes(n, seed, delta, epsilon, npoints, nsamples):
+    # the batched draws read the stream with standard_normal and random;
+    # the per-sample loop with normal and uniform, as its definition does
+    coords = None if npoints == 0 else np.random.default_rng(seed).uniform(-1, 1, (npoints, n))
+    draws = taylor_draws(n, delta, epsilon, nsamples, seed, coords=coords)
+    loop = list(taylor_draws_loop(n, delta, epsilon, nsamples, seed, coords))
+    for i, got in enumerate((draws.X, draws.F, draws.G, draws.K)):
+        assert len(got) == nsamples
+        assert got.tobytes() == np.array([sample[i] for sample in loop]).tobytes()
+
+
 _DEFAULT_RNG = np.random.default_rng
 
 
@@ -395,6 +399,16 @@ class _DegenerateSteps:
     def uniform(self, *args, **kwargs):
         self.uniforms += 1
         return self._rng.uniform(*args, **kwargs)
+
+    def random(self, size=None):
+        self.uniforms += 1 if size is None else size
+        return self._rng.random(size)
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return self.normal(size)
+        out[...] = self.normal(out.shape)
+        return out
 
     def normal(self, size=None):
         A = self._rng.normal(size=size)
