@@ -240,19 +240,19 @@ class Mesh:
             self._table_cache[at] = np.ascontiguousarray(grads.transpose(2, 3, 1, 0))
         return self._table_cache[at]
 
-    def _sparse_plan(self, free_only):
-        """The assembly plan of scatter_matrix over all or the free dofs.
+    def _sparse_plan(self):
+        """The assembly plan of scatter_matrix over the free dofs.
         Cached; treat as read-only."""
-        if free_only not in self._plan_cache:
-            self._plan_cache[free_only] = _assembly_plan(self, free_only)
-        return self._plan_cache[free_only]
+        if "free" not in self._plan_cache:
+            self._plan_cache["free"] = _assembly_plan(self)
+        return self._plan_cache["free"]
 
     def _ordered_plan(self):
         """The free-dof assembly plan permuted into dof_order, in CSC: its
         matrix is P K P^T, bit for bit the scatter_matrix K permuted.
         Cached; treat as read-only."""
         if "ordered" not in self._plan_cache:
-            plan, order = self._sparse_plan(True), self.dof_order()
+            plan, order = self._sparse_plan(), self.dof_order()
             tags = scipy.sparse.csr_matrix(
                 (np.arange(plan.indices.size, dtype=float), plan.indices, plan.indptr),
                 shape=plan.shape)[order][:, order].tocsc()
@@ -374,9 +374,8 @@ class _AssemblyPlan:
     shape: tuple
 
 
-def _assembly_plan(mesh, free_only):
-    """Assembly plan of scatter_matrix over the nodal dofs, or the free
-    ones.
+def _assembly_plan(mesh):
+    """Assembly plan of scatter_matrix over the free dofs.
 
     The element matrices (M, k*n, k*n) are a COO list in C order; row r
     of element e is a block of k*n entries with the columns of e's dofs.
@@ -395,7 +394,7 @@ def _assembly_plan(mesh, free_only):
     N = mesh.nnodes * n
     itype = np.int32 if max(size, N) < 2**31 - 1 else np.int64
     dof = (mesh.elements[:, :, None] * n + np.arange(n)).reshape(-1).astype(itype)
-    free = mesh.free_mask().ravel() if free_only else np.ones(N, dtype=bool)
+    free = mesh.free_mask().ravel()
     blocks = np.flatnonzero(free[dof]).astype(itype)
     blocks = blocks[np.argsort(dof[blocks], kind="stable")]
     indptr = np.zeros(N + 1, dtype=itype)
@@ -657,7 +656,7 @@ def residual(m, mesh: Mesh, loads: LoadSet, u) -> np.ndarray:
 def second_variation_matrix(m, mesh: Mesh, u):
     """Tangent stiffness d2E/du2 at state u over the free dofs, sparse CSR."""
     A = material_at_points(m, mesh, u, "elasticity")
-    return scatter_matrix(mesh, element_matrices(mesh, A), free_only=True)
+    return scatter_matrix(mesh, element_matrices(mesh, A))
 
 
 def element_matrices(mesh: Mesh, A) -> np.ndarray:
@@ -692,19 +691,19 @@ def gradient_gram_matrix(mesh: Mesh):
     n = mesh.dim
     Kg = np.einsum("eq,eqak,eqbk->eab", wdet, grads, grads)
     Ke = np.einsum("eab,ij->eaibj", Kg, np.eye(n))
-    return scatter_matrix(mesh, Ke, free_only=True)
+    return scatter_matrix(mesh, Ke)
 
 
-def scatter_matrix(mesh, Ke, free_only):
+def scatter_matrix(mesh, Ke):
     """Sparse CSR assembly of element matrices Ke (M, k, n, k, n) over the
-    nodal dofs; free_only restricts it to the free dofs.
+    free dofs.
 
     The mesh's cached assembly plan gathers every nonzero's entries of Ke
     and adds them left to right, starting from the first, as scipy's
     COO -> CSR conversion sums duplicates, so the matrix is that
     conversion's, sliced to the free dofs, bit for bit.
     """
-    return _assemble(mesh._sparse_plan(free_only), Ke, scipy.sparse.csr_matrix)
+    return _assemble(mesh._sparse_plan(), Ke, scipy.sparse.csr_matrix)
 
 
 def _assemble(plan, Ke, layout):

@@ -25,7 +25,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,8 +51,6 @@ __all__ = [
     "verify_interpolation",
     "rh_exponents",
     "interpolation_exponent",
-    "write_grid_field",
-    "read_grid_field",
 ]
 
 _REL_SLACK = 1e-12
@@ -814,118 +811,3 @@ def verify_interpolation(fld: GridField, p: float, q: float, J2: float) -> bool:
     theta = float(interpolation_exponent(p, q))
     rhs2 = lp_mean_norm(fld, 1.0) ** theta * norm_q ** (1.0 - theta)
     return norm_p <= rhs2 * (1.0 + _REL_SLACK)
-
-
-# ------------------------------------------------------------------ file io
-
-_FORMAT_TAG = "gridfield 1"
-
-
-def write_grid_field(fld: GridField, path) -> None:
-    """Plain-text dump with exact decimal round trip (shortest repr)."""
-    lines = [_FORMAT_TAG]
-    lines.append("dims " + " ".join(str(s) for s in fld.mask.shape))
-    lines.append("spacing " + repr(float(fld.spacing)))
-    lines.append("origin " + " ".join(repr(float(c)) for c in fld.origin))
-    if fld.is_matrix:
-        lines.append(f"kind matrix {fld.values.shape[-1]}")
-    else:
-        lines.append("kind scalar")
-    cells = np.argwhere(fld.mask)
-    lines.append(f"cells {len(cells)}")
-    flat = fld.values.reshape(fld.mask.shape + (-1,)) if fld.is_matrix else fld.values[..., None]
-    for idx in cells:
-        comps = flat[tuple(idx)]
-        lines.append(
-            " ".join(str(int(i)) for i in idx) + " " + " ".join(repr(float(v)) for v in comps)
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _positive_ints(text):
-    vals = tuple(int(t) for t in text.split())
-    if not vals or min(vals) < 1:
-        raise ValueError(f"expected positive integers, got {text!r}")
-    return vals
-
-
-def _grid_kind(text):
-    """The value shape of one cell: () for a scalar, (n, n) for a matrix."""
-    toks = text.split()
-    if toks == ["scalar"]:
-        return ()
-    if len(toks) == 2 and toks[0] == "matrix":
-        return _positive_ints(toks[1]) * 2
-    raise ValueError(f"expected 'scalar' or 'matrix <size>', got {text!r}")
-
-
-def _cell_count(text):
-    count = int(text)
-    if count < 0:
-        raise ValueError(f"expected a count >= 0, got {text!r}")
-    return count
-
-
-_HEADER_PARSERS = {
-    "dims": _positive_ints,
-    "spacing": float,
-    "origin": lambda text: tuple(float(t) for t in text.split()),
-    "kind": _grid_kind,
-    "cells": _cell_count,
-}
-
-
-def read_grid_field(path) -> GridField:
-    """Parse a file written by write_grid_field.
-
-    A header without one of its keys or with a malformed value, a cell
-    line with a bad index or value, or a file that ends before its cells
-    lines, raises DimensionMismatch naming the 1-based line.
-    """
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0].strip() != _FORMAT_TAG:
-        raise DimensionMismatch(f"read_grid_field: {path} is not a grid field file")
-    header = {}
-    row = 1
-    while row < len(text) and "cells" not in header:
-        key, _, rest = text[row].partition(" ")
-        header[key] = (rest.strip(), row + 1)
-        row += 1
-    if "cells" not in header:
-        raise DimensionMismatch(
-            f"read_grid_field: {path}, line {row + 1}: file ends before the 'cells' line"
-        )
-    for key in _HEADER_PARSERS:
-        if key not in header:
-            raise DimensionMismatch(
-                f"read_grid_field: {path}, line {row}: the header ends without a '{key}' line"
-            )
-    parsed = {}
-    for key, parse in _HEADER_PARSERS.items():
-        value, line = header[key]
-        try:
-            parsed[key] = parse(value)
-        except ValueError as exc:
-            raise DimensionMismatch(
-                f"read_grid_field: {path}, line {line}: bad '{key}' value: {exc}"
-            ) from None
-    dims, count = parsed["dims"], parsed["cells"]
-    mask = np.zeros(dims, dtype=bool)
-    values = np.zeros(dims + parsed["kind"])
-    flat = values.reshape(dims + (-1,))
-    if len(text) < row + count:
-        raise DimensionMismatch(
-            f"read_grid_field: {path}, line {len(text) + 1}: file ends before "
-            f"cell {len(text) - row + 1} of {count}"
-        )
-    for i, line in enumerate(text[row : row + count]):
-        toks = line.split()
-        try:
-            idx = tuple(int(t) for t in toks[: len(dims)])
-            mask[idx] = True
-            flat[idx] = [float(t) for t in toks[len(dims) :]]
-        except (ValueError, IndexError) as exc:
-            raise DimensionMismatch(
-                f"read_grid_field: {path}, line {row + i + 1}: bad cell line: {exc}"
-            ) from None
-    return GridField(mask, values, parsed["spacing"], parsed["origin"])

@@ -31,7 +31,6 @@ __all__ = [
     "best_rotation",
     "rigidity_fit",
     "boundary_rotation_closeness",
-    "korn_form_matrix",
     "korn_constant",
 ]
 
@@ -218,17 +217,6 @@ def _coefficient_at_qps(mesh, F_field):
     return np.broadcast_to(F, (M, q, n, n)).copy()
 
 
-def korn_form_matrix(mesh, F_field=None):
-    """Matrix of the quadratic form  w -> int |F^T grad w + (grad w)^T F|^2
-    over all nodal dofs (no boundary restriction).
-
-    F_field may be None (identity), a constant matrix, a GridField over the
-    mesh lattice, or a callable of position.  The coefficient determinant
-    must stay at or above 1e-8 at every quadrature point.
-    """
-    return fem.scatter_matrix(mesh, _korn_element_matrices(mesh, F_field), free_only=False)
-
-
 def _korn_element_matrices(mesh, F_field):
     Fq = _coefficient_at_qps(mesh, F_field)
     dets = tensor_core.det_many(Fq)
@@ -247,7 +235,12 @@ def _korn_element_matrices(mesh, F_field):
 def korn_constant(mesh, F_field=None) -> float:
     """Best constant K in  int |F^T grad w + (grad w)^T F|^2 >= K int |grad w|^2
     over FE fields vanishing on the mesh's Dirichlet nodes: the form's
-    matrix over the free dofs, the korn_form_matrix slice bit for bit,
-    against the gradient Gram matrix, factored in the mesh's dof_order."""
-    B = fem.scatter_matrix(mesh, _korn_element_matrices(mesh, F_field), free_only=True)
+    matrix over the free dofs against the gradient Gram matrix, factored
+    in the mesh's dof_order.
+
+    F_field may be None (identity), a constant matrix, a GridField over the
+    mesh lattice, or a callable of position.  The coefficient determinant
+    must stay at or above 1e-8 at every quadrature point.
+    """
+    B = fem.scatter_matrix(mesh, _korn_element_matrices(mesh, F_field))
     return fem.coercivity_constant(B, fem.gradient_gram_matrix(mesh), mesh.dof_order())

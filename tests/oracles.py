@@ -362,8 +362,7 @@ def boundary_map_walk(elements, local_facets):
 def scatter_matrix_coo(elements, nnodes, free, Ke):
     """Sparse CSR assembly of element matrices Ke (M, k, n, k, n) by
     scipy's COO -> CSR conversion, which sums duplicate entries, sliced
-    with np.ix_ to the dofs that the bool vector free keeps (None keeps
-    them all)."""
+    with np.ix_ to the dofs that the bool vector free keeps."""
     M, k = elements.shape
     n = Ke.shape[-1]
     dof = (elements[:, :, None] * n + np.arange(n)[None, None, :]).reshape(M, k * n)
@@ -371,8 +370,6 @@ def scatter_matrix_coo(elements, nnodes, free, Ke):
     cols = np.tile(dof, (1, k * n)).ravel()
     vals = Ke.reshape(M, k * n, k * n).ravel()
     K = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(nnodes * n, nnodes * n)).tocsr()
-    if free is None:
-        return K
     idx = np.flatnonzero(free)
     return K[np.ix_(idx, idx)].tocsr()
 

@@ -132,8 +132,8 @@ def test_bad_value_types(tmp_path):
         cli.load_scenario(path)
     # one number, several numbers and several integers, each message whole
     for line, message in [
-        ("mesh.width = wide", "line 4: mesh.width: expected a number, got 'wide'"),
-        ("loads.matrix = 1 x", "line 4: loads.matrix: expected numbers, got '1 x'"),
+        ("mesh.width = wide", "line 4: mesh.width: expected a finite number, got 'wide'"),
+        ("loads.matrix = 1 x", "line 4: loads.matrix: expected finite numbers, got '1 x'"),
         ("korn.resolutions = 8 x", "line 4: korn.resolutions: expected integers, got '8 x'"),
     ]:
         path = _write(tmp_path, "c.cfg", f"""
@@ -144,6 +144,31 @@ def test_bad_value_types(tmp_path):
         with pytest.raises(errors.ConfigError) as exc:
             cli.load_scenario(path)
         assert str(exc.value) == message
+
+
+_FLOAT_KEYS = [key for key, (parser, _) in cli._KEYS.items()
+               if parser in (cli._p_float, cli._p_floats)]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys, key, bad):
+    # these passed validate and failed late in run: a singular tangent, a
+    # non-finite Newton step, or a solve spending every iteration
+    if cli._KEYS[key][0] is cli._p_float:
+        value, expected = bad, "a finite number"
+    else:
+        value, expected = f"1.0 {bad}", "finite numbers"
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = solve
+        {key} = {value}
+    """)
+    message = f"config error: line 4: {key}: expected {expected}, got '{value}'"
+    for command in (["validate", cfg], ["run", cfg, "--out", str(tmp_path / "out")]):
+        assert cli.main(command) == 1
+        assert capsys.readouterr().err.strip() == message
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override(tmp_path):
@@ -497,12 +522,11 @@ def test_validate_names_the_key_at_fault_beside_its_partner(tmp_path, capsys, pa
 
 
 @pytest.mark.parametrize("kind, key, value, message", [
-    ("rectangle", "mesh.width", "0", "side lengths must be positive and finite, got 0"),
-    ("rectangle", "mesh.width", "-1", "side lengths must be positive and finite, got -1"),
-    ("rectangle", "mesh.height", "inf", "side lengths must be positive and finite, got inf"),
-    ("l-shape", "mesh.size", "0", "side lengths must be positive and finite, got 0"),
-    ("ring", "mesh.size", "-2", "side lengths must be positive and finite, got -2"),
-    ("box", "mesh.lengths", "1 1 0", "side lengths must be positive and finite, got 1 1 0"),
+    ("rectangle", "mesh.width", "0", "side lengths must be positive, got 0"),
+    ("rectangle", "mesh.width", "-1", "side lengths must be positive, got -1"),
+    ("l-shape", "mesh.size", "0", "side lengths must be positive, got 0"),
+    ("ring", "mesh.size", "-2", "side lengths must be positive, got -2"),
+    ("box", "mesh.lengths", "1 1 0", "side lengths must be positive, got 1 1 0"),
     ("ring", "mesh.hole", "0", "the hole is a fraction of the side in (0, 1), got 0"),
     ("ring", "mesh.hole", "-0.5", "the hole is a fraction of the side in (0, 1), got -0.5"),
     ("ring", "mesh.hole", "1", "the hole is a fraction of the side in (0, 1), got 1"),
@@ -881,14 +905,12 @@ def test_diagnostics_harmonic_j2_is_the_certificate_j2(tmp_path):
     inputs = certify.certification_inputs(problem, fem.FeField.identity(mesh),
                                           taylor_samples=50, seed=4)
     assert doc["measurements"]["J2_bound"] == inputs.J2
-    assert doc["measurements"]["J2"] <= doc["measurements"]["J2_doubled_family"] <= inputs.J2
+    assert doc["measurements"]["J2"] <= doc["measurements"]["J2_bound"]
     assert "j2_family" not in inputs.provenance
 
 
 def test_diagnostics_harmonic_fits_each_field_once(tmp_path, monkeypatch):
-    # the doubled family starts with the family's fields, bit for bit, so
-    # only its second half is fitted again, and J2_doubled_family is still
-    # the fit over the whole doubled family
+    # one fit over the family's 8 fields, reported as J2
     from rigidity_cert import certify, fem, harmonic
 
     fitted = []
@@ -909,10 +931,54 @@ def test_diagnostics_harmonic_fits_each_field_once(tmp_path, monkeypatch):
     """)
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
     monkeypatch.undo()
-    assert fitted == [8, 8]
+    assert fitted == [8]
     doc = json.loads((tmp_path / "out" / "harm.json").read_text())
-    doubled, _ = certify.j2_family(fem.rectangle_mesh(6, 6), 4, 4)
-    assert doc["measurements"]["J2_doubled_family"] == original(doubled, 2.0, 3.0)
+    fields, _ = certify.j2_family(fem.rectangle_mesh(6, 6), 2, 4)
+    assert doc["measurements"]["J2"] == original(fields, 2.0, 3.0)
+    assert "J2_doubled_family" not in doc["measurements"]
+
+
+def test_diagnostics_harmonic_checks_the_fields_against_the_proved_j2(tmp_path,
+                                                                       monkeypatch):
+    # a bound below the fitted J2 fails some field, so the check reads the
+    # proof, not the fit on the same fields
+    from rigidity_cert import harmonic
+
+    cfg = _write(tmp_path, "a.cfg", """
+        name = harm
+        pipeline = diagnostics-harmonic
+        mesh.nx = 8
+        mesh.ny = 8
+        harmonic.count = 3
+    """)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    J2 = json.loads((tmp_path / "out" / "harm.json").read_text())["measurements"]["J2"]
+    monkeypatch.setattr(harmonic, "interpolation_bound", lambda mask, p, q: 0.99 * J2)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "low")]) == 1
+    doc = json.loads((tmp_path / "low" / "harm.json").read_text())
+    assert doc["outcome"] == "fail" and doc["measurements"]["J2_bound"] == 0.99 * J2
+    rows = (tmp_path / "low" / "harm.fields.csv").read_text().splitlines()[1:]
+    assert any(row.endswith(",false") for row in rows)
+
+
+@pytest.mark.parametrize("kind, lines", [
+    ("l-shape", "mesh.n = 8"),
+    ("ring", "mesh.n = 8"),
+    ("box", "mesh.nx = 4\nmesh.ny = 4\nmesh.nz = 4"),
+], ids=["l-shape", "ring", "box"])
+def test_diagnostics_harmonic_fields_pass_the_proved_j2(tmp_path, kind, lines):
+    # every field meets the proved bound on an L-shape and a ring, whose
+    # bound walks the overlaps of their maximal squares, and on a box
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"name = harm\npipeline = diagnostics-harmonic\nmesh.kind = {kind}\n"
+                   f"{lines}\nharmonic.count = 3\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "harm.json").read_text())
+    assert doc["outcome"] == "pass"
+    assert doc["measurements"]["J2"] <= doc["measurements"]["J2_bound"]
+    rows = (tmp_path / "out" / "harm.fields.csv").read_text().splitlines()
+    assert rows[0].endswith(",interpolation_ok") and len(rows) > 1
+    assert all(row.endswith(",true") for row in rows[1:])
 
 
 def test_diagnostics_harmonic_takes_each_maximal_function_once_per_field(tmp_path,

@@ -329,7 +329,8 @@ def _einsum_element_matrices(mesh, A):
 
 def _einsum_korn_elements(mesh, Fq):
     """The Korn form's element matrices as its two einsums, 2 (F F^T)_ij
-    g_a.g_b + 2 (F g_b)_i (F g_a)_j: the reference for korn_form_matrix."""
+    g_a.g_b + 2 (F g_b)_i (F g_a)_j: the reference for the Korn form's
+    element matrices in rigidity."""
     _, grads, wdet, _ = mesh.quadrature()
     FFt = np.einsum("eqik,eqjk->eqij", Fq, Fq)
     Ke = 2.0 * np.einsum("eq,eqij,eqak,eqbk->eaibj", wdet, FFt, grads, grads)
@@ -360,10 +361,11 @@ def _element_alone(mesh, e):
        cells=st.integers(1, 3), jitter=st.floats(0.0, 0.3))
 def test_element_matrices_layout_free_and_per_element(seed, dim, cells, jitter):
     rng = np.random.default_rng(seed)
+    # clamped on one side, so that every mesh keeps free dofs
     if dim == 2:
-        mesh = fem.rectangle_mesh(cells + 1, cells, 1.3, 1.0)
+        mesh = fem.rectangle_mesh(cells + 1, cells, 1.3, 1.0, dirichlet=("left",))
     else:
-        mesh = fem.box_mesh(cells + 1, 2, 2, (1.0, 1.2, 0.7))
+        mesh = fem.box_mesh(cells + 1, 2, 2, (1.0, 1.2, 0.7), dirichlet=("x0",))
     mesh = _jittered(mesh, rng, jitter)
     M, q, k, n = mesh.quadrature()[1].shape
     assert k == 2**dim
@@ -379,13 +381,14 @@ def test_element_matrices_layout_free_and_per_element(seed, dim, cells, jitter):
                               Ke[e:e + 1])
     ref = _einsum_element_matrices(mesh, A)
     assert np.abs(Ke - ref).max() <= 1e-13 * np.abs(ref).max()
-    # the Korn form through the same kernel, with a varying coefficient
+    # the Korn form over the free dofs through the same kernel, with a
+    # varying coefficient
     B = 0.2 * rng.standard_normal((n, n))
     coefficient = lambda x: np.eye(n) + math.sin(3.0 * x.sum()) * B  # noqa: E731
     coords = mesh.quadrature()[0]
     Fq = np.array([coefficient(x) for x in coords.reshape(-1, n)]).reshape(M, q, n, n)
-    got = rigidity.korn_form_matrix(mesh, coefficient).toarray()
-    want = fem.scatter_matrix(mesh, _einsum_korn_elements(mesh, Fq), free_only=False).toarray()
+    got = fem.scatter_matrix(mesh, rigidity._korn_element_matrices(mesh, coefficient)).toarray()
+    want = fem.scatter_matrix(mesh, _einsum_korn_elements(mesh, Fq)).toarray()
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -413,15 +416,14 @@ def _same_bits(A, B):
             and np.array_equal(A.data.view(np.uint64), B.data.view(np.uint64)))
 
 
-@pytest.mark.parametrize("free_only", [False, True])
 @pytest.mark.parametrize("kind", sorted(_ASSEMBLY_MESHES))
-def test_scatter_matrix_is_the_coo_assembly_bit_for_bit(kind, free_only):
+def test_scatter_matrix_is_the_coo_assembly_bit_for_bit(kind):
     # the cached plan sums each nonzero's entries in the order scipy's COO
     # -> CSR conversion does, signed zeros included, and slices as np.ix_
     mesh = _ASSEMBLY_MESHES[kind]()
     M, k = mesh.elements.shape
     n = mesh.dim
-    free = mesh.free_mask().ravel() if free_only else None
+    free = mesh.free_mask().ravel()
     rng = np.random.default_rng(7)
     stacks = []
     for _ in range(3):
@@ -435,12 +437,11 @@ def test_scatter_matrix_is_the_coo_assembly_bit_for_bit(kind, free_only):
         mesh, fem.material_at_points(material.stvk(1.0, 1.0), mesh, u, "elasticity")))
     for Ke in stacks:
         want = scatter_matrix_coo(mesh.elements, mesh.nnodes, free, Ke)
-        assert _same_bits(fem.scatter_matrix(mesh, Ke, free_only=free_only), want)
-        if free_only:
-            # the Newton tangent's plan gives P K P^T in CSC, P the dof order
-            order = mesh.dof_order()
-            assert _same_bits(fem._assemble(mesh._ordered_plan(), Ke, sp.csc_matrix),
-                              want[order][:, order].tocsc())
+        assert _same_bits(fem.scatter_matrix(mesh, Ke), want)
+        # the Newton tangent's plan gives P K P^T in CSC, P the dof order
+        order = mesh.dof_order()
+        assert _same_bits(fem._assemble(mesh._ordered_plan(), Ke, sp.csc_matrix),
+                          want[order][:, order].tocsc())
 
 
 @st.composite
@@ -481,9 +482,7 @@ def test_dof_order_permutes_the_free_dofs_and_keeps_the_inertia(tmp_path_factory
         # the pencil of the korn pipeline: M - s G, s clear of every
         # eigenvalue, has as many negative pivots in the order as in
         # minimum-degree order, one per eigenvalue below s
-        M = rigidity.korn_form_matrix(mesh)
-        free = np.flatnonzero(mesh.free_mask().ravel())
-        M = M[np.ix_(free, free)].tocsr()
+        M = fem.scatter_matrix(mesh, rigidity._korn_element_matrices(mesh, None))
         G = fem.gradient_gram_matrix(mesh)
         lams = scipy.linalg.eigh(M.toarray(), G.toarray(), eigvals_only=True)
         for s in shifts:
@@ -873,8 +872,7 @@ def _counting_splu(monkeypatch):
 
 def _korn_pencil(n):
     mesh = fem.rectangle_mesh(n, n)
-    idx = np.flatnonzero(mesh.free_mask().ravel())
-    B = rigidity.korn_form_matrix(mesh)[np.ix_(idx, idx)]
+    B = fem.scatter_matrix(mesh, rigidity._korn_element_matrices(mesh, None))
     return B, fem.gradient_gram_matrix(mesh), mesh.dof_order()
 
 

@@ -30,11 +30,9 @@ from rigidity_cert.harmonic import (
     interpolation_exponent,
     lp_mean_norm,
     oscillation_constant,
-    read_grid_field,
     rh_exponents,
     verify_interpolation,
     verify_pointwise_bounds,
-    write_grid_field,
 )
 
 from oracles import (
@@ -69,6 +67,18 @@ def random_fields(rng, count, max_extent=16, matrix=False, masked=False):
         vals = rng.normal(size=vshape)
         out.append(GridField(mask, vals))
     return out
+
+
+# ---------------------------------------------------------------- fields
+
+def test_grid_field_shape_validation():
+    with pytest.raises(DimensionMismatch):
+        GridField(np.ones((4, 4), dtype=bool), np.zeros((4, 5)))
+    with pytest.raises(DimensionMismatch):
+        GridField(np.ones(4, dtype=bool), np.zeros(4))
+    bad = np.full((3, 3), np.nan)
+    with pytest.raises(DimensionMismatch):
+        GridField(np.ones((3, 3), dtype=bool), bad)
 
 
 # ----------------------------------------------------------- cube family
@@ -537,121 +547,6 @@ def test_hl_constant_finite_and_stable():
     assert math.isfinite(full)
     assert full >= half
     assert full <= half * 1.5  # doubling the family must not blow the fit up
-
-
-# ------------------------------------------------------------------ file io
-
-def test_grid_field_round_trip_exact(tmp_path):
-    rng = np.random.default_rng(149)
-    mask = l_mask(6)
-    vals = rng.normal(size=(6, 6))
-    fld = GridField(mask, vals, spacing=0.125, origin=(0.5, -1.0))
-    path = tmp_path / "field.grid"
-    write_grid_field(fld, path)
-    back = read_grid_field(path)
-    assert np.array_equal(back.mask, fld.mask)
-    assert np.array_equal(back.values, fld.values)
-    assert back.spacing == fld.spacing and back.origin == fld.origin
-
-
-def test_grid_field_matrix_round_trip(tmp_path):
-    rng = np.random.default_rng(151)
-    fld = GridField(np.ones((3, 4), dtype=bool), rng.normal(size=(3, 4, 2, 2)))
-    path = tmp_path / "mat.grid"
-    write_grid_field(fld, path)
-    back = read_grid_field(path)
-    assert np.array_equal(back.values, fld.values)
-    assert back.is_matrix
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([0, 2, 3]),
-       mask_kind=st.sampled_from(["holes", "l-shape", "3d"]),
-       sample=st.floats(allow_nan=False, allow_infinity=False),
-       spacing=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
-       origin=st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                       min_size=3, max_size=3))
-def test_grid_field_file_round_trip_is_bitwise(tmp_path_factory, seed, k, mask_kind,
-                                               sample, spacing, origin):
-    # any finite sample (signed zeros, subnormals, the extremes) comes back
-    # with its bits, and so do the mask, the spacing and the origin
-    rng = np.random.default_rng(seed)
-    mask = _random_mask(rng, mask_kind)
-    values = _random_values(rng, mask.shape, k, "normal") * 2.0 ** rng.integers(-60, 60)
-    values.reshape(mask.shape + (-1,))[tuple(np.argwhere(mask)[0])][0] = sample
-    fld = GridField(mask, values, spacing, tuple(origin[: mask.ndim]))
-    path = tmp_path_factory.mktemp("grid") / "field.grid"
-    write_grid_field(fld, path)
-    back = read_grid_field(path)
-    assert back.mask.shape == fld.mask.shape and np.array_equal(back.mask, fld.mask)
-    assert back.values.shape == fld.values.shape
-    assert back.values.tobytes() == fld.values.tobytes()
-    assert back.spacing.hex() == fld.spacing.hex()
-    assert [o.hex() for o in back.origin] == [float(o).hex() for o in fld.origin]
-
-
-_GRID_FILE = """gridfield 1
-dims 2 2
-spacing 1.0
-origin 0.0 0.0
-kind scalar
-cells 2
-0 0 1.5
-0 1 -2.0
-"""
-
-
-@pytest.mark.parametrize("key", ["dims", "spacing", "origin", "kind"])
-def test_read_grid_field_missing_header_key(tmp_path, key):
-    path = tmp_path / "field.grid"
-    path.write_text("".join(
-        line + "\n" for line in _GRID_FILE.splitlines() if not line.startswith(key)
-    ))
-    # the header closes at the 'cells' line, now line 5
-    with pytest.raises(DimensionMismatch, match=f"line 5: the header ends without a '{key}' line"):
-        read_grid_field(path)
-
-
-@pytest.mark.parametrize("bad", [
-    "dims 2 x", "dims 2 0", "spacing wide", "origin 0.0 zero",
-    "kind matrix", "kind matrix 0", "kind tensor 2", "cells two", "cells -1",
-])
-def test_read_grid_field_bad_header_value(tmp_path, bad):
-    key = bad.split()[0]
-    rows = _GRID_FILE.splitlines()
-    line = next(i for i, row in enumerate(rows, 1) if row.startswith(key))
-    path = tmp_path / "field.grid"
-    path.write_text("".join((bad if row.startswith(key) else row) + "\n" for row in rows))
-    with pytest.raises(DimensionMismatch, match=f"line {line}: bad '{key}' value"):
-        read_grid_field(path)
-
-
-def test_read_grid_field_truncated_cells(tmp_path):
-    path = tmp_path / "field.grid"
-    path.write_text(_GRID_FILE.rsplit("0 1", 1)[0])
-    with pytest.raises(DimensionMismatch, match="line 8: file ends before cell 2 of 2"):
-        read_grid_field(path)
-    path.write_text(_GRID_FILE.split("cells")[0])
-    with pytest.raises(DimensionMismatch, match="line 6: file ends before the 'cells' line"):
-        read_grid_field(path)
-
-
-@pytest.mark.parametrize("cell, reason", [("5 0 1.5", "out of bounds"), ("0 0 abc", "abc")])
-def test_read_grid_field_bad_cell_line(tmp_path, cell, reason):
-    path = tmp_path / "field.grid"
-    path.write_text(_GRID_FILE.replace("0 1 -2.0", cell))
-    with pytest.raises(DimensionMismatch, match=f"line 8: bad cell line: .*{reason}"):
-        read_grid_field(path)
-
-
-def test_grid_field_shape_validation():
-    with pytest.raises(DimensionMismatch):
-        GridField(np.ones((4, 4), dtype=bool), np.zeros((4, 5)))
-    with pytest.raises(DimensionMismatch):
-        GridField(np.ones(4, dtype=bool), np.zeros(4))
-    bad = np.full((3, 3), np.nan)
-    with pytest.raises(DimensionMismatch):
-        GridField(np.ones((3, 3), dtype=bool), bad)
 
 
 # ------------------------------------------------ the proved J2 of a lattice
