@@ -59,6 +59,12 @@ _GAP_SLACK = 0.1
 # the equilibrium tolerance of certification_inputs, and the caps on
 # delta_star and on the threshold of the transfer
 RESIDUAL_TOL = 1e-8
+# the radius of the rotation-distance set the Taylor constants are sampled
+# on, and the norm fattening covering candidate steps
+RHO = 0.25
+EPSILON = 0.25
+# the bound on |F^T F - I| of the small-strain set
+STRAIN_DELTA = 0.2
 _RADIUS_CAP = 1e6
 _TRANSFER_CAP = 1e6
 
@@ -165,28 +171,27 @@ class CertInputs:
     provenance: dict
 
 
-def _quadrature_taylor(problem: Problem, rng, rho, epsilon, samples, seed):
+def _quadrature_taylor(problem: Problem, rng, samples, seed):
     """Taylor constants of the material in one taylor_constants call over
     16 seeded quadrature coordinates."""
     n = problem.mesh.dim
     coords = problem.mesh.quadrature()[0].reshape(-1, n)
     pick = rng.choice(len(coords), size=min(16, len(coords)), replace=False)
     tc = material.taylor_constants(problem.material, material.taylor_draws(
-        n, rho, epsilon, samples, seed, coords=coords[np.sort(pick)]))
+        n, RHO, EPSILON, samples, seed, coords=coords[np.sort(pick)]))
     return tc.c, tc.c_hat, {"samples": int(tc.samples)}
 
 
-def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
-                         taylor_samples=2000, seed=0,
+def certification_inputs(problem: Problem, u_e, taylor_samples=2000, seed=0,
                          taylor=_quadrature_taylor,
                          residual_tol=RESIDUAL_TOL) -> CertInputs:
     """Measure every constant the gates need at the equilibrium u_e.
 
-    rho is the radius of the rotation-distance set the Taylor constants
-    are sampled on; epsilon the norm fattening covering candidate steps.
-    taylor samples the Taylor constants of problem.material: called as
-    taylor(problem, default_rng(seed), rho, epsilon, taylor_samples, seed),
-    it returns (c, c_hat, its own entries of the Taylor provenance).  A
+    The Taylor constants are sampled on the rotation-distance set of
+    radius RHO, fattened by EPSILON.  taylor samples the Taylor constants
+    of problem.material: called as taylor(problem, default_rng(seed),
+    taylor_samples, seed), it returns (c, c_hat, its own entries of the
+    Taylor provenance).  A
     residual sup above residual_tol raises NotEquilibrium first, and a
     lattice with no finite J2 (harmonic.interpolation_bound) raises
     HypothesisUnmet next.
@@ -211,9 +216,8 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
     G = fem.gradient_gram_matrix(mesh)
     lambda_min = fem.coercivity_constant(M, G, mesh.dof_order())
     k_hat = lambda_min / _CASCADE
-    c, c_hat, taylor_provenance = taylor(
-        problem, np.random.default_rng(seed), rho, epsilon, taylor_samples, seed
-    )
+    c, c_hat, taylor_provenance = taylor(problem, np.random.default_rng(seed),
+                                         taylor_samples, seed)
     components = n * n
     delta_star = (
         neighborhood_radius(k_hat, c, J2, components)
@@ -224,8 +228,8 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
         "mesh_hash": mesh.mesh_hash(),
         "material": m.descriptor(),
         "taylor": {
-            "delta": float(rho),
-            "epsilon": float(epsilon),
+            "delta": RHO,
+            "epsilon": EPSILON,
             "seed": int(seed),
             **taylor_provenance,
         },
@@ -240,8 +244,8 @@ def certification_inputs(problem: Problem, u_e, rho=0.25, epsilon=0.25,
         c_taylor=float(c),
         c_hat_taylor=float(c_hat),
         J2=float(J2),
-        rho=float(rho),
-        epsilon=float(epsilon),
+        rho=RHO,
+        epsilon=EPSILON,
         components=components,
         delta_star=float(delta_star),
         taylor_samples=int(taylor_samples),
@@ -493,7 +497,9 @@ def fold_outcomes(entries) -> str:
 def bmo_gate_certificate(candidates, inputs: CertInputs) -> Certificate:
     """Certify the equilibrium u_e that inputs were measured at against
     the supplied candidates: each runs the local-minimality gate and the
-    direction positivity transfer over one measurement of it."""
+    direction positivity transfer over one measurement of it.  A
+    coercivity constant at or below 0 fails the certificate, whatever the
+    candidates."""
     entries = []
     for idx, v in enumerate(candidates):
         c = Candidate(v, inputs)
@@ -511,7 +517,8 @@ def bmo_gate_certificate(candidates, inputs: CertInputs) -> Certificate:
         measurements={},
         candidates=entries,
         provenance=inputs.provenance,
-        outcome=fold_outcomes([e["outcome"] for e in entries]),
+        outcome=fold_outcomes(["pass" if inputs.lambda_min > 0 else "fail"]
+                              + [e["outcome"] for e in entries]),
     )
 
 
@@ -528,23 +535,22 @@ def _strain_sup(F) -> float:
     return float(np.sqrt(np.einsum("eqij,eqij->eq", C, C)).max())
 
 
-def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2) -> Certificate:
+def small_strain_uniqueness(candidates, inputs: CertInputs) -> Certificate:
     """Certify the equilibrium u_e that inputs were measured at as the
     locally unique small-strain minimizer among the supplied candidates,
     at desk scale.
 
     Prerequisites: the material is stress-free at the identity with a
     uniformly positive elasticity floor there, and the strain of u_e
-    stays inside the small-strain set (certification_inputs has checked
-    that u_e is an equilibrium).  Each candidate is then filtered by the
-    same strain bound and passed through the rotation-fit diagnostics,
-    the boundary rotation comparison at p = n + 1 (it needs p > n), and
-    the energy gate.
+    stays inside the small-strain set |F^T F - I| < STRAIN_DELTA
+    (certification_inputs has checked that u_e is an equilibrium).  Each
+    candidate is then filtered by the same strain bound and passed through
+    the rotation-fit diagnostics, the boundary rotation comparison at
+    p = n + 1, and the energy gate.
     """
     problem, u_e = inputs.problem, inputs.u_e
     m, mesh = problem.material, problem.mesh
-    n = mesh.dim
-    con = material.check_constitutive(m, n=n, seed=inputs.seed)
+    con = material.check_constitutive(m, n=mesh.dim, seed=inputs.seed)
     if con.stress_free_err > 1e-8:
         raise PrerequisiteFailed(
             f"stress-free reference fails: |S(x, I)| = {con.stress_free_err:.3e}"
@@ -555,16 +561,16 @@ def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2) ->
             f"({con.shear_floor:g}, {con.sigma_floor:g})"
         )
     strain_e = _strain_sup(inputs.deformation_gradients)
-    if strain_e >= strain_delta:
+    if strain_e >= STRAIN_DELTA:
         raise PrerequisiteFailed(
             f"reference strain bound fails: |C_e - I| sup = {strain_e:.3e} "
-            f">= {strain_delta:g}"
+            f">= {STRAIN_DELTA:g}"
         )
     measurements = {
         "second_variation_positive": measure(inputs.lambda_min, 0.0, inputs.lambda_min > 0.0),
         "stress_free": measure(con.stress_free_err, 1e-8, True),
         "elasticity_floor": measure(min(con.shear_floor, con.sigma_floor), 0.0, True),
-        "strain_bound_reference": measure(strain_e, strain_delta, True),
+        "strain_bound_reference": measure(strain_e, STRAIN_DELTA, True),
     }
     entries = []
     for idx, v in enumerate(candidates):
@@ -574,15 +580,15 @@ def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2) ->
         entry = {
             "id": cid,
             "strain_sup": float(strain_v),
-            "strain_bound": float(strain_delta),
+            "strain_bound": STRAIN_DELTA,
         }
-        if strain_v >= strain_delta:
+        if strain_v >= STRAIN_DELTA:
             entry["outcome"] = "inapplicable"
             entry["reason"] = "candidate strain bound"
             entries.append(entry)
             continue
         fit = rigidity.rigidity_fit(c.grad)
-        bc = rigidity.boundary_rotation_closeness(u_e, v, mesh, p=float(n + 1))
+        bc = rigidity.boundary_rotation_closeness(u_e, v, mesh)
         gate = local_min_gate(c)
         entry.update(
             {
@@ -599,7 +605,7 @@ def small_strain_uniqueness(candidates, inputs: CertInputs, strain_delta=0.2) ->
         + [e["outcome"] for e in entries]
     )
     provenance = dict(inputs.provenance)
-    provenance["strain_delta"] = float(strain_delta)
+    provenance["strain_delta"] = STRAIN_DELTA
     return Certificate.from_inputs(
         problem.problem_id,
         inputs,

@@ -95,10 +95,6 @@ class BoundaryMismatch(RigidityCertError):
     """Two fields expected to share boundary values do not."""
 
 
-class DetBelowFloor(RigidityCertError):
-    """A coefficient field determinant fell below the positivity floor."""
-
-
 # certification
 
 class NonPositiveK(RigidityCertError):

@@ -890,6 +890,11 @@ def coercivity_constant(M_mat, G_mat, order=None) -> float:
     return lam
 
 
+# the residual sup at which solve_equilibrium stops, and its budget of steps
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+
+
 @dataclass
 class SolveLog:
     converged: bool = False
@@ -911,9 +916,9 @@ class _Iterate(FeField):
         self.F = _checked_gradients(mesh, FeField(mesh, self.values))
 
 
-def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
-                      tol=1e-10, max_iter=50) -> tuple[FeField, SolveLog]:
-    """Newton iteration with a backtracking, determinant-guarded line search.
+def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField) -> tuple[FeField, SolveLog]:
+    """Newton iteration with a backtracking, determinant-guarded line search,
+    to a residual sup of NEWTON_TOL within NEWTON_MAX_ITER steps.
 
     u0 must satisfy the Dirichlet data; the Dirichlet components never
     move.  Steps are halved until det grad u > 0 everywhere and the energy
@@ -931,8 +936,8 @@ def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
     r = residual(m, mesh, loads, u)
     log.residual_history.append(float(np.max(np.abs(r))))
     log.energy_history.append(total_energy(m, mesh, loads, u))
-    for it in range(max_iter):
-        if log.residual_history[-1] <= tol:
+    for it in range(NEWTON_MAX_ITER):
+        if log.residual_history[-1] <= NEWTON_TOL:
             log.converged = True
             log.iterations = it
             return FeField(mesh, u.values), log
@@ -987,12 +992,12 @@ def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField,
         r = residual(m, mesh, loads, u)
         log.residual_history.append(float(np.max(np.abs(r))))
         log.energy_history.append(phi)
-    log.iterations = max_iter
-    if log.residual_history[-1] <= tol:
+    log.iterations = NEWTON_MAX_ITER
+    if log.residual_history[-1] <= NEWTON_TOL:
         log.converged = True
         return FeField(mesh, u.values), log
     raise MaxIterations(
-        f"Newton did not reach tol {tol:g} in {max_iter} iterations "
+        f"Newton did not reach tol {NEWTON_TOL:g} in {NEWTON_MAX_ITER} iterations "
         f"(residual {log.residual_history[-1]:.3e})", log,
     )
 

@@ -421,7 +421,7 @@ def strain_diff_to_dist(v: fem.FeField, cfg: DeformedConfig) -> StrainDistReport
     )
 
 
-def _point_taylor(problem_def: certify.Problem, rng, rho, epsilon, samples, seed):
+def _point_taylor(problem_def: certify.Problem, rng, samples, seed):
     """Taylor constants of a pushed material, for certification_inputs:
     the max over 12 seeded material points of the frozen-point constants,
     all evaluated on one set of draws."""
@@ -429,7 +429,8 @@ def _point_taylor(problem_def: certify.Problem, rng, rho, epsilon, samples, seed
     nelem, nq = m_u.cfg.det_F.shape
     npts = min(12, nelem * nq)
     per_point = max(200, samples // npts)
-    draws = material.taylor_draws(problem_def.mesh.dim, rho, epsilon, per_point, seed)
+    draws = material.taylor_draws(problem_def.mesh.dim, certify.RHO, certify.EPSILON,
+                                  per_point, seed)
     c = c_hat = 0.0
     for p in np.sort(rng.choice(nelem * nq, size=npts, replace=False)):
         tc = material.taylor_constants(m_u.point_material(int(p // nq), int(p % nq)), draws)
@@ -448,7 +449,8 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
     and their energy excesses are cross-checked against the
     reference-side gate.  The deformed constants are measured with the
     same settings, and at a residual tolerance widened by the reference
-    residual.
+    residual; a deformed coercivity constant at or below 0 fails the
+    certificate, whatever the candidates.
     """
     problem, u_e = inputs.problem, inputs.u_e
     m, mesh, loads = problem.material, problem.mesh, problem.loads
@@ -463,8 +465,8 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
     problem_def = certify.Problem(problem.problem_id + "-deformed", m_u, mesh_def, loads_u)
     u_hat = fem.FeField(mesh_def, u_e.values.copy())
     inputs_def = certify.certification_inputs(
-        problem_def, u_hat, rho=inputs.rho, epsilon=inputs.epsilon,
-        taylor_samples=inputs.taylor_samples, seed=inputs.seed, taylor=_point_taylor,
+        problem_def, u_hat, taylor_samples=inputs.taylor_samples, seed=inputs.seed,
+        taylor=_point_taylor,
         residual_tol=max(certify.RESIDUAL_TOL, 10 * inputs.residual + 1e-12),
     )
     ident_dev = float(np.max(np.abs(inputs_def.deformation_gradients - np.eye(mesh.dim))))
@@ -510,7 +512,8 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
             entry["outcome"] = "inapplicable"
             entry["reason"] = "gate thresholds"
         entries.append(entry)
-    outcome = certify.fold_outcomes([e["outcome"] for e in entries])
+    outcome = certify.fold_outcomes(["pass" if inputs_def.lambda_min > 0.0 else "fail"]
+                                    + [e["outcome"] for e in entries])
     provenance = dict(inputs.provenance)
     provenance["strain_eps"] = float(strain_eps)
     provenance["deformed"] = inputs_def.provenance

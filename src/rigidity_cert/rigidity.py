@@ -4,7 +4,7 @@ Given a lattice cell field of gradients, these routines fit the single
 best rotation, measure how far the field is from that rotation relative
 to its pointwise distance to the rotation group, relate the BMO seminorm
 of the gradient to the sup of that distance, and compute discrete Korn
-constants with variable coefficients.
+constants.
 
 All reported constants are measurements on the discrete field at hand,
 not certified bounds.
@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, harmonic, tensor_core
-from .errors import (
-    BoundaryMismatch,
-    DegenerateMean,
-    DetBelowFloor,
-    DimensionMismatch,
-    HypothesisUnmet,
-)
+from .errors import BoundaryMismatch, DegenerateMean, DimensionMismatch
 
 __all__ = [
     "RigidityReport",
@@ -94,15 +88,15 @@ def _plain_ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def rigidity_fit(grad_field, p: float = 2.0) -> RigidityReport:
-    """Fit one rotation to a gradient field and measure the fit constants.
+def rigidity_fit(grad_field) -> RigidityReport:
+    """Fit one rotation to a gradient field and measure the fit constants
+    in p-means at p = 2.
 
     Requires a cellwise positive determinant (the pointwise rotation
     distance must be defined) and a mean gradient with positive
     determinant.
     """
-    if not 1.0 < p < math.inf:
-        raise HypothesisUnmet(f"rigidity_fit needs p in (1, inf), got {p}")
+    p = 2.0
     cells = _cell_matrices(grad_field)
     R = best_rotation(grad_field)
     dev = np.linalg.norm((cells - R).reshape(len(cells), -1), axis=1)
@@ -122,7 +116,7 @@ def rigidity_fit(grad_field, p: float = 2.0) -> RigidityReport:
         bmo_seminorm=bmo,
         dist_sup=dist_sup,
         M_emp=_plain_ratio(bmo, dist_sup) if not math.isnan(bmo) else math.nan,
-        p=float(p),
+        p=p,
     )
 
 
@@ -147,18 +141,14 @@ class BoundaryClosenessReport:
     p: float
 
 
-def boundary_rotation_closeness(u1, u2, mesh, p: float) -> BoundaryClosenessReport:
+def boundary_rotation_closeness(u1, u2, mesh) -> BoundaryClosenessReport:
     """Compare the fitted rotations of two deformations that agree on the
-    Dirichlet part of the boundary.
+    Dirichlet part of the boundary, in p-means at p = n + 1.
 
-    Needs p strictly above the space dimension (the continuity-embedding
-    hypothesis behind rotation comparison through shared boundary data).
+    p is above the space dimension n, the continuity-embedding hypothesis
+    behind rotation comparison through shared boundary data.
     """
-    if p <= mesh.dim:
-        raise HypothesisUnmet(
-            f"boundary comparison needs p > n = {mesh.dim}, got p = {p} "
-            "(the trace argument uses the supercritical embedding)"
-        )
+    p = float(mesh.dim + 1)
     d = mesh.dirichlet_nodes
     gap = np.max(np.abs(u1.values[d] - u2.values[d])) if len(d) else 0.0
     if gap > 1e-12:
@@ -189,58 +179,24 @@ def boundary_rotation_closeness(u1, u2, mesh, p: float) -> BoundaryClosenessRepo
         lhs_l1=lhs_l1,
         rhs_l1=rhs_l1,
         A_emp_l1=_plain_ratio(lhs_l1, rhs_l1),
-        p=float(p),
+        p=p,
     )
 
 
-def _coefficient_at_qps(mesh, F_field):
-    """Coefficient matrices at every quadrature point, (M, q, n, n)."""
-    coords, _, wdet, _ = mesh.quadrature()
-    M, q = wdet.shape
-    n = mesh.dim
-    if F_field is None:
-        return np.broadcast_to(np.eye(n), (M, q, n, n)).copy()
-    if isinstance(F_field, harmonic.GridField):
-        if mesh.lattice is None:
-            raise DimensionMismatch("a GridField coefficient needs a structured mesh")
-        lat = mesh.lattice
-        per_elem = np.empty((M, n, n))
-        per_elem[lat.elem_of_cell[lat.mask]] = F_field.values[lat.mask]
-        return np.repeat(per_elem[:, None], q, axis=1)
-    if callable(F_field):
-        flat = coords.reshape(-1, n)
-        vals = np.array([np.asarray(F_field(x), dtype=float) for x in flat])
-        return vals.reshape(M, q, n, n)
-    F = np.asarray(F_field, dtype=float)
-    if F.shape != (n, n):
-        raise DimensionMismatch(f"constant coefficient must be ({n}, {n}), got {F.shape}")
-    return np.broadcast_to(F, (M, q, n, n)).copy()
+def _korn_element_matrices(mesh):
+    # |H + H^T|^2 expands to 2 delta_ij g_a.g_b + 2 (g_b)_i (g_a)_j for
+    # H = e_i x g_a against e_j x g_b, i.e. the element matrices of
+    # A[i, k, j, l] = 2 delta_ij delta_kl + 2 delta_il delta_jk
+    eye = np.eye(mesh.dim)
+    A = 2.0 * np.einsum("ij,kl->ikjl", eye, eye) + 2.0 * np.einsum("il,jk->ikjl", eye, eye)
+    return fem.element_matrices(mesh, np.broadcast_to(A, mesh.quadrature()[2].shape + A.shape))
 
 
-def _korn_element_matrices(mesh, F_field):
-    Fq = _coefficient_at_qps(mesh, F_field)
-    dets = tensor_core.det_many(Fq)
-    if dets.min() < 1e-8:
-        raise DetBelowFloor(f"coefficient determinant {dets.min():g} below floor 1e-08")
-    n = mesh.dim
-    FFt = np.einsum("eqik,eqjk->eqij", Fq, Fq)
-    # |F^T H + H^T F|^2 expands to 2 (F F^T)_{ij} g_a.g_b + 2 (F g_b)_i (F g_a)_j
-    # for H = e_i x g_a against e_j x g_b, i.e. the element matrices of
-    # A[i, k, j, l] = 2 (F F^T)_{ij} delta_{kl} + 2 F_{il} F_{jk}
-    A = 2.0 * FFt[:, :, :, None, :, None] * np.eye(n)[:, None, :]
-    A += 2.0 * Fq[:, :, :, None, None, :] * np.swapaxes(Fq, -1, -2)[:, :, None, :, :, None]
-    return fem.element_matrices(mesh, A)
-
-
-def korn_constant(mesh, F_field=None) -> float:
-    """Best constant K in  int |F^T grad w + (grad w)^T F|^2 >= K int |grad w|^2
+def korn_constant(mesh) -> float:
+    """Best constant K in  int |grad w + (grad w)^T|^2 >= K int |grad w|^2
     over FE fields vanishing on the mesh's Dirichlet nodes: the form's
     matrix over the free dofs against the gradient Gram matrix, factored
     in the mesh's dof_order.
-
-    F_field may be None (identity), a constant matrix, a GridField over the
-    mesh lattice, or a callable of position.  The coefficient determinant
-    must stay at or above 1e-8 at every quadrature point.
     """
-    B = fem.scatter_matrix(mesh, _korn_element_matrices(mesh, F_field))
+    B = fem.scatter_matrix(mesh, _korn_element_matrices(mesh))
     return fem.coercivity_constant(B, fem.gradient_gram_matrix(mesh), mesh.dof_order())

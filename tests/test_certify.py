@@ -303,10 +303,11 @@ def test_small_strain_certificate(stretch):
     huge = u_e.copy()
     huge.values = huge.values @ np.diag([1.6, 1.0]).T
     huge.values[problem.mesh.dirichlet_nodes] = u_e.values[problem.mesh.dirichlet_nodes]
-    cert = certify.small_strain_uniqueness(
-        [u_e, good, huge], strain_delta=0.3, inputs=inputs
-    )
+    cert = certify.small_strain_uniqueness([u_e, good, huge], inputs=inputs)
     assert cert.outcome == "inapplicable"  # the huge candidate is filtered
+    # the strains straddle the small-strain bound
+    strains = [e["strain_sup"] for e in cert.candidates]
+    assert max(strains[:2]) < certify.STRAIN_DELTA <= strains[2]
     assert cert.candidates[0]["outcome"] == "pass"
     assert cert.candidates[0]["energy_excess"] == pytest.approx(0.0, abs=1e-12)
     assert cert.candidates[1]["outcome"] == "pass"
@@ -321,9 +322,7 @@ def test_small_strain_certificate(stretch):
 
 def test_certificate_all_pass_outcome(stretch):
     problem, u_e, inputs = stretch
-    cert = certify.small_strain_uniqueness(
-        [u_e], strain_delta=0.3, inputs=inputs
-    )
+    cert = certify.small_strain_uniqueness([u_e], inputs=inputs)
     assert cert.outcome == "pass"
 
 
@@ -332,9 +331,7 @@ def test_certificate_json_deterministic(stretch):
     good = _gated_candidate(problem, u_e, inputs, frac=0.4)
 
     def run():
-        cert = certify.small_strain_uniqueness(
-            [u_e, good], strain_delta=0.3, inputs=inputs
-        )
+        cert = certify.small_strain_uniqueness([u_e, good], inputs=inputs)
         return json.dumps(cert.to_dict(), sort_keys=True)
 
     assert run() == run()
@@ -347,11 +344,23 @@ def test_certificate_prerequisites(stretch):
     bad.values = bad.values + _bump(problem.mesh, 0.05)
     with pytest.raises(errors.PrerequisiteFailed, match="equilibrium"):
         certify.small_strain_uniqueness([], inputs=certify.certification_inputs(problem, bad))
-    # reference strain outside the small-strain set
-    with pytest.raises(errors.PrerequisiteFailed, match="strain"):
-        certify.small_strain_uniqueness(
-            [], strain_delta=1e-4, inputs=inputs
-        )
+    # the reference strain |C_e - I| of an affine stretch by s is s^2 - 1:
+    # 0.1881 at 1.09, inside the small-strain set, and 0.21 at 1.1, outside
+    m, mesh = material.stvk(1.0, 1.0), fem.rectangle_mesh(4, 4)
+    for s, inside in ((1.09, True), (1.1, False)):
+        A = np.diag([s, 1.0])
+        loads = fem.LoadSet.build(mesh, dirichlet=lambda x, A=A: A @ x)
+        affine = certify.certification_inputs(
+            certify.Problem("affine", m, mesh, loads), fem.FeField(mesh, mesh.nodes @ A.T),
+            taylor_samples=50)
+        if inside:
+            cert = certify.small_strain_uniqueness([], inputs=affine)
+            strain = cert.measurements["strain_bound_reference"]
+            assert strain["lhs"] == pytest.approx(s**2 - 1.0, rel=1e-12)
+            assert strain["rhs"] == certify.STRAIN_DELTA
+        else:
+            with pytest.raises(errors.PrerequisiteFailed, match="strain"):
+                certify.small_strain_uniqueness([], inputs=affine)
 
 
 def test_certificate_rejects_prestressed_material():

@@ -90,11 +90,17 @@ def test_unknown_key_rejected(tmp_path):
     ("harmonic.p", "2.0", "diagnostics-harmonic"),
     ("harmonic.q", "3.0", "diagnostics-harmonic"),
     ("certify.j2_count", "6", "certify-small-strain"),
+    ("certify.rho", "0.25", "certify-bmo-gate"),
+    ("certify.epsilon", "0.25", "certify-strain-diff"),
+    ("certify.strain_delta", "0.2", "certify-small-strain"),
+    ("solve.tol", "1e-10", "solve"),
+    ("solve.max_iter", "50", "solve"),
 ])
 def test_fixed_value_keys_are_unknown(tmp_path, capsys, key, value, pipeline):
-    # the certificate's exponents and the bump amplitude are constants, and
-    # J2 is proved from the lattice, not fitted on a family of some size, so
-    # a config that sets one, even to its value, is refused before any run
+    # the certificate's exponents, Taylor radii and strain bound, the Newton
+    # tolerance and budget, and the bump amplitude are constants, and J2 is
+    # proved from the lattice, not fitted on a family of some size, so a
+    # config that sets one, even to its value, is refused before any run
     cfg = _write(tmp_path, "a.cfg", f"""
         name = demo
         pipeline = {pipeline}
@@ -124,17 +130,14 @@ def test_bad_value_types(tmp_path):
     """)
     with pytest.raises(errors.ConfigError, match="integer"):
         cli.load_scenario(path)
-    path = _write(tmp_path, "b.cfg", """
-        name = demo
-        pipeline = dance
-    """)
-    with pytest.raises(errors.ConfigError, match="one of"):
-        cli.load_scenario(path)
-    # one number, several numbers and several integers, each message whole
+    # one number, several numbers, several integers and a choice, each
+    # message whole, in the shape of a validation error
     for line, message in [
-        ("mesh.width = wide", "line 4: mesh.width: expected a finite number, got 'wide'"),
-        ("loads.matrix = 1 x", "line 4: loads.matrix: expected finite numbers, got '1 x'"),
-        ("korn.resolutions = 8 x", "line 4: korn.resolutions: expected integers, got '8 x'"),
+        ("mesh.width = wide", "mesh.width (line 4): expected a finite number, got 'wide'"),
+        ("loads.matrix = 1 x", "loads.matrix (line 4): expected finite numbers, got '1 x'"),
+        ("korn.resolutions = 8 x", "korn.resolutions (line 4): expected integers, got '8 x'"),
+        ("material.model = rubber",
+         "material.model (line 4): expected one of stvk, neo-hookean, got 'rubber'"),
     ]:
         path = _write(tmp_path, "c.cfg", f"""
         name = demo
@@ -164,7 +167,7 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys, key, bad):
         pipeline = solve
         {key} = {value}
     """)
-    message = f"config error: line 4: {key}: expected {expected}, got '{value}'"
+    message = f"config error: {key} (line 4): expected {expected}, got '{value}'"
     for command in (["validate", cfg], ["run", cfg, "--out", str(tmp_path / "out")]):
         assert cli.main(command) == 1
         assert capsys.readouterr().err.strip() == message
@@ -412,6 +415,29 @@ def test_validate_rejects_unknown_dirichlet_side(tmp_path, capsys, pipeline, kin
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, sides", [
+    ("rectangle", "inner"), ("box", "inner"),
+    ("rectangle", ""), ("box", ""), ("l-shape", ""), ("ring", ""),
+])
+def test_validate_names_mesh_dirichlet_for_an_empty_dirichlet_part(tmp_path, capsys, kind,
+                                                                    sides):
+    # sides the kind has that leave no Dirichlet facet, or none at all, were
+    # blamed on the kind's first count
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = solve
+        mesh.kind = {kind}
+        mesh.dirichlet = {sides}
+    """)
+    message = ("config error: mesh.dirichlet (line 5): "
+               "mesh needs a nonempty Dirichlet boundary part\n")
+    assert cli.main(["validate", cfg]) == 1
+    assert capsys.readouterr().err == message
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_accepts_known_dirichlet_sides(tmp_path):
     cfg = _write(tmp_path, "a.cfg", """
         name = demo
@@ -440,10 +466,6 @@ def test_validate_rejects_box_lengths_count(tmp_path, capsys, lengths):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("certify.rho", "0", "must be positive, got 0"),
-    ("certify.rho", "-0.1", "must be positive, got -0.1"),
-    ("certify.epsilon", "0", "must be positive, got 0"),
-    ("certify.epsilon", "-0.1", "must be positive, got -0.1"),
     ("certify.taylor_samples", "0", "must be positive, got 0"),
     ("certify.taylor_samples", "-1", "must be positive, got -1"),
 ])
@@ -465,25 +487,19 @@ def test_validate_rejects_nonpositive_certify_settings(tmp_path, capsys, key, va
     ("harmonic.count", "0", "family sizes must be >= 1, got 0"),
     ("certify.candidates", "-1", "counts must be >= 0, got -1"),
     ("certify.restarts", "-1", "counts must be >= 0, got -1"),
-    ("certify.strain_delta", "0", "must be positive, got 0"),
-    ("certify.strain_delta", "-0.2", "must be positive, got -0.2"),
     ("certify.strain_eps", "0", "must be positive, got 0"),
     ("certify.strain_eps", "-1", "must be positive, got -1"),
     ("material.mu", "0", "shear modulus must be positive, got 0.0"),
     ("material.mu", "-1", "shear modulus must be positive, got -1.0"),
     ("material.lambda", "-0.5", "first parameter must be >= 0, got -0.5"),
-    ("solve.tol", "0", "tolerance must be positive"),
-    ("solve.tol", "-1e-10", "tolerance must be positive"),
-    ("solve.max_iter", "0", "needs at least one iteration"),
-    ("certify.rho", "0.75", "rho + epsilon must stay below 1 to keep determinants positive"),
     ("certify.frac", "0", "perturbation fraction must be positive"),
     ("certify.frac", "-0.5", "perturbation fraction must be positive"),
     ("korn.resolutions", "8 0", "resolutions must be positive integers"),
     ("rigidity.resolutions", "-4", "resolutions must be positive integers"),
 ])
 def test_validate_names_the_key_at_fault(tmp_path, capsys, key, value, message):
-    # each key of a pair checked together is named on its own, and a
-    # strain bound at or below 0 is refused before the solve
+    # each key is named on its own, and a strain bound at or below 0 is
+    # refused before the solve
     cfg = _write(tmp_path, "a.cfg", f"""
         name = demo
         pipeline = certify-small-strain
@@ -502,8 +518,6 @@ def test_validate_names_the_key_at_fault(tmp_path, capsys, key, value, message):
      "affine Dirichlet matrix must have positive determinant"),
     ("loads.dirichlet = affine", "loads.matrix", "0 0 0 0",
      "affine Dirichlet matrix must have positive determinant"),
-    ("certify.epsilon = 0.5", "certify.rho", "0.5",
-     "rho + epsilon must stay below 1 to keep determinants positive"),
 ])
 def test_validate_names_the_key_at_fault_beside_its_partner(tmp_path, capsys, partner, key,
                                                             value, message):
@@ -524,6 +538,7 @@ def test_validate_names_the_key_at_fault_beside_its_partner(tmp_path, capsys, pa
 @pytest.mark.parametrize("kind, key, value, message", [
     ("rectangle", "mesh.width", "0", "side lengths must be positive, got 0"),
     ("rectangle", "mesh.width", "-1", "side lengths must be positive, got -1"),
+    ("rectangle", "mesh.height", "inf", "expected a finite number, got 'inf'"),
     ("l-shape", "mesh.size", "0", "side lengths must be positive, got 0"),
     ("ring", "mesh.size", "-2", "side lengths must be positive, got -2"),
     ("box", "mesh.lengths", "1 1 0", "side lengths must be positive, got 1 1 0"),
@@ -571,8 +586,8 @@ def test_validate_load_components_through_build_loads(tmp_path, monkeypatch, cap
     assert calls == {"build_loads": 1}
 
 
-def test_the_config_has_35_keys():
-    assert len(cli._KEYS) == 35 and "certify.j2_count" not in cli._KEYS
+def test_the_config_has_30_keys():
+    assert len(cli._KEYS) == 30 and "certify.j2_count" not in cli._KEYS
 
 
 @pytest.mark.parametrize("pipeline", ["certify-bmo-gate", "certify-small-strain",
@@ -692,17 +707,18 @@ def test_run_solve_minimal(tmp_path, capsys):
     assert (out / "rest.newton.csv").exists()
 
 
-def test_unconverged_solve_reports_fail_with_its_newton_history(tmp_path, capsys):
+def test_unconverged_solve_reports_fail_with_its_newton_history(tmp_path, capsys,
+                                                               monkeypatch):
     # one Newton step cannot bring the loaded ring to tol: the solve
     # pipeline reports fail, while a certify pipeline still stops on the
     # unconverged solve and writes nothing
+    monkeypatch.setattr(fem, "NEWTON_MAX_ITER", 1)
     cfg = _write(tmp_path, "ring.cfg", """
         name = ring
         pipeline = solve
         mesh.kind = ring
         material.model = stvk
         loads.body = 0.3 -0.2
-        solve.max_iter = 1
     """)
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out)]) == 1
@@ -717,8 +733,7 @@ def test_unconverged_solve_reports_fail_with_its_newton_history(tmp_path, capsys
     rows = (out / "ring.newton.csv").read_text().splitlines()
     assert rows[0] == "iteration,residual_sup" and len(rows) == 3
 
-    cfg = _stretch_config(tmp_path, "certify-bmo-gate",
-                          extra="loads.body = 0.5 0.0\nsolve.max_iter = 1")
+    cfg = _stretch_config(tmp_path, "certify-bmo-gate", extra="loads.body = 0.5 0.0")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "certify")]) == 1
     assert "error: MaxIterations: Newton did not reach tol" in capsys.readouterr().err
     assert not (tmp_path / "certify").exists()
@@ -798,6 +813,26 @@ def test_bmo_gate_certificate_is_the_cli_report(tmp_path):
     cert = certify.bmo_gate_certificate(cands, inputs)
     cert.extra.update(name=sc["name"], pipeline=sc["pipeline"], config=dict(sc["__raw__"]))
     assert reporting.json_bytes(cert.to_dict()) == (out / "stretch.json").read_bytes()
+
+
+def test_bmo_gate_with_no_candidates_fails_a_non_coercive_equilibrium(tmp_path, capsys):
+    # a 40% compression leaves the second variation indefinite; with no
+    # candidate to gate, the certificate used to report pass
+    cfg = _write(tmp_path, "a.cfg", """
+        name = compressed
+        pipeline = certify-bmo-gate
+        mesh.nx = 12
+        mesh.ny = 12
+        loads.dirichlet = affine
+        loads.matrix = 0.6 0 0 1
+        certify.candidates = 0
+    """)
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "compressed: fail"
+    doc = json.loads((out / "compressed.json").read_text())
+    assert doc["outcome"] == "fail" and doc["candidates"] == []
+    assert doc["constants"]["lambda_min"] < 0.0 and doc["constants"]["delta_star"] == 0.0
 
 
 def test_run_strain_diff(tmp_path):
@@ -1437,11 +1472,13 @@ def test_strain_diff_candidates_beyond_the_gate_thresholds_are_inapplicable(tmp_
 @pytest.mark.parametrize(
     "pipeline", ["certify-bmo-gate", "certify-small-strain", "certify-strain-diff"]
 )
-def test_certify_pipelines_refuse_a_non_equilibrium(tmp_path, capsys, pipeline, candidates):
-    # a loose solve tolerance stops Newton at residual 1.4e-2; with no
+def test_certify_pipelines_refuse_a_non_equilibrium(tmp_path, capsys, monkeypatch, pipeline,
+                                                     candidates):
+    # a loose Newton tolerance stops Newton at residual 1.4e-2; with no
     # candidate to gate, certify-bmo-gate used to report pass
+    monkeypatch.setattr(fem, "NEWTON_TOL", 0.1)
     cfg = _stretch_config(tmp_path, pipeline, candidates=candidates,
-                          extra="loads.body = 0.5 0.0\nsolve.tol = 0.1")
+                          extra="loads.body = 0.5 0.0")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert ("error: NotEquilibrium: u_e is not an equilibrium: residual 1.389e-02 exceeds 1e-08"

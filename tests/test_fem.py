@@ -381,13 +381,9 @@ def test_element_matrices_layout_free_and_per_element(seed, dim, cells, jitter):
                               Ke[e:e + 1])
     ref = _einsum_element_matrices(mesh, A)
     assert np.abs(Ke - ref).max() <= 1e-13 * np.abs(ref).max()
-    # the Korn form over the free dofs through the same kernel, with a
-    # varying coefficient
-    B = 0.2 * rng.standard_normal((n, n))
-    coefficient = lambda x: np.eye(n) + math.sin(3.0 * x.sum()) * B  # noqa: E731
-    coords = mesh.quadrature()[0]
-    Fq = np.array([coefficient(x) for x in coords.reshape(-1, n)]).reshape(M, q, n, n)
-    got = fem.scatter_matrix(mesh, rigidity._korn_element_matrices(mesh, coefficient)).toarray()
+    # the Korn form over the free dofs through the same kernel
+    Fq = np.broadcast_to(np.eye(n), (M, q, n, n))
+    got = fem.scatter_matrix(mesh, rigidity._korn_element_matrices(mesh)).toarray()
     want = fem.scatter_matrix(mesh, _einsum_korn_elements(mesh, Fq)).toarray()
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -482,7 +478,7 @@ def test_dof_order_permutes_the_free_dofs_and_keeps_the_inertia(tmp_path_factory
         # the pencil of the korn pipeline: M - s G, s clear of every
         # eigenvalue, has as many negative pivots in the order as in
         # minimum-degree order, one per eigenvalue below s
-        M = fem.scatter_matrix(mesh, rigidity._korn_element_matrices(mesh, None))
+        M = fem.scatter_matrix(mesh, rigidity._korn_element_matrices(mesh))
         G = fem.gradient_gram_matrix(mesh)
         lams = scipy.linalg.eigh(M.toarray(), G.toarray(), eigvals_only=True)
         for s in shifts:
@@ -872,7 +868,7 @@ def _counting_splu(monkeypatch):
 
 def _korn_pencil(n):
     mesh = fem.rectangle_mesh(n, n)
-    B = fem.scatter_matrix(mesh, rigidity._korn_element_matrices(mesh, None))
+    B = fem.scatter_matrix(mesh, rigidity._korn_element_matrices(mesh))
     return B, fem.gradient_gram_matrix(mesh), mesh.dof_order()
 
 

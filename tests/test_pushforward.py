@@ -474,6 +474,23 @@ def test_certify_strain_neighborhood(stretch):
     assert cert.extra["inverse_residual"] <= 1e-10
 
 
+def test_certify_strain_fails_a_non_coercive_deformed_configuration(stretch, monkeypatch):
+    # the deformed second variation is measured anew, and its sign decides
+    # as the reference's does: with no candidate, or only one that the
+    # strain filter drops, a constant at or below 0 used to pass or be
+    # inapplicable
+    problem, u_e = stretch
+    inputs = certify.certification_inputs(problem, u_e, taylor_samples=600, seed=0)
+    eigensolve = fem.coercivity_constant
+    monkeypatch.setattr(fem, "coercivity_constant", lambda *a, **k: -eigensolve(*a, **k))
+    big = fem.FeField(problem.mesh, u_e.values @ np.diag([1.3, 1.0]))
+    for candidates in ([], [big]):
+        cert = pushforward.certify_strain_neighborhood(candidates, inputs)
+        assert cert.lambda_min < 0.0
+        assert not cert.measurements["second_variation_positive_def"]["pass"]
+        assert cert.outcome == "fail"
+
+
 def test_certify_strain_requires_equilibrium(stretch):
     problem, u_e = stretch
     off = u_e.copy()
