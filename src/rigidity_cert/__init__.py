@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-tensor_core   polar factors, rotation distance, strain, wedge products
+tensor_core   polar factors, rotation distance, strain
 harmonic      grid fields, maximal functions, BMO seminorms, interpolation fits
 material      stored-energy models, constitutive checks, Taylor constants
 fem           Q1 meshes, energies, Newton solves, second-variation eigensolves

@@ -214,8 +214,7 @@ def _fail(sc, key, msg):
 def build_mesh(sc, r=None) -> fem.Mesh:
     """The scenario's mesh, or with r its generator with every count of the
     kind at r (the sweeps); a generator that rejects its arguments is a
-    ConfigError, naming mesh.dirichlet when the sides it names leave no
-    Dirichlet part, else the kind's first count (mesh.path for a file),
+    ConfigError, naming the kind's first count (mesh.path for a file),
     unless the sweep names its key."""
     kind = sc["mesh.kind"]
     sides = sc["mesh.dirichlet"]
@@ -224,9 +223,12 @@ def build_mesh(sc, r=None) -> fem.Mesh:
         if sc[key] < 1:
             _fail(sc, key, f"cell counts must be positive integers, got {sc[key]}")
     names = fem.SIDE_NAMES[3 if kind == "box" else 2]
-    if kind != "file" and sides != "all" and not set(sides) <= set(names):
-        _fail(sc, "mesh.dirichlet",
-              f"kind {kind!r} has the sides {', '.join(names)}; got {', '.join(sides)}")
+    if kind in ("rectangle", "box"):
+        # a full rectangle or box has no facet against a masked-out cell
+        names = tuple(name for name in names if name != "inner")
+    if kind != "file" and sides != "all" and not (sides and set(sides) <= set(names)):
+        _fail(sc, "mesh.dirichlet", f"kind {kind!r} has the sides {', '.join(names)}; "
+                                    f"got {', '.join(sides) or 'none'}")
     if kind == "box" and len(sc["mesh.lengths"]) != 3:
         _fail(sc, "mesh.lengths", f"a box needs 3 side lengths, got {len(sc['mesh.lengths'])}")
     for key in _MESH_SIZES.get(kind, ()):
@@ -251,16 +253,7 @@ def build_mesh(sc, r=None) -> fem.Mesh:
         return fem.read_mesh(sc["mesh.path"])
     except (ValueError, OSError) as exc:
         if r is None:
-            key = count_keys[0] if count_keys else "mesh.path"
-            if kind in _GENERATORS and sides != "all":
-                # a generator that takes these counts and sizes with every
-                # side clamped refused the sides that mesh.dirichlet names
-                try:
-                    _GENERATORS[kind](*args)
-                    key = "mesh.dirichlet"
-                except ValueError:
-                    pass
-            _fail(sc, key, str(exc))
+            _fail(sc, count_keys[0] if count_keys else "mesh.path", str(exc))
         raise ConfigError(f"mesh construction failed: {exc}") from exc
 
 

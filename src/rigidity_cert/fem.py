@@ -356,9 +356,6 @@ class Mesh:
         m[self.dirichlet_nodes] = False
         return m
 
-    def volume(self) -> float:
-        return float(self.quadrature()[2].sum())
-
 
 @dataclass(frozen=True)
 class _AssemblyPlan:

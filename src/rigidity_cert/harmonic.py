@@ -45,9 +45,7 @@ __all__ = [
     "lp_mean_norm",
     "verify_pointwise_bounds",
     "PointwiseBoundsReport",
-    "fit_local_fs_constant",
     "fit_interpolation_constant",
-    "fit_hl_constant",
     "verify_interpolation",
     "rh_exponents",
     "interpolation_exponent",
@@ -154,11 +152,6 @@ class CubeFamily:
     @property
     def max_side(self) -> int:
         return int(self.sides.max(initial=0))
-
-    @property
-    def cubes(self) -> tuple:
-        """(corner, side) pairs, corner a tuple of ints, in family order."""
-        return tuple(self.at(slice(None)))
 
     def at(self, positions):
         """(corner, side) pairs of the cubes at positions, in that order."""
@@ -736,22 +729,6 @@ def _largest_ratio(who, pairs) -> float:
     return best
 
 
-def fit_local_fs_constant(fields, q: float) -> float:
-    """Empirical constant for the local sharp-function inequality.
-
-    Returns the largest ratio of avg|psi|^q against
-    avg(psi#)^q + |avg psi|^q over the family.  Fields that vanish
-    identically carry no information; if every field does, the family is
-    degenerate.
-    """
-    if not q > 1:
-        raise BadExponents(f"fit_local_fs_constant: q must be > 1, got {q}")
-    return _largest_ratio("fit_local_fs_constant", (
-        (lp_mean_norm(fld, q) ** q, lp_mean_norm(fs_sharp(fld), q) ** q + _mean_norm(fld) ** q)
-        for fld in fields
-    ))
-
-
 def rh_exponents(p: float, q: float) -> tuple[Fraction, Fraction]:
     """Exact exponent pair (1 - p/q, p/q) for the reverse-Hoelder form."""
     if not (1 <= p < q):
@@ -785,15 +762,6 @@ def fit_interpolation_constant(fields, p: float, q: float) -> float:
     """
     return _largest_ratio("fit_interpolation_constant",
                           (_rh_sides(fld, p, q, 1.0)[1:] for fld in fields))
-
-
-def fit_hl_constant(fields, p: float) -> float:
-    """Empirical bound for ||psi*||_p / ||psi||_p over a family."""
-    if not p > 1:
-        raise BadExponents(f"fit_hl_constant: p must be > 1, got {p}")
-    return _largest_ratio("fit_hl_constant", (
-        (lp_mean_norm(hl_maximal(fld), p), lp_mean_norm(fld, p)) for fld in fields
-    ))
 
 
 def verify_interpolation(fld: GridField, p: float, q: float, J2: float) -> bool:

@@ -30,10 +30,6 @@ __all__ = [
     "neo_hookean",
     "quadratic_toy",
     "radial_modulation",
-    "energy_density",
-    "stress",
-    "elasticity_apply",
-    "elasticity_tensor",
     "check_constitutive",
     "ConstitutiveReport",
     "TaylorConstants",
@@ -377,38 +373,6 @@ def radial_modulation(amplitude, center, width):
     return m
 
 
-# ------------------------------------------------------------ scalar wrappers
-
-def _prep_point(m, x, F):
-    F = np.asarray(F, dtype=float)
-    if F.ndim != 2 or F.shape[0] != F.shape[1] or F.shape[0] not in (2, 3):
-        raise DimensionMismatch(f"expected a 2x2 or 3x3 gradient, got shape {F.shape}")
-    if np.linalg.det(F) <= 0.0:
-        raise OutsideDomain(f"det F = {np.linalg.det(F):g} <= 0")
-    x = np.zeros(F.shape[0]) if x is None else np.asarray(x, dtype=float)
-    return x[None, :], F[None, :, :]
-
-
-def energy_density(m: Material, x, F) -> float:
-    coords, Fb = _prep_point(m, x, F)
-    return float(m.energy_many(coords, Fb)[0])
-
-
-def stress(m: Material, x, F) -> np.ndarray:
-    coords, Fb = _prep_point(m, x, F)
-    return m.stress_many(coords, Fb)[0]
-
-
-def elasticity_tensor(m: Material, x, F) -> np.ndarray:
-    coords, Fb = _prep_point(m, x, F)
-    return m.elasticity_many(coords, Fb)[0]
-
-
-def elasticity_apply(m: Material, x, F, H) -> np.ndarray:
-    A = elasticity_tensor(m, x, F)
-    return np.einsum("iajb,jb->ia", A, np.asarray(H, dtype=float))
-
-
 # ------------------------------------------------------------- self checks
 
 def sym_basis(n):
@@ -447,17 +411,6 @@ class ConstitutiveReport:
     sigma_floor: float           # best c with B:D2sigma(I)[B] >= c |B|^2
     skew_annihilation_err: float
     x_variation: float
-
-    def require(self):
-        if self.frame_indifference_err > 1e-12:
-            raise CheckFailed(
-                f"frame indifference violated: {self.frame_indifference_err:.3e}"
-            )
-        if self.stress_free_err > 1e-10:
-            raise CheckFailed(f"reference not stress free: {self.stress_free_err:.3e}")
-        if self.shear_floor <= 0.0:
-            raise CheckFailed(f"elasticity at I not uniformly positive: c = {self.shear_floor:.3e}")
-        return self
 
 
 def _positivity_floors(m, n, coords_one, rng):

@@ -17,7 +17,7 @@ the residuals shrink at the quadrature order under refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -331,9 +331,6 @@ class CovReport:
     lines: dict
     max_rel: float
     inverse_residual: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _rel(lhs: float, rhs: float) -> float:

@@ -33,19 +33,14 @@ __all__ = [
 _ZERO_TOL = 1e-12
 
 
-def _cell_matrices(field):
-    """Stack of per-cell matrices from a GridField or a raw array."""
-    if isinstance(field, harmonic.GridField):
-        if field.values.ndim != field.mask.ndim + 2:
-            raise DimensionMismatch("best_rotation needs a matrix-valued field")
-        return field.values[field.mask]
-    arr = np.asarray(field, dtype=float)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise DimensionMismatch(f"expected a stack of square matrices, got {arr.shape}")
-    return arr.reshape(-1, arr.shape[-1], arr.shape[-1])
+def _cell_matrices(field: harmonic.GridField):
+    """Stack of the per-cell matrices of a matrix-valued GridField."""
+    if field.values.ndim != field.mask.ndim + 2:
+        raise DimensionMismatch("best_rotation needs a matrix-valued field")
+    return field.values[field.mask]
 
 
-def best_rotation(grad_field) -> np.ndarray:
+def best_rotation(grad_field: harmonic.GridField) -> np.ndarray:
     """Rotation minimizing the mean squared deviation from the field.
 
     The minimizer over SO(n) of the L2 objective is the polar rotation
@@ -88,7 +83,7 @@ def _plain_ratio(lhs: float, rhs: float) -> float:
     return lhs / rhs
 
 
-def rigidity_fit(grad_field) -> RigidityReport:
+def rigidity_fit(grad_field: harmonic.GridField) -> RigidityReport:
     """Fit one rotation to a gradient field and measure the fit constants
     in p-means at p = 2.
 
@@ -103,10 +98,7 @@ def rigidity_fit(grad_field) -> RigidityReport:
     dist = tensor_core.dist_to_rotations_many(cells)
     lhs_p = float(np.mean(dev**p))
     rhs_p = float(np.mean(dist**p))
-    if isinstance(grad_field, harmonic.GridField):
-        bmo = harmonic.bmo_seminorm(grad_field)
-    else:
-        bmo = math.nan
+    bmo = harmonic.bmo_seminorm(grad_field)
     dist_sup = float(dist.max())
     return RigidityReport(
         R_best=R,
@@ -115,7 +107,7 @@ def rigidity_fit(grad_field) -> RigidityReport:
         C_emp=_plain_ratio(lhs_p ** (1.0 / p), rhs_p ** (1.0 / p)),
         bmo_seminorm=bmo,
         dist_sup=dist_sup,
-        M_emp=_plain_ratio(bmo, dist_sup) if not math.isnan(bmo) else math.nan,
+        M_emp=_plain_ratio(bmo, dist_sup),
         p=p,
     )
 

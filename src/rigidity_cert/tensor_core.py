@@ -19,7 +19,6 @@ __all__ = [
     "dist_to_rotations",
     "dist_to_rotations_many",
     "strain",
-    "wedge",
     "strain_dist_sandwich",
     "frob",
     "frob_many",
@@ -168,26 +167,6 @@ def strain(F) -> np.ndarray:
     """Nonlinear strain E = (F^T F - I)/2."""
     F = _as_square(F, "strain")
     return 0.5 * (F.T @ F - np.eye(F.shape[0]))
-
-
-def wedge(vectors) -> np.ndarray:
-    """Wedge of n-1 vectors in R^n, n in {2, 3}.
-
-    For n = 2 a single vector is rotated a quarter turn so that
-    wedge([e1]) = e2; for n = 3 this is the cross product.  The result is
-    orthogonal to every argument and completes a positively oriented frame
-    when the arguments are orthonormal.
-    """
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    if len(vs) == 1 and vs[0].shape == (2,):
-        a = vs[0]
-        return np.array([-a[1], a[0]])
-    if len(vs) == 2 and vs[0].shape == (3,) and vs[1].shape == (3,):
-        return np.cross(vs[0], vs[1])
-    raise DimensionMismatch(
-        "wedge: expected one 2-vector or two 3-vectors, got "
-        f"{len(vs)} argument(s) with shapes {[v.shape for v in vs]}"
-    )
 
 
 def strain_dist_sandwich(F) -> SandwichReport:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidity_cert import certify, cli, errors, fem, harmonic
@@ -421,21 +421,71 @@ def test_validate_rejects_unknown_dirichlet_side(tmp_path, capsys, pipeline, kin
 ])
 def test_validate_names_mesh_dirichlet_for_an_empty_dirichlet_part(tmp_path, capsys, kind,
                                                                     sides):
-    # sides the kind has that leave no Dirichlet facet, or none at all, were
-    # blamed on the kind's first count
+    # no side, or the inner side that a full rectangle or box lacks, is
+    # refused up front with the kind's sides
     cfg = _write(tmp_path, "a.cfg", f"""
         name = demo
         pipeline = solve
         mesh.kind = {kind}
         mesh.dirichlet = {sides}
     """)
-    message = ("config error: mesh.dirichlet (line 5): "
-               "mesh needs a nonempty Dirichlet boundary part\n")
+    names = ", ".join(_KIND_SIDES[kind])
+    message = (f"config error: mesh.dirichlet (line 5): kind '{kind}' has the sides {names}; "
+               f"got {sides or 'none'}\n")
     assert cli.main(["validate", cfg]) == 1
     assert capsys.readouterr().err == message
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
+
+
+# the boundary sides of each generated kind: only a domain with a hole in
+# its lattice has facets against a masked-out cell
+_KIND_SIDES = {
+    "rectangle": ("left", "right", "bottom", "top"),
+    "l-shape": ("left", "right", "bottom", "top", "inner"),
+    "ring": ("left", "right", "bottom", "top", "inner"),
+    "box": ("x0", "x1", "y0", "y1", "z0", "z1"),
+}
+# counts at which every kind keeps a free node with every side clamped
+_SMALL_COUNTS = {
+    "rectangle": ("mesh.nx = 2", "mesh.ny = 2"),
+    "l-shape": ("mesh.n = 4",),
+    "ring": ("mesh.n = 8",),
+    "box": ("mesh.nx = 2", "mesh.ny = 2", "mesh.nz = 2"),
+}
+
+
+@st.composite
+def _dirichlet_lists(draw):
+    """A generated mesh kind and a subset of its sides plus inner."""
+    kind = draw(st.sampled_from(sorted(_KIND_SIDES)))
+    names = sorted({*_KIND_SIDES[kind], "inner"})
+    return kind, tuple(draw(st.lists(st.sampled_from(names), unique=True)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_dirichlet_lists())
+@example(case=("rectangle", ("left", "inner")))
+@example(case=("box", ("x0", "inner")))
+@example(case=("l-shape", ("inner",)))
+@example(case=("ring", ("inner",)))
+def test_validate_takes_exactly_the_nonempty_side_lists_of_the_kind(case):
+    kind, sides = case
+    ok = bool(sides) and set(sides) <= set(_KIND_SIDES[kind])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp), "a.cfg", "\n".join([
+            "name = demo", "pipeline = solve", f"mesh.kind = {kind}",
+            f"mesh.dirichlet = {', '.join(sides)}", *_SMALL_COUNTS[kind]]) + "\n")
+        try:
+            cli.validate_scenario(cli.load_scenario(cfg))
+            err = None
+        except errors.ConfigError as exc:
+            err = str(exc)
+    if ok:
+        assert err is None, (kind, sides, err)
+    else:
+        assert err is not None and err.startswith("mesh.dirichlet (line 4): "), (kind, sides, err)
 
 
 def test_validate_accepts_known_dirichlet_sides(tmp_path):

@@ -21,9 +21,7 @@ from rigidity_cert.harmonic import (
     bmo_seminorm,
     cube_family,
     domain_mean,
-    fit_hl_constant,
     fit_interpolation_constant,
-    fit_local_fs_constant,
     fs_sharp,
     hl_maximal,
     interpolation_bound,
@@ -98,9 +96,9 @@ def test_cube_family_matches_enumeration_on_l_shape():
     mask = l_mask(8)
     fam = cube_family(GridField(mask, np.zeros(mask.shape)))
     oracle = set(enumerate_cubes(mask))
-    assert set(fam.cubes) == oracle
+    assert set(fam.at(slice(None))) == oracle
     # every cube really sits inside the mask
-    for corner, side in fam.cubes:
+    for corner, side in fam.at(slice(None)):
         assert mask[corner[0] : corner[0] + side, corner[1] : corner[1] + side].all()
 
 
@@ -108,7 +106,7 @@ def test_cube_family_3d():
     mask = np.ones((3, 3, 3), dtype=bool)
     fam = cube_family(GridField(mask, np.zeros(mask.shape)))
     assert fam.count == 27 + 8 + 1
-    assert set(fam.cubes) == set(enumerate_cubes(mask))
+    assert set(fam.at(slice(None))) == set(enumerate_cubes(mask))
 
 
 def test_empty_domain_rejected():
@@ -446,32 +444,10 @@ def test_cube_family_cached_per_mask():
 
 # ------------------------------------------------------------- inequalities
 
-def test_fs_constant_left_half_indicator_matches_enumeration():
-    vals = np.zeros((8, 8))
-    vals[:, :4] = 1.0
-    fld = full_field(vals)
-    got = fit_local_fs_constant([fld], q=2.0)
-    sharp = fs_sharp_bruteforce(fld.mask, fld.values)
-    num = np.mean(vals**2)
-    den = np.mean(sharp**2) + np.mean(vals) ** 2
-    assert got == pytest.approx(num / den, rel=1e-12)
-
-
-def test_fs_constant_running_max_monotone():
-    rng = np.random.default_rng(127)
-    fields = random_fields(rng, 24, max_extent=10)
-    prev = 0.0
-    for k in range(4, len(fields) + 1, 4):
-        cur = fit_local_fs_constant(fields[:k], q=3.0)
-        assert cur >= prev
-        prev = cur
-    assert math.isfinite(prev)
-
-
-def test_fs_constant_degenerate_family():
+def test_interpolation_fit_degenerate_family():
     zero = full_field(np.zeros((4, 4)))
     with pytest.raises(DegenerateFamily):
-        fit_local_fs_constant([zero, zero], q=2.0)
+        fit_interpolation_constant([zero, zero], 2.0, 3.0)
 
 
 def test_rh_exponents_exact_thirds():
@@ -537,16 +513,6 @@ def test_interpolation_bound_unconditional_sweep():
         lhs = lp_mean_norm(fld, 2.0)
         rhs = lp_mean_norm(fld, 1.0) ** theta * lp_mean_norm(fld, 3.0) ** (1 - theta)
         assert lhs <= rhs * (1 + 1e-12)
-
-
-def test_hl_constant_finite_and_stable():
-    rng = np.random.default_rng(139)
-    fields = random_fields(rng, 80, max_extent=10)
-    half = fit_hl_constant(fields[:40], p=2.0)
-    full = fit_hl_constant(fields, p=2.0)
-    assert math.isfinite(full)
-    assert full >= half
-    assert full <= half * 1.5  # doubling the family must not blow the fit up
 
 
 # ------------------------------------------------ the proved J2 of a lattice

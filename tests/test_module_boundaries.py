@@ -1,5 +1,7 @@
-"""No package module reaches into another package module's private names."""
+"""No package module reaches into another package module's private names,
+and each module's __all__ names only what it defines."""
 import ast
+import importlib
 from pathlib import Path
 
 import rigidity_cert
@@ -46,3 +48,14 @@ def test_the_check_sees_private_access(tmp_path):
     assert _cross_module_private_access(path) == [
         (2, "from .certify import _fold"), (3, "fem._ctx"),
     ]
+
+
+def test_every_name_in_all_exists():
+    # a stale entry would make `from rigidity_cert.<module> import *` fail
+    modules = [importlib.import_module(f"rigidity_cert.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    exported = [module for module in modules if hasattr(module, "__all__")]
+    assert len(exported) >= 8
+    missing = {module.__name__: [name for name in module.__all__ if not hasattr(module, name)]
+               for module in exported}
+    assert {name: gone for name, gone in missing.items() if gone} == {}

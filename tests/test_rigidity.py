@@ -55,7 +55,7 @@ def test_best_rotation_beats_sampled_rotations():
     cells = np.eye(2) + 0.3 * rng.standard_normal((64, 2, 2))
     if np.linalg.det(cells.mean(axis=0)) <= 0:  # pragma: no cover
         pytest.skip("degenerate draw")
-    Q = rigidity.best_rotation(cells)
+    Q = rigidity.best_rotation(_matrix_field(cells.reshape(8, 8, 2, 2)))
 
     def objective(R):
         return float(np.mean(np.sum((cells - R) ** 2, axis=(1, 2))))
@@ -70,9 +70,9 @@ def test_best_rotation_beats_sampled_rotations():
 
 
 def test_best_rotation_degenerate_mean():
-    vals = np.stack([np.diag([-1.0, 1.0])] * 4)
+    vals = np.broadcast_to(np.diag([-1.0, 1.0]), (2, 2, 2, 2)).copy()
     with pytest.raises(errors.DegenerateMean):
-        rigidity.best_rotation(vals)
+        rigidity.best_rotation(_matrix_field(vals))
 
 
 # ------------------------------------------------------------- rigidity fit
@@ -131,9 +131,7 @@ def test_fit_cemp_stable_under_refinement():
         vals = []
         for u_fn in maps:
             u = fem.FeField.from_function(mesh, u_fn)
-            gf = fem.gradient_field(mesh, u)
-            cells = gf.values[gf.mask]
-            rep = rigidity.rigidity_fit(cells)
+            rep = rigidity.rigidity_fit(fem.gradient_field(mesh, u))
             assert math.isfinite(rep.C_emp)
             vals.append(rep.C_emp)
         stats[ncells] = float(np.median(vals))

@@ -22,7 +22,6 @@ from rigidity_cert.tensor_core import (
     rotations,
     strain,
     strain_dist_sandwich,
-    wedge,
 )
 
 from conftest import random_gradient
@@ -206,72 +205,6 @@ def test_strain_vanishes_exactly_on_rotations():
     for n in (2, 3):
         for _ in range(50):
             assert frob(strain(random_rotation(rng, n))) <= 1e-14
-
-
-def test_wedge_standard_frames():
-    assert np.allclose(wedge([np.array([1.0, 0.0])]), [0.0, 1.0])
-    assert np.allclose(
-        wedge([np.array([1.0, 0, 0]), np.array([0.0, 1, 0])]), [0, 0, 1.0]
-    )
-
-
-def test_wedge_orthogonal_and_oriented():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        a, b = rng.normal(size=(2, 3))
-        w = wedge([a, b])
-        assert abs(np.dot(w, a)) <= 1e-12 * (1 + frob(a) * frob(b))
-        assert abs(np.dot(w, b)) <= 1e-12 * (1 + frob(a) * frob(b))
-        # positively oriented triple when independent
-        if frob(w) > 1e-8:
-            assert np.linalg.det(np.column_stack([a, b, w])) > 0
-    for _ in range(100):
-        a = rng.normal(size=2)
-        w = wedge([a])
-        assert abs(np.dot(w, a)) <= 1e-13 * (1 + frob(a))
-        assert np.linalg.det(np.column_stack([a, w])) >= 0
-
-
-def test_wedge_rotation_equivariance():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        Q = random_rotation(rng, 3)
-        a, b = rng.normal(size=(2, 3))
-        assert np.allclose(wedge([Q @ a, Q @ b]), Q @ wedge([a, b]), atol=1e-12)
-        Q2 = random_rotation(rng, 2)
-        c = rng.normal(size=2)
-        assert np.allclose(wedge([Q2 @ c]), Q2 @ wedge([c]), atol=1e-12)
-
-
-def test_wedge_norm_bound_unit_factor():
-    # |a ^ b| <= |a| |b| in 3D, |^a| = |a| in 2D
-    rng = np.random.default_rng(37)
-    for _ in range(200):
-        a, b = rng.normal(size=(2, 3))
-        assert frob(wedge([a, b])) <= frob(a) * frob(b) * (1 + 1e-12)
-        c = rng.normal(size=2)
-        assert frob(wedge([c])) == pytest.approx(frob(c), rel=1e-14)
-
-
-def test_wedge_alternating_and_bilinear():
-    rng = np.random.default_rng(41)
-    for _ in range(50):
-        a, b, c = rng.normal(size=(3, 3))
-        s, t = rng.normal(size=2)
-        assert np.allclose(wedge([a, b]), -wedge([b, a]), atol=1e-13)
-        assert frob(wedge([a, a])) <= 1e-13
-        assert np.allclose(
-            wedge([s * a + t * c, b]),
-            s * wedge([a, b]) + t * wedge([c, b]),
-            atol=1e-11,
-        )
-
-
-def test_wedge_shape_errors():
-    with pytest.raises(DimensionMismatch):
-        wedge([np.array([1.0, 0, 0])])
-    with pytest.raises(DimensionMismatch):
-        wedge([np.array([1.0, 0]), np.array([0.0, 1])])
 
 
 def test_sandwich_frozen_diagonal_case():
