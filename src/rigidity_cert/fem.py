@@ -46,7 +46,6 @@ __all__ = [
     "rectangle_mesh",
     "box_mesh",
     "l_shape_mesh",
-    "ring_hole_cells",
     "square_ring_mesh",
     "read_mesh",
     "write_mesh",
@@ -191,6 +190,8 @@ class Mesh:
         boundary = self._boundary_map()
         dkeys = {frozenset(f) for f in self.dirichlet_facets}
         tkeys = {frozenset(f) for f in self.traction_facets}
+        if len(dkeys) + len(tkeys) != len(self.dirichlet_facets) + len(self.traction_facets):
+            raise ValueError("a facet is listed twice")
         if dkeys & tkeys:
             raise ValueError("Dirichlet and traction facets overlap")
         if not dkeys <= set(boundary) or not tkeys <= set(boundary):
@@ -1143,32 +1144,24 @@ def rectangle_mesh(nx, ny, width=1.0, height=1.0, dirichlet="all"):
     return _lattice_mesh((nx, ny), (width, height), mask, dirichlet)
 
 
-def l_shape_mesh(n, size=1.0, dirichlet="all"):
-    """L-shaped domain: unit square minus its upper-right quadrant."""
+def l_shape_mesh(n, dirichlet="all"):
+    """L-shaped domain: the unit square minus its upper-right quadrant, on
+    an n x n lattice."""
     if n % 2:
         raise ValueError("l_shape_mesh needs an even cell count")
     ix, iy = np.indices((n, n))
     mask = ~((ix >= n // 2) & (iy >= n // 2))
-    return _lattice_mesh((n, n), (size, size), mask, dirichlet)
+    return _lattice_mesh((n, n), (1.0, 1.0), mask, dirichlet)
 
 
-def ring_hole_cells(n, hole):
-    """Side, in cells, of the hole of an n x n square_ring_mesh: the
-    fraction hole of the side, rounded to whole cells."""
-    return n - 2 * int(round(n * (1 - hole) / 2))
-
-
-def square_ring_mesh(n, size=1.0, hole=0.5, dirichlet="all"):
-    """Square annulus: a square with a centered square hole (polygonal ring)."""
+def square_ring_mesh(n, dirichlet="all"):
+    """Square annulus: the unit square minus the centred square of half its
+    side (cells n/4 to 3n/4 on each axis), on an n x n lattice."""
     if n % 4:
         raise ValueError("square_ring_mesh needs n divisible by 4")
-    width = ring_hole_cells(n, hole)
-    if not 0 < width < n:
-        raise ValueError(f"square_ring_mesh: a hole of {hole:g} is {width} of {n} cells wide")
-    lo, hi = (n - width) // 2, (n + width) // 2
     ix, iy = np.indices((n, n))
-    mask = ~((lo <= ix) & (ix < hi) & (lo <= iy) & (iy < hi))
-    return _lattice_mesh((n, n), (size, size), mask, dirichlet)
+    mask = ~((n // 4 <= ix) & (ix < 3 * n // 4) & (n // 4 <= iy) & (iy < 3 * n // 4))
+    return _lattice_mesh((n, n), (1.0, 1.0), mask, dirichlet)
 
 
 def box_mesh(nx, ny, nz, lengths=(1.0, 1.0, 1.0), dirichlet="all"):

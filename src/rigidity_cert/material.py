@@ -7,9 +7,8 @@ det F > 0:
     stress     S(x, F) = dW/dF             n x n
     elasticity A(x, F) = d2W/dF2           applied to directions H
 
-Heterogeneity enters only through a scalar parameter modulation m(x)
-multiplying both moduli.  Batched entry points take stacked coordinates
-(k, n) and gradients (k, n, n).
+Batched entry points take stacked coordinates (k, n) and gradients
+(k, n, n).
 """
 from __future__ import annotations
 
@@ -29,7 +28,6 @@ __all__ = [
     "stvk",
     "neo_hookean",
     "quadratic_toy",
-    "radial_modulation",
     "check_constitutive",
     "ConstitutiveReport",
     "TaylorConstants",
@@ -60,16 +58,12 @@ class Material:
     frame_indifferent = True
     has_sigma_form = False
 
-    def __init__(self, lam, mu, modulation=None):
+    def __init__(self, lam, mu):
         self.lam = float(lam)
         self.mu = float(mu)
-        self.modulation = modulation
 
-    def _moduli(self, coords, k):
-        if self.modulation is None or coords is None:
-            return np.full(k, self.lam), np.full(k, self.mu)
-        m = np.asarray(self.modulation(coords), dtype=float)
-        return self.lam * m, self.mu * m
+    def _moduli(self, k):
+        return np.full(k, self.lam), np.full(k, self.mu)
 
     # stacked evaluators, implemented by subclasses
     def energy_many(self, coords, F):
@@ -90,10 +84,7 @@ class Material:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
-        d = {"model": self.name, "lambda": self.lam, "mu": self.mu}
-        if self.modulation is not None:
-            d["modulation"] = getattr(self.modulation, "descriptor", "custom")
-        return d
+        return {"model": self.name, "lambda": self.lam, "mu": self.mu}
 
 
 def _point_major(F):
@@ -141,7 +132,7 @@ class StVenantKirchhoff(Material):
 
     def energy_many(self, coords, F):
         coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(coords, F.shape[0])
+        lam, mu = self._moduli(F.shape[0])
         E, trE = self._strain(_point_major(F))
         # kij,kij->k over the n^2 entries in the order of the einsum's
         # two-lane SIMD loop: even entries in one lane, odd in the other;
@@ -156,7 +147,7 @@ class StVenantKirchhoff(Material):
 
     def stress_many(self, coords, F):
         coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(coords, F.shape[0])
+        lam, mu = self._moduli(F.shape[0])
         Fp = _point_major(F)
         inner = self._inner(lam, mu, *self._strain(Fp))
         # kip,kpa->kia: left to right over p
@@ -164,7 +155,7 @@ class StVenantKirchhoff(Material):
 
     def elasticity_many(self, coords, F):
         coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(coords, F.shape[0])
+        lam, mu = self._moduli(F.shape[0])
         Fp = _point_major(F)
         n = len(Fp)
         eye = np.eye(n)
@@ -184,7 +175,7 @@ class StVenantKirchhoff(Material):
 
     def dsigma_many(self, coords, C):
         coords, C = _check_batch(coords, C)
-        lam, mu = self._moduli(coords, C.shape[0])
+        lam, mu = self._moduli(C.shape[0])
         n = C.shape[1]
         trC = np.trace(C, axis1=1, axis2=2)
         return (
@@ -194,7 +185,7 @@ class StVenantKirchhoff(Material):
 
     def d2sigma_apply_many(self, coords, C, B):
         coords, C = _check_batch(coords, C)
-        lam, mu = self._moduli(coords, C.shape[0])
+        lam, mu = self._moduli(C.shape[0])
         trB = np.trace(B, axis1=1, axis2=2)
         return 0.25 * lam[:, None, None] * trB[:, None, None] * np.eye(C.shape[1]) + 0.5 * mu[
             :, None, None
@@ -216,7 +207,7 @@ class NeoHookean(Material):
 
     def energy_many(self, coords, F):
         coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(coords, F.shape[0])
+        lam, mu = self._moduli(F.shape[0])
         n = F.shape[1]
         _, logJ = self._logdet(F)
         trC = np.einsum("kij,kij->k", F, F)
@@ -224,14 +215,14 @@ class NeoHookean(Material):
 
     def stress_many(self, coords, F):
         coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(coords, F.shape[0])
+        lam, mu = self._moduli(F.shape[0])
         _, logJ = self._logdet(F)
         Fit = np.transpose(np.linalg.inv(F), (0, 2, 1))
         return mu[:, None, None] * (F - Fit) + (lam * logJ)[:, None, None] * Fit
 
     def elasticity_many(self, coords, F):
         coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(coords, F.shape[0])
+        lam, mu = self._moduli(F.shape[0])
         n = F.shape[1]
         _, logJ = self._logdet(F)
         Fit = np.transpose(np.linalg.inv(F), (0, 2, 1))
@@ -245,7 +236,7 @@ class NeoHookean(Material):
 
     def dsigma_many(self, coords, C):
         coords, C = _check_batch(coords, C)
-        lam, mu = self._moduli(coords, C.shape[0])
+        lam, mu = self._moduli(C.shape[0])
         detC = np.linalg.det(C)
         if np.any(detC <= 0.0):
             raise OutsideDomain("neo-hookean: det C <= 0")
@@ -257,7 +248,7 @@ class NeoHookean(Material):
 
     def d2sigma_apply_many(self, coords, C, B):
         coords, C = _check_batch(coords, C)
-        lam, mu = self._moduli(coords, C.shape[0])
+        lam, mu = self._moduli(C.shape[0])
         detC = np.linalg.det(C)
         Cinv = np.linalg.inv(C)
         CBC = np.einsum("kip,kpq,kqj->kij", Cinv, B, Cinv)
@@ -329,12 +320,12 @@ class CustomMaterial(Material):
         return np.array([fn(x, f) for x, f in zip(xs, F)]).reshape(F.shape + F.shape[1:])
 
 
-def stvk(lam=1.0, mu=1.0, modulation=None) -> StVenantKirchhoff:
-    return StVenantKirchhoff(lam, mu, modulation)
+def stvk(lam=1.0, mu=1.0) -> StVenantKirchhoff:
+    return StVenantKirchhoff(lam, mu)
 
 
-def neo_hookean(lam=1.0, mu=1.0, modulation=None) -> NeoHookean:
-    return NeoHookean(lam, mu, modulation)
+def neo_hookean(lam=1.0, mu=1.0) -> NeoHookean:
+    return NeoHookean(lam, mu)
 
 
 def quadratic_toy() -> CustomMaterial:
@@ -353,24 +344,6 @@ def quadratic_toy() -> CustomMaterial:
         return np.einsum("ij,ab->iajb", np.eye(n), np.eye(n))
 
     return CustomMaterial("quadratic-toy", energy, stress_fn, elasticity_fn)
-
-
-def radial_modulation(amplitude, center, width):
-    """Smooth bump m(x) = 1 + amplitude exp(-|x - center|^2 / width^2)."""
-    if amplitude <= -1.0:
-        raise CheckFailed("radial_modulation: amplitude must exceed -1 to keep moduli positive")
-    if width <= 0.0:
-        raise CheckFailed("radial_modulation: width must be positive")
-    center = np.asarray(center, dtype=float)
-
-    def m(coords):
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        d2 = np.sum((coords - center) ** 2, axis=1)
-        return 1.0 + amplitude * np.exp(-d2 / width**2)
-
-    m.descriptor = {"kind": "radial", "amplitude": amplitude,
-                    "center": [float(c) for c in center], "width": float(width)}
-    return m
 
 
 # ------------------------------------------------------------- self checks
@@ -410,7 +383,6 @@ class ConstitutiveReport:
     shear_floor: float           # best c with A(I)[H]:H >= c |H + H^T|^2
     sigma_floor: float           # best c with B:D2sigma(I)[B] >= c |B|^2
     skew_annihilation_err: float
-    x_variation: float
 
 
 def _positivity_floors(m, n, coords_one, rng):
@@ -511,17 +483,6 @@ def check_constitutive(m: Material, n=2, seed=0) -> ConstitutiveReport:
     else:
         sigma_floor = c_sym
 
-    # spatial continuity spot check for modulated parameters
-    x_var = 0.0
-    if m.modulation is not None:
-        F = np.eye(n) * 1.1
-        pts = rng.uniform(-1.0, 2.0, size=(20, n))
-        for x0 in pts:
-            x1 = x0 + 1e-4 * rng.normal(size=n)
-            w0 = float(m.energy_many(x0[None], F[None])[0])
-            w1 = float(m.energy_many(x1[None], F[None])[0])
-            x_var = max(x_var, abs(w1 - w0) / (np.linalg.norm(x1 - x0) + 1e-300))
-
     return ConstitutiveReport(
         frame_indifference_err=fi_err,
         sigma_stress_err=sig_s_err,
@@ -530,7 +491,6 @@ def check_constitutive(m: Material, n=2, seed=0) -> ConstitutiveReport:
         shear_floor=floor,
         sigma_floor=sigma_floor,
         skew_annihilation_err=skew_err,
-        x_variation=x_var,
     )
 
 

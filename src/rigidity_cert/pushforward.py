@@ -197,7 +197,7 @@ class _ChainRule(material.Material):
     """
 
     def __init__(self, base: material.Material, x, F, det):
-        super().__init__(base.lam, base.mu, None)
+        super().__init__(base.lam, base.mu)
         self.base = base
         self._x, self._F, self._det = x, F, det
 

@@ -58,7 +58,7 @@ def _gated_candidate(problem, u_e, inputs, frac=0.5):
 _BUMP_MESHES = (
     fem.rectangle_mesh(5, 3, 2.0, 1.0),
     fem.l_shape_mesh(6),
-    fem.square_ring_mesh(8, size=1.5),
+    fem.square_ring_mesh(8),
     fem.box_mesh(2, 3, 2, (1.0, 1.5, 0.7)),
 )
 
@@ -130,7 +130,7 @@ def test_certification_inputs_read_the_proved_j2(stretch):
 def test_a_lattice_with_no_finite_j2_is_refused_before_the_eigensolve(monkeypatch):
     # a ring whose wall is one cell wide carries non-constant fields of
     # BMO seminorm 0, so no J2 exists: a typed error, not a radius
-    mesh = fem.square_ring_mesh(8, hole=0.75, dirichlet=("left",))
+    mesh = fem.square_ring_mesh(4, dirichlet=("left",))
     loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)
     problem = certify.Problem("thin-ring", material.stvk(1.0, 1.0), mesh, loads)
 

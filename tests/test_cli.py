@@ -95,12 +95,15 @@ def test_unknown_key_rejected(tmp_path):
     ("certify.strain_delta", "0.2", "certify-small-strain"),
     ("solve.tol", "1e-10", "solve"),
     ("solve.max_iter", "50", "solve"),
+    ("mesh.size", "1.0", "solve"),
+    ("mesh.hole", "0.5", "solve"),
 ])
 def test_fixed_value_keys_are_unknown(tmp_path, capsys, key, value, pipeline):
     # the certificate's exponents, Taylor radii and strain bound, the Newton
-    # tolerance and budget, and the bump amplitude are constants, and J2 is
-    # proved from the lattice, not fitted on a family of some size, so a
-    # config that sets one, even to its value, is refused before any run
+    # tolerance and budget, the bump amplitude, and the size of the l-shape
+    # and the ring and the ring's hole are constants, and J2 is proved from
+    # the lattice, not fitted on a family of some size, so a config that
+    # sets one, even to its value, is refused before any run
     cfg = _write(tmp_path, "a.cfg", f"""
         name = demo
         pipeline = {pipeline}
@@ -458,21 +461,24 @@ _SMALL_COUNTS = {
 
 @st.composite
 def _dirichlet_lists(draw):
-    """A generated mesh kind and a subset of its sides plus inner."""
+    """A generated mesh kind and a list of its sides plus inner, which may
+    name a side more than once."""
     kind = draw(st.sampled_from(sorted(_KIND_SIDES)))
     names = sorted({*_KIND_SIDES[kind], "inner"})
-    return kind, tuple(draw(st.lists(st.sampled_from(names), unique=True)))
+    return kind, tuple(draw(st.lists(st.sampled_from(names))))
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=_dirichlet_lists())
 @example(case=("rectangle", ("left", "inner")))
 @example(case=("box", ("x0", "inner")))
+@example(case=("rectangle", ("left", "left")))
+@example(case=("box", ("x0", "x0")))
 @example(case=("l-shape", ("inner",)))
 @example(case=("ring", ("inner",)))
 def test_validate_takes_exactly_the_nonempty_side_lists_of_the_kind(case):
     kind, sides = case
-    ok = bool(sides) and set(sides) <= set(_KIND_SIDES[kind])
+    ok = bool(sides) and set(sides) <= set(_KIND_SIDES[kind]) and len(set(sides)) == len(sides)
     with tempfile.TemporaryDirectory() as tmp:
         cfg = _write(Path(tmp), "a.cfg", "\n".join([
             "name = demo", "pipeline = solve", f"mesh.kind = {kind}",
@@ -589,21 +595,11 @@ def test_validate_names_the_key_at_fault_beside_its_partner(tmp_path, capsys, pa
     ("rectangle", "mesh.width", "0", "side lengths must be positive, got 0"),
     ("rectangle", "mesh.width", "-1", "side lengths must be positive, got -1"),
     ("rectangle", "mesh.height", "inf", "expected a finite number, got 'inf'"),
-    ("l-shape", "mesh.size", "0", "side lengths must be positive, got 0"),
-    ("ring", "mesh.size", "-2", "side lengths must be positive, got -2"),
     ("box", "mesh.lengths", "1 1 0", "side lengths must be positive, got 1 1 0"),
-    ("ring", "mesh.hole", "0", "the hole is a fraction of the side in (0, 1), got 0"),
-    ("ring", "mesh.hole", "-0.5", "the hole is a fraction of the side in (0, 1), got -0.5"),
-    ("ring", "mesh.hole", "1", "the hole is a fraction of the side in (0, 1), got 1"),
-    ("ring", "mesh.hole", "0.1", "a hole of 0.1 rounds to 0 of the 8 cells of a side; "
-                                 "the hole and the wall need a cell each"),
-    ("ring", "mesh.hole", "0.99", "a hole of 0.99 rounds to 8 of the 8 cells of a side; "
-                                  "the hole and the wall need a cell each"),
 ])
 def test_validate_rejects_mesh_sizes_the_generator_cannot_use(tmp_path, capsys, kind, key,
                                                                value, message):
-    # these reached the generator and came back as a singular Jacobian or,
-    # for a hole that rounds to no cell, quietly built a full square
+    # these reached the generator and came back as a singular Jacobian
     cfg = _write(tmp_path, "a.cfg", f"""
         name = demo
         pipeline = solve
@@ -617,15 +613,15 @@ def test_validate_rejects_mesh_sizes_the_generator_cannot_use(tmp_path, capsys, 
 
 
 def test_validate_checks_only_the_sizes_the_mesh_kind_reads(tmp_path):
-    cfg = _write(tmp_path, "a.cfg", """
-        name = demo
-        pipeline = solve
-        mesh.kind = rectangle
-        mesh.size = 0
-        mesh.hole = 0
-        mesh.lengths = 1 1 0
-    """)
-    assert cli.main(["validate", cfg]) == 0
+    # a rectangle reads width and height, a box its lengths, and the
+    # unit-size l-shape and ring none
+    for kind, unread in [("rectangle", "mesh.lengths = 1 1 0"),
+                         ("box", "mesh.width = 0\nmesh.height = 0"),
+                         ("l-shape", "mesh.width = 0\nmesh.lengths = 1 1 0"),
+                         ("ring", "mesh.height = 0\nmesh.lengths = 0 0 0")]:
+        cfg = _write(tmp_path, f"{kind}.cfg",
+                     f"name = demo\npipeline = solve\nmesh.kind = {kind}\n{unread}\n")
+        assert cli.main(["validate", cfg]) == 0, kind
 
 
 def test_validate_load_components_through_build_loads(tmp_path, monkeypatch, capsys):
@@ -636,16 +632,15 @@ def test_validate_load_components_through_build_loads(tmp_path, monkeypatch, cap
     assert calls == {"build_loads": 1}
 
 
-def test_the_config_has_30_keys():
-    assert len(cli._KEYS) == 30 and "certify.j2_count" not in cli._KEYS
+def test_the_config_has_28_keys():
+    assert len(cli._KEYS) == 28 and "certify.j2_count" not in cli._KEYS
 
 
 @pytest.mark.parametrize("pipeline", ["certify-bmo-gate", "certify-small-strain",
                                       "certify-strain-diff"])
 @pytest.mark.parametrize("mesh, key", [
     # a ring whose wall is one cell wide
-    (("mesh.kind = ring", "mesh.n = 8", "mesh.hole = 0.75", "mesh.dirichlet = left"),
-     "mesh.hole"),
+    (("mesh.kind = ring", "mesh.n = 4", "mesh.dirichlet = left"), "mesh.n"),
     # an L-shape whose arms are one cell wide
     (("mesh.kind = l-shape", "mesh.n = 2", "mesh.dirichlet = left"), "mesh.n"),
     # a strip of square cells one cell high
@@ -679,9 +674,10 @@ _CLAMPED_SIDE = {"rectangle": "left", "l-shape": "left", "ring": "left", "box": 
 @st.composite
 def _lattice_scenarios(draw):
     """A generated mesh kind with counts of at most 6 that its generator
-    takes, cell sides of 0.25 or 0.5 per axis, a lattice pipeline and, for
-    the sweep, resolutions the kind takes; and whether the scenario mesh
-    and the sweep meshes have cells of one side."""
+    takes, cell sides of 0.25 or 0.5 per axis for a rectangle or box (the
+    l-shape and the ring are unit-size), a lattice pipeline and, for the
+    sweep, resolutions the kind takes; and whether the scenario mesh and
+    the sweep meshes have cells of one side."""
     kind = draw(st.sampled_from(sorted(_CLAMPED_SIDE)))
     pipeline = draw(st.sampled_from(cli._LATTICE_PIPELINES))
     cell = st.sampled_from([0.25, 0.5])
@@ -694,8 +690,7 @@ def _lattice_scenarios(draw):
         resolutions = st.integers(1, 6)
     else:
         counts = [draw(st.sampled_from([2, 4, 6] if kind == "l-shape" else [4]))]
-        cells = [draw(cell)]
-        lengths = [counts[0] * cells[0]]
+        cells, lengths = [1.0 / counts[0]], [1.0]
         generator = fem.l_shape_mesh if kind == "l-shape" else fem.square_ring_mesh
         mask = generator(counts[0]).lattice.mask
         resolutions = st.sampled_from([2, 4, 6] if kind == "l-shape" else [4])
@@ -703,7 +698,8 @@ def _lattice_scenarios(draw):
     if kind == "box":
         sizes = [f"mesh.lengths = {' '.join(map(repr, lengths))}"]
     else:
-        sizes = [f"{key} = {length!r}" for key, length in zip(cli._MESH_SIZES[kind], lengths)]
+        sizes = [f"{key} = {length!r}"
+                 for key, length in zip(cli._MESH_SIZES.get(kind, ()), lengths)]
     lines = [f"pipeline = {pipeline}", f"mesh.kind = {kind}",
              f"mesh.dirichlet = {_CLAMPED_SIDE[kind]}", *sizes,
              *(f"{key} = {n}" for key, n in zip(cli._MESH_COUNTS[kind], counts)),
@@ -733,8 +729,7 @@ def test_validate_takes_a_lattice_pipeline_exactly_where_the_mesh_carries_a_latt
             key = str(exc).split(" ", 1)[0].rstrip(":")
     assert (key is None) == ok, (lines, key)
     if key is not None:
-        hole = ("mesh.hole",) if kind == "ring" else ()
-        assert key in (*cli._MESH_COUNTS[kind], *cli._MESH_SIZES[kind], *hole), (lines, key)
+        assert key in (*cli._MESH_COUNTS[kind], *cli._MESH_SIZES.get(kind, ())), (lines, key)
 
 
 # ---------------------------------------------------------------- pipelines
@@ -1064,6 +1059,24 @@ def test_diagnostics_harmonic_fields_pass_the_proved_j2(tmp_path, kind, lines):
     rows = (tmp_path / "out" / "harm.fields.csv").read_text().splitlines()
     assert rows[0].endswith(",interpolation_ok") and len(rows) > 1
     assert all(row.endswith(",true") for row in rows[1:])
+
+
+def test_diagnostics_harmonic_reports_each_bmo_seminorm_once(tmp_path):
+    # one column holds the BMO seminorm of each field of the 8-cell L-shape
+    from rigidity_cert import certify, fem, harmonic
+
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("name = harm\npipeline = diagnostics-harmonic\nmesh.kind = l-shape\n"
+                   "mesh.n = 8\nharmonic.count = 3\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = [row.split(",") for row in
+            (tmp_path / "out" / "harm.fields.csv").read_text().splitlines()]
+    assert rows[0] == ["field", "bmo_seminorm", "maximal_sup", "pointwise_ok",
+                       "interpolation_ok"]
+    fields, _ = certify.j2_family(fem.l_shape_mesh(8), 3, 0)
+    assert len(rows) == 1 + len(fields)
+    for row, fld in zip(rows[1:], fields):
+        assert float(row[1]) == harmonic.bmo_seminorm(fld)
 
 
 def test_diagnostics_harmonic_takes_each_maximal_function_once_per_field(tmp_path,

@@ -51,16 +51,9 @@ def test_shape_functions_partition_of_unity():
 
 def test_mesh_volumes():
     for mesh, volume in [(fem.rectangle_mesh(3, 2, 1.5, 1.0), 1.5), (fem.l_shape_mesh(4), 0.75),
-                         (fem.square_ring_mesh(8, hole=0.5), 0.75),
+                         (fem.square_ring_mesh(8), 0.75),
                          (fem.box_mesh(2, 2, 2, (1.0, 2.0, 0.5)), 1.0)]:
         assert mesh.quadrature()[2].sum() == pytest.approx(volume, abs=1e-12)
-
-
-@pytest.mark.parametrize("hole", [0.1, 0.99])
-def test_square_ring_refuses_a_hole_or_a_wall_of_no_cell(hole):
-    # at n = 8 a hole of 0.1 rounds to no cell, and one of 0.99 to all 8
-    with pytest.raises(ValueError, match=f"a hole of {hole:g} is (0|8) of 8 cells wide"):
-        fem.square_ring_mesh(8, 1.0, hole)
 
 
 def test_mesh_boundary_partition_checks():
@@ -81,7 +74,7 @@ def test_structured_lattice():
     assert mesh.lattice.spacing == pytest.approx(0.25)
     # non-square cells carry no lattice
     assert fem.rectangle_mesh(4, 2, 1.0, 1.0).lattice is None
-    ring = fem.square_ring_mesh(8, hole=0.5)
+    ring = fem.square_ring_mesh(8)
     assert ring.lattice.mask.sum() == ring.elements.shape[0]
 
 
@@ -102,13 +95,13 @@ _MESH_DIGESTS = [
     ("l_shape_mesh", (4,), {}, "cf89d7dd47bbc5138de162502fb76e554fbf4346b8e479a1247086a515f5e200"),
     ("l_shape_mesh", (8,), {"dirichlet": ("left", "bottom")},
      "4b709f3e938f091c91806bc49b60047fa496499055c074d16bcdf0dc2c5dcb14"),
-    ("l_shape_mesh", (6, 2.0), {"dirichlet": ("inner", "top")},
-     "931f225036b60431d94565c21a0165d9b77cf356ba481a7e10b4f5d890b2ba4e"),
+    ("l_shape_mesh", (6,), {"dirichlet": ("inner", "top")},
+     "2bffb788bafdca3c7cb594823ed06a5c8ada593d65115f5de96ecb4777ab61dd"),
     ("square_ring_mesh", (8,), {}, "e5f94103f96d030f2e221eb7c3abe1c98c71b9751f4d817582afa3945efd14e7"),
     ("square_ring_mesh", (8,), {"dirichlet": ("inner",)},
      "2395729534a628cb0b48b98bc08637da9d3a6036f79df058585a9c3a6242a99e"),
-    ("square_ring_mesh", (12, 2.0, 0.25), {"dirichlet": ("right", "left")},
-     "929216b5cb379a6e5292a4b30141a767063360275217f411245329b63835d24a"),
+    ("square_ring_mesh", (12,), {"dirichlet": ("right", "left")},
+     "b49a2d9382f7e1f77538d411d2cc4e370f07eed514378fb3669027a30201affa"),
     ("box_mesh", (1, 1, 1), {}, "74b347a71cd25ac4f6e3304ebd6f7423e78d0b14da9c2be3dece992b527bf842"),
     ("box_mesh", (3, 3, 3), {"dirichlet": ("x0",)},
      "fe00f8c667f30b7b8553c642a53a91282a27d09a80b9541d234bb9a468226d55"),
@@ -200,7 +193,7 @@ def test_facet_normals_and_perimeter():
 
 
 def test_ring_inner_normals_point_into_hole():
-    mesh = fem.square_ring_mesh(8, size=1.0, hole=0.5)
+    mesh = fem.square_ring_mesh(8)
     boundary = list(mesh.dirichlet_facets)
     coords, _, _, normals, _ = mesh.facet_quadrature(boundary)
     center = np.array([0.5, 0.5])
@@ -1186,6 +1179,30 @@ def test_read_mesh_typed_errors(tmp_path, edit, line, message):
     path.write_text(edit(path.read_text()))
     with pytest.raises(errors.DimensionMismatch, match=f"line {line}: .*{message}"):
         fem.read_mesh(path)
+
+
+def test_a_facet_listed_twice_is_refused(tmp_path, capsys):
+    # a file listing one of the 3 left facets twice, and a mesh listing a
+    # traction facet twice; validate names the file's key
+    from rigidity_cert import cli
+
+    mesh = fem.rectangle_mesh(4, 3, dirichlet=("left",))
+    path = tmp_path / "mesh.txt"
+    fem.write_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    at = lines.index("dirichlet 3")
+    lines[at: at + 2] = ["dirichlet 4", lines[at + 1], lines[at + 1]]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="a facet is listed twice"):
+        fem.read_mesh(path)
+    with pytest.raises(ValueError, match="a facet is listed twice"):
+        fem.Mesh(mesh.nodes, mesh.elements, mesh.dirichlet_facets,
+                 mesh.traction_facets + mesh.traction_facets[-1:])
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"name = file\npipeline = solve\nmesh.kind = file\nmesh.path = {path}\n")
+    assert cli.main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().err == ("config error: mesh.path (line 4): "
+                                       "a facet is listed twice\n")
 
 
 def test_field_from_function_and_shape_check():

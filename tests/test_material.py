@@ -1,17 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rigidity_cert.errors import CheckFailed, OutsideDomain, SetEscapesDomain
+from rigidity_cert.errors import OutsideDomain, SetEscapesDomain
 from rigidity_cert.material import (
     CustomMaterial,
     check_constitutive,
     neo_hookean,
     quadratic_toy,
-    radial_modulation,
     stvk,
     taylor_constants,
     taylor_draws,
@@ -186,35 +183,6 @@ def test_check_constitutive_3d():
     assert rep.shear_floor == pytest.approx(0.375, abs=1e-9)
 
 
-def test_modulated_material():
-    mod = radial_modulation(0.5, center=(0.0, 0.0), width=1.0)
-    m = stvk(1.0, 1.0, modulation=mod)
-    base = stvk(1.0, 1.0)
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        x = rng.uniform(-2, 2, size=2)
-        F = random_gradient(rng, 2, 0.5, 2.0)
-        scale = 1.0 + 0.5 * math.exp(-float(np.sum(x * x)))
-        assert _at(m, "energy", F, x) == pytest.approx(
-            scale * _at(base, "energy", F), rel=1e-12
-        )
-    assert _at(m, "energy", np.eye(2), [0.3, -0.2]) == 0.0
-    rep = check_constitutive(m, n=2, seed=3)
-    assert rep.frame_indifference_err <= 1e-12
-    assert rep.stress_free_err <= 1e-10
-    assert rep.shear_floor > 0.0
-    # moduli at the origin are scaled by 1.5
-    assert rep.shear_floor == pytest.approx(0.75, abs=1e-9)
-    assert rep.x_variation > 0.0 and math.isfinite(rep.x_variation)
-
-
-def test_radial_modulation_validation():
-    with pytest.raises(CheckFailed):
-        radial_modulation(-1.0, (0, 0), 1.0)
-    with pytest.raises(CheckFailed):
-        radial_modulation(0.5, (0, 0), 0.0)
-
-
 def test_outside_domain_rejected():
     m = neo_hookean(1.0, 1.0)
     with pytest.raises(OutsideDomain):
@@ -344,7 +312,7 @@ def _reference_taylor(m, n, delta, epsilon, nsamples, seed, coords):
     return c_best, chat_best
 
 
-_TAYLOR_MODELS = ("stvk", "neo-hookean", "modulated-stvk", "quadratic-toy", "push-stvk", "push-neo")
+_TAYLOR_MODELS = ("stvk", "neo-hookean", "quadratic-toy", "push-stvk", "push-neo")
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,8 +336,6 @@ def test_taylor_constants_match_per_sample_loop(model, n, seed, delta, epsilon, 
         m = ref = {
             "stvk": stvk(1.3, 0.7),
             "neo-hookean": neo_hookean(1.0, 0.6),
-            "modulated-stvk": stvk(1.0, 1.0, modulation=radial_modulation(
-                0.5, center=rng.uniform(size=n), width=0.7)),
             "quadratic-toy": quadratic_toy(),
         }[model]
     tc = taylor_constants(m, taylor_draws(n, delta, epsilon, nsamples, seed, coords=coords))
