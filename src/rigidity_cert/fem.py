@@ -361,9 +361,9 @@ class Mesh:
 @dataclass(frozen=True)
 class _AssemblyPlan:
     """The CSR (or CSC) pattern of an assembled matrix and the entries
-    summed into each nonzero: terms[s, p] is the flat index into the
-    element matrices of the s-th entry of nonzero p, or their size, the
-    pad, past its last.
+    summed into each nonzero: terms[s, p] is the flat index, in the
+    kernel's layout (see _element_buffer), of the s-th element-matrix
+    entry of nonzero p, or their size, the pad, past its last.
     """
 
     indptr: np.ndarray
@@ -383,7 +383,8 @@ def _assembly_plan(mesh):
     on the column keys only.  csr_sum_duplicates then adds each run of
     equal columns left to right from its first entry.  The free slice
     keeps the blocks of the free rows and, after the sort, the nonzeros
-    in the free columns, in order.
+    in the free columns, in order.  Each entry is tagged with its index in
+    the kernel's layout, where entry (b, j) of the block sits at j k + b.
     """
     M, k = mesh.elements.shape
     n = mesh.dim
@@ -397,7 +398,8 @@ def _assembly_plan(mesh):
     blocks = blocks[np.argsort(dof[blocks], kind="stable")]
     indptr = np.zeros(N + 1, dtype=itype)
     np.cumsum(np.bincount(dof[blocks], minlength=N) * kn, out=indptr[1:])
-    tags = (blocks[:, None] * float(kn) + np.arange(kn, dtype=float)).ravel()
+    local = np.arange(kn) % n * k + np.arange(kn) // n
+    tags = (blocks[:, None] * float(kn) + local.astype(float)).ravel()
     cols = dof.reshape(M, kn)[blocks // kn].ravel()
     del blocks
     tagged = scipy.sparse.csr_matrix((tags, cols, indptr), shape=(N, N))
@@ -653,8 +655,23 @@ def residual(m, mesh: Mesh, loads: LoadSet, u) -> np.ndarray:
 
 def second_variation_matrix(m, mesh: Mesh, u):
     """Tangent stiffness d2E/du2 at state u over the free dofs, sparse CSR."""
-    A = material_at_points(m, mesh, u, "elasticity")
-    return scatter_matrix(mesh, element_matrices(mesh, A))
+    return _assemble(mesh._sparse_plan(), _tangent_matrices(m, mesh, u), scipy.sparse.csr_matrix)
+
+
+def _tangent_matrices(m, mesh, u):
+    """The element matrices of m's elasticity at grad u, which is
+    det-checked first; the elasticity is evaluated one block of elements
+    at a time, on the block's rows of the quadrature points."""
+    F = _checked_gradients(mesh, u)
+    coords = mesh.quadrature()[0]
+    q, n = F.shape[1:3]
+
+    def elasticity(b):
+        rows = slice(b.start * q, b.stop * q)
+        A = m.at_points(rows).elasticity_many(coords[b].reshape(-1, n), F[b].reshape(-1, n, n))
+        return A.reshape((-1, q) + A.shape[1:])
+
+    return _element_blocks(mesh, elasticity)
 
 
 def element_matrices(mesh: Mesh, A) -> np.ndarray:
@@ -663,24 +680,86 @@ def element_matrices(mesh: Mesh, A) -> np.ndarray:
     A[i, k, j, l] g[b, l], with g each element's own shape gradients, in
     the (M, k, n, k, n) layout that scatter_matrix takes.
 
-    Two stacked matrix products: grads @ A with A reordered to (M, q, k,
-    i j l), then the (q, l) contraction against wdet * grads.  A is made
-    C-ordered after the reorder, so every element's sums run in one order
-    whatever layout A arrives in and however many elements there are.
+    The kernel runs one block of elements at a time (_element_blocks),
+    and Ke is a strided view of the buffer it wrote, which scatter_matrix
+    reads in place.
     """
-    _, grads, wdet, _ = mesh.quadrature()
+    _, grads, _, _ = mesh.quadrature()
     M, q, k, n = grads.shape
     A = np.asarray(A, dtype=float)
     if A.shape != (M, q, n, n, n, n):
         raise DimensionMismatch(
             f"element_matrices: A must be {(M, q, n, n, n, n)}, got {A.shape}"
         )
-    Ak = np.ascontiguousarray(A.transpose(0, 1, 3, 2, 4, 5)).reshape(M, q, n, n**3)
-    # gA[e, q, a, i, j, l] = sum_k g[a, k] A[i, k, j, l]
-    gA = (grads @ Ak).reshape(M, q, k, n, n, n)
-    gA = np.ascontiguousarray(gA.transpose(0, 2, 3, 4, 1, 5)).reshape(M, k * n * n, q * n)
-    wg = (wdet[:, :, None, None] * grads).transpose(0, 1, 3, 2).reshape(M, q * n, k)
-    return (gA @ wg).reshape(M, k, n, n, k).transpose(0, 1, 2, 4, 3)
+    return _element_blocks(mesh, A.__getitem__)
+
+
+# floats of elasticity per block of elements: bounds the memory of the
+# element kernels, whose temporaries are a few times the block's tensor
+_BLOCK = 1 << 17
+
+
+def _element_blocks(mesh, elasticity):
+    """Element matrices of the tensor field that elasticity(b) gives on
+    each block b (a slice) of elements, as element_matrices lays them out.
+
+    Each block of _BLOCK // (q n^4) elements is two stacked matrix
+    products: grads @ A with A reordered to (M, q, k, i j l), then the
+    (q, l) contraction against wdet * grads, written straight into its
+    rows of the buffer.  A is made C-ordered after the reorder, so every
+    element's sums run in one order whatever layout A arrives in and
+    however many elements a block holds.
+    """
+    _, grads, wdet, _ = mesh.quadrature()
+    M, q, k, n = grads.shape
+    flat = _element_buffer(M, k, n)
+    out = flat[:-1].reshape(M, k * n * n, k)
+    step = max(1, _BLOCK // (q * n**4))
+    for start in range(0, M, step):
+        b = slice(start, start + step)
+        g, A = grads[b], elasticity(b)
+        Ak = np.ascontiguousarray(A.transpose(0, 1, 3, 2, 4, 5)).reshape(len(g), q, n, n**3)
+        # gA[e, q, a, i, j, l] = sum_k g[a, k] A[i, k, j, l]
+        gA = (g @ Ak).reshape(len(g), q, k, n, n, n)
+        # free A and Ak before gA's reordered copy: held to the end of the
+        # block, they left malloc trimming and faulting in again a 16x16
+        # tangent's temporaries on every call, in one process in five
+        del Ak, A
+        gA = np.ascontiguousarray(gA.transpose(0, 2, 3, 4, 1, 5)).reshape(len(g), k * n * n, q * n)
+        wg = (wdet[b, :, None, None] * g).transpose(0, 1, 3, 2).reshape(len(g), q * n, k)
+        np.matmul(gA, wg, out=out[b])
+    return _as_element_matrices(flat, M, k, n)
+
+
+def _element_buffer(M, k, n):
+    """The flat buffer that _assemble gathers from: the kernel's layout
+    (M, k, n, n, k), entry (e, a, i, j, b) for Ke[e, a, i, b, j], in C
+    order, then -0.0, the pad of the absent terms: x + -0.0 is x for
+    every x, signed zeros included."""
+    flat = np.empty(M * (k * n) ** 2 + 1)
+    flat[-1] = -0.0
+    return flat
+
+
+def _as_element_matrices(flat, M, k, n):
+    """The (M, k, n, k, n) view of a buffer's element matrices."""
+    return flat[:-1].reshape(M, k, n, n, k).transpose(0, 1, 2, 4, 3)
+
+
+def _buffer_of(Ke):
+    """The buffer of element matrices Ke (M, k, n, k, n): the one Ke is a
+    view of, read in place, when Ke's memory is laid out as one (every
+    result of element_matrices), or else a copy."""
+    M, k, n = Ke.shape[:3]
+    base = Ke.base
+    if (isinstance(base, np.ndarray) and base.dtype == float and base.shape == (Ke.size + 1,)
+            and Ke.__array_interface__["data"] == base.__array_interface__["data"]
+            and Ke.strides == _as_element_matrices(base, M, k, n).strides
+            and base[-1] == 0.0 and np.signbit(base[-1])):
+        return base
+    flat = _element_buffer(M, k, n)
+    _as_element_matrices(flat, M, k, n)[...] = Ke
+    return flat
 
 
 def gradient_gram_matrix(mesh: Mesh):
@@ -707,11 +786,7 @@ def scatter_matrix(mesh, Ke):
 def _assemble(plan, Ke, layout):
     """The matrix (layout csr_matrix or csc_matrix) of a plan's pattern
     whose nonzeros sum their terms of Ke."""
-    # Ke flattened in C order, then -0.0, the pad of the absent terms:
-    # x + -0.0 is x for every x, signed zeros included
-    flat = np.empty(Ke.size + 1)
-    flat[:-1].reshape(Ke.shape)[...] = Ke
-    flat[-1] = -0.0
+    flat = _buffer_of(Ke)
     data = flat[plan.terms[0]]
     for t in plan.terms[1:]:
         data += flat[t]
@@ -809,6 +884,13 @@ def coercivity_constant(M_mat, G_mat, order=None) -> float:
     definite too, tau a 1e-12 relative margin, i.e. only if no eigenvalue
     lies below lam - tau (a 1-dof pencil is its quotient).  An empty or
     non-finite pencil, and anything unconfirmed, raises EigenFailure.
+
+    Each factorization is dropped as soon as no later step reads it: an
+    indefinite doubling step's at once, the first definite shift's after
+    the loose Lanczos and before the trial shift is factored, and the
+    Lanczos shift's before the closing check.  So with nu <= 9 at most
+    one is alive at a time.  Bisection keeps lo's factors beside the
+    midpoint's, or factors lo again at the end if no midpoint became lo.
     """
     M = scipy.sparse.csr_matrix(0.5 * (M_mat + M_mat.T))
     G = scipy.sparse.csr_matrix(0.5 * (G_mat + G_mat.T))
@@ -836,6 +918,7 @@ def coercivity_constant(M_mat, G_mat, order=None) -> float:
                 lu, below = _inertia_lu(M - lo * G)
                 if not below:
                     break
+                lu = None
                 step *= 2.0
             else:
                 raise EigenFailure(
@@ -852,31 +935,37 @@ def coercivity_constant(M_mat, G_mat, order=None) -> float:
 
             # any vector's Rayleigh quotient bounds lam from above
             _, vecs = lanczos(lo, lu, tol=_SLICE_RTOL)
+            lu = None
             x = vecs[:, 0]
             hi = min(hi, float(x @ (M @ x)) / float(x @ (G @ x)))
             trial = hi - _TRIAL_RTOL * abs(hi)
-            trial_lu, below = _inertia_lu(M - trial * G)
+            lu, below = _inertia_lu(M - trial * G)
             if 0 < below <= _TRIAL_BELOW and below < nd - 1:
                 # the eigenvalues below the trial shift are the smallest of
                 # the shifted spectrum, 1 / (lam - trial) < 0
-                lam = float(lanczos(trial, trial_lu, k=below, which="SA",
+                lam = float(lanczos(trial, lu, k=below, which="SA",
                                     return_eigenvectors=False).min())
             else:
                 if not below:
-                    lo, lu = trial, trial_lu
+                    lo = trial
                 else:
-                    hi = trial
-                    # M - lo G stays positive definite and M - hi G does not
+                    hi, lu = trial, None
+                    # M - lo G stays positive definite and M - hi G does
+                    # not; lu holds lo's factors once a midpoint is lo
                     for _ in range(_SLICE_BISECTIONS):
                         if hi - lo <= _SLICE_RTOL * max(abs(lo), abs(hi), scale):
                             break
                         mid = 0.5 * (lo + hi)
-                        mid_lu, mid_below = _inertia_lu(M - mid * G)
-                        if mid_below:
+                        mid_lu, below = _inertia_lu(M - mid * G)
+                        if below:
                             hi = mid
                         else:
                             lo, lu = mid, mid_lu
+                        mid_lu = None
+                    if lu is None:
+                        lu = _inertia_lu(M - lo * G)[0]
                 lam = float(lanczos(lo, lu, return_eigenvectors=False)[0])
+            lu = None
         tau = _CONFIRM_RTOL * max(abs(lam), scale)
         if not lam >= lo or _inertia_lu(M - (lam - tau) * G)[1]:
             raise EigenFailure(
@@ -940,8 +1029,7 @@ def solve_equilibrium(m, mesh: Mesh, loads: LoadSet, u0: FeField) -> tuple[FeFie
             log.iterations = it
             return FeField(mesh, u.values), log
         # the tangent K assembled straight into P K P^T, P the dof_order
-        A = material_at_points(m, mesh, u, "elasticity")
-        K = _assemble(mesh._ordered_plan(), element_matrices(mesh, A), scipy.sparse.csc_matrix)
+        K = _assemble(mesh._ordered_plan(), _tangent_matrices(m, mesh, u), scipy.sparse.csc_matrix)
         try:
             delta = SparseLU(K, mesh.dof_order()).solve(-r)
         except RuntimeError as exc:

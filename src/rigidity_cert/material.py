@@ -65,6 +65,12 @@ class Material:
     def _moduli(self, k):
         return np.full(k, self.lam), np.full(k, self.mu)
 
+    def at_points(self, rows):
+        """The material on the rows (a slice) of the stacked points it is
+        evaluated on: itself, as it reads only (x, F).  A material tied to
+        a mesh's quadrature points keeps those rows of them."""
+        return self
+
     # stacked evaluators, implemented by subclasses
     def energy_many(self, coords, F):
         raise NotImplementedError
@@ -542,7 +548,8 @@ def taylor_draws(n, delta, epsilon, nsamples, seed, coords=None) -> TaylorDraws:
     coords are the coordinates a sample can sit at (the origin when None);
     delta + epsilon < 1 keeps the whole fattened set inside det F > 0.
     Per sample the generator is called in this order: integers for the
-    coordinate; for F, then for G, a normal step S whose symmetric part
+    coordinate, unless there is only one (integers(1) draws nothing from
+    the stream); for F, then for G, a normal step S whose symmetric part
     is scaled to length uniform(0, delta), then a rotation R (a uniform
     angle in 2D, a normal quaternion in 3D), giving R (I + sym S); a
     normal fattening E scaled to length uniform(0, epsilon) and added to
@@ -561,7 +568,8 @@ def taylor_draws(n, delta, epsilon, nsamples, seed, coords=None) -> TaylorDraws:
     coords = np.array([np.asarray(x, dtype=float) for x in coords])
     rng = np.random.default_rng(seed)
     gauss, rand = rng.standard_normal, rng.random
-    picks = np.empty(nsamples, dtype=np.intp)
+    picks = np.zeros(nsamples, dtype=np.intp)
+    pick = len(coords) > 1
     steps = np.empty((nsamples, 3, n, n))        # the steps of F and G, then E
     lengths = np.full((nsamples, 3), math.nan)   # nan where none is drawn
     turns = np.empty((nsamples, 2) if n == 2 else (nsamples, 2, 4))
@@ -578,7 +586,8 @@ def taylor_draws(n, delta, epsilon, nsamples, seed, coords=None) -> TaylorDraws:
     # 0.0 + b random(), and b random() >= 0 is that sum.  In 2D a drawn
     # length and the angle after it are one random(2).
     for s in range(nsamples):
-        picks[s] = rng.integers(len(coords))
+        if pick:
+            picks[s] = rng.integers(len(coords))
         for j in range(2):
             S = gauss(out=steps[s, j])
             if abs(S.item(0)) > 1e-150 or frob(0.5 * (S + S.T)) > 0:

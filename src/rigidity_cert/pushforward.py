@@ -237,8 +237,9 @@ class PushforwardMaterial(_ChainRule):
     W_u(y, G) = W(x, G F) / det F, with stress and elasticity following
     by the chain rule.  It evaluates a batch of exactly the mesh's M*q
     quadrature points, in quadrature order (row e*q + k), as
-    fem.material_at_points passes them; use point_material for
-    free-standing algebra at one point.
+    fem.material_at_points passes them, and at_points a block of them, as
+    the tangent passes them; use point_material for free-standing algebra
+    at one point.
     """
 
     def __init__(self, base: material.Material, cfg: DeformedConfig):
@@ -247,6 +248,11 @@ class PushforwardMaterial(_ChainRule):
         super().__init__(base, mesh.quadrature()[0].reshape(-1, n),
                          cfg.F.reshape(-1, n, n), cfg.det_F.reshape(-1))
         self.cfg = cfg
+
+    def at_points(self, rows):
+        """The pushforward at the quadrature points rows (a slice) alone,
+        bit for bit as this material evaluates them among all of them."""
+        return _ChainRule(self.base, self._x[rows], self._F[rows], self._det[rows])
 
     def point_material(self, e: int, k: int) -> FrozenPointMaterial:
         """Freeze the material point (e, k): a stand-alone material in G."""

@@ -1,8 +1,10 @@
 """Assembly, solver, and mesh tests with finite-difference oracles."""
 import hashlib
 import math
+import tracemalloc
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rigidity_cert import errors, fem, material, rigidity
+from rigidity_cert import errors, fem, material, pushforward, rigidity
 
 from oracles import (
     boundary_map_walk,
@@ -431,6 +433,79 @@ def test_scatter_matrix_is_the_coo_assembly_bit_for_bit(kind):
         order = mesh.dof_order()
         assert _same_bits(fem._assemble(mesh._ordered_plan(), Ke, sp.csc_matrix),
                           want[order][:, order].tocsc())
+
+
+def _same_elements(A, B):
+    return A.shape == B.shape and np.ascontiguousarray(A).tobytes() == np.ascontiguousarray(B).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]), first=st.integers(3, 5),
+       rest=st.lists(st.integers(1, 3), min_size=2, max_size=2),
+       model=st.sampled_from(["stvk", "neo-hookean", "pushforward"]))
+def test_tangent_in_ragged_blocks_is_bitwise_the_one_block_tangent(seed, dim, first, rest, model):
+    # element kernels work per element and material kernels per point, so
+    # no block boundary changes a sum: element matrices, the CSR tangent
+    # and the Newton tangent's ordered CSC are the one-block ones, bit for bit
+    rng = np.random.default_rng(seed)
+    if dim == 2:
+        mesh = fem.rectangle_mesh(first, rest[0], 1.3, 1.0, dirichlet=("left",))
+    else:
+        mesh = fem.box_mesh(first, *rest, (1.0, 0.8, 0.6), dirichlet=("x0",))
+    n = mesh.dim
+    h = np.ptp(mesh.nodes[mesh.elements[0]], axis=0).min()
+    stretch = np.eye(n) + np.diag(rng.uniform(-0.05, 0.05, n))
+    u = fem.FeField(mesh, mesh.nodes @ stretch.T + _interior_perturb(mesh, rng, 0.03 * h))
+    m = material.neo_hookean(1.5, 1.0) if model == "neo-hookean" else material.stvk(1.0, 1.0)
+    if model == "pushforward":
+        cfg = pushforward.deform_configuration(mesh, u)
+        m, mesh = pushforward.PushforwardMaterial(m, cfg), cfg.mesh_def
+        u = fem.FeField(mesh, u.values + _interior_perturb(mesh, rng, 0.03 * h))
+    M, q = mesh.quadrature()[2].shape
+    assert M * q * n**4 <= fem._BLOCK
+    step = int(rng.choice([s for s in range(1, M) if M % s]))
+    A = fem.material_at_points(m, mesh, u, "elasticity")
+    Ke = fem.element_matrices(mesh, A)
+    assert _same_elements(fem._tangent_matrices(m, mesh, u), Ke)
+    K = fem.second_variation_matrix(m, mesh, u)
+    Ko = fem._assemble(mesh._ordered_plan(), Ke, sp.csc_matrix)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fem, "_BLOCK", step * q * n**4)
+        assert _same_elements(fem.element_matrices(mesh, A), Ke)
+        blocked = fem._tangent_matrices(m, mesh, u)
+        assert _same_elements(blocked, Ke)
+        assert _same_bits(fem.second_variation_matrix(m, mesh, u), K)
+        assert _same_bits(fem._assemble(mesh._ordered_plan(), blocked, sp.csc_matrix), Ko)
+    # a block of the points, the last one ragged, evaluates as among all
+    F = fem.deformation_gradients(mesh, u).reshape(-1, n, n)
+    coords = mesh.quadrature()[0].reshape(-1, n)
+    A = A.reshape(-1, n, n, n, n)
+    for start in range(0, M * q, step * q):
+        rows = slice(start, start + step * q)
+        got = m.at_points(rows).elasticity_many(coords[rows], F[rows])
+        assert _same_elements(got, A[rows])
+
+
+def test_tangent_memory_is_bounded_by_one_block(monkeypatch):
+    # numpy's buffers are traced (SuperLU's are not): past the matrix and
+    # the element-matrix buffer it gathers from, the tangent of an 8^3 box
+    # in 11 blocks holds about 6 blocks' worth of temporaries at a time;
+    # the elasticity of the whole mesh and its products would take 63
+    m, mesh = material.stvk(1.0, 1.0), fem.box_mesh(8, 8, 8)
+    u = fem.FeField(mesh, mesh.nodes @ np.diag([1.05, 1.0, 1.0]).T)
+    fem.second_variation_matrix(m, mesh, u)   # the plan and quadrature caches
+    monkeypatch.setattr(fem, "_BLOCK", 1 << 15)
+    M, q, k, n = mesh.quadrature()[1].shape
+    step = fem._BLOCK // (q * n**4)
+    assert -(-M // step) == 11
+    tracemalloc.start()
+    try:
+        K = fem.second_variation_matrix(m, mesh, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = K.data.nbytes + K.indices.nbytes + K.indptr.nbytes + (M * (k * n) ** 2 + 1) * 8
+    assert peak <= output + 10 * step * q * n**4 * 8
 
 
 @st.composite
@@ -965,6 +1040,56 @@ def test_coercivity_clustered_pencils_match_dense(seed, log_gap, log_width, clus
     first = below.index(0)
     if below[first + 1] <= 9:
         assert len(below) == first + 3
+
+
+def _bisecting_pencil(monkeypatch):
+    """A 30-dof dense pencil whose loose Lanczos hands back its start
+    vector, far above the smallest eigenvalue, so that the trial shift is
+    not positive definite and bisection narrows the bracket."""
+    rng = np.random.default_rng(5)
+    nd = 30
+    q, _ = np.linalg.qr(rng.normal(size=(nd, nd)))
+    m = (q * rng.uniform(0.1, 3.0, nd)) @ q.T
+    a = rng.normal(size=(nd, nd))
+    g = np.eye(nd) + a @ a.T / nd
+    real_eigsh = scipy.sparse.linalg.eigsh
+
+    def start_vector_lanczos(*args, return_eigenvectors=True, **kwargs):
+        if not return_eigenvectors:
+            return real_eigsh(*args, return_eigenvectors=False, **kwargs)
+        v0 = kwargs["v0"]
+        return np.array([v0 @ m @ v0 / (v0 @ g @ v0)]), v0[:, None].copy()
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", start_vector_lanczos)
+    return sp.csr_matrix(m), sp.csr_matrix(g), None
+
+
+@pytest.mark.parametrize("pencil, below_trial, most", [
+    (lambda patch: _diagonal_pencil() + (None,), 0, 1),
+    (lambda patch: _korn_pencil(16), 7, 1),
+    (_bisecting_pencil, 10, 2),
+], ids=["nu-0", "korn-16", "bisection"])
+def test_coercivity_keeps_one_factorization_alive(monkeypatch, pencil, below_trial, most):
+    # every factorization is dropped once no later step reads it: one at a
+    # time with nu = 0 and 1 <= nu <= 9, and on the bisection branch lo's
+    # beside the midpoint's; none outlives the call
+    M, G, order = pencil(monkeypatch)
+    live, peaks = weakref.WeakSet(), []
+
+    class TrackedLU(fem.SparseLU):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            live.add(self)
+            peaks.append(len(live))
+
+    monkeypatch.setattr(fem, "SparseLU", TrackedLU)
+    below = _counting_splu(monkeypatch)
+    fem.coercivity_constant(M, G, order)
+    first = below.index(0)
+    assert below[first + 1] == below_trial
+    assert max(peaks) == most and len(live) == 0
+    if most == 1:
+        assert len(peaks) == first + 3
 
 
 def test_coercivity_unconfirmed_eigenvalue_below_the_trial_shift_raises(monkeypatch):

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -358,6 +360,32 @@ def test_taylor_draws_match_per_sample_loop_bytes(n, seed, delta, epsilon, npoin
     for i, got in enumerate((draws.X, draws.F, draws.G, draws.K)):
         assert len(got) == nsamples
         assert got.tobytes() == np.array([sample[i] for sample in loop]).tobytes()
+
+
+@pytest.mark.parametrize("npoints", [1, 16])
+@pytest.mark.parametrize("n", [2, 3])
+def test_taylor_draws_pick_a_coordinate_only_among_several(monkeypatch, n, npoints):
+    # integers(1) draws nothing from the stream, so the draws over one
+    # coordinate skip it and stay the per-sample loop's bytes, as the
+    # draws over 16 coordinates do with it
+    coords = np.random.default_rng(npoints).uniform(-1, 1, (npoints, n))
+    picks = []
+
+    def counting_rng(seed):
+        rng = _DEFAULT_RNG(seed)
+        return types.SimpleNamespace(
+            standard_normal=rng.standard_normal, random=rng.random,
+            integers=lambda high: picks.append(high) or rng.integers(high))
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    draws = taylor_draws(n, 0.3, 0.1, 200, 11, coords=coords)
+    monkeypatch.undo()
+    assert picks == ([] if npoints == 1 else [npoints] * 200)
+    loop = list(taylor_draws_loop(n, 0.3, 0.1, 200, 11, coords))
+    for i, got in enumerate((draws.X, draws.F, draws.G, draws.K)):
+        assert got.tobytes() == np.array([sample[i] for sample in loop]).tobytes()
+    if npoints > 1:
+        assert len(np.unique(draws.X, axis=0)) > 1
 
 
 _DEFAULT_RNG = np.random.default_rng
