@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fem, harmonic, material, rigidity, tensor_core
+from . import fem, harmonic, material, tensor_core
 from .errors import (
     AssertionViolated,
     HypothesisUnmet,
@@ -65,6 +65,10 @@ RHO = 0.25
 EPSILON = 0.25
 # the bound on |F^T F - I| of the small-strain set
 STRAIN_DELTA = 0.2
+# the small-strain prerequisites: the largest |S(I)|, and the largest
+# |A(I)[K]| over the skew basis relative to the elasticity floor
+_STRESS_FREE_TOL = 1e-8
+_SKEW_TOL = 1e-12
 _RADIUS_CAP = 1e6
 _TRANSFER_CAP = 1e6
 
@@ -281,10 +285,16 @@ class Candidate:
     cell field (grad), the cell field grad v - grad u_e (difference), its
     BMO seminorm (bmo), the norm of the mean gradient of v - u_e
     (mean_gap) and int |grad (v - u_e)|^2 (l2_gap_sq).  Each is taken when
-    first read and then kept."""
+    first read and then kept.  A v off the Dirichlet data of u_e is no
+    admissible candidate and raises HypothesisUnmet."""
 
     v: fem.FeField
     inputs: CertInputs
+
+    def __post_init__(self):
+        d = self.inputs.problem.mesh.dirichlet_nodes
+        if len(d) and np.max(np.abs(self.inputs.u_e.values[d] - self.v.values[d])) > 1e-12:
+            raise HypothesisUnmet("the candidate is off the Dirichlet data of u_e")
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -395,9 +405,6 @@ def direction_positivity_transfer(c: Candidate) -> TransferReport:
     """
     v, inputs = c.v, c.inputs
     m, mesh, u = inputs.problem.material, inputs.problem.mesh, inputs.u_e
-    d = mesh.dirichlet_nodes
-    if len(d) and np.max(np.abs(u.values[d] - v.values[d])) > 1e-12:
-        raise HypothesisUnmet("transfer direction does not vanish on the Dirichlet part")
     lam, k_hat = inputs.lambda_min, inputs.k_hat
     if lam <= 0.0:
         raise HypothesisUnmet(f"second variation at u is not coercive ({lam:g})")
@@ -522,11 +529,6 @@ def bmo_gate_certificate(candidates, inputs: CertInputs) -> Certificate:
     )
 
 
-# the rigidity fit and boundary closeness entries of a small-strain candidate
-_FIT_KEYS = ("C_emp", "M_emp", "bmo_seminorm", "dist_sup")
-_CLOSENESS_KEYS = ("p", "lhs", "rhs", "A_emp", "lhs_l1", "rhs_l1", "A_emp_l1")
-
-
 def _strain_sup(F) -> float:
     """The sup over the quadrature points of |F^T F - I| for a gradient
     stack F."""
@@ -540,25 +542,31 @@ def small_strain_uniqueness(candidates, inputs: CertInputs) -> Certificate:
     locally unique small-strain minimizer among the supplied candidates,
     at desk scale.
 
-    Prerequisites: the material is stress-free at the identity with a
-    uniformly positive elasticity floor there, and the strain of u_e
-    stays inside the small-strain set |F^T F - I| < STRAIN_DELTA
-    (certification_inputs has checked that u_e is an equilibrium).  Each
-    candidate is then filtered by the same strain bound and passed through
-    the rotation-fit diagnostics, the boundary rotation comparison at
-    p = n + 1, and the energy gate.
+    The route is F. John's: a uniformly positive second variation at a
+    stress-free reference implies a strict local minimum, and that
+    excludes a second equilibrium nearby.  Prerequisites, each raising
+    PrerequisiteFailed: the material is stress-free at the identity,
+    A(I) annihilates the skew directions (so that the symmetric
+    eigenvalue of material.identity_floor is the exact elasticity floor),
+    that floor is positive, and the strain of u_e stays inside the
+    small-strain set |F^T F - I| < STRAIN_DELTA (certification_inputs has
+    checked that u_e is an equilibrium).  Each candidate is then filtered
+    by the same strain bound and passed through the energy gate.
     """
-    problem, u_e = inputs.problem, inputs.u_e
-    m, mesh = problem.material, problem.mesh
-    con = material.check_constitutive(m, n=mesh.dim, seed=inputs.seed)
-    if con.stress_free_err > 1e-8:
+    problem = inputs.problem
+    free_err, floor, skew_err = material.identity_floor(problem.material, problem.mesh.dim)
+    if free_err > _STRESS_FREE_TOL:
         raise PrerequisiteFailed(
-            f"stress-free reference fails: |S(x, I)| = {con.stress_free_err:.3e}"
+            f"stress-free reference fails: |S(x, I)| = {free_err:.3e}"
         )
-    if con.shear_floor <= 0.0 or con.sigma_floor <= 0.0:
+    if floor <= 0.0:
         raise PrerequisiteFailed(
-            "uniformly positive elasticity at the identity fails: floors "
-            f"({con.shear_floor:g}, {con.sigma_floor:g})"
+            f"uniformly positive elasticity at the identity fails: floor {floor:g}"
+        )
+    if skew_err > _SKEW_TOL * floor:
+        raise PrerequisiteFailed(
+            f"A(I) does not annihilate the skew directions: |A(I)[K]| = {skew_err:.3e} "
+            f"against the floor {floor:g}, so the symmetric eigenvalue bounds nothing"
         )
     strain_e = _strain_sup(inputs.deformation_gradients)
     if strain_e >= STRAIN_DELTA:
@@ -568,37 +576,25 @@ def small_strain_uniqueness(candidates, inputs: CertInputs) -> Certificate:
         )
     measurements = {
         "second_variation_positive": measure(inputs.lambda_min, 0.0, inputs.lambda_min > 0.0),
-        "stress_free": measure(con.stress_free_err, 1e-8, True),
-        "elasticity_floor": measure(min(con.shear_floor, con.sigma_floor), 0.0, True),
+        "stress_free": measure(free_err, _STRESS_FREE_TOL, True),
+        "elasticity_floor": measure(floor, 0.0, True),
         "strain_bound_reference": measure(strain_e, STRAIN_DELTA, True),
     }
     entries = []
     for idx, v in enumerate(candidates):
-        cid = f"candidate-{idx:03d}"
         c = Candidate(v, inputs)
         strain_v = _strain_sup(c.F)
         entry = {
-            "id": cid,
+            "id": f"candidate-{idx:03d}",
             "strain_sup": float(strain_v),
             "strain_bound": STRAIN_DELTA,
         }
         if strain_v >= STRAIN_DELTA:
             entry["outcome"] = "inapplicable"
             entry["reason"] = "candidate strain bound"
-            entries.append(entry)
-            continue
-        fit = rigidity.rigidity_fit(c.grad)
-        bc = rigidity.boundary_rotation_closeness(u_e, v, mesh)
-        gate = local_min_gate(c)
-        entry.update(
-            {
-                "outcome": gate.outcome,
-                "gate": gate.to_dict(),
-                "energy_excess": gate.energy_gap,
-                "rigidity": {k: getattr(fit, k) for k in _FIT_KEYS},
-                "boundary_closeness": {k: getattr(bc, k) for k in _CLOSENESS_KEYS},
-            }
-        )
+        else:
+            gate = local_min_gate(c)
+            entry.update(outcome=gate.outcome, gate=gate.to_dict(), energy_excess=gate.energy_gap)
         entries.append(entry)
     outcome = fold_outcomes(
         ["pass" if inputs.lambda_min > 0 else "fail"]

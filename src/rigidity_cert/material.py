@@ -1,4 +1,5 @@
-"""Stored-energy models and their derivative checks.
+"""Stored-energy models, their moduli at the identity, and their sampled
+Taylor constants.
 
 A material evaluates, at a spatial point x and deformation gradient F with
 det F > 0:
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckFailed, DimensionMismatch, OutsideDomain, SetEscapesDomain
-from .tensor_core import frob, frob_many, random_rotation, rotations
+from .tensor_core import frob, frob_many, rotations
 
 __all__ = [
     "Material",
@@ -28,8 +29,7 @@ __all__ = [
     "stvk",
     "neo_hookean",
     "quadratic_toy",
-    "check_constitutive",
-    "ConstitutiveReport",
+    "identity_floor",
     "TaylorConstants",
     "TaylorDraws",
     "taylor_draws",
@@ -55,8 +55,6 @@ class Material:
     """Base interface; concrete models fill in the batched evaluators."""
 
     name = "material"
-    frame_indifferent = True
-    has_sigma_form = False
 
     def __init__(self, lam, mu):
         self.lam = float(lam)
@@ -80,13 +78,6 @@ class Material:
 
     def elasticity_many(self, coords, F):
         """Stacked fourth-order tensors A[i, a, j, b] = dS_ia / dF_jb."""
-        raise NotImplementedError
-
-    # optional representation through sigma(C) with S = 2 F Dsigma(C)
-    def dsigma_many(self, coords, C):
-        raise NotImplementedError
-
-    def d2sigma_apply_many(self, coords, C, B):
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -121,7 +112,6 @@ class StVenantKirchhoff(Material):
     """
 
     name = "stvk"
-    has_sigma_form = True
 
     @staticmethod
     def _strain(Fp):
@@ -179,30 +169,11 @@ class StVenantKirchhoff(Material):
                       + eye[None, :, None, :, None] * B[:, None, :, None])
         return _stacked(A)
 
-    def dsigma_many(self, coords, C):
-        coords, C = _check_batch(coords, C)
-        lam, mu = self._moduli(C.shape[0])
-        n = C.shape[1]
-        trC = np.trace(C, axis1=1, axis2=2)
-        return (
-            0.25 * lam[:, None, None] * (trC - n)[:, None, None] * np.eye(n)
-            + 0.5 * mu[:, None, None] * (C - np.eye(n))
-        )
-
-    def d2sigma_apply_many(self, coords, C, B):
-        coords, C = _check_batch(coords, C)
-        lam, mu = self._moduli(C.shape[0])
-        trB = np.trace(B, axis1=1, axis2=2)
-        return 0.25 * lam[:, None, None] * trB[:, None, None] * np.eye(C.shape[1]) + 0.5 * mu[
-            :, None, None
-        ] * B
-
 
 class NeoHookean(Material):
     """W = mu/2 (tr C - n) - mu log J + lam/2 (log J)^2, J = det F."""
 
     name = "neo-hookean"
-    has_sigma_form = True
 
     @staticmethod
     def _logdet(F):
@@ -240,30 +211,6 @@ class NeoHookean(Material):
         A = A + lam[:, None, None, None, None] * np.einsum("kia,kjb->kiajb", Fit, Fit)
         return A
 
-    def dsigma_many(self, coords, C):
-        coords, C = _check_batch(coords, C)
-        lam, mu = self._moduli(C.shape[0])
-        detC = np.linalg.det(C)
-        if np.any(detC <= 0.0):
-            raise OutsideDomain("neo-hookean: det C <= 0")
-        Cinv = np.linalg.inv(C)
-        n = C.shape[1]
-        return 0.5 * mu[:, None, None] * (np.eye(n) - Cinv) + 0.25 * (
-            lam * np.log(detC)
-        )[:, None, None] * Cinv
-
-    def d2sigma_apply_many(self, coords, C, B):
-        coords, C = _check_batch(coords, C)
-        lam, mu = self._moduli(C.shape[0])
-        detC = np.linalg.det(C)
-        Cinv = np.linalg.inv(C)
-        CBC = np.einsum("kip,kpq,kqj->kij", Cinv, B, Cinv)
-        trCB = np.einsum("kpq,kqp->k", Cinv, B)
-        return (
-            0.5 * mu[:, None, None] * CBC
-            + 0.25 * lam[:, None, None] * (trCB[:, None, None] * Cinv - np.log(detC)[:, None, None] * CBC)
-        )
-
 
 class CustomMaterial(Material):
     """User-supplied energy with optional closed-form derivatives.
@@ -273,16 +220,12 @@ class CustomMaterial(Material):
     descriptor reports lambda and mu as 0.0.
     """
 
-    has_sigma_form = False
-
-    def __init__(self, name, energy_fn, stress_fn=None, elasticity_fn=None,
-                 frame_indifferent=False):
+    def __init__(self, name, energy_fn, stress_fn=None, elasticity_fn=None):
         super().__init__(0.0, 0.0)
         self.name = name
         self._energy_fn = energy_fn
         self._stress_fn = stress_fn
         self._elasticity_fn = elasticity_fn
-        self.frame_indifferent = frame_indifferent
 
     def energy_many(self, coords, F):
         coords, F = _check_batch(coords, F)
@@ -352,7 +295,7 @@ def quadratic_toy() -> CustomMaterial:
     return CustomMaterial("quadratic-toy", energy, stress_fn, elasticity_fn)
 
 
-# ------------------------------------------------------------- self checks
+# ------------------------------------------------------ moduli at the identity
 
 def sym_basis(n):
     """Frobenius-orthonormal basis of symmetric n x n matrices."""
@@ -380,124 +323,27 @@ def _skew_basis(n):
     return basis
 
 
-@dataclass(frozen=True)
-class ConstitutiveReport:
-    frame_indifference_err: float
-    sigma_stress_err: float
-    sigma_split_err: float
-    stress_free_err: float
-    shear_floor: float           # best c with A(I)[H]:H >= c |H + H^T|^2
-    sigma_floor: float           # best c with B:D2sigma(I)[B] >= c |B|^2
-    skew_annihilation_err: float
+def identity_floor(m: Material, n: int):
+    """The reference moduli of m at F = I, as the small-strain certificate
+    reads them: (|S(I)|, floor, skew_err).
 
-
-def _positivity_floors(m, n, coords_one, rng):
-    """Exact symmetric-space eigenvalue plus a random cross-check."""
+    floor is the least eigenvalue of A(I) on the orthonormal basis
+    sym_basis(n), over 4, and skew_err the largest |A(I)[K]| over an
+    orthonormal basis of skew K.  A(I) is symmetric, as a second
+    derivative, so when it annihilates the skew directions
+    A(I)[H]:H = A(I)[sym H]:sym H and |H + H^T|^2 =
+    4 |sym H|^2, so floor is exactly the best c with
+    A(I)[H]:H >= c |H + H^T|^2 for all H.
+    """
+    coords_one = np.zeros((1, n))
     I = np.eye(n)[None]
+    free_err = frob(m.stress_many(coords_one, I)[0])
     A = m.elasticity_many(coords_one, I)[0]
     basis = sym_basis(n)
     Q = np.array([[np.sum(bi * np.einsum("iajb,jb->ia", A, bj)) for bj in basis] for bi in basis])
-    c_sym = float(np.linalg.eigvalsh(0.5 * (Q + Q.T)).min()) / 4.0
-    floor = c_sym
-    for _ in range(200):
-        H = rng.normal(size=(n, n))
-        HS = H + H.T
-        den = float(np.sum(HS * HS))
-        if den < 1e-12:
-            continue
-        num = float(np.sum(H * np.einsum("iajb,jb->ia", A, H)))
-        floor = min(floor, num / den)
-    skew_err = max(
-        frob(np.einsum("iajb,jb->ia", A, K)) for K in _skew_basis(n)
-    )
-    return floor, c_sym, skew_err
-
-
-def check_constitutive(m: Material, n=2, seed=0) -> ConstitutiveReport:
-    """Spot check the structural constitutive properties on 50 random states.
-
-    Covers frame indifference of W, the stress and elasticity split through
-    sigma(C) (closed form when the model has one, finite differences
-    otherwise), the stress-free reference, and the positivity floors of the
-    elasticity at the identity.
-    """
-    rng = np.random.default_rng(seed)
-    coords_one = np.zeros((1, n))
-    fi_err = 0.0
-    sig_s_err = 0.0
-    sig_a_err = 0.0
-
-    for _ in range(50):
-        s = rng.uniform(0.4, 2.2, size=n)
-        F = random_rotation(rng, n) @ np.diag(s) @ random_rotation(rng, n)
-        W = float(m.energy_many(coords_one, F[None])[0])
-        if m.frame_indifferent:
-            Q = random_rotation(rng, n)
-            WQ = float(m.energy_many(coords_one, (Q @ F)[None])[0])
-            fi_err = max(fi_err, abs(WQ - W) / (1.0 + abs(W)))
-        S = m.stress_many(coords_one, F[None])[0]
-        H = rng.normal(size=(n, n))
-        A_H = np.einsum("iajb,jb->ia", m.elasticity_many(coords_one, F[None])[0], H)
-        C = F.T @ F
-        B = H.T @ F + F.T @ H
-        if m.has_sigma_form:
-            Ds = m.dsigma_many(coords_one, C[None])[0]
-            D2B = m.d2sigma_apply_many(coords_one, C[None], B[None])[0]
-        else:
-            h = 1e-6 * (1.0 + frob(C))
-
-            def sigma(Cm):
-                ww, VV = np.linalg.eigh(0.5 * (Cm + Cm.T))
-                U = (VV * np.sqrt(np.clip(ww, 1e-12, None))) @ VV.T
-                return float(m.energy_many(coords_one, U[None])[0])
-
-            Ds = np.zeros((n, n))
-            for i in range(n):
-                for j in range(n):
-                    Cp, Cm_ = C.copy(), C.copy()
-                    Cp[i, j] += h
-                    Cm_[i, j] -= h
-                    Ds[i, j] = (sigma(Cp) - sigma(Cm_)) / (2 * h)
-            Ds = 0.5 * (Ds + Ds.T)
-            D2B = None
-        scale = 1.0 + frob(S)
-        sig_s_err = max(sig_s_err, frob(S - 2.0 * F @ Ds) / scale)
-        if D2B is not None:
-            lhs = float(np.sum(H * A_H))
-            rhs = float(np.sum(B * D2B)) + 2.0 * float(np.sum(Ds * (H.T @ H)))
-            sig_a_err = max(sig_a_err, abs(lhs - rhs) / (1.0 + abs(lhs)))
-
-    I = np.eye(n)
-    free_err = frob(m.stress_many(coords_one, I[None])[0])
-    floor, c_sym, skew_err = _positivity_floors(m, n, coords_one, rng)
-
-    # sigma-level floor: with a stress-free reference the elasticity at I
-    # restricted to symmetric directions is 4 D2sigma(I), so the two floors
-    # coincide; use the closed form when present as a cross-check
-    if m.has_sigma_form:
-        basis = sym_basis(n)
-        Qs = np.array(
-            [
-                [
-                    float(np.sum(bi * m.d2sigma_apply_many(coords_one, I[None], bj[None])[0]))
-                    for bj in basis
-                ]
-                for bi in basis
-            ]
-        )
-        sigma_floor = float(np.linalg.eigvalsh(0.5 * (Qs + Qs.T)).min())
-    else:
-        sigma_floor = c_sym
-
-    return ConstitutiveReport(
-        frame_indifference_err=fi_err,
-        sigma_stress_err=sig_s_err,
-        sigma_split_err=sig_a_err,
-        stress_free_err=free_err,
-        shear_floor=floor,
-        sigma_floor=sigma_floor,
-        skew_annihilation_err=skew_err,
-    )
+    floor = float(np.linalg.eigvalsh(0.5 * (Q + Q.T)).min()) / 4.0
+    skew_err = max(frob(np.einsum("iajb,jb->ia", A, K)) for K in _skew_basis(n))
+    return free_err, floor, skew_err
 
 
 # --------------------------------------------------------- Taylor constants

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import certify, fem, material, tensor_core
 from .errors import (
+    AssertionViolated,
     DegenerateNormal,
     DeterminantViolation,
     DimensionMismatch,
@@ -279,7 +280,6 @@ class FrozenPointMaterial(_ChainRule):
         if det <= 0.0:
             raise DeterminantViolation(f"det F = {det:g} <= 0 at the pushforward point")
         super().__init__(base, np.asarray(x, dtype=float)[None], F[None], np.array([det]))
-        self.frame_indifferent = getattr(base, "frame_indifferent", False)
 
 
 def pushforward_loads(loads: fem.LoadSet, cfg: DeformedConfig) -> fem.LoadSet:
@@ -453,7 +453,10 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
     reference-side gate.  The deformed constants are measured with the
     same settings, and at a residual tolerance widened by the reference
     residual; a deformed coercivity constant at or below 0 fails the
-    certificate, whatever the candidates.
+    certificate, whatever the candidates.  A transported equilibrium
+    whose gradient is off the identity by more than 1e-10, or a
+    candidate at which the proved strain/distance sandwich fails, raises
+    AssertionViolated.
     """
     problem, u_e = inputs.problem, inputs.u_e
     m, mesh, loads = problem.material, problem.mesh, problem.loads
@@ -472,9 +475,15 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
         taylor=_point_taylor,
         residual_tol=max(certify.RESIDUAL_TOL, 10 * inputs.residual + 1e-12),
     )
+    # u_e transported to the deformed mesh is the identity there, unless
+    # the pushforward is broken
     ident_dev = float(np.max(np.abs(inputs_def.deformation_gradients - np.eye(mesh.dim))))
+    if ident_dev > 1e-10:
+        raise AssertionViolated(
+            f"the transported equilibrium is not the identity: |grad u_e - I| = {ident_dev:.3e}"
+        )
     measurements = {
-        "identity_gradient_dev": certify.measure(ident_dev, 1e-10, ident_dev <= 1e-10),
+        "identity_gradient_dev": certify.measure(ident_dev, 1e-10, True),
         "second_variation_positive_ref": certify.measure(
             inputs.lambda_min, 0.0, inputs.lambda_min > 0.0),
         "second_variation_positive_def": certify.measure(
@@ -484,6 +493,11 @@ def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
     for idx, v in enumerate(candidates):
         cid = f"candidate-{idx:03d}"
         sd = strain_diff_to_dist(v, cfg)
+        if not sd.all_ok:
+            raise AssertionViolated(
+                f"the proved strain/distance sandwich fails at {int((~sd.bounds_ok).sum())} "
+                f"quadrature points of {cid}"
+            )
         strain_sup = float(sd.strain_diff.max())
         entry = {
             "id": cid,

@@ -4,7 +4,8 @@ Given a lattice cell field of gradients, these routines fit the single
 best rotation, measure how far the field is from that rotation relative
 to its pointwise distance to the rotation group, relate the BMO seminorm
 of the gradient to the sup of that distance, and compute discrete Korn
-constants.
+constants.  The rotation fits serve the diagnostics-rigidity sweeps; no
+certificate reads them.
 
 All reported constants are measurements on the discrete field at hand,
 not certified bounds.
@@ -17,14 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, harmonic, tensor_core
-from .errors import BoundaryMismatch, DegenerateMean, DimensionMismatch
+from .errors import DegenerateMean, DimensionMismatch
 
 __all__ = [
     "RigidityReport",
-    "BoundaryClosenessReport",
     "best_rotation",
     "rigidity_fit",
-    "boundary_rotation_closeness",
     "korn_constant",
 ]
 
@@ -108,69 +107,6 @@ def rigidity_fit(grad_field: harmonic.GridField) -> RigidityReport:
         bmo_seminorm=bmo,
         dist_sup=dist_sup,
         M_emp=_plain_ratio(bmo, dist_sup),
-        p=p,
-    )
-
-
-@dataclass(frozen=True)
-class BoundaryClosenessReport:
-    """Rotation and field closeness of two maps sharing Dirichlet data.
-
-    lhs / rhs / A_emp: Frobenius gap of the two fitted rotations against
-    the sum of the fields' p-mean deviations from their own rotations.
-    lhs_l1 / rhs_l1 / A_emp_l1: mean gradient difference against the sum
-    of the p-mean pointwise rotation distances.
-    """
-
-    R1: np.ndarray
-    R2: np.ndarray
-    lhs: float
-    rhs: float
-    A_emp: float
-    lhs_l1: float
-    rhs_l1: float
-    A_emp_l1: float
-    p: float
-
-
-def boundary_rotation_closeness(u1, u2, mesh) -> BoundaryClosenessReport:
-    """Compare the fitted rotations of two deformations that agree on the
-    Dirichlet part of the boundary, in p-means at p = n + 1.
-
-    p is above the space dimension n, the continuity-embedding hypothesis
-    behind rotation comparison through shared boundary data.
-    """
-    p = float(mesh.dim + 1)
-    d = mesh.dirichlet_nodes
-    gap = np.max(np.abs(u1.values[d] - u2.values[d])) if len(d) else 0.0
-    if gap > 1e-12:
-        raise BoundaryMismatch(f"fields differ on the Dirichlet nodes by {gap:.3e}")
-    g1 = fem.gradient_field(mesh, u1)
-    g2 = fem.gradient_field(mesh, u2)
-    c1, c2 = _cell_matrices(g1), _cell_matrices(g2)
-    R1, R2 = best_rotation(g1), best_rotation(g2)
-
-    def pnorm(stack_norms):
-        return float(np.mean(stack_norms**p) ** (1.0 / p))
-
-    dev1 = np.linalg.norm((c1 - R1).reshape(len(c1), -1), axis=1)
-    dev2 = np.linalg.norm((c2 - R2).reshape(len(c2), -1), axis=1)
-    lhs = float(np.linalg.norm(R1 - R2))
-    rhs = pnorm(dev1) + pnorm(dev2)
-    diff = np.linalg.norm((c1 - c2).reshape(len(c1), -1), axis=1)
-    d1 = tensor_core.dist_to_rotations_many(c1)
-    d2 = tensor_core.dist_to_rotations_many(c2)
-    lhs_l1 = float(np.mean(diff))
-    rhs_l1 = pnorm(d1) + pnorm(d2)
-    return BoundaryClosenessReport(
-        R1=R1,
-        R2=R2,
-        lhs=lhs,
-        rhs=rhs,
-        A_emp=_plain_ratio(lhs, rhs),
-        lhs_l1=lhs_l1,
-        rhs_l1=rhs_l1,
-        A_emp_l1=_plain_ratio(lhs_l1, rhs_l1),
         p=p,
     )
 

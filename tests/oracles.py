@@ -270,6 +270,56 @@ def fd_matrix_derivative(f, F, h):
     return out
 
 
+# ----------------------------------- sigma(C) forms, frame indifference
+#
+# A frame-indifferent W(F) is sigma(C) of C = F^T F, with S = 2 F Dsigma(C)
+# and A(F)[H]:H = B:D2sigma(C)[B] + 2 Dsigma(C):(H^T H) for B = H^T F +
+# F^T H.  The closed forms of St. Venant-Kirchhoff and neo-Hookean, at one
+# C, by the model's name and moduli.
+
+def dsigma(m, C):
+    """Dsigma(C) of a St. Venant-Kirchhoff or neo-Hookean material m."""
+    n = C.shape[0]
+    eye = np.eye(n)
+    if m.name == "stvk":
+        return 0.25 * m.lam * (np.trace(C) - n) * eye + 0.5 * m.mu * (C - eye)
+    if m.name == "neo-hookean":
+        Cinv = np.linalg.inv(C)
+        return 0.5 * m.mu * (eye - Cinv) + 0.25 * m.lam * math.log(np.linalg.det(C)) * Cinv
+    raise ValueError(f"no sigma form for {m.name}")
+
+
+def d2sigma_apply(m, C, B):
+    """D2sigma(C)[B] of a St. Venant-Kirchhoff or neo-Hookean material m."""
+    if m.name == "stvk":
+        return 0.25 * m.lam * np.trace(B) * np.eye(C.shape[0]) + 0.5 * m.mu * B
+    if m.name == "neo-hookean":
+        Cinv = np.linalg.inv(C)
+        CBC = Cinv @ B @ Cinv
+        return (0.5 * m.mu * CBC
+                + 0.25 * m.lam * (np.trace(Cinv @ B) * Cinv - math.log(np.linalg.det(C)) * CBC))
+    raise ValueError(f"no sigma form for {m.name}")
+
+
+def frame_indifferent(m, n, rng, count=20):
+    """Whether W(Q F) = W(F), to 1e-12 relative, for count random pairs of
+    a rotation Q and a gradient F = R1 diag(s) R2 with s in [0.4, 2.2]."""
+    def rotation():
+        Q, R = np.linalg.qr(rng.normal(size=(n, n)))
+        Q = Q * np.sign(np.diag(R))
+        return Q if np.linalg.det(Q) > 0 else Q @ np.diag([-1.0] + [1.0] * (n - 1))
+
+    def energy(F):
+        return float(m.energy_many(None, F[None])[0])
+
+    for _ in range(count):
+        F = rotation() @ np.diag(rng.uniform(0.4, 2.2, size=n)) @ rotation()
+        W = energy(F)
+        if abs(energy(rotation() @ F) - W) > 1e-12 * (1.0 + abs(W)):
+            return False
+    return True
+
+
 # ------------------------------------------- einsum quadrature kernels
 #
 # The einsums that St. Venant-Kirchhoff and the Q1 assembly were written

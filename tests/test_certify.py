@@ -280,6 +280,23 @@ def test_transfer_dirichlet_hypothesis(stretch):
         certify.direction_positivity_transfer(certify.Candidate(v, inputs))
 
 
+def test_candidate_off_the_dirichlet_data_is_refused(stretch):
+    # one check in Candidate, before any certificate measures the candidate:
+    # a translation by 1e-6 keeps every strain and every gradient gap at 0,
+    # and the gate would pass it
+    problem, u_e, inputs = stretch
+    v = u_e.copy()
+    v.values = v.values + np.array([1e-6, 0.0])
+    with pytest.raises(errors.HypothesisUnmet, match="off the Dirichlet data"):
+        certify.Candidate(v, inputs)
+    for certificate in (certify.bmo_gate_certificate, certify.small_strain_uniqueness):
+        with pytest.raises(errors.HypothesisUnmet, match="off the Dirichlet data"):
+            certificate([u_e, v], inputs)
+    # off by no more than 1e-12 is on the data
+    v.values = u_e.values + 1e-13
+    assert certify.Candidate(v, inputs).mean_gap <= 1e-12
+
+
 def test_transfer_reuses_measured_coercivity(stretch, monkeypatch):
     problem, u_e, inputs = stretch
 
@@ -318,6 +335,41 @@ def test_small_strain_certificate(stretch):
     assert d["schema_version"] == 1
     assert d["scope"] == "discrete, desk-scale"
     assert d["constants"]["delta_star"] == inputs.delta_star
+
+
+def test_small_strain_entries_carry_the_verdict_and_its_measurements_only(stretch):
+    problem, u_e, inputs = stretch
+    huge = u_e.copy()
+    huge.values = huge.values @ np.diag([1.6, 1.0]).T
+    huge.values[problem.mesh.dirichlet_nodes] = u_e.values[problem.mesh.dirichlet_nodes]
+    cert = certify.small_strain_uniqueness([u_e, huge], inputs=inputs)
+    common = {"id", "strain_sup", "strain_bound", "outcome"}
+    assert set(cert.candidates[0]) == common | {"gate", "energy_excess"}
+    assert set(cert.candidates[1]) == common | {"reason"}
+
+
+def test_small_strain_refuses_a_material_that_does_not_annihilate_skew_directions():
+    # |F - I|^2 / 2 is stress-free with a positive symmetric floor 1/4, and
+    # its second variation is the gradient Gram matrix, but A(I) = id moves
+    # skew directions, so that floor bounds nothing
+    m = material.quadratic_toy()
+    mesh = fem.rectangle_mesh(4, 4)
+    loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)
+    inputs = certify.certification_inputs(certify.Problem("toy", m, mesh, loads),
+                                          fem.FeField.identity(mesh), taylor_samples=50)
+    assert inputs.lambda_min > 0.0
+    with pytest.raises(errors.PrerequisiteFailed, match="skew directions"):
+        certify.small_strain_uniqueness([], inputs=inputs)
+
+
+def test_small_strain_refuses_a_material_with_no_positive_floor(stretch):
+    # StVK with mu = 0 has A(I)[H]:H = lam (tr H)^2, which vanishes on the
+    # traceless symmetric H: floor min(mu/2, (n lam + 2 mu)/4) = 0
+    problem, u_e, inputs = stretch
+    soft = dataclasses.replace(inputs, problem=dataclasses.replace(
+        problem, material=material.stvk(1.0, 0.0)))
+    with pytest.raises(errors.PrerequisiteFailed, match="uniformly positive elasticity"):
+        certify.small_strain_uniqueness([], inputs=soft)
 
 
 def test_certificate_all_pass_outcome(stretch):

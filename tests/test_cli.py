@@ -1443,21 +1443,20 @@ def test_small_strain_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypat
     # (quadrature stacks, cell fields, BMO seminorms of grad v - grad u_e,
     # quadrature stacks of w = v - u_e)
     ("certify-bmo-gate", "", 2, {"pass": (3, 1, 1, 2)}),
-    ("certify-small-strain", "", 2, {"pass": (2, 2, 1, 2)}),
+    ("certify-small-strain", "", 2, {"pass": (2, 1, 1, 2)}),
     ("certify-small-strain", "certify.frac = 36", 3,
-     {"inapplicable": (1, 2, 1, 1), "rejected": (1, 0, 0, 0)}),
+     {"inapplicable": (1, 1, 1, 1), "rejected": (1, 0, 0, 0)}),
     ("certify-strain-diff", "certify.strain_eps = 0.0018", 3,
      {"pass": (3, 1, 1, 2), "rejected": (1, 0, 0, 0)}),
 ])
 def test_each_candidate_takes_grad_v_a_fixed_number_of_times(tmp_path, monkeypatch, pipeline,
                                                              extra, candidates, takes):
     # one certify.Candidate per candidate and mesh: the strain filter, the
-    # rigidity fit, the gate and the transfer share its grad v, and a
-    # candidate that the strain filter rejects takes no cell field and no
-    # BMO seminorm.  The mean gap and |grad w|^2, which the gate and the
-    # transfer share, take the stack of w.  What stays: the gate's energy and the transfer's
-    # tangent take the stack, boundary_rotation_closeness the cell field,
-    # and strain_diff_to_dist the stack
+    # gate and the transfer share its grad v, and a candidate that the
+    # strain filter rejects takes no cell field and no BMO seminorm.  The
+    # mean gap and |grad w|^2, which the gate and the transfer share, take
+    # the stack of w.  What stays: the gate's energy and the transfer's
+    # tangent take the stack, and strain_diff_to_dist the stack
     from rigidity_cert import certify, fem, harmonic
 
     def state_key(mesh, u):

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from rigidity_cert.errors import OutsideDomain, SetEscapesDomain
 from rigidity_cert.material import (
     CustomMaterial,
-    check_constitutive,
+    identity_floor,
     neo_hookean,
     quadratic_toy,
     stvk,
+    sym_basis,
     taylor_constants,
     taylor_draws,
 )
@@ -19,7 +20,13 @@ from rigidity_cert.pushforward import FrozenPointMaterial
 from rigidity_cert.tensor_core import frob, random_rotation
 
 from conftest import random_gradient
-from oracles import fd_matrix_derivative, taylor_draws_loop
+from oracles import (
+    d2sigma_apply,
+    dsigma,
+    fd_matrix_derivative,
+    frame_indifferent,
+    taylor_draws_loop,
+)
 
 MODELS = [stvk(1.0, 1.0), neo_hookean(1.0, 1.0)]
 
@@ -127,7 +134,7 @@ def test_sigma_representation_of_stress():
         for _ in range(50):
             F = random_gradient(rng, 2, 0.5, 2.0)
             C = F.T @ F
-            Ds = m.dsigma_many(None, C[None])[0]
+            Ds = dsigma(m, C)
             S = _at(m, "stress", F)
             assert frob(S - 2.0 * F @ Ds) <= 1e-10 * (1.0 + frob(S))
 
@@ -142,8 +149,8 @@ def test_sigma_split_of_elasticity():
                 C = F.T @ F
                 B = H.T @ F + F.T @ H
                 lhs = float(np.sum(H * _apply(m, F, H)))
-                Ds = m.dsigma_many(None, C[None])[0]
-                D2B = m.d2sigma_apply_many(None, C[None], B[None])[0]
+                Ds = dsigma(m, C)
+                D2B = d2sigma_apply(m, C, B)
                 rhs = float(np.sum(B * D2B)) + 2.0 * float(np.sum(Ds * (H.T @ H)))
                 assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
@@ -154,35 +161,69 @@ def test_stress_free_reference():
             assert frob(_at(m, "stress", np.eye(n))) <= 1e-14
 
 
-def test_check_constitutive_stvk():
-    rep = check_constitutive(stvk(1.0, 1.0), n=2, seed=0)
-    assert rep.frame_indifference_err <= 1e-12
-    assert rep.stress_free_err <= 1e-10
-    assert rep.shear_floor > 0.0
-    assert rep.stress_free_err <= 1e-14
-    assert rep.sigma_stress_err <= 1e-12
-    assert rep.sigma_split_err <= 1e-12
-    # best constant in A(I)[H]:H >= c |H + H^T|^2 is mu/2
-    assert rep.shear_floor == pytest.approx(0.5, abs=1e-9)
-    assert rep.sigma_floor == pytest.approx(0.5, abs=1e-9)
-    assert rep.skew_annihilation_err <= 1e-13
+def _sigma_floor(m, n):
+    """The least eigenvalue of D2sigma(I) on the symmetric matrices."""
+    basis = sym_basis(n)
+    Q = np.array([[float(np.sum(bi * d2sigma_apply(m, np.eye(n), bj))) for bj in basis]
+                  for bi in basis])
+    return float(np.linalg.eigvalsh(0.5 * (Q + Q.T)).min())
 
 
-def test_check_constitutive_neo_hookean():
-    rep = check_constitutive(neo_hookean(1.0, 1.0), n=2, seed=1)
-    assert rep.frame_indifference_err <= 1e-12
-    assert rep.stress_free_err <= 1e-10
-    assert rep.shear_floor > 0.0
-    assert rep.shear_floor == pytest.approx(0.5, abs=1e-9)
-    assert rep.sigma_floor == pytest.approx(0.5, abs=1e-9)
+def test_identity_floor_stvk():
+    m = stvk(1.0, 1.0)
+    free_err, floor, skew_err = identity_floor(m, 2)
+    assert frame_indifferent(m, 2, np.random.default_rng(0))
+    assert free_err <= 1e-14
+    # best constant in A(I)[H]:H >= c |H + H^T|^2 is mu/2, and with a
+    # stress-free reference A(I) on symmetric directions is 4 D2sigma(I)
+    assert floor == pytest.approx(0.5, abs=1e-9)
+    assert _sigma_floor(m, 2) == pytest.approx(0.5, abs=1e-9)
+    assert skew_err <= 1e-13
 
 
-def test_check_constitutive_3d():
-    rep = check_constitutive(stvk(2.0, 0.75), n=3, seed=2)
-    assert rep.frame_indifference_err <= 1e-12
-    assert rep.stress_free_err <= 1e-10
-    assert rep.shear_floor > 0.0
-    assert rep.shear_floor == pytest.approx(0.375, abs=1e-9)
+def test_identity_floor_neo_hookean():
+    m = neo_hookean(1.0, 1.0)
+    free_err, floor, skew_err = identity_floor(m, 2)
+    assert frame_indifferent(m, 2, np.random.default_rng(1))
+    assert free_err <= 1e-10
+    assert floor == pytest.approx(0.5, abs=1e-9)
+    assert _sigma_floor(m, 2) == pytest.approx(0.5, abs=1e-9)
+    assert skew_err <= 1e-13
+
+
+def test_identity_floor_3d():
+    m = stvk(2.0, 0.75)
+    free_err, floor, skew_err = identity_floor(m, 3)
+    assert frame_indifferent(m, 3, np.random.default_rng(2))
+    assert free_err <= 1e-10
+    assert floor == pytest.approx(0.375, abs=1e-9)
+    assert skew_err <= 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@example(model="stvk", n=2, lam=1.0, mu=1.0)
+@example(model="neo-hookean", n=3, lam=1e-3, mu=50.0)
+@given(model=st.sampled_from(["stvk", "neo-hookean"]), n=st.sampled_from([2, 3]),
+       lam=st.floats(1e-3, 1e3), mu=st.floats(1e-3, 1e3))
+def test_identity_floor_is_the_exact_symmetric_eigenvalue(model, n, lam, mu):
+    # A(I)[H] = lam tr H I + 2 mu sym H: on the symmetric matrices its
+    # eigenvalues are 2 mu (traceless) and n lam + 2 mu (along I), and it
+    # annihilates every skew direction
+    m = stvk(lam, mu) if model == "stvk" else neo_hookean(lam, mu)
+    free_err, floor, skew_err = identity_floor(m, n)
+    expected = min(mu / 2.0, (n * lam + 2.0 * mu) / 4.0)
+    assert floor == pytest.approx(expected, rel=1e-12)
+    assert free_err == 0.0
+    assert skew_err == 0.0
+
+
+def test_identity_floor_sees_a_skew_leak():
+    # |F - I|^2 / 2 has A(I) = id, which maps each skew basis matrix to
+    # itself: a skew error of 1 beside the floor 1/4
+    free_err, floor, skew_err = identity_floor(quadratic_toy(), 2)
+    assert free_err == 0.0
+    assert floor == pytest.approx(0.25, rel=1e-12)
+    assert skew_err == pytest.approx(1.0, rel=1e-12)
 
 
 def test_outside_domain_rejected():
@@ -203,7 +244,8 @@ def test_custom_material_fd_fallbacks():
         E = 0.5 * (F.T @ F - np.eye(F.shape[0]))
         return 0.5 * lam * np.trace(E) ** 2 + mu * float(np.sum(E * E))
 
-    m = CustomMaterial("stvk-by-hand", w, frame_indifferent=True)
+    m = CustomMaterial("stvk-by-hand", w)
+    assert frame_indifferent(m, 2, np.random.default_rng(29))
     rng = np.random.default_rng(23)
     for _ in range(5):
         F = random_gradient(rng, 2, 0.5, 2.0)
@@ -218,7 +260,7 @@ def test_custom_material_fd_fallbacks():
 
 def test_quadratic_toy_shape():
     toy = quadratic_toy()
-    assert not toy.frame_indifferent
+    assert not frame_indifferent(toy, 2, np.random.default_rng(31))
     F = np.array([[1.2, 0.1], [0.0, 0.9]])
     d = F - np.eye(2)
     assert _at(toy, "energy", F) == pytest.approx(0.5 * float(np.sum(d * d)))

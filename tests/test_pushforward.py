@@ -1,5 +1,6 @@
 """Deformed-configuration tests: pushed materials, loads, identities,
 and the strain-difference gate."""
+import dataclasses
 import math
 
 import numpy as np
@@ -487,6 +488,54 @@ def test_certify_strain_fails_a_non_coercive_deformed_configuration(stretch, mon
         assert cert.lambda_min < 0.0
         assert not cert.measurements["second_variation_positive_def"]["pass"]
         assert cert.outcome == "fail"
+
+
+def test_certify_strain_refuses_a_candidate_off_the_dirichlet_data(stretch):
+    # a translation by 1e-6 has strain difference 0, so it passes the
+    # strain filter; both gates used to pass it
+    problem, u_e = stretch
+    inputs = certify.certification_inputs(problem, u_e, taylor_samples=600, seed=0)
+    v = fem.FeField(problem.mesh, u_e.values + np.array([1e-6, 0.0]))
+    assert pushforward.strain_diff_to_dist(
+        v, pushforward.deform_configuration(problem.mesh, u_e)).strain_diff.max() < 1e-12
+    with pytest.raises(errors.HypothesisUnmet, match="off the Dirichlet data"):
+        pushforward.certify_strain_neighborhood([u_e.copy(), v], inputs)
+
+
+def test_certify_strain_raises_on_a_failing_sandwich(stretch, monkeypatch):
+    # an upsilon 1000 times too large breaks the lower bound upsilon^2 d^2
+    # <= sqrt(n) |C_v - C_e| of the gated bump (d about 1e-4): a proved
+    # inequality failing is a bug, never a pass
+    problem, u_e = stretch
+    inputs = certify.certification_inputs(problem, u_e, taylor_samples=600, seed=0)
+    good = _gated_bump(problem, u_e, 0.2)
+    deform = pushforward.deform_configuration
+
+    def broken(mesh, u):
+        cfg = deform(mesh, u)
+        return dataclasses.replace(cfg, upsilon=1000.0 * cfg.upsilon)
+
+    cfg = broken(problem.mesh, u_e)
+    sd = pushforward.strain_diff_to_dist(good, cfg)
+    assert np.any(cfg.upsilon**2 * sd.d**2 > math.sqrt(2.0) * sd.strain_diff + 1e-9)
+    assert pushforward.certify_strain_neighborhood([good], inputs).outcome == "pass"
+    monkeypatch.setattr(pushforward, "deform_configuration", broken)
+    with pytest.raises(errors.AssertionViolated, match="sandwich fails .* candidate-000"):
+        pushforward.certify_strain_neighborhood([good], inputs)
+
+
+def test_certify_strain_raises_when_the_transported_equilibrium_is_not_the_identity(
+        stretch, monkeypatch):
+    # a pushforward whose deformed mesh sits 1e-9 off the images of u_e:
+    # the transported equilibrium is still one, but its gradient is
+    # I / (1 + 1e-9), off the identity by 1e-9 > 1e-10
+    problem, u_e = stretch
+    inputs = certify.certification_inputs(problem, u_e, taylor_samples=600, seed=0)
+    deform = pushforward.deform_configuration
+    monkeypatch.setattr(pushforward, "deform_configuration",
+                        lambda mesh, u: deform(mesh, fem.FeField(mesh, u.values * (1 + 1e-9))))
+    with pytest.raises(errors.AssertionViolated, match="not the identity"):
+        pushforward.certify_strain_neighborhood([], inputs)
 
 
 def test_certify_strain_requires_equilibrium(stretch):

@@ -139,59 +139,6 @@ def test_fit_cemp_stable_under_refinement():
     assert drift < 0.2
 
 
-# ------------------------------------------------- boundary rotation gap
-
-def test_boundary_closeness_identical_fields():
-    mesh = fem.rectangle_mesh(6, 6)
-    u = fem.FeField.from_function(mesh, _perturbed_map(np.random.default_rng(1), 0.02))
-    rep = rigidity.boundary_rotation_closeness(u, u, mesh)
-    assert rep.lhs == 0.0
-    assert rep.lhs_l1 == 0.0
-
-
-def test_boundary_closeness_bump_pair():
-    mesh = fem.rectangle_mesh(8, 8)
-    u1 = fem.FeField.identity(mesh)
-    rng = np.random.default_rng(4)
-    u2 = u1.copy()
-    bump = rng.standard_normal((mesh.nnodes, 2)) * 0.01
-    bump[mesh.dirichlet_nodes] = 0.0
-    u2.values = u2.values + bump
-    rep = rigidity.boundary_rotation_closeness(u1, u2, mesh)
-    assert rep.rhs > 0
-    assert rep.lhs <= rep.A_emp * rep.rhs + 1e-15
-    assert math.isfinite(rep.A_emp_l1)
-
-
-def test_boundary_closeness_no_blowup_for_shrinking_bumps():
-    mesh = fem.rectangle_mesh(8, 8)
-    base = fem.FeField.identity(mesh)
-    rng = np.random.default_rng(12)
-    bump = rng.standard_normal((mesh.nnodes, 2))
-    bump[mesh.dirichlet_nodes] = 0.0
-    ratios = []
-    for k in range(20):
-        eps = 0.02 * (0.7**k)
-        u2 = base.copy()
-        u2.values = u2.values + eps * bump
-        rep = rigidity.boundary_rotation_closeness(base, u2, mesh)
-        ratios.append(rep.A_emp)
-    ratios = np.array(ratios)
-    assert np.all(np.isfinite(ratios))
-    assert ratios.max() <= 10.0 * max(ratios.min(), 1e-6)
-
-
-def test_boundary_closeness_hypothesis_and_mismatch():
-    # the comparison's hypothesis is shared Dirichlet data, at p = n + 1
-    mesh = fem.rectangle_mesh(4, 4)
-    u = fem.FeField.identity(mesh)
-    assert rigidity.boundary_rotation_closeness(u, u, mesh).p == 3.0
-    v = u.copy()
-    v.values = v.values * 1.01
-    with pytest.raises(errors.BoundaryMismatch):
-        rigidity.boundary_rotation_closeness(u, v, mesh)
-
-
 # ----------------------------------------------------------------- korn
 
 def test_korn_form_matrix_matches_direct_quadrature():
