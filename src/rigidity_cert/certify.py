@@ -56,8 +56,7 @@ _CASCADE = 8.0
 
 _GAP_SLACK = 0.1
 
-# the equilibrium tolerance of certification_inputs, and the caps on
-# delta_star and on the threshold of the transfer
+# the equilibrium tolerance of certification_inputs
 RESIDUAL_TOL = 1e-8
 # the radius of the rotation-distance set the Taylor constants are sampled
 # on, and the norm fattening covering candidate steps
@@ -69,7 +68,11 @@ STRAIN_DELTA = 0.2
 # |A(I)[K]| over the skew basis relative to the elasticity floor
 _STRESS_FREE_TOL = 1e-8
 _SKEW_TOL = 1e-12
+# the largest delta_star neighborhood_radius returns, and the one it
+# returns when c_taylor is 0
 _RADIUS_CAP = 1e6
+# the largest BMO/mean gap threshold of the transfer, and the one it takes
+# when c_hat_taylor is 0
 _TRANSFER_CAP = 1e6
 
 # the exponents (p, q) of J2: the cubic remainder is controlled through
@@ -176,13 +179,12 @@ class CertInputs:
 
 
 def _quadrature_taylor(problem: Problem, rng, samples, seed):
-    """Taylor constants of the material in one taylor_constants call over
-    16 seeded quadrature coordinates."""
-    n = problem.mesh.dim
-    coords = problem.mesh.quadrature()[0].reshape(-1, n)
-    pick = rng.choice(len(coords), size=min(16, len(coords)), replace=False)
+    """Taylor constants of the material in one taylor_constants call, on
+    draws over min(16, M q) spots."""
+    mesh = problem.mesh
+    spots = min(16, mesh.quadrature()[2].size)
     tc = material.taylor_constants(problem.material, material.taylor_draws(
-        n, RHO, EPSILON, samples, seed, coords=coords[np.sort(pick)]))
+        mesh.dim, RHO, EPSILON, samples, seed, spots=spots))
     return tc.c, tc.c_hat, {"samples": int(tc.samples)}
 
 

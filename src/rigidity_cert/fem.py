@@ -6,7 +6,7 @@ displacements): the reference state is the identity field.
 
 The discrete energy is
 
-    E(u) = sum_qp w detJ [ W(x, grad u) - b . u ] - sum_facet_qp w jac s . u
+    E(u) = sum_qp w detJ [ W(grad u) - b . u ] - sum_facet_qp w jac s . u
 
 and residual / tangent are its exact derivatives, assembled batched over
 elements.  Dirichlet data prescribes full node vectors on the facets of
@@ -595,8 +595,7 @@ def material_at_points(m, mesh: Mesh, u, quantity) -> np.ndarray:
     """
     F = _checked_gradients(mesh, u)
     M, q, n, _ = F.shape
-    coords = mesh.quadrature()[0].reshape(-1, n)
-    vals = getattr(m, f"{quantity}_many")(coords, F.reshape(-1, n, n))
+    vals = getattr(m, f"{quantity}_many")(F.reshape(-1, n, n))
     return vals.reshape((M, q) + vals.shape[1:])
 
 
@@ -663,12 +662,11 @@ def _tangent_matrices(m, mesh, u):
     det-checked first; the elasticity is evaluated one block of elements
     at a time, on the block's rows of the quadrature points."""
     F = _checked_gradients(mesh, u)
-    coords = mesh.quadrature()[0]
     q, n = F.shape[1:3]
 
     def elasticity(b):
         rows = slice(b.start * q, b.stop * q)
-        A = m.at_points(rows).elasticity_many(coords[b].reshape(-1, n), F[b].reshape(-1, n, n))
+        A = m.at_points(rows).elasticity_many(F[b].reshape(-1, n, n))
         return A.reshape((-1, q) + A.shape[1:])
 
     return _element_blocks(mesh, elasticity)

@@ -182,14 +182,21 @@ def _cube_family_of(shape: tuple, mask_bytes: bytes) -> CubeFamily:
     mask = np.frombuffer(mask_bytes, dtype=bool).reshape(shape)
     ndim = mask.ndim
     sides, corners = [], []
+    fits, size = mask, np.array(shape)
     for side in range(1, min(shape) + 1):
-        windows = sliding_window_view(mask, (side,) * ndim)
-        found = np.argwhere(windows.all(axis=tuple(range(-ndim, 0))))
+        found = np.argwhere(fits)
+        if not len(found):
+            break
         sides.append(np.full(len(found), side))
         corners.append(found)
-    sides, corners = np.concatenate(sides), np.concatenate(corners)
-    if not len(sides):
+        # a cube of side s + 1 fits at a corner iff the 2^n side-s cubes at
+        # the corner plus each 0/1 offset fit: together they cover it
+        size -= 1
+        fits = np.logical_and.reduce([fits[tuple(map(slice, offset, offset + size))]
+                                      for offset in _VERTEX_OFFSETS[ndim]])
+    if not sides:
         raise EmptyDomain("cube_family: no cube fits in the domain")
+    sides, corners = np.concatenate(sides), np.concatenate(corners)
     # C-order strides of the padded prefix array
     strides = np.cumprod((1,) + tuple(n + 1 for n in shape[:0:-1]))[::-1]
     vertices = (_VERTEX_OFFSETS[ndim] @ strides)[:, None] * sides + corners @ strides

@@ -1,15 +1,14 @@
 """Stored-energy models, their moduli at the identity, and their sampled
 Taylor constants.
 
-A material evaluates, at a spatial point x and deformation gradient F with
+A material is homogeneous: it evaluates, at a deformation gradient F with
 det F > 0:
 
-    energy     W(x, F)                     scalar, W(x, I) = 0
-    stress     S(x, F) = dW/dF             n x n
-    elasticity A(x, F) = d2W/dF2           applied to directions H
+    energy     W(F)                     scalar, W(I) = 0
+    stress     S(F) = dW/dF             n x n
+    elasticity A(F) = d2W/dF2           applied to directions H
 
-Batched entry points take stacked coordinates (k, n) and gradients
-(k, n, n).
+Batched entry points take stacked gradients (k, n, n).
 """
 from __future__ import annotations
 
@@ -38,17 +37,11 @@ __all__ = [
 ]
 
 
-def _check_batch(coords, F):
+def _check_batch(F):
     F = np.asarray(F, dtype=float)
     if F.ndim != 3 or F.shape[1] != F.shape[2] or F.shape[1] not in (2, 3):
         raise DimensionMismatch(f"expected stacked square gradients, got {F.shape}")
-    if coords is not None:
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (F.shape[0], F.shape[1]):
-            raise DimensionMismatch(
-                f"coords shape {coords.shape} does not match gradients {F.shape}"
-            )
-    return coords, F
+    return F
 
 
 class Material:
@@ -60,23 +53,20 @@ class Material:
         self.lam = float(lam)
         self.mu = float(mu)
 
-    def _moduli(self, k):
-        return np.full(k, self.lam), np.full(k, self.mu)
-
     def at_points(self, rows):
         """The material on the rows (a slice) of the stacked points it is
-        evaluated on: itself, as it reads only (x, F).  A material tied to
-        a mesh's quadrature points keeps those rows of them."""
+        evaluated on: itself, as it reads only F.  A material tied to a
+        mesh's quadrature points keeps those rows of them."""
         return self
 
     # stacked evaluators, implemented by subclasses
-    def energy_many(self, coords, F):
+    def energy_many(self, F):
         raise NotImplementedError
 
-    def stress_many(self, coords, F):
+    def stress_many(self, F):
         raise NotImplementedError
 
-    def elasticity_many(self, coords, F):
+    def elasticity_many(self, F):
         """Stacked fourth-order tensors A[i, a, j, b] = dS_ia / dF_jb."""
         raise NotImplementedError
 
@@ -121,14 +111,12 @@ class StVenantKirchhoff(Material):
         E = 0.5 * (sum(Fp[j, :, None] * Fp[j, None, :] for j in range(n)) - np.eye(n)[..., None])
         return E, sum(E[i, i] for i in range(n))
 
-    @staticmethod
-    def _inner(lam, mu, E, trE):
+    def _inner(self, E, trE):
         """lam tr E I + 2 mu E, point-major."""
-        return lam * trE * np.eye(E.shape[0])[..., None] + 2.0 * mu * E
+        return self.lam * trE * np.eye(E.shape[0])[..., None] + 2.0 * self.mu * E
 
-    def energy_many(self, coords, F):
-        coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(F.shape[0])
+    def energy_many(self, F):
+        F = _check_batch(F)
         E, trE = self._strain(_point_major(F))
         # kij,kij->k over the n^2 entries in the order of the einsum's
         # two-lane SIMD loop: even entries in one lane, odd in the other;
@@ -139,23 +127,21 @@ class StVenantKirchhoff(Material):
             EE = (p[0] + p[2]) + (p[1] + p[3])
         else:
             EE = (p[8] + (p[0] + (p[2] + (p[4] + p[6])))) + (p[1] + (p[3] + (p[5] + p[7])))
-        return 0.5 * lam * trE**2 + mu * EE
+        return 0.5 * self.lam * trE**2 + self.mu * EE
 
-    def stress_many(self, coords, F):
-        coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(F.shape[0])
+    def stress_many(self, F):
+        F = _check_batch(F)
         Fp = _point_major(F)
-        inner = self._inner(lam, mu, *self._strain(Fp))
+        inner = self._inner(*self._strain(Fp))
         # kip,kpa->kia: left to right over p
         return _stacked(sum(Fp[:, p, None] * inner[None, p] for p in range(len(Fp))))
 
-    def elasticity_many(self, coords, F):
-        coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(F.shape[0])
+    def elasticity_many(self, F):
+        F = _check_batch(F)
         Fp = _point_major(F)
         n = len(Fp)
         eye = np.eye(n)
-        inner = self._inner(lam, mu, *self._strain(Fp))
+        inner = self._inner(*self._strain(Fp))
         # F F^T, kip,kjp->kij: the einsum's two SIMD lanes hold p = 0, 2
         # and p = 1, so 3D sums (p0 + p2) + p1
         FFt = [Fp[:, None, p] * Fp[None, :, p] for p in range(n)]
@@ -164,9 +150,9 @@ class StVenantKirchhoff(Material):
         # A[i, a, j, b] = I_ij inner_ba + lam F_ia F_jb + mu (F_ib F_ja + I_ab B_ij),
         # each term a single product over axes (i, a, j, b, k)
         A = eye[:, None, :, None, None] * inner.swapaxes(0, 1)[None, :, None]
-        A = A + lam * (Fp[:, :, None, None] * Fp[None, None])
-        A = A + mu * (Fp[:, None, None] * Ft[None, :, :, None]
-                      + eye[None, :, None, :, None] * B[:, None, :, None])
+        A = A + self.lam * (Fp[:, :, None, None] * Fp[None, None])
+        A = A + self.mu * (Fp[:, None, None] * Ft[None, :, :, None]
+                           + eye[None, :, None, :, None] * B[:, None, :, None])
         return _stacked(A)
 
 
@@ -182,38 +168,36 @@ class NeoHookean(Material):
             raise OutsideDomain("neo-hookean: det F <= 0 at an evaluation point")
         return J, np.log(J)
 
-    def energy_many(self, coords, F):
-        coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(F.shape[0])
+    def energy_many(self, F):
+        F = _check_batch(F)
         n = F.shape[1]
         _, logJ = self._logdet(F)
         trC = np.einsum("kij,kij->k", F, F)
-        return 0.5 * mu * (trC - n) - mu * logJ + 0.5 * lam * logJ**2
+        return 0.5 * self.mu * (trC - n) - self.mu * logJ + 0.5 * self.lam * logJ**2
 
-    def stress_many(self, coords, F):
-        coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(F.shape[0])
+    def stress_many(self, F):
+        F = _check_batch(F)
         _, logJ = self._logdet(F)
         Fit = np.transpose(np.linalg.inv(F), (0, 2, 1))
-        return mu[:, None, None] * (F - Fit) + (lam * logJ)[:, None, None] * Fit
+        return self.mu * (F - Fit) + (self.lam * logJ)[:, None, None] * Fit
 
-    def elasticity_many(self, coords, F):
-        coords, F = _check_batch(coords, F)
-        lam, mu = self._moduli(F.shape[0])
+    def elasticity_many(self, F):
+        F = _check_batch(F)
         n = F.shape[1]
         _, logJ = self._logdet(F)
         Fit = np.transpose(np.linalg.inv(F), (0, 2, 1))
         eye = np.eye(n)
-        A = np.einsum("ij,ab,k->kiajb", eye, eye, mu)
-        A = A + (mu - lam * logJ)[:, None, None, None, None] * np.einsum(
+        A = self.mu * np.einsum("ij,ab->iajb", eye, eye)
+        A = A + (self.mu - self.lam * logJ)[:, None, None, None, None] * np.einsum(
             "kib,kja->kiajb", Fit, Fit
         )
-        A = A + lam[:, None, None, None, None] * np.einsum("kia,kjb->kiajb", Fit, Fit)
+        A = A + self.lam * np.einsum("kia,kjb->kiajb", Fit, Fit)
         return A
 
 
 class CustomMaterial(Material):
-    """User-supplied energy with optional closed-form derivatives.
+    """User-supplied energy with optional closed-form derivatives, each a
+    callable of one gradient F.
 
     Missing derivatives fall back to central differences with step
     h = 1e-6 (1 + |F|).  The energy carries its own moduli, so the
@@ -227,12 +211,11 @@ class CustomMaterial(Material):
         self._stress_fn = stress_fn
         self._elasticity_fn = elasticity_fn
 
-    def energy_many(self, coords, F):
-        coords, F = _check_batch(coords, F)
-        xs = coords if coords is not None else [None] * F.shape[0]
-        return np.array([self._energy_fn(x, f) for x, f in zip(xs, F)], dtype=float)
+    def energy_many(self, F):
+        F = _check_batch(F)
+        return np.array([self._energy_fn(f) for f in F], dtype=float)
 
-    def _fd_stress(self, x, F):
+    def _fd_stress(self, F):
         h = 1e-6 * (1.0 + frob(F))
         out = np.zeros_like(F)
         for i in range(F.shape[0]):
@@ -240,16 +223,15 @@ class CustomMaterial(Material):
                 Fp, Fm = F.copy(), F.copy()
                 Fp[i, j] += h
                 Fm[i, j] -= h
-                out[i, j] = (self._energy_fn(x, Fp) - self._energy_fn(x, Fm)) / (2 * h)
+                out[i, j] = (self._energy_fn(Fp) - self._energy_fn(Fm)) / (2 * h)
         return out
 
-    def stress_many(self, coords, F):
-        coords, F = _check_batch(coords, F)
-        xs = coords if coords is not None else [None] * F.shape[0]
+    def stress_many(self, F):
+        F = _check_batch(F)
         fn = self._stress_fn or self._fd_stress
-        return np.array([fn(x, f) for x, f in zip(xs, F)]).reshape(F.shape)
+        return np.array([fn(f) for f in F]).reshape(F.shape)
 
-    def _fd_elasticity(self, x, F):
+    def _fd_elasticity(self, F):
         n = F.shape[0]
         h = 1e-6 * (1.0 + frob(F))
         stress_fn = self._stress_fn or self._fd_stress
@@ -259,14 +241,13 @@ class CustomMaterial(Material):
                 Fp, Fm = F.copy(), F.copy()
                 Fp[j, b] += h
                 Fm[j, b] -= h
-                A[:, :, j, b] = (stress_fn(x, Fp) - stress_fn(x, Fm)) / (2 * h)
+                A[:, :, j, b] = (stress_fn(Fp) - stress_fn(Fm)) / (2 * h)
         return A
 
-    def elasticity_many(self, coords, F):
-        coords, F = _check_batch(coords, F)
-        xs = coords if coords is not None else [None] * F.shape[0]
+    def elasticity_many(self, F):
+        F = _check_batch(F)
         fn = self._elasticity_fn or self._fd_elasticity
-        return np.array([fn(x, f) for x, f in zip(xs, F)]).reshape(F.shape + F.shape[1:])
+        return np.array([fn(f) for f in F]).reshape(F.shape + F.shape[1:])
 
 
 def stvk(lam=1.0, mu=1.0) -> StVenantKirchhoff:
@@ -281,14 +262,14 @@ def quadratic_toy() -> CustomMaterial:
     """W = |F - I|^2 / 2.  Not frame indifferent; useful because its cubic
     Taylor remainder vanishes identically."""
 
-    def energy(x, F):
+    def energy(F):
         d = F - np.eye(F.shape[0])
         return 0.5 * float(np.sum(d * d))
 
-    def stress_fn(x, F):
+    def stress_fn(F):
         return F - np.eye(F.shape[0])
 
-    def elasticity_fn(x, F):
+    def elasticity_fn(F):
         n = F.shape[0]
         return np.einsum("ij,ab->iajb", np.eye(n), np.eye(n))
 
@@ -335,10 +316,9 @@ def identity_floor(m: Material, n: int):
     4 |sym H|^2, so floor is exactly the best c with
     A(I)[H]:H >= c |H + H^T|^2 for all H.
     """
-    coords_one = np.zeros((1, n))
     I = np.eye(n)[None]
-    free_err = frob(m.stress_many(coords_one, I)[0])
-    A = m.elasticity_many(coords_one, I)[0]
+    free_err = frob(m.stress_many(I)[0])
+    A = m.elasticity_many(I)[0]
     basis = sym_basis(n)
     Q = np.array([[np.sum(bi * np.einsum("iajb,jb->ia", A, bj)) for bj in basis] for bi in basis])
     floor = float(np.linalg.eigvalsh(0.5 * (Q + Q.T)).min()) / 4.0
@@ -370,11 +350,10 @@ class TaylorDraws:
     """A seeded sample of the fattened rotation neighborhood, independent
     of any material: sample s pairs F[s], a point of
     {dist(F, SO(n)) <= delta}, with G[s], a second such point moved by at
-    most epsilon in norm, at the coordinate X[s]; K[s] is a unit direction
-    for the Lipschitz quotient.  The arrays are made read-only, since
-    every material evaluated on the draws reads the same ones."""
+    most epsilon in norm; K[s] is a unit direction for the Lipschitz
+    quotient.  The arrays are made read-only, since every material
+    evaluated on the draws reads the same ones."""
 
-    X: np.ndarray
     F: np.ndarray
     G: np.ndarray
     K: np.ndarray
@@ -384,19 +363,18 @@ class TaylorDraws:
     samples: int
 
     def __post_init__(self):
-        for a in (self.X, self.F, self.G, self.K):
+        for a in (self.F, self.G, self.K):
             a.setflags(write=False)
 
 
-def taylor_draws(n, delta, epsilon, nsamples, seed, coords=None) -> TaylorDraws:
+def taylor_draws(n, delta, epsilon, nsamples, seed, spots=1) -> TaylorDraws:
     """Draw nsamples Taylor samples from default_rng(seed).
 
-    coords are the coordinates a sample can sit at (the origin when None);
     delta + epsilon < 1 keeps the whole fattened set inside det F > 0.
-    Per sample the generator is called in this order: integers for the
-    coordinate, unless there is only one (integers(1) draws nothing from
-    the stream); for F, then for G, a normal step S whose symmetric part
-    is scaled to length uniform(0, delta), then a rotation R (a uniform
+    Per sample the generator is called in this order: integers(spots),
+    unless spots is 1 (integers(1) draws nothing from the stream); for F,
+    then for G, a normal step S whose symmetric part is scaled to length
+    uniform(0, delta), then a rotation R (a uniform
     angle in 2D, a normal quaternion in 3D), giving R (I + sym S); a
     normal fattening E scaled to length uniform(0, epsilon) and added to
     G; a normal direction K, scaled to length 1.  A step of norm 0 draws
@@ -409,13 +387,8 @@ def taylor_draws(n, delta, epsilon, nsamples, seed, coords=None) -> TaylorDraws:
         raise SetEscapesDomain(
             f"delta + epsilon = {delta + epsilon:g} >= 1 allows det F <= 0"
         )
-    if coords is None:
-        coords = [np.zeros(n)]
-    coords = np.array([np.asarray(x, dtype=float) for x in coords])
     rng = np.random.default_rng(seed)
     gauss, rand = rng.standard_normal, rng.random
-    picks = np.zeros(nsamples, dtype=np.intp)
-    pick = len(coords) > 1
     steps = np.empty((nsamples, 3, n, n))        # the steps of F and G, then E
     lengths = np.full((nsamples, 3), math.nan)   # nan where none is drawn
     turns = np.empty((nsamples, 2) if n == 2 else (nsamples, 2, 4))
@@ -432,8 +405,11 @@ def taylor_draws(n, delta, epsilon, nsamples, seed, coords=None) -> TaylorDraws:
     # 0.0 + b random(), and b random() >= 0 is that sum.  In 2D a drawn
     # length and the angle after it are one random(2).
     for s in range(nsamples):
-        if pick:
-            picks[s] = rng.integers(len(coords))
+        # no material reads the spot a sample was drawn at; it is still
+        # drawn, so that the stream, and every sampled constant, keeps the
+        # bits it had when materials read a spatial coordinate
+        if spots > 1:
+            rng.integers(spots)
         for j in range(2):
             S = gauss(out=steps[s, j])
             if abs(S.item(0)) > 1e-150 or frob(0.5 * (S + S.T)) > 0:
@@ -457,7 +433,7 @@ def taylor_draws(n, delta, epsilon, nsamples, seed, coords=None) -> TaylorDraws:
     # both factors are C-ordered, so each product is the matmul of one sample
     R = rotations(turns.reshape(2 * nsamples, *turns.shape[2:])).reshape(nsamples, 2, n, n)
     FG = R @ (np.eye(n) + steps[:, :2])
-    return TaylorDraws(X=coords[picks], F=np.ascontiguousarray(FG[:, 0]),
+    return TaylorDraws(F=np.ascontiguousarray(FG[:, 0]),
                        G=FG[:, 1] + steps[:, 2], K=K / frob_many(K)[:, None, None],
                        delta=delta, epsilon=epsilon, seed=seed, samples=nsamples)
 
@@ -471,12 +447,12 @@ def taylor_constants(m: Material, draws: TaylorDraws) -> TaylorConstants:
     and are reported with its size and seed.
 
     The draws come first and do not depend on the material, so one set
-    serves every material evaluated on the same settings: the 12 frozen
-    points of a pushed-forward material share theirs.  Each material
-    quantity is one batched call over the samples, and the per-sample
-    quotients are folded in sample order.
+    serves every material evaluated on the same settings: the 12
+    one-point pushforward materials of a deformed configuration share
+    theirs.  Each material quantity is one batched call over the samples,
+    and the per-sample quotients are folded in sample order.
     """
-    X, F, G, K = draws.X, draws.F, draws.G, draws.K
+    F, G, K = draws.F, draws.G, draws.K
     H = G - F
     hn = frob_many(H)
 
@@ -488,11 +464,11 @@ def taylor_constants(m: Material, draws: TaylorDraws) -> TaylorConstants:
     floor = 1e-3
     cub = hn >= floor
     lip = hn > 1e-10
-    AF = np.ascontiguousarray(m.elasticity_many(X[lip], F[lip]))
-    AG = np.ascontiguousarray(m.elasticity_many(X[lip], G[lip]))
-    S = np.ascontiguousarray(m.stress_many(X[cub], F[cub]))
+    AF = np.ascontiguousarray(m.elasticity_many(F[lip]))
+    AG = np.ascontiguousarray(m.elasticity_many(G[lip]))
+    S = np.ascontiguousarray(m.stress_many(F[cub]))
     Hc, Kl = H[cub], K[lip]
-    defect = (m.energy_many(X[cub], F[cub]) - m.energy_many(X[cub], G[cub])
+    defect = (m.energy_many(F[cub]) - m.energy_many(G[cub])
               + _inner(S, Hc) + 0.5 * _inner(Hc, _apply(AF[cub[lip]], Hc)))
     # Python's power: numpy's rounds |H|^3 differently for about 5% of values
     cubes = [h**3 for h in hn[cub].tolist()]

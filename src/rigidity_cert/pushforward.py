@@ -35,7 +35,6 @@ __all__ = [
     "AnalyticDeformation",
     "DeformedConfig",
     "PushforwardMaterial",
-    "FrozenPointMaterial",
     "deform_configuration",
     "pushforward_loads",
     "verify_cov_identities",
@@ -182,25 +181,25 @@ def deform_configuration(mesh: fem.Mesh, u_e) -> DeformedConfig:
 
 
 class _ChainRule(material.Material):
-    """W(x, G F) / det F over the new gradient variable G, with the
-    chain-rule stress S(x, G F) F^T / det F and elasticity A(x, G F)[. F,
-    . F] / det F, at a stored stack of material points (x, F, det F).
+    """W(G F) / det F over the new gradient variable G, with the chain-rule
+    stress S(G F) F^T / det F and elasticity A(G F)[. F, . F] / det F, at
+    a stored stack of material points (F, det F).
 
     A batch of gradients is evaluated row by row against the stack, so it
     must have one row per point; a stack of one point is broadcast to
-    every row.  The coordinates passed to the evaluators are ignored.
+    every row.
 
-    The assembly material and the frozen point share this one algebra, so
-    the deformed Taylor sampling and the deformed gate evaluate the same
-    material bit for bit: G F and S F^T are matrix products, A[. F, . F]
-    one einsum, each over C-ordered operands, so that every point's sums
-    run in one order at every batch size.
+    The assembly material and its one-point slices share this one
+    algebra, so the deformed Taylor sampling and the deformed gate
+    evaluate the same material bit for bit: G F and S F^T are matrix
+    products, A[. F, . F] one einsum, each over C-ordered operands, so
+    that every point's sums run in one order at every batch size.
     """
 
-    def __init__(self, base: material.Material, x, F, det):
+    def __init__(self, base: material.Material, F, det):
         super().__init__(base.lam, base.mu)
         self.base = base
-        self._x, self._F, self._det = x, F, det
+        self._F, self._det = F, det
 
     def _pushed(self, G):
         G = np.ascontiguousarray(G, dtype=float)
@@ -212,21 +211,20 @@ class _ChainRule(material.Material):
             )
         n = self._F.shape[-1]
         F = np.ascontiguousarray(np.broadcast_to(self._F, (count, n, n)))
-        return (np.broadcast_to(self._x, (count, n)), G @ F, F,
-                np.broadcast_to(self._det, (count,)))
+        return G @ F, F, np.broadcast_to(self._det, (count,))
 
-    def energy_many(self, coords, F):
-        x, GF, _, det = self._pushed(F)
-        return self.base.energy_many(x, GF) / det
+    def energy_many(self, F):
+        GF, _, det = self._pushed(F)
+        return self.base.energy_many(GF) / det
 
-    def stress_many(self, coords, F):
-        x, GF, Fe, det = self._pushed(F)
-        S = np.ascontiguousarray(self.base.stress_many(x, GF))
+    def stress_many(self, F):
+        GF, Fe, det = self._pushed(F)
+        S = np.ascontiguousarray(self.base.stress_many(GF))
         return S @ np.swapaxes(Fe, -1, -2) / det[:, None, None]
 
-    def elasticity_many(self, coords, F):
-        x, GF, Fe, det = self._pushed(F)
-        A = np.ascontiguousarray(self.base.elasticity_many(x, GF))
+    def elasticity_many(self, F):
+        GF, Fe, det = self._pushed(F)
+        A = np.ascontiguousarray(self.base.elasticity_many(GF))
         out = np.ascontiguousarray(np.einsum("pikjl,pak,pbl->piajb", A, Fe, Fe))
         return out / det[:, None, None, None, None]
 
@@ -235,51 +233,26 @@ class PushforwardMaterial(_ChainRule):
     """Stored energy rewritten over the deformed configuration.
 
     At the reference quadrature point (e, k) with forward gradient F:
-    W_u(y, G) = W(x, G F) / det F, with stress and elasticity following
-    by the chain rule.  It evaluates a batch of exactly the mesh's M*q
-    quadrature points, in quadrature order (row e*q + k), as
-    fem.material_at_points passes them, and at_points a block of them, as
-    the tangent passes them; use point_material for free-standing algebra
-    at one point.
+    W_u(G) = W(G F) / det F, with stress and elasticity following by the
+    chain rule.  It evaluates a batch of exactly the mesh's M*q quadrature
+    points, in quadrature order (row e*q + k), as fem.material_at_points
+    passes them.  at_points takes a block of them, as the tangent passes
+    them; the block of the one row e*q + k is the pushforward frozen at
+    (e, k), a material in G over batches of any size.
     """
 
     def __init__(self, base: material.Material, cfg: DeformedConfig):
-        mesh = cfg.reference_mesh
-        n = mesh.dim
-        super().__init__(base, mesh.quadrature()[0].reshape(-1, n),
-                         cfg.F.reshape(-1, n, n), cfg.det_F.reshape(-1))
+        n = cfg.reference_mesh.dim
+        super().__init__(base, cfg.F.reshape(-1, n, n), cfg.det_F.reshape(-1))
         self.cfg = cfg
 
     def at_points(self, rows):
         """The pushforward at the quadrature points rows (a slice) alone,
         bit for bit as this material evaluates them among all of them."""
-        return _ChainRule(self.base, self._x[rows], self._F[rows], self._det[rows])
-
-    def point_material(self, e: int, k: int) -> FrozenPointMaterial:
-        """Freeze the material point (e, k): a stand-alone material in G."""
-        idx = e * self.cfg.det_F.shape[1] + k
-        return FrozenPointMaterial(self.base, self._x[idx], self._F[idx])
+        return _ChainRule(self.base, self._F[rows], self._det[rows])
 
     def descriptor(self) -> dict:
         return {"model": "pushforward", "base": self.base.descriptor()}
-
-
-class FrozenPointMaterial(_ChainRule):
-    """The pushforward frozen at one material point (x, F), a material in
-    the new gradient variable G over batches of any size: W(x, G F) /
-    det F, with the chain-rule stress S(x, G F) F^T / det F and elasticity
-    A(x, G F)[. F, . F] / det F.  It evaluates bit for bit as
-    PushforwardMaterial does at the same point.
-    """
-
-    name = "pushforward-point"
-
-    def __init__(self, base: material.Material, x, F):
-        F = np.asarray(F, dtype=float)
-        det = float(np.linalg.det(F))
-        if det <= 0.0:
-            raise DeterminantViolation(f"det F = {det:g} <= 0 at the pushforward point")
-        super().__init__(base, np.asarray(x, dtype=float)[None], F[None], np.array([det]))
 
 
 def pushforward_loads(loads: fem.LoadSet, cfg: DeformedConfig) -> fem.LoadSet:
@@ -426,8 +399,8 @@ def strain_diff_to_dist(v: fem.FeField, cfg: DeformedConfig) -> StrainDistReport
 
 def _point_taylor(problem_def: certify.Problem, rng, samples, seed):
     """Taylor constants of a pushed material, for certification_inputs:
-    the max over 12 seeded material points of the frozen-point constants,
-    all evaluated on one set of draws."""
+    the max over 12 seeded quadrature points of the constants of the
+    pushforward frozen there, all evaluated on one set of draws."""
     m_u = problem_def.material
     nelem, nq = m_u.cfg.det_F.shape
     npts = min(12, nelem * nq)
@@ -436,7 +409,7 @@ def _point_taylor(problem_def: certify.Problem, rng, samples, seed):
                                   per_point, seed)
     c = c_hat = 0.0
     for p in np.sort(rng.choice(nelem * nq, size=npts, replace=False)):
-        tc = material.taylor_constants(m_u.point_material(int(p // nq), int(p % nq)), draws)
+        tc = material.taylor_constants(m_u.at_points(slice(p, p + 1)), draws)
         c, c_hat = max(c, tc.c), max(c_hat, tc.c_hat)
     return c, c_hat, {"samples": int(per_point), "points": int(npts)}
 

@@ -94,6 +94,29 @@ def enumerate_cubes(mask):
                 yield corner, side
 
 
+def cube_family_windows(mask):
+    """(sides, corners, vertices) of the cube family of the mask, as
+    harmonic.cube_family enumerated it side by side with a sliding window:
+    every cube of each side, corners in C order, and each cube's 2^n
+    vertex indices into the zero-padded prefix-sum array."""
+    from itertools import product
+
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    shape, ndim = mask.shape, mask.ndim
+    sides, corners = [], []
+    for side in range(1, min(shape) + 1):
+        windows = sliding_window_view(mask, (side,) * ndim)
+        found = np.argwhere(windows.all(axis=tuple(range(-ndim, 0))))
+        sides.append(np.full(len(found), side))
+        corners.append(found)
+    sides, corners = np.concatenate(sides), np.concatenate(corners)
+    strides = np.cumprod((1,) + tuple(n + 1 for n in shape[:0:-1]))[::-1]
+    offsets = np.array(list(product((0, 1), repeat=ndim)))
+    vertices = (offsets @ strides)[:, None] * sides + corners @ strides
+    return sides, corners, vertices
+
+
 def _cube_values(values, corner, side):
     window = tuple(slice(c, c + side) for c in corner)
     return values[window].reshape(-1)
@@ -217,28 +240,29 @@ def sample_near_rotations(rng, n, delta):
     return R @ (np.eye(n) + S)
 
 
-def taylor_draws_loop(n, delta, epsilon, nsamples, seed, coords=None):
+def taylor_draws_loop(n, delta, epsilon, nsamples, seed, spots=1):
     """The Taylor draws of default_rng(seed), sample by sample, each drawn
     with the generator's integers, normal and uniform and computed on its
-    own: yields (x, F, G, K), a coordinate, two points of the fattened
-    rotation neighborhood (G moved by a normal step scaled to a uniform
-    length in [0, epsilon) unless its norm is 0) and a unit direction."""
+    own: a spot integers(spots), which no value reads (integers(1) draws
+    nothing from the stream); then yields (F, G, K), two points of the
+    fattened rotation neighborhood (G moved by a normal step scaled to a
+    uniform length in [0, epsilon) unless its norm is 0) and a unit
+    direction."""
     rng = np.random.default_rng(seed)
-    coords = [np.zeros(n)] if coords is None else [np.asarray(x, dtype=float) for x in coords]
 
     def norm(A):
         flat = A.ravel(order="K")
         return math.sqrt(flat.dot(flat))
 
     for _ in range(nsamples):
-        x = coords[rng.integers(len(coords))]
+        rng.integers(spots)
         F = sample_near_rotations(rng, n, delta)
         G = sample_near_rotations(rng, n, delta)
         E = rng.normal(size=(n, n))
         if norm(E) > 0:
             E *= rng.uniform(0.0, epsilon) / norm(E)
         K = rng.normal(size=(n, n))
-        yield x, F, G + E, K / norm(K)
+        yield F, G + E, K / norm(K)
 
 
 # ---------------------------------------------------- finite differences
@@ -310,7 +334,7 @@ def frame_indifferent(m, n, rng, count=20):
         return Q if np.linalg.det(Q) > 0 else Q @ np.diag([-1.0] + [1.0] * (n - 1))
 
     def energy(F):
-        return float(m.energy_many(None, F[None])[0])
+        return float(m.energy_many(F[None])[0])
 
     for _ in range(count):
         F = rotation() @ np.diag(rng.uniform(0.4, 2.2, size=n)) @ rotation()

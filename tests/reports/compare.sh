@@ -1,0 +1,81 @@
+#!/usr/bin/env bash
+# The reports byte guard: run every config in this directory on two source
+# trees and compare what they write, byte for byte.
+#
+#   bash tests/reports/compare.sh BASE_TREE [WORK_DIR]
+#
+# BASE_TREE is a checkout of the tree to compare against, e.g. a copy of the
+# parent commit made with git archive; the other tree is the one this script
+# sits in.  Both run this directory's configs, each importing its own src/
+# (checked before it runs).  WORK_DIR, which must be new or empty (default: a
+# new temporary directory), receives base/ and head/: the reports of each
+# tree and its exit-codes.txt.  The script exits 0 when every file is
+# byte-identical in the two, and 1 otherwise, after naming each file that
+# differs and, for a JSON report, each moved value as `key: base -> head`.
+set -eu
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+  echo "usage: $0 BASE_TREE [WORK_DIR]" >&2
+  exit 2
+fi
+here=$(cd "$(dirname "$0")" && pwd)
+head_tree=$(cd "$here/../.." && pwd)
+base_tree=$(cd "$1" && pwd)
+work=${2:-$(mktemp -d)}
+mkdir -p "$work"
+work=$(cd "$work" && pwd)
+if [ -n "$(ls -A "$work")" ]; then
+  echo "$work is not empty" >&2
+  exit 2
+fi
+# every run starts in the work directory, where file-solve.cfg finds its
+# mesh: a 4x3 rectangle clamped on its left side
+cd "$work"
+PYTHONPATH="$head_tree/src" python -c "from rigidity_cert import fem; fem.write_mesh(fem.rectangle_mesh(4, 3, dirichlet=('left',)), 'rect-4x3-left.mesh')"
+for tree in base head; do
+  if [ "$tree" = base ]; then src="$base_tree/src"; else src="$head_tree/src"; fi
+  used=$(PYTHONPATH="$src" python -c 'import rigidity_cert; print(rigidity_cert.__file__)')
+  case "$used" in
+    "$src"/*) ;;
+    *) echo "the $tree run would import $used, not $src"; exit 1 ;;
+  esac
+  mkdir -p "$work/$tree"
+  for cfg in "$here"/*.cfg; do
+    code=0
+    PYTHONPATH="$src" python -c 'import sys; from rigidity_cert.cli import main; sys.exit(main())' \
+      run "$cfg" --out "$work/$tree" > /dev/null || code=$?
+    echo "$(basename "$cfg") exit $code" >> "$work/$tree/exit-codes.txt"
+  done
+done
+status=0
+for name in $( (ls "$work/base"; ls "$work/head") | sort -u); do
+  if ! cmp -s "$work/base/$name" "$work/head/$name"; then
+    echo "::error::$name differs from the base tree's"
+    status=1
+    # each moved JSON value, as key: base -> head
+    if [ -f "$work/base/$name" ] && [ -f "$work/head/$name" ]; then
+      case "$name" in
+        *.json) python - "$work/base/$name" "$work/head/$name" <<'EOF' || true ;;
+import json, sys
+
+def leaves(x, key=""):
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from leaves(v, f"{key}.{k}" if key else k)
+    elif isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from leaves(v, f"{key}[{i}]")
+    else:
+        yield key, x
+
+base, head = (dict(leaves(json.load(open(path)))) for path in sys.argv[1:])
+for key in sorted(base.keys() | head.keys()):
+    b, h = base.get(key, "(absent)"), head.get(key, "(absent)")
+    if b != h:
+        print(f"  {key}: {b!r} -> {h!r}")
+EOF
+      esac
+    fi
+  fi
+done
+echo "compared $(ls "$work/base" | wc -l) files in $work"
+exit $status

@@ -418,7 +418,7 @@ def test_certificate_prerequisites(stretch):
 def test_certificate_rejects_prestressed_material():
     # a material with nonzero stress at the identity fails prerequisite (c)
     m = material.CustomMaterial(
-        "prestressed-toy", energy_fn=lambda x, F: 0.5 * float(np.sum(F * F))
+        "prestressed-toy", energy_fn=lambda F: 0.5 * float(np.sum(F * F))
     )
     mesh = fem.rectangle_mesh(3, 3)
     loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)

@@ -1549,9 +1549,10 @@ def test_certify_pipelines_refuse_a_non_equilibrium(tmp_path, capsys, monkeypatc
 
 
 def test_strain_diff_samples_point_materials_in_batches(tmp_path, monkeypatch):
-    # the deformed Taylor constants freeze pushforward points as batched
-    # materials evaluated on one set of draws: no per-point closure
-    # material, one elasticity call per gradient and taylor_constants call
+    # the deformed Taylor constants freeze pushforward points, one-row
+    # slices of the assembly material, as batched materials evaluated on
+    # one set of draws: no per-point closure material, one elasticity call
+    # per gradient and taylor_constants call
     from rigidity_cert import material, pushforward
 
     built = []
@@ -1559,14 +1560,16 @@ def test_strain_diff_samples_point_materials_in_batches(tmp_path, monkeypatch):
                         lambda self, *a, **k: built.append(a[0]))
     taylor_calls = _count_calls(monkeypatch, material, "taylor_constants")
     draw_calls = _count_calls(monkeypatch, material, "taylor_draws")
-    elasticity = pushforward.FrozenPointMaterial.elasticity_many
+    elasticity = pushforward._ChainRule.elasticity_many
     sizes = []
 
-    def counted(self, coords, F):
-        sizes.append(len(F))
-        return elasticity(self, coords, F)
+    def counted(self, F):
+        # the tangent's blocks are slices too, of whole elements' points
+        if len(self._det) == 1:
+            sizes.append(len(F))
+        return elasticity(self, F)
 
-    monkeypatch.setattr(pushforward.FrozenPointMaterial, "elasticity_many", counted)
+    monkeypatch.setattr(pushforward._ChainRule, "elasticity_many", counted)
     cfg = _stretch_config(tmp_path, "certify-strain-diff")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
     assert built == []

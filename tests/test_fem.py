@@ -215,7 +215,7 @@ def test_total_energy_affine_matches_pointwise():
     A = np.array([[1.2, 0.1], [0.0, 0.9]])
     u = fem.FeField(mesh, mesh.nodes @ A.T)
     loads = fem.LoadSet.build(mesh, dirichlet=lambda x: A @ x)
-    W = m.energy_many(None, A[None])[0]
+    W = m.energy_many(A[None])[0]
     assert fem.total_energy(m, mesh, loads, u) == pytest.approx(W * 1.0, rel=1e-12)
 
 
@@ -478,11 +478,10 @@ def test_tangent_in_ragged_blocks_is_bitwise_the_one_block_tangent(seed, dim, fi
         assert _same_bits(fem._assemble(mesh._ordered_plan(), blocked, sp.csc_matrix), Ko)
     # a block of the points, the last one ragged, evaluates as among all
     F = fem.deformation_gradients(mesh, u).reshape(-1, n, n)
-    coords = mesh.quadrature()[0].reshape(-1, n)
     A = A.reshape(-1, n, n, n, n)
     for start in range(0, M * q, step * q):
         rows = slice(start, start + step * q)
-        got = m.at_points(rows).elasticity_many(coords[rows], F[rows])
+        got = m.at_points(rows).elasticity_many(F[rows])
         assert _same_elements(got, A[rows])
 
 
@@ -686,9 +685,9 @@ def test_solver_takes_each_state_s_gradient_and_quantities_once(monkeypatch, mod
 
     monkeypatch.setattr(fem, "deformation_gradients", counted_gradients)
     for quantity, calls in taken.items():
-        def counted(x, F, calls=calls, evaluate=getattr(m, f"{quantity}_many")):
+        def counted(F, calls=calls, evaluate=getattr(m, f"{quantity}_many")):
             calls.append(F.tobytes())
-            return evaluate(x, F)
+            return evaluate(F)
 
         monkeypatch.setattr(m, f"{quantity}_many", counted)
     u, log = fem.solve_equilibrium(m, mesh, loads, fem.FeField.identity(mesh))
@@ -706,9 +705,9 @@ def test_solver_stall_carries_the_solve_log():
     # every step the line search tries, down to 1e-12
     base = material.stvk(1.0, 1.0)
     m = material.CustomMaterial(
-        "stiff-energy", lambda x, F: 1e30 * base.energy_many(None, F[None])[0],
-        lambda x, F: base.stress_many(None, F[None])[0],
-        lambda x, F: base.elasticity_many(None, F[None])[0],
+        "stiff-energy", lambda F: 1e30 * base.energy_many(F[None])[0],
+        lambda F: base.stress_many(F[None])[0],
+        lambda F: base.elasticity_many(F[None])[0],
     )
     mesh = fem.rectangle_mesh(2, 2)
     loads = fem.LoadSet.build(mesh, body=[0.0, -0.3], dirichlet=lambda x: x)
@@ -724,8 +723,8 @@ def test_solver_singular_tangent_raises(monkeypatch):
     # a zero elasticity makes the tangent exactly singular: its
     # factorization fails, and no warning escapes before SingularTangent
     flat = material.CustomMaterial(
-        "flat", lambda x, F: 0.5 * float(np.sum((F - np.eye(2)) ** 2)),
-        lambda x, F: F - np.eye(2), lambda x, F: np.zeros((2, 2, 2, 2)),
+        "flat", lambda F: 0.5 * float(np.sum((F - np.eye(2)) ** 2)),
+        lambda F: F - np.eye(2), lambda F: np.zeros((2, 2, 2, 2)),
     )
     mesh = fem.rectangle_mesh(2, 2)
     loads = fem.LoadSet.build(mesh, body=[0.1, 0.0], dirichlet=lambda x: x)

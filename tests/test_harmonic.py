@@ -35,6 +35,7 @@ from rigidity_cert.harmonic import (
 
 from oracles import (
     bmo_bruteforce,
+    cube_family_windows,
     enumerate_cubes,
     fs_sharp_bruteforce,
     fs_sharp_bruteforce_matrix,
@@ -107,6 +108,33 @@ def test_cube_family_3d():
     fam = cube_family(GridField(mask, np.zeros(mask.shape)))
     assert fam.count == 27 + 8 + 1
     assert set(fam.at(slice(None))) == set(enumerate_cubes(mask))
+
+
+@st.composite
+def _masks(draw):
+    """2D and 3D masks: full boxes, boxes with holes cut out, and scattered
+    cells, each with at least one cell."""
+    ndim = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.lists(st.integers(1, 14 if ndim == 2 else 7),
+                                min_size=ndim, max_size=ndim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) >= draw(st.sampled_from([0.0, 0.02, 0.1, 0.4]))
+    for _ in range(draw(st.integers(0, 3))):
+        lo = rng.integers(0, shape)
+        mask[tuple(map(slice, lo, lo + rng.integers(1, 4, size=ndim)))] = False
+    mask.flat[rng.integers(mask.size)] = True
+    return mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(_masks())
+def test_cube_family_matches_the_sliding_window_enumeration(mask):
+    # each side's cubes come from the previous side's by the 2^n cover,
+    # in the order the sliding window finds them
+    fam = harmonic._cube_family_of(mask.shape, mask.tobytes())
+    for got, want in zip((fam.sides, fam.corners, fam.vertices), cube_family_windows(mask)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_empty_domain_rejected():

@@ -16,10 +16,9 @@ from rigidity_cert.material import (
     taylor_constants,
     taylor_draws,
 )
-from rigidity_cert.pushforward import FrozenPointMaterial
 from rigidity_cert.tensor_core import frob, random_rotation
 
-from conftest import random_gradient
+from conftest import frozen_point, random_gradient
 from oracles import (
     d2sigma_apply,
     dsigma,
@@ -31,11 +30,10 @@ from oracles import (
 MODELS = [stvk(1.0, 1.0), neo_hookean(1.0, 1.0)]
 
 
-def _at(m, quantity, F, x=None):
-    """m's energy, stress or elasticity at one point x (None: no coordinate),
-    from its batched evaluator on a stack of one."""
-    coords = None if x is None else np.asarray(x, dtype=float)[None]
-    return getattr(m, f"{quantity}_many")(coords, np.asarray(F, dtype=float)[None])[0]
+def _at(m, quantity, F):
+    """m's energy, stress or elasticity at one gradient F, from its batched
+    evaluator on a stack of one."""
+    return getattr(m, f"{quantity}_many")(np.asarray(F, dtype=float)[None])[0]
 
 
 def _apply(m, F, H):
@@ -233,14 +231,14 @@ def test_outside_domain_rejected():
     with pytest.raises(OutsideDomain):
         _at(m, "stress", np.diag([0.0, 1.0]))
     with pytest.raises(OutsideDomain):
-        neo_hookean().energy_many(None, np.stack([np.eye(2), np.diag([-1.0, 1.0])]))
+        neo_hookean().energy_many(np.stack([np.eye(2), np.diag([-1.0, 1.0])]))
 
 
 def test_custom_material_fd_fallbacks():
     lam, mu = 1.3, 0.7
     ref = stvk(lam, mu)
 
-    def w(x, F):
+    def w(F):
         E = 0.5 * (F.T @ F - np.eye(F.shape[0]))
         return 0.5 * lam * np.trace(E) ** 2 + mu * float(np.sum(E * E))
 
@@ -300,117 +298,115 @@ def test_taylor_constants_evaluate_elasticity_at_f_once(monkeypatch):
     real = m.elasticity_many
     calls = []
 
-    def counting(coords, F):
+    def counting(F):
         calls.append(len(F))
-        return real(coords, F)
+        return real(F)
 
     monkeypatch.setattr(m, "elasticity_many", counting)
     tc = taylor_constants(m, draws)
     assert calls == [50, 50]
     assert (tc.c, tc.c_hat) == (plain.c, plain.c_hat)
     # both materials read the same draws, which cannot be written
-    assert not any(a.flags.writeable for a in (draws.X, draws.F, draws.G, draws.K))
+    assert not any(a.flags.writeable for a in (draws.F, draws.G, draws.K))
 
 
-def _closure_push_point(base, x, F):
+def _closure_push_point(base, F):
     """The frozen-point pushforward as per-point closures: the reference
-    the batched FrozenPointMaterial reproduces bitwise."""
+    the batched one-point pushforward reproduces bitwise."""
     det = float(np.linalg.det(F))
 
-    def energy_fn(_, G):
-        return float(base.energy_many(x[None], (G @ F)[None])[0]) / det
+    def energy_fn(G):
+        return float(base.energy_many((G @ F)[None])[0]) / det
 
-    def stress_fn(_, G):
-        return base.stress_many(x[None], (G @ F)[None])[0] @ F.T / det
+    def stress_fn(G):
+        return base.stress_many((G @ F)[None])[0] @ F.T / det
 
-    def elasticity_fn(_, G):
-        A = base.elasticity_many(x[None], (G @ F)[None])[0]
+    def elasticity_fn(G):
+        A = base.elasticity_many((G @ F)[None])[0]
         return np.einsum("ikjl,ak,bl->iajb", A, F, F) / det
 
     return CustomMaterial("pushforward-point", energy_fn, stress_fn, elasticity_fn)
 
 
-def _reference_taylor(m, n, delta, epsilon, nsamples, seed, coords):
+def _reference_taylor(m, n, delta, epsilon, nsamples, seed, spots):
     """taylor_constants as one loop over samples, each drawn and evaluated
     in turn; the batched version must give the same bits."""
     c_best = 0.0
     chat_best = 0.0
     floor = 1e-3
-    for x, F, G, K in taylor_draws_loop(n, delta, epsilon, nsamples, seed, coords):
-        x = x[None, :]
+    for F, G, K in taylor_draws_loop(n, delta, epsilon, nsamples, seed, spots):
         H = G - F
         hn = frob(H)
         if hn > 1e-10:
-            AF = m.elasticity_many(x, F[None])[0]
+            AF = m.elasticity_many(F[None])[0]
         if hn >= floor:
-            WF = float(m.energy_many(x, F[None])[0])
-            WG = float(m.energy_many(x, G[None])[0])
-            S = m.stress_many(x, F[None])[0]
+            WF = float(m.energy_many(F[None])[0])
+            WG = float(m.energy_many(G[None])[0])
+            S = m.stress_many(F[None])[0]
             A_H = np.einsum("iajb,jb->ia", AF, H)
             defect = WF - WG + float(np.sum(S * H)) + 0.5 * float(np.sum(H * A_H))
             c_best = max(c_best, defect / hn**3)
         if hn > 1e-10:
             qF = float(np.sum(K * np.einsum("iajb,jb->ia", AF, K)))
-            qG = float(np.sum(K * np.einsum("iajb,jb->ia", m.elasticity_many(x, G[None])[0], K)))
+            qG = float(np.sum(K * np.einsum("iajb,jb->ia", m.elasticity_many(G[None])[0], K)))
             chat_best = max(chat_best, abs(qF - qG) / hn)
     return c_best, chat_best
 
 
 _TAYLOR_MODELS = ("stvk", "neo-hookean", "quadratic-toy", "push-stvk", "push-neo")
+# spot counts of the draws: one draws no spot, 16 is the reference
+# configuration's count on every mesh of at least 16 quadrature points
+_SPOTS = st.sampled_from([1, 2, 5, 16])
 
 
 @settings(max_examples=40, deadline=None)
-@example(model="quadratic-toy", n=2, seed=0, delta=0.2, epsilon=0.1, npoints=0, nsamples=0)
-@example(model="stvk", n=3, seed=7, delta=0.3, epsilon=0.1, npoints=5, nsamples=40)
-@example(model="push-neo", n=2, seed=11, delta=0.25, epsilon=0.2, npoints=1, nsamples=1)
+@example(model="quadratic-toy", n=2, seed=0, delta=0.2, epsilon=0.1, spots=1, nsamples=0)
+@example(model="stvk", n=3, seed=7, delta=0.3, epsilon=0.1, spots=5, nsamples=40)
+@example(model="push-neo", n=2, seed=11, delta=0.25, epsilon=0.2, spots=16, nsamples=1)
 @given(model=st.sampled_from(_TAYLOR_MODELS), n=st.sampled_from([2, 3]),
        seed=st.integers(0, 2**32 - 1), delta=st.floats(0.0, 0.6),
-       epsilon=st.floats(0.0, 0.35), npoints=st.sampled_from([0, 1, 5]),
-       nsamples=st.integers(0, 120))
-def test_taylor_constants_match_per_sample_loop(model, n, seed, delta, epsilon, npoints,
+       epsilon=st.floats(0.0, 0.35), spots=_SPOTS, nsamples=st.integers(0, 120))
+def test_taylor_constants_match_per_sample_loop(model, n, seed, delta, epsilon, spots,
                                                 nsamples):
-    rng = np.random.default_rng(seed)
-    coords = None if npoints == 0 else rng.uniform(-1.0, 1.0, size=(npoints, n))
     if model.startswith("push"):
         base = stvk(1.2, 0.8) if model == "push-stvk" else neo_hookean(0.9, 1.1)
-        x = rng.uniform(0.0, 1.0, size=n)
-        F = random_gradient(rng, n, 0.8, 1.25)
-        m, ref = FrozenPointMaterial(base, x, F), _closure_push_point(base, x, F)
+        F = random_gradient(np.random.default_rng(seed), n, 0.8, 1.25)
+        m, ref = frozen_point(base, F), _closure_push_point(base, F)
     else:
         m = ref = {
             "stvk": stvk(1.3, 0.7),
             "neo-hookean": neo_hookean(1.0, 0.6),
             "quadratic-toy": quadratic_toy(),
         }[model]
-    tc = taylor_constants(m, taylor_draws(n, delta, epsilon, nsamples, seed, coords=coords))
-    expected = _reference_taylor(ref, n, delta, epsilon, nsamples, seed, coords)
+    tc = taylor_constants(m, taylor_draws(n, delta, epsilon, nsamples, seed, spots=spots))
+    expected = _reference_taylor(ref, n, delta, epsilon, nsamples, seed, spots)
     assert (tc.c, tc.c_hat) == expected
     assert type(tc.c) is float and type(tc.c_hat) is float
 
 
 @settings(max_examples=30, deadline=None)
-@example(n=3, seed=7, delta=0.3, epsilon=0.1, npoints=5, nsamples=40)
+@example(n=3, seed=7, delta=0.3, epsilon=0.1, spots=5, nsamples=40)
 @given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
        delta=st.floats(0.0, 0.6), epsilon=st.floats(0.0, 0.35),
-       npoints=st.sampled_from([0, 1, 5]), nsamples=st.integers(0, 120))
-def test_taylor_draws_match_per_sample_loop_bytes(n, seed, delta, epsilon, npoints, nsamples):
+       spots=_SPOTS, nsamples=st.integers(0, 120))
+def test_taylor_draws_match_per_sample_loop_bytes(n, seed, delta, epsilon, spots, nsamples):
     # the batched draws read the stream with standard_normal and random;
-    # the per-sample loop with normal and uniform, as its definition does
-    coords = None if npoints == 0 else np.random.default_rng(seed).uniform(-1, 1, (npoints, n))
-    draws = taylor_draws(n, delta, epsilon, nsamples, seed, coords=coords)
-    loop = list(taylor_draws_loop(n, delta, epsilon, nsamples, seed, coords))
-    for i, got in enumerate((draws.X, draws.F, draws.G, draws.K)):
+    # the per-sample loop with integers, normal and uniform, as its
+    # definition does
+    draws = taylor_draws(n, delta, epsilon, nsamples, seed, spots=spots)
+    loop = list(taylor_draws_loop(n, delta, epsilon, nsamples, seed, spots))
+    for i, got in enumerate((draws.F, draws.G, draws.K)):
         assert len(got) == nsamples
         assert got.tobytes() == np.array([sample[i] for sample in loop]).tobytes()
 
 
-@pytest.mark.parametrize("npoints", [1, 16])
+@pytest.mark.parametrize("spots", [1, 16])
 @pytest.mark.parametrize("n", [2, 3])
-def test_taylor_draws_pick_a_coordinate_only_among_several(monkeypatch, n, npoints):
-    # integers(1) draws nothing from the stream, so the draws over one
-    # coordinate skip it and stay the per-sample loop's bytes, as the
-    # draws over 16 coordinates do with it
-    coords = np.random.default_rng(npoints).uniform(-1, 1, (npoints, n))
+def test_taylor_draws_pick_a_coordinate_only_among_several(monkeypatch, n, spots):
+    # each sample picks one of the spots, the quadrature coordinates the
+    # draws sat at while materials read one; integers(1) draws nothing
+    # from the stream, so the draws over one spot skip it and stay the
+    # per-sample loop's bytes, as the draws over 16 spots do with it
     picks = []
 
     def counting_rng(seed):
@@ -420,14 +416,12 @@ def test_taylor_draws_pick_a_coordinate_only_among_several(monkeypatch, n, npoin
             integers=lambda high: picks.append(high) or rng.integers(high))
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    draws = taylor_draws(n, 0.3, 0.1, 200, 11, coords=coords)
+    draws = taylor_draws(n, 0.3, 0.1, 200, 11, spots=spots)
     monkeypatch.undo()
-    assert picks == ([] if npoints == 1 else [npoints] * 200)
-    loop = list(taylor_draws_loop(n, 0.3, 0.1, 200, 11, coords))
-    for i, got in enumerate((draws.X, draws.F, draws.G, draws.K)):
+    assert picks == ([] if spots == 1 else [spots] * 200)
+    loop = list(taylor_draws_loop(n, 0.3, 0.1, 200, 11, spots))
+    for i, got in enumerate((draws.F, draws.G, draws.K)):
         assert got.tobytes() == np.array([sample[i] for sample in loop]).tobytes()
-    if npoints > 1:
-        assert len(np.unique(draws.X, axis=0)) > 1
 
 
 _DEFAULT_RNG = np.random.default_rng
@@ -483,7 +477,7 @@ def test_taylor_draws_scale_a_step_only_when_its_norm_is_positive(monkeypatch, n
                         lambda seed: generators.append(_DegenerateSteps(seed)) or generators[-1])
     m = stvk(1.3, 0.7)
     tc = taylor_constants(m, taylor_draws(n, 0.3, 0.1, 40, 5))
-    assert (tc.c, tc.c_hat) == _reference_taylor(m, n, 0.3, 0.1, 40, 5, None)
+    assert (tc.c, tc.c_hat) == _reference_taylor(m, n, 0.3, 0.1, 40, 5, 1)
     # per 4 samples, the plain and the (0, 0) kind draw 3 lengths, the skew
     # kind 1 (E's), the zero kind none; in 2D every rotation draws an angle
     angles = 2 * 40 if n == 2 else 0

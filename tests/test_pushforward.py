@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from rigidity_cert import certify, errors, fem, harmonic, material, pushforward
 
+from conftest import frozen_point
+
 
 def _curved_map():
     """A smooth diffeomorphism of the unit square with its exact Jacobian."""
@@ -62,11 +64,10 @@ def test_identity_deformation_round_trip():
     m = material.stvk(1.0, 1.0)
     m_u = pushforward.PushforwardMaterial(m, cfg)
     G = np.array([[1.1, 0.05], [-0.02, 0.97]])
-    coords = mesh.quadrature()[0].reshape(-1, 2)
-    Gs = np.broadcast_to(G, (len(coords), 2, 2))
-    assert m_u.energy_many(coords, Gs) == pytest.approx(m.energy_many(coords, Gs), rel=1e-13)
-    assert np.allclose(m_u.stress_many(coords, Gs), m.stress_many(coords, Gs), atol=1e-13)
-    assert np.allclose(m_u.elasticity_many(coords, Gs), m.elasticity_many(coords, Gs), atol=1e-13)
+    Gs = np.broadcast_to(G, (cfg.det_F.size, 2, 2))
+    assert m_u.energy_many(Gs) == pytest.approx(m.energy_many(Gs), rel=1e-13)
+    assert np.allclose(m_u.stress_many(Gs), m.stress_many(Gs), atol=1e-13)
+    assert np.allclose(m_u.elasticity_many(Gs), m.elasticity_many(Gs), atol=1e-13)
 
 
 def test_affine_shear_keeps_volume_loads():
@@ -182,8 +183,8 @@ def test_pushforward_material_rejects_a_batch_of_the_wrong_length():
     for name in ("energy_many", "stress_many", "elasticity_many"):
         for count in (1, points - 1, points + 1):
             with pytest.raises(errors.DimensionMismatch):
-                getattr(m_u, name)(np.zeros((count, 2)), np.broadcast_to(np.eye(2), (count, 2, 2)))
-        assert len(getattr(m_u, name)(None, np.broadcast_to(np.eye(2), (points, 2, 2)))) == points
+                getattr(m_u, name)(np.broadcast_to(np.eye(2), (count, 2, 2)))
+        assert len(getattr(m_u, name)(np.broadcast_to(np.eye(2), (points, 2, 2)))) == points
 
 
 def test_point_material_matches_batched():
@@ -195,58 +196,52 @@ def test_point_material_matches_batched():
     nq = cfg.det_F.shape[1]
     G = np.eye(2) + 0.1 * rng.normal(size=(2, 2))
     Gs = np.broadcast_to(G, (cfg.det_F.size, 2, 2))
-    e, k = 4, 2
-    pm = m_u.point_material(e, k)
-    x = np.zeros((1, 2))
-    row = e * nq + k
-    assert pm.energy_many(x, G[None])[0] == pytest.approx(
-        m_u.energy_many(None, Gs)[row], rel=1e-13
-    )
-    assert np.allclose(pm.stress_many(x, G[None])[0], m_u.stress_many(None, Gs)[row], atol=1e-13)
-    assert np.allclose(pm.elasticity_many(x, G[None])[0], m_u.elasticity_many(None, Gs)[row],
+    row = 4 * nq + 2
+    pm = m_u.at_points(slice(row, row + 1))
+    assert pm.energy_many(G[None])[0] == pytest.approx(m_u.energy_many(Gs)[row], rel=1e-13)
+    assert np.allclose(pm.stress_many(G[None])[0], m_u.stress_many(Gs)[row], atol=1e-13)
+    assert np.allclose(pm.elasticity_many(G[None])[0], m_u.elasticity_many(Gs)[row],
                        atol=1e-13)
 
 
-def test_point_material_bitwise_as_the_assembly_material():
-    # the frozen point and the assembly material share one chain-rule
-    # algebra, so the deformed Taylor sampling and the deformed gate see one
-    # material bit for bit: on a diagonal stretch, with shear, in 3D; the
-    # frozen point (e, k) is row e*nq + k of the whole-mesh batch, and it
-    # evaluates a batch bitwise as it evaluates each gradient alone
-    rng = np.random.default_rng(5)
-    cases = (
-        (fem.rectangle_mesh(3, 2), np.diag([1.05, 0.97])),
-        (fem.rectangle_mesh(3, 2), np.array([[1.05, 0.13], [-0.07, 0.97]])),
-        (fem.box_mesh(1, 1, 1), np.array([[1.05, 0.13, 0.0], [-0.07, 0.97, 0.04],
-                                          [0.02, 0.0, 1.01]])),
-    )
-    for mesh, D in cases:
-        n = mesh.dim
-        cfg = pushforward.deform_configuration(
-            mesh, pushforward.AnalyticDeformation(lambda x, D=D: D @ x, lambda x, D=D: D)
-        )
-        for base in (material.stvk(1.2, 0.8), material.neo_hookean(1.0, 0.8)):
-            m_u = pushforward.PushforwardMaterial(base, cfg)
-            nelem, nq = cfg.det_F.shape
-            G_all = np.eye(n) + 0.1 * rng.normal(size=(nelem * nq, n, n))
-            batch = {name: getattr(m_u, name)(None, G_all)
-                     for name in ("energy_many", "stress_many", "elasticity_many")}
-            for e in range(nelem):
-                for k in range(nq):
-                    pm = m_u.point_material(e, k)
-                    assert isinstance(pm, pushforward.FrozenPointMaterial)
-                    assert not isinstance(pm, material.CustomMaterial)
-                    row = e * nq + k
-                    G = np.eye(n) + 0.1 * rng.normal(size=(7, n, n))
-                    x = np.zeros((7, n))
-                    for name, want in batch.items():
-                        point = getattr(pm, name)(x[:1], G_all[row:row + 1])
-                        assert point.shape == want[row:row + 1].shape, name
-                        assert np.array_equal(point[0], want[row]), name
-                        got = getattr(pm, name)(x, G)
-                        alone = np.concatenate([getattr(pm, name)(x[:1], G[p:p + 1])
-                                                for p in range(7)])
-                        assert np.array_equal(alone, got), name
+_QUANTITIES = ("energy_many", "stress_many", "elasticity_many")
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(["stretch", "shear", "box"]),
+       model=st.sampled_from(["stvk", "neo-hookean"]),
+       seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 9))
+def test_point_material_bitwise_as_the_assembly_material(case, model, seed, batch):
+    # a one-row slice of the assembly material is the pushforward frozen at
+    # that quadrature point, and the two share one chain-rule algebra, so
+    # the deformed Taylor sampling and the deformed gate see one material
+    # bit for bit: row p of a whole-mesh batch evaluates as the slice
+    # evaluates it, and the slice evaluates a batch bitwise as it
+    # evaluates each gradient alone
+    mesh = fem.box_mesh(1, 1, 1) if case == "box" else fem.rectangle_mesh(3, 2)
+    D = {
+        "stretch": np.diag([1.05, 0.97]),
+        "shear": np.array([[1.05, 0.13], [-0.07, 0.97]]),
+        "box": np.array([[1.05, 0.13, 0.0], [-0.07, 0.97, 0.04], [0.02, 0.0, 1.01]]),
+    }[case]
+    n = mesh.dim
+    cfg = pushforward.deform_configuration(
+        mesh, pushforward.AnalyticDeformation(lambda x: D @ x, lambda x: D))
+    base = material.stvk(1.2, 0.8) if model == "stvk" else material.neo_hookean(1.0, 0.8)
+    m_u = pushforward.PushforwardMaterial(base, cfg)
+    rng = np.random.default_rng(seed)
+    points = cfg.det_F.size
+    G_all = np.eye(n) + 0.1 * rng.normal(size=(points, n, n))
+    p = int(rng.integers(points))
+    pm = m_u.at_points(slice(p, p + 1))
+    assert not isinstance(pm, material.CustomMaterial)
+    G = np.eye(n) + 0.1 * rng.normal(size=(batch, n, n))
+    for name in _QUANTITIES:
+        want = getattr(m_u, name)(G_all)
+        point = getattr(pm, name)(G_all[p:p + 1])
+        assert point.tobytes() == want[p:p + 1].tobytes(), name
+        alone = np.concatenate([getattr(pm, name)(G[i:i + 1]) for i in range(batch)])
+        assert getattr(pm, name)(G).tobytes() == alone.tobytes(), name
 
 
 def test_push_point_chain_rule_against_fd():
@@ -254,38 +249,34 @@ def test_push_point_chain_rule_against_fd():
     of the pushed energy alone, and against the direct contraction."""
     rng = np.random.default_rng(11)
     base = material.stvk(1.3, 0.9)
-    x = np.array([0.2, 0.7])
     F = np.array([[1.08, 0.15], [-0.05, 0.94]])
     det = np.linalg.det(F)
-    pm = pushforward.FrozenPointMaterial(base, x, F)
-    fd = material.CustomMaterial(
-        "fd-probe", lambda y, G: float(pm.energy_many(y[None], G[None])[0])
-    )
+    pm = frozen_point(base, F)
+    fd = material.CustomMaterial("fd-probe", lambda G: float(pm.energy_many(G[None])[0]))
     for _ in range(5):
         G = np.eye(2) + 0.15 * rng.normal(size=(2, 2))
         H = rng.normal(size=(2, 2))
-        S_closed = pm.stress_many(x[None], G[None])[0]
-        S_fd = fd.stress_many(x[None], G[None])[0]
+        S_closed = pm.stress_many(G[None])[0]
+        S_fd = fd.stress_many(G[None])[0]
         assert np.allclose(S_closed, S_fd, atol=1e-6)
-        A = pm.elasticity_many(x[None], G[None])[0]
+        A = pm.elasticity_many(G[None])[0]
         quad_closed = float(np.einsum("iajb,ia,jb", A, H, H))
         HF = H @ F
-        A_base = base.elasticity_many(x[None], (G @ F)[None])[0]
+        A_base = base.elasticity_many((G @ F)[None])[0]
         quad_direct = float(np.einsum("ikjl,ik,jl", A_base, HF, HF)) / det
         assert quad_closed == pytest.approx(quad_direct, rel=1e-10, abs=1e-12)
-        quad_fd = float(np.einsum("iajb,ia,jb", fd.elasticity_many(x[None], G[None])[0], H, H))
+        quad_fd = float(np.einsum("iajb,ia,jb", fd.elasticity_many(G[None])[0], H, H))
         assert quad_closed == pytest.approx(quad_fd, rel=2e-4, abs=1e-6)
 
 
 def test_pushed_energy_value():
     base = material.stvk(1.0, 1.0)
-    x = np.zeros(2)
     F = np.diag([2.0, 1.0])
-    pm = pushforward.FrozenPointMaterial(base, x, F)
+    pm = frozen_point(base, F)
     G = np.diag([0.5, 1.0])  # G F = I, so the pushed energy is W(I)/det = 0
-    assert pm.energy_many(x[None], G[None])[0] == pytest.approx(0.0, abs=1e-15)
-    assert pm.energy_many(x[None], np.eye(2)[None])[0] == pytest.approx(
-        base.energy_many(x[None], F[None])[0] / 2.0, rel=1e-14
+    assert pm.energy_many(G[None])[0] == pytest.approx(0.0, abs=1e-15)
+    assert pm.energy_many(np.eye(2)[None])[0] == pytest.approx(
+        base.energy_many(F[None])[0] / 2.0, rel=1e-14
     )
 
 

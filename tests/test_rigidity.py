@@ -141,7 +141,7 @@ def test_fit_cemp_stable_under_refinement():
 
 # ----------------------------------------------------------------- korn
 
-def test_korn_form_matrix_matches_direct_quadrature():
+def test_korn_constant_matrix_matches_direct_quadrature():
     # the form's matrix over the free dofs, that korn_constant factors,
     # against quadrature of a field vanishing on the Dirichlet nodes
     rng = np.random.default_rng(6)
