@@ -4,7 +4,7 @@ Submodules
 ----------
 tensor_core   polar factors, rotation distance, strain
 harmonic      grid fields, maximal functions, BMO seminorms, interpolation fits
-material      stored-energy models, constitutive checks, Taylor constants
+material      stored-energy models, moduli at the identity, Taylor bounds
 fem           Q1 meshes, energies, Newton solves, second-variation eigensolves
 rigidity      rotation fits, rigidity and Korn constants
 certify       neighborhood radii, energy-gap gates, uniqueness certificates

@@ -1,7 +1,7 @@
 """Local-minimality and uniqueness gates built from measured constants.
 
 The chain: a discrete coercivity constant of the second variation at an
-equilibrium, a sampled cubic Taylor constant of the stored energy, and the
+equilibrium, a proved cubic Taylor constant of the stored energy, and the
 reverse-Hoelder constant J2, proved from the lattice, combine into a
 BMO-smallness threshold delta_star.  Candidates whose gradient difference
 passes the threshold get their energy excess verified directly against the
@@ -58,8 +58,8 @@ _GAP_SLACK = 0.1
 
 # the equilibrium tolerance of certification_inputs
 RESIDUAL_TOL = 1e-8
-# the radius of the rotation-distance set the Taylor constants are sampled
-# on, and the norm fattening covering candidate steps
+# the radius of the rotation-distance set the Taylor constants are proved
+# on, and the norm bound on candidate steps
 RHO = 0.25
 EPSILON = 0.25
 # the bound on |F^T F - I| of the small-strain set
@@ -173,31 +173,15 @@ class CertInputs:
     epsilon: float
     components: int
     delta_star: float
-    taylor_samples: int
-    seed: int
     provenance: dict
 
 
-def _quadrature_taylor(problem: Problem, rng, samples, seed):
-    """Taylor constants of the material in one taylor_constants call, on
-    draws over min(16, M q) spots."""
-    mesh = problem.mesh
-    spots = min(16, mesh.quadrature()[2].size)
-    tc = material.taylor_constants(problem.material, material.taylor_draws(
-        mesh.dim, RHO, EPSILON, samples, seed, spots=spots))
-    return tc.c, tc.c_hat, {"samples": int(tc.samples)}
-
-
-def certification_inputs(problem: Problem, u_e, taylor_samples=2000, seed=0,
-                         taylor=_quadrature_taylor,
-                         residual_tol=RESIDUAL_TOL) -> CertInputs:
+def certification_inputs(problem: Problem, u_e, residual_tol=RESIDUAL_TOL) -> CertInputs:
     """Measure every constant the gates need at the equilibrium u_e.
 
-    The Taylor constants are sampled on the rotation-distance set of
-    radius RHO, fattened by EPSILON.  taylor samples the Taylor constants
-    of problem.material: called as taylor(problem, default_rng(seed),
-    taylor_samples, seed), it returns (c, c_hat, its own entries of the
-    Taylor provenance).  A
+    The Taylor constants are the closed-form bounds of problem.material
+    (Material.taylor_bounds) on the rotation-distance set of radius RHO
+    with steps up to EPSILON.  A
     residual sup above residual_tol raises NotEquilibrium first, and a
     lattice with no finite J2 (harmonic.interpolation_bound) raises
     HypothesisUnmet next.
@@ -222,8 +206,7 @@ def certification_inputs(problem: Problem, u_e, taylor_samples=2000, seed=0,
     G = fem.gradient_gram_matrix(mesh)
     lambda_min = fem.coercivity_constant(M, G, mesh.dof_order())
     k_hat = lambda_min / _CASCADE
-    c, c_hat, taylor_provenance = taylor(problem, np.random.default_rng(seed),
-                                         taylor_samples, seed)
+    c, c_hat = m.taylor_bounds(n, RHO, EPSILON)
     components = n * n
     delta_star = (
         neighborhood_radius(k_hat, c, J2, components)
@@ -233,13 +216,7 @@ def certification_inputs(problem: Problem, u_e, taylor_samples=2000, seed=0,
     provenance = {
         "mesh_hash": mesh.mesh_hash(),
         "material": m.descriptor(),
-        "taylor": {
-            "delta": RHO,
-            "epsilon": EPSILON,
-            "seed": int(seed),
-            **taylor_provenance,
-        },
-        "seed": int(seed),
+        "taylor": {"rho": RHO, "epsilon": EPSILON},
     }
     return CertInputs(
         problem=problem, u_e=u_e,
@@ -254,8 +231,6 @@ def certification_inputs(problem: Problem, u_e, taylor_samples=2000, seed=0,
         epsilon=EPSILON,
         components=components,
         delta_star=float(delta_star),
-        taylor_samples=int(taylor_samples),
-        seed=int(seed),
         provenance=provenance,
     )
 

@@ -171,7 +171,6 @@ _KEYS = {
     "loads.traction": (_p_floats, None),
     "loads.dirichlet": (_p_choice(_DIRICHLET_KINDS), "identity"),
     "loads.matrix": (_p_floats, None),
-    "certify.taylor_samples": (_p_int, 2000),
     "certify.candidates": (_p_int, 12),
     "certify.frac": (_p_float, 0.5),
     "certify.strain_eps": (_p_float, 0.05),
@@ -298,9 +297,8 @@ def validate_scenario(sc) -> tuple[fem.Mesh, list]:
         _fail(sc, "mesh.dirichlet", "the mesh leaves no free dof to solve for")
     build_material(sc)
     build_loads(sc, mesh)
-    for key in ("certify.taylor_samples", "certify.strain_eps"):
-        if not sc[key] > 0:
-            _fail(sc, key, f"must be positive, got {sc[key]:g}")
+    if not sc["certify.strain_eps"] > 0:
+        _fail(sc, "certify.strain_eps", f"must be positive, got {sc['certify.strain_eps']:g}")
     if sc["certify.frac"] <= 0.0:
         _fail(sc, "certify.frac", "perturbation fraction must be positive")
     for key in ("certify.candidates", "certify.restarts"):
@@ -378,9 +376,7 @@ def _certify_setup(sc, mesh):
     constants once, and draw the gated candidates; also the solve's start
     field."""
     problem, u0, u_e, _ = _solve(sc, mesh)
-    inputs = certify.certification_inputs(
-        problem, u_e, taylor_samples=sc["certify.taylor_samples"], seed=sc["seed"],
-    )
+    inputs = certify.certification_inputs(problem, u_e)
     cands = certify.gated_perturbations(
         inputs, count=sc["certify.candidates"], frac=sc["certify.frac"], seed=sc["seed"] + 1,
     )
@@ -427,6 +423,7 @@ def _pipeline_solve(sc, mesh, sweep):
 def _certificate_doc(sc, cert) -> dict:
     cert.extra.setdefault("name", sc["name"])
     cert.extra.setdefault("pipeline", sc["pipeline"])
+    cert.extra.setdefault("seed", sc["seed"])
     cert.extra.setdefault("config", dict(sc["__raw__"]))
     return cert.to_dict()
 

@@ -47,12 +47,8 @@ class OutsideDomain(RigidityCertError):
     """Energy evaluated at a deformation gradient outside det F > 0."""
 
 
-class CheckFailed(RigidityCertError):
-    """A constitutive self-check found a violation."""
-
-
 class SetEscapesDomain(RigidityCertError):
-    """A fattened matrix neighborhood leaves the admissible set."""
+    """A matrix neighborhood of the Taylor bounds reaches det F <= 0."""
 
 
 # finite elements

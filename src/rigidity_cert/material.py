@@ -1,5 +1,5 @@
-"""Stored-energy models, their moduli at the identity, and their sampled
-Taylor constants.
+"""Stored-energy models, their moduli at the identity, and their proved
+Taylor bounds.
 
 A material is homogeneous: it evaluates, at a deformation gradient F with
 det F > 0:
@@ -13,26 +13,19 @@ Batched entry points take stacked gradients (k, n, n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckFailed, DimensionMismatch, OutsideDomain, SetEscapesDomain
-from .tensor_core import frob, frob_many, rotations
+from .errors import DimensionMismatch, OutsideDomain, SetEscapesDomain
+from .tensor_core import frob
 
 __all__ = [
     "Material",
     "StVenantKirchhoff",
     "NeoHookean",
-    "CustomMaterial",
     "stvk",
     "neo_hookean",
-    "quadratic_toy",
     "identity_floor",
-    "TaylorConstants",
-    "TaylorDraws",
-    "taylor_draws",
-    "taylor_constants",
     "sym_basis",
 ]
 
@@ -73,6 +66,27 @@ class Material:
     def descriptor(self) -> dict:
         return {"model": self.name, "lambda": self.lam, "mu": self.mu}
 
+    def taylor_bounds(self, n, rho, epsilon, s_max=1.0, det=1.0):
+        """Proved Taylor constants (c, c_hat) of W on the set the gate
+        admits in n dimensions: base gradients X with dist(X, SO(n)) <= rho
+        and steps |H| <= epsilon (see the comment above StVenantKirchhoff).
+
+        s_max and det describe a forward gradient F, |F|_op <= s_max and
+        det F = det: the bounds are then those of the pushforward
+        W(X F) / det F in X.  The defaults, F = I, give W's own.  Arrays
+        of s_max and det give arrays of bounds, one per point.  Unless
+        rho and epsilon are >= 0 with rho + epsilon < 1, a segment may
+        reach det = 0, and SetEscapesDomain is raised.
+        """
+        if not (rho >= 0.0 and epsilon >= 0.0 and rho + epsilon < 1.0):
+            raise SetEscapesDomain(
+                f"rho = {rho:g}, epsilon = {epsilon:g}: the set reaches det F <= 0"
+            )
+        return self._taylor_bounds(n, rho, epsilon, s_max, det)
+
+    def _taylor_bounds(self, n, rho, epsilon, s_max, det):
+        raise NotImplementedError(f"{self.name} has no closed-form Taylor bounds")
+
 
 def _point_major(F):
     """(n, n, k) C-ordered copy of a (k, n, n) stack: entry (i, j) of every
@@ -88,6 +102,33 @@ def _stacked(X):
     """
     out = np.empty((X.shape[-1],) + X.shape[:-1])
     return np.add(np.moveaxis(X, -1, 0), 0.0, out=out)
+
+
+# ------------------------------------------------------------ Taylor bounds
+#
+# The gate admits a base gradient X with dist(X, SO(n)) <= rho and a step
+# H with |H| <= epsilon, in Frobenius norms.  A perturbation moves each
+# singular value by at most its operator norm (Weyl), and |.|_op <= |.|,
+# so on the segment X + tH, t in [0, 1], the singular values stay in
+# [1 - rho - t epsilon, 1 + rho + t epsilon], and rho + epsilon < 1 keeps
+# det > 0 there.  Also |X| <= |R| + |X - R| <= sqrt(n) + rho for the
+# nearest rotation R.  Two constants are proved on that set:
+#
+#     c      |W(X + H) - W(X) - S(X):H - A(X)[H]:H / 2| <= c |H|^3
+#     c_hat  |K:(A(X + H) - A(X))[K]| <= c_hat |H| |K|^2   for every K
+#
+# With T(Y) = D^3 W(Y), the remainder is int_0^1 (1 - t)^2 / 2
+# T(X + tH)[H, H, H] dt and the difference int_0^1 T(X + tH)[H, K, K] dt.
+# T(Y) is a symmetric trilinear form, and on a Hilbert space such a form
+# has the norm of its diagonal (Banach): |T[H, K, K]| <= sup_|L|=1
+# |T[L, L, L]| |H| |K|^2.  So c_hat bounds the operator norm of
+# A(X + H) - A(X), not only its value along one direction.
+#
+# The pushforward W(X F) / det F of a forward gradient F has third
+# derivative T(X F)[H F, H F, H F] / det F, and |H F| <= |H| |F|_op, so it
+# is bounded through |F|_op^3 / det F with X F and H F in place of X and
+# H.  The operator norm matters: |F|^3 in Frobenius overstates it by up to
+# n^(3/2).
 
 
 class StVenantKirchhoff(Material):
@@ -155,6 +196,30 @@ class StVenantKirchhoff(Material):
                            + eye[None, :, None, :, None] * B[:, None, :, None])
         return _stacked(A)
 
+    def _taylor_bounds(self, n, rho, epsilon, s_max, det):
+        """With Y = X F and K = H F, E(Y + K) = E(Y) + a + b for
+        a = sym(Y^T K) and b = K^T K / 2, so W is a quartic along the
+        segment and its remainder is exactly
+
+            lam (tr a tr b + (tr b)^2 / 2) + mu (2 a:b + |b|^2),
+
+        with tr a = Y:K, tr b = |K|^2 / 2, |b| <= |K|^2 / 2 and
+        2 a:b = <Y, K K^T K> <= |Y|_op |K|^3 (the nuclear norm of K K^T K
+        is the sum of sigma_i^3, at most |K|^3).  |Y| <= (sqrt(n) + rho)
+        s_max, |Y|_op <= (1 + rho) s_max and |K| <= epsilon s_max give c.
+        T(Y)[K, K, K] = 3 lam (Y:K) |K|^2 + 6 mu <Y, K K^T K> is linear in
+        Y, so the difference of A is T at the segment's midpoint
+        (X + H/2) F, of norms at most (sqrt(n) + rho + epsilon/2) s_max
+        and (1 + rho + epsilon/2) s_max: that gives c_hat.  Both carry the
+        factor |F|_op^3 / det F.
+        """
+        lam, mu = self.lam, self.mu
+        scale = s_max**4 / det
+        c = lam * (math.sqrt(n) + rho) / 2.0 + mu * (1.0 + rho) + (lam / 8.0 + mu / 4.0) * epsilon
+        mid = 0.5 * epsilon
+        c_hat = 3.0 * lam * (math.sqrt(n) + rho + mid) + 6.0 * mu * (1.0 + rho + mid)
+        return c * scale, c_hat * scale
+
 
 class NeoHookean(Material):
     """W = mu/2 (tr C - n) - mu log J + lam/2 (log J)^2, J = det F."""
@@ -194,60 +259,33 @@ class NeoHookean(Material):
         A = A + self.lam * np.einsum("kia,kjb->kiajb", Fit, Fit)
         return A
 
+    def _taylor_bounds(self, n, rho, epsilon, s_max, det):
+        """Along Y + tK, with M = Y^-1 K, the derivatives of log J are
+        tr M, -tr M^2 and 2 tr M^3, and |F|^2 / 2 is quadratic, so
 
-class CustomMaterial(Material):
-    """User-supplied energy with optional closed-form derivatives, each a
-    callable of one gradient F.
+            T(Y)[K, K, K] = 2 (lam log J - mu) tr M^3 - 3 lam tr M tr M^2.
 
-    Missing derivatives fall back to central differences with step
-    h = 1e-6 (1 + |F|).  The energy carries its own moduli, so the
-    descriptor reports lambda and mu as 0.0.
-    """
-
-    def __init__(self, name, energy_fn, stress_fn=None, elasticity_fn=None):
-        super().__init__(0.0, 0.0)
-        self.name = name
-        self._energy_fn = energy_fn
-        self._stress_fn = stress_fn
-        self._elasticity_fn = elasticity_fn
-
-    def energy_many(self, F):
-        F = _check_batch(F)
-        return np.array([self._energy_fn(f) for f in F], dtype=float)
-
-    def _fd_stress(self, F):
-        h = 1e-6 * (1.0 + frob(F))
-        out = np.zeros_like(F)
-        for i in range(F.shape[0]):
-            for j in range(F.shape[1]):
-                Fp, Fm = F.copy(), F.copy()
-                Fp[i, j] += h
-                Fm[i, j] -= h
-                out[i, j] = (self._energy_fn(Fp) - self._energy_fn(Fm)) / (2 * h)
-        return out
-
-    def stress_many(self, F):
-        F = _check_batch(F)
-        fn = self._stress_fn or self._fd_stress
-        return np.array([fn(f) for f in F]).reshape(F.shape)
-
-    def _fd_elasticity(self, F):
-        n = F.shape[0]
-        h = 1e-6 * (1.0 + frob(F))
-        stress_fn = self._stress_fn or self._fd_stress
-        A = np.zeros((n, n, n, n))
-        for j in range(n):
-            for b in range(n):
-                Fp, Fm = F.copy(), F.copy()
-                Fp[j, b] += h
-                Fm[j, b] -= h
-                A[:, :, j, b] = (stress_fn(Fp) - stress_fn(Fm)) / (2 * h)
-        return A
-
-    def elasticity_many(self, F):
-        F = _check_batch(F)
-        fn = self._elasticity_fn or self._fd_elasticity
-        return np.array([fn(f) for f in F]).reshape(F.shape + F.shape[1:])
+        For Y = X F and K = H F, M = F^-1 (X^-1 H) F has the traces of
+        N = X^-1 H, and |tr N^3| <= |N|^3, |tr N| |tr N^2| <= sqrt(n) |N|^3
+        (eigenvalue moduli are majorized by singular values, Weyl), with
+        |N| <= |H| / sigma_min(X).  On the segment log det X lies in
+        [n log(1 - rho - epsilon), n log(1 + rho + epsilon)] and log J =
+        log det X + log det F, so |T| <= k |H|^3 / (sigma_min(X)^3 det F),
+        k = 2 max |lam log J - mu| + 3 sqrt(n) lam: the pushforward needs
+        no norm of F.  sigma_min(X + tH) >= a - t epsilon with a = 1 - rho,
+        and 1 / (a - t epsilon)^3 is convex in t, so at most (1 - t) / a^3
+        + t / b^3 with b = a - epsilon: the remainder integral gives c = k
+        (1 / (8 a^3) + 1 / (24 b^3)) / det F, and the exact int_0^1
+        (a - t epsilon)^-3 dt = (a + b) / (2 a^2 b^2) gives c_hat.
+        """
+        lam, mu = self.lam, self.mu
+        a, r = 1.0 - rho, rho + epsilon
+        b = a - epsilon
+        log_det = np.log(det)
+        worst = np.maximum(np.abs(lam * (n * math.log(1.0 - r) + log_det) - mu),
+                           np.abs(lam * (n * math.log(1.0 + r) + log_det) - mu))
+        k = (2.0 * worst + 3.0 * math.sqrt(n) * lam) / det
+        return k * (1.0 / (8.0 * a**3) + 1.0 / (24.0 * b**3)), k * (a + b) / (2.0 * a**2 * b**2)
 
 
 def stvk(lam=1.0, mu=1.0) -> StVenantKirchhoff:
@@ -256,24 +294,6 @@ def stvk(lam=1.0, mu=1.0) -> StVenantKirchhoff:
 
 def neo_hookean(lam=1.0, mu=1.0) -> NeoHookean:
     return NeoHookean(lam, mu)
-
-
-def quadratic_toy() -> CustomMaterial:
-    """W = |F - I|^2 / 2.  Not frame indifferent; useful because its cubic
-    Taylor remainder vanishes identically."""
-
-    def energy(F):
-        d = F - np.eye(F.shape[0])
-        return 0.5 * float(np.sum(d * d))
-
-    def stress_fn(F):
-        return F - np.eye(F.shape[0])
-
-    def elasticity_fn(F):
-        n = F.shape[0]
-        return np.einsum("ij,ab->iajb", np.eye(n), np.eye(n))
-
-    return CustomMaterial("quadratic-toy", energy, stress_fn, elasticity_fn)
 
 
 # ------------------------------------------------------ moduli at the identity
@@ -324,169 +344,3 @@ def identity_floor(m: Material, n: int):
     floor = float(np.linalg.eigvalsh(0.5 * (Q + Q.T)).min()) / 4.0
     skew_err = max(frob(np.einsum("iajb,jb->ia", A, K)) for K in _skew_basis(n))
     return free_err, floor, skew_err
-
-
-# --------------------------------------------------------- Taylor constants
-
-@dataclass(frozen=True)
-class TaylorConstants:
-    """Sampled cubic-remainder and Lipschitz constants on a rotation
-    neighborhood of radius delta, fattened in norm by epsilon."""
-
-    c: float
-    c_hat: float
-    delta: float
-    epsilon: float
-    samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.c < 0 or self.c_hat < 0:
-            raise CheckFailed("Taylor constants must be nonnegative")
-
-
-@dataclass(frozen=True, eq=False)
-class TaylorDraws:
-    """A seeded sample of the fattened rotation neighborhood, independent
-    of any material: sample s pairs F[s], a point of
-    {dist(F, SO(n)) <= delta}, with G[s], a second such point moved by at
-    most epsilon in norm; K[s] is a unit direction for the Lipschitz
-    quotient.  The arrays are made read-only, since every material
-    evaluated on the draws reads the same ones."""
-
-    F: np.ndarray
-    G: np.ndarray
-    K: np.ndarray
-    delta: float
-    epsilon: float
-    seed: int
-    samples: int
-
-    def __post_init__(self):
-        for a in (self.F, self.G, self.K):
-            a.setflags(write=False)
-
-
-def taylor_draws(n, delta, epsilon, nsamples, seed, spots=1) -> TaylorDraws:
-    """Draw nsamples Taylor samples from default_rng(seed).
-
-    delta + epsilon < 1 keeps the whole fattened set inside det F > 0.
-    Per sample the generator is called in this order: integers(spots),
-    unless spots is 1 (integers(1) draws nothing from the stream); for F,
-    then for G, a normal step S whose symmetric part is scaled to length
-    uniform(0, delta), then a rotation R (a uniform
-    angle in 2D, a normal quaternion in 3D), giving R (I + sym S); a
-    normal fattening E scaled to length uniform(0, epsilon) and added to
-    G; a normal direction K, scaled to length 1.  A step of norm 0 draws
-    no length and is not scaled.  The sample loop makes these draws only,
-    from the same stream by standard_normal and random; the arithmetic
-    runs stacked after it, each value bitwise the one a per-sample loop
-    computes (tests/oracles.py keeps that loop).
-    """
-    if not delta + epsilon < 1.0:
-        raise SetEscapesDomain(
-            f"delta + epsilon = {delta + epsilon:g} >= 1 allows det F <= 0"
-        )
-    rng = np.random.default_rng(seed)
-    gauss, rand = rng.standard_normal, rng.random
-    steps = np.empty((nsamples, 3, n, n))        # the steps of F and G, then E
-    lengths = np.full((nsamples, 3), math.nan)   # nan where none is drawn
-    turns = np.empty((nsamples, 2) if n == 2 else (nsamples, 2, 4))
-    K = np.empty((nsamples, n, n))
-    # A step is scaled when its norm is positive: frob(0.5 (S + S^T)) > 0
-    # for F and G, frob(E) > 0 for the fattening.  The loop tests
-    # |A[0, 0]| > 1e-150 first.  Entry (0, 0) of A and of its symmetric
-    # part is A[0, 0] exactly, so the norm's sum of nonnegative squares
-    # has a term of at least 1e-300, and rounding keeps a sum of
-    # nonnegative terms at or above its largest term: the norm is
-    # positive.  Only when the test fails is the norm itself taken.
-    # normal is 0.0 + 1.0 z for z = standard_normal, so adding 0.0 after
-    # the loop gives its bits, signed zeros included; uniform(0, b) is
-    # 0.0 + b random(), and b random() >= 0 is that sum.  In 2D a drawn
-    # length and the angle after it are one random(2).
-    for s in range(nsamples):
-        # no material reads the spot a sample was drawn at; it is still
-        # drawn, so that the stream, and every sampled constant, keeps the
-        # bits it had when materials read a spatial coordinate
-        if spots > 1:
-            rng.integers(spots)
-        for j in range(2):
-            S = gauss(out=steps[s, j])
-            if abs(S.item(0)) > 1e-150 or frob(0.5 * (S + S.T)) > 0:
-                if n == 2:
-                    lengths[s, j], turns[s, j] = rand(2)
-                    continue
-                lengths[s, j] = rand()
-            turns[s, j] = rand() if n == 2 else gauss(4)
-        E = gauss(out=steps[s, 2])
-        if abs(E.item(0)) > 1e-150 or frob(E) > 0:
-            lengths[s, 2] = rand()
-        gauss(out=K[s])
-    steps += 0.0
-    K += 0.0
-    lengths *= (delta, delta, epsilon)
-    turns = turns * (2.0 * math.pi) if n == 2 else turns + 0.0
-
-    steps[:, :2] = 0.5 * (steps[:, :2] + steps[:, :2].swapaxes(-1, -2))
-    drawn = ~np.isnan(lengths)
-    steps[drawn] *= (lengths[drawn] / frob_many(steps[drawn]))[:, None, None]
-    # both factors are C-ordered, so each product is the matmul of one sample
-    R = rotations(turns.reshape(2 * nsamples, *turns.shape[2:])).reshape(nsamples, 2, n, n)
-    FG = R @ (np.eye(n) + steps[:, :2])
-    return TaylorDraws(F=np.ascontiguousarray(FG[:, 0]),
-                       G=FG[:, 1] + steps[:, 2], K=K / frob_many(K)[:, None, None],
-                       delta=delta, epsilon=epsilon, seed=seed, samples=nsamples)
-
-
-def taylor_constants(m: Material, draws: TaylorDraws) -> TaylorConstants:
-    """Sample the two Appendix-style constants of m on draws.
-
-    c bounds the cubic Taylor defect of W around points of the rotation
-    neighborhood; c_hat is a Lipschitz constant for the second derivative.
-    Both are empirical suprema over the seeded sample taylor_draws made,
-    and are reported with its size and seed.
-
-    The draws come first and do not depend on the material, so one set
-    serves every material evaluated on the same settings: the 12
-    one-point pushforward materials of a deformed configuration share
-    theirs.  Each material quantity is one batched call over the samples,
-    and the per-sample quotients are folded in sample order.
-    """
-    F, G, K = draws.F, draws.G, draws.K
-    H = G - F
-    hn = frob_many(H)
-
-    # the cubic quotient needs |H| >= floor (below it the quotient drowns
-    # in roundoff), the Lipschitz quotient |H| > 1e-10; both read A(F).
-    # A contraction sums in an order set by its operands' strides, so every
-    # operand is C-ordered, as a one-sample evaluation is: each quotient is
-    # then bitwise the one a per-sample loop computes
-    floor = 1e-3
-    cub = hn >= floor
-    lip = hn > 1e-10
-    AF = np.ascontiguousarray(m.elasticity_many(F[lip]))
-    AG = np.ascontiguousarray(m.elasticity_many(G[lip]))
-    S = np.ascontiguousarray(m.stress_many(F[cub]))
-    Hc, Kl = H[cub], K[lip]
-    defect = (m.energy_many(F[cub]) - m.energy_many(G[cub])
-              + _inner(S, Hc) + 0.5 * _inner(Hc, _apply(AF[cub[lip]], Hc)))
-    # Python's power: numpy's rounds |H|^3 differently for about 5% of values
-    cubes = [h**3 for h in hn[cub].tolist()]
-    # Lipschitz quotient of the second derivative, both orders
-    qF = _inner(Kl, _apply(AF, Kl))
-    qG = _inner(Kl, _apply(AG, Kl))
-    # max folds in sample order, over Python floats
-    c_best = max([0.0] + (defect / np.array(cubes)).tolist())
-    chat_best = max([0.0] + (np.abs(qF - qG) / hn[lip]).tolist())
-    return TaylorConstants(c=c_best, c_hat=chat_best, delta=draws.delta,
-                           epsilon=draws.epsilon, samples=draws.samples, seed=draws.seed)
-
-
-def _apply(A, H):
-    """Stacked A[H], C-ordered."""
-    return np.ascontiguousarray(np.einsum("kiajb,kjb->kia", A, H))
-
-
-def _inner(U, V):
-    """Stacked Frobenius products U:V."""
-    return np.sum(U * V, axis=(1, 2))

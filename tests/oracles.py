@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from scratch against the
 definitions, not by calling the package, so the two sides of every
-comparison share no code.
+comparison share no code.  The test materials at the end are the one
+exception: they implement the package's Material interface, so that the
+solver and the certificates can run on them.
 """
 import math
 from math import fsum
@@ -10,6 +12,8 @@ from math import fsum
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+
+from rigidity_cert.material import Material
 
 
 # ---------------------------------------------------------------- rotations
@@ -213,56 +217,95 @@ def bump_values_closure(nodes, rng, eps):
 
 # -------------------------------------------------------- Taylor sampling
 
-def sample_near_rotations(rng, n, delta):
-    """One point of {dist(F, SO(n)) <= delta}, drawn and computed on its
-    own: a rotation times (I + small sym), the symmetric step scaled to a
-    uniform length in [0, delta) unless its norm is 0.  The rotation is a
-    uniform angle in 2D and a normalised normal quaternion in 3D."""
+def gate_pair(rng, n, rho, epsilon):
+    """One draw from the set the Taylor bounds cover, computed on its own:
+    a base gradient F = R (I + S) with R a rotation (a uniform angle in 2D,
+    a normalised normal quaternion in 3D) and S symmetric, so that
+    dist(F, SO(n)) = |S| <= rho; a step H with |H| <= epsilon; and a unit
+    direction K.  The lengths of S and H are rho u^(1/4) and
+    epsilon u^(1/4) for uniform u, which crowds the draws towards the
+    edge of the set, where the quotients are largest."""
+    def scaled(A, length):
+        return A * (length / math.sqrt(float(np.sum(A * A))))
+
     S = rng.normal(size=(n, n))
-    S = 0.5 * (S + S.T)
-    flat = S.ravel(order="K")
-    norm = math.sqrt(flat.dot(flat))
-    if norm > 0:
-        S *= rng.uniform(0.0, delta) / norm
+    S = scaled(0.5 * (S + S.T), rho * rng.uniform() ** 0.25)
     if n == 2:
         t = rng.uniform(0.0, 2.0 * math.pi)
-        c, s = math.cos(t), math.sin(t)
-        R = np.array([[c, -s], [s, c]])
+        R = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
     else:
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        a, b, c, d = q
+        a, b, c, d = scaled(rng.normal(size=4), 1.0)
         R = np.array([
             [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
             [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
             [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
         ])
-    return R @ (np.eye(n) + S)
+    H = scaled(rng.normal(size=(n, n)), epsilon * rng.uniform() ** 0.25)
+    return R @ (np.eye(n) + S), H, scaled(rng.normal(size=(n, n)), 1.0)
 
 
-def taylor_draws_loop(n, delta, epsilon, nsamples, seed, spots=1):
-    """The Taylor draws of default_rng(seed), sample by sample, each drawn
-    with the generator's integers, normal and uniform and computed on its
-    own: a spot integers(spots), which no value reads (integers(1) draws
-    nothing from the stream); then yields (F, G, K), two points of the
-    fattened rotation neighborhood (G moved by a normal step scaled to a
-    uniform length in [0, epsilon) unless its norm is 0) and a unit
-    direction."""
-    rng = np.random.default_rng(seed)
+def taylor_quotients(m, F, H, K):
+    """The sampled Taylor quotients of material m at one pair, each with
+    its rounding allowance: the cubic quotient |W(F + H) - W(F) - S(F):H
+    - A(F)[H]:H / 2| / |H|^3 and the Lipschitz quotient
+    |K:(A(F + H) - A(F))[K]| / |H|, evaluated on stacks of one."""
+    def at(quantity, X):
+        return getattr(m, f"{quantity}_many")(X[None])[0]
 
-    def norm(A):
-        flat = A.ravel(order="K")
-        return math.sqrt(flat.dot(flat))
+    G = F + H
+    h = math.sqrt(float(np.sum(H * H)))
+    AF = at("elasticity", F)
+    terms = [at("energy", G), -at("energy", F), -float(np.sum(at("stress", F) * H)),
+             -0.5 * float(np.einsum("ia,iajb,jb", H, AF, H))]
+    qF = float(np.einsum("ia,iajb,jb", K, AF, K))
+    qG = float(np.einsum("ia,iajb,jb", K, at("elasticity", G), K))
+    u = 64 * np.finfo(float).eps
+    cubic = (abs(fsum(terms)) / h**3, u * fsum(abs(t) for t in terms) / h**3)
+    lipschitz = (abs(qG - qF) / h, u * (abs(qF) + abs(qG)) / h)
+    return cubic, lipschitz
 
-    for _ in range(nsamples):
-        rng.integers(spots)
-        F = sample_near_rotations(rng, n, delta)
-        G = sample_near_rotations(rng, n, delta)
-        E = rng.normal(size=(n, n))
-        if norm(E) > 0:
-            E *= rng.uniform(0.0, epsilon) / norm(E)
-        K = rng.normal(size=(n, n))
-        yield F, G + E, K / norm(K)
+
+def exact_matrix(A):
+    """A sympy Matrix of the exact binary values of the float matrix A."""
+    import sympy
+
+    return sympy.Matrix([[sympy.Rational(float(x)) for x in row] for row in np.asarray(A)])
+
+
+def third_derivative(energy, X, H):
+    """d^3/dt^3 energy(X + t H) at t = 0 by sympy, on the exact values of
+    X and H, to 30 digits; energy maps a sympy Matrix to W."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    expr = energy(exact_matrix(X) + t * exact_matrix(H))
+    return float(sympy.diff(expr, t, 3).subs(t, 0).evalf(30))
+
+
+def stvk_energy_sympy(lam, mu):
+    """W = lam/2 (tr E)^2 + mu E:E, E = (X^T X - I)/2, of a sympy Matrix."""
+    import sympy
+
+    lam, mu = sympy.Rational(lam), sympy.Rational(mu)
+
+    def energy(X):
+        E = (X.T * X - sympy.eye(X.shape[0])) / 2
+        return lam / 2 * E.trace() ** 2 + mu * (E.T * E).trace()
+
+    return energy
+
+
+def neo_hookean_energy_sympy(lam, mu):
+    """W = mu/2 (tr C - n) - mu log J + lam/2 (log J)^2 of a sympy Matrix."""
+    import sympy
+
+    lam, mu = sympy.Rational(lam), sympy.Rational(mu)
+
+    def energy(X):
+        logJ = sympy.log(X.det())
+        return mu / 2 * ((X.T * X).trace() - X.shape[0]) - mu * logJ + lam / 2 * logJ**2
+
+    return energy
 
 
 # ---------------------------------------------------- finite differences
@@ -523,3 +566,71 @@ def coercivity_constant_bisection(M_mat, G_mat):
     tau = 1e-12 * max(abs(lam), scale)
     assert lam >= lo and _positive_definite_splu(M - (lam - tau) * G) is not None, lam
     return lam
+
+
+# ------------------------------------------------------- test materials
+
+class CustomMaterial(Material):
+    """An energy given by callables of one gradient F, for tests that need
+    a material no model provides: a finite-difference probe, a stiff or
+    flat energy.  Missing derivatives fall back to central differences
+    with step h = 1e-6 (1 + |F|); taylor, when given, is the pair (c, c_hat)
+    taylor_bounds returns.  The energy carries its own moduli, so the
+    descriptor reports lambda and mu as 0.0."""
+
+    def __init__(self, name, energy_fn, stress_fn=None, elasticity_fn=None, taylor=None):
+        super().__init__(0.0, 0.0)
+        self.name = name
+        self._energy_fn = energy_fn
+        self._stress_fn = stress_fn or self._fd_stress
+        self._elasticity_fn = elasticity_fn or self._fd_elasticity
+        self._taylor = taylor
+
+    @staticmethod
+    def _step(F):
+        return 1e-6 * (1.0 + math.sqrt(float(np.sum(F * F))))
+
+    def _fd_stress(self, F):
+        return fd_matrix_derivative(self._energy_fn, F, self._step(F))
+
+    def _fd_elasticity(self, F):
+        n, h = F.shape[0], self._step(F)
+        A = np.zeros((n, n, n, n))
+        for j in range(n):
+            for b in range(n):
+                Fp, Fm = F.copy(), F.copy()
+                Fp[j, b] += h
+                Fm[j, b] -= h
+                A[:, :, j, b] = (self._stress_fn(Fp) - self._stress_fn(Fm)) / (2 * h)
+        return A
+
+    def energy_many(self, F):
+        return np.array([self._energy_fn(f) for f in F], dtype=float)
+
+    def stress_many(self, F):
+        return np.array([self._stress_fn(f) for f in F]).reshape(F.shape)
+
+    def elasticity_many(self, F):
+        return np.array([self._elasticity_fn(f) for f in F]).reshape(F.shape + F.shape[1:])
+
+    def _taylor_bounds(self, n, rho, epsilon, s_max, det):
+        if self._taylor is None:
+            return super()._taylor_bounds(n, rho, epsilon, s_max, det)
+        return self._taylor
+
+
+def quadratic_toy(offset=1.0):
+    """W = |F - offset I|^2 / 2, with exact derivatives.  At offset 1 it
+    is stress-free and its A(I) = id moves skew directions; at offset 0 it
+    is stressed at the identity.  Not frame indifferent.  Its third
+    derivative vanishes, so both Taylor bounds are 0 exactly."""
+    def energy(F):
+        d = F - offset * np.eye(F.shape[0])
+        return 0.5 * float(np.sum(d * d))
+
+    def elasticity(F):
+        n = F.shape[0]
+        return np.einsum("ij,ab->iajb", np.eye(n), np.eye(n))
+
+    return CustomMaterial("quadratic-toy", energy, lambda F: F - offset * np.eye(F.shape[0]),
+                          elasticity, taylor=(0.0, 0.0))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rigidity_cert import certify, errors, fem, harmonic, material, tensor_core
 
-from oracles import bump_values_closure
+from oracles import bump_values_closure, quadratic_toy
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def stretch():
     u_e, log = fem.solve_equilibrium(m, mesh, loads, u0)
     assert log.converged
     problem = certify.Problem("stvk-stretch-8", m, mesh, loads)
-    inputs = certify.certification_inputs(problem, u_e, taylor_samples=800, seed=0)
+    inputs = certify.certification_inputs(problem, u_e)
     return problem, u_e, inputs
 
 
@@ -114,7 +114,9 @@ def test_certification_inputs_measured(stretch):
     assert inputs.delta_star > 0.0
     assert inputs.components == 4
     assert inputs.provenance["mesh_hash"] == problem.mesh.mesh_hash()
-    assert inputs.provenance["taylor"]["samples"] > 0
+    assert inputs.provenance["taylor"] == {"rho": certify.RHO, "epsilon": certify.EPSILON}
+    assert (inputs.c_taylor, inputs.c_hat_taylor) == problem.material.taylor_bounds(
+        2, certify.RHO, certify.EPSILON)
 
 
 def test_certification_inputs_read_the_proved_j2(stretch):
@@ -139,7 +141,7 @@ def test_a_lattice_with_no_finite_j2_is_refused_before_the_eigensolve(monkeypatc
 
     monkeypatch.setattr(fem, "coercivity_constant", eigensolve)
     with pytest.raises(errors.HypothesisUnmet, match="no finite J2"):
-        certify.certification_inputs(problem, fem.FeField.identity(mesh), taylor_samples=50)
+        certify.certification_inputs(problem, fem.FeField.identity(mesh))
 
 
 # ----------------------------------------------------------------- gate
@@ -211,7 +213,7 @@ def test_gate_toy_quadratic_energy_exact():
     # quadratic toy: second variation equals the gradient Gram matrix, so
     # the coercivity eigenvalue is exactly 1 and the gap is exactly half
     # the squared gradient norm
-    m = material.quadratic_toy()
+    m = quadratic_toy()
     mesh = fem.rectangle_mesh(6, 6)
     loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)
     u_e = fem.FeField.identity(mesh)
@@ -230,7 +232,7 @@ def test_gate_toy_quadratic_energy_exact():
         lambda_min=lam, k_hat=lam / 8.0, c_taylor=0.0, c_hat_taylor=0.0,
         J2=1.0, rho=0.5, epsilon=0.5,
         components=4, delta_star=certify.neighborhood_radius(lam / 8, 0.0, 1.0, 4),
-        taylor_samples=2000, seed=0, provenance={},
+        provenance={},
     )
     v = u_e.copy()
     v.values = v.values + _bump(mesh, 0.01)
@@ -352,11 +354,11 @@ def test_small_strain_refuses_a_material_that_does_not_annihilate_skew_direction
     # |F - I|^2 / 2 is stress-free with a positive symmetric floor 1/4, and
     # its second variation is the gradient Gram matrix, but A(I) = id moves
     # skew directions, so that floor bounds nothing
-    m = material.quadratic_toy()
+    m = quadratic_toy()
     mesh = fem.rectangle_mesh(4, 4)
     loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)
     inputs = certify.certification_inputs(certify.Problem("toy", m, mesh, loads),
-                                          fem.FeField.identity(mesh), taylor_samples=50)
+                                          fem.FeField.identity(mesh))
     assert inputs.lambda_min > 0.0
     with pytest.raises(errors.PrerequisiteFailed, match="skew directions"):
         certify.small_strain_uniqueness([], inputs=inputs)
@@ -403,8 +405,7 @@ def test_certificate_prerequisites(stretch):
         A = np.diag([s, 1.0])
         loads = fem.LoadSet.build(mesh, dirichlet=lambda x, A=A: A @ x)
         affine = certify.certification_inputs(
-            certify.Problem("affine", m, mesh, loads), fem.FeField(mesh, mesh.nodes @ A.T),
-            taylor_samples=50)
+            certify.Problem("affine", m, mesh, loads), fem.FeField(mesh, mesh.nodes @ A.T))
         if inside:
             cert = certify.small_strain_uniqueness([], inputs=affine)
             strain = cert.measurements["strain_bound_reference"]
@@ -416,15 +417,14 @@ def test_certificate_prerequisites(stretch):
 
 
 def test_certificate_rejects_prestressed_material():
-    # a material with nonzero stress at the identity fails prerequisite (c)
-    m = material.CustomMaterial(
-        "prestressed-toy", energy_fn=lambda F: 0.5 * float(np.sum(F * F))
-    )
+    # a material with nonzero stress at the identity fails prerequisite (c):
+    # |F|^2 / 2 has S(I) = I
+    m = quadratic_toy(offset=0.0)
     mesh = fem.rectangle_mesh(3, 3)
     loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)
     problem = certify.Problem("prestressed", m, mesh, loads)
     u = fem.FeField.identity(mesh)
-    inputs = certify.certification_inputs(problem, u, taylor_samples=50)
+    inputs = certify.certification_inputs(problem, u)
     with pytest.raises(errors.PrerequisiteFailed, match="stress-free"):
         certify.small_strain_uniqueness([], inputs=inputs)
 

@@ -41,7 +41,7 @@ def _stretch_config(tmp_path, pipeline, extra="", candidates=2):
         loads.dirichlet = affine
         loads.matrix = 1.05 0.0 0.0 1.0
 
-        certify.taylor_samples = 300
+        # the Taylor constants are proved bounds: no key samples them
         # no key sets J2: it is proved from the lattice
         certify.candidates = {candidates}
         {extra}
@@ -90,6 +90,7 @@ def test_unknown_key_rejected(tmp_path):
     ("harmonic.p", "2.0", "diagnostics-harmonic"),
     ("harmonic.q", "3.0", "diagnostics-harmonic"),
     ("certify.j2_count", "6", "certify-small-strain"),
+    ("certify.taylor_samples", "2000", "certify-strain-diff"),
     ("certify.rho", "0.25", "certify-bmo-gate"),
     ("certify.epsilon", "0.25", "certify-strain-diff"),
     ("certify.strain_delta", "0.2", "certify-small-strain"),
@@ -101,9 +102,9 @@ def test_unknown_key_rejected(tmp_path):
 def test_fixed_value_keys_are_unknown(tmp_path, capsys, key, value, pipeline):
     # the certificate's exponents, Taylor radii and strain bound, the Newton
     # tolerance and budget, the bump amplitude, and the size of the l-shape
-    # and the ring and the ring's hole are constants, and J2 is proved from
-    # the lattice, not fitted on a family of some size, so a config that
-    # sets one, even to its value, is refused before any run
+    # and the ring and the ring's hole are constants, and J2 and the Taylor
+    # constants are proved, not fitted or sampled, so a config that sets
+    # one, even to its old default, is refused before any run
     cfg = _write(tmp_path, "a.cfg", f"""
         name = demo
         pipeline = {pipeline}
@@ -522,24 +523,6 @@ def test_validate_rejects_box_lengths_count(tmp_path, capsys, lengths):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("certify.taylor_samples", "0", "must be positive, got 0"),
-    ("certify.taylor_samples", "-1", "must be positive, got -1"),
-])
-def test_validate_rejects_nonpositive_certify_settings(tmp_path, capsys, key, value, message):
-    # these used to pass validate and fail late, with a ZeroDivisionError,
-    # a bare ValueError or a DeterminantViolation after a zero Taylor constant
-    cfg = _write(tmp_path, "a.cfg", f"""
-        name = demo
-        pipeline = certify-small-strain
-        {key} = {value}
-    """)
-    assert cli.main(["validate", cfg]) == 1
-    assert f"config error: {key} (line 4): {message}" in capsys.readouterr().err
-    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("key, value, message", [
     ("harmonic.count", "0", "family sizes must be >= 1, got 0"),
     ("certify.candidates", "-1", "counts must be >= 0, got -1"),
     ("certify.restarts", "-1", "counts must be >= 0, got -1"),
@@ -632,8 +615,9 @@ def test_validate_load_components_through_build_loads(tmp_path, monkeypatch, cap
     assert calls == {"build_loads": 1}
 
 
-def test_the_config_has_28_keys():
-    assert len(cli._KEYS) == 28 and "certify.j2_count" not in cli._KEYS
+def test_the_config_has_27_keys():
+    assert len(cli._KEYS) == 27
+    assert "certify.j2_count" not in cli._KEYS and "certify.taylor_samples" not in cli._KEYS
 
 
 @pytest.mark.parametrize("pipeline", ["certify-bmo-gate", "certify-small-strain",
@@ -826,7 +810,6 @@ def test_run_bmo_gate_neo_hookean(tmp_path):
         material.mu = 1.0
         loads.dirichlet = affine
         loads.matrix = 1.05 0.0 0.0 1.0
-        certify.taylor_samples = 300
         certify.candidates = 2
     """)
     out = tmp_path / "out"
@@ -850,13 +833,11 @@ def test_bmo_gate_certificate_is_the_cli_report(tmp_path):
     m = cli.build_material(sc)
     loads, u0 = cli.build_loads(sc, mesh)
     u_e, _ = fem.solve_equilibrium(m, mesh, loads, u0)
-    inputs = certify.certification_inputs(
-        certify.Problem(sc["name"], m, mesh, loads), u_e,
-        taylor_samples=sc["certify.taylor_samples"],
-    )
+    inputs = certify.certification_inputs(certify.Problem(sc["name"], m, mesh, loads), u_e)
     cands = certify.gated_perturbations(inputs, count=3, seed=1)
     cert = certify.bmo_gate_certificate(cands, inputs)
-    cert.extra.update(name=sc["name"], pipeline=sc["pipeline"], config=dict(sc["__raw__"]))
+    cert.extra.update(name=sc["name"], pipeline=sc["pipeline"], seed=sc["seed"],
+                      config=dict(sc["__raw__"]))
     assert reporting.json_bytes(cert.to_dict()) == (out / "stretch.json").read_bytes()
 
 
@@ -982,8 +963,7 @@ def test_diagnostics_harmonic_j2_is_the_certificate_j2(tmp_path):
     mesh = fem.rectangle_mesh(6, 6)
     loads = fem.LoadSet.build(mesh, dirichlet=lambda x: x)
     problem = certify.Problem("identity", material.stvk(1.0, 1.0), mesh, loads)
-    inputs = certify.certification_inputs(problem, fem.FeField.identity(mesh),
-                                          taylor_samples=50, seed=4)
+    inputs = certify.certification_inputs(problem, fem.FeField.identity(mesh))
     assert doc["measurements"]["J2_bound"] == inputs.J2
     assert doc["measurements"]["J2"] <= doc["measurements"]["J2_bound"]
     assert "j2_family" not in inputs.provenance
@@ -1140,7 +1120,6 @@ def test_lattice_pipelines_run_on_a_box_of_cube_cells(tmp_path, pipeline):
         mesh.nz = 4
         loads.dirichlet = affine
         loads.matrix = 1.05 0 0 0 1 0 0 0 1
-        certify.taylor_samples = 300
         certify.candidates = 2
         certify.restarts = 2
         harmonic.count = 2
@@ -1444,9 +1423,9 @@ def test_small_strain_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypat
     # quadrature stacks of w = v - u_e)
     ("certify-bmo-gate", "", 2, {"pass": (3, 1, 1, 2)}),
     ("certify-small-strain", "", 2, {"pass": (2, 1, 1, 2)}),
-    ("certify-small-strain", "certify.frac = 36", 3,
+    ("certify-small-strain", "certify.frac = 58", 3,
      {"inapplicable": (1, 1, 1, 1), "rejected": (1, 0, 0, 0)}),
-    ("certify-strain-diff", "certify.strain_eps = 0.0018", 3,
+    ("certify-strain-diff", "certify.strain_eps = 0.0011", 3,
      {"pass": (3, 1, 1, 2), "rejected": (1, 0, 0, 0)}),
 ])
 def test_each_candidate_takes_grad_v_a_fixed_number_of_times(tmp_path, monkeypatch, pipeline,
@@ -1509,7 +1488,6 @@ def test_strain_diff_candidates_beyond_the_gate_thresholds_are_inapplicable(tmp_
         material.model = stvk
         loads.dirichlet = affine
         loads.matrix = 1.05 0.0 0.0 1.0
-        certify.taylor_samples = 300
         certify.candidates = 3
         certify.restarts = 2
         harmonic.count = 3
@@ -1548,33 +1526,31 @@ def test_certify_pipelines_refuse_a_non_equilibrium(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
-def test_strain_diff_samples_point_materials_in_batches(tmp_path, monkeypatch):
-    # the deformed Taylor constants freeze pushforward points, one-row
-    # slices of the assembly material, as batched materials evaluated on
-    # one set of draws: no per-point closure material, one elasticity call
-    # per gradient and taylor_constants call
+def test_strain_diff_bounds_every_quadrature_point_at_once(tmp_path, monkeypatch):
+    # the deformed Taylor constants are the base material's closed forms
+    # through the forward gradient of every quadrature point, in one call
+    # on arrays; no material is evaluated at a frozen point
     from rigidity_cert import material, pushforward
 
-    built = []
-    monkeypatch.setattr(material.CustomMaterial, "__init__",
-                        lambda self, *a, **k: built.append(a[0]))
-    taylor_calls = _count_calls(monkeypatch, material, "taylor_constants")
-    draw_calls = _count_calls(monkeypatch, material, "taylor_draws")
+    bounds = []
+    real = material.StVenantKirchhoff.taylor_bounds
+
+    def recorded(self, n, rho, epsilon, s_max=1.0, det=1.0):
+        bounds.append(np.shape(det))
+        return real(self, n, rho, epsilon, s_max, det)
+
+    monkeypatch.setattr(material.StVenantKirchhoff, "taylor_bounds", recorded)
     elasticity = pushforward._ChainRule.elasticity_many
-    sizes = []
+    frozen = []
 
     def counted(self, F):
-        # the tangent's blocks are slices too, of whole elements' points
         if len(self._det) == 1:
-            sizes.append(len(F))
+            frozen.append(len(F))
         return elasticity(self, F)
 
     monkeypatch.setattr(pushforward._ChainRule, "elasticity_many", counted)
     cfg = _stretch_config(tmp_path, "certify-strain-diff")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert built == []
-    # one call on the reference material, twelve on frozen points, and
-    # one set of draws per configuration, which the frozen points share
-    assert taylor_calls == {"taylor_constants": 13}
-    assert draw_calls == {"taylor_draws": 2}
-    assert len(sizes) == 2 * 12 and all(size > 1 for size in sizes)
+    # the reference material, then the 6x6 mesh's 144 quadrature points
+    assert bounds == [(), (144,)]
+    assert frozen == []

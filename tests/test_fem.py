@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from rigidity_cert import errors, fem, material, pushforward, rigidity
 
 from oracles import (
+    CustomMaterial,
     boundary_map_walk,
     coercivity_constant_bisection,
     fd_gradient,
     negative_pivots_mmd,
+    quadratic_toy,
     scatter_matrix_coo,
 )
 
@@ -229,7 +231,7 @@ def test_traction_work_constant_field():
         return s if math.isclose(x[1], 1.0, abs_tol=1e-12) else np.zeros(2)
 
     loads = fem.LoadSet.build(mesh, traction=traction, dirichlet=lambda x: x)
-    m = material.quadratic_toy()
+    m = quadratic_toy()
     u = fem.FeField.identity(mesh)
     # quadratic toy has zero energy at identity, so only the load term remains
     E = fem.total_energy(m, mesh, loads, u)
@@ -704,7 +706,7 @@ def test_solver_stall_carries_the_solve_log():
     # an energy 1e30 times the one its stress derives from rises along
     # every step the line search tries, down to 1e-12
     base = material.stvk(1.0, 1.0)
-    m = material.CustomMaterial(
+    m = CustomMaterial(
         "stiff-energy", lambda F: 1e30 * base.energy_many(F[None])[0],
         lambda F: base.stress_many(F[None])[0],
         lambda F: base.elasticity_many(F[None])[0],
@@ -722,7 +724,7 @@ def test_solver_stall_carries_the_solve_log():
 def test_solver_singular_tangent_raises(monkeypatch):
     # a zero elasticity makes the tangent exactly singular: its
     # factorization fails, and no warning escapes before SingularTangent
-    flat = material.CustomMaterial(
+    flat = CustomMaterial(
         "flat", lambda F: 0.5 * float(np.sum((F - np.eye(2)) ** 2)),
         lambda F: F - np.eye(2), lambda F: np.zeros((2, 2, 2, 2)),
     )

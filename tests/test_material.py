@@ -1,4 +1,4 @@
-import types
+import math
 
 import numpy as np
 import pytest
@@ -6,25 +6,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rigidity_cert.errors import OutsideDomain, SetEscapesDomain
-from rigidity_cert.material import (
-    CustomMaterial,
-    identity_floor,
-    neo_hookean,
-    quadratic_toy,
-    stvk,
-    sym_basis,
-    taylor_constants,
-    taylor_draws,
-)
+from rigidity_cert.material import identity_floor, neo_hookean, stvk, sym_basis
 from rigidity_cert.tensor_core import frob, random_rotation
 
 from conftest import frozen_point, random_gradient
 from oracles import (
+    CustomMaterial,
     d2sigma_apply,
     dsigma,
+    exact_matrix,
     fd_matrix_derivative,
     frame_indifferent,
-    taylor_draws_loop,
+    gate_pair,
+    neo_hookean_energy_sympy,
+    quadratic_toy,
+    stvk_energy_sympy,
+    taylor_quotients,
+    third_derivative,
 )
 
 MODELS = [stvk(1.0, 1.0), neo_hookean(1.0, 1.0)]
@@ -266,240 +264,152 @@ def test_quadratic_toy_shape():
 
 
 def test_taylor_constants_quadratic_toy_vanish():
-    # the quadratic toy has no cubic defect; the sampled quotient only sees
-    # cancellation noise of order eps / |H|^3
-    tc = taylor_constants(quadratic_toy(), taylor_draws(2, 0.3, 0.1, 300, 0))
-    assert tc.c <= 1e-12
-    assert tc.c_hat <= 1e-12
+    # the quadratic toy has no third derivative: its bounds are 0, and the
+    # sampled quotients only see rounding, within their allowance
+    toy = quadratic_toy()
+    assert toy.taylor_bounds(2, 0.3, 0.1) == (0.0, 0.0)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        for q, allowance in taylor_quotients(toy, *gate_pair(rng, 2, 0.3, 0.1)):
+            assert q <= allowance
 
 
 def test_taylor_set_escape_guard():
-    with pytest.raises(SetEscapesDomain):
-        taylor_draws(2, 0.7, 0.3, 400, 0)
+    for m in (stvk(1.0, 1.0), neo_hookean(1.0, 1.0)):
+        for rho, epsilon in ((0.7, 0.3), (0.5, 0.6), (-0.1, 0.2), (0.2, -0.1)):
+            with pytest.raises(SetEscapesDomain):
+                m.taylor_bounds(2, rho, epsilon)
+    with pytest.raises(NotImplementedError, match="no closed-form Taylor bounds"):
+        CustomMaterial("bare", lambda F: 0.0).taylor_bounds(2, 0.25, 0.25)
 
 
 def test_taylor_constants_stvk_sane():
-    tc = taylor_constants(stvk(1.0, 1.0), taylor_draws(2, 0.2, 0.05, 800, 1))
-    assert 0.0 < tc.c < 100.0
-    assert 0.0 < tc.c_hat < 100.0
-    # larger sets cannot shrink the sampled constants (same seed nesting not
-    # guaranteed, so compare against a clearly smaller set)
-    small = taylor_constants(stvk(1.0, 1.0), taylor_draws(2, 0.05, 0.01, 800, 1))
-    assert small.c <= tc.c * 1.5 + 1e-9
-
-
-def test_taylor_constants_evaluate_elasticity_at_f_once(monkeypatch):
-    # the cubic defect and the Lipschitz quotient share A(F); with A(G)
-    # that is two batched elasticity calls, one per gradient, over every
-    # sample, and the constants are the same
+    # the closed forms at lam = mu = 1, n = 2, rho = epsilon = 0.25: c is
+    # (sqrt(2) + 1/4) / 2 + 5/4 + 3/32 = 2.176, below half the crude 5.12
+    # of the remainder bounded term by term with Frobenius norms, and
+    # c_hat is 3 (sqrt(2) + 3/8) + 6 * 11/8
+    c, c_hat = stvk(1.0, 1.0).taylor_bounds(2, 0.25, 0.25)
+    assert c == pytest.approx(math.sqrt(2.0) / 2.0 + 0.125 + 1.25 + 0.09375, rel=1e-15)
+    assert c_hat == pytest.approx(3.0 * (math.sqrt(2.0) + 0.375) + 8.25, rel=1e-15)
+    assert c < 5.12 / 2.0
+    # a smaller set cannot raise either bound, and a pushforward through
+    # F = I is the material itself
+    for m in (stvk(1.0, 1.0), neo_hookean(1.5, 1.0)):
+        for n in (2, 3):
+            c, c_hat = m.taylor_bounds(n, 0.25, 0.25)
+            assert 0.0 < c < c_hat
+            for smaller in (m.taylor_bounds(n, 0.1, 0.25), m.taylor_bounds(n, 0.25, 0.1)):
+                assert smaller[0] <= c and smaller[1] <= c_hat
+            assert frozen_point(m, np.eye(n)).taylor_bounds(n, 0.25, 0.25) == (c, c_hat)
+    # StVK's remainder is homogeneous of degree 4 in (X, H), so through
+    # F = s I every quotient scales by s^4 / det F = s^(4 - n), and the
+    # bounds scale alike: they stay as tight as the material's own
+    for n in (2, 3):
+        c, c_hat = stvk(1.0, 1.0).taylor_bounds(n, 0.25, 0.25)
+        pushed = frozen_point(stvk(1.0, 1.0), 2.0 * np.eye(n)).taylor_bounds(n, 0.25, 0.25)
+        assert pushed == pytest.approx((2.0 ** (4 - n) * c, 2.0 ** (4 - n) * c_hat), rel=1e-14)
+    # within 1.3x of the largest quotients a dense sample finds
+    rng = np.random.default_rng(1)
     m = stvk(1.0, 1.0)
-    draws = taylor_draws(2, 0.2, 0.05, 50, 4)
-    plain = taylor_constants(stvk(1.0, 1.0), draws)
-    real = m.elasticity_many
-    calls = []
-
-    def counting(F):
-        calls.append(len(F))
-        return real(F)
-
-    monkeypatch.setattr(m, "elasticity_many", counting)
-    tc = taylor_constants(m, draws)
-    assert calls == [50, 50]
-    assert (tc.c, tc.c_hat) == (plain.c, plain.c_hat)
-    # both materials read the same draws, which cannot be written
-    assert not any(a.flags.writeable for a in (draws.F, draws.G, draws.K))
+    c, c_hat = m.taylor_bounds(2, 0.25, 0.25)
+    sampled = np.max([[q for q, _ in taylor_quotients(m, *gate_pair(rng, 2, 0.25, 0.25))]
+                      for _ in range(3000)], axis=0)
+    assert np.all(sampled <= (c, c_hat))
+    assert np.all(sampled >= (c / 1.3, c_hat / 1.3))
 
 
-def _closure_push_point(base, F):
-    """The frozen-point pushforward as per-point closures: the reference
-    the batched one-point pushforward reproduces bitwise."""
-    det = float(np.linalg.det(F))
-
-    def energy_fn(G):
-        return float(base.energy_many((G @ F)[None])[0]) / det
-
-    def stress_fn(G):
-        return base.stress_many((G @ F)[None])[0] @ F.T / det
-
-    def elasticity_fn(G):
-        A = base.elasticity_many((G @ F)[None])[0]
-        return np.einsum("ikjl,ak,bl->iajb", A, F, F) / det
-
-    return CustomMaterial("pushforward-point", energy_fn, stress_fn, elasticity_fn)
-
-
-def _reference_taylor(m, n, delta, epsilon, nsamples, seed, spots):
-    """taylor_constants as one loop over samples, each drawn and evaluated
-    in turn; the batched version must give the same bits."""
-    c_best = 0.0
-    chat_best = 0.0
-    floor = 1e-3
-    for F, G, K in taylor_draws_loop(n, delta, epsilon, nsamples, seed, spots):
-        H = G - F
-        hn = frob(H)
-        if hn > 1e-10:
-            AF = m.elasticity_many(F[None])[0]
-        if hn >= floor:
-            WF = float(m.energy_many(F[None])[0])
-            WG = float(m.energy_many(G[None])[0])
-            S = m.stress_many(F[None])[0]
-            A_H = np.einsum("iajb,jb->ia", AF, H)
-            defect = WF - WG + float(np.sum(S * H)) + 0.5 * float(np.sum(H * A_H))
-            c_best = max(c_best, defect / hn**3)
-        if hn > 1e-10:
-            qF = float(np.sum(K * np.einsum("iajb,jb->ia", AF, K)))
-            qG = float(np.sum(K * np.einsum("iajb,jb->ia", m.elasticity_many(G[None])[0], K)))
-            chat_best = max(chat_best, abs(qF - qG) / hn)
-    return c_best, chat_best
-
-
-_TAYLOR_MODELS = ("stvk", "neo-hookean", "quadratic-toy", "push-stvk", "push-neo")
-# spot counts of the draws: one draws no spot, 16 is the reference
-# configuration's count on every mesh of at least 16 quadrature points
-_SPOTS = st.sampled_from([1, 2, 5, 16])
-
-
-@settings(max_examples=40, deadline=None)
-@example(model="quadratic-toy", n=2, seed=0, delta=0.2, epsilon=0.1, spots=1, nsamples=0)
-@example(model="stvk", n=3, seed=7, delta=0.3, epsilon=0.1, spots=5, nsamples=40)
-@example(model="push-neo", n=2, seed=11, delta=0.25, epsilon=0.2, spots=16, nsamples=1)
-@given(model=st.sampled_from(_TAYLOR_MODELS), n=st.sampled_from([2, 3]),
-       seed=st.integers(0, 2**32 - 1), delta=st.floats(0.0, 0.6),
-       epsilon=st.floats(0.0, 0.35), spots=_SPOTS, nsamples=st.integers(0, 120))
-def test_taylor_constants_match_per_sample_loop(model, n, seed, delta, epsilon, spots,
-                                                nsamples):
+def _bounded_model(model, n, lam, mu, rng):
+    base = stvk(lam, mu) if model.endswith("stvk") else neo_hookean(lam, mu)
     if model.startswith("push"):
-        base = stvk(1.2, 0.8) if model == "push-stvk" else neo_hookean(0.9, 1.1)
-        F = random_gradient(np.random.default_rng(seed), n, 0.8, 1.25)
-        m, ref = frozen_point(base, F), _closure_push_point(base, F)
-    else:
-        m = ref = {
-            "stvk": stvk(1.3, 0.7),
-            "neo-hookean": neo_hookean(1.0, 0.6),
-            "quadratic-toy": quadratic_toy(),
-        }[model]
-    tc = taylor_constants(m, taylor_draws(n, delta, epsilon, nsamples, seed, spots=spots))
-    expected = _reference_taylor(ref, n, delta, epsilon, nsamples, seed, spots)
-    assert (tc.c, tc.c_hat) == expected
-    assert type(tc.c) is float and type(tc.c_hat) is float
+        return frozen_point(base, random_gradient(rng, n, 0.5, 2.0))
+    return base
 
 
-@settings(max_examples=30, deadline=None)
-@example(n=3, seed=7, delta=0.3, epsilon=0.1, spots=5, nsamples=40)
-@given(n=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
-       delta=st.floats(0.0, 0.6), epsilon=st.floats(0.0, 0.35),
-       spots=_SPOTS, nsamples=st.integers(0, 120))
-def test_taylor_draws_match_per_sample_loop_bytes(n, seed, delta, epsilon, spots, nsamples):
-    # the batched draws read the stream with standard_normal and random;
-    # the per-sample loop with integers, normal and uniform, as its
-    # definition does
-    draws = taylor_draws(n, delta, epsilon, nsamples, seed, spots=spots)
-    loop = list(taylor_draws_loop(n, delta, epsilon, nsamples, seed, spots))
-    for i, got in enumerate((draws.F, draws.G, draws.K)):
-        assert len(got) == nsamples
-        assert got.tobytes() == np.array([sample[i] for sample in loop]).tobytes()
+@settings(max_examples=60, deadline=None)
+@example(model="stvk", n=2, lam=1.0, mu=1.0, rho=0.25, epsilon=0.25, seed=0)
+@example(model="neo-hookean", n=3, lam=1.5, mu=1.0, rho=0.25, epsilon=0.25, seed=1)
+@example(model="push-neo-hookean", n=2, lam=1e3, mu=1e-3, rho=0.6, epsilon=0.35, seed=2)
+@given(model=st.sampled_from(["stvk", "neo-hookean", "push-stvk", "push-neo-hookean"]),
+       n=st.sampled_from([2, 3]), lam=st.floats(1e-3, 1e3), mu=st.floats(1e-3, 1e3),
+       rho=st.floats(0.0, 0.95), epsilon=st.floats(0.01, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_taylor_bounds_hold_on_sampled_pairs(model, n, lam, mu, rho, epsilon, seed):
+    # no cubic or Lipschitz quotient sampled on the set the gate admits
+    # exceeds its bound, beyond its rounding allowance; the pushforward
+    # goes through a random forward gradient with singular values in
+    # [0.5, 2]
+    if rho + epsilon >= 0.99:
+        epsilon = 0.99 - rho
+    rng = np.random.default_rng(seed)
+    m = _bounded_model(model, n, lam, mu, rng)
+    bounds = m.taylor_bounds(n, rho, epsilon)
+    for _ in range(150):
+        for (q, allowance), bound in zip(taylor_quotients(m, *gate_pair(rng, n, rho, epsilon)),
+                                         bounds):
+            assert q <= bound * (1.0 + 1e-12) + allowance
 
 
-@pytest.mark.parametrize("spots", [1, 16])
-@pytest.mark.parametrize("n", [2, 3])
-def test_taylor_draws_pick_a_coordinate_only_among_several(monkeypatch, n, spots):
-    # each sample picks one of the spots, the quadrature coordinates the
-    # draws sat at while materials read one; integers(1) draws nothing
-    # from the stream, so the draws over one spot skip it and stay the
-    # per-sample loop's bytes, as the draws over 16 spots do with it
-    picks = []
-
-    def counting_rng(seed):
-        rng = _DEFAULT_RNG(seed)
-        return types.SimpleNamespace(
-            standard_normal=rng.standard_normal, random=rng.random,
-            integers=lambda high: picks.append(high) or rng.integers(high))
-
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    draws = taylor_draws(n, 0.3, 0.1, 200, 11, spots=spots)
-    monkeypatch.undo()
-    assert picks == ([] if spots == 1 else [spots] * 200)
-    loop = list(taylor_draws_loop(n, 0.3, 0.1, 200, 11, spots))
-    for i, got in enumerate((draws.F, draws.G, draws.K)):
-        assert got.tobytes() == np.array([sample[i] for sample in loop]).tobytes()
+def _stvk_third(lam, mu, X, H):
+    """The StVK closed form 3 lam (X:H) |H|^2 + 6 mu <X, H H^T H>."""
+    return 3.0 * lam * np.sum(X * H) * np.sum(H * H) + 6.0 * mu * np.sum(X * (H @ H.T @ H))
 
 
-_DEFAULT_RNG = np.random.default_rng
-
-
-class _DegenerateSteps:
-    """A generator whose matrix draws fail the norm tests of the Taylor
-    draws: sample by sample, the steps of F and G and the fattening E are
-    plain, skew (the symmetric part of a step is 0), with a zero (0, 0)
-    entry, or zero, in turn; the direction K stays plain."""
-
-    def __init__(self, seed):
-        self._rng = _DEFAULT_RNG(seed)
-        self._matrices = 0
-        self.uniforms = 0
-
-    def integers(self, *args, **kwargs):
-        return self._rng.integers(*args, **kwargs)
-
-    def uniform(self, *args, **kwargs):
-        self.uniforms += 1
-        return self._rng.uniform(*args, **kwargs)
-
-    def random(self, size=None):
-        self.uniforms += 1 if size is None else size
-        return self._rng.random(size)
-
-    def standard_normal(self, size=None, out=None):
-        if out is None:
-            return self.normal(size)
-        out[...] = self.normal(out.shape)
-        return out
-
-    def normal(self, size=None):
-        A = self._rng.normal(size=size)
-        if np.ndim(A) == 2:
-            sample, slot = divmod(self._matrices, 4)
-            self._matrices += 1
-            kind = sample % 4 if slot < 3 else 0
-            if kind == 1:
-                A = A - A.T
-            elif kind == 2:
-                A[0, 0] = 0.0
-            elif kind == 3:
-                A[...] = 0.0
-        return A
+def _neo_hookean_third(lam, mu, X, H):
+    """The neo-Hookean closed form 2 (lam log J - mu) tr N^3 - 3 lam tr N
+    tr N^2, N = X^-1 H."""
+    N = np.linalg.solve(X, H)
+    N2 = N @ N
+    logJ = math.log(np.linalg.det(X))
+    return 2.0 * (lam * logJ - mu) * np.trace(N2 @ N) - 3.0 * lam * np.trace(N) * np.trace(N2)
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_taylor_draws_scale_a_step_only_when_its_norm_is_positive(monkeypatch, n):
-    generators = []
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: generators.append(_DegenerateSteps(seed)) or generators[-1])
-    m = stvk(1.3, 0.7)
-    tc = taylor_constants(m, taylor_draws(n, 0.3, 0.1, 40, 5))
-    assert (tc.c, tc.c_hat) == _reference_taylor(m, n, 0.3, 0.1, 40, 5, 1)
-    # per 4 samples, the plain and the (0, 0) kind draw 3 lengths, the skew
-    # kind 1 (E's), the zero kind none; in 2D every rotation draws an angle
-    angles = 2 * 40 if n == 2 else 0
-    assert [g.uniforms for g in generators] == [angles + 10 * 7] * 2
+def test_taylor_closed_forms_against_sympy(n):
+    # sympy differentiates W(X + tH) three times on the exact values of X
+    # and H: the closed forms the bounds are derived from agree with it,
+    # as do those of a pushforward W(X F) / det F, whose third derivative
+    # is T(X F)[H F, H F, H F] / det F; and |T| stays within the
+    # pointwise bounds 3 lam |X| + 6 mu |X|_op (StVK) and
+    # (2 |lam log J - mu| + 3 sqrt(n) lam) / sigma_min(X)^3 (neo-Hookean)
+    rng = np.random.default_rng(40 + n)
+    lam, mu = 1.5, 0.75
+    for _ in range(4):
+        X = random_gradient(rng, n, 0.5, 1.5)
+        H = rng.normal(size=(n, n))
+        H /= frob(H)
+        F = random_gradient(rng, n, 0.7, 1.4)
+        Fx, det = exact_matrix(F), float(np.linalg.det(F))
+        sig = np.linalg.svd(X, compute_uv=False)
+        for energy, closed, bound in (
+            (stvk_energy_sympy(lam, mu), _stvk_third,
+             3.0 * lam * frob(X) + 6.0 * mu * sig[0]),
+            (neo_hookean_energy_sympy(lam, mu), _neo_hookean_third,
+             (2.0 * abs(lam * math.log(np.prod(sig)) - mu) + 3.0 * math.sqrt(n) * lam)
+             / sig[-1] ** 3),
+        ):
+            T = third_derivative(energy, X, H)
+            assert closed(lam, mu, X, H) == pytest.approx(T, rel=1e-10, abs=1e-12)
+            assert abs(T) <= bound * (1.0 + 1e-12)
+            pushed = third_derivative(lambda Y: energy(Y * Fx) / Fx.det(), X, H)
+            assert closed(lam, mu, X @ F, H @ F) / det == pytest.approx(pushed, rel=1e-10,
+                                                                       abs=1e-12)
 
 
 def test_taylor_chat_one_sided_against_third_derivative():
-    # For the quartic stvk energy the second-derivative quadratic form is
-    # quadratic along any segment, so every Lipschitz quotient is dominated
-    # by the largest directional third derivative over the sampled set.
+    # StVK's T(X) is linear in X, and c_hat is the bound on its norm over
+    # the points within rho + epsilon / 2 of SO(n): no directional third
+    # derivative there, taken by differences of A, exceeds it
     m = stvk(1.0, 1.0)
-    tc = taylor_constants(m, taylor_draws(2, 0.2, 0.05, 600, 2))
+    rho, epsilon = 0.2, 0.05
+    _, c_hat = m.taylor_bounds(2, rho, epsilon)
     rng = np.random.default_rng(3)
-    bound = 0.0
+    largest = 0.0
     h = 1e-5
     for _ in range(2000):
-        F = random_gradient(rng, 2, 0.7, 1.4)
-        K = rng.normal(size=(2, 2))
-        K /= frob(K)
+        X, _, K = gate_pair(rng, 2, rho + epsilon / 2.0, 0.0)
         L = rng.normal(size=(2, 2))
         L /= frob(L)
-        qp = float(np.sum(K * _apply(m, F + h * L, K)))
-        qm = float(np.sum(K * _apply(m, F - h * L, K)))
-        bound = max(bound, abs(qp - qm) / (2 * h))
-    assert tc.c_hat <= 2.0 * bound
+        qp = float(np.sum(K * _apply(m, X + h * L, K)))
+        qm = float(np.sum(K * _apply(m, X - h * L, K)))
+        largest = max(largest, abs(qp - qm) / (2 * h))
+    assert largest <= c_hat
+    assert largest >= c_hat / 2.0
