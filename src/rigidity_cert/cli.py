@@ -214,6 +214,8 @@ def build_mesh(sc, r=None) -> fem.Mesh:
     unless the sweep names its key."""
     kind = sc["mesh.kind"]
     sides = sc["mesh.dirichlet"]
+    if kind != "file" and sc["mesh.path"] is not None:
+        _fail(sc, "mesh.path", f"needs mesh.kind = file, got {kind}")
     count_keys = _MESH_COUNTS.get(kind, ())
     for key in count_keys if r is None else ():
         if sc[key] < 1:
@@ -260,9 +262,11 @@ def build_material(sc) -> material.Material:
 
 
 def _dirichlet_map(sc, dim):
-    if sc["loads.dirichlet"] == "identity":
-        return (lambda x: x), np.eye(dim)
     mat = sc["loads.matrix"]
+    if sc["loads.dirichlet"] == "identity":
+        if mat is not None:
+            _fail(sc, "loads.matrix", "needs loads.dirichlet = affine, got identity")
+        return (lambda x: x), np.eye(dim)
     if mat is None:
         _fail(sc, "loads.dirichlet", "affine data needs loads.matrix")
     if len(mat) != dim * dim:

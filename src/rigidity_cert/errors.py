@@ -15,8 +15,9 @@ class DimensionMismatch(RigidityCertError):
     """Operands have incompatible or unsupported shapes."""
 
 
-class DetNonPositive(RigidityCertError):
-    """A deformation gradient has non-positive determinant."""
+class DeterminantViolation(RigidityCertError):
+    """A deformation gradient has non-positive determinant: one matrix, or
+    one of a stack (quadrature points, lattice cells, evaluation points)."""
 
 
 class Singular(RigidityCertError):
@@ -43,19 +44,11 @@ class CubeOverflow(RigidityCertError):
 
 # constitutive models
 
-class OutsideDomain(RigidityCertError):
-    """Energy evaluated at a deformation gradient outside det F > 0."""
-
-
 class SetEscapesDomain(RigidityCertError):
     """A matrix neighborhood of the Taylor bounds reaches det F <= 0."""
 
 
 # finite elements
-
-class DeterminantViolation(RigidityCertError):
-    """det of the deformation gradient is non-positive at a quadrature point."""
-
 
 class NewtonStopped(RigidityCertError):
     """Newton stopped short of its tolerance; log is its SolveLog so far."""

@@ -255,11 +255,11 @@ class Mesh:
         if "ordered" not in self._plan_cache:
             plan, order = self._sparse_plan(), self.dof_order()
             tags = scipy.sparse.csr_matrix(
-                (np.arange(plan.indices.size, dtype=float), plan.indices, plan.indptr),
+                (np.arange(plan.indices.size), plan.indices, plan.indptr),
                 shape=plan.shape)[order][:, order].tocsc()
             self._plan_cache["ordered"] = _AssemblyPlan(
                 tags.indptr.astype(np.int32), tags.indices.astype(np.int32),
-                np.ascontiguousarray(plan.terms[:, tags.data.astype(np.int64)]), plan.shape)
+                np.ascontiguousarray(plan.terms[:, tags.data]), plan.shape)
         return self._plan_cache["ordered"]
 
     def dof_order(self):
@@ -399,12 +399,12 @@ def _assembly_plan(mesh):
     indptr = np.zeros(N + 1, dtype=itype)
     np.cumsum(np.bincount(dof[blocks], minlength=N) * kn, out=indptr[1:])
     local = np.arange(kn) % n * k + np.arange(kn) // n
-    tags = (blocks[:, None] * float(kn) + local.astype(float)).ravel()
+    tags = (blocks[:, None] * itype(kn) + local.astype(itype)).ravel()
     cols = dof.reshape(M, kn)[blocks // kn].ravel()
     del blocks
     tagged = scipy.sparse.csr_matrix((tags, cols, indptr), shape=(N, N))
     tagged.sort_indices()
-    tags, col = tagged.data.astype(itype), tagged.indices
+    tags, col = tagged.data, tagged.indices
     del tagged, cols
     first = np.ones(len(col), dtype=bool)
     np.not_equal(col[1:], col[:-1], out=first[1:])
@@ -1132,7 +1132,7 @@ def gradient_field(mesh: Mesh, u) -> GridField:
     lat = mesh.lattice
     out = np.zeros(lat.mask.shape + (mesh.dim, mesh.dim))
     out[lat.mask] = G[lat.elem_of_cell[lat.mask]]
-    return GridField(lat.mask, out, lat.spacing, lat.origin)
+    return GridField(lat.mask, out)
 
 
 def facet_deformation_gradients(mesh: Mesh, u, facets) -> np.ndarray:

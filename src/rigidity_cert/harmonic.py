@@ -60,14 +60,12 @@ class GridField:
 
     values has shape mask.shape for scalar fields or mask.shape + (k, k)
     with k in {2, 3} for matrix fields.  Entries outside the mask are
-    normalized to zero.  spacing and origin carry physical placement and
-    never enter averages, which keeps every measurement scale invariant.
+    normalized to zero.  Only cell counts enter averages: a field carries
+    no placement, so every measurement is scale invariant.
     """
 
     mask: np.ndarray
     values: np.ndarray
-    spacing: float = 1.0
-    origin: tuple = ()
 
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=bool)
@@ -93,16 +91,10 @@ class GridField:
             raise DimensionMismatch("GridField: non-finite sample inside the domain")
         values = values.copy()
         values[~mask] = 0.0
-        origin = tuple(self.origin) if self.origin else (0.0,) * mask.ndim
-        if len(origin) != mask.ndim:
-            raise DimensionMismatch("GridField: origin length does not match mask rank")
-        if not self.spacing > 0:
-            raise DimensionMismatch("GridField: spacing must be positive")
         mask.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "origin", origin)
 
     @property
     def is_matrix(self) -> bool:
@@ -113,7 +105,7 @@ class GridField:
         return int(self.mask.sum())
 
     def with_values(self, values) -> "GridField":
-        return GridField(self.mask, values, self.spacing, self.origin)
+        return GridField(self.mask, values)
 
     def cell_norms(self) -> np.ndarray:
         """Per-cell |sample|: abs for scalars, Frobenius for matrices.
@@ -619,7 +611,7 @@ def hl_maximal(fld: GridField) -> GridField:
         for corner, side in family.at(_cell_positions(norms[..., None], family, False)):
             w = _window(corner, side)
             np.maximum(out[w], _cube_average(norms, corner, side), out=out[w])
-    return GridField(fld.mask, out, fld.spacing, fld.origin)
+    return GridField(fld.mask, out)
 
 
 def fs_sharp(fld: GridField) -> GridField:
@@ -634,7 +626,7 @@ def fs_sharp(fld: GridField) -> GridField:
             osc = _cube_oscillation(components, corner, side, mean)
             w = _window(corner, side)
             np.maximum(out[w], osc, out=out[w])
-    return GridField(fld.mask, out, fld.spacing, fld.origin)
+    return GridField(fld.mask, out)
 
 
 def bmo_seminorm(fld: GridField) -> float:

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, OutsideDomain, SetEscapesDomain
+from .errors import DeterminantViolation, DimensionMismatch, SetEscapesDomain
 from .tensor_core import frob
 
 __all__ = [
@@ -230,7 +230,7 @@ class NeoHookean(Material):
     def _logdet(F):
         J = np.linalg.det(F)
         if np.any(J <= 0.0):
-            raise OutsideDomain("neo-hookean: det F <= 0 at an evaluation point")
+            raise DeterminantViolation("neo-hookean: det F <= 0 at an evaluation point")
         return J, np.log(J)
 
     def energy_many(self, F):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeterminantViolation, DetNonPositive, DimensionMismatch, Singular
+from .errors import DeterminantViolation, DimensionMismatch, Singular
 
 __all__ = [
     "PolarPair",
@@ -21,10 +21,7 @@ __all__ = [
     "strain",
     "strain_dist_sandwich",
     "frob",
-    "frob_many",
     "det_many",
-    "rotations",
-    "random_rotation",
 ]
 
 _SUPPORTED_DIMS = (2, 3)
@@ -100,13 +97,14 @@ def _stretch_spectrum(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def polar_decompose(F) -> PolarPair:
     """Right polar decomposition F = R U via the spectral square root of F^T F.
 
-    Raises DetNonPositive when det F <= 0 and Singular when the stretch is
-    too ill-conditioned to invert reliably (condition number above 1e14).
+    Raises DeterminantViolation when det F <= 0 and Singular when the
+    stretch is too ill-conditioned to invert reliably (condition number
+    above 1e14).
     """
     F = _as_square(F, "polar_decompose")
     det = np.linalg.det(F)
     if det <= 0.0:
-        raise DetNonPositive(f"polar_decompose: det F = {det:g} <= 0")
+        raise DeterminantViolation(f"polar_decompose: det F = {det:g} <= 0")
     w, V = _stretch_spectrum(F)
     s = np.sqrt(w)
     if s[0] <= 0.0 or s[-1] / s[0] > 1e14:
@@ -130,7 +128,7 @@ def dist_to_rotations(F) -> float:
     F = _as_square(F, "dist_to_rotations")
     det = np.linalg.det(F)
     if det <= 0.0:
-        raise DetNonPositive(f"dist_to_rotations: det F = {det:g} <= 0")
+        raise DeterminantViolation(f"dist_to_rotations: det F = {det:g} <= 0")
     return float(_rotation_distances(F))
 
 
@@ -187,43 +185,3 @@ def strain_dist_sandwich(F) -> SandwichReport:
     linear_ok = d <= 2.0 * e + slack
     return SandwichReport(dist=d, strain_norm=e, lower_ok=lower_ok,
                           upper_ok=upper_ok, linear_ok=linear_ok)
-
-
-def frob_many(A) -> np.ndarray:
-    """frob of each matrix (or vector) of a stack (k, ...), bitwise: a
-    row-by-column matmul per entry sums its squares as ndarray.dot does."""
-    a = np.ascontiguousarray(A, dtype=float)
-    a = a.reshape(len(a), math.prod(a.shape[1:]))
-    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
-
-
-def rotations(turns) -> np.ndarray:
-    """C-ordered stack (k, n, n) of the rotations of k turns: angles, shape
-    (k,), turn in 2D (through math.cos and math.sin); quaternions, shape
-    (k, 4), are normalised and turn in 3D."""
-    turns = np.asarray(turns, dtype=float)
-    if turns.ndim == 1:
-        t = turns.tolist()
-        c = np.array([math.cos(x) for x in t])
-        s = np.array([math.sin(x) for x in t])
-        R = np.array([[c, -s], [s, c]])
-    elif turns.ndim == 2 and turns.shape[1] == 4:
-        a, b, c, d = (turns / frob_many(turns)[:, None]).T
-        R = np.array([
-            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-            [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
-            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
-        ])
-    else:
-        raise DimensionMismatch(f"rotations: expected (k,) angles or (k, 4) quaternions, "
-                                f"got shape {turns.shape}")
-    return np.ascontiguousarray(np.moveaxis(R, -1, 0))
-
-
-def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish random rotation; uniform angle in 2D, unit quaternion in 3D."""
-    if n == 2:
-        return rotations([rng.uniform(0.0, 2.0 * math.pi)])[0]
-    if n == 3:
-        return rotations(rng.normal(size=(1, 4)))[0]
-    raise DimensionMismatch(f"random_rotation: n must be 2 or 3, got {n}")

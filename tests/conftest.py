@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 def random_gradient(rng, n, smin=0.2, smax=5.0):
     """Random n x n matrix with det > 0 and singular values in [smin, smax]."""
-    from rigidity_cert.tensor_core import random_rotation
+    from oracles import random_rotation
 
     s = rng.uniform(smin, smax, size=n)
     return random_rotation(rng, n) @ np.diag(s) @ random_rotation(rng, n)

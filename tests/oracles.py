@@ -18,6 +18,22 @@ from rigidity_cert.material import Material
 
 # ---------------------------------------------------------------- rotations
 
+def random_rotation(rng, n):
+    """One Haar-distributed rotation: a uniform angle in 2D, a normalised
+    Gaussian quaternion in 3D."""
+    if n == 2:
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(t), math.sin(t)
+        return np.array([[c, -s], [s, c]])
+    q = rng.normal(size=4)
+    a, b, c, d = q / math.sqrt(q.dot(q))
+    return np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+    ])
+
+
 def rotation_grid_min_2d_enum(F, m):
     """Brute-force min of |F - R(theta)| over a uniform m-point angle grid."""
     F = np.asarray(F, dtype=float)
@@ -213,6 +229,18 @@ def bump_values_closure(nodes, rng, eps):
         return out
 
     return np.array([w(x) for x in nodes])
+
+
+# -------------------------------------------------------------- restarts
+
+def max_pairwise_difference(grads):
+    """Largest entry of |a - b| over every pair of the arrays grads, pair
+    by pair; 0.0 for fewer than two."""
+    out = 0.0
+    for i in range(len(grads)):
+        for j in range(i + 1, len(grads)):
+            out = max(out, float(np.max(np.abs(grads[i] - grads[j]))))
+    return out
 
 
 # -------------------------------------------------------- Taylor sampling

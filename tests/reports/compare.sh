@@ -11,7 +11,8 @@
 # new temporary directory), receives base/ and head/: the reports of each
 # tree and its exit-codes.txt.  The script exits 0 when every file is
 # byte-identical in the two, and 1 otherwise, after naming each file that
-# differs and, for a JSON report, each moved value as `key: base -> head`.
+# differs and, for a JSON report, each moved value as `key: base -> head`,
+# for a CSV table its first differing line in each tree.
 set -eu
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
   echo "usage: $0 BASE_TREE [WORK_DIR]" >&2
@@ -72,6 +73,17 @@ for key in sorted(base.keys() | head.keys()):
     b, h = base.get(key, "(absent)"), head.get(key, "(absent)")
     if b != h:
         print(f"  {key}: {b!r} -> {h!r}")
+EOF
+        *.csv) python - "$work/base/$name" "$work/head/$name" <<'EOF' || true ;;
+import itertools, sys
+
+base, head = (open(path).read().splitlines() for path in sys.argv[1:])
+pairs = itertools.zip_longest(base, head, fillvalue="(absent)")
+for number, (b, h) in enumerate(pairs, 1):
+    if b != h:
+        print(f"  base line {number}: {b}")
+        print(f"  head line {number}: {h}")
+        break
 EOF
       esac
     fi

@@ -20,6 +20,7 @@ from oracles import (
     fs_sharp_bruteforce_matrix,
     hl_maximal_bruteforce,
     hl_maximal_bruteforce_matrix,
+    random_rotation,
     rotation_grid_min_2d,
     rotation_grid_min_2d_enum,
 )
@@ -114,8 +115,8 @@ def test_criterion_02_strain_distance_sandwich():
     worst_eq = 0.0
     for n in (2, 3):
         for _ in range(10_000):
-            U = tensor_core.random_rotation(rng, n)
-            V = tensor_core.random_rotation(rng, n)
+            U = random_rotation(rng, n)
+            V = random_rotation(rng, n)
             s = rng.uniform(0.2, 5.0, size=n)
             F = U @ np.diag(s) @ V.T
             rep = tensor_core.strain_dist_sandwich(F)

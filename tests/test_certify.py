@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rigidity_cert import certify, errors, fem, harmonic, material, tensor_core
 
-from oracles import bump_values_closure, quadratic_toy
+from oracles import bump_values_closure, max_pairwise_difference, quadratic_toy
 
 
 @pytest.fixture(scope="module")
@@ -439,3 +439,28 @@ def test_fold_outcomes_takes_the_worst_in_any_order(outcomes, order):
     order.shuffle(shuffled)
     assert certify.fold_outcomes(outcomes) == expected
     assert certify.fold_outcomes(shuffled) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 6))
+def test_multistart_agreement_is_the_pairwise_maximum(seed, count):
+    # the restarts' spread is the pairwise loop's value bit for bit; each
+    # restart "converges" to the identity plus noise of its own magnitude,
+    # from roundoff-close to far apart
+    rng = np.random.default_rng(seed)
+    mesh = fem.rectangle_mesh(2, 2)
+    problem = certify.Problem("spread", material.stvk(1.0, 1.0), mesh,
+                              fem.LoadSet.build(mesh, dirichlet=lambda x: x))
+    fields = [fem.FeField(mesh, mesh.nodes + 10.0 ** rng.uniform(-16, 0)
+                          * rng.normal(size=mesh.nodes.shape)) for _ in range(count)]
+    solutions = iter(fields)
+
+    def solve(m, mesh, loads, start):
+        return next(solutions), fem.SolveLog(converged=True, iterations=1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fem, "solve_equilibrium", solve)
+        res = certify.multistart_agreement(problem, fem.FeField(mesh, mesh.nodes),
+                                           count=count, seed=seed)
+    grads = [fem.deformation_gradients(mesh, u) for u in fields]
+    assert res["max_pairwise_grad_diff"] == max_pairwise_difference(grads)

@@ -557,6 +557,10 @@ def test_validate_names_the_key_at_fault(tmp_path, capsys, key, value, message):
      "affine Dirichlet matrix must have positive determinant"),
     ("loads.dirichlet = affine", "loads.matrix", "0 0 0 0",
      "affine Dirichlet matrix must have positive determinant"),
+    ("loads.dirichlet = identity", "loads.matrix", "1.05 0 0 1",
+     "needs loads.dirichlet = affine, got identity"),
+    ("mesh.kind = rectangle", "mesh.path", "nowhere.mesh",
+     "needs mesh.kind = file, got rectangle"),
 ])
 def test_validate_names_the_key_at_fault_beside_its_partner(tmp_path, capsys, partner, key,
                                                             value, message):

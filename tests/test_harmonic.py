@@ -44,9 +44,9 @@ from oracles import (
 )
 
 
-def full_field(values, spacing=1.0):
+def full_field(values):
     values = np.asarray(values, dtype=float)
-    return GridField(np.ones(values.shape[:2], dtype=bool), values, spacing)
+    return GridField(np.ones(values.shape[:2], dtype=bool), values)
 
 
 def l_mask(n):
@@ -235,16 +235,6 @@ def test_matrix_bmo_uses_frobenius_deviation():
     fld = full_field(vals)
     # side-2 cube: mean I/2, each deviation |I/2| = sqrt(2)/2
     assert bmo_seminorm(fld) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
-
-
-def test_measurements_scale_invariant():
-    rng = np.random.default_rng(113)
-    vals = rng.normal(size=(7, 9))
-    a = full_field(vals, spacing=1.0)
-    b = GridField(a.mask, vals, spacing=0.01, origin=(3.0, -2.0))
-    assert bmo_seminorm(a) == bmo_seminorm(b)
-    assert lp_mean_norm(a, 3.0) == lp_mean_norm(b, 3.0)
-    assert np.array_equal(hl_maximal(a).values, hl_maximal(b).values)
 
 
 # ------------------------------------------- filter-then-refine vs oracles

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rigidity_cert.errors import OutsideDomain, SetEscapesDomain
+from rigidity_cert.errors import DeterminantViolation, SetEscapesDomain
 from rigidity_cert.material import identity_floor, neo_hookean, stvk, sym_basis
-from rigidity_cert.tensor_core import frob, random_rotation
+from rigidity_cert.tensor_core import frob
 
 from conftest import frozen_point, random_gradient
 from oracles import (
@@ -20,6 +20,7 @@ from oracles import (
     gate_pair,
     neo_hookean_energy_sympy,
     quadratic_toy,
+    random_rotation,
     stvk_energy_sympy,
     taylor_quotients,
     third_derivative,
@@ -224,11 +225,11 @@ def test_identity_floor_sees_a_skew_leak():
 
 def test_outside_domain_rejected():
     m = neo_hookean(1.0, 1.0)
-    with pytest.raises(OutsideDomain):
+    with pytest.raises(DeterminantViolation):
         _at(m, "energy", np.diag([1.0, -1.0]))
-    with pytest.raises(OutsideDomain):
+    with pytest.raises(DeterminantViolation):
         _at(m, "stress", np.diag([0.0, 1.0]))
-    with pytest.raises(OutsideDomain):
+    with pytest.raises(DeterminantViolation):
         neo_hookean().energy_many(np.stack([np.eye(2), np.diag([-1.0, 1.0])]))
 
 

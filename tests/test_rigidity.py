@@ -12,11 +12,9 @@ def _rot(theta):
     return np.array([[c, -s], [s, c]])
 
 
-def _matrix_field(values, spacing=None):
+def _matrix_field(values):
     values = np.asarray(values, dtype=float)
-    mask = np.ones(values.shape[:-2], dtype=bool)
-    h = spacing if spacing is not None else 1.0 / values.shape[0]
-    return harmonic.GridField(mask, values, h, (0.0,) * mask.ndim)
+    return harmonic.GridField(np.ones(values.shape[:-2], dtype=bool), values)
 
 
 def _perturbed_map(rng, eps):
@@ -108,16 +106,6 @@ def test_fit_rotation_field_flags_infinite_constant():
     assert math.isinf(rep.M_emp)
     assert rep.dist_sup <= 1e-12
     assert rep.lhs_p > 1e-4
-
-
-def test_fit_scale_invariant_in_spacing():
-    rng = np.random.default_rng(9)
-    vals = np.eye(2) + 0.2 * rng.standard_normal((5, 5, 2, 2))
-    a = rigidity.rigidity_fit(_matrix_field(vals, spacing=0.2))
-    b = rigidity.rigidity_fit(_matrix_field(vals, spacing=0.4))
-    assert a.C_emp == b.C_emp
-    assert a.bmo_seminorm == b.bmo_seminorm
-    assert a.lhs_p == b.lhs_p
 
 
 def test_fit_cemp_stable_under_refinement():
