@@ -152,6 +152,8 @@ class Mesh:
         self.elements = np.asarray(elements, dtype=int)
         if self.nodes.ndim != 2 or self.nodes.shape[1] not in (2, 3):
             raise DimensionMismatch(f"nodes must be (N, 2) or (N, 3), got {self.nodes.shape}")
+        if not np.all(np.isfinite(self.nodes)):
+            raise DimensionMismatch("node coordinates must be finite")
         self.dim = self.nodes.shape[1]
         expect = 4 if self.dim == 2 else 8
         if self.elements.ndim != 2 or self.elements.shape[1] != expect:
@@ -201,7 +203,7 @@ class Mesh:
         self._facet_parent = boundary
         dn = sorted({v for f in self.dirichlet_facets for v in f})
         self.dirichlet_nodes = np.array(dn, dtype=int)
-        if np.any(self.quadrature()[2] <= 0.0):
+        if not np.all(self.quadrature()[2] > 0.0):
             raise ValueError("mesh has non-positive jacobians")
 
     # ----------------------------------------------------------- quadrature
@@ -1282,8 +1284,9 @@ def read_mesh(path) -> Mesh:
     """Parse a file written by write_mesh.
 
     A malformed file raises DimensionMismatch naming its 1-based line: a
-    missing or wrong section header, a bad count or number, or a file that
-    ends before the counts say it should.
+    missing or wrong section header, a bad count or number (a non-finite
+    coordinate among them), or a file that ends before the counts say it
+    should.
     """
     from pathlib import Path
 
@@ -1311,6 +1314,12 @@ def read_mesh(path) -> Mesh:
             raise bad(row, f"'{key}' needs {arity} non-negative integer count(s)")
         return counts
 
+    def coordinate(token):
+        x = float(token)
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite coordinate {token!r}")
+        return x
+
     def block(row, count, key, convert, width=None):
         out = []
         for i in range(count):
@@ -1326,7 +1335,7 @@ def read_mesh(path) -> Mesh:
     (dim,) = header(1, "dim", 1)
     (count,) = header(2, "nodes", 1)
     row = 3
-    nodes = block(row, count, "nodes", float, width=dim)
+    nodes = block(row, count, "nodes", coordinate, width=dim)
     row += count
     mcount, width = header(row, "elements", 2)
     row += 1

@@ -668,8 +668,8 @@ def bmo_l1_norm(fld: GridField) -> float:
 
 def lp_mean_norm(fld: GridField, p: float) -> float:
     """(average of |sample|^p over the domain)^(1/p)."""
-    if not p >= 1:
-        raise BadExponents(f"lp_mean_norm: p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise BadExponents(f"lp_mean_norm: need 1 <= p < inf, got {p}")
     # numpy scalars: a power that overflows is inf, not an OverflowError
     norms = fld.cell_norms()[fld.mask]
     return (fsum(v ** p for v in norms) / len(norms)) ** (1.0 / p)
@@ -728,18 +728,23 @@ def _largest_ratio(who, pairs) -> float:
     return best
 
 
+def _check_exponents(who, p, q):
+    """Refuse exponents outside 1 <= p < q < inf, which Fraction cannot
+    hold exactly when infinite."""
+    if not 1 <= p < q < math.inf:
+        raise BadExponents(f"{who}: need 1 <= p < q < inf, got p={p}, q={q}")
+
+
 def rh_exponents(p: float, q: float) -> tuple[Fraction, Fraction]:
     """Exact exponent pair (1 - p/q, p/q) for the reverse-Hoelder form."""
-    if not (1 <= p < q):
-        raise BadExponents(f"rh_exponents: need 1 <= p < q, got p={p}, q={q}")
+    _check_exponents("rh_exponents", p, q)
     r = Fraction(p) / Fraction(q)
     return (1 - r, r)
 
 
 def interpolation_exponent(p: float, q: float) -> Fraction:
     """theta with 1/p = theta + (1 - theta)/q, exact."""
-    if not (1 <= p < q):
-        raise BadExponents(f"interpolation_exponent: need 1 <= p < q, got p={p}, q={q}")
+    _check_exponents("interpolation_exponent", p, q)
     pf, qf = Fraction(p), Fraction(q)
     return (1 / pf - 1 / qf) / (1 - 1 / qf)
 
@@ -770,8 +775,7 @@ def verify_interpolation(fld: GridField, p: float, q: float, J2: float) -> bool:
     A hair of relative slack absorbs roundoff in the equality cases
     (constant fields give equality in both bounds).
     """
-    if not (1 <= p < q):
-        raise BadExponents(f"verify_interpolation: need 1 <= p < q, got p={p}, q={q}")
+    _check_exponents("verify_interpolation", p, q)
     norm_p, norm_q, rhs = _rh_sides(fld, p, q, J2)
     if norm_q > rhs * (1.0 + _REL_SLACK):
         return False

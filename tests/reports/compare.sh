@@ -12,7 +12,11 @@
 # tree and its exit-codes.txt.  The script exits 0 when every file is
 # byte-identical in the two, and 1 otherwise, after naming each file that
 # differs and, for a JSON report, each moved value as `key: base -> head`,
-# for a CSV table its first differing line in each tree.
+# for a CSV table its first differing line in each tree, then each moved
+# column with its count of moved rows and its largest relative move
+# |head - base| / max(|base|, |head|) (inf when a side is not finite, n/a
+# when a cell is not a number), and each row whose outcome moved, as
+# `verdict moved`.
 set -eu
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
   echo "usage: $0 BASE_TREE [WORK_DIR]" >&2
@@ -75,7 +79,7 @@ for key in sorted(base.keys() | head.keys()):
         print(f"  {key}: {b!r} -> {h!r}")
 EOF
         *.csv) python - "$work/base/$name" "$work/head/$name" <<'EOF' || true ;;
-import itertools, sys
+import itertools, math, sys
 
 base, head = (open(path).read().splitlines() for path in sys.argv[1:])
 pairs = itertools.zip_longest(base, head, fillvalue="(absent)")
@@ -84,6 +88,33 @@ for number, (b, h) in enumerate(pairs, 1):
         print(f"  base line {number}: {b}")
         print(f"  head line {number}: {h}")
         break
+
+def relative(b, h):
+    try:
+        b, h = float(b), float(h)
+    except ValueError:
+        return None
+    if not (math.isfinite(b) and math.isfinite(h)):
+        return math.inf
+    return abs(h - b) / max(abs(b), abs(h)) if h != b else 0.0
+
+# each moved column, matched by name, over the rows both tables have
+(bcols, *brows), (hcols, *hrows) = ([line.split(",") for line in t] or [[]] for t in (base, head))
+if len(brows) != len(hrows):
+    print(f"  rows: {len(brows)} -> {len(hrows)}")
+for name in sorted(set(bcols) ^ set(hcols)):
+    print(f"  column {name}: only in the {'base' if name in bcols else 'head'} table")
+for name in [c for c in hcols if c in bcols]:
+    i, j = bcols.index(name), hcols.index(name)
+    moved = [(n, b[i], h[j]) for n, (b, h) in enumerate(zip(brows, hrows), 2) if b[i] != h[j]]
+    if not moved:
+        continue
+    rel = [relative(b, h) for _, b, h in moved]
+    largest = "n/a" if None in rel else f"{max(rel):.3e}"
+    print(f"  column {name}: {len(moved)} rows moved, largest relative move {largest}")
+    if name == "outcome":
+        for n, b, h in moved:
+            print(f"  verdict moved, line {n} ({hrows[n - 2][0]}): {b} -> {h}")
 EOF
       esac
     fi

@@ -1294,6 +1294,21 @@ def test_bmo_gate_measures_each_difference_field_once(tmp_path, monkeypatch):
     assert sum(bmo_calls.values()) == len(bmo_calls)
 
 
+def test_strain_diff_gates_each_candidate_once(tmp_path, monkeypatch):
+    # gated_perturbations scales each of the 3 candidates by one BMO
+    # seminorm, and each candidate's one gate, on the deformed
+    # configuration, takes one more; a second gate on the reference
+    # configuration made it 9
+    from rigidity_cert import harmonic
+
+    bmo_calls = _count_calls(monkeypatch, harmonic, "bmo_seminorm")
+    cfg = _stretch_config(tmp_path, "certify-strain-diff", candidates=3)
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert bmo_calls == {"bmo_seminorm": 6}
+    doc = json.loads((tmp_path / "out" / "stretch.json").read_text())
+    assert [e["gate"]["outcome"] for e in doc["candidates"]] == ["pass"] * 3
+
+
 def test_a_run_validates_through_validate_scenario_once(tmp_path, monkeypatch):
     # run_scenario validates through the public validate_scenario, so a
     # wrapper on it sees the validation inside every run
@@ -1422,7 +1437,7 @@ def test_small_strain_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("pipeline, extra, candidates, takes", [
-    # kind of candidate -> takes of grad v on the reference mesh, as
+    # kind of candidate -> takes of grad v on the meshes measured, as
     # (quadrature stacks, cell fields, BMO seminorms of grad v - grad u_e,
     # quadrature stacks of w = v - u_e)
     ("certify-bmo-gate", "", 2, {"pass": (3, 1, 1, 2)}),
@@ -1434,12 +1449,15 @@ def test_small_strain_takes_grad_u_e_a_fixed_number_of_times(tmp_path, monkeypat
 ])
 def test_each_candidate_takes_grad_v_a_fixed_number_of_times(tmp_path, monkeypatch, pipeline,
                                                              extra, candidates, takes):
-    # one certify.Candidate per candidate and mesh: the strain filter, the
-    # gate and the transfer share its grad v, and a candidate that the
-    # strain filter rejects takes no cell field and no BMO seminorm.  The
-    # mean gap and |grad w|^2, which the gate and the transfer share, take
-    # the stack of w.  What stays: the gate's energy and the transfer's
-    # tangent take the stack, and strain_diff_to_dist the stack
+    # one certify.Candidate per candidate, on the mesh it is gated on: the
+    # strain filter, the gate and the transfer share its grad v, and a
+    # candidate that the strain filter rejects takes no cell field and no
+    # BMO seminorm.  The mean gap and |grad w|^2, which the gate and the
+    # transfer share, take the stack of w.  What stays: the gate's energy
+    # and the transfer's tangent take the stack, and strain_diff_to_dist
+    # the stack.  Takes are summed over the configurations that
+    # certification_inputs measured: strain-diff gates on the deformed one
+    # alone
     from rigidity_cert import certify, fem, harmonic
 
     def state_key(mesh, u):
@@ -1454,6 +1472,14 @@ def test_each_candidate_takes_grad_v_a_fixed_number_of_times(tmp_path, monkeypat
         return cands
 
     monkeypatch.setattr(certify, "gated_perturbations", gated)
+    measured = []
+    certification_inputs = certify.certification_inputs
+
+    def measure(*args, **kwargs):
+        measured.append(certification_inputs(*args, **kwargs))
+        return measured[-1]
+
+    monkeypatch.setattr(certify, "certification_inputs", measure)
     stacks = _count_calls(monkeypatch, fem, "deformation_gradients", key=state_key)
     cells = _count_calls(monkeypatch, fem, "gradient_field", key=state_key)
     bmos = _count_calls(monkeypatch, harmonic, "bmo_seminorm",
@@ -1465,24 +1491,29 @@ def test_each_candidate_takes_grad_v_a_fixed_number_of_times(tmp_path, monkeypat
     assert code == (0 if set(takes) == {"pass"} else 2)
     entries = json.loads((tmp_path / "out" / "stretch.json").read_text())["candidates"]
     ((inputs, cands),) = made
-    mesh, gu = inputs.problem.mesh, inputs.gradient_field
+    assert measured[0] is inputs
+    assert len(measured) == (2 if pipeline == "certify-strain-diff" else 1)
     assert len(entries) == len(cands) == candidates
     seen = {}
     for entry, v in zip(entries, cands):
         rejected = entry.get("reason") in ("candidate strain bound", "strain-difference bound")
         kind = "rejected" if rejected else entry["outcome"]
-        diff = hashlib.sha256((fem.gradient_field(mesh, v).values - gu.values).tobytes())
-        count = (stacks.get(state_key(mesh, v), 0), cells.get(state_key(mesh, v), 0),
-                 bmos.get(diff.hexdigest(), 0),
-                 stacks.get(state_key(mesh, v.values - inputs.u_e.values), 0))
+        count = (0, 0, 0, 0)
+        for config in measured:
+            mesh, gu = config.problem.mesh, config.gradient_field
+            diff = hashlib.sha256((fem.gradient_field(mesh, v.values).values - gu.values).tobytes())
+            takes_here = (stacks.get(state_key(mesh, v), 0), cells.get(state_key(mesh, v), 0),
+                          bmos.get(diff.hexdigest(), 0),
+                          stacks.get(state_key(mesh, v.values - config.u_e.values), 0))
+            count = tuple(a + b for a, b in zip(count, takes_here))
         assert seen.setdefault(kind, count) == count
     assert seen == takes
 
 
 def test_strain_diff_candidates_beyond_the_gate_thresholds_are_inapplicable(tmp_path):
     # the 6x6 regress strain-diff config with 3 candidates at 1.5
-    # delta_star: each passes the strain-difference bound, and both gates
-    # find it outside their thresholds
+    # delta_star: each passes the strain-difference bound, and the gate
+    # finds it outside its thresholds
     cfg = _write(tmp_path, "gate.cfg", """
         name = gate-certify-strain-diff
         pipeline = certify-strain-diff
@@ -1504,12 +1535,11 @@ def test_strain_diff_candidates_beyond_the_gate_thresholds_are_inapplicable(tmp_
     assert doc["outcome"] == "inapplicable"
     assert len(doc["candidates"]) == 3
     for entry in doc["candidates"]:
-        assert entry["outcome"] == "inapplicable" and entry["reason"] == "gate thresholds"
+        assert entry["outcome"] == "inapplicable" and "reason" not in entry
         assert entry["strain_diff_sup"] < entry["strain_bound"]
-        for side in ("gate_deformed", "gate_reference"):
-            assert entry[side]["outcome"] == "inapplicable"
-            assert not entry[side]["measurements"]["bmo_seminorm"]["pass"]
-        assert "excess_agreement" not in entry and "energy_excess" not in entry
+        assert entry["gate"]["outcome"] == "inapplicable"
+        assert not entry["gate"]["measurements"]["bmo_seminorm"]["pass"]
+        assert entry["energy_excess"] is None
 
 
 @pytest.mark.parametrize("candidates", [0, 2])

@@ -1316,6 +1316,8 @@ def test_mesh_file_roundtrip_keeps_hash(tmp_path_factory, mesh, seed, scale):
     (lambda t: t.replace("nodes 9", "nodes nine"), 3, "count"),
     (lambda t: t.replace("elements 4 4", "elements 4"), 13, "count"),
     (lambda t: t.replace("0.5 0.5", "0.5 half"), 8, "bad nodes entry"),
+    (lambda t: t.replace("0.5 0.5", "0.5 nan"), 8, "bad nodes entry: non-finite coordinate 'nan'"),
+    (lambda t: t.replace("0.5 0.5", "-inf 0.5"), 8, "bad nodes entry: non-finite coordinate '-inf'"),
     (lambda t: t.replace("0.5 0.5", "0.5"), 8, "1 values, expected 2"),
     (lambda t: t.replace("1 2 5 4", "1 2 5"), 15, "3 values, expected 4"),
     (lambda t: t[: t.index("elements")], 13, "file ends"),
@@ -1328,6 +1330,30 @@ def test_read_mesh_typed_errors(tmp_path, edit, line, message):
     path.write_text(edit(path.read_text()))
     with pytest.raises(errors.DimensionMismatch, match=f"line {line}: .*{message}"):
         fem.read_mesh(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_nodes_are_refused(tmp_path, capsys, bad):
+    # a non-finite coordinate used to pass the Jacobian check (a NaN
+    # compares false), so validate said config ok and the solve died late
+    # on a singular tangent
+    from rigidity_cert import cli
+
+    mesh = fem.rectangle_mesh(4, 3, dirichlet=("left",))
+    nodes = mesh.nodes.copy()
+    nodes[6, 1] = bad
+    with pytest.raises(errors.DimensionMismatch, match="node coordinates must be finite"):
+        fem.Mesh(nodes, mesh.elements, mesh.dirichlet_facets, mesh.traction_facets)
+    path = tmp_path / "mesh.txt"
+    fem.write_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    lines[9] = f"{lines[9].split()[0]} {bad!r}"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(f"name = file\npipeline = solve\nmesh.kind = file\nmesh.path = {path}\n")
+    assert cli.main(["validate", str(cfg)]) == 1
+    assert capsys.readouterr().err == (f"error: DimensionMismatch: {path}, line 10: bad nodes "
+                                       f"entry: non-finite coordinate '{bad!r}'\n")
 
 
 def test_a_facet_listed_twice_is_refused(tmp_path, capsys):

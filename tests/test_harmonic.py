@@ -486,6 +486,23 @@ def test_bad_exponents_rejected():
             verify_interpolation(fld, p, q, 1.0)
 
 
+def test_infinite_exponents_rejected():
+    # an infinite p used to give lp_mean_norm 1.0 for every field, and an
+    # infinite q a bare OverflowError from Fraction(inf)
+    fld = full_field(np.full((3, 3), 5.0))
+    for p in (math.inf, math.nan, 0.5):
+        with pytest.raises(BadExponents, match="need 1 <= p < inf"):
+            harmonic.lp_mean_norm(fld, p)
+    with pytest.raises(BadExponents, match=r"need 1 <= p < q < inf, got p=2.0, q=inf"):
+        rh_exponents(2.0, math.inf)
+    for p, q in [(1.0, math.inf), (math.inf, math.inf), (math.nan, 2.0), (1.0, math.nan)]:
+        with pytest.raises(BadExponents, match="interpolation_exponent"):
+            harmonic.interpolation_exponent(p, q)
+        with pytest.raises(BadExponents, match="verify_interpolation"):
+            verify_interpolation(fld, p, q, 1.0)
+    assert harmonic.lp_mean_norm(fld, 2.0) == 5.0
+
+
 def test_interpolation_equality_for_constant_fields():
     fld = full_field(np.full((5, 5), 2.5))
     # both bounds are equalities for constants; J2 = 1 is then exact

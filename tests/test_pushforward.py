@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rigidity_cert import certify, errors, fem, harmonic, material, pushforward
 
-from conftest import frozen_point
+from conftest import frozen_point, random_gradient
 from oracles import CustomMaterial
 
 
@@ -282,6 +282,41 @@ def test_pushed_energy_value():
 
 # ------------------------------------------------------ integral identities
 
+@settings(max_examples=24, deadline=None)
+@given(n=st.sampled_from([2, 3]), model=st.sampled_from(["stvk", "neo-hookean"]),
+       seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.0, 0.05))
+def test_one_pencil_on_both_configurations(n, model, seed, amplitude):
+    # u_e, an affine map plus a bump that vanishes on the boundary, need
+    # not be an equilibrium.  The tangent at the transported field on the
+    # deformed mesh is the reference tangent (exact node transport), so
+    # the two pencils differ in the Gram matrix alone: int |grad z F^-1|^2
+    # det F lies between det F / sigma_max^2 and det F / sigma_min^2 times
+    # int |grad z|^2, pointwise, which brackets lambda_def by lambda_ref
+    rng = np.random.default_rng(seed)
+    mesh = fem.rectangle_mesh(5, 4) if n == 2 else fem.box_mesh(3, 3, 3)
+    m = material.stvk(1.2, 0.8) if model == "stvk" else material.neo_hookean(1.0, 0.8)
+    # sigma_min(A) >= 0.8 and |grad bump| <= 0.05 pi sqrt(3) < 0.3: det > 0
+    A = random_gradient(rng, n, 0.8, 1.25)
+    c = rng.normal(size=n)
+    bump = np.prod(np.sin(np.pi * mesh.nodes), axis=1)[:, None] * (c / np.linalg.norm(c))
+    u_e = fem.FeField(mesh, mesh.nodes @ A.T + amplitude * bump)
+    cfg = pushforward.deform_configuration(mesh, u_e)
+    m_u = pushforward.PushforwardMaterial(m, cfg)
+    K_ref = fem.second_variation_matrix(m, mesh, u_e)
+    K_def = fem.second_variation_matrix(m_u, cfg.mesh_def, fem.FeField(cfg.mesh_def, u_e.values))
+    scale = abs(K_ref).max()
+    assert abs(K_def - K_ref).max() <= 1e-12 * scale
+    lam_ref = fem.coercivity_constant(K_ref, fem.gradient_gram_matrix(mesh), mesh.dof_order())
+    if lam_ref <= 0.0:
+        return
+    lam_def = fem.coercivity_constant(K_def, fem.gradient_gram_matrix(cfg.mesh_def),
+                                      cfg.mesh_def.dof_order())
+    sigma = np.linalg.svd(cfg.F, compute_uv=False)
+    lo = lam_ref / float(np.max(cfg.det_F / sigma[..., -1] ** 2))
+    hi = lam_ref / float(np.min(cfg.det_F / sigma[..., 0] ** 2))
+    assert lo * (1.0 - 1e-9) <= lam_def <= hi * (1.0 + 1e-9)
+
+
 def test_cov_identities_exact_for_fe_transport():
     """With a nodal forward map the transported fields are the exact
     isoparametric images, so all five identities hold to roundoff even
@@ -451,15 +486,19 @@ def test_certify_strain_neighborhood(stretch):
     # a deviation past 1e-10 raises, so the report keeps the two sides only
     dev = cert.measurements["identity_gradient_dev"]
     assert set(dev) == {"lhs", "rhs"} and dev["lhs"] <= 1e-12 and dev["rhs"] == 1e-10
-    assert cert.measurements["second_variation_positive_def"]["pass"]
+    assert cert.measurements["second_variation_positive"]["pass"]
+    assert set(cert.measurements) == {"identity_gradient_dev", "second_variation_positive"}
     ids = [e["id"] for e in cert.candidates]
     assert ids == ["candidate-000", "candidate-001", "candidate-002"]
     assert cert.candidates[0]["outcome"] == "pass"
     assert cert.candidates[0]["energy_excess"] == pytest.approx(0.0, abs=1e-12)
     assert cert.candidates[1]["outcome"] == "pass"
-    assert cert.candidates[1]["excess_agreement"]["pass"]
     assert "sandwich_ok" not in cert.candidates[1]
-    assert cert.candidates[1]["gate_deformed"]["outcome"] == "pass"
+    # one gate, on the deformed configuration, whose gap is the excess
+    assert cert.candidates[1]["gate"]["outcome"] == "pass"
+    assert cert.candidates[1]["gate"]["energy_gap"] == cert.candidates[1]["energy_excess"]
+    assert cert.candidates[1]["gate"]["k_hat"] == cert.k_hat
+    assert not {"gate_deformed", "gate_reference", "excess_agreement"} & set(cert.candidates[1])
     assert cert.candidates[2]["outcome"] == "inapplicable"
     assert cert.candidates[2]["reason"] == "strain-difference bound"
     assert cert.delta_star > 0.0
@@ -479,7 +518,7 @@ def test_certify_strain_fails_a_non_coercive_deformed_configuration(stretch, mon
     for candidates in ([], [big]):
         cert = pushforward.certify_strain_neighborhood(candidates, inputs)
         assert cert.lambda_min < 0.0
-        assert not cert.measurements["second_variation_positive_def"]["pass"]
+        assert not cert.measurements["second_variation_positive"]["pass"]
         assert cert.outcome == "fail"
 
 
