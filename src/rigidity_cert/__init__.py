@@ -7,8 +7,8 @@ harmonic      grid fields, maximal functions, BMO seminorms, interpolation fits
 material      stored-energy models, moduli at the identity, Taylor bounds
 fem           Q1 meshes, energies, Newton solves, second-variation eigensolves
 rigidity      rotation fits, rigidity and Korn constants
-certify       neighborhood radii, energy-gap gates, uniqueness certificates
-pushforward   change of reference configuration and its certified gates
+certify       neighborhood radii, energy-gap gates, the three certificates
+pushforward   change of reference configuration, below certify
 cli           scenario files and the rigidity-cert entry point
 """
 

@@ -5,7 +5,9 @@ equilibrium, a proved cubic Taylor constant of the stored energy, and the
 reverse-Hoelder constant J2, proved from the lattice, combine into a
 BMO-smallness threshold delta_star.  Candidates whose gradient difference
 passes the threshold get their energy excess verified directly against the
-coercivity bound.
+coercivity bound.  The three certificates (bmo-gate and small strain on
+the reference body, strain difference on the deformed configuration that
+pushforward builds) share one candidate loop.
 
 Every verdict is a measurement on the discrete problem at hand, labeled
 as such; nothing here asserts continuum statements.
@@ -18,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fem, harmonic, material, tensor_core
+from . import fem, harmonic, material, pushforward, tensor_core
 from .errors import (
     AssertionViolated,
     HypothesisUnmet,
@@ -42,6 +44,7 @@ __all__ = [
     "direction_positivity_transfer",
     "bmo_gate_certificate",
     "small_strain_uniqueness",
+    "certify_strain_neighborhood",
     "gated_perturbations",
     "multistart_agreement",
     "fold_outcomes",
@@ -169,9 +172,6 @@ class CertInputs:
     c_taylor: float
     c_hat_taylor: float
     J2: float
-    rho: float
-    epsilon: float
-    components: int
     delta_star: float
     provenance: dict
 
@@ -207,12 +207,7 @@ def certification_inputs(problem: Problem, u_e, residual_tol=RESIDUAL_TOL) -> Ce
     lambda_min = fem.coercivity_constant(M, G, mesh.dof_order())
     k_hat = lambda_min / _CASCADE
     c, c_hat = m.taylor_bounds(n, RHO, EPSILON)
-    components = n * n
-    delta_star = (
-        neighborhood_radius(k_hat, c, J2, components)
-        if k_hat > 0.0
-        else 0.0
-    )
+    delta_star = neighborhood_radius(k_hat, c, J2, n * n) if k_hat > 0.0 else 0.0
     provenance = {
         "mesh_hash": mesh.mesh_hash(),
         "material": m.descriptor(),
@@ -227,9 +222,6 @@ def certification_inputs(problem: Problem, u_e, residual_tol=RESIDUAL_TOL) -> Ce
         c_taylor=float(c),
         c_hat_taylor=float(c_hat),
         J2=float(J2),
-        rho=RHO,
-        epsilon=EPSILON,
-        components=components,
         delta_star=float(delta_star),
         provenance=provenance,
     )
@@ -307,7 +299,7 @@ def local_min_gate(c: Candidate) -> GateReport:
     energy excess against the coercivity bound.
 
     Conditions: both gradients inside the rotation-distance set (radius
-    rho, step within the epsilon fattening), BMO seminorm of the gradient
+    RHO, step within the EPSILON fattening), BMO seminorm of the gradient
     difference below delta_star, and mean gradient difference below
     delta_star.  All three passing and the energy gap failing is a loud
     error, never a silent downgrade.
@@ -320,7 +312,7 @@ def local_min_gate(c: Candidate) -> GateReport:
     Fe, Fv, delta = inputs.deformation_gradients, c.F, inputs.delta_star
     dist_v = float(tensor_core.dist_to_rotations_many(Fv).max())
     step = float(np.sqrt(np.einsum("eqij,eqij->eq", Fv - Fe, Fv - Fe)).max())
-    set_ratio = max(inputs.dist_sup / inputs.rho, dist_v / inputs.rho, step / inputs.epsilon)
+    set_ratio = max(inputs.dist_sup / RHO, dist_v / RHO, step / EPSILON)
     measurements = {
         "set_membership": measure(set_ratio, 1.0, set_ratio < 1.0),
         "bmo_seminorm": measure(c.bmo, delta, c.bmo < delta),
@@ -378,7 +370,8 @@ def direction_positivity_transfer(c: Candidate) -> TransferReport:
 
     The threshold is the transfer step's own: with the Hessian Lipschitz
     constant c_hat, a BMO/mean gap below 2 k_hat / (c_hat sqrt(Nn) J2^3)
-    loses at most half of the 8 k_hat eigenvalue floor.
+    loses at most half of the 8 k_hat eigenvalue floor; the gradient
+    matrices have Nn = n^2 components, so sqrt(Nn) is the dimension n.
     """
     v, inputs = c.v, c.inputs
     m, mesh, u = inputs.problem.material, inputs.problem.mesh, inputs.u_e
@@ -387,7 +380,7 @@ def direction_positivity_transfer(c: Candidate) -> TransferReport:
         raise HypothesisUnmet(f"second variation at u is not coercive ({lam:g})")
     threshold = _TRANSFER_CAP
     if inputs.c_hat_taylor != 0.0:
-        scale = inputs.c_hat_taylor * math.sqrt(inputs.components) * inputs.J2**3
+        scale = inputs.c_hat_taylor * mesh.dim * inputs.J2**3
         threshold = float(min(2.0 * k_hat / scale, _TRANSFER_CAP))
     measurements = {
         "bmo_seminorm": measure(c.bmo, threshold, c.bmo < threshold),
@@ -478,31 +471,42 @@ def fold_outcomes(entries) -> str:
     return "pass"
 
 
+def _certificate(problem_id, inputs: CertInputs, candidates, screen, transfer=None,
+                 **fields) -> Certificate:
+    """The certificate over the candidates, numbered in order: screen(entry,
+    v) adds its measurements of v to the entry and returns the Candidate
+    to gate (and to transfer, when given) or the reason v is inapplicable.
+    A lambda_min at or below 0 fails it, whatever the candidates."""
+    entries = []
+    for idx, v in enumerate(candidates):
+        entry = {"id": f"candidate-{idx:03d}"}
+        c = screen(entry, v)
+        if isinstance(c, str):
+            entry.update(outcome="inapplicable", reason=c)
+        else:
+            gate = local_min_gate(c)
+            entry.update(outcome=gate.outcome, gate=gate.to_dict(), energy_excess=gate.energy_gap)
+            if transfer is not None:
+                entry["transfer"] = transfer(c).to_dict()
+        entries.append(entry)
+    outcome = fold_outcomes(["pass" if inputs.lambda_min > 0 else "fail"]
+                            + [e["outcome"] for e in entries])
+    return Certificate.from_inputs(problem_id, inputs, candidates=entries, outcome=outcome,
+                                   **fields)
+
+
 def bmo_gate_certificate(candidates, inputs: CertInputs) -> Certificate:
     """Certify the equilibrium u_e that inputs were measured at against
     the supplied candidates: each runs the local-minimality gate and the
     direction positivity transfer over one measurement of it.  A
     coercivity constant at or below 0 fails the certificate, whatever the
     candidates."""
-    entries = []
-    for idx, v in enumerate(candidates):
-        c = Candidate(v, inputs)
-        gate = local_min_gate(c)
-        entries.append({
-            "id": f"candidate-{idx:03d}",
-            "outcome": gate.outcome,
-            "energy_excess": gate.energy_gap,
-            "gate": gate.to_dict(),
-            "transfer": direction_positivity_transfer(c).to_dict(),
-        })
-    return Certificate.from_inputs(
-        inputs.problem.problem_id,
-        inputs,
+    return _certificate(
+        inputs.problem.problem_id, inputs, candidates,
+        lambda entry, v: Candidate(v, inputs),
+        transfer=direction_positivity_transfer,
         measurements={},
-        candidates=entries,
         provenance=inputs.provenance,
-        outcome=fold_outcomes(["pass" if inputs.lambda_min > 0 else "fail"]
-                              + [e["outcome"] for e in entries]),
     )
 
 
@@ -557,35 +561,93 @@ def small_strain_uniqueness(candidates, inputs: CertInputs) -> Certificate:
         "elasticity_floor": measure(floor, 0.0, True),
         "strain_bound_reference": measure(strain_e, STRAIN_DELTA, True),
     }
-    entries = []
-    for idx, v in enumerate(candidates):
+
+    def screen(entry, v):
         c = Candidate(v, inputs)
         strain_v = _strain_sup(c.F)
-        entry = {
-            "id": f"candidate-{idx:03d}",
-            "strain_sup": float(strain_v),
-            "strain_bound": STRAIN_DELTA,
-        }
-        if strain_v >= STRAIN_DELTA:
-            entry["outcome"] = "inapplicable"
-            entry["reason"] = "candidate strain bound"
-        else:
-            gate = local_min_gate(c)
-            entry.update(outcome=gate.outcome, gate=gate.to_dict(), energy_excess=gate.energy_gap)
-        entries.append(entry)
-    outcome = fold_outcomes(
-        ["pass" if inputs.lambda_min > 0 else "fail"]
-        + [e["outcome"] for e in entries]
-    )
-    provenance = dict(inputs.provenance)
-    provenance["strain_delta"] = STRAIN_DELTA
-    return Certificate.from_inputs(
-        problem.problem_id,
-        inputs,
+        entry.update(strain_sup=strain_v, strain_bound=STRAIN_DELTA)
+        return "candidate strain bound" if strain_v >= STRAIN_DELTA else c
+
+    return _certificate(
+        problem.problem_id, inputs, candidates, screen,
         measurements=measurements,
-        candidates=entries,
-        provenance=provenance,
-        outcome=outcome,
+        provenance={**inputs.provenance, "strain_delta": STRAIN_DELTA},
+    )
+
+
+def certify_strain_neighborhood(candidates, inputs: CertInputs,
+                                strain_eps=0.05) -> Certificate:
+    """Run the local-minimality gate on the deformed configuration.
+
+    inputs are the reference constants certification_inputs measured at
+    the equilibrium u_e.  Candidates are filtered by the strain-difference
+    bound against u_e; surviving candidates are transported to the
+    deformed configuration and gated there, once, with the pushed-forward
+    problem: u_e(Omega) is the reference configuration of the local
+    minimum the certificate proves.  The deformed constants are measured
+    at a residual tolerance widened by the reference residual, with the
+    Taylor bounds of the pushed-forward material; a deformed coercivity
+    constant at or below 0 fails the
+    certificate, whatever the candidates.  A transported equilibrium
+    whose gradient is off the identity by more than 1e-10, or a
+    candidate at which the proved strain/distance sandwich fails, raises
+    AssertionViolated.
+    """
+    problem, u_e = inputs.problem, inputs.u_e
+    m, mesh, loads = problem.material, problem.mesh, problem.loads
+    if inputs.lambda_min <= 0.0:
+        raise PrerequisiteFailed(
+            f"second variation at u_e is not coercive ({inputs.lambda_min:g})"
+        )
+    cfg = pushforward.deform_configuration(mesh, u_e)
+    m_u = pushforward.PushforwardMaterial(m, cfg)
+    loads_u = pushforward.pushforward_loads(loads, cfg)
+    mesh_def = cfg.mesh_def
+    problem_def = Problem(problem.problem_id + "-deformed", m_u, mesh_def, loads_u)
+    inputs_def = certification_inputs(
+        problem_def, fem.FeField(mesh_def, u_e.values.copy()),
+        residual_tol=max(RESIDUAL_TOL, 10 * inputs.residual + 1e-12),
+    )
+    # u_e transported to the deformed mesh is the identity there, unless
+    # the pushforward is broken
+    ident_dev = float(np.max(np.abs(inputs_def.deformation_gradients - np.eye(mesh.dim))))
+    if ident_dev > 1e-10:
+        raise AssertionViolated(
+            f"the transported equilibrium is not the identity: |grad u_e - I| = {ident_dev:.3e}"
+        )
+    measurements = {
+        "identity_gradient_dev": {"lhs": ident_dev, "rhs": 1e-10},
+        "second_variation_positive": measure(
+            inputs_def.lambda_min, 0.0, inputs_def.lambda_min > 0.0),
+    }
+
+    def screen(entry, v):
+        sd = pushforward.strain_diff_to_dist(v, cfg)
+        if not sd.all_ok:
+            raise AssertionViolated(
+                f"the proved strain/distance sandwich fails at {int((~sd.bounds_ok).sum())} "
+                f"quadrature points of {entry['id']}"
+            )
+        strain_sup = float(sd.strain_diff.max())
+        entry.update(
+            strain_diff_sup=strain_sup,
+            strain_bound=float(strain_eps),
+            dist_sup=float(sd.d.max()),
+            dist_bound=float(strain_eps / sd.upsilon_e**2),
+            Upsilon_e=sd.Upsilon_e,
+            upsilon_e=sd.upsilon_e,
+        )
+        if strain_sup >= strain_eps:
+            return "strain-difference bound"
+        return Candidate(fem.FeField(mesh_def, v.values), inputs_def)
+
+    return _certificate(
+        problem.problem_id, inputs_def, candidates, screen,
+        measurements=measurements,
+        provenance={**inputs.provenance, "strain_eps": float(strain_eps),
+                    "deformed": inputs_def.provenance},
+        configuration="deformed",
+        extra={"inverse_residual": cfg.inverse_residual},
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certify, fem, harmonic, material, pushforward, reporting, rigidity
+from . import certify, fem, harmonic, material, reporting, rigidity
 from .errors import ConfigError, NewtonStopped, RigidityCertError
 
 PIPELINES = (
@@ -288,6 +288,12 @@ def build_loads(sc, mesh) -> tuple[fem.LoadSet, fem.FeField]:
     dfn, A = _dirichlet_map(sc, dim)
     body = np.array(sc["loads.body"]) if sc["loads.body"] is not None else None
     traction = np.array(sc["loads.traction"]) if sc["loads.traction"] is not None else None
+    if traction is not None and not mesh.traction_facets:
+        sides = sc["mesh.dirichlet"]
+        cause = ("the mesh file lists no traction facet" if sc["mesh.kind"] == "file" else
+                 f"mesh.dirichlet = {sides if sides == 'all' else ', '.join(sides)} clamps "
+                 "the whole boundary")
+        _fail(sc, "loads.traction", f"the mesh has no traction part to load: {cause}")
     loads = fem.LoadSet.build(mesh, body=body, traction=traction, dirichlet=dfn)
     u0 = fem.FeField(mesh, mesh.nodes @ A.T)
     return loads, u0
@@ -479,7 +485,7 @@ def _pipeline_small_strain(sc, mesh, sweep):
 
 def _pipeline_strain_diff(sc, mesh, sweep):
     inputs, cands, _ = _certify_setup(sc, mesh)
-    cert = pushforward.certify_strain_neighborhood(
+    cert = certify.certify_strain_neighborhood(
         cands, inputs, strain_eps=sc["certify.strain_eps"]
     )
     rows = [

@@ -162,6 +162,11 @@ class Mesh:
             )
         self.dirichlet_facets = tuple(tuple(int(v) for v in f) for f in dirichlet_facets)
         self.traction_facets = tuple(tuple(int(v) for v in f) for f in traction_facets)
+        facet_ids = [v for f in self.dirichlet_facets + self.traction_facets for v in f]
+        ids = np.concatenate([self.elements.ravel(), np.array(facet_ids, dtype=int)])
+        out = ids[(ids < 0) | (ids >= len(self.nodes))]
+        if out.size:
+            raise DimensionMismatch(f"node index {out[0]} outside [0, {len(self.nodes)})")
         self.lattice = lattice
         self._qp_cache = None
         self._table_cache = {}
@@ -1285,8 +1290,8 @@ def read_mesh(path) -> Mesh:
 
     A malformed file raises DimensionMismatch naming its 1-based line: a
     missing or wrong section header, a bad count or number (a non-finite
-    coordinate among them), or a file that ends before the counts say it
-    should.
+    coordinate or a node index outside [0, nodes) among them), or a file
+    that ends before the counts say it should.
     """
     from pathlib import Path
 
@@ -1332,6 +1337,12 @@ def read_mesh(path) -> Mesh:
             out.append(entry)
         return out
 
+    def node_index(token):
+        i = int(token)
+        if not 0 <= i < count:
+            raise ValueError(f"node index {i} outside [0, {count})")
+        return i
+
     (dim,) = header(1, "dim", 1)
     (count,) = header(2, "nodes", 1)
     row = 3
@@ -1339,13 +1350,13 @@ def read_mesh(path) -> Mesh:
     row += count
     mcount, width = header(row, "elements", 2)
     row += 1
-    elements = block(row, mcount, "elements", int, width=width)
+    elements = block(row, mcount, "elements", node_index, width=width)
     row += mcount
     (dcount,) = header(row, "dirichlet", 1)
     row += 1
-    dfacets = [tuple(f) for f in block(row, dcount, "dirichlet", int)]
+    dfacets = [tuple(f) for f in block(row, dcount, "dirichlet", node_index)]
     row += dcount
     (tcount,) = header(row, "traction", 1)
     row += 1
-    tfacets = [tuple(f) for f in block(row, tcount, "traction", int)]
+    tfacets = [tuple(f) for f in block(row, tcount, "traction", node_index)]
     return Mesh(nodes, elements, dfacets, tfacets)

@@ -5,8 +5,8 @@ the problem there: deformed mesh, pushed-forward stored energy, stress,
 elasticity tensor, and loads, with the composed fields represented by
 node transport (the image of node x_i carries the reference nodal
 value).  Integral identities between the two configurations are checked
-numerically, and the strain-difference uniqueness gate runs the usual
-BMO chain on the deformed configuration.
+numerically, and a strain difference is converted into rotation
+distances; certify gates candidates on the configuration built here.
 
 u_e may be a nodal field or an analytically specified map with an exact
 Jacobian.  For a nodal field the transport is exact (the deformed
@@ -21,15 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import certify, fem, material, tensor_core
-from .errors import (
-    AssertionViolated,
-    DegenerateNormal,
-    DeterminantViolation,
-    DimensionMismatch,
-    NotInjective,
-    PrerequisiteFailed,
-)
+from . import fem, material, tensor_core
+from .errors import DegenerateNormal, DeterminantViolation, DimensionMismatch, NotInjective
 
 __all__ = [
     "AnalyticDeformation",
@@ -41,7 +34,6 @@ __all__ = [
     "CovReport",
     "strain_diff_to_dist",
     "StrainDistReport",
-    "certify_strain_neighborhood",
 ]
 
 
@@ -356,7 +348,7 @@ def verify_cov_identities(m, mesh, loads, u_e, v, w) -> CovReport:
     return CovReport(lines=lines, max_rel=max_rel, inverse_residual=cfg.inverse_residual)
 
 
-# ---------------------------------------------------- strain-difference gate
+# ------------------------------------- strain difference to rotation distance
 
 @dataclass
 class StrainDistReport:
@@ -403,94 +395,4 @@ def strain_diff_to_dist(v: fem.FeField, cfg: DeformedConfig) -> StrainDistReport
         bounds_ok=lower & upper & linear,
         Upsilon_e=Upsilon,
         upsilon_e=upsilon,
-    )
-
-
-def certify_strain_neighborhood(candidates, inputs: certify.CertInputs,
-                                strain_eps=0.05) -> certify.Certificate:
-    """Run the local-minimality gate on the deformed configuration.
-
-    inputs are the reference constants certification_inputs measured at
-    the equilibrium u_e.  Candidates are filtered by the strain-difference
-    bound against u_e; surviving candidates are transported to the
-    deformed configuration and gated there, once, with the pushed-forward
-    problem: u_e(Omega) is the reference configuration of the local
-    minimum the certificate proves.  The deformed constants are measured
-    at a residual tolerance widened by the reference residual, with the
-    Taylor bounds of the pushed-forward material; a deformed coercivity
-    constant at or below 0 fails the
-    certificate, whatever the candidates.  A transported equilibrium
-    whose gradient is off the identity by more than 1e-10, or a
-    candidate at which the proved strain/distance sandwich fails, raises
-    AssertionViolated.
-    """
-    problem, u_e = inputs.problem, inputs.u_e
-    m, mesh, loads = problem.material, problem.mesh, problem.loads
-    if inputs.lambda_min <= 0.0:
-        raise PrerequisiteFailed(
-            f"second variation at u_e is not coercive ({inputs.lambda_min:g})"
-        )
-    cfg = deform_configuration(mesh, u_e)
-    m_u = PushforwardMaterial(m, cfg)
-    loads_u = pushforward_loads(loads, cfg)
-    mesh_def = cfg.mesh_def
-    problem_def = certify.Problem(problem.problem_id + "-deformed", m_u, mesh_def, loads_u)
-    u_hat = fem.FeField(mesh_def, u_e.values.copy())
-    inputs_def = certify.certification_inputs(
-        problem_def, u_hat,
-        residual_tol=max(certify.RESIDUAL_TOL, 10 * inputs.residual + 1e-12),
-    )
-    # u_e transported to the deformed mesh is the identity there, unless
-    # the pushforward is broken
-    ident_dev = float(np.max(np.abs(inputs_def.deformation_gradients - np.eye(mesh.dim))))
-    if ident_dev > 1e-10:
-        raise AssertionViolated(
-            f"the transported equilibrium is not the identity: |grad u_e - I| = {ident_dev:.3e}"
-        )
-    measurements = {
-        "identity_gradient_dev": {"lhs": ident_dev, "rhs": 1e-10},
-        "second_variation_positive": certify.measure(
-            inputs_def.lambda_min, 0.0, inputs_def.lambda_min > 0.0),
-    }
-    entries = []
-    for idx, v in enumerate(candidates):
-        cid = f"candidate-{idx:03d}"
-        sd = strain_diff_to_dist(v, cfg)
-        if not sd.all_ok:
-            raise AssertionViolated(
-                f"the proved strain/distance sandwich fails at {int((~sd.bounds_ok).sum())} "
-                f"quadrature points of {cid}"
-            )
-        strain_sup = float(sd.strain_diff.max())
-        entry = {
-            "id": cid,
-            "strain_diff_sup": strain_sup,
-            "strain_bound": float(strain_eps),
-            "dist_sup": float(sd.d.max()),
-            "dist_bound": float(strain_eps / sd.upsilon_e**2),
-            "Upsilon_e": sd.Upsilon_e,
-            "upsilon_e": sd.upsilon_e,
-        }
-        if strain_sup >= strain_eps:
-            entry["outcome"] = "inapplicable"
-            entry["reason"] = "strain-difference bound"
-        else:
-            gate = certify.local_min_gate(
-                certify.Candidate(fem.FeField(mesh_def, v.values), inputs_def))
-            entry.update(outcome=gate.outcome, gate=gate.to_dict(), energy_excess=gate.energy_gap)
-        entries.append(entry)
-    outcome = certify.fold_outcomes(["pass" if inputs_def.lambda_min > 0.0 else "fail"]
-                                    + [e["outcome"] for e in entries])
-    provenance = dict(inputs.provenance)
-    provenance["strain_eps"] = float(strain_eps)
-    provenance["deformed"] = inputs_def.provenance
-    return certify.Certificate.from_inputs(
-        problem.problem_id,
-        inputs_def,
-        measurements=measurements,
-        candidates=entries,
-        provenance=provenance,
-        outcome=outcome,
-        configuration="deformed",
-        extra={"inverse_residual": cfg.inverse_residual},
     )

@@ -360,7 +360,7 @@ def test_criterion_13_strain_difference_gate():
     inputs_ref = certify.certification_inputs(problem, u_e)
     good = certify.gated_perturbations(inputs_ref, count=1, frac=0.2, seed=4)[0]
     bad = fem.FeField(mesh, u_e.values @ np.diag([1.3, 1.0]))
-    cert = pushforward.certify_strain_neighborhood(
+    cert = certify.certify_strain_neighborhood(
         [good, bad], inputs_ref, strain_eps=0.05,
     )
     gated, breaching = cert.candidates

@@ -112,7 +112,6 @@ def test_certification_inputs_measured(stretch):
     assert inputs.c_hat_taylor > 0.0
     assert math.isfinite(inputs.J2) and inputs.J2 > 0.0
     assert inputs.delta_star > 0.0
-    assert inputs.components == 4
     assert inputs.provenance["mesh_hash"] == problem.mesh.mesh_hash()
     assert inputs.provenance["taylor"] == {"rho": certify.RHO, "epsilon": certify.EPSILON}
     assert (inputs.c_taylor, inputs.c_hat_taylor) == problem.material.taylor_bounds(
@@ -230,8 +229,7 @@ def test_gate_toy_quadratic_energy_exact():
         energy=fem.total_energy(m, mesh, loads, u_e),
         dist_sup=float(tensor_core.dist_to_rotations_many(F_e).max()),
         lambda_min=lam, k_hat=lam / 8.0, c_taylor=0.0, c_hat_taylor=0.0,
-        J2=1.0, rho=0.5, epsilon=0.5,
-        components=4, delta_star=certify.neighborhood_radius(lam / 8, 0.0, 1.0, 4),
+        J2=1.0, delta_star=certify.neighborhood_radius(lam / 8, 0.0, 1.0, 4),
         provenance={},
     )
     v = u_e.copy()

@@ -349,6 +349,21 @@ def test_validate_names_the_count_a_generator_refuses(tmp_path, capsys, kind, co
     assert not (tmp_path / "out").exists()
 
 
+def test_validate_refuses_a_traction_on_a_mesh_file_with_no_traction_facet(tmp_path, capsys):
+    fem.write_mesh(fem.rectangle_mesh(4, 4), tmp_path / "square.mesh")
+    cfg = _write(tmp_path, "a.cfg", f"""
+        name = demo
+        pipeline = solve
+        mesh.kind = file
+        mesh.path = {tmp_path / "square.mesh"}
+        loads.traction = 0.5 0.0
+    """)
+    assert cli.main(["validate", cfg]) == 1
+    assert capsys.readouterr().err == ("config error: loads.traction (line 6): the mesh has no "
+                                       "traction part to load: the mesh file lists no traction "
+                                       "facet\n")
+
+
 def test_validate_names_the_path_of_a_mesh_file_that_fails(tmp_path, capsys):
     cfg = _write(tmp_path, "a.cfg", f"""
         name = demo
@@ -561,6 +576,10 @@ def test_validate_names_the_key_at_fault(tmp_path, capsys, key, value, message):
      "needs loads.dirichlet = affine, got identity"),
     ("mesh.kind = rectangle", "mesh.path", "nowhere.mesh",
      "needs mesh.kind = file, got rectangle"),
+    # a traction on a mesh with no traction part used to be dropped: the
+    # solve passed with the energy of no load
+    ("mesh.dirichlet = all", "loads.traction", "0.5 0.0",
+     "the mesh has no traction part to load: mesh.dirichlet = all clamps the whole boundary"),
 ])
 def test_validate_names_the_key_at_fault_beside_its_partner(tmp_path, capsys, partner, key,
                                                             value, message):

@@ -1323,6 +1323,9 @@ def test_mesh_file_roundtrip_keeps_hash(tmp_path_factory, mesh, seed, scale):
     (lambda t: t[: t.index("elements")], 13, "file ends"),
     (lambda t: t[: t.index("traction")], 27, "file ends before the 'traction' line"),
     (lambda t: t[: t.index("7 8")], 26, "file ends before dirichlet entry 8 of 8"),
+    (lambda t: t.replace("1 2 5 4", "1 2 5 -1"), 15,
+     r"bad elements entry: node index -1 outside \[0, 9\)"),
+    (lambda t: t.replace("7 8", "7 9"), 26, r"bad dirichlet entry: node index 9 outside \[0, 9\)"),
 ])
 def test_read_mesh_typed_errors(tmp_path, edit, line, message):
     path = tmp_path / "mesh.txt"
@@ -1330,6 +1333,22 @@ def test_read_mesh_typed_errors(tmp_path, edit, line, message):
     path.write_text(edit(path.read_text()))
     with pytest.raises(errors.DimensionMismatch, match=f"line {line}: .*{message}"):
         fem.read_mesh(path)
+
+
+@pytest.mark.parametrize("where", ["elements", "facets"])
+def test_mesh_refuses_node_indices_out_of_range(where):
+    # a -1 used to index the last node, so validate passed the mesh and a
+    # traction-loaded solve died in np.bincount
+    mesh = fem.rectangle_mesh(4, 3, dirichlet=("left",))
+    last = len(mesh.nodes) - 1
+    elements = np.where(mesh.elements == last, -1, mesh.elements)
+    traction = [tuple(-1 if v == last else v for v in f) for f in mesh.traction_facets]
+    if where == "elements":
+        args = (elements, mesh.dirichlet_facets, mesh.traction_facets)
+    else:
+        args = (mesh.elements, mesh.dirichlet_facets, traction)
+    with pytest.raises(errors.DimensionMismatch, match=r"node index -1 outside \[0, 20\)"):
+        fem.Mesh(mesh.nodes, *args)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -476,7 +476,7 @@ def test_certify_strain_neighborhood(stretch):
     good = _gated_bump(problem, u_e, 0.2)
     big = fem.FeField(mesh, u_e.values @ np.diag([1.3, 1.0]))
     inputs = certify.certification_inputs(problem, u_e)
-    cert = pushforward.certify_strain_neighborhood(
+    cert = certify.certify_strain_neighborhood(
         [u_e.copy(), good, big], inputs, strain_eps=0.05,
     )
     doc = cert.to_dict()
@@ -516,7 +516,7 @@ def test_certify_strain_fails_a_non_coercive_deformed_configuration(stretch, mon
     monkeypatch.setattr(fem, "coercivity_constant", lambda *a, **k: -eigensolve(*a, **k))
     big = fem.FeField(problem.mesh, u_e.values @ np.diag([1.3, 1.0]))
     for candidates in ([], [big]):
-        cert = pushforward.certify_strain_neighborhood(candidates, inputs)
+        cert = certify.certify_strain_neighborhood(candidates, inputs)
         assert cert.lambda_min < 0.0
         assert not cert.measurements["second_variation_positive"]["pass"]
         assert cert.outcome == "fail"
@@ -531,7 +531,7 @@ def test_certify_strain_refuses_a_candidate_off_the_dirichlet_data(stretch):
     assert pushforward.strain_diff_to_dist(
         v, pushforward.deform_configuration(problem.mesh, u_e)).strain_diff.max() < 1e-12
     with pytest.raises(errors.HypothesisUnmet, match="off the Dirichlet data"):
-        pushforward.certify_strain_neighborhood([u_e.copy(), v], inputs)
+        certify.certify_strain_neighborhood([u_e.copy(), v], inputs)
 
 
 def test_certify_strain_raises_on_a_failing_sandwich(stretch, monkeypatch):
@@ -550,10 +550,10 @@ def test_certify_strain_raises_on_a_failing_sandwich(stretch, monkeypatch):
     cfg = broken(problem.mesh, u_e)
     sd = pushforward.strain_diff_to_dist(good, cfg)
     assert np.any(cfg.upsilon**2 * sd.d**2 > math.sqrt(2.0) * sd.strain_diff + 1e-9)
-    assert pushforward.certify_strain_neighborhood([good], inputs).outcome == "pass"
+    assert certify.certify_strain_neighborhood([good], inputs).outcome == "pass"
     monkeypatch.setattr(pushforward, "deform_configuration", broken)
     with pytest.raises(errors.AssertionViolated, match="sandwich fails .* candidate-000"):
-        pushforward.certify_strain_neighborhood([good], inputs)
+        certify.certify_strain_neighborhood([good], inputs)
 
 
 def test_certify_strain_raises_when_the_transported_equilibrium_is_not_the_identity(
@@ -567,7 +567,7 @@ def test_certify_strain_raises_when_the_transported_equilibrium_is_not_the_ident
     monkeypatch.setattr(pushforward, "deform_configuration",
                         lambda mesh, u: deform(mesh, fem.FeField(mesh, u.values * (1 + 1e-9))))
     with pytest.raises(errors.AssertionViolated, match="not the identity"):
-        pushforward.certify_strain_neighborhood([], inputs)
+        certify.certify_strain_neighborhood([], inputs)
 
 
 def test_certify_strain_requires_equilibrium(stretch):
@@ -576,6 +576,6 @@ def test_certify_strain_requires_equilibrium(stretch):
     node = int(np.nonzero(problem.mesh.free_mask()[:, 0])[0][0])
     off.values[node, 0] += 0.05
     with pytest.raises(errors.PrerequisiteFailed, match="equilibrium"):
-        pushforward.certify_strain_neighborhood(
+        certify.certify_strain_neighborhood(
             candidates=[], inputs=certify.certification_inputs(
                 problem, off))
